@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,18 +34,6 @@ from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_is_topology
 from .rationals import frac
 from .retraction import BoxWitness, verify_witness
 from .sweeps import random_topology
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    topology_file: str = ""
-    grid_step: Fraction = Fraction(1, 64)
-    seed: int = 0
-    sweep_count: int = 100
-
-    def __post_init__(self):
-        if self.grid_step.numerator != 1 or self.grid_step.denominator < 8:
-            raise ValueError("grid step must be 1/k with k >= 8")
 
 
 class InputError(Exception):

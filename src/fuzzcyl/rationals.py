@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Q = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -22,11 +20,15 @@ def frac(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction. Rejects floats."""
+    """Parse "p/q" or "p" into a Fraction. Rejects floats and zero
+    denominators with ValueError."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return Fraction(int(text))
 
 

@@ -29,6 +29,7 @@ from .intervals import (
     Interval,
     IntervalSet,
     canonical,
+    is_open_in_unit,
     make_interval,
     make_unit_interval,
     singleton,
@@ -216,8 +217,11 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
 
 
 def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
-    """Replay a certificate: anchor containment, region realizability, and
-    exact image containment in the target."""
+    """Replay a certificate: a time box open in [0,1] around the anchor time,
+    anchor containment, region realizability, and exact image containment in
+    the target."""
+    if not is_open_in_unit(IntervalSet((w.t_interval,))):
+        return False
     if not w.t_interval.contains(w.anchor_t):
         return False
     if not w.region.fiber(w.anchor.x).contains(w.anchor.alpha):

@@ -88,6 +88,35 @@ def test_retraction_emit_and_replay(capsys, tmp_path, topo_file):
     assert doc["replayed"] == 12 and doc["ok"]
 
 
+def test_replay_rejects_degenerate_time_box(capsys, tmp_path, topo_file):
+    cert = tmp_path / "certs.json"
+    code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
+                  "--sweeps", "12", "--seed", "4", "--emit", str(cert))
+    assert code == 0
+    # shrink every time box to its anchor time: no longer a neighbourhood
+    forged = json.loads(cert.read_text())
+    for w in forged:
+        t = w["anchor_t"]
+        w["t_interval"] = {"lo": t, "hi": t, "lo_open": False, "hi_open": False}
+    cert.write_text(json.dumps(forged))
+    code, doc = run(capsys, "verify-retraction", "--topology", topo_file,
+                    "--replay", str(cert))
+    assert code == 1
+    assert not doc["ok"] and doc["failures"] == list(range(12))
+
+
+def test_zero_denominator_exits_2(capsys, tmp_path):
+    bad = json.loads(json.dumps(TOPO))
+    bad["opens"][2]["values"]["a"] = "1/0"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["laws", "--sweeps", "1", "--topology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["paths", "--grid-step", "1/0"]) == 2
+    capsys.readouterr()
+
+
 def test_paths_sweep(capsys):
     code, doc = run(capsys, "paths", "--sweeps", "2", "--seed", "5")
     assert code == 0 and doc["ok"]

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,10 @@ from fuzzcyl import (
     verify_psi_laws,
     whole_cylinder,
 )
-from fuzzcyl.cylinder import CylinderOpen
+from fuzzcyl import cylinder
+from fuzzcyl.cylinder import CylinderOpen, LawReport
+from fuzzcyl.fuzzy import fz_join, fz_meet
+from fuzzcyl.sweeps import random_topology
 
 F = Fraction
 AB = ground("a", "b")
@@ -175,3 +180,68 @@ def test_critical_gammas_cover_all_slice_patterns():
     # fresh gammas between criticals produce no new level-0 slice pattern
     for probe in (F(7, 24), F(-3, 7), F(17, 48), F(9, 10)):
         assert slice_mask(probe) in seen
+
+
+def reference_psi_laws(topo, max_family=4):
+    """The family loop verify_psi_laws replaced: each family's union is
+    rebuilt member by member, families listed by size, then
+    lexicographically."""
+    failures = []
+    checked = 0
+    images = {name: psi_star(f) for name, f in topo.items()}
+    for (na, a), (nb, b) in itertools.combinations_with_replacement(list(topo.items()), 2):
+        checked += 1
+        if cylinder.cyl_intersect(images[na], images[nb]) != psi_star(fz_meet(a, b)):
+            failures.append(("meet-law", na, nb))
+    names = list(topo.names)
+    families = [list(c) for r in range(1, min(max_family, len(names)) + 1)
+                for c in itertools.combinations(names, r)]
+    if len(names) > max_family:
+        families.append(names)
+    for fam in families:
+        checked += 1
+        union = empty_cylinder(topo.ground)
+        for n in fam:
+            union = cylinder.cyl_union(union, images[n])
+        joined = fz_join([topo.open_named(n) for n in fam])
+        if union != psi_star(joined):
+            failures.append(("join-law", *fam))
+    return LawReport(not failures, tuple(failures), checked)
+
+
+def test_verify_psi_laws_matches_reference_loop():
+    rng = random.Random(1)
+    draws = [random_topology(rng) for _ in range(30)]
+    assert max(len(t.names) for t in draws) >= 15
+    for topo in draws:
+        n = len(topo.names)
+        sizes = (1, 2, 4, n + 1) if n <= 10 else (1, 2, 4)
+        for max_family in sizes:
+            expect = reference_psi_laws(topo, max_family).to_json()
+            assert verify_psi_laws(topo, max_family).to_json() == expect
+
+
+def test_verify_psi_laws_reports_injected_union_fault(monkeypatch):
+    rng = random.Random(1)
+    topo = random_topology(rng)
+    while len(topo.names) < 10:
+        topo = random_topology(rng)
+    images = [psi_star(f) for f in topo.opens]
+    honest = cylinder.cyl_union
+    # corrupt one pair of incomparable opens at a time: every family that
+    # reaches the pair through an equal prefix union inherits the fault
+    pairs = [(a, b) for a, b in itertools.combinations(images, 2)
+             if not cyl_subset(a, b) and not cyl_subset(b, a)]
+    assert len(pairs) >= 3
+    deepest = 0
+    for pair in pairs:
+        def faulty(a, b, pair=pair):
+            return a if (a, b) == pair else honest(a, b)
+
+        monkeypatch.setattr(cylinder, "cyl_union", faulty)
+        for max_family in (2, 4):
+            expect = reference_psi_laws(topo, max_family)
+            assert expect.failures
+            assert verify_psi_laws(topo, max_family).to_json() == expect.to_json()
+        deepest = max(deepest, *(len(f) - 1 for f in expect.failures))
+    assert deepest >= 3

@@ -103,6 +103,7 @@ def _cmd_connectivity(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    topo = _load_topology(args.topology) if args.topology else None
     rng = random.Random(args.seed)
     ledger = OracleLedger()
     results = [
@@ -111,13 +112,22 @@ def _cmd_laws(args) -> int:
         sweep_indicator_compat(ledger=ledger),
         sweep_sigma_laws(rng, max(args.sweeps // 10, 3), ledger),
     ]
-    if args.topology:
-        topo = _load_topology(args.topology)
+    if topo is not None:
         report = verify_psi_laws(topo)
         results.append(SweepResult("psi-laws-input", report.checked,
                                    list(report.failures)))
     _emit([r.to_json() for r in results])
     return 0 if all(r.ok for r in results) else 1
+
+
+def _check_names(index: int, w: BoxWitness, topo: FuzzyTopology) -> None:
+    """Reject a certificate naming a ground element or open that the
+    topology lacks: replay looks the names up."""
+    if w.anchor.x not in topo.ground.elements:
+        raise InputError(f"certificate {index}: unknown ground element {w.anchor.x!r}")
+    for e in (w.target, *(e for clause in w.region_expr.clauses for e in clause)):
+        if e.kind == "tstar" and e.open_name not in topo.names:
+            raise InputError(f"certificate {index}: unknown open {e.open_name!r}")
 
 
 def _cmd_verify_retraction(args) -> int:
@@ -130,6 +140,8 @@ def _cmd_verify_retraction(args) -> int:
             witnesses = [BoxWitness.from_json(topo.ground, w) for w in doc]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
+        for i, w in enumerate(witnesses):
+            _check_names(i, w, topo)
         verdicts = [verify_witness(w, topo) for w in witnesses]
         _emit({"replayed": len(verdicts), "ok": all(verdicts),
                "failures": [i for i, v in enumerate(verdicts) if not v]})

@@ -3,31 +3,35 @@
 Paths are a closed DSL rather than arbitrary maps: constants, vertical
 affine segments, horizontal lifts of fence paths, concatenations (binary
 halving, left-nested), reversals, homotopy transforms, and the boundary
-paths of the square free homotopy.  Every construction evaluates exactly at
-rational parameters, and continuity against subbasis opens is decidable
-piecewise.
+paths of the square free homotopy.
+
+Every such path is piecewise affine in its parameter u.  An expression is
+compiled once, on first use, into a :class:`PathTable`: the sorted
+breakpoints (concatenation splits and fence ends), the point at each
+breakpoint, and on each open piece between them a fixed ground element
+with an affine level ``c0 + c1 u``.  The table is cached on the node
+outside its dataclass fields, so equality, hashing, repr and JSON are
+those of the expression.  Evaluation is one bisection into the table.
+The exact preimage of a cylinder set is read off it piece by piece, so
+continuity against subbasis opens is decidable, and image containment is
+a preimage equal to [0,1].
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-from .base_space import comparable, specialization_preorder
 from .cylinder import CylinderOpen, SubbasisElem, subbasis_realize
 from .fuzzy import FuzzyTopology
 from .intervals import (
-    EMPTY_SET,
     Interval,
     IntervalSet,
     canonical,
     is_open_in_unit,
-    iv_subset,
-    iv_union,
-    make_interval,
     make_unit_interval,
-    singleton,
 )
 from .rationals import ONE, ZERO, format_rational, frac
 from .retraction import CylPoint, h_eval
@@ -37,7 +41,7 @@ def kappa(s, t, x) -> Fraction:
     """The segment path in [0,1] from s to t: (t - s) * x + s."""
     s, t, x = frac(s), frac(t), frac(x)
     for v in (s, t, x):
-        if not (ZERO <= v <= ONE):
+        if not 0 <= v.numerator <= v.denominator:
             raise ValueError(f"kappa argument outside [0,1]: {v}")
     return (t - s) * x + s
 
@@ -183,35 +187,91 @@ def path_end(e: PathExpr) -> CylPoint:
     return eval_path(e, ONE)
 
 
-def _binary_concat_eval(parts, u: Fraction) -> CylPoint:
-    # left-nested: (p1 * ... * p_{n-1}) * p_n
-    if len(parts) == 1:
-        return eval_path(parts[0], u)
-    if u <= Fraction(1, 2):
-        return _binary_concat_eval(parts[:-1], 2 * u)
-    return eval_path(parts[-1], 2 * u - 1)
+# ---------------------------------------------------------------------------
+# the compiled piecewise-affine table
+
+
+@dataclass(frozen=True)
+class PathTable:
+    """A path as breakpoints ``0 = b_0 < ... < b_m = 1``, the point taken at
+    each breakpoint, and one ``(x, c0, c1)`` per open piece
+    ``(b_j, b_{j+1})``, on which the path is ``u -> (x, c0 + c1 u)``."""
+
+    breaks: tuple[Fraction, ...]
+    points: tuple[CylPoint, ...]
+    pieces: tuple[tuple[str, Fraction, Fraction], ...]
+
+
+def _constant_table(p: CylPoint) -> PathTable:
+    return PathTable((ZERO, ONE), (p, p), ((p.x, p.alpha, ZERO),))
+
+
+def _compile(e: PathExpr) -> PathTable:
+    if isinstance(e, Const):
+        return _constant_table(e.point)
+    if isinstance(e, VerticalAffine):
+        return PathTable((ZERO, ONE), (CylPoint(e.x, e.a0), CylPoint(e.x, e.a1)),
+                         ((e.x, e.a0, e.a1 - e.a0),))
+    if isinstance(e, HLift):
+        steps, k = e.base.steps, len(e.base.steps) - 1
+        if k == 0:
+            return _constant_table(CylPoint(steps[0], e.level))
+        return PathTable(tuple(Fraction(i, k) for i in range(k + 1)),
+                         tuple(CylPoint(x, e.level) for x in steps),
+                         tuple((x, e.level, ZERO) for x in e.base.interiors))
+    if isinstance(e, Concat):
+        # left-nested halving: part k of n runs over [lo, 2^-(n-1-k)];
+        # each split keeps the left part's point
+        breaks, points, pieces = [ZERO], [], []
+        lo = ZERO
+        for k, part in enumerate(e.parts):
+            hi = Fraction(1, 2 ** (len(e.parts) - 1 - k))
+            width = hi - lo
+            table = path_table(part)
+            breaks.extend(lo + width * b for b in table.breaks[1:])
+            points.extend(table.points if k == 0 else table.points[1:])
+            pieces.extend((x, c0 - c1 * lo / width, c1 / width)
+                          for x, c0, c1 in table.pieces)
+            lo = hi
+        return PathTable(tuple(breaks), tuple(points), tuple(pieces))
+    if isinstance(e, Reverse):
+        table = path_table(e.inner)
+        return PathTable(tuple(ONE - b for b in reversed(table.breaks)),
+                         table.points[::-1],
+                         tuple((x, c0 + c1, -c1) for x, c0, c1 in reversed(table.pieces)))
+    if isinstance(e, HTransform):
+        scale = ONE - e.t
+        table = path_table(e.inner)
+        return PathTable(table.breaks,
+                         tuple(CylPoint(p.x, scale * p.alpha) for p in table.points),
+                         tuple((x, scale * c0, scale * c1) for x, c0, c1 in table.pieces))
+    if isinstance(e, ChiBoundary):
+        return _compile(chi_boundary(e.rho, e.s, e.t, e.end))
+    raise TypeError(f"not a path expression: {e!r}")
+
+
+def path_table(e: PathExpr) -> PathTable:
+    """The compiled table of ``e``, built on first use and kept in the
+    node's ``__dict__``, outside its dataclass fields."""
+    try:
+        return e.__dict__["_table"]
+    except KeyError:
+        table = e.__dict__["_table"] = _compile(e)
+        return table
+    except AttributeError:
+        raise TypeError(f"not a path expression: {e!r}") from None
 
 
 def eval_path(e: PathExpr, u) -> CylPoint:
     u = frac(u)
-    if not (ZERO <= u <= ONE):
+    if not 0 <= u.numerator <= u.denominator:
         raise ValueError(f"path parameter outside [0,1]: {u}")
-    if isinstance(e, Const):
-        return e.point
-    if isinstance(e, VerticalAffine):
-        return CylPoint(e.x, e.a0 + (e.a1 - e.a0) * u)
-    if isinstance(e, HLift):
-        return CylPoint(e.base.element_at(u), e.level)
-    if isinstance(e, Concat):
-        return _binary_concat_eval(e.parts, u)
-    if isinstance(e, Reverse):
-        return eval_path(e.inner, ONE - u)
-    if isinstance(e, HTransform):
-        return h_eval(e.t, eval_path(e.inner, u))
-    if isinstance(e, ChiBoundary):
-        anchor = eval_path(e.rho, Fraction(e.end))
-        return h_eval(kappa(e.s, e.t, u), anchor)
-    raise TypeError(f"not a path expression: {e!r}")
+    table = path_table(e)
+    j = bisect_left(table.breaks, u)
+    if table.breaks[j] == u:
+        return table.points[j]
+    x, c0, c1 = table.pieces[j - 1]
+    return CylPoint(x, c0 + c1 * u)
 
 
 def chi_eval(rho: PathExpr, s, t, eta, x) -> CylPoint:
@@ -232,158 +292,42 @@ def vertical_connector(y: str, alpha, beta) -> VerticalAffine:
 
 
 # ---------------------------------------------------------------------------
-# image contributions and containment
-
-
-def _contributions(e: PathExpr, scale: Fraction) -> list[tuple[str, Fraction, Fraction]]:
-    """Closed level ranges (element, lo, hi) covering the path image after
-    scaling levels by ``scale`` (accumulated homotopy transforms)."""
-    if isinstance(e, Const):
-        v = scale * e.point.alpha
-        return [(e.point.x, v, v)]
-    if isinstance(e, VerticalAffine):
-        lo, hi = min(e.a0, e.a1), max(e.a0, e.a1)
-        return [(e.x, scale * lo, scale * hi)]
-    if isinstance(e, HLift):
-        v = scale * e.level
-        return [(x, v, v) for x in set(e.base.steps) | set(e.base.interiors)]
-    if isinstance(e, Concat):
-        out = []
-        for part in e.parts:
-            out.extend(_contributions(part, scale))
-        return out
-    if isinstance(e, Reverse):
-        return _contributions(e.inner, scale)
-    if isinstance(e, HTransform):
-        return _contributions(e.inner, scale * (ONE - e.t))
-    if isinstance(e, ChiBoundary):
-        return _contributions(chi_boundary(e.rho, e.s, e.t, e.end), scale)
-    raise TypeError(f"not a path expression: {e!r}")
+# image containment, exact preimages and continuity
 
 
 def path_in_open(e: PathExpr, open_set: CylinderOpen) -> bool:
     """Exact image containment of a path in a cylinder set."""
-    for x, lo, hi in _contributions(e, ONE):
-        segment = make_interval(lo, hi, True, True)
-        if not iv_subset(segment, open_set.fiber(x)):
-            return False
-    return True
+    return path_preimage(e, open_set) == make_unit_interval(0, 1, True, True)
 
 
-# ---------------------------------------------------------------------------
-# exact preimages and continuity
-
-
-def _affine_preimage(a0: Fraction, a1: Fraction, fiber: IntervalSet) -> IntervalSet:
-    """{u in [0,1] : a0 + (a1 - a0) u in fiber} as a canonical parameter set."""
-    slope = a1 - a0
-    if slope == ZERO:
-        return make_unit_interval(0, 1, True, True) if fiber.contains(a0) else EMPTY_SET
-    pieces = []
-    for part in fiber.parts:
-        u1 = (part.lo - a0) / slope
-        u2 = (part.hi - a0) / slope
-        if slope > 0:
-            lo, hi = u1, u2
-            lo_closed, hi_closed = part.lo_closed, part.hi_closed
-        else:
-            lo, hi = u2, u1
-            lo_closed, hi_closed = part.hi_closed, part.lo_closed
-        if hi < ZERO or lo > ONE:
-            continue
-        if lo < ZERO:
-            lo, lo_closed = ZERO, True
-        if hi > ONE:
-            hi, hi_closed = ONE, True
-        pieces.extend(make_unit_interval(lo, hi, lo_closed, hi_closed).parts)
-    return canonical(pieces)
-
-
-def _scale_fiber_preimage(fiber: IntervalSet, c: Fraction) -> IntervalSet:
-    """{beta in [0,1) : c * beta in fiber} for a scale c in [0,1]."""
-    if c == ZERO:
-        return make_interval(0, 1, True, False) if fiber.contains(ZERO) else EMPTY_SET
-    pieces = []
-    for part in fiber.parts:
-        lo = part.lo / c
-        hi = part.hi / c
-        lo_closed, hi_closed = part.lo_closed, part.hi_closed
-        if lo >= ONE:
-            continue
-        if hi > ONE:
-            hi, hi_closed = ONE, False
-        pieces.extend(make_interval(lo, min(hi, ONE), lo_closed, hi_closed).parts)
-    return canonical(pieces)
-
-
-def _scale_open_preimage(open_set: CylinderOpen, c: Fraction) -> CylinderOpen:
-    return CylinderOpen(open_set.ground,
-                        tuple(_scale_fiber_preimage(f, c) for f in open_set.fibers))
-
-
-def _shift(parts: IntervalSet, a: Fraction, b: Fraction) -> list[Interval]:
-    """Map a parameter set through u -> a + (b - a) u with a < b."""
-    width = b - a
+def _piece_preimage(lo: Fraction, hi: Fraction, c0: Fraction, c1: Fraction,
+                    fiber: IntervalSet) -> list[Interval]:
+    """{u in (lo, hi) : c0 + c1 u in fiber}, one interval per fiber part."""
+    if c1 == ZERO:
+        return [Interval(lo, hi, False, False)] if fiber.contains(c0) else []
     out = []
-    for p in parts.parts:
-        out.extend(make_unit_interval(a + width * p.lo, a + width * p.hi,
-                                      p.lo_closed, p.hi_closed).parts)
+    for part in fiber.parts:
+        a, b = (part.lo - c0) / c1, (part.hi - c0) / c1
+        a_closed, b_closed = part.lo_closed, part.hi_closed
+        if c1 < ZERO:
+            a, b, a_closed, b_closed = b, a, b_closed, a_closed
+        if a <= lo:
+            a, a_closed = lo, False
+        if b >= hi:
+            b, b_closed = hi, False
+        if a < b or (a == b and a_closed and b_closed):
+            out.append(Interval(a, b, a_closed, b_closed))
     return out
-
-
-def _reverse_params(parts: IntervalSet) -> IntervalSet:
-    out = []
-    for p in parts.parts:
-        out.extend(make_unit_interval(ONE - p.hi, ONE - p.lo,
-                                      p.hi_closed, p.lo_closed).parts)
-    return canonical(out)
-
-
-def _hlift_preimage(e: HLift, open_set: CylinderOpen) -> IntervalSet:
-    fence = e.base
-    k = len(fence.steps) - 1
-    member = {x: open_set.fiber(x).contains(e.level)
-              for x in set(fence.steps) | set(fence.interiors)}
-    if k == 0:
-        return (make_unit_interval(0, 1, True, True)
-                if member[fence.steps[0]] else EMPTY_SET)
-    pieces = []
-    for i in range(k):
-        lo, hi = Fraction(i, k), Fraction(i + 1, k)
-        if member[fence.steps[i]]:
-            pieces.extend(make_unit_interval(lo, lo, True, True).parts)
-        if member[fence.interiors[i]]:
-            pieces.extend(make_unit_interval(lo, hi, False, False).parts)
-    if member[fence.steps[-1]]:
-        pieces.extend(make_unit_interval(1, 1, True, True).parts)
-    return canonical(pieces)
 
 
 def path_preimage(e: PathExpr, open_set: CylinderOpen) -> IntervalSet:
     """Exact parameter set {u in [0,1] : e(u) in open_set}."""
-    if isinstance(e, Const):
-        contained = open_set.fiber(e.point.x).contains(e.point.alpha)
-        return make_unit_interval(0, 1, True, True) if contained else EMPTY_SET
-    if isinstance(e, VerticalAffine):
-        return _affine_preimage(e.a0, e.a1, open_set.fiber(e.x))
-    if isinstance(e, HLift):
-        return _hlift_preimage(e, open_set)
-    if isinstance(e, Concat):
-        parts = list(e.parts)
-        acc = path_preimage(parts[-1], open_set)
-        pieces = _shift(acc, Fraction(1, 2), ONE)
-        left = parts[:-1]
-        inner = (path_preimage(left[0], open_set) if len(left) == 1
-                 else path_preimage(Concat(tuple(left)), open_set))
-        pieces.extend(_shift(inner, ZERO, Fraction(1, 2)))
-        return canonical(pieces)
-    if isinstance(e, Reverse):
-        return _reverse_params(path_preimage(e.inner, open_set))
-    if isinstance(e, HTransform):
-        return path_preimage(e.inner, _scale_open_preimage(open_set, ONE - e.t))
-    if isinstance(e, ChiBoundary):
-        return path_preimage(chi_boundary(e.rho, e.s, e.t, e.end), open_set)
-    raise TypeError(f"not a path expression: {e!r}")
+    table = path_table(e)
+    parts = [Interval(b, b, True, True) for b, p in zip(table.breaks, table.points)
+             if open_set.fiber(p.x).contains(p.alpha)]
+    for lo, hi, (x, c0, c1) in zip(table.breaks, table.breaks[1:], table.pieces):
+        parts.extend(_piece_preimage(lo, hi, c0, c1, open_set.fiber(x)))
+    return canonical(parts)
 
 
 def path_preimage_open(e: PathExpr, target: SubbasisElem, topo: FuzzyTopology) -> bool:

@@ -43,7 +43,10 @@ class CylPoint:
     alpha: Fraction
 
     def __post_init__(self):
-        if not (ZERO <= self.alpha < ONE):
+        # integer comparisons are exact: a Fraction keeps its denominator positive
+        if not isinstance(self.alpha, (Fraction, int)):
+            raise TypeError(f"cannot interpret {self.alpha!r} as an exact rational")
+        if not 0 <= self.alpha.numerator < self.alpha.denominator:
             raise ValueError(f"level outside J: {self.alpha}")
 
     def __repr__(self):
@@ -64,7 +67,7 @@ def point(x: str, alpha) -> CylPoint:
 def h_eval(t, p: CylPoint) -> CylPoint:
     """The homotopy value (x, (1-t) * alpha)."""
     t = frac(t)
-    if not (ZERO <= t <= ONE):
+    if not 0 <= t.numerator <= t.denominator:
         raise ValueError(f"homotopy time outside [0,1]: {t}")
     return CylPoint(p.x, (ONE - t) * p.alpha)
 

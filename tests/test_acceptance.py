@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from fuzzcyl.checks import (
     OracleLedger,
     counterexample_report,
@@ -23,7 +25,6 @@ from fuzzcyl.checks import (
 )
 
 LEDGER = OracleLedger()
-STATE = {}
 
 
 def report(number, name, ok, detail=""):
@@ -96,13 +97,18 @@ def test_criterion_06_sigma_open_map_laws():
            f"{result.checked} equalities")
 
 
-def test_criterion_07_path_identity_suite():
+@pytest.fixture(scope="module")
+def path_sweep():
+    """Criterion 7's sweep, run once for criteria 7 and 8, with its time."""
     rng = random.Random(105)
     started = time.monotonic()
     result = sweep_path_identities(rng, 200, Fraction(1, 64),
                                    check_continuity=True)
-    elapsed = time.monotonic() - started
-    STATE["path-sweep"] = result
+    return result, time.monotonic() - started
+
+
+def test_criterion_07_path_identity_suite(path_sweep):
+    result, elapsed = path_sweep
     identity_failures = [f for f in result.failures if f[1] != "continuity"]
     ok = not identity_failures and result.checked >= 200 and elapsed < 60.0
     report(7, "path-identity-suite", ok,
@@ -110,8 +116,8 @@ def test_criterion_07_path_identity_suite():
            + ("" if ok else f"; failures {identity_failures[:3]}"))
 
 
-def test_criterion_08_dsl_continuity():
-    result = STATE["path-sweep"]
+def test_criterion_08_dsl_continuity(path_sweep):
+    result, _ = path_sweep
     continuity_failures = [f for f in result.failures if f[1] == "continuity"]
     report(8, "dsl-continuity", not continuity_failures,
            f"{result.checked} paths against full subbasis"

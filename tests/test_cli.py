@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from fuzzcyl import cli
 from fuzzcyl.cli import main
 
 TOPO = {
@@ -103,6 +105,45 @@ def test_replay_rejects_degenerate_time_box(capsys, tmp_path, topo_file):
                     "--replay", str(cert))
     assert code == 1
     assert not doc["ok"] and doc["failures"] == list(range(12))
+
+
+@pytest.mark.parametrize("forge", [
+    lambda w: w["anchor"].update(x="zz"),
+    lambda w: w.update(target={"kind": "tstar", "gamma": "0", "open": "Tz"}),
+], ids=["unknown-ground-element", "unknown-open"])
+def test_replay_rejects_unknown_names(capsys, tmp_path, topo_file, forge):
+    cert = tmp_path / "certs.json"
+    code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
+                  "--sweeps", "12", "--seed", "4", "--emit", str(cert))
+    assert code == 0
+    forged = json.loads(cert.read_text())
+    forge(forged[3])
+    cert.write_text(json.dumps(forged))
+    assert main(["verify-retraction", "--topology", topo_file,
+                 "--replay", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate 3: unknown ")
+    assert captured.err.count("\n") == 1
+
+
+def test_laws_rejects_bad_topology_before_sweeping(capsys, tmp_path, monkeypatch):
+    bad = json.loads(json.dumps(TOPO))
+    bad["opens"][2]["values"]["a"] = "1/0"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+
+    def no_sweep(*args):
+        raise AssertionError("swept before loading the topology")
+
+    monkeypatch.setattr(cli, "sweep_psi_laws", no_sweep)
+    started = time.monotonic()
+    assert main(["laws", "--topology", str(path)]) == 2
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert elapsed < 1.0
 
 
 def test_zero_denominator_exits_2(capsys, tmp_path):

@@ -38,8 +38,16 @@ from fuzzcyl import (
     tstar,
     vertical_connector,
 )
-from fuzzcyl.intervals import make_unit_interval
-from fuzzcyl.paths import path_end, path_start
+from fuzzcyl.cylinder import CylinderOpen, cyl_union, subbasis_elements
+from fuzzcyl.intervals import (
+    EMPTY_SET,
+    canonical,
+    iv_subset,
+    make_interval,
+    make_unit_interval,
+)
+from fuzzcyl.paths import path_end, path_start, path_table
+from fuzzcyl.retraction import CylPoint, h_eval
 from fuzzcyl.sweeps import random_path, random_topology
 
 F = Fraction
@@ -66,6 +74,21 @@ def test_kappa_examples():
     assert kappa(1, 0, 1 - F(1, 3)) == kappa(0, 1, F(1, 3))
     with pytest.raises(ValueError):
         kappa(0, 1, 2)
+    with pytest.raises(ValueError):
+        kappa(F(-1, 2), 1, 0)
+    assert kappa(1, 1, 1) == 1
+
+
+def test_eval_path_parameter_range():
+    path = VerticalAffine("x", F(0), F(1, 2))
+    assert eval_path(path, 1) == point("x", F(1, 2))
+    for u in (F(-1, 64), F(65, 64), 2):
+        with pytest.raises(ValueError):
+            eval_path(path, u)
+    with pytest.raises(TypeError):
+        eval_path(path, 0.5)
+    with pytest.raises(TypeError):
+        eval_path("not a path", 0)
 
 
 def test_eval_vertical_affine():
@@ -137,6 +160,21 @@ def test_path_in_open():
     assert not path_in_open(VerticalAffine("a", F(1, 8), F(1, 2)), target)
     p2 = subbasis_realize(pi2(F(1, 8)), topo)
     assert path_in_open(VerticalAffine("a", F(1, 4), F(1, 2)), p2)
+
+
+def test_path_in_open_needs_the_whole_segment():
+    topo = const_topo("1/4")
+    name = open_with_levels(topo, F(1, 4))
+    # fibers [0,1/4) u (1/2,1): both ends of the segment lie inside, its
+    # middle does not
+    gap = cyl_union(subbasis_realize(tstar(name, 0), topo),
+                    subbasis_realize(pi2(F(1, 2)), topo))
+    for path in (VerticalAffine("a", F(1, 8), F(3, 4)),
+                 Reverse(HTransform(F(1, 4), VerticalAffine("a", F(1, 6), F(7, 8))))):
+        assert path_in_open(Const(path_start(path)), gap)
+        assert path_in_open(Const(path_end(path)), gap)
+        assert not path_in_open(path, gap)
+        assert not reference_in_open(path, gap)
 
 
 def test_path_preimage_open_examples():
@@ -222,3 +260,182 @@ def test_random_paths_match_endpoint_threading():
         start = point(topo.ground.elements[0], F(1, 8))
         path = random_path(rng, topo, start=start)
         assert path_start(path) == start
+
+
+# ---------------------------------------------------------------------------
+# the recursive semantics the compiled table replaced, kept as references
+
+
+def _binary_concat_eval(parts, u):
+    # left-nested: (p1 * ... * p_{n-1}) * p_n
+    if len(parts) == 1:
+        return reference_eval(parts[0], u)
+    if u <= F(1, 2):
+        return _binary_concat_eval(parts[:-1], 2 * u)
+    return reference_eval(parts[-1], 2 * u - 1)
+
+
+def reference_eval(e, u):
+    if isinstance(e, Const):
+        return e.point
+    if isinstance(e, VerticalAffine):
+        return CylPoint(e.x, e.a0 + (e.a1 - e.a0) * u)
+    if isinstance(e, HLift):
+        return CylPoint(e.base.element_at(u), e.level)
+    if isinstance(e, Concat):
+        return _binary_concat_eval(e.parts, u)
+    if isinstance(e, Reverse):
+        return reference_eval(e.inner, 1 - u)
+    if isinstance(e, HTransform):
+        return h_eval(e.t, reference_eval(e.inner, u))
+    anchor = reference_eval(e.rho, F(e.end))
+    return h_eval(kappa(e.s, e.t, u), anchor)
+
+
+def reference_chi_boundary(e):
+    anchor = reference_eval(e.rho, F(e.end))
+    return VerticalAffine(anchor.x, (1 - e.s) * anchor.alpha,
+                          (1 - e.t) * anchor.alpha)
+
+
+def reference_contributions(e, scale):
+    """Closed level ranges (element, lo, hi) covering the image."""
+    if isinstance(e, Const):
+        v = scale * e.point.alpha
+        return [(e.point.x, v, v)]
+    if isinstance(e, VerticalAffine):
+        return [(e.x, scale * min(e.a0, e.a1), scale * max(e.a0, e.a1))]
+    if isinstance(e, HLift):
+        v = scale * e.level
+        return [(x, v, v) for x in set(e.base.steps) | set(e.base.interiors)]
+    if isinstance(e, Concat):
+        return [c for part in e.parts for c in reference_contributions(part, scale)]
+    if isinstance(e, Reverse):
+        return reference_contributions(e.inner, scale)
+    if isinstance(e, HTransform):
+        return reference_contributions(e.inner, scale * (1 - e.t))
+    return reference_contributions(reference_chi_boundary(e), scale)
+
+
+def reference_in_open(e, open_set):
+    return all(iv_subset(make_interval(lo, hi, True, True), open_set.fiber(x))
+               for x, lo, hi in reference_contributions(e, F(1)))
+
+
+def _affine_preimage(a0, a1, fiber):
+    slope = a1 - a0
+    if slope == 0:
+        return make_unit_interval(0, 1, True, True) if fiber.contains(a0) else EMPTY_SET
+    pieces = []
+    for part in fiber.parts:
+        u1, u2 = (part.lo - a0) / slope, (part.hi - a0) / slope
+        if slope > 0:
+            lo, hi, lo_closed, hi_closed = u1, u2, part.lo_closed, part.hi_closed
+        else:
+            lo, hi, lo_closed, hi_closed = u2, u1, part.hi_closed, part.lo_closed
+        if hi < 0 or lo > 1:
+            continue
+        if lo < 0:
+            lo, lo_closed = F(0), True
+        if hi > 1:
+            hi, hi_closed = F(1), True
+        pieces.extend(make_unit_interval(lo, hi, lo_closed, hi_closed).parts)
+    return canonical(pieces)
+
+
+def _scale_fiber_preimage(fiber, c):
+    """{beta in [0,1) : c * beta in fiber}."""
+    if c == 0:
+        return make_interval(0, 1, True, False) if fiber.contains(F(0)) else EMPTY_SET
+    pieces = []
+    for part in fiber.parts:
+        lo, hi = part.lo / c, part.hi / c
+        hi_closed = part.hi_closed
+        if lo >= 1:
+            continue
+        if hi > 1:
+            hi, hi_closed = F(1), False
+        pieces.extend(make_interval(lo, hi, part.lo_closed, hi_closed).parts)
+    return canonical(pieces)
+
+
+def _shift(params, a, b):
+    """Map a parameter set through u -> a + (b - a) u."""
+    return [q for p in params.parts
+            for q in make_unit_interval(a + (b - a) * p.lo, a + (b - a) * p.hi,
+                                        p.lo_closed, p.hi_closed).parts]
+
+
+def reference_preimage(e, open_set):
+    if isinstance(e, Const):
+        contained = open_set.fiber(e.point.x).contains(e.point.alpha)
+        return make_unit_interval(0, 1, True, True) if contained else EMPTY_SET
+    if isinstance(e, VerticalAffine):
+        return _affine_preimage(e.a0, e.a1, open_set.fiber(e.x))
+    if isinstance(e, HLift):
+        fence, k = e.base, len(e.base.steps) - 1
+        member = {x: open_set.fiber(x).contains(e.level)
+                  for x in set(fence.steps) | set(fence.interiors)}
+        if k == 0:
+            return (make_unit_interval(0, 1, True, True)
+                    if member[fence.steps[0]] else EMPTY_SET)
+        pieces = []
+        for i in range(k):
+            lo, hi = F(i, k), F(i + 1, k)
+            if member[fence.steps[i]]:
+                pieces.extend(make_unit_interval(lo, lo, True, True).parts)
+            if member[fence.interiors[i]]:
+                pieces.extend(make_unit_interval(lo, hi, False, False).parts)
+        if member[fence.steps[-1]]:
+            pieces.extend(make_unit_interval(1, 1, True, True).parts)
+        return canonical(pieces)
+    if isinstance(e, Concat):
+        left = e.parts[:-1]
+        inner = left[0] if len(left) == 1 else Concat(left)
+        return canonical(_shift(reference_preimage(e.parts[-1], open_set), F(1, 2), F(1))
+                         + _shift(reference_preimage(inner, open_set), F(0), F(1, 2)))
+    if isinstance(e, Reverse):
+        inner = reference_preimage(e.inner, open_set)
+        return canonical(q for p in inner.parts
+                         for q in make_unit_interval(1 - p.hi, 1 - p.lo,
+                                                     p.hi_closed, p.lo_closed).parts)
+    if isinstance(e, HTransform):
+        scaled = CylinderOpen(open_set.ground,
+                              tuple(_scale_fiber_preimage(f, 1 - e.t)
+                                    for f in open_set.fibers))
+        return reference_preimage(e.inner, scaled)
+    return reference_preimage(reference_chi_boundary(e), open_set)
+
+
+def test_compiled_table_matches_recursive_reference():
+    rng = random.Random(1)
+    grid = [F(k, 64) for k in range(65)]
+    for _ in range(300):
+        topo = random_topology(rng, max_generators=2, max_den=6)
+        path = random_path(rng, topo)
+        targets = [subbasis_realize(e, topo) for e in subbasis_elements(topo)]
+        # random_path nests reversals only in pairs, so add a single one
+        for expr in (path, Reverse(path)):
+            for u in grid:
+                assert eval_path(expr, u) == reference_eval(expr, u), (expr, u)
+            for target in targets:
+                assert path_preimage(expr, target) == reference_preimage(expr, target), \
+                    (expr, target)
+                assert path_in_open(expr, target) == reference_in_open(expr, target), \
+                    (expr, target)
+
+
+def test_compiled_node_keeps_value_semantics():
+    rng = random.Random(2)
+    for _ in range(20):
+        topo = random_topology(rng, max_generators=2, max_den=6)
+        path = random_path(rng, topo)
+        doc, digest, text = path_to_json(path), hash(path), repr(path)
+        fresh = path_from_json(doc)
+        eval_path(path, F(1, 3))
+        assert path_table(path) is path_table(path)
+        assert path == fresh and fresh == path
+        assert hash(path) == digest == hash(fresh)
+        assert repr(path) == text
+        assert path_to_json(path) == doc
+        assert len({path, fresh}) == 1

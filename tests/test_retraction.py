@@ -27,7 +27,7 @@ from fuzzcyl import (
 )
 from fuzzcyl.cylinder import CylinderOpen
 from fuzzcyl.intervals import EMPTY_SET
-from fuzzcyl.retraction import BoxWitness
+from fuzzcyl.retraction import BoxWitness, CylPoint
 from fuzzcyl.sweeps import random_anchor, random_point, random_topology
 
 F = Fraction
@@ -53,6 +53,20 @@ def test_h_eval_examples():
     assert h_eval(0, point("x", F(3, 4))) == point("x", F(3, 4))
     with pytest.raises(ValueError):
         h_eval(F(3, 2), point("x", 0))
+    with pytest.raises(ValueError):
+        h_eval(F(-1, 2), point("x", 0))
+
+
+def test_cyl_point_rejects_inexact_and_out_of_range_levels():
+    with pytest.raises(TypeError):
+        CylPoint("x", 0.5)
+    with pytest.raises(TypeError):
+        point("x", 0.5)
+    for alpha in (F(1), F(-1, 3), F(4, 3), 1, -1):
+        with pytest.raises(ValueError):
+            CylPoint("x", alpha)
+    assert CylPoint("x", 0) == point("x", F(0))
+    assert CylPoint("x", F(2, 3)).alpha == F(2, 3)
 
 
 def test_sigma_eval():

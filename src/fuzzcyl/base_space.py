@@ -4,19 +4,19 @@ preorder, and the connectivity gate used by the path calculus."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .cylinder import (
     OpenExpr,
-    SubbasisElem,
     critical_gammas,
     pi2,
     subbasis_realize,
     tstar,
 )
-from .fuzzy import FuzzySet, FuzzyTopology, GroundSet
+from .fuzzy import FuzzyTopology, GroundSet, lattice_closure
 from .rationals import ONE, ZERO
 
 
@@ -53,16 +53,7 @@ class FiniteTopology:
 
 def close_under_ops(ground_set: GroundSet, generators: set[int]) -> FiniteTopology:
     full = (1 << len(ground_set.elements)) - 1
-    opens = set(generators) | {0, full}
-    changed = True
-    while changed:
-        changed = False
-        current = list(opens)
-        for a, b in itertools.combinations(current, 2):
-            for cand in (a & b, a | b):
-                if cand not in opens:
-                    opens.add(cand)
-                    changed = True
+    opens = lattice_closure(set(generators) | {0, full}, operator.and_, operator.or_)
     return FiniteTopology(ground_set, frozenset(opens))
 
 

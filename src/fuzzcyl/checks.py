@@ -43,7 +43,7 @@ from .fuzzy import (
     fz_indicator,
     ground,
 )
-from .oracle import GridOracle, first_mismatch, oracle_rasterize
+from .oracle import GridOracle, first_mismatch
 from .intervals import EMPTY_SET, WHOLE_J
 from .paths import (
     ChiBoundary,
@@ -51,7 +51,6 @@ from .paths import (
     Const,
     HLift,
     HTransform,
-    PathExpr,
     Reverse,
     VerticalAffine,
     chi_eval,
@@ -59,14 +58,14 @@ from .paths import (
     kappa,
     make_fence_path,
     normalize_path,
+    pasting_failure,
     path_end,
     path_preimage_open,
     path_start,
 )
-from .rationals import ONE, ZERO, format_rational, frac
+from .rationals import ONE, ZERO, frac
 from .retraction import (
     BoxWitness,
-    CylPoint,
     continuity_witness,
     h_eval,
     sigma_image,
@@ -272,6 +271,25 @@ def _sigma_predicate(e: SubbasisElem, topo: FuzzyTopology) -> Predicate:
     return lambda x, v: v == ZERO and f(x) > e.gamma
 
 
+REGIMES = ("zero", "interior", "one")
+
+
+def _certify_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
+                    result: SweepResult) -> Optional[BoxWitness]:
+    """Draw one anchor in the given time regime, build its certificate and
+    replay it, recording a failure on ``result``; None when no anchor is
+    found."""
+    anchor = random_anchor(rng, topo, case)
+    if anchor is None:
+        return None
+    t, p, target = anchor
+    result.checked += 1
+    witness = continuity_witness(t, p, target, topo)
+    if not verify_witness(witness, topo):
+        result.failures.append(("witness", case, t, p, target))
+    return witness
+
+
 def sweep_retraction(rng: random.Random, topologies: int = 20,
                      anchors: int = 100,
                      ledger: Optional[OracleLedger] = None
@@ -279,26 +297,20 @@ def sweep_retraction(rng: random.Random, topologies: int = 20,
     """Continuity certificates across all three homotopy-time regimes."""
     result = SweepResult("retraction-certificates")
     witnesses: list[tuple[FuzzyTopology, BoxWitness]] = []
-    cases = ("zero", "interior", "one")
     while result.checked < anchors:
         for _ in range(topologies):
             topo = random_topology(rng, max_generators=2, max_den=8)
-            for case in cases:
-                anchor = random_anchor(rng, topo, case)
-                if anchor is None:
+            for case in REGIMES:
+                witness = _certify_anchor(rng, topo, case, result)
+                if witness is None:
                     continue
-                t, p, target = anchor
-                result.checked += 1
-                witness = continuity_witness(t, p, target, topo)
-                if not verify_witness(witness, topo):
-                    result.failures.append(("witness", case, t, p, target))
                 witnesses.append((topo, witness))
                 if ledger is not None and result.checked % 10 == 0:
                     ledger.add("witness-region", witness.region,
                                expr_predicate(witness.region_expr, topo))
                     ledger.add("witness-target",
-                               subbasis_realize(target, topo),
-                               subbasis_predicate(target, topo))
+                               subbasis_realize(witness.target, topo),
+                               subbasis_predicate(witness.target, topo))
     return result, witnesses
 
 
@@ -307,19 +319,12 @@ def sweep_retraction_on(topo: FuzzyTopology, rng: random.Random,
     """Certificates for one fixed topology, cycling the three time regimes."""
     result = SweepResult("retraction-certificates")
     witnesses: list[BoxWitness] = []
-    cases = ("zero", "interior", "one")
     attempts = 0
     while result.checked < anchors and attempts < 20 * anchors:
         attempts += 1
-        anchor = random_anchor(rng, topo, cases[attempts % 3])
-        if anchor is None:
-            continue
-        t, p, target = anchor
-        result.checked += 1
-        witness = continuity_witness(t, p, target, topo)
-        if not verify_witness(witness, topo):
-            result.failures.append(("witness", t, p, target))
-        witnesses.append(witness)
+        witness = _certify_anchor(rng, topo, REGIMES[attempts % 3], result)
+        if witness is not None:
+            witnesses.append(witness)
     return result, witnesses
 
 
@@ -382,6 +387,8 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
         parts.append(random_path(rng, topo, 1, path_end(parts[-1])))
     whole = HTransform(t, Concat(tuple(parts)))
     piecewise = Concat(tuple(HTransform(t, p) for p in parts))
+    if normalize_path(whole) != normalize_path(piecewise):
+        failures.append(("ast-com-normal-form",))
     for u in fine:
         if eval_path(whole, u) != eval_path(piecewise, u):
             failures.append(("ast-com-comp", u))
@@ -424,16 +431,9 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
 
     # functoriality pasting of the square homotopy over a concatenation
     delta = random_path(rng, topo, 1, path_end(gamma))
-    combined = Concat((gamma, delta))
-    half = Fraction(1, 2)
-    for eta in coarse:
-        for x in coarse:
-            whole_v = chi_eval(combined, s, t, eta, x)
-            inner = (chi_eval(gamma, s, t, 2 * eta, x) if eta <= half
-                     else chi_eval(delta, s, t, 2 * eta - 1, x))
-            if whole_v != inner:
-                failures.append(("pasting", eta, x))
-                break
+    mismatch = pasting_failure(gamma, delta, s, t, coarse)
+    if mismatch is not None:
+        failures.append(("pasting", *mismatch))
 
     # endpoint identities of the boundary-path composite
     p = ChiBoundary(gamma, s, t, 0)

@@ -19,7 +19,6 @@ from .checks import (
     OracleLedger,
     SweepResult,
     counterexample_report,
-    sweep_complement,
     sweep_indicator_compat,
     sweep_path_identities,
     sweep_psi_laws,
@@ -30,41 +29,34 @@ from .checks import (
 )
 from .cylinder import psi_star, verify_psi_laws
 from .functor import complement_report
-from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_is_topology
+from .fuzzy import FuzzyTopology, fz_is_topology, read_family
 from .rationals import frac
 from .retraction import BoxWitness, verify_witness
-from .sweeps import random_topology
 
 
 class InputError(Exception):
     """Malformed input file or arguments (exit code 2)."""
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_family(doc: dict) -> tuple[GroundSet, list[str], list[FuzzySet]]:
+def _read_topology(path: str, reader):
+    """Apply a topology reader to the JSON file at path; malformed input
+    exits 2."""
+    doc = _load_json(path)
     try:
-        gs = GroundSet(tuple(doc["ground_set"]))
-        names, opens = [], []
-        for entry in doc["opens"]:
-            names.append(entry["name"])
-            opens.append(FuzzySet.from_dict(gs, entry["values"]))
-        return gs, names, opens
+        return reader(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed topology file: {exc}") from exc
 
 
 def _load_topology(path: str) -> FuzzyTopology:
-    gs, names, opens = _parse_family(_load_json(path))
-    try:
-        return FuzzyTopology(gs, tuple(names), tuple(opens))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return _read_topology(path, FuzzyTopology.from_json)
 
 
 def _emit(doc) -> None:
@@ -73,7 +65,7 @@ def _emit(doc) -> None:
 
 
 def _cmd_validate(args) -> int:
-    _, _, opens = _parse_family(_load_json(args.topology))
+    _, _, opens = _read_topology(args.topology, read_family)
     report = fz_is_topology(opens)
     _emit(report.to_json())
     return 0 if report.ok else 1
@@ -81,6 +73,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_cylinder(args) -> int:
     topo = _load_topology(args.topology)
+    if args.open and args.open not in topo.names:
+        raise InputError(f"no open named {args.open!r}")
     names = [args.open] if args.open else list(topo.names)
     doc = {}
     for name in names:
@@ -199,10 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact cylinder-space toolkit for finite fuzzy topologies")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, topology_required=True):
-        if topology_required:
-            p.add_argument("--topology", required=True,
-                           help="JSON topology file")
+    def common(p):
+        p.add_argument("--topology", required=True, help="JSON topology file")
 
     def sweep_flags(p):
         p.add_argument("--sweeps", type=int, default=100)

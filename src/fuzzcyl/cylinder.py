@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement, fz_join, fz_meet
 from .intervals import (
@@ -55,6 +55,8 @@ class CylinderOpen:
     @staticmethod
     def from_json(gs: GroundSet, doc: dict) -> "CylinderOpen":
         fibers = doc["fibers"]
+        if not isinstance(fibers, dict):
+            raise TypeError("fibers must be an object keyed by ground element")
         return CylinderOpen(gs, tuple(IntervalSet.from_json(fibers.get(x, []))
                                       for x in gs.elements))
 

@@ -11,19 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .cylinder import CompatReport, complement_compat
 from .fuzzy import FuzzySet, fz_complement
 from .paths import (
-    Concat,
     PathExpr,
     VerticalAffine,
     chi_eval,
-    eval_path,
     functor_object_path,
-    path_end,
-    path_start,
+    pasting_failure,
 )
 from .rationals import ONE, ZERO, frac
 from .retraction import CylPoint
@@ -77,24 +73,10 @@ def check_functoriality(F: FuzzySet, y: str, gamma: PathExpr, delta: PathExpr,
                         grid_step: Fraction = Fraction(1, 16)) -> bool:
     """Morphism evaluation of a concatenation equals the piecewise pasting
     of the parts' evaluations on the test grid."""
-    if path_end(gamma) != path_start(delta):
-        raise ValueError(
-            f"paths not composable: {path_end(gamma)} vs {path_start(delta)}")
-    functor = FunctorEval(F)
-    combined = Concat((gamma, delta))
+    fy = F(y)
     steps = int(ONE / grid_step)
     grid = [Fraction(k, steps) for k in range(steps + 1)]
-    half = Fraction(1, 2)
-    for eta in grid:
-        for x in grid:
-            whole = functor.morphism_eval(y, combined, eta, x)
-            if eta <= half:
-                pasted = functor.morphism_eval(y, gamma, 2 * eta, x)
-            else:
-                pasted = functor.morphism_eval(y, delta, 2 * eta - 1, x)
-            if whole != pasted:
-                return False
-    return True
+    return pasting_failure(gamma, delta, fy, ONE - fy, grid) is None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .rationals import ONE, ZERO, format_rational, frac
 
@@ -161,12 +161,26 @@ class FuzzyTopology:
 
     @staticmethod
     def from_json(doc: dict) -> "FuzzyTopology":
-        gs = GroundSet(tuple(doc["ground_set"]))
-        names, opens = [], []
-        for entry in doc["opens"]:
-            names.append(entry["name"])
-            opens.append(FuzzySet.from_dict(gs, entry["values"]))
-        return FuzzyTopology(gs, tuple(names), tuple(opens))
+        return FuzzyTopology(*read_family(doc))
+
+
+def read_family(doc: dict) -> tuple[GroundSet, tuple[str, ...], tuple[FuzzySet, ...]]:
+    """The ground set, open names and opens of a topology document, with
+    its structure checked and the topology axioms not. Malformed structure
+    raises KeyError, TypeError or ValueError."""
+    elements = doc["ground_set"]
+    if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+        raise TypeError("ground_set must be an array of strings")
+    gs = GroundSet(tuple(elements))
+    names, opens = [], []
+    for entry in doc["opens"]:
+        if not isinstance(entry["name"], str):
+            raise TypeError(f"open names must be strings, not {type(entry['name']).__name__}")
+        names.append(entry["name"])
+        opens.append(FuzzySet.from_dict(gs, entry["values"]))
+    if len(set(names)) != len(names):
+        raise ValueError("open names must be unique")
+    return gs, tuple(names), tuple(opens)
 
 
 @dataclass(frozen=True)
@@ -203,6 +217,22 @@ def fz_is_topology(family: Sequence[FuzzySet]) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
+def lattice_closure(seed: Iterable, meet: Callable, join: Callable) -> set:
+    """The smallest set containing ``seed`` and closed under the pairwise
+    ``meet`` and ``join``: each new member is met and joined with every
+    member, itself included, until nothing new appears."""
+    pool = set(seed)
+    pending = list(pool)
+    while pending:
+        u = pending.pop()
+        for v in list(pool):
+            for cand in (meet(u, v), join(u, v)):
+                if cand not in pool:
+                    pool.add(cand)
+                    pending.append(cand)
+    return pool
+
+
 def fz_generate_topology(generators: Sequence[FuzzySet],
                          ground_set: Optional[GroundSet] = None) -> FuzzyTopology:
     """Smallest topology containing the generators.
@@ -218,22 +248,10 @@ def fz_generate_topology(generators: Sequence[FuzzySet],
         _require_same_ground(*generators)
         if generators[0].ground != ground_set:
             raise ValueError("generators live on a different ground set")
-    pool = {FuzzySet.constant(ground_set, 0).levels,
-            FuzzySet.constant(ground_set, 1).levels}
-    pool.update(f.levels for f in generators)
-    changed = True
-    while changed:
-        changed = False
-        current = list(pool)
-        for i, u in enumerate(current):
-            for v in current[i + 1:]:
-                meet = tuple(min(a, b) for a, b in zip(u, v))
-                join = tuple(max(a, b) for a, b in zip(u, v))
-                for cand in (meet, join):
-                    if cand not in pool:
-                        pool.add(cand)
-                        changed = True
-    ordered = sorted(pool)
+    seed = [FuzzySet.constant(ground_set, v).levels for v in (0, 1)]
+    seed.extend(f.levels for f in generators)
+    ordered = sorted(lattice_closure(seed, lambda u, v: tuple(map(min, u, v)),
+                                     lambda u, v: tuple(map(max, u, v))))
     names = tuple(f"T{i}" for i in range(len(ordered)))
     opens = tuple(FuzzySet(ground_set, levels) for levels in ordered)
     return FuzzyTopology(ground_set, names, opens)

@@ -11,7 +11,8 @@ breakpoints (concatenation splits and fence ends), the point at each
 breakpoint, and on each open piece between them a fixed ground element
 with an affine level ``c0 + c1 u``.  The table is cached on the node
 outside its dataclass fields, so equality, hashing, repr and JSON are
-those of the expression.  Evaluation is one bisection into the table.
+those of the expression; with its pass-through breakpoints merged away it
+is the path's normal form.  Evaluation is one bisection into the table.
 The exact preimage of a cylinder set is read off it piece by piece, so
 continuity against subbasis opens is decidable, and image containment is
 a preimage equal to [0,1].
@@ -22,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Sequence, Union
 
 from .cylinder import CylinderOpen, SubbasisElem, subbasis_realize
 from .fuzzy import FuzzyTopology
@@ -336,29 +337,36 @@ def path_preimage_open(e: PathExpr, target: SubbasisElem, topo: FuzzyTopology) -
     return is_open_in_unit(preimage)
 
 
-def normalize_path(e: PathExpr) -> PathExpr:
-    """Canonical normal form: reversals are pushed through transforms and
-    concatenations and resolved on the leaves."""
-    if isinstance(e, (Const, VerticalAffine, HLift)):
-        return e
-    if isinstance(e, Concat):
-        return Concat(tuple(normalize_path(p) for p in e.parts))
-    if isinstance(e, HTransform):
-        return HTransform(e.t, normalize_path(e.inner))
-    if isinstance(e, ChiBoundary):
-        return ChiBoundary(normalize_path(e.rho), e.s, e.t, e.end)
-    inner = e.inner
-    if isinstance(inner, Reverse):
-        return normalize_path(inner.inner)
-    if isinstance(inner, HTransform):
-        return HTransform(inner.t, normalize_path(Reverse(inner.inner)))
-    if isinstance(inner, Const):
-        return inner
-    if isinstance(inner, VerticalAffine):
-        return VerticalAffine(inner.x, inner.a1, inner.a0)
-    if isinstance(inner, Concat):
-        return Reverse(Concat(tuple(normalize_path(p) for p in inner.parts)))
-    return Reverse(normalize_path(inner))
+def normalize_path(e: PathExpr) -> PathTable:
+    """The canonical table of ``e``: its compiled table with every interior
+    breakpoint that the path passes straight through merged away, so two
+    paths have equal normal forms exactly when they are the same map on
+    [0,1]."""
+    table = path_table(e)
+    kept = [0]
+    for j, (x, c0, c1) in enumerate(table.pieces[1:], 1):
+        p, level = table.points[j], c0 + c1 * table.breaks[j]
+        if table.pieces[j - 1] != (x, c0, c1) or (p.x, p.alpha) != (x, level):
+            kept.append(j)
+    return PathTable(tuple(table.breaks[j] for j in kept) + (ONE,),
+                     tuple(table.points[j] for j in kept) + (table.points[-1],),
+                     tuple(table.pieces[j] for j in kept))
+
+
+def pasting_failure(gamma: PathExpr, delta: PathExpr, s, t,
+                    grid: Sequence[Fraction]) -> Optional[tuple[Fraction, Fraction]]:
+    """The first grid pair (eta, x) at which the square homotopy of the
+    concatenation of gamma and delta differs from the pasting of the
+    squares of gamma (for eta <= 1/2) and delta (for eta > 1/2), or None."""
+    combined = Concat((gamma, delta))
+    half = Fraction(1, 2)
+    for eta in grid:
+        for x in grid:
+            pasted = (chi_eval(gamma, s, t, 2 * eta, x) if eta <= half
+                      else chi_eval(delta, s, t, 2 * eta - 1, x))
+            if chi_eval(combined, s, t, eta, x) != pasted:
+                return eta, x
+    return None
 
 
 def functor_object_path(F, y: str, z: str, beta) -> VerticalAffine:

@@ -30,8 +30,6 @@ from .intervals import (
     IntervalSet,
     canonical,
     is_open_in_unit,
-    make_interval,
-    make_unit_interval,
     singleton,
 )
 from .rationals import ONE, ZERO, format_rational, frac

@@ -12,9 +12,16 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .base_space import fence_between, iota_x, specialization_preorder
+from .base_space import iota_x, specialization_preorder
 from .cylinder import SubbasisElem, subbasis_elements, subbasis_realize
-from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, ground
+from .fuzzy import (
+    FuzzySet,
+    FuzzyTopology,
+    GroundSet,
+    fz_complement,
+    fz_generate_topology,
+    ground,
+)
 from .paths import (
     ChiBoundary,
     Concat,
@@ -54,7 +61,6 @@ def random_fuzzy(rng: random.Random, gs: GroundSet,
 
 def random_topology(rng: random.Random, gs: Optional[GroundSet] = None,
                     max_generators: int = 3, max_den: int = 32) -> FuzzyTopology:
-    from .fuzzy import fz_generate_topology
     if gs is None:
         gs = random_ground(rng)
     gens = [random_fuzzy(rng, gs, max_den)
@@ -163,7 +169,6 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
 
 def random_complement_pair(rng: random.Random, gs: GroundSet,
                            exact: bool) -> tuple[FuzzySet, FuzzySet]:
-    from .fuzzy import fz_complement
     F = random_fuzzy(rng, gs)
     G = fz_complement(F)
     if not exact:

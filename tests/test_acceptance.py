@@ -1,8 +1,9 @@
 """Acceptance gate: ten zero-tolerance criteria.
 
-Each test prints one PASS/FAIL line.  Cylinder sets produced by criteria
-1-6 accumulate in a shared ledger that criterion 10 cross-checks against
-the N=64 brute-force grid oracle; tests therefore run in definition order.
+Each test prints one PASS/FAIL line.  Criteria 1-6 run once, in a
+module-scoped fixture, into one oracle ledger that criterion 10
+cross-checks against the N=64 brute-force grid oracle; criteria 7 and 8
+share one path sweep.  Every criterion therefore runs on its own too.
 """
 
 import random
@@ -24,8 +25,6 @@ from fuzzcyl.checks import (
     sweep_sigma_laws,
 )
 
-LEDGER = OracleLedger()
-
 
 def report(number, name, ok, detail=""):
     verdict = "PASS" if ok else "FAIL"
@@ -34,10 +33,35 @@ def report(number, name, ok, detail=""):
     assert ok, f"criterion {number} ({name}) failed: {detail}"
 
 
-def test_criterion_01_counterexample_reproduction():
+def timed(sweep, *args, **kwargs):
     started = time.monotonic()
-    doc = counterexample_report(("x",), LEDGER)
-    elapsed = time.monotonic() - started
+    result = sweep(*args, **kwargs)
+    return result, time.monotonic() - started
+
+
+@pytest.fixture(scope="module")
+def oracle_ledger():
+    return OracleLedger()
+
+
+@pytest.fixture(scope="module")
+def ledger_sweeps(oracle_ledger):
+    """Criteria 1-6's sweeps, run in order into the oracle ledger, each
+    with its time, by criterion number."""
+    ledger = oracle_ledger
+    return {
+        1: timed(counterexample_report, ("x",), ledger),
+        2: timed(sweep_psi_laws, random.Random(101), 100, ledger),
+        3: timed(sweep_round_trip, random.Random(102), 500, ledger),
+        4: timed(sweep_indicator_compat, 5, ledger),
+        5: timed(sweep_retraction, random.Random(103), topologies=20, anchors=100,
+                 ledger=ledger),
+        6: timed(sweep_sigma_laws, random.Random(104), 15, ledger),
+    }
+
+
+def test_criterion_01_counterexample_reproduction(ledger_sweeps):
+    doc, elapsed = ledger_sweeps[1]
     fiber = doc["psi_of_T"]["fibers"]["x"]
     comp = doc["set_complement_of_psi"]["fibers"]["x"]
     alg = doc["psi_of_algebraic_complement"]["fibers"]["x"]
@@ -51,36 +75,28 @@ def test_criterion_01_counterexample_reproduction():
     report(1, "counterexample-reproduction", ok, f"{elapsed:.3f}s")
 
 
-def test_criterion_02_psi_law_suite():
-    rng = random.Random(101)
-    started = time.monotonic()
-    result = sweep_psi_laws(rng, 100, LEDGER)
-    elapsed = time.monotonic() - started
+def test_criterion_02_psi_law_suite(ledger_sweeps):
+    result, elapsed = ledger_sweeps[2]
     ok = result.ok and elapsed < 30.0
     report(2, "psi-law-suite", ok,
            f"{result.checked} equalities over 100 topologies, {elapsed:.1f}s"
            + ("" if result.ok else f"; failures {result.failures[:3]}"))
 
 
-def test_criterion_03_round_trip():
-    rng = random.Random(102)
-    result = sweep_round_trip(rng, 500, LEDGER)
+def test_criterion_03_round_trip(ledger_sweeps):
+    result, _ = ledger_sweeps[3]
     report(3, "membership-round-trip", result.ok,
            f"{result.checked} fuzzy sets")
 
 
-def test_criterion_04_indicator_compatibility():
-    result = sweep_indicator_compat(5, LEDGER)
+def test_criterion_04_indicator_compatibility(ledger_sweeps):
+    result, _ = ledger_sweeps[4]
     ok = result.ok and result.checked == 32
     report(4, "indicator-compatibility", ok, f"{result.checked} subsets")
 
 
-def test_criterion_05_retraction_certificates():
-    rng = random.Random(103)
-    started = time.monotonic()
-    result, witnesses = sweep_retraction(rng, topologies=20, anchors=100,
-                                         ledger=LEDGER)
-    elapsed = time.monotonic() - started
+def test_criterion_05_retraction_certificates(ledger_sweeps):
+    (result, witnesses), elapsed = ledger_sweeps[5]
     distinct = len({str(topo.to_json()) for topo, _ in witnesses})
     cases = {retraction_case(w) for _, w in witnesses}
     ok = (result.ok and result.checked >= 100 and distinct >= 20
@@ -90,9 +106,8 @@ def test_criterion_05_retraction_certificates():
            f"cases {sorted(cases)}, {elapsed:.1f}s")
 
 
-def test_criterion_06_sigma_open_map_laws():
-    rng = random.Random(104)
-    result = sweep_sigma_laws(rng, 15, LEDGER)
+def test_criterion_06_sigma_open_map_laws(ledger_sweeps):
+    result, _ = ledger_sweeps[6]
     report(6, "sigma-open-map-laws", result.ok,
            f"{result.checked} equalities")
 
@@ -100,11 +115,8 @@ def test_criterion_06_sigma_open_map_laws():
 @pytest.fixture(scope="module")
 def path_sweep():
     """Criterion 7's sweep, run once for criteria 7 and 8, with its time."""
-    rng = random.Random(105)
-    started = time.monotonic()
-    result = sweep_path_identities(rng, 200, Fraction(1, 64),
-                                   check_continuity=True)
-    return result, time.monotonic() - started
+    return timed(sweep_path_identities, random.Random(105), 200, Fraction(1, 64),
+                 check_continuity=True)
 
 
 def test_criterion_07_path_identity_suite(path_sweep):
@@ -133,8 +145,8 @@ def test_criterion_09_complement_oracle_equivalence():
            f"{result.checked} pairs, probes 1/4 1/2 3/4")
 
 
-def test_criterion_10_grid_oracle_agreement():
-    result = LEDGER.verify(64)
-    report(10, "grid-oracle-agreement", result.ok,
+def test_criterion_10_grid_oracle_agreement(oracle_ledger, ledger_sweeps):
+    result = oracle_ledger.verify(64)
+    report(10, "grid-oracle-agreement", result.ok and result.checked > 0,
            f"{result.checked} cylinder sets at N=64"
            + ("" if result.ok else f"; failures {result.failures[:3]}"))

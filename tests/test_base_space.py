@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fuzzcyl import checks
 from fuzzcyl import (
     FiniteTopology,
     FuzzySet,
@@ -133,3 +134,18 @@ def test_component_cylinder_expr_fractional_levels():
         realized = open_realize(component_cylinder_expr(topo, comp), topo)
         for x in gs.elements:
             assert realized.fiber(x) == (WHOLE_J if x in comp else EMPTY_SET)
+
+
+def test_connectivity_cross_check_runs_both_branches(monkeypatch):
+    # seed 3 draws 35 path-connected bases and 5 that are not
+    seen = []
+
+    def recording(topo):
+        report = check_pc_lpc(topo)
+        seen.append(report.pc)
+        return report
+
+    monkeypatch.setattr(checks, "check_pc_lpc", recording)
+    result = checks.connectivity_cross_check(random.Random(3), 40)
+    assert result.ok and result.checked > 0, result.failures
+    assert True in seen and False in seen

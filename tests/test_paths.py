@@ -241,7 +241,26 @@ def test_normalize_path_pushes_reverse():
     e1 = Reverse(HTransform(F(1, 3), gamma))
     e2 = HTransform(F(1, 3), Reverse(gamma))
     assert normalize_path(e1) == normalize_path(e2)
-    assert normalize_path(Reverse(Reverse(gamma))) == gamma
+    assert normalize_path(Reverse(Reverse(gamma))) == normalize_path(gamma)
+
+
+def test_normal_form_merges_pass_through_breakpoints():
+    p = point("a", F(1, 3))
+    assert normalize_path(Concat((Const(p), Const(p)))) == normalize_path(Const(p))
+    # a straight segment split in two is the segment
+    halves = Concat((VerticalAffine("a", F(0), F(1, 4)),
+                     VerticalAffine("a", F(1, 4), F(1, 2))))
+    assert normalize_path(halves) == normalize_path(VerticalAffine("a", F(0), F(1, 2)))
+
+
+def test_normal_form_keeps_a_breakpoint_the_path_leaves():
+    # b on both segments, a only at u = 1/2
+    dip = HLift(FencePath(("b", "a", "b"), ("b", "b")), F(1, 4))
+    flat = Const(point("b", F(1, 4)))
+    assert eval_path(dip, F(1, 2)) != eval_path(flat, F(1, 2))
+    assert all(eval_path(dip, u) == eval_path(flat, u)
+               for u in (F(0), F(1, 3), F(2, 3), F(1)))
+    assert normalize_path(dip) != normalize_path(flat)
 
 
 def test_path_json_round_trip():

@@ -103,7 +103,7 @@ from .paths import (
     path_to_json,
     vertical_connector,
 )
-from .rationals import ONE, ZERO, format_rational, frac, parse_rational
+from .rationals import ONE, ZERO, format_rational, frac, parse_rational, unit
 from .retraction import (
     BoxWitness,
     CylPoint,

@@ -187,8 +187,24 @@ def _grid_step(text: str) -> Fraction:
     return step
 
 
+def _at_least(low: int):
+    """An argparse type for an integer >= ``low`` ("integer" in its messages)."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as malformed input: one error: line, exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fuzzcyl",
         description="Exact cylinder-space toolkit for finite fuzzy topologies")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topology", required=True, help="JSON topology file")
 
     def sweep_flags(p):
-        p.add_argument("--sweeps", type=int, default=100)
+        p.add_argument("--sweeps", type=_at_least(1), default=100)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="check the topology axioms")
@@ -246,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="grid cross-checks of symbolic results")
     sweep_flags(p)
-    p.add_argument("--resolution", type=int, default=64)
+    p.add_argument("--resolution", type=_at_least(2), default=64)
     p.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -256,10 +272,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return 2 if exc.code not in (0, None) else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -88,9 +88,6 @@ def cyl_subset(a: CylinderOpen, b: CylinderOpen) -> bool:
 
 
 def cyl_contains(c: CylinderOpen, x: str, alpha) -> bool:
-    alpha = frac(alpha)
-    if not (ZERO <= alpha < ONE):
-        raise ValueError(f"level outside J: {alpha}")
     return iv_contains(c.fiber(x), alpha)
 
 

@@ -65,8 +65,8 @@ def is_complement(F: FuzzySet, G: FuzzySet, probes=PROBES) -> bool:
 
 def check_constant_inverse(F: FuzzySet, y: str, z: str, beta) -> bool:
     """The complement's object path is the exact reversal of the original's."""
-    comp = functor_object_path(fz_complement(F), y, z, frac(beta))
-    return comp == _reversed_affine(functor_object_path(F, y, z, frac(beta)))
+    comp = functor_object_path(fz_complement(F), y, z, beta)
+    return comp == _reversed_affine(functor_object_path(F, y, z, beta))
 
 
 def check_functoriality(F: FuzzySet, y: str, gamma: PathExpr, delta: PathExpr,
@@ -94,11 +94,9 @@ class ComplementReport:
 
 
 def complement_report(F: FuzzySet, G: FuzzySet) -> ComplementReport:
-    if F.ground != G.ground:
-        raise ValueError("fuzzy sets live on different ground sets")
-    direct = all(G(y) == ONE - F(y) for y in F.ground.elements)
+    inversion = is_complement(F, G)  # rejects different ground sets
     return ComplementReport(
-        inversion=is_complement(F, G),
-        direct=direct,
+        inversion=inversion,
+        direct=all(G(y) == ONE - F(y) for y in F.ground.elements),
         cylinder_compat=complement_compat(F),
     )

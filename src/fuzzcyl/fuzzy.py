@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rationals import ONE, ZERO, format_rational, frac
+from .rationals import ONE, ZERO, format_rational, frac, unit
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class FuzzySet:
         if len(self.levels) != len(self.ground.elements):
             raise ValueError("one membership value per ground element required")
         for v in self.levels:
-            if not (ZERO <= v <= ONE):
-                raise ValueError(f"membership value outside [0,1]: {v}")
+            unit(v, "membership value")
 
     def __call__(self, x: str) -> Fraction:
         return self.levels[self.ground.index(x)]

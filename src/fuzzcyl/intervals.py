@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .rationals import ONE, ZERO, format_rational, frac
+from .rationals import ONE, ZERO, format_rational, frac, unit
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,8 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        if not (ZERO <= self.lo <= ONE and ZERO <= self.hi <= ONE):
-            raise ValueError(f"interval endpoints must lie in [0,1]: {self}")
+        unit(self.lo, "interval endpoint")
+        unit(self.hi, "interval endpoint")
         if self.lo > self.hi:
             raise ValueError(f"empty interval: {self}")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
@@ -132,9 +132,7 @@ def _build(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Inte
 
 def make_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> IntervalSet:
     """Canonical level set: the described interval intersected with J = [0,1)."""
-    lo, hi = frac(lo), frac(hi)
-    if not (ZERO <= lo <= ONE and ZERO <= hi <= ONE):
-        raise ValueError(f"interval endpoints must lie in [0,1]: {lo},{hi}")
+    lo, hi = unit(frac(lo), "interval endpoint"), unit(frac(hi), "interval endpoint")
     if hi == ONE:
         hi_closed = False
     return _build(lo, hi, lo_closed, hi_closed)
@@ -142,9 +140,7 @@ def make_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> IntervalSet:
 
 def make_unit_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> IntervalSet:
     """Canonical parameter set inside the closed segment [0,1]; 1 is kept."""
-    lo, hi = frac(lo), frac(hi)
-    if not (ZERO <= lo <= ONE and ZERO <= hi <= ONE):
-        raise ValueError(f"interval endpoints must lie in [0,1]: {lo},{hi}")
+    lo, hi = unit(frac(lo), "interval endpoint"), unit(frac(hi), "interval endpoint")
     return _build(lo, hi, lo_closed, hi_closed)
 
 
@@ -192,10 +188,7 @@ def iv_complement_in_J(a: IntervalSet) -> IntervalSet:
 
 
 def iv_contains(a: IntervalSet, q) -> bool:
-    q = frac(q)
-    if not (ZERO <= q < ONE):
-        raise ValueError(f"level must lie in [0,1): {q}")
-    return a.contains(q)
+    return a.contains(unit(frac(q), "level", top_open=True))
 
 
 def iv_supremum(a: IntervalSet) -> Optional[Fraction]:

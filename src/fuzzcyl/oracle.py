@@ -44,8 +44,6 @@ class GridOracle:
 
 def oracle_rasterize(c: CylinderOpen, resolution: int) -> GridOracle:
     """Cell (x, k/N) is true iff the point lies in the set."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
     cells = tuple(
         tuple(cyl_contains(c, x, Fraction(k, resolution))
               for k in range(resolution))

@@ -34,16 +34,15 @@ from .intervals import (
     is_open_in_unit,
     make_unit_interval,
 )
-from .rationals import ONE, ZERO, format_rational, frac
+from .rationals import ONE, ZERO, format_rational, frac, unit
 from .retraction import CylPoint, h_eval
 
 
 def kappa(s, t, x) -> Fraction:
     """The segment path in [0,1] from s to t: (t - s) * x + s."""
-    s, t, x = frac(s), frac(t), frac(x)
-    for v in (s, t, x):
-        if not 0 <= v.numerator <= v.denominator:
-            raise ValueError(f"kappa argument outside [0,1]: {v}")
+    s = unit(frac(s), "kappa argument")
+    t = unit(frac(t), "kappa argument")
+    x = unit(frac(x), "kappa argument")
     return (t - s) * x + s
 
 
@@ -66,8 +65,7 @@ class FencePath:
 
     def element_at(self, u: Fraction) -> str:
         """Evaluate; a dyadic breakpoint takes the right segment's start."""
-        if not (ZERO <= u <= ONE):
-            raise ValueError(f"parameter outside [0,1]: {u}")
+        unit(u, "parameter")
         k = len(self.steps) - 1
         if k == 0:
             return self.steps[0]
@@ -113,9 +111,8 @@ class VerticalAffine:
     a1: Fraction
 
     def __post_init__(self):
-        for v in (self.a0, self.a1):
-            if not (ZERO <= v < ONE):
-                raise ValueError(f"vertical level outside J: {v}")
+        unit(self.a0, "vertical level", top_open=True)
+        unit(self.a1, "vertical level", top_open=True)
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,7 @@ class HLift:
     level: Fraction
 
     def __post_init__(self):
-        if not (ZERO <= self.level < ONE):
-            raise ValueError(f"lift level outside J: {self.level}")
+        unit(self.level, "lift level", top_open=True)
 
 
 @dataclass(frozen=True)
@@ -156,8 +152,7 @@ class HTransform:
     inner: "PathExpr"
 
     def __post_init__(self):
-        if not (ZERO <= self.t <= ONE):
-            raise ValueError(f"homotopy time outside [0,1]: {self.t}")
+        unit(self.t, "homotopy time")
 
 
 @dataclass(frozen=True)
@@ -170,11 +165,10 @@ class ChiBoundary:
     end: int
 
     def __post_init__(self):
-        if self.end not in (0, 1):
-            raise ValueError("end must be 0 or 1")
-        for v in (self.s, self.t):
-            if not (ZERO <= v <= ONE):
-                raise ValueError(f"homotopy time outside [0,1]: {v}")
+        if type(self.end) is not int or self.end not in (0, 1):
+            raise ValueError(f"end must be the integer 0 or 1: {self.end!r}")
+        unit(self.s, "homotopy time")
+        unit(self.t, "homotopy time")
 
 
 PathExpr = Union[Const, VerticalAffine, HLift, Concat, Reverse, HTransform, ChiBoundary]
@@ -264,9 +258,7 @@ def path_table(e: PathExpr) -> PathTable:
 
 
 def eval_path(e: PathExpr, u) -> CylPoint:
-    u = frac(u)
-    if not 0 <= u.numerator <= u.denominator:
-        raise ValueError(f"path parameter outside [0,1]: {u}")
+    u = unit(frac(u), "path parameter")
     table = path_table(e)
     j = bisect_left(table.breaks, u)
     if table.breaks[j] == u:
@@ -372,9 +364,7 @@ def pasting_failure(gamma: PathExpr, delta: PathExpr, s, t,
 def functor_object_path(F, y: str, z: str, beta) -> VerticalAffine:
     """The object path of the induced groupoid functor: the vertical path
     u -> (z, (1 - kappa(F(y), 1-F(y))(u)) * beta)."""
-    beta = frac(beta)
-    if not (ZERO <= beta < ONE):
-        raise ValueError(f"level outside J: {beta}")
+    beta = unit(frac(beta), "level", top_open=True)
     fy = F(y)
     return VerticalAffine(z, (ONE - fy) * beta, fy * beta)
 
@@ -419,5 +409,5 @@ def path_from_json(doc: dict) -> PathExpr:
         return HTransform(frac(doc["t"]), path_from_json(doc["inner"]))
     if kind == "chi_boundary":
         return ChiBoundary(path_from_json(doc["rho"]), frac(doc["s"]),
-                           frac(doc["t"]), int(doc["end"]))
+                           frac(doc["t"]), doc["end"])
     raise ValueError(f"unknown path expression type {kind!r}")

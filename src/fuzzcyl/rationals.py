@@ -9,14 +9,29 @@ ONE = Fraction(1)
 
 
 def frac(value) -> Fraction:
-    """Coerce ints, strings like "2/3", and Fractions to an exact Fraction."""
+    """Coerce ints (not bools), strings like "2/3", and Fractions to a Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def unit(q, what: str, top_open: bool = False):
+    """Return ``q`` when it lies in [0,1], or in J = [0,1) when ``top_open``.
+
+    ``q`` must be a Fraction or a non-bool int.  The check compares the
+    numerator and denominator as ints, which is exact because a Fraction
+    keeps its denominator positive: in J the numerator stays below it."""
+    # the exact type first: nearly every caller passes a Fraction
+    if type(q) is not Fraction and (not isinstance(q, (Fraction, int))
+                                    or isinstance(q, bool)):
+        raise TypeError(f"cannot interpret {q!r} as an exact rational")
+    if not 0 <= q.numerator <= q.denominator - top_open:
+        raise ValueError(f"{what} outside [0,1{')' if top_open else ']'}: {q}")
+    return q
 
 
 def parse_rational(text: str) -> Fraction:

@@ -32,7 +32,7 @@ from .intervals import (
     is_open_in_unit,
     singleton,
 )
-from .rationals import ONE, ZERO, format_rational, frac
+from .rationals import ONE, ZERO, format_rational, frac, unit
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,7 @@ class CylPoint:
     alpha: Fraction
 
     def __post_init__(self):
-        # integer comparisons are exact: a Fraction keeps its denominator positive
-        if not isinstance(self.alpha, (Fraction, int)):
-            raise TypeError(f"cannot interpret {self.alpha!r} as an exact rational")
-        if not 0 <= self.alpha.numerator < self.alpha.denominator:
-            raise ValueError(f"level outside J: {self.alpha}")
+        unit(self.alpha, "level", top_open=True)
 
     def __repr__(self):
         return f"({self.x},{format_rational(self.alpha)})"
@@ -64,9 +60,7 @@ def point(x: str, alpha) -> CylPoint:
 
 def h_eval(t, p: CylPoint) -> CylPoint:
     """The homotopy value (x, (1-t) * alpha)."""
-    t = frac(t)
-    if not 0 <= t.numerator <= t.denominator:
-        raise ValueError(f"homotopy time outside [0,1]: {t}")
+    t = unit(frac(t), "homotopy time")
     return CylPoint(p.x, (ONE - t) * p.alpha)
 
 

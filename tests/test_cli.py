@@ -1,13 +1,13 @@
 import contextlib
-import copy
 import hashlib
 import io
 import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+from jsonfuzz import FUZZ, field_paths, json_values, replaced
 
 from fuzzcyl import cli
 from fuzzcyl.cli import main
@@ -276,6 +276,32 @@ def test_unknown_open_flag_exits_2(topo_file):
     assert run_cli(["cylinder", "--topology", topo_file, "--open", "Tz"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["laws", "--sweeps", "0"],
+    ["paths", "--sweeps", "-2"],
+    ["verify-retraction", "--topology", "{topo}", "--sweeps", "0"],
+    ["oracle", "--sweeps", "0"],
+    ["oracle", "--resolution", "1"],
+    ["oracle", "--resolution", "-64"],
+    ["paths", "--sweeps", "ten"],
+])
+def test_numeric_flag_below_minimum_exits_2_before_running(monkeypatch, topo_file, argv):
+    def forbidden(args):
+        raise AssertionError("the subcommand ran")
+    for name in ("_cmd_laws", "_cmd_paths", "_cmd_verify_retraction", "_cmd_oracle"):
+        monkeypatch.setattr(cli, name, forbidden)
+    assert run_cli([a.format(topo=topo_file) for a in argv]) == 2
+
+
+@pytest.mark.parametrize("values", [(False, True), (0, 0.5)])
+def test_json_booleans_and_floats_are_not_rationals(tmp_path, values):
+    path = write_topology(tmp_path, {
+        "ground_set": ["a"],
+        "opens": [{"name": f"T{i}", "values": {"a": v}} for i, v in enumerate(values)]})
+    assert run_cli(["validate", "--topology", path]) == 2
+    assert run_cli(["cylinder", "--topology", path]) == 2
+
+
 # SHA-256 of the stdout of each README subcommand at small fixed flags, and
 # of the certificate file the --emit run writes. For a fixed seed the CLI's
 # output is part of its contract, so a refactor must leave every digest as
@@ -317,45 +343,14 @@ def test_stdout_and_certificates_byte_identical(capsys, tmp_path, topo_file):
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == GOLDEN_CERT
 
 
-# Mutation fuzzing of the CLI's file inputs. Each example starts from a
-# valid topology document or an emitted certificate file, replaces one
-# field (or the whole document) with an arbitrary JSON value, and runs the
-# CLI in-process. Whatever the value, the CLI must exit 0, 1 or 2 without
-# an exception, and exit 2 must come with exactly one error: line.
+# Mutation fuzzing of the CLI's file inputs (see jsonfuzz). Each example
+# starts from a valid topology document or an emitted certificate file,
+# replaces one field (or the whole document) with an arbitrary JSON value,
+# and runs the CLI in-process. Whatever the value, the CLI must exit 0, 1
+# or 2 without an exception, and exit 2 must come with exactly one error:
+# line.
 
-SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
-           | st.text(max_size=6)
-           | st.sampled_from(["0", "1", "1/2", "2/3", "1/0", "-1", "2", "a", "b",
-                              "T0", "T2", "tstar", "pi2"]))
-JSON = st.recursive(SCALARS,
-                    lambda inner: (st.lists(inner, max_size=3)
-                                   | st.dictionaries(st.text(max_size=6), inner,
-                                                     max_size=3)),
-                    max_leaves=6)
-
-FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
-
-
-def field_paths(doc, prefix=()):
-    """The path to every value in a JSON document, the root's included."""
-    yield prefix
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            yield from field_paths(value, prefix + (key,))
-    elif isinstance(doc, list):
-        for i, value in enumerate(doc):
-            yield from field_paths(value, prefix + (i,))
-
-
-def replaced(doc, path, value):
-    if not path:
-        return value
-    doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return doc
+JSON = json_values("a", "b", "T0", "T2", "tstar", "pi2")
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from jsonfuzz import FUZZ, field_paths, json_values, replaced
 
 from fuzzcyl import (
     ChiBoundary,
@@ -270,6 +273,45 @@ def test_path_json_round_trip():
         path = random_path(rng, topo)
         again = path_from_json(path_to_json(path))
         assert again == path
+
+
+def test_chi_boundary_end_is_the_json_integer_0_or_1():
+    doc = path_to_json(ChiBoundary(Const(point("a", F(1, 2))), F(0), F(1, 2), 1))
+    assert path_from_json(doc).end == 1
+    for end in (1.7, 1.0, "1", True, False, 2, -1, None):
+        with pytest.raises(ValueError):
+            path_from_json({**doc, "end": end})
+
+
+def _path_documents():
+    rng = random.Random(11)
+    docs = []
+    for _ in range(12):
+        topo = random_topology(rng, max_generators=2, max_den=6)
+        docs.append(path_to_json(random_path(rng, topo)))
+    return docs
+
+
+PATH_DOCS = _path_documents()
+PATH_WORDS = ("const", "vertical", "hlift", "concat", "reverse", "h_transform",
+              "chi_boundary", "a", "b", "c")
+
+
+@FUZZ
+@given(data=st.data(), value=json_values(*PATH_WORDS))
+def test_mutated_path_document_is_a_path_or_rejected(data, value):
+    """A path document with one field replaced by arbitrary JSON reads as a
+    path that round-trips and evaluates, or raises KeyError, TypeError or
+    ValueError."""
+    doc = data.draw(st.sampled_from(PATH_DOCS), label="doc")
+    field = data.draw(st.sampled_from(list(field_paths(doc))), label="field")
+    try:
+        path = path_from_json(replaced(doc, field, value))
+    except (KeyError, TypeError, ValueError):
+        return
+    assert path_from_json(path_to_json(path)) == path
+    for u in (F(0), F(1, 3), F(1)):
+        eval_path(path, u)
 
 
 def test_random_paths_match_endpoint_threading():

@@ -1,0 +1,106 @@
+from fractions import Fraction as F
+
+import pytest
+
+from fuzzcyl import (
+    EMPTY_SET,
+    ChiBoundary,
+    Const,
+    CylPoint,
+    FencePath,
+    FuzzySet,
+    HLift,
+    HTransform,
+    Interval,
+    VerticalAffine,
+    cyl_contains,
+    eval_path,
+    frac,
+    functor_object_path,
+    ground,
+    h_eval,
+    iv_contains,
+    kappa,
+    make_interval,
+    make_unit_interval,
+    psi_star,
+    unit,
+)
+
+EPS = F(1, 10**6)
+START = Const(CylPoint("a", F(0)))
+FUZZY = FuzzySet(ground("a"), (F(1, 3),))
+REGION = psi_star(FUZZY)
+
+# Every range check of the library, as (site, call, range is [0,1), the
+# call also takes "p/q" strings). Each call passes the probed value to
+# exactly one checked argument.
+SITES = [
+    ("FuzzySet", lambda q: FuzzySet(ground("a"), (q,)), False, False),
+    ("Interval.lo", lambda q: Interval(q, F(1), True, True), False, False),
+    ("Interval.hi", lambda q: Interval(F(0), q, True, True), False, False),
+    # lo > hi builds the empty set without an Interval, so only the
+    # endpoint check itself can reject these
+    ("make_interval.lo", lambda q: make_interval(q, 0, True, True), False, True),
+    ("make_interval.hi", lambda q: make_interval(1, q, True, True), False, True),
+    ("make_unit_interval.lo", lambda q: make_unit_interval(q, 0, True, True), False, True),
+    ("make_unit_interval.hi", lambda q: make_unit_interval(1, q, True, True), False, True),
+    ("iv_contains", lambda q: iv_contains(EMPTY_SET, q), True, True),
+    ("cyl_contains", lambda q: cyl_contains(REGION, "a", q), True, True),
+    ("kappa.s", lambda q: kappa(q, 0, 0), False, True),
+    ("kappa.t", lambda q: kappa(0, q, 0), False, True),
+    ("kappa.x", lambda q: kappa(0, 0, q), False, True),
+    ("FencePath.element_at", lambda q: FencePath(("a", "b"), ("b",)).element_at(q),
+     False, False),
+    ("VerticalAffine.a0", lambda q: VerticalAffine("a", q, F(0)), True, False),
+    ("VerticalAffine.a1", lambda q: VerticalAffine("a", F(0), q), True, False),
+    ("HLift", lambda q: HLift(FencePath(("a",), ()), q), True, False),
+    ("HTransform", lambda q: HTransform(q, START), False, False),
+    ("ChiBoundary.s", lambda q: ChiBoundary(START, q, F(0), 0), False, False),
+    ("ChiBoundary.t", lambda q: ChiBoundary(START, F(0), q, 0), False, False),
+    ("eval_path", lambda q: eval_path(START, q), False, True),
+    ("functor_object_path", lambda q: functor_object_path(FUZZY, "a", "a", q), True, True),
+    ("CylPoint", lambda q: CylPoint("a", q), True, False),
+    ("h_eval", lambda q: h_eval(q, CylPoint("a", F(0))), False, True),
+]
+
+
+@pytest.mark.parametrize("site,call,top_open,strings", SITES, ids=[s[0] for s in SITES])
+def test_every_range_check(site, call, top_open, strings):
+    accepted = [0, F(0), F(1, 2), 1 - EPS]
+    rejected = [-EPS, -1, 2]
+    if top_open:
+        rejected += [F(1), 1]
+    else:
+        accepted += [F(1), 1]
+        rejected += [1 + EPS]
+    if strings:
+        accepted += ["0", "1/2"]
+        rejected += ["-1/2", "3/2"]
+    for q in accepted:
+        call(q)
+    for q in rejected:
+        with pytest.raises(ValueError):
+            call(q)
+    for q in (0.5, 0.0, True, False):
+        with pytest.raises(TypeError):
+            call(q)
+
+
+def test_unit_returns_its_argument_and_names_the_range():
+    half = F(1, 2)
+    assert unit(half, "level") is half
+    assert unit(1, "time") == 1 and type(unit(1, "time")) is int
+    with pytest.raises(ValueError, match=r"^time outside \[0,1\]: 3/2$"):
+        unit(F(3, 2), "time")
+    with pytest.raises(ValueError, match=r"^level outside \[0,1\): 1$"):
+        unit(F(1), "level", top_open=True)
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as an exact rational"):
+        unit(0.5, "level")
+
+
+def test_frac_rejects_booleans_and_floats():
+    assert frac(1) == F(1) and frac("2/4") == F(1, 2) and frac(F(1, 3)) == F(1, 3)
+    for value in (True, False, 0.5, None, [1]):
+        with pytest.raises(TypeError, match="as an exact rational"):
+            frac(value)

@@ -97,11 +97,9 @@ from .paths import (
     make_fence_path,
     normalize_path,
     path_from_json,
-    path_in_open,
     path_preimage,
     path_preimage_open,
     path_to_json,
-    vertical_connector,
 )
 from .rationals import ONE, ZERO, format_rational, frac, parse_rational, unit
 from .retraction import (

@@ -54,6 +54,8 @@ from .paths import (
     Reverse,
     VerticalAffine,
     chi_eval,
+    chi_key,
+    eval_key,
     eval_path,
     kappa,
     make_fence_path,
@@ -377,7 +379,7 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
     if normalize_path(e1) != normalize_path(e2):
         failures.append(("hginv-normal-form",))
     for u in fine:
-        if eval_path(e1, u) != eval_path(e2, u):
+        if eval_key(e1, u) != eval_key(e2, u):
             failures.append(("hginv", u))
             break
 
@@ -390,23 +392,25 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
     if normalize_path(whole) != normalize_path(piecewise):
         failures.append(("ast-com-normal-form",))
     for u in fine:
-        if eval_path(whole, u) != eval_path(piecewise, u):
+        if eval_key(whole, u) != eval_key(piecewise, u):
             failures.append(("ast-com-comp", u))
             break
 
-    # square homotopy symmetry under time reversal
+    # square homotopy symmetry under time reversal; the grid is symmetric,
+    # so reversed(fine) lists 1 - x
     for eta in coarse:
-        for x in fine:
-            if chi_eval(gamma, s, t, eta, x) != chi_eval(gamma, t, s, eta, ONE - x):
+        for x, flipped in zip(fine, reversed(fine)):
+            if chi_key(gamma, s, t, eta, x) != chi_key(gamma, t, s, eta, flipped):
                 failures.append(("v-inv", eta, x))
                 break
 
     # boundary restrictions of the square homotopy
+    left, right = HTransform(s, gamma), HTransform(t, gamma)
     for eta in fine:
-        if chi_eval(gamma, s, t, eta, ZERO) != eval_path(HTransform(s, gamma), eta):
+        if chi_key(gamma, s, t, eta, ZERO) != eval_key(left, eta):
             failures.append(("fhrem-left", eta))
             break
-        if chi_eval(gamma, s, t, eta, ONE) != eval_path(HTransform(t, gamma), eta):
+        if chi_key(gamma, s, t, eta, ONE) != eval_key(right, eta):
             failures.append(("fhrem-right", eta))
             break
 

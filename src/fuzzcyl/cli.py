@@ -181,9 +181,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _grid_step(text: str) -> Fraction:
-    step = frac(text)
-    if step.numerator != 1 or step.denominator < 8:
-        raise argparse.ArgumentTypeError("grid step must be 1/k with k >= 8")
+    try:
+        step = frac(text)
+    except (TypeError, ValueError):
+        step = None
+    if step is None or step.numerator != 1 or step.denominator < 8:
+        raise argparse.ArgumentTypeError(f"grid step must be 1/k with k >= 8, got {text!r}")
     return step
 
 

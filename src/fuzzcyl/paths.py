@@ -6,16 +6,15 @@ halving, left-nested), reversals, homotopy transforms, and the boundary
 paths of the square free homotopy.
 
 Every such path is piecewise affine in its parameter u.  An expression is
-compiled once, on first use, into a :class:`PathTable`: the sorted
-breakpoints (concatenation splits and fence ends), the point at each
-breakpoint, and on each open piece between them a fixed ground element
-with an affine level ``c0 + c1 u``.  The table is cached on the node
-outside its dataclass fields, so equality, hashing, repr and JSON are
-those of the expression; with its pass-through breakpoints merged away it
-is the path's normal form.  Evaluation is one bisection into the table.
-The exact preimage of a cylinder set is read off it piece by piece, so
-continuity against subbasis opens is decidable, and image containment is
-a preimage equal to [0,1].
+compiled once, on first use, into a :class:`PathTable` of integers over one
+denominator: the sorted breakpoints (concatenation splits and fence ends),
+the point at each breakpoint, and on each open piece between them a fixed
+ground element with an affine level ``c0 + c1 u``.  The table is cached on
+the node outside its dataclass fields, so equality, hashing, repr and JSON
+are those of the expression; merged and reduced, it is the path's normal
+form.  Evaluation bisects the table in integers; grid checks compare exact
+keys ``(x, n, d)``.  The exact preimage of a cylinder set is read off the
+table piece by piece, so continuity against subbasis opens is decidable.
 """
 
 from __future__ import annotations
@@ -23,19 +22,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .cylinder import CylinderOpen, SubbasisElem, subbasis_realize
 from .fuzzy import FuzzyTopology
-from .intervals import (
-    Interval,
-    IntervalSet,
-    canonical,
-    is_open_in_unit,
-    make_unit_interval,
-)
+from .intervals import Interval, IntervalSet, canonical, is_open_in_unit
 from .rationals import ONE, ZERO, format_rational, frac, unit
-from .retraction import CylPoint, h_eval
+from .retraction import CylPoint
 
 
 def kappa(s, t, x) -> Fraction:
@@ -188,58 +182,57 @@ def path_end(e: PathExpr) -> CylPoint:
 
 @dataclass(frozen=True)
 class PathTable:
-    """A path as breakpoints ``0 = b_0 < ... < b_m = 1``, the point taken at
-    each breakpoint, and one ``(x, c0, c1)`` per open piece
-    ``(b_j, b_{j+1})``, on which the path is ``u -> (x, c0 + c1 u)``."""
+    """A path as integers over ``den > 0``: breakpoints ``0 = b_0 < ... < b_m
+    = den``, the point ``(x, a)`` at each, and one ``(x, c0, c1)`` per open
+    piece ``(b_j, b_{j+1})``, on which the path is ``u -> (x, (c0 + c1 u)/den)``."""
 
-    breaks: tuple[Fraction, ...]
-    points: tuple[CylPoint, ...]
-    pieces: tuple[tuple[str, Fraction, Fraction], ...]
-
-
-def _constant_table(p: CylPoint) -> PathTable:
-    return PathTable((ZERO, ONE), (p, p), ((p.x, p.alpha, ZERO),))
+    den: int
+    breaks: tuple[int, ...]
+    points: tuple[tuple[str, int], ...]
+    pieces: tuple[tuple[str, int, int], ...]
 
 
 def _compile(e: PathExpr) -> PathTable:
     if isinstance(e, Const):
-        return _constant_table(e.point)
+        e = VerticalAffine(e.point.x, e.point.alpha, e.point.alpha)
+    if isinstance(e, HLift) and len(e.base.steps) == 1:
+        e = VerticalAffine(e.base.steps[0], e.level, e.level)
     if isinstance(e, VerticalAffine):
-        return PathTable((ZERO, ONE), (CylPoint(e.x, e.a0), CylPoint(e.x, e.a1)),
-                         ((e.x, e.a0, e.a1 - e.a0),))
+        d = lcm(e.a0.denominator, e.a1.denominator)
+        a0, a1 = int(e.a0 * d), int(e.a1 * d)
+        return PathTable(d, (0, d), ((e.x, a0), (e.x, a1)), ((e.x, a0, a1 - a0),))
     if isinstance(e, HLift):
-        steps, k = e.base.steps, len(e.base.steps) - 1
-        if k == 0:
-            return _constant_table(CylPoint(steps[0], e.level))
-        return PathTable(tuple(Fraction(i, k) for i in range(k + 1)),
-                         tuple(CylPoint(x, e.level) for x in steps),
-                         tuple((x, e.level, ZERO) for x in e.base.interiors))
+        k = len(e.base.steps) - 1
+        d = lcm(k, e.level.denominator)
+        a = int(e.level * d)
+        return PathTable(d, tuple(i * d // k for i in range(k + 1)),
+                         tuple((x, a) for x in e.base.steps),
+                         tuple((x, a, 0) for x in e.base.interiors))
     if isinstance(e, Concat):
-        # left-nested halving: part k of n runs over [lo, 2^-(n-1-k)];
-        # each split keeps the left part's point
-        breaks, points, pieces = [ZERO], [], []
-        lo = ZERO
-        for k, part in enumerate(e.parts):
-            hi = Fraction(1, 2 ** (len(e.parts) - 1 - k))
-            width = hi - lo
-            table = path_table(part)
-            breaks.extend(lo + width * b for b in table.breaks[1:])
-            points.extend(table.points if k == 0 else table.points[1:])
-            pieces.extend((x, c0 - c1 * lo / width, c1 / width)
+        # left-nested halving: part k of n runs over [lo/w, (lo + 1)/w] with
+        # lo = min(k, 1) and w = 2^(n - max(k, 1)); a split keeps the left point
+        parts = [(min(k, 1), 2 ** (len(e.parts) - max(k, 1)), path_table(part))
+                 for k, part in enumerate(e.parts)]
+        d = lcm(*(w * table.den for _, w, table in parts))
+        breaks, points, pieces = [0], [], []
+        for lo, w, table in parts:
+            f = d // (w * table.den)
+            breaks.extend(f * (lo * table.den + b) for b in table.breaks[1:])
+            points.extend((x, a * f * w) for x, a in table.points[lo:])
+            pieces.extend((x, (c0 - lo * c1) * f * w, c1 * f * w * w)
                           for x, c0, c1 in table.pieces)
-            lo = hi
-        return PathTable(tuple(breaks), tuple(points), tuple(pieces))
+        return PathTable(d, tuple(breaks), tuple(points), tuple(pieces))
     if isinstance(e, Reverse):
         table = path_table(e.inner)
-        return PathTable(tuple(ONE - b for b in reversed(table.breaks)),
+        return PathTable(table.den, tuple(table.den - b for b in reversed(table.breaks)),
                          table.points[::-1],
                          tuple((x, c0 + c1, -c1) for x, c0, c1 in reversed(table.pieces)))
     if isinstance(e, HTransform):
-        scale = ONE - e.t
+        p, q = e.t.as_integer_ratio()  # levels scale by 1 - t = (q - p)/q
         table = path_table(e.inner)
-        return PathTable(table.breaks,
-                         tuple(CylPoint(p.x, scale * p.alpha) for p in table.points),
-                         tuple((x, scale * c0, scale * c1) for x, c0, c1 in table.pieces))
+        return PathTable(table.den * q, tuple(b * q for b in table.breaks),
+                         tuple((x, (q - p) * a) for x, a in table.points),
+                         tuple((x, (q - p) * c0, (q - p) * c1) for x, c0, c1 in table.pieces))
     if isinstance(e, ChiBoundary):
         return _compile(chi_boundary(e.rho, e.s, e.t, e.end))
     raise TypeError(f"not a path expression: {e!r}")
@@ -257,52 +250,76 @@ def path_table(e: PathExpr) -> PathTable:
         raise TypeError(f"not a path expression: {e!r}") from None
 
 
-def eval_path(e: PathExpr, u) -> CylPoint:
-    u = unit(frac(u), "path parameter")
+def _locate(e: PathExpr, u) -> tuple[str, int, int]:
+    """``(x, n, d)`` with ``e(u) = (x, n/d)``, n/d not reduced."""
+    p, q = unit(frac(u), "path parameter").as_integer_ratio()
     table = path_table(e)
-    j = bisect_left(table.breaks, u)
-    if table.breaks[j] == u:
-        return table.points[j]
+    d = table.den
+    # the first breakpoint b/d >= p/q, compared as b*q >= p*d
+    j = bisect_left(table.breaks, p * d, key=q.__mul__)
+    if table.breaks[j] * q == p * d:
+        x, a = table.points[j]
+        return x, a, d
     x, c0, c1 = table.pieces[j - 1]
-    return CylPoint(x, c0 + c1 * u)
+    return x, c0 * q + c1 * p, d * q
+
+
+def _key(x: str, n: int, d: int) -> tuple[str, int, int]:
+    """``(x, n, d)`` in lowest terms, its level n/d checked to lie in J."""
+    if not 0 <= n < d:
+        raise ValueError(f"level outside [0,1): {Fraction(n, d)}")
+    g = gcd(n, d)
+    return x, n // g, d // g
+
+
+def eval_path(e: PathExpr, u) -> CylPoint:
+    x, n, d = _locate(e, u)
+    return CylPoint(x, Fraction(n, d))
+
+
+def eval_key(e: PathExpr, u) -> tuple[str, int, int]:
+    """``eval_path`` as the exact key ``(x, n, d)`` of the point (x, n/d)."""
+    return _key(*_locate(e, u))
 
 
 def chi_eval(rho: PathExpr, s, t, eta, x) -> CylPoint:
     """The square free homotopy value H(kappa(s,t)(x), rho(eta))."""
-    return h_eval(kappa(s, t, x), eval_path(rho, frac(eta)))
+    y, n, d = chi_key(rho, s, t, eta, x)
+    return CylPoint(y, Fraction(n, d))
+
+
+def chi_key(rho: PathExpr, s, t, eta, x) -> tuple[str, int, int]:
+    """``chi_eval`` as the exact key ``(x, n, d)`` of the point (x, n/d)."""
+    sn, sd = unit(frac(s), "kappa argument").as_integer_ratio()
+    tn, td = unit(frac(t), "kappa argument").as_integer_ratio()
+    xn, xd = unit(frac(x), "kappa argument").as_integer_ratio()
+    y, n, d = _locate(rho, eta)
+    # 1 - kappa(s,t)(x) = 1 - s - (t - s) x, as one fraction over sd td xd
+    keep = (sd - sn) * td * xd - (tn * sd - sn * td) * xn
+    return _key(y, keep * n, sd * td * xd * d)
 
 
 def chi_boundary(rho: PathExpr, s, t, end: int) -> VerticalAffine:
     """The end-restriction of the square homotopy as a vertical path."""
-    s, t = frac(s), frac(t)
+    s, t = unit(frac(s), "homotopy time"), unit(frac(t), "homotopy time")
     anchor = eval_path(rho, Fraction(end))
     return VerticalAffine(anchor.x, (ONE - s) * anchor.alpha, (ONE - t) * anchor.alpha)
 
 
-def vertical_connector(y: str, alpha, beta) -> VerticalAffine:
-    """The canonical path between two points on the same vertical fiber."""
-    return VerticalAffine(y, frac(alpha), frac(beta))
-
-
 # ---------------------------------------------------------------------------
-# image containment, exact preimages and continuity
+# exact preimages and continuity
 
 
-def path_in_open(e: PathExpr, open_set: CylinderOpen) -> bool:
-    """Exact image containment of a path in a cylinder set."""
-    return path_preimage(e, open_set) == make_unit_interval(0, 1, True, True)
-
-
-def _piece_preimage(lo: Fraction, hi: Fraction, c0: Fraction, c1: Fraction,
+def _piece_preimage(lo: Fraction, hi: Fraction, c0: int, c1: int, den: int,
                     fiber: IntervalSet) -> list[Interval]:
-    """{u in (lo, hi) : c0 + c1 u in fiber}, one interval per fiber part."""
-    if c1 == ZERO:
-        return [Interval(lo, hi, False, False)] if fiber.contains(c0) else []
+    """{u in (lo, hi) : (c0 + c1 u)/den in fiber}, one interval per fiber part."""
+    if c1 == 0:
+        return [Interval(lo, hi, False, False)] if fiber.contains(Fraction(c0, den)) else []
     out = []
     for part in fiber.parts:
-        a, b = (part.lo - c0) / c1, (part.hi - c0) / c1
+        a, b = (part.lo * den - c0) / c1, (part.hi * den - c0) / c1
         a_closed, b_closed = part.lo_closed, part.hi_closed
-        if c1 < ZERO:
+        if c1 < 0:
             a, b, a_closed, b_closed = b, a, b_closed, a_closed
         if a <= lo:
             a, a_closed = lo, False
@@ -316,10 +333,11 @@ def _piece_preimage(lo: Fraction, hi: Fraction, c0: Fraction, c1: Fraction,
 def path_preimage(e: PathExpr, open_set: CylinderOpen) -> IntervalSet:
     """Exact parameter set {u in [0,1] : e(u) in open_set}."""
     table = path_table(e)
-    parts = [Interval(b, b, True, True) for b, p in zip(table.breaks, table.points)
-             if open_set.fiber(p.x).contains(p.alpha)]
-    for lo, hi, (x, c0, c1) in zip(table.breaks, table.breaks[1:], table.pieces):
-        parts.extend(_piece_preimage(lo, hi, c0, c1, open_set.fiber(x)))
+    breaks = [Fraction(b, table.den) for b in table.breaks]
+    parts = [Interval(b, b, True, True) for b, (x, a) in zip(breaks, table.points)
+             if open_set.fiber(x).contains(Fraction(a, table.den))]
+    for lo, hi, (x, c0, c1) in zip(breaks, breaks[1:], table.pieces):
+        parts.extend(_piece_preimage(lo, hi, c0, c1, table.den, open_set.fiber(x)))
     return canonical(parts)
 
 
@@ -331,18 +349,24 @@ def path_preimage_open(e: PathExpr, target: SubbasisElem, topo: FuzzyTopology) -
 
 def normalize_path(e: PathExpr) -> PathTable:
     """The canonical table of ``e``: its compiled table with every interior
-    breakpoint that the path passes straight through merged away, so two
-    paths have equal normal forms exactly when they are the same map on
-    [0,1]."""
-    table = path_table(e)
-    kept = [0]
+    breakpoint that the path passes straight through merged away, over the
+    smallest common denominator of what is kept, so two paths have equal
+    normal forms exactly when they are the same map on [0,1]."""
+    table, kept = path_table(e), [0]
     for j, (x, c0, c1) in enumerate(table.pieces[1:], 1):
-        p, level = table.points[j], c0 + c1 * table.breaks[j]
-        if table.pieces[j - 1] != (x, c0, c1) or (p.x, p.alpha) != (x, level):
+        # b_j merges away when one piece runs on through its point:
+        # a/den = (c0 + c1 b_j/den)/den
+        y, a = table.points[j]
+        if table.pieces[j - 1] != (x, c0, c1) or (y, a * table.den) != (
+                x, c0 * table.den + c1 * table.breaks[j]):
             kept.append(j)
-    return PathTable(tuple(table.breaks[j] for j in kept) + (ONE,),
-                     tuple(table.points[j] for j in kept) + (table.points[-1],),
-                     tuple(table.pieces[j] for j in kept))
+    breaks = [table.breaks[j] for j in kept] + [table.den]
+    points = [table.points[j] for j in kept] + [table.points[-1]]
+    pieces = [table.pieces[j] for j in kept]
+    g = gcd(*breaks, *(a for _, a in points), *(c for _, c0, c1 in pieces for c in (c0, c1)))
+    return PathTable(table.den // g, tuple(b // g for b in breaks),
+                     tuple((x, a // g) for x, a in points),
+                     tuple((x, c0 // g, c1 // g) for x, c0, c1 in pieces))
 
 
 def pasting_failure(gamma: PathExpr, delta: PathExpr, s, t,
@@ -351,12 +375,10 @@ def pasting_failure(gamma: PathExpr, delta: PathExpr, s, t,
     concatenation of gamma and delta differs from the pasting of the
     squares of gamma (for eta <= 1/2) and delta (for eta > 1/2), or None."""
     combined = Concat((gamma, delta))
-    half = Fraction(1, 2)
     for eta in grid:
+        part, local = (gamma, 2 * eta) if 2 * eta <= ONE else (delta, 2 * eta - 1)
         for x in grid:
-            pasted = (chi_eval(gamma, s, t, 2 * eta, x) if eta <= half
-                      else chi_eval(delta, s, t, 2 * eta - 1, x))
-            if chi_eval(combined, s, t, eta, x) != pasted:
+            if chi_key(combined, s, t, eta, x) != chi_key(part, s, t, local, x):
                 return eta, x
     return None
 

@@ -145,9 +145,13 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
                   max_tries: int = 200) -> Optional[tuple[Fraction, CylPoint, SubbasisElem]]:
     """A (t, point, target) triple satisfying the witness precondition.
 
-    case selects the proof regime: "zero", "interior", or "one".
+    case selects the proof regime: "zero", "interior", or "one".  The
+    candidate targets are computed once per topology and kept in its
+    ``__dict__``, outside its dataclass fields.
     """
-    elems = subbasis_elements(topo)
+    elems = topo.__dict__.get("_anchor_targets")
+    if elems is None:
+        elems = topo.__dict__["_anchor_targets"] = subbasis_elements(topo)
     for _ in range(max_tries):
         target = rng.choice(elems)
         if case == "zero":

@@ -174,7 +174,9 @@ def test_zero_denominator_exits_2(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert main(["paths", "--grid-step", "1/0"]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "_grid_step" not in err
 
 
 def test_paths_sweep(capsys):

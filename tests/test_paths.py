@@ -29,7 +29,6 @@ from fuzzcyl import (
     make_interval,
     normalize_path,
     path_from_json,
-    path_in_open,
     path_preimage,
     path_preimage_open,
     path_to_json,
@@ -39,7 +38,6 @@ from fuzzcyl import (
     specialization_preorder,
     subbasis_realize,
     tstar,
-    vertical_connector,
 )
 from fuzzcyl.cylinder import CylinderOpen, cyl_union, subbasis_elements
 from fuzzcyl.intervals import (
@@ -49,7 +47,7 @@ from fuzzcyl.intervals import (
     make_interval,
     make_unit_interval,
 )
-from fuzzcyl.paths import path_end, path_start, path_table
+from fuzzcyl.paths import chi_key, eval_key, path_end, path_start, path_table
 from fuzzcyl.retraction import CylPoint, h_eval
 from fuzzcyl.sweeps import random_path, random_topology
 
@@ -152,7 +150,12 @@ def test_chi_boundary_examples():
     conn = chi_boundary(Const(point("y", alpha)), 0, 1 - beta / alpha, 0)
     assert path_start(conn) == point("y", alpha)
     assert path_end(conn) == point("y", beta)
-    assert conn == vertical_connector("y", alpha, beta)
+    assert conn == VerticalAffine("y", alpha, beta)
+
+
+def path_in_open(e, open_set):
+    """Exact image containment: the preimage is all of [0,1]."""
+    return path_preimage(e, open_set) == make_unit_interval(0, 1, True, True)
 
 
 def test_path_in_open():
@@ -254,6 +257,24 @@ def test_normal_form_merges_pass_through_breakpoints():
     halves = Concat((VerticalAffine("a", F(0), F(1, 4)),
                      VerticalAffine("a", F(1, 4), F(1, 2))))
     assert normalize_path(halves) == normalize_path(VerticalAffine("a", F(0), F(1, 2)))
+
+
+def test_normal_form_is_reduced_to_the_smallest_denominator():
+    # equal maps whose compiled tables carry different denominators
+    third = Const(point("a", F(1, 3)))
+    half = Const(point("a", F(1, 2)))
+    pairs = [
+        (Concat((third, third)), third),
+        (HTransform(F(1, 3), Const(point("a", F(3, 4)))), half),
+        (Concat((VerticalAffine("a", F(0), F(1, 3)), VerticalAffine("a", F(1, 3), F(2, 3)))),
+         VerticalAffine("a", F(0), F(2, 3))),
+        (Reverse(HTransform(F(2, 3), VerticalAffine("a", F(3, 5), F(0)))),
+         VerticalAffine("a", F(0), F(1, 5))),
+    ]
+    for merged, plain in pairs:
+        assert path_table(merged).den != path_table(plain).den
+        assert normalize_path(merged) == normalize_path(plain)
+        assert normalize_path(merged).den == path_table(plain).den
 
 
 def test_normal_form_keeps_a_breakpoint_the_path_leaves():
@@ -468,17 +489,33 @@ def reference_preimage(e, open_set):
     return reference_preimage(reference_chi_boundary(e), open_set)
 
 
+def key(p):
+    """A point as the exact key (x, n, d) of its level n/d in lowest terms."""
+    return p.x, p.alpha.numerator, p.alpha.denominator
+
+
 def test_compiled_table_matches_recursive_reference():
     rng = random.Random(1)
+    # homotopy times come from their own stream, so the paths are the
+    # 300 draws of Random(1)
+    times = random.Random(4)
     grid = [F(k, 64) for k in range(65)]
+    coarse = [F(k, 8) for k in range(9)]
     for _ in range(300):
         topo = random_topology(rng, max_generators=2, max_den=6)
         path = random_path(rng, topo)
         targets = [subbasis_realize(e, topo) for e in subbasis_elements(topo)]
         # random_path nests reversals only in pairs, so add a single one
         for expr in (path, Reverse(path)):
-            for u in grid:
-                assert eval_path(expr, u) == reference_eval(expr, u), (expr, u)
+            s, t = times.choice(coarse), times.choice(coarse)
+            for k, u in enumerate(grid):
+                expected = reference_eval(expr, u)
+                assert eval_path(expr, u) == expected, (expr, u)
+                assert eval_key(expr, u) == key(expected), (expr, u)
+                # the square homotopy at eta = u, on every 32nd x of the grid
+                for x in grid[k % 32::32]:
+                    assert chi_key(expr, s, t, u, x) == \
+                        key(h_eval(kappa(s, t, x), expected)), (expr, s, t, u, x)
             for target in targets:
                 assert path_preimage(expr, target) == reference_preimage(expr, target), \
                     (expr, target)

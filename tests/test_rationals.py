@@ -13,6 +13,7 @@ from fuzzcyl import (
     HTransform,
     Interval,
     VerticalAffine,
+    chi_boundary,
     cyl_contains,
     eval_path,
     frac,
@@ -58,6 +59,8 @@ SITES = [
     ("HTransform", lambda q: HTransform(q, START), False, False),
     ("ChiBoundary.s", lambda q: ChiBoundary(START, q, F(0), 0), False, False),
     ("ChiBoundary.t", lambda q: ChiBoundary(START, F(0), q, 0), False, False),
+    ("chi_boundary.s", lambda q: chi_boundary(START, q, 0, 0), False, True),
+    ("chi_boundary.t", lambda q: chi_boundary(START, 0, q, 0), False, True),
     ("eval_path", lambda q: eval_path(START, q), False, True),
     ("functor_object_path", lambda q: functor_object_path(FUZZY, "a", "a", q), True, True),
     ("CylPoint", lambda q: CylPoint("a", q), True, False),

@@ -44,9 +44,6 @@ from .cylinder import (
 )
 from .functor import (
     ComplementReport,
-    FunctorEval,
-    check_constant_inverse,
-    check_functoriality,
     complement_report,
     is_complement,
 )
@@ -78,7 +75,7 @@ from .intervals import (
     make_unit_interval,
     singleton,
 )
-from .oracle import GridOracle, oracle_compare, oracle_rasterize
+from .oracle import GridOracle, oracle_rasterize
 from .paths import (
     ChiBoundary,
     Concat,
@@ -109,7 +106,6 @@ from .retraction import (
     h_eval,
     h_image_of_box,
     point,
-    sigma_eval,
     sigma_image,
     sigma_image_subbasis,
     verify_witness,

@@ -35,20 +35,8 @@ class FiniteTopology:
             if a & b not in self.opens or a | b not in self.opens:
                 raise ValueError("family is not closed under intersection/union")
 
-    def mask_of(self, subset) -> int:
-        mask = 0
-        for x in subset:
-            mask |= 1 << self.ground.index(x)
-        return mask
-
     def set_of(self, mask: int) -> tuple[str, ...]:
         return tuple(x for i, x in enumerate(self.ground.elements) if mask >> i & 1)
-
-    def opens_as_sets(self) -> list[tuple[str, ...]]:
-        return [self.set_of(m) for m in sorted(self.opens)]
-
-    def to_json(self) -> dict:
-        return {"opens": [list(s) for s in self.opens_as_sets()]}
 
 
 def close_under_ops(ground_set: GroundSet, generators: set[int]) -> FiniteTopology:

@@ -29,7 +29,7 @@ from .checks import (
 )
 from .cylinder import psi_star, verify_psi_laws
 from .functor import complement_report
-from .fuzzy import FuzzyTopology, fz_is_topology, read_family
+from .fuzzy import FuzzyTopology, GroundSet, fz_is_topology, read_family
 from .rationals import frac
 from .retraction import BoxWitness, verify_witness
 
@@ -73,9 +73,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_cylinder(args) -> int:
     topo = _load_topology(args.topology)
-    if args.open and args.open not in topo.names:
+    if args.open is not None and args.open not in topo.names:
         raise InputError(f"no open named {args.open!r}")
-    names = [args.open] if args.open else list(topo.names)
+    names = list(topo.names) if args.open is None else [args.open]
     doc = {}
     for name in names:
         doc[name] = psi_star(topo.open_named(name)).to_json()
@@ -84,8 +84,7 @@ def _cmd_cylinder(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    elements = tuple(args.elements.split(",")) if args.elements else ("x",)
-    report = counterexample_report(elements)
+    report = counterexample_report(args.elements)
     _emit(report)
     return 0 if report["verdict"] == "unequal" else 1
 
@@ -190,6 +189,14 @@ def _grid_step(text: str) -> Fraction:
     return step
 
 
+def _elements(text: str) -> tuple[str, ...]:
+    """Comma-separated ground elements, checked by building the ground set."""
+    try:
+        return GroundSet(tuple(text.split(","))).elements
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+
+
 def _at_least(low: int):
     """An argparse type for an integer >= ``low`` ("integer" in its messages)."""
     def integer(text: str) -> int:
@@ -231,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="set complement vs algebraic complement on the "
                             "constant-1/3 topology")
-    p.add_argument("--elements", help="comma-separated ground elements")
+    p.add_argument("--elements", type=_elements, default=("x",),
+                   help="comma-separated ground elements")
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("connectivity", help="base-space connectivity report")

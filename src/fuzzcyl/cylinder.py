@@ -41,9 +41,6 @@ class CylinderOpen:
     def fiber(self, x: str) -> IntervalSet:
         return self.fibers[self.ground.index(x)]
 
-    def is_empty(self) -> bool:
-        return all(f.is_empty() for f in self.fibers)
-
     def __repr__(self):
         body = ", ".join(f"{x}:{f!r}" for x, f in zip(self.ground.elements, self.fibers))
         return "Cyl(" + body + ")"

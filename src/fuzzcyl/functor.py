@@ -1,5 +1,5 @@
-"""The induced groupoid functor at evaluation level and the decision
-procedure equating fuzzy complementation with path inversion.
+"""The decision procedure equating fuzzy complementation with path
+inversion, and its contrast with the cylinder set complement.
 
 The decision works on exact affine forms: the object path attached to a
 ground element is a vertical affine path, and its reversal swaps the two
@@ -13,36 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cylinder import CompatReport, complement_compat
-from .fuzzy import FuzzySet, fz_complement
-from .paths import (
-    PathExpr,
-    VerticalAffine,
-    chi_eval,
-    functor_object_path,
-    pasting_failure,
-)
+from .fuzzy import FuzzySet
+from .paths import VerticalAffine, functor_object_path
 from .rationals import ONE, ZERO, frac
-from .retraction import CylPoint
 
 PROBES = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-
-
-@dataclass(frozen=True)
-class FunctorEval:
-    """Pointwise shadow of the induced functor of a fuzzy set."""
-
-    fuzzy: FuzzySet
-
-    def object_path(self, y: str, z: str, beta) -> VerticalAffine:
-        return functor_object_path(self.fuzzy, y, z, beta)
-
-    def morphism_eval(self, y: str, gamma: PathExpr, eta, x) -> CylPoint:
-        fy = self.fuzzy(y)
-        return chi_eval(gamma, fy, ONE - fy, eta, x)
-
-
-def _reversed_affine(p: VerticalAffine) -> VerticalAffine:
-    return VerticalAffine(p.x, p.a1, p.a0)
 
 
 def is_complement(F: FuzzySet, G: FuzzySet, probes=PROBES) -> bool:
@@ -56,27 +31,11 @@ def is_complement(F: FuzzySet, G: FuzzySet, probes=PROBES) -> bool:
         if beta == ZERO:
             raise ValueError("probe level must be nonzero")
         for y in F.ground.elements:
-            g_path = functor_object_path(G, y, z, beta)
             f_path = functor_object_path(F, y, z, beta)
-            if g_path != _reversed_affine(f_path):
+            reversed_f = VerticalAffine(f_path.x, f_path.a1, f_path.a0)
+            if functor_object_path(G, y, z, beta) != reversed_f:
                 return False
     return True
-
-
-def check_constant_inverse(F: FuzzySet, y: str, z: str, beta) -> bool:
-    """The complement's object path is the exact reversal of the original's."""
-    comp = functor_object_path(fz_complement(F), y, z, beta)
-    return comp == _reversed_affine(functor_object_path(F, y, z, beta))
-
-
-def check_functoriality(F: FuzzySet, y: str, gamma: PathExpr, delta: PathExpr,
-                        grid_step: Fraction = Fraction(1, 16)) -> bool:
-    """Morphism evaluation of a concatenation equals the piecewise pasting
-    of the parts' evaluations on the test grid."""
-    fy = F(y)
-    steps = int(ONE / grid_step)
-    grid = [Fraction(k, steps) for k in range(steps + 1)]
-    return pasting_failure(gamma, delta, fy, ONE - fy, grid) is None
 
 
 @dataclass(frozen=True)

@@ -31,15 +31,6 @@ class GroundSet:
         except ValueError:
             raise KeyError(f"unknown ground element {x!r}") from None
 
-    def __contains__(self, x: str) -> bool:
-        return x in self.elements
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
 
 def ground(*elements: str) -> GroundSet:
     return GroundSet(tuple(elements))
@@ -60,9 +51,6 @@ class FuzzySet:
 
     def __call__(self, x: str) -> Fraction:
         return self.levels[self.ground.index(x)]
-
-    def support(self) -> tuple[str, ...]:
-        return tuple(x for x, v in zip(self.ground.elements, self.levels) if v != 0)
 
     def values_dict(self) -> dict:
         return dict(zip(self.ground.elements, self.levels))

@@ -36,11 +36,6 @@ class GridOracle:
     def cell(self, x: str, k: int) -> bool:
         return self.cells[self.ground.index(x)][k]
 
-    def to_json(self) -> dict:
-        return {"resolution": self.resolution,
-                "cells": {x: [int(b) for b in vec]
-                          for x, vec in zip(self.ground.elements, self.cells)}}
-
 
 def oracle_rasterize(c: CylinderOpen, resolution: int) -> GridOracle:
     """Cell (x, k/N) is true iff the point lies in the set."""
@@ -49,11 +44,6 @@ def oracle_rasterize(c: CylinderOpen, resolution: int) -> GridOracle:
               for k in range(resolution))
         for x in c.ground.elements)
     return GridOracle(c.ground, resolution, cells)
-
-
-def oracle_compare(symbolic: CylinderOpen, brute: GridOracle) -> bool:
-    """True iff the rasterization of the symbolic set matches cell-for-cell."""
-    return oracle_rasterize(symbolic, brute.resolution) == brute
 
 
 def first_mismatch(symbolic: CylinderOpen,

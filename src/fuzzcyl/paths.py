@@ -57,21 +57,6 @@ class FencePath:
         if len(self.interiors) != max(len(self.steps) - 1, 0):
             raise ValueError("one interior value per segment required")
 
-    def element_at(self, u: Fraction) -> str:
-        """Evaluate; a dyadic breakpoint takes the right segment's start."""
-        unit(u, "parameter")
-        k = len(self.steps) - 1
-        if k == 0:
-            return self.steps[0]
-        if u == ONE:
-            return self.steps[-1]
-        scaled = u * k
-        i = int(scaled)
-        local = scaled - i
-        if local == ZERO:
-            return self.steps[i]
-        return self.interiors[i]
-
     def to_json(self) -> dict:
         return {"steps": list(self.steps), "interiors": list(self.interiors)}
 

@@ -64,11 +64,6 @@ def h_eval(t, p: CylPoint) -> CylPoint:
     return CylPoint(p.x, (ONE - t) * p.alpha)
 
 
-def sigma_eval(p: CylPoint) -> CylPoint:
-    """The retraction onto the zero slice."""
-    return CylPoint(p.x, ZERO)
-
-
 def _scaled_part(c: Interval, part: Interval) -> Optional[Interval]:
     """Exact image {c * a : c in c-interval, a in part}, both nonnegative."""
     lo = c.lo * part.lo
@@ -228,17 +223,18 @@ def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
 
 
 def sigma_image_subbasis(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:
-    """Image of a subbasis open under the slice retraction.
+    """Image of a subbasis open under the slice retraction, read off the
+    membership values rather than the realized set.
 
-    A tstar open maps to the zero-level points over its nonempty fibers; a
-    pi2 open maps onto the full zero slice.
+    A tstar open of T maps to the zero level over {x : T(x) > gamma}; a pi2
+    open maps onto the full zero slice.
     """
     zero = singleton(0)
     if e.kind == "pi2":
         fibers = tuple(zero for _ in topo.ground.elements)
-        return CylinderOpen(topo.ground, fibers)
-    realized = subbasis_realize(e, topo)
-    fibers = tuple(EMPTY_SET if fib.is_empty() else zero for fib in realized.fibers)
+    else:
+        fibers = tuple(zero if v > e.gamma else EMPTY_SET
+                       for v in topo.open_named(e.open_name).levels)
     return CylinderOpen(topo.ground, fibers)
 
 

@@ -33,7 +33,7 @@ def const_topo(gs, *values):
 
 
 def opens_as_sets(ft):
-    return {frozenset(s) for s in ft.opens_as_sets()}
+    return {frozenset(ft.set_of(m)) for m in ft.opens}
 
 
 def test_iota_x_constants_is_indiscrete():
@@ -68,6 +68,15 @@ def test_slice_agrees_random_law():
     rng = random.Random(11)
     for _ in range(20):
         assert slice_agrees(random_topology(rng, max_generators=2, max_den=8))
+
+
+def test_sigma_sweep_runs_the_slice_check(monkeypatch):
+    before = checks.sweep_sigma_laws(random.Random(104), 15)
+    assert before.ok
+    monkeypatch.setattr(checks, "slice_agrees", lambda topo: False)
+    after = checks.sweep_sigma_laws(random.Random(104), 15)
+    assert after.checked == before.checked
+    assert {f[0] for f in after.failures} == {"slice-homeomorphism"}
 
 
 def sierpinski():

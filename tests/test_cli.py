@@ -278,6 +278,19 @@ def test_unknown_open_flag_exits_2(topo_file):
     assert run_cli(["cylinder", "--topology", topo_file, "--open", "Tz"]) == 2
 
 
+def test_empty_open_flag_names_no_open(topo_file):
+    # an empty name is a given name, not an absent flag
+    assert run_cli(["cylinder", "--topology", topo_file, "--open", ""]) == 2
+
+
+@pytest.mark.parametrize("elements", ["a,a", ","])
+def test_repeated_elements_exit_2(monkeypatch, elements):
+    def forbidden(args):
+        raise AssertionError("the subcommand ran")
+    monkeypatch.setattr(cli, "_cmd_counterexample", forbidden)
+    assert run_cli(["counterexample", "--elements", elements]) == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["laws", "--sweeps", "0"],
     ["paths", "--sweeps", "-2"],

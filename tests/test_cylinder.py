@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from fuzzcyl import (
-    EMPTY_SET,
     FuzzySet,
     OpenExpr,
     complement_compat,

@@ -7,20 +7,36 @@ from fuzzcyl import (
     Const,
     FuzzySet,
     VerticalAffine,
-    check_constant_inverse,
-    check_functoriality,
+    chi_eval,
     complement_report,
+    functor_object_path,
     fz_complement,
     fz_indicator,
     ground,
     is_complement,
     point,
 )
-from fuzzcyl.functor import PROBES, FunctorEval
+from fuzzcyl.functor import PROBES
+from fuzzcyl.paths import pasting_failure
 from fuzzcyl.sweeps import random_fuzzy, random_ground
 
 F = Fraction
 AB = ground("a", "b")
+GRID = [F(k, 16) for k in range(17)]
+
+
+def check_constant_inverse(f, y, z, beta):
+    """The complement's object path is the original's with its two affine
+    coefficients swapped."""
+    path = functor_object_path(f, y, z, beta)
+    return functor_object_path(fz_complement(f), y, z, beta) == \
+        VerticalAffine(path.x, path.a1, path.a0)
+
+
+def check_functoriality(f, y, gamma, delta):
+    """Morphism evaluation at (F(y), 1 - F(y)) of the concatenation equals
+    the pasting of the parts' evaluations on the 1/16 grid."""
+    return pasting_failure(gamma, delta, f(y), 1 - f(y), GRID) is None
 
 
 def test_is_complement_examples():
@@ -64,10 +80,10 @@ def test_check_functoriality_constant_morphism():
     c = Const(point("z", F(1, 2)))
     assert check_functoriality(fuzzy, "y", c, c)
     # morphism evaluation of a constant path is eta-independent
-    functor = FunctorEval(fuzzy)
-    base = functor.morphism_eval("y", c, F(0), F(1, 3))
+    fy = fuzzy("y")
+    base = chi_eval(c, fy, 1 - fy, F(0), F(1, 3))
     for k in range(5):
-        assert functor.morphism_eval("y", c, F(k, 4), F(1, 3)) == base
+        assert chi_eval(c, fy, 1 - fy, F(k, 4), F(1, 3)) == base
 
 
 def test_check_functoriality_rejects_non_composable():

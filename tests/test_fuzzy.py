@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from fuzzcyl import (
     FuzzySet,
     FuzzyTopology,
-    GroundSet,
     fz_complement,
     fz_generate_topology,
     fz_indicator,

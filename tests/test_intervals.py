@@ -17,7 +17,6 @@ from fuzzcyl import (
     iv_union,
     make_interval,
     make_unit_interval,
-    singleton,
 )
 from fuzzcyl.intervals import canonical, is_open_in_unit
 

@@ -7,7 +7,6 @@ from fuzzcyl import (
     GridOracle,
     empty_cylinder,
     ground,
-    oracle_compare,
     oracle_rasterize,
     psi_star,
     whole_cylinder,
@@ -35,12 +34,11 @@ def test_rasterize_rejects_small_resolution():
         oracle_rasterize(whole_cylinder(AB), 1)
 
 
-def test_oracle_compare_and_mismatch():
+def test_first_mismatch():
     below = psi_star(FuzzySet.constant(AB, F(1, 3)))
-    assert oracle_compare(below, oracle_rasterize(below, 64))
+    assert first_mismatch(below, oracle_rasterize(below, 64)) is None
     corrupted = oracle_rasterize(below, 64)
     cells = [list(v) for v in corrupted.cells]
     cells[0][40] = not cells[0][40]
     bad = GridOracle(AB, 64, tuple(tuple(v) for v in cells))
-    assert not oracle_compare(below, bad)
     assert first_mismatch(below, bad) == ("a", F(40, 64))

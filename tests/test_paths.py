@@ -34,7 +34,6 @@ from fuzzcyl import (
     path_to_json,
     pi2,
     point,
-    psi_star,
     specialization_preorder,
     subbasis_realize,
     tstar,
@@ -121,10 +120,10 @@ def test_concat_rejects_endpoint_mismatch():
 
 
 def test_fence_path_evaluation_convention():
-    fence = FencePath(("a", "b"), ("b",))
-    assert fence.element_at(F(0)) == "a"
-    assert fence.element_at(F(1, 4)) == "b"
-    assert fence.element_at(F(1)) == "b"
+    lifted = HLift(FencePath(("a", "b"), ("b",)), F(0))
+    assert eval_path(lifted, F(0)).x == "a"
+    assert eval_path(lifted, F(1, 4)).x == "b"
+    assert eval_path(lifted, F(1)).x == "b"
 
 
 def test_chi_eval_examples():
@@ -363,7 +362,13 @@ def reference_eval(e, u):
     if isinstance(e, VerticalAffine):
         return CylPoint(e.x, e.a0 + (e.a1 - e.a0) * u)
     if isinstance(e, HLift):
-        return CylPoint(e.base.element_at(u), e.level)
+        # fence segment i covers [i/k, (i+1)/k]; a breakpoint takes the
+        # right segment's start, the open interior its representative
+        steps, k = e.base.steps, len(e.base.steps) - 1
+        if k == 0 or u == 1:
+            return CylPoint(steps[-1], e.level)
+        i = int(u * k)
+        return CylPoint(steps[i] if u * k == i else e.base.interiors[i], e.level)
     if isinstance(e, Concat):
         return _binary_concat_eval(e.parts, u)
     if isinstance(e, Reverse):

@@ -51,8 +51,6 @@ SITES = [
     ("kappa.s", lambda q: kappa(q, 0, 0), False, True),
     ("kappa.t", lambda q: kappa(0, q, 0), False, True),
     ("kappa.x", lambda q: kappa(0, 0, q), False, True),
-    ("FencePath.element_at", lambda q: FencePath(("a", "b"), ("b",)).element_at(q),
-     False, False),
     ("VerticalAffine.a0", lambda q: VerticalAffine("a", q, F(0)), True, False),
     ("VerticalAffine.a1", lambda q: VerticalAffine("a", F(0), q), True, False),
     ("HLift", lambda q: HLift(FencePath(("a",), ()), q), True, False),

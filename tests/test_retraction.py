@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from fuzzcyl import checks
 from fuzzcyl import (
     FuzzySet,
     Interval,
@@ -15,8 +17,6 @@ from fuzzcyl import (
     make_interval,
     pi2,
     point,
-    psi_star,
-    sigma_eval,
     sigma_image,
     sigma_image_subbasis,
     singleton,
@@ -69,13 +69,13 @@ def test_cyl_point_rejects_inexact_and_out_of_range_levels():
     assert CylPoint("x", F(2, 3)).alpha == F(2, 3)
 
 
-def test_sigma_eval():
-    assert sigma_eval(point("x", F(1, 3))) == point("x", 0)
-    assert sigma_eval(point("x", 0)) == point("x", 0)
+def test_retraction_is_the_homotopy_at_time_one():
+    assert h_eval(1, point("x", F(1, 3))) == point("x", 0)
+    assert h_eval(1, point("x", 0)) == point("x", 0)
     rng = random.Random(5)
     for _ in range(20):
         p = random_point(rng, AB)
-        assert sigma_eval(p) == h_eval(1, p)
+        assert h_eval(1, p) == point(p.x, 0)
 
 
 def test_h_image_of_box_envelope_with_grid_oracle():
@@ -172,6 +172,31 @@ def test_sigma_image_matches_subbasis_rule():
         for e in subbasis_elements(topo):
             realized = subbasis_realize(e, topo)
             assert sigma_image(realized) == sigma_image_subbasis(e, topo)
+
+
+def test_sigma_sweep_fails_on_a_too_tall_realization(monkeypatch):
+    # criterion 6 compares the image of the realized set with the image
+    # stated from the membership values, so a realization whose tstar
+    # fibers reach one notch above T(x) - gamma must be caught wherever
+    # the realization is used
+    assert checks.sweep_sigma_laws(random.Random(104), 15).ok
+
+    def taller(e, topo):
+        if e.kind == "pi2":
+            return subbasis_realize(e, topo)
+        fibers = []
+        for v in topo.open_named(e.open_name).levels:
+            hi = min(v - e.gamma + F(1, 64), 1)
+            fibers.append(EMPTY_SET if hi <= 0 else make_interval(0, hi, True, False))
+        return CylinderOpen(topo.ground, tuple(fibers))
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fuzzcyl.") and hasattr(module, "subbasis_realize"):
+            monkeypatch.setattr(module, "subbasis_realize", taller)
+    result = checks.sweep_sigma_laws(random.Random(104), 15)
+    kinds = {f[0] for f in result.failures}
+    assert result.checked == 566
+    assert kinds == {"sigma-subbasis", "sigma-meet"}
 
 
 def test_down_closure_of_tstar_preimages():

@@ -33,6 +33,7 @@ from .cylinder import (
     psi_star,
     recover_membership,
     subbasis_elements,
+    subbasis_predicate,
     subbasis_realize,
     verify_psi_laws,
 )
@@ -129,13 +130,6 @@ class OracleLedger:
 
 def psi_predicate(f: FuzzySet) -> Predicate:
     return lambda x, v: v < f(x)
-
-
-def subbasis_predicate(e: SubbasisElem, topo: FuzzyTopology) -> Predicate:
-    if e.kind == "pi2":
-        return lambda x, v: v > e.gamma
-    f = topo.open_named(e.open_name)
-    return lambda x, v: f(x) - v > e.gamma
 
 
 def expr_predicate(expr: OpenExpr, topo: FuzzyTopology) -> Predicate:

@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -140,11 +141,15 @@ def _cmd_verify_retraction(args) -> int:
                "failures": [i for i, v in enumerate(verdicts) if not v]})
         return 0 if all(verdicts) else 1
     topo = _load_topology(args.topology)
-    rng = random.Random(args.seed)
-    result, witnesses = sweep_retraction_on(topo, rng, anchors=args.sweeps)
-    if args.emit:
-        Path(args.emit).write_text(json.dumps(
-            [w.to_json() for w in witnesses], indent=2))
+    try:  # before the sweep, so an unwritable path costs nothing
+        emit = open(args.emit, "w", encoding="utf-8") if args.emit else nullcontext()
+    except OSError as exc:
+        raise InputError(f"cannot write {args.emit}: {exc}") from exc
+    with emit:
+        rng = random.Random(args.seed)
+        result, witnesses = sweep_retraction_on(topo, rng, anchors=args.sweeps)
+        if args.emit:
+            emit.write(json.dumps([w.to_json() for w in witnesses], indent=2))
     _emit(result.to_json())
     return 0 if result.ok else 1
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement, fz_join, fz_meet
 from .intervals import (
@@ -143,6 +143,15 @@ class SubbasisElem:
     @staticmethod
     def from_json(doc: dict) -> "SubbasisElem":
         return SubbasisElem(doc["kind"], frac(doc["gamma"]), doc.get("open"))
+
+
+def subbasis_predicate(e: SubbasisElem,
+                       topo: FuzzyTopology) -> Callable[[str, Fraction], bool]:
+    """Membership in the subbasis open, read off the rule above."""
+    if e.kind == "pi2":
+        return lambda x, v: v > e.gamma
+    f = topo.open_named(e.open_name)
+    return lambda x, v: f(x) - v > e.gamma
 
 
 def tstar(open_name: str, gamma) -> SubbasisElem:

@@ -4,15 +4,26 @@ The working universe for membership levels is J = [0, 1): constructors for
 level sets clip the point 1 away.  Parameter sets (homotopy times, path
 parameters) live in the closed segment [0, 1] and are built with
 ``make_unit_interval``, which keeps a closed right endpoint at 1.
+
+An ``IntervalSet`` is integer boundary keys over one positive denominator
+``den``: the value n/den has the key 2n just before it and 2n+1 just after
+it, so a closed lower or open upper end is 2n and an open lower or closed
+upper end 2n+1.  ``keys`` is a strictly increasing, even-length tuple of
+half-open [start, end) pairs, and J is [0, 2·den).  Union, intersection and
+subset make one linear merge over a common denominator, the complement in J
+toggles against [0, 2·den), and membership is one bisection.  Results are
+reduced to the least denominator, so structural equality is set equality.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .rationals import ONE, ZERO, format_rational, frac, unit
+from .rationals import format_rational, frac, unit
 
 
 @dataclass(frozen=True)
@@ -56,30 +67,51 @@ class Interval:
 
     @staticmethod
     def from_json(doc: dict) -> "Interval":
-        return Interval(
-            frac(doc["lo"]), frac(doc["hi"]),
-            not doc.get("lo_open", False), not doc.get("hi_open", False),
-        )
+        lo, hi = frac(doc["lo"]), frac(doc["hi"])
+        lo_open, hi_open = doc.get("lo_open", False), doc.get("hi_open", False)
+        if type(lo_open) is not bool or type(hi_open) is not bool:
+            raise TypeError("interval flags lo_open and hi_open must be booleans")
+        return Interval(lo, hi, not lo_open, not hi_open)
 
 
-@dataclass(frozen=True)
+def _key(q: Fraction, den: int, after: bool) -> int:
+    """The key just before q, or just after it; den is a multiple of q's."""
+    return 2 * q.numerator * (den // q.denominator) + bool(after)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class IntervalSet:
-    """Canonical finite union of intervals: disjoint, sorted, non-mergeable.
+    """Canonical finite union of intervals, as boundary keys (see above).
 
-    Structural equality of canonical forms equals set equality.
+    ``IntervalSet(parts)`` canonicalizes any finite collection of intervals;
+    ``parts`` gives back the canonical ones: disjoint, sorted, non-mergeable.
     """
 
-    parts: tuple[Interval, ...] = ()
+    den: int
+    keys: tuple[int, ...]
+
+    def __new__(cls, parts: Iterable[Interval] = ()):
+        parts = list(parts)
+        den = lcm(*(q.denominator for p in parts for q in (p.lo, p.hi)))
+        pairs = sorted((_key(p.lo, den, not p.lo_closed), _key(p.hi, den, p.hi_closed))
+                       for p in parts)
+        return _reduced(den, _merge([k for pair in pairs for k in pair], ()))
+
+    @property
+    def parts(self) -> tuple[Interval, ...]:
+        k, den = self.keys, self.den
+        return tuple(Interval(Fraction(s >> 1, den), Fraction(e >> 1, den),
+                              not s & 1, bool(e & 1))
+                     for s, e in zip(k[::2], k[1::2]))
 
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.keys
 
     def contains(self, q: Fraction) -> bool:
-        return any(p.contains(q) for p in self.parts)
+        n, r = divmod(q.numerator * self.den, q.denominator)
+        return bisect_right(self.keys, 2 * n + (r > 0)) % 2 == 1
 
     def __repr__(self):
-        if not self.parts:
-            return "{}"
         return "{" + ", ".join(repr(p) for p in self.parts) + "}"
 
     def to_json(self) -> list:
@@ -90,52 +122,69 @@ class IntervalSet:
         return canonical(Interval.from_json(d) for d in doc)
 
 
-EMPTY_SET = IntervalSet(())
-WHOLE_J = IntervalSet((Interval(ZERO, ONE, True, False),))
+def _make(den: int, keys: tuple[int, ...]) -> IntervalSet:
+    out = object.__new__(IntervalSet)
+    object.__setattr__(out, "den", den)
+    object.__setattr__(out, "keys", keys)
+    return out
 
 
-def _merge_two(a: Interval, b: Interval) -> Optional[Interval]:
-    """Merge b into a when their union is an interval; a.lo <= b.lo assumed."""
-    if b.lo > a.hi:
-        return None
-    if b.lo == a.hi and not (a.hi_closed or b.lo_closed):
-        return None
-    if (b.hi, b.hi_closed) <= (a.hi, a.hi_closed):
-        hi, hi_closed = a.hi, a.hi_closed
-    else:
-        hi, hi_closed = b.hi, b.hi_closed
-    lo_closed = a.lo_closed or (b.lo == a.lo and b.lo_closed)
-    return Interval(a.lo, hi, lo_closed, hi_closed)
+def _reduced(den: int, keys: list[int]) -> IntervalSet:
+    """The set over its least denominator: all numerators divided by their gcd."""
+    g = gcd(den, *[k >> 1 for k in keys])
+    if g > 1:
+        den //= g
+        keys = [2 * ((k >> 1) // g) + (k & 1) for k in keys]
+    return _make(den, tuple(keys))
+
+
+def _common(a: IntervalSet, b: IntervalSet):
+    """Both key tuples over the least common denominator."""
+    if a.den == b.den:
+        return a.den, a.keys, b.keys
+    den = lcm(a.den, b.den)
+    return (den, *([2 * (k >> 1) * (den // s.den) + (k & 1) for k in s.keys]
+                   for s in (a, b)))
+
+
+def _merge(x, y) -> list[int]:
+    """Union of two key sequences with pairs sorted by start: one pass, joining
+    a pair to the last one when it starts at or before that one's end."""
+    out: list[int] = []
+    i = j = 0
+    while i < len(x) or j < len(y):
+        if j == len(y) or (i < len(x) and x[i] <= y[j]):
+            s, e = x[i], x[i + 1]
+            i += 2
+        else:
+            s, e = y[j], y[j + 1]
+            j += 2
+        if out and s <= out[-1]:
+            out[-1] = max(out[-1], e)
+        else:
+            out += (s, e)
+    return out
+
+
+EMPTY_SET = _make(1, ())
+WHOLE_J = _make(1, (0, 2))
 
 
 def canonical(intervals: Iterable[Interval]) -> IntervalSet:
     """Normalize an arbitrary finite collection of intervals."""
-    items = sorted(intervals, key=lambda p: (p.lo, not p.lo_closed, p.hi, not p.hi_closed))
-    merged: list[Interval] = []
-    for part in items:
-        if merged:
-            joined = _merge_two(merged[-1], part)
-            if joined is not None:
-                merged[-1] = joined
-                continue
-        merged.append(part)
-    return IntervalSet(tuple(merged))
+    return IntervalSet(intervals)
 
 
 def _build(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> IntervalSet:
-    if lo > hi:
-        return EMPTY_SET
-    if lo == hi and not (lo_closed and hi_closed):
-        return EMPTY_SET
-    return IntervalSet((Interval(lo, hi, lo_closed, hi_closed),))
+    den = lcm(lo.denominator, hi.denominator)
+    s, e = _key(lo, den, not lo_closed), _key(hi, den, hi_closed)
+    return _make(den, (s, e)) if s < e else EMPTY_SET
 
 
 def make_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> IntervalSet:
     """Canonical level set: the described interval intersected with J = [0,1)."""
     lo, hi = unit(frac(lo), "interval endpoint"), unit(frac(hi), "interval endpoint")
-    if hi == ONE:
-        hi_closed = False
-    return _build(lo, hi, lo_closed, hi_closed)
+    return _build(lo, hi, lo_closed, hi_closed and hi != 1)
 
 
 def make_unit_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> IntervalSet:
@@ -145,46 +194,46 @@ def make_unit_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> IntervalSet:
 
 
 def singleton(q) -> IntervalSet:
-    q = frac(q)
-    return _build(q, q, True, True)
+    return make_unit_interval(q, q, True, True)
 
 
 def iv_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return canonical(a.parts + b.parts)
-
-
-def _intersect_parts(a: Interval, b: Interval) -> Optional[Interval]:
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    if lo > hi:
-        return None
-    lo_closed = a.contains(lo) and b.contains(lo)
-    hi_closed = a.contains(hi) and b.contains(hi)
-    if lo == hi and not (lo_closed and hi_closed):
-        return None
-    return Interval(lo, hi, lo_closed, hi_closed)
+    if not (a.keys and b.keys):
+        return a if a.keys else b
+    den, x, y = _common(a, b)
+    return _reduced(den, _merge(x, y))
 
 
 def iv_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    out = []
-    for pa in a.parts:
-        for pb in b.parts:
-            part = _intersect_parts(pa, pb)
-            if part is not None:
-                out.append(part)
-    return canonical(out)
+    if not (a.keys and b.keys):
+        return EMPTY_SET
+    den, x, y = _common(a, b)
+    out: list[int] = []
+    i = j = 0
+    while i < len(x) and j < len(y):
+        s, e = max(x[i], y[j]), min(x[i + 1], y[j + 1])
+        if s < e:
+            out += (s, e)
+        if x[i + 1] < y[j + 1]:
+            i += 2
+        else:
+            j += 2
+    return _reduced(den, out)
 
 
 def iv_complement_in_J(a: IntervalSet) -> IntervalSet:
-    """Exact complement within [0,1); flags flip at shared endpoints."""
-    gaps = []
-    cursor, cursor_closed = ZERO, True
-    for part in a.parts:
-        gaps.extend(_build(cursor, part.lo, cursor_closed, not part.lo_closed).parts)
-        cursor, cursor_closed = part.hi, not part.hi_closed
-    if cursor < ONE:
-        gaps.extend(_build(cursor, ONE, cursor_closed, False).parts)
-    return canonical(gaps)
+    """Exact complement within [0,1): the keys toggled against [0, 2·den),
+    after dropping the point 1 of a parameter set.  Adding or dropping the
+    numerators 0 and den leaves the gcd with den at 1: no reduction."""
+    top = 2 * a.den
+    keys = list(a.keys)
+    if keys and keys[-1] > top:
+        keys[-1] = top
+        if keys[-2] == top:
+            del keys[-2:]
+    keys = keys[1:] if keys[:1] == [0] else [0] + keys
+    keys = keys[:-1] if keys[-1:] == [top] else keys + [top]
+    return _make(a.den, tuple(keys))
 
 
 def iv_contains(a: IntervalSet, q) -> bool:
@@ -193,20 +242,23 @@ def iv_contains(a: IntervalSet, q) -> bool:
 
 def iv_supremum(a: IntervalSet) -> Optional[Fraction]:
     """Supremum of the set (attained or not); None for the empty set."""
-    if not a.parts:
-        return None
-    return a.parts[-1].hi
+    return Fraction(a.keys[-1] >> 1, a.den) if a.keys else None
 
 
 def iv_subset(a: IntervalSet, b: IntervalSet) -> bool:
-    return iv_intersect(a, b) == a
+    """Each pair of a lies in one pair of b: the first that ends at or after it."""
+    _, x, y = _common(a, b)
+    j = 0
+    for i in range(0, len(x), 2):
+        while j < len(y) and y[j + 1] < x[i + 1]:
+            j += 2
+        if j == len(y) or y[j] > x[i]:
+            return False
+    return True
 
 
 def is_open_in_unit(a: IntervalSet) -> bool:
-    """True iff the set is open in [0,1] with the relative topology."""
-    for part in a.parts:
-        if part.lo_closed and part.lo != ZERO:
-            return False
-        if part.hi_closed and part.hi != ONE:
-            return False
-    return True
+    """True iff open in [0,1]: each closed lower end is 0, each closed upper end 1."""
+    k = a.keys
+    return (all(s & 1 or s == 0 for s in k[::2])
+            and all(not e & 1 or e == 2 * a.den + 1 for e in k[1::2]))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .base_space import iota_x, specialization_preorder
-from .cylinder import SubbasisElem, subbasis_elements, subbasis_realize
+from .cylinder import SubbasisElem, subbasis_elements, subbasis_predicate
 from .fuzzy import (
     FuzzySet,
     FuzzyTopology,
@@ -163,7 +163,7 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
             t = Fraction(rng.randint(1, den - 1), den)
         p = random_point(rng, topo.ground)
         image = h_eval(t, p)
-        if subbasis_realize(target, topo).fiber(image.x).contains(image.alpha):
+        if subbasis_predicate(target, topo)(image.x, image.alpha):
             return (t, p, target)
     return None
 

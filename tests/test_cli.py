@@ -146,6 +146,34 @@ def test_replay_rejects_unknown_names(capsys, tmp_path, topo_file, forge):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["missing/certs.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_emit_path_exits_2_before_sweeping(monkeypatch, tmp_path,
+                                                       topo_file, target):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before opening the emit path")
+
+    monkeypatch.setattr(cli, "sweep_retraction_on", no_sweep)
+    assert run_cli(["verify-retraction", "--topology", topo_file,
+                    "--emit", str(tmp_path / target)]) == 2
+
+
+def test_replay_rejects_non_boolean_interval_flags(capsys, tmp_path, topo_file):
+    cert = tmp_path / "certs.json"
+    code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
+                  "--sweeps", "3", "--seed", "4", "--emit", str(cert))
+    assert code == 0
+    forged = json.loads(cert.read_text())
+    forged[0]["t_interval"].update(lo_open="yes", hi_open="no")
+    cert.write_text(json.dumps(forged))
+    assert main(["verify-retraction", "--topology", topo_file,
+                 "--replay", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed certificate: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_laws_rejects_bad_topology_before_sweeping(capsys, tmp_path, monkeypatch):
     bad = json.loads(json.dumps(TOPO))
     bad["opens"][2]["values"]["a"] = "1/0"

@@ -1,0 +1,224 @@
+"""Differential test of the boundary-key interval algebra.
+
+The reference below is the flag-based algebra that the keys replaced: a set
+is a sorted tuple of ``Interval``s, normalized by sorting and merging
+neighbours, with open/closed flags compared at shared endpoints.  On seeded
+random sets with mixed denominators, including parameter sets that contain
+1, the key algebra must give the same canonical intervals, JSON, union,
+intersection, complement, subset, membership, supremum and openness.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from fuzzcyl.intervals import (
+    EMPTY_SET,
+    Interval,
+    IntervalSet,
+    canonical,
+    is_open_in_unit,
+    iv_complement_in_J,
+    iv_contains,
+    iv_intersect,
+    iv_subset,
+    iv_supremum,
+    iv_union,
+    make_interval,
+    make_unit_interval,
+)
+
+ZERO, ONE = F(0), F(1)
+
+# ---------------------------------------------------------------------------
+# reference: the flag algebra on tuples of intervals
+
+
+def ref_merge_two(a, b):
+    """Merge b into a when their union is an interval; a.lo <= b.lo assumed."""
+    if b.lo > a.hi:
+        return None
+    if b.lo == a.hi and not (a.hi_closed or b.lo_closed):
+        return None
+    if (b.hi, b.hi_closed) <= (a.hi, a.hi_closed):
+        hi, hi_closed = a.hi, a.hi_closed
+    else:
+        hi, hi_closed = b.hi, b.hi_closed
+    lo_closed = a.lo_closed or (b.lo == a.lo and b.lo_closed)
+    return Interval(a.lo, hi, lo_closed, hi_closed)
+
+
+def ref_canonical(intervals):
+    items = sorted(intervals, key=lambda p: (p.lo, not p.lo_closed, p.hi, not p.hi_closed))
+    merged = []
+    for part in items:
+        if merged:
+            joined = ref_merge_two(merged[-1], part)
+            if joined is not None:
+                merged[-1] = joined
+                continue
+        merged.append(part)
+    return tuple(merged)
+
+
+def ref_build(lo, hi, lo_closed, hi_closed):
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        return ()
+    return (Interval(lo, hi, lo_closed, hi_closed),)
+
+
+def ref_intersect_parts(a, b):
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
+        return None
+    lo_closed = a.contains(lo) and b.contains(lo)
+    hi_closed = a.contains(hi) and b.contains(hi)
+    if lo == hi and not (lo_closed and hi_closed):
+        return None
+    return Interval(lo, hi, lo_closed, hi_closed)
+
+
+def ref_union(a, b):
+    return ref_canonical(a + b)
+
+
+def ref_intersect(a, b):
+    out = [ref_intersect_parts(pa, pb) for pa in a for pb in b]
+    return ref_canonical(p for p in out if p is not None)
+
+
+def ref_complement(a):
+    gaps = []
+    cursor, cursor_closed = ZERO, True
+    for part in a:
+        gaps.extend(ref_build(cursor, part.lo, cursor_closed, not part.lo_closed))
+        cursor, cursor_closed = part.hi, not part.hi_closed
+    if cursor < ONE:
+        gaps.extend(ref_build(cursor, ONE, cursor_closed, False))
+    return ref_canonical(gaps)
+
+
+def ref_contains(a, q):
+    return any(p.contains(q) for p in a)
+
+
+def ref_is_open(a):
+    return all(not (p.lo_closed and p.lo != ZERO) and not (p.hi_closed and p.hi != ONE)
+               for p in a)
+
+
+# ---------------------------------------------------------------------------
+# random sets
+
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 32, 35)
+
+
+def random_value(rng):
+    den = rng.choice(DENOMINATORS)
+    return F(rng.randint(0, den), den)
+
+
+def random_interval(rng, unit_segment):
+    """Endpoints in [0,1]; a level-set interval (not unit_segment) leaves 1 out."""
+    lo, hi = sorted((random_value(rng), random_value(rng)))
+    lo_closed, hi_closed = rng.random() < 0.5, rng.random() < 0.5
+    if lo == hi:
+        lo_closed = hi_closed = True
+        if hi == ONE and not unit_segment:
+            lo = hi = F(1, 2)
+    if hi == ONE and not unit_segment:
+        hi_closed = False
+    return Interval(lo, hi, lo_closed, hi_closed)
+
+
+def random_parts(rng):
+    unit_segment = rng.random() < 0.3
+    return [random_interval(rng, unit_segment) for _ in range(rng.randint(0, 4))]
+
+
+def probes(*sets):
+    """0, 1, every endpoint of the sets and every midpoint between two
+    consecutive ones: membership is constant between endpoints."""
+    ends = sorted({ZERO, ONE} | {q for s in sets for p in s for q in (p.lo, p.hi)})
+    return ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_key_algebra_matches_flag_algebra(seed):
+    rng = random.Random(8_000 + seed)
+    for _ in range(1000):
+        pa, pb = random_parts(rng), random_parts(rng)
+        a, b = IntervalSet(pa), IntervalSet(pb)
+        ra, rb = ref_canonical(pa), ref_canonical(pb)
+        assert a.parts == ra and b.parts == rb
+        assert a.to_json() == [p.to_json() for p in ra]
+        assert IntervalSet.from_json(a.to_json()) == a
+        assert iv_union(a, b).parts == ref_union(ra, rb)
+        assert iv_intersect(a, b).parts == ref_intersect(ra, rb)
+        assert iv_complement_in_J(a).parts == ref_complement(ra)
+        assert iv_subset(a, b) == (ref_intersect(ra, rb) == ra)
+        assert iv_subset(b, a) == (ref_intersect(ra, rb) == rb)
+        assert iv_supremum(a) == (ra[-1].hi if ra else None)
+        assert is_open_in_unit(a) == ref_is_open(ra)
+        for q in probes(ra, rb):
+            assert a.contains(q) == ref_contains(ra, q), (ra, q)
+            if q < ONE:
+                assert iv_contains(b, q) == ref_contains(rb, q), (rb, q)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_constructors_match_flag_algebra(seed):
+    rng = random.Random(9_000 + seed)
+    for _ in range(500):
+        lo, hi = random_value(rng), random_value(rng)
+        flags = rng.random() < 0.5, rng.random() < 0.5
+        assert make_unit_interval(lo, hi, *flags).parts == ref_build(lo, hi, *flags)
+        clipped = (flags[0], flags[1] and hi != ONE)
+        assert make_interval(lo, hi, *flags).parts == ref_build(lo, hi, *clipped)
+
+
+def same_set(*sets):
+    first = sets[0]
+    for s in sets[1:]:
+        assert s == first
+        assert (s.den, s.keys, hash(s)) == (first.den, first.keys, hash(first))
+
+
+def test_equal_sets_built_differently_share_keys():
+    rng = random.Random(7_777)
+    for _ in range(300):
+        parts = random_parts(rng)
+        direct = IntervalSet(parts)
+        shuffled = list(parts)
+        rng.shuffle(shuffled)
+        chained = EMPTY_SET
+        for p in parts:
+            chained = iv_union(chained, IntervalSet([p]))
+        # split each interval at an interior point into two touching halves
+        halves = []
+        for p in parts:
+            if p.lo < p.hi:
+                mid = (p.lo + p.hi) / 2
+                halves += [Interval(p.lo, mid, p.lo_closed, True),
+                           Interval(mid, p.hi, False, p.hi_closed)]
+            else:
+                halves.append(p)
+        same_set(direct, canonical(shuffled), chained, canonical(halves),
+                 IntervalSet.from_json(direct.to_json()),
+                 iv_union(direct, direct), iv_intersect(direct, direct))
+        if direct.contains(ONE):
+            continue
+        same_set(direct, iv_complement_in_J(iv_complement_in_J(direct)))
+
+
+def test_least_denominator():
+    # [0,1/2) and [1/2,1) each need 2; their union [0,1) needs 1
+    joined = iv_union(make_interval(0, F(1, 2), True, False),
+                      make_interval(F(1, 2), 1, True, False))
+    assert (joined.den, joined.keys) == (1, (0, 2))
+    assert EMPTY_SET.den == 1 and EMPTY_SET.keys == ()
+    # (1/3, 1/2] over 6: the open end 1/3 is 2*2+1, the closed end 1/2 is 2*3+1
+    s = make_interval(F(1, 3), F(1, 2), False, True)
+    assert (s.den, s.keys) == (6, (5, 7))
+    assert make_unit_interval(1, 1, True, True).keys == (2, 3)

@@ -24,7 +24,7 @@ from .intervals import (
     iv_union,
     make_interval,
 )
-from .rationals import ONE, ZERO, format_rational, frac
+from .rationals import ONE, ZERO, exact, format_rational, frac
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,9 @@ class CylinderOpen:
         fibers = doc["fibers"]
         if not isinstance(fibers, dict):
             raise TypeError("fibers must be an object keyed by ground element")
+        for x in fibers:
+            if x not in gs.elements:
+                raise ValueError(f"fiber for {x!r}, which is not a ground element")
         return CylinderOpen(gs, tuple(IntervalSet.from_json(fibers.get(x, []))
                                       for x in gs.elements))
 
@@ -129,8 +132,11 @@ class SubbasisElem:
     def __post_init__(self):
         if self.kind not in ("tstar", "pi2"):
             raise ValueError(f"unknown subbasis kind {self.kind!r}")
-        if self.kind == "tstar" and self.open_name is None:
-            raise ValueError("tstar subbasis element needs an open name")
+        if self.kind == "tstar" and type(self.open_name) is not str:
+            raise ValueError("tstar subbasis element needs an open name string")
+        if self.kind == "pi2" and self.open_name is not None:
+            raise ValueError("pi2 subbasis element takes no open name")
+        exact(self.gamma)
         if not (GAMMA_LO <= self.gamma < ONE):
             raise ValueError(f"gamma outside [-1,1): {self.gamma}")
 
@@ -182,32 +188,41 @@ class OpenExpr:
                               for clause in doc))
 
 
-def subbasis_realize(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:
-    """Canonical fibers of a subbasis open."""
-    if e.kind == "pi2":
-        if e.gamma < 0:
-            fiber = make_interval(0, 1, True, False)
-        else:
-            fiber = make_interval(e.gamma, 1, False, False)
+def _realize_clause(clause: tuple[SubbasisElem, ...],
+                    topo: FuzzyTopology) -> CylinderOpen:
+    """Canonical fibers of an intersection of subbasis opens.
+
+    Over each element x the fiber is one interval of levels alpha: above the
+    largest pi2 gamma (open there; from 0, closed, when there is none or it
+    is negative) and below the least T(x) - gamma over the tstar members,
+    capped at 1.  A clause of pi2 members alone has one fiber for every x.
+    """
+    lo = max((e.gamma for e in clause if e.kind == "pi2"), default=GAMMA_LO)
+    lo_closed = lo < 0
+    if lo_closed:
+        lo = ZERO
+    caps = [(topo.open_named(e.open_name).levels, e.gamma)
+            for e in clause if e.kind == "tstar"]
+    if not caps:
+        fiber = make_interval(lo, ONE, lo_closed, False)
         return CylinderOpen(topo.ground, (fiber,) * len(topo.ground.elements))
-    f = topo.open_named(e.open_name)
     fibers = []
-    for v in f.levels:
-        hi = min(v - e.gamma, ONE)
-        if hi <= 0:
-            fibers.append(EMPTY_SET)
-        else:
-            fibers.append(make_interval(0, hi, True, False))
+    for i in range(len(topo.ground.elements)):
+        hi = min(ONE, *(levels[i] - gamma for levels, gamma in caps))
+        fibers.append(make_interval(lo, hi, lo_closed, False) if hi > lo else EMPTY_SET)
     return CylinderOpen(topo.ground, tuple(fibers))
 
 
+def subbasis_realize(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:
+    """Canonical fibers of a subbasis open."""
+    return _realize_clause((e,), topo)
+
+
 def open_realize(expr: OpenExpr, topo: FuzzyTopology) -> CylinderOpen:
+    """The union of the clauses' realizations."""
     out = empty_cylinder(topo.ground)
     for clause in expr.clauses:
-        acc = whole_cylinder(topo.ground)
-        for e in clause:
-            acc = cyl_intersect(acc, subbasis_realize(e, topo))
-        out = cyl_union(out, acc)
+        out = cyl_union(out, _realize_clause(clause, topo))
     return out
 
 

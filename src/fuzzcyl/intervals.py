@@ -11,7 +11,8 @@ it, so a closed lower or open upper end is 2n and an open lower or closed
 upper end 2n+1.  ``keys`` is a strictly increasing, even-length tuple of
 half-open [start, end) pairs, and J is [0, 2·den).  Union, intersection and
 subset make one linear merge over a common denominator, the complement in J
-toggles against [0, 2·den), and membership is one bisection.  Results are
+toggles against [0, 2·den), the image under a scale interval maps each pair
+and makes one merge, and membership is one bisection.  Results are
 reduced to the least denominator, so structural equality is set equality.
 """
 
@@ -234,6 +235,33 @@ def iv_complement_in_J(a: IntervalSet) -> IntervalSet:
     keys = keys[1:] if keys[:1] == [0] else [0] + keys
     keys = keys[:-1] if keys[-1:] == [top] else keys + [top]
     return _make(a.den, tuple(keys))
+
+
+def iv_scale(a: IntervalSet, c: Interval) -> IntervalSet:
+    """Exact image {c·v : c in C, v in a} under a nonnegative scale interval
+    C = [p1, p2]/dc, pair by pair over dc·den.  Numerators u <= v map to
+    p1·u and p2·v.  The high end is closed when both factors' are; the low
+    end likewise, except at 0, which it holds when either factor attains 0.
+    A pair whose high end is 0 maps to {0}.  The images start in the order
+    of their pairs (strictly increasing u unless p1 = 0, when only the first
+    pair can start closed), so one merge canonicalizes them."""
+    dc = lcm(c.lo.denominator, c.hi.denominator)
+    p1 = c.lo.numerator * (dc // c.lo.denominator)
+    p2 = c.hi.numerator * (dc // c.hi.denominator)
+    zero_in_c = p1 == 0 and c.lo_closed
+    k = a.keys
+    keys: list[int] = []
+    for s, e in zip(k[::2], k[1::2]):
+        lo, hi = p1 * (s >> 1), p2 * (e >> 1)
+        if hi == 0:
+            keys += (0, 1)
+            continue
+        if lo:
+            lo_open = s & 1 or not c.lo_closed
+        else:
+            lo_open = not (zero_in_c or s == 0)
+        keys += (2 * lo + lo_open, 2 * hi + (e & 1 and c.hi_closed))
+    return _reduced(dc * a.den, _merge(keys, ()))
 
 
 def iv_contains(a: IntervalSet, q) -> bool:

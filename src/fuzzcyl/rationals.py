@@ -19,16 +19,23 @@ def frac(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def exact(q):
+    """Return ``q`` when it is a Fraction or a non-bool int, as ``frac``
+    accepts it; raise ``frac``'s TypeError for anything else."""
+    if not isinstance(q, (Fraction, int)) or isinstance(q, bool):
+        raise TypeError(f"cannot interpret {q!r} as an exact rational")
+    return q
+
+
 def unit(q, what: str, top_open: bool = False):
     """Return ``q`` when it lies in [0,1], or in J = [0,1) when ``top_open``.
 
-    ``q`` must be a Fraction or a non-bool int.  The check compares the
-    numerator and denominator as ints, which is exact because a Fraction
-    keeps its denominator positive: in J the numerator stays below it."""
+    ``q`` must be ``exact``.  The check compares the numerator and
+    denominator as ints, which is exact because a Fraction keeps its
+    denominator positive: in J the numerator stays below it."""
     # the exact type first: nearly every caller passes a Fraction
-    if type(q) is not Fraction and (not isinstance(q, (Fraction, int))
-                                    or isinstance(q, bool)):
-        raise TypeError(f"cannot interpret {q!r} as an exact rational")
+    if type(q) is not Fraction:
+        exact(q)
     if not 0 <= q.numerator <= q.denominator - top_open:
         raise ValueError(f"{what} outside [0,1{')' if top_open else ']'}: {q}")
     return q

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cylinder import (
     CylinderOpen,
@@ -28,8 +27,8 @@ from .intervals import (
     EMPTY_SET,
     Interval,
     IntervalSet,
-    canonical,
     is_open_in_unit,
+    iv_scale,
     singleton,
 )
 from .rationals import ONE, ZERO, format_rational, frac, unit
@@ -64,37 +63,12 @@ def h_eval(t, p: CylPoint) -> CylPoint:
     return CylPoint(p.x, (ONE - t) * p.alpha)
 
 
-def _scaled_part(c: Interval, part: Interval) -> Optional[Interval]:
-    """Exact image {c * a : c in c-interval, a in part}, both nonnegative."""
-    lo = c.lo * part.lo
-    hi = c.hi * part.hi
-    if hi == ZERO:
-        # every product collapses to zero; the set is {0} when both factors
-        # admit a point, which holds since both intervals are nonempty
-        return Interval(ZERO, ZERO, True, True)
-    if lo == ZERO:
-        lo_closed = (c.lo == ZERO and c.lo_closed) or (part.lo == ZERO and part.lo_closed)
-    else:
-        lo_closed = c.lo_closed and part.lo_closed
-    hi_closed = c.hi_closed and part.hi_closed
-    if lo == hi and not (lo_closed and hi_closed):
-        return None
-    return Interval(lo, hi, lo_closed, hi_closed)
-
-
 def h_image_of_box(t_interval: Interval, region: CylinderOpen) -> CylinderOpen:
-    """Exact image of a product box under the homotopy, fiber by fiber."""
+    """Exact image of a product box under the homotopy: each fiber scaled
+    by the interval of factors 1 - t over the box's times."""
     scale = Interval(ONE - t_interval.hi, ONE - t_interval.lo,
                      t_interval.hi_closed, t_interval.lo_closed)
-    fibers = []
-    for fib in region.fibers:
-        parts = []
-        for part in fib.parts:
-            image = _scaled_part(scale, part)
-            if image is not None:
-                parts.append(image)
-        fibers.append(canonical(parts))
-    return CylinderOpen(region.ground, tuple(fibers))
+    return CylinderOpen(region.ground, tuple(iv_scale(fib, scale) for fib in region.fibers))
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,29 @@ def test_replay_rejects_unknown_names(capsys, tmp_path, topo_file, forge):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("forge", [
+    lambda w: w["region"]["fibers"].update(zz=[]),
+    lambda w: w.update(target={"kind": "pi2", "gamma": "0", "open": "zz"}),
+    lambda w: w["region_expr"][0].append({"kind": "pi2", "gamma": "0", "open": "T1"}),
+    lambda w: w["target"].update(gamma=0.5),
+], ids=["fiber-outside-ground-set", "pi2-target-with-open", "pi2-member-with-open",
+        "inexact-gamma"])
+def test_replay_rejects_malformed_fields(capsys, tmp_path, topo_file, forge):
+    cert = tmp_path / "certs.json"
+    code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
+                  "--sweeps", "12", "--seed", "4", "--emit", str(cert))
+    assert code == 0
+    forged = json.loads(cert.read_text())
+    forge(forged[3])
+    cert.write_text(json.dumps(forged))
+    assert main(["verify-retraction", "--topology", topo_file,
+                 "--replay", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed certificate: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("target", ["missing/certs.json", "."],
                          ids=["missing-directory", "directory"])
 def test_unwritable_emit_path_exits_2_before_sweeping(monkeypatch, tmp_path,

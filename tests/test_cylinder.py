@@ -244,3 +244,24 @@ def test_verify_psi_laws_reports_injected_union_fault(monkeypatch):
             assert verify_psi_laws(topo, max_family).to_json() == expect.to_json()
         deepest = max(deepest, *(len(f) - 1 for f in expect.failures))
     assert deepest >= 3
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: cylinder.SubbasisElem("pi2", 0.5), TypeError),
+    (lambda: cylinder.SubbasisElem("pi2", "0"), TypeError),
+    (lambda: cylinder.SubbasisElem("tstar", True, "T0"), TypeError),
+    (lambda: cylinder.SubbasisElem("pi2", F(0), "T0"), ValueError),
+    (lambda: cylinder.SubbasisElem("tstar", F(0), 5), ValueError),
+    (lambda: cylinder.SubbasisElem.from_json({"kind": "pi2", "gamma": "0", "open": "zz"}),
+     ValueError),
+], ids=["float-gamma", "string-gamma", "bool-gamma", "pi2-with-open", "open-not-a-string",
+        "pi2-with-open-json"])
+def test_subbasis_elem_checks_field_types(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_cylinder_open_from_json_rejects_unknown_elements():
+    assert CylinderOpen.from_json(AB, {"fibers": {"a": []}}) == empty_cylinder(AB)
+    with pytest.raises(ValueError, match="'zz'"):
+        CylinderOpen.from_json(AB, {"fibers": {"a": [], "zz": []}})

@@ -56,9 +56,10 @@ from .paths import (
     Reverse,
     VerticalAffine,
     chi_eval,
-    chi_key,
-    eval_key,
+    chi_keys,
+    eval_keys,
     eval_path,
+    first_difference,
     kappa,
     make_fence_path,
     normalize_path,
@@ -374,10 +375,9 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
     e2 = HTransform(t, Reverse(gamma))
     if normalize_path(e1) != normalize_path(e2):
         failures.append(("hginv-normal-form",))
-    for u in fine:
-        if eval_key(e1, u) != eval_key(e2, u):
-            failures.append(("hginv", u))
-            break
+    u = first_difference(fine, eval_keys(e1, fine), eval_keys(e2, fine))
+    if u is not None:
+        failures.append(("hginv", u))
 
     # the transform distributes over concatenation
     parts = [gamma]
@@ -387,37 +387,42 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
     piecewise = Concat(tuple(HTransform(t, p) for p in parts))
     if normalize_path(whole) != normalize_path(piecewise):
         failures.append(("ast-com-normal-form",))
-    for u in fine:
-        if eval_key(whole, u) != eval_key(piecewise, u):
-            failures.append(("ast-com-comp", u))
-            break
+    u = first_difference(fine, eval_keys(whole, fine), eval_keys(piecewise, fine))
+    if u is not None:
+        failures.append(("ast-com-comp", u))
 
     # square homotopy symmetry under time reversal; the grid is symmetric,
     # so reversed(fine) lists 1 - x
-    for eta in coarse:
-        for x, flipped in zip(fine, reversed(fine)):
-            if chi_key(gamma, s, t, eta, x) != chi_key(gamma, t, s, eta, flipped):
-                failures.append(("v-inv", eta, x))
-                break
+    for eta, row, flipped in zip(coarse, chi_keys(gamma, s, t, coarse, fine),
+                                 chi_keys(gamma, t, s, coarse, reversed(fine))):
+        x = first_difference(fine, row, flipped)
+        if x is not None:
+            failures.append(("v-inv", eta, x))
 
     # boundary restrictions of the square homotopy
-    left, right = HTransform(s, gamma), HTransform(t, gamma)
-    for eta in fine:
-        if chi_key(gamma, s, t, eta, ZERO) != eval_key(left, eta):
+    left = eval_keys(HTransform(s, gamma), fine)
+    right = eval_keys(HTransform(t, gamma), fine)
+    for eta, (at_zero, at_one), left_key, right_key in zip(
+            fine, chi_keys(gamma, s, t, fine, (ZERO, ONE)), left, right):
+        if at_zero != left_key:
             failures.append(("fhrem-left", eta))
             break
-        if chi_key(gamma, s, t, eta, ONE) != eval_key(right, eta):
+        if at_one != right_key:
             failures.append(("fhrem-right", eta))
             break
 
-    # restriction invariance
+    # restriction invariance, each row against the independent route
+    # through kappa, eval_path and h_eval
     a = rng.choice([v for v in coarse if v < ONE])
     b = rng.choice([v for v in coarse if v > a])
-    for eta in coarse:
-        for x in coarse:
-            lhs = chi_eval(gamma, s, t, a + eta * (b - a), x)
-            rhs = h_eval(kappa(s, t, x), eval_path(gamma, a + eta * (b - a)))
-            if lhs != rhs:
+    restricted = [a + eta * (b - a) for eta in coarse]
+    kappas = [kappa(s, t, x) for x in coarse]
+    for eta, local, row in zip(coarse, restricted,
+                               chi_keys(gamma, s, t, restricted, coarse)):
+        at = eval_path(gamma, local)
+        for x, k, key in zip(coarse, kappas, row):
+            rhs = h_eval(k, at)
+            if key != (rhs.x, rhs.alpha.numerator, rhs.alpha.denominator):
                 failures.append(("path-res", eta, x))
                 break
 

@@ -12,8 +12,10 @@ the point at each breakpoint, and on each open piece between them a fixed
 ground element with an affine level ``c0 + c1 u``.  The table is cached on
 the node outside its dataclass fields, so equality, hashing, repr and JSON
 are those of the expression; merged and reduced, it is the path's normal
-form.  Evaluation bisects the table in integers; grid checks compare exact
-keys ``(x, n, d)``.  The exact preimage of a cylinder set is read off the
+form.  Evaluation bisects the table in integers, a whole row of parameters
+per call: ``eval_keys`` and ``chi_keys`` look the table up and range-check
+each argument once, and the grid checks compare their rows of exact keys
+``(x, n, d)``.  The exact preimage of a cylinder set is read off the
 table piece by piece, so continuity against subbasis opens is decidable.
 """
 
@@ -52,10 +54,15 @@ class FencePath:
     interiors: tuple[str, ...]
 
     def __post_init__(self):
+        if not all(type(x) is str for x in self.steps + self.interiors):
+            raise TypeError(f"fence elements must be strings: {self!r}")
         if not self.steps:
             raise ValueError("fence path needs at least one step")
-        if len(self.interiors) != max(len(self.steps) - 1, 0):
+        if len(self.interiors) != len(self.steps) - 1:
             raise ValueError("one interior value per segment required")
+        for a, b, x in zip(self.steps, self.steps[1:], self.interiors):
+            if x not in (a, b):
+                raise ValueError(f"interior value {x!r} is neither end of segment {a}, {b}")
 
     def to_json(self) -> dict:
         return {"steps": list(self.steps), "interiors": list(self.interiors)}
@@ -90,6 +97,8 @@ class VerticalAffine:
     a1: Fraction
 
     def __post_init__(self):
+        if type(self.x) is not str:
+            raise TypeError(f"ground element must be a string: {self.x!r}")
         unit(self.a0, "vertical level", top_open=True)
         unit(self.a1, "vertical level", top_open=True)
 
@@ -235,18 +244,25 @@ def path_table(e: PathExpr) -> PathTable:
         raise TypeError(f"not a path expression: {e!r}") from None
 
 
-def _locate(e: PathExpr, u) -> tuple[str, int, int]:
-    """``(x, n, d)`` with ``e(u) = (x, n/d)``, n/d not reduced."""
-    p, q = unit(frac(u), "path parameter").as_integer_ratio()
-    table = path_table(e)
-    d = table.den
-    # the first breakpoint b/d >= p/q, compared as b*q >= p*d
-    j = bisect_left(table.breaks, p * d, key=q.__mul__)
-    if table.breaks[j] * q == p * d:
-        x, a = table.points[j]
-        return x, a, d
-    x, c0, c1 = table.pieces[j - 1]
-    return x, c0 * q + c1 * p, d * q
+def _ratios(us, what: str) -> list[tuple[int, int]]:
+    """``(p, q)`` with u = p/q for each u of ``us``, each checked to lie in [0,1]."""
+    return [unit(frac(u), what).as_integer_ratio() for u in us]
+
+
+def _locations(table: PathTable, ratios) -> list[tuple[str, int, int]]:
+    """``(x, n, d)`` with ``e(p/q) = (x, n/d)`` for each ``(p, q)`` of
+    ``ratios``, where ``table`` is that of ``e``; n/d is not reduced."""
+    den, breaks, located = table.den, table.breaks, []
+    for p, q in ratios:
+        # the first breakpoint b/den >= p/q, compared as b*q >= p*den
+        j = bisect_left(breaks, p * den, key=q.__mul__)
+        if breaks[j] * q == p * den:
+            x, a = table.points[j]
+            located.append((x, a, den))
+        else:
+            x, c0, c1 = table.pieces[j - 1]
+            located.append((x, c0 * q + c1 * p, den * q))
+    return located
 
 
 def _key(x: str, n: int, d: int) -> tuple[str, int, int]:
@@ -257,14 +273,42 @@ def _key(x: str, n: int, d: int) -> tuple[str, int, int]:
     return x, n // g, d // g
 
 
+def eval_keys(e: PathExpr, us) -> list[tuple[str, int, int]]:
+    """The exact key ``(x, n, d)`` of the point (x, n/d) = e(u), in lowest
+    terms, at each u of ``us``."""
+    ratios = _ratios(us, "path parameter")
+    return [_key(*located) for located in _locations(path_table(e), ratios)]
+
+
+def chi_keys(rho: PathExpr, s, t, etas, xs) -> list[list[tuple[str, int, int]]]:
+    """The square free homotopy H(kappa(s,t)(x), rho(eta)) as exact keys
+    ``(x, n, d)``: one row per eta of ``etas``, one key per x of ``xs``."""
+    (sn, sd), (tn, td) = _ratios((s, t), "kappa argument")
+    # 1 - kappa(s,t)(x) = 1 - s - (t - s) x, as one fraction over sd td xd
+    keeps = [((sd - sn) * td * xd - (tn * sd - sn * td) * xn, sd * td * xd)
+             for xn, xd in _ratios(xs, "kappa argument")]
+    ratios = _ratios(etas, "path parameter")
+    return [[_key(y, keep * n, keep_den * d) for keep, keep_den in keeps]
+            for y, n, d in _locations(path_table(rho), ratios)]
+
+
+def first_difference(grid: Sequence[Fraction], row: Sequence,
+                     other: Sequence) -> Optional[Fraction]:
+    """The first value of ``grid`` at which the key rows ``row`` and
+    ``other``, listed along it, differ, or None when they are equal."""
+    if row == other:
+        return None
+    return next(u for u, a, b in zip(grid, row, other) if a != b)
+
+
 def eval_path(e: PathExpr, u) -> CylPoint:
-    x, n, d = _locate(e, u)
+    x, n, d = eval_key(e, u)
     return CylPoint(x, Fraction(n, d))
 
 
 def eval_key(e: PathExpr, u) -> tuple[str, int, int]:
     """``eval_path`` as the exact key ``(x, n, d)`` of the point (x, n/d)."""
-    return _key(*_locate(e, u))
+    return eval_keys(e, (u,))[0]
 
 
 def chi_eval(rho: PathExpr, s, t, eta, x) -> CylPoint:
@@ -275,13 +319,7 @@ def chi_eval(rho: PathExpr, s, t, eta, x) -> CylPoint:
 
 def chi_key(rho: PathExpr, s, t, eta, x) -> tuple[str, int, int]:
     """``chi_eval`` as the exact key ``(x, n, d)`` of the point (x, n/d)."""
-    sn, sd = unit(frac(s), "kappa argument").as_integer_ratio()
-    tn, td = unit(frac(t), "kappa argument").as_integer_ratio()
-    xn, xd = unit(frac(x), "kappa argument").as_integer_ratio()
-    y, n, d = _locate(rho, eta)
-    # 1 - kappa(s,t)(x) = 1 - s - (t - s) x, as one fraction over sd td xd
-    keep = (sd - sn) * td * xd - (tn * sd - sn * td) * xn
-    return _key(y, keep * n, sd * td * xd * d)
+    return chi_keys(rho, s, t, (eta,), (x,))[0][0]
 
 
 def chi_boundary(rho: PathExpr, s, t, end: int) -> VerticalAffine:
@@ -359,12 +397,15 @@ def pasting_failure(gamma: PathExpr, delta: PathExpr, s, t,
     """The first grid pair (eta, x) at which the square homotopy of the
     concatenation of gamma and delta differs from the pasting of the
     squares of gamma (for eta <= 1/2) and delta (for eta > 1/2), or None."""
-    combined = Concat((gamma, delta))
-    for eta in grid:
-        part, local = (gamma, 2 * eta) if 2 * eta <= ONE else (delta, 2 * eta - 1)
-        for x in grid:
-            if chi_key(combined, s, t, eta, x) != chi_key(part, s, t, local, x):
-                return eta, x
+    doubled = [2 * eta for eta in grid]
+    # the rows of each square, each in grid order
+    lower = iter(chi_keys(gamma, s, t, [v for v in doubled if v <= ONE], grid))
+    upper = iter(chi_keys(delta, s, t, [v - 1 for v in doubled if v > ONE], grid))
+    whole = chi_keys(Concat((gamma, delta)), s, t, grid, grid)
+    for eta, v, row in zip(grid, doubled, whole):
+        x = first_difference(grid, row, next(lower if v <= ONE else upper))
+        if x is not None:
+            return eta, x
     return None
 
 

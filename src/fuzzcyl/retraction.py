@@ -50,6 +50,8 @@ class CylPoint:
 
     @staticmethod
     def from_json(doc: dict) -> "CylPoint":
+        if type(doc["x"]) is not str:
+            raise TypeError(f"ground element must be a string: {doc['x']!r}")
         return CylPoint(doc["x"], frac(doc["alpha"]))
 
 

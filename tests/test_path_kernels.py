@@ -1,0 +1,319 @@
+"""The row kernels ``eval_keys`` and ``chi_keys`` against the one-point
+evaluation they replaced, and the row-wise identity battery against the
+point-by-point loops it replaced.
+
+Both references below are kept as they were before the kernels: one table
+lookup, range check and bisection per point, and loops that stop at the
+first mismatching point.  They read the same compiled tables as the
+library, so a fault planted in a table reaches both sides alike.
+
+Mutated kernels these tests catch, each tried on its own: an off-by-one in
+the x numerator of ``1 - kappa(s,t)(x)``, ``s`` and ``t`` swapped, the eta
+rows returned in the wrong order, ``bisect_right`` for ``bisect_left``,
+``first_difference`` reporting the grid value after the mismatch, the
+pasting halves swapped, and the ``fhrem`` left and right columns swapped.
+"""
+
+import random
+import sys
+from bisect import bisect_left
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from fuzzcyl import checks, paths
+from fuzzcyl.paths import (
+    ChiBoundary,
+    Concat,
+    Const,
+    HTransform,
+    Reverse,
+    chi_keys,
+    eval_keys,
+    eval_path,
+    kappa,
+    normalize_path,
+    path_end,
+    path_start,
+    path_table,
+)
+from fuzzcyl.rationals import ONE, ZERO, frac, unit
+from fuzzcyl.retraction import CylPoint, h_eval
+from fuzzcyl.sweeps import random_path, random_point, random_topology
+
+F = Fraction
+FINE = [F(k, 64) for k in range(65)]
+COARSE = [F(k, 8) for k in range(9)]
+
+
+# ---------------------------------------------------------------------------
+# the one-point evaluation the kernels replaced
+
+
+def ref_locate(e, u):
+    p, q = unit(frac(u), "path parameter").as_integer_ratio()
+    table = path_table(e)
+    d = table.den
+    j = bisect_left(table.breaks, p * d, key=q.__mul__)
+    if table.breaks[j] * q == p * d:
+        x, a = table.points[j]
+        return x, a, d
+    x, c0, c1 = table.pieces[j - 1]
+    return x, c0 * q + c1 * p, d * q
+
+
+def ref_key(x, n, d):
+    if not 0 <= n < d:
+        raise ValueError(f"level outside [0,1): {Fraction(n, d)}")
+    g = gcd(n, d)
+    return x, n // g, d // g
+
+
+def ref_eval_key(e, u):
+    return ref_key(*ref_locate(e, u))
+
+
+def ref_chi_key(rho, s, t, eta, x):
+    sn, sd = unit(frac(s), "kappa argument").as_integer_ratio()
+    tn, td = unit(frac(t), "kappa argument").as_integer_ratio()
+    xn, xd = unit(frac(x), "kappa argument").as_integer_ratio()
+    y, n, d = ref_locate(rho, eta)
+    keep = (sd - sn) * td * xd - (tn * sd - sn * td) * xn
+    return ref_key(y, keep * n, sd * td * xd * d)
+
+
+def ref_chi_eval(rho, s, t, eta, x):
+    y, n, d = ref_chi_key(rho, s, t, eta, x)
+    return CylPoint(y, Fraction(n, d))
+
+
+def node_kinds(e):
+    """The node classes of a path expression tree."""
+    inner = {Concat: lambda: e.parts, Reverse: lambda: (e.inner,),
+             HTransform: lambda: (e.inner,), ChiBoundary: lambda: (e.rho,)}
+    children = inner.get(type(e), tuple)()
+    return {type(e)}.union(*(node_kinds(c) for c in children))
+
+
+def differential_paths():
+    """Seeded ``random_path`` draws, each also under a single reversal, a
+    homotopy transform and a boundary path of its square homotopy."""
+    rng, times = random.Random(31), random.Random(32)
+    for _ in range(60):
+        topo = random_topology(rng, max_generators=2, max_den=6)
+        path = random_path(rng, topo)
+        t = times.choice(COARSE)
+        yield path
+        yield Reverse(path)
+        yield HTransform(t, path)
+        yield ChiBoundary(path, times.choice(COARSE), t, times.choice((0, 1)))
+
+
+def parameter_lists(rng):
+    """Sorted, shuffled and repeated grids, the endpoints alone, and mixed
+    ints, Fractions off the grid and "p/q" strings."""
+    shuffled = rng.sample(FINE, len(FINE))
+    return [
+        FINE,
+        shuffled,
+        shuffled[:7] + shuffled[:7] + [F(1, 2)] * 3,
+        [1, 0, ONE, ZERO, 1],
+        ["1/3", "0", 1, "5/7", F(2, 7), "1", 0, F(63, 64), "1/64"],
+    ]
+
+
+def test_kernels_match_the_one_point_reference():
+    rng = random.Random(33)
+    kinds = set()
+    for path in differential_paths():
+        kinds |= node_kinds(path)
+        lists = parameter_lists(rng)
+        for us in lists:
+            assert eval_keys(path, us) == [ref_eval_key(path, u) for u in us], (path, us)
+        s, t = rng.choice(COARSE + ["1/3", 1]), rng.choice(COARSE + ["2/3", 0])
+        etas = rng.choice(lists)
+        for xs in (COARSE, rng.choice(lists)):
+            assert chi_keys(path, s, t, etas, xs) == \
+                [[ref_chi_key(path, s, t, eta, x) for x in xs] for eta in etas], \
+                (path, s, t, etas, xs)
+        # the one-point calls are single cells of the kernels
+        u, x = rng.choice(FINE), rng.choice(["1/3", F(1, 5), 1])
+        assert paths.eval_key(path, u) == ref_eval_key(path, u)
+        assert paths.chi_key(path, s, t, u, x) == ref_chi_key(path, s, t, u, x)
+        assert paths.chi_eval(path, s, t, u, x) == ref_chi_eval(path, s, t, u, x)
+    assert kinds >= {Const, Concat, Reverse, HTransform, ChiBoundary}
+
+
+def test_kernels_take_iterators_and_empty_rows():
+    path = next(differential_paths())
+    assert eval_keys(path, iter(FINE)) == eval_keys(path, FINE)
+    assert chi_keys(path, 0, 1, iter(COARSE), reversed(FINE)) == \
+        chi_keys(path, 0, 1, COARSE, FINE[::-1])
+    assert eval_keys(path, []) == []
+    assert chi_keys(path, 0, 1, [], FINE) == []
+    assert chi_keys(path, 0, 1, COARSE, []) == [[] for _ in COARSE]
+
+
+# ---------------------------------------------------------------------------
+# the point-by-point battery the row-wise one replaced
+
+
+def ref_pasting_failure(gamma, delta, s, t, grid):
+    combined = Concat((gamma, delta))
+    for eta in grid:
+        part, local = (gamma, 2 * eta) if 2 * eta <= ONE else (delta, 2 * eta - 1)
+        for x in grid:
+            if ref_chi_key(combined, s, t, eta, x) != ref_chi_key(part, s, t, local, x):
+                return eta, x
+    return None
+
+
+def ref_path_identity_failures(rng, topo, gamma, s, t, fine, coarse):
+    failures = []
+
+    e1 = Reverse(HTransform(t, gamma))
+    e2 = HTransform(t, Reverse(gamma))
+    if normalize_path(e1) != normalize_path(e2):
+        failures.append(("hginv-normal-form",))
+    for u in fine:
+        if ref_eval_key(e1, u) != ref_eval_key(e2, u):
+            failures.append(("hginv", u))
+            break
+
+    parts = [gamma]
+    for _ in range(rng.randint(1, 3)):
+        parts.append(random_path(rng, topo, 1, path_end(parts[-1])))
+    whole = HTransform(t, Concat(tuple(parts)))
+    piecewise = Concat(tuple(HTransform(t, p) for p in parts))
+    if normalize_path(whole) != normalize_path(piecewise):
+        failures.append(("ast-com-normal-form",))
+    for u in fine:
+        if ref_eval_key(whole, u) != ref_eval_key(piecewise, u):
+            failures.append(("ast-com-comp", u))
+            break
+
+    for eta in coarse:
+        for x, flipped in zip(fine, reversed(fine)):
+            if ref_chi_key(gamma, s, t, eta, x) != ref_chi_key(gamma, t, s, eta, flipped):
+                failures.append(("v-inv", eta, x))
+                break
+
+    left, right = HTransform(s, gamma), HTransform(t, gamma)
+    for eta in fine:
+        if ref_chi_key(gamma, s, t, eta, ZERO) != ref_eval_key(left, eta):
+            failures.append(("fhrem-left", eta))
+            break
+        if ref_chi_key(gamma, s, t, eta, ONE) != ref_eval_key(right, eta):
+            failures.append(("fhrem-right", eta))
+            break
+
+    a = rng.choice([v for v in coarse if v < ONE])
+    b = rng.choice([v for v in coarse if v > a])
+    for eta in coarse:
+        for x in coarse:
+            lhs = ref_chi_eval(gamma, s, t, a + eta * (b - a), x)
+            rhs = h_eval(kappa(s, t, x), eval_path(gamma, a + eta * (b - a)))
+            if lhs != rhs:
+                failures.append(("path-res", eta, x))
+                break
+
+    const = Const(random_point(rng, topo.ground))
+    base = ref_chi_eval(const, s, t, ZERO, Fraction(1, 3))
+    for eta in coarse:
+        if ref_chi_eval(const, s, t, eta, Fraction(1, 3)) != base:
+            failures.append(("constant", eta))
+            break
+
+    delta = random_path(rng, topo, 1, path_end(gamma))
+    mismatch = ref_pasting_failure(gamma, delta, s, t, coarse)
+    if mismatch is not None:
+        failures.append(("pasting", *mismatch))
+
+    p = ChiBoundary(gamma, s, t, 0)
+    q = ChiBoundary(gamma, s, t, 1)
+    composite = Concat((Reverse(p), HTransform(s, gamma), q))
+    lifted = HTransform(t, gamma)
+    if path_start(composite) != path_start(lifted):
+        failures.append(("relative-endpoints-start",))
+    if path_end(composite) != path_end(lifted):
+        failures.append(("relative-endpoints-end",))
+
+    return failures
+
+
+# Each planted fault is (table fault, grid fault, route fault), keyed by
+# the identity it breaks.  A table fault is a predicate on (node, gamma, s,
+# t): the compiled table of a matching node gets every open piece moved to
+# a primed element, which keeps its endpoints, so concatenations still
+# join.  The grid fault moves one value of the fine grid off the mirror
+# image of its partner.  The route fault swaps s and t in the kappa of the
+# independent path-res route.
+FAULTS = {
+    "hginv": (lambda e, g, s, t: isinstance(e, Reverse)
+              and isinstance(e.inner, HTransform) and e.inner.inner is g, False, False),
+    "ast-com-comp": (lambda e, g, s, t: isinstance(e, HTransform)
+                     and isinstance(e.inner, Concat) and e.inner.parts[0] is g,
+                     False, False),
+    "v-inv": (None, True, False),
+    "fhrem-left": (lambda e, g, s, t: isinstance(e, HTransform) and e.inner is g
+                   and e.t == s != t, False, False),
+    "fhrem-right": (lambda e, g, s, t: isinstance(e, HTransform) and e.inner is g
+                    and e.t == t != s, False, False),
+    "path-res": (None, False, True),
+    "pasting": (lambda e, g, s, t: isinstance(e, Concat) and len(e.parts) == 2
+                and e.parts[0] is g, False, False),
+}
+
+
+def _primed(table):
+    return paths.PathTable(table.den, table.breaks, table.points,
+                           tuple((x + "'", c0, c1) for x, c0, c1 in table.pieces))
+
+
+@pytest.mark.parametrize("identity", list(FAULTS))
+def test_row_battery_reports_the_point_by_point_records(identity, monkeypatch):
+    table_fault, skew_grid, swap_route = FAULTS[identity]
+    fine = list(FINE)
+    if skew_grid:
+        fine[3] = F(5, 128)
+    if swap_route:
+        def swapped(s, t, x):
+            return paths.kappa(t, s, x)
+        monkeypatch.setattr(checks, "kappa", swapped)
+        monkeypatch.setattr(sys.modules[__name__], "kappa", swapped)
+    # the case under test, (gamma, s, t); none while it is being drawn
+    case = [None, None, None]
+    if table_fault is not None:
+        compile_table = paths._compile
+
+        def faulty(e):
+            table = compile_table(e)
+            return _primed(table) if table_fault(e, *case) else table
+
+        monkeypatch.setattr(paths, "_compile", faulty)
+    hits = 0
+    for seed in range(24):
+        case[:] = None, None, None
+        rng = random.Random(900 + seed)
+        topo = random_topology(rng, max_generators=2, max_den=6)
+        gamma = random_path(rng, topo)
+        s, t = rng.choice(COARSE), rng.choice(COARSE)
+        case[:] = gamma, s, t
+        state = rng.getstate()
+        rows = checks._path_identity_failures(rng, topo, gamma, s, t, fine, COARSE)
+        rng.setstate(state)
+        points = ref_path_identity_failures(rng, topo, gamma, s, t, fine, COARSE)
+        assert rows == points, (seed, gamma, s, t)
+        hits += any(f[0] == identity for f in rows)
+    # the battery can still fail: the planted fault shows in most cases
+    assert hits >= 12, hits
+
+
+def test_battery_is_clean_without_a_fault():
+    for seed in range(24):
+        rng = random.Random(900 + seed)
+        topo = random_topology(rng, max_generators=2, max_den=6)
+        gamma = random_path(rng, topo)
+        s, t = rng.choice(COARSE), rng.choice(COARSE)
+        assert checks._path_identity_failures(rng, topo, gamma, s, t, FINE, COARSE) == []

@@ -218,6 +218,37 @@ def test_hlift_preimage_open_on_sierpinski():
     assert path_preimage_open(lift, tstar(name, F(1, 2)), topo)
 
 
+HLIFT_DOC = {"type": "hlift", "base": {"steps": ["a", "b"], "interiors": ["b"]},
+             "level": "1/4"}
+
+
+@pytest.mark.parametrize("base,error", [
+    # an interior value must be one end of its segment
+    ({"steps": ["a", "b"], "interiors": ["zz"]}, ValueError),
+    ({"steps": ["a", "b", "c"], "interiors": ["b", "a"]}, ValueError),
+    # every step and interior value is a ground element name
+    ({"steps": [1, [2]], "interiors": [1]}, TypeError),
+    ({"steps": ["a", ["b"]], "interiors": ["a"]}, TypeError),
+    ({"steps": ["a", "b"], "interiors": [None]}, TypeError),
+], ids=["interior-outside", "interior-other-segment", "steps-not-strings",
+        "step-list", "interior-none"])
+def test_fence_path_checks_its_entries(base, error):
+    assert eval_path(path_from_json(HLIFT_DOC), F(1, 2)) == point("b", F(1, 4))
+    with pytest.raises(error):
+        path_from_json({**HLIFT_DOC, "base": base})
+    with pytest.raises(error):
+        FencePath(tuple(base["steps"]), tuple(base["interiors"]))
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "vertical", "x": ["a"], "a0": "0", "a1": "1/2"},
+    {"type": "const", "point": {"x": 1, "alpha": "0"}},
+], ids=["vertical", "const"])
+def test_path_documents_take_string_elements(doc):
+    with pytest.raises(TypeError, match="ground element must be a string"):
+        path_from_json(doc)
+
+
 def test_make_fence_path_rejects_incomparable():
     discrete = fz_generate_topology(
         [fz_indicator(["a"], AB), fz_indicator(["b"], AB)], AB)
@@ -321,15 +352,17 @@ PATH_WORDS = ("const", "vertical", "hlift", "concat", "reverse", "h_transform",
 @given(data=st.data(), value=json_values(*PATH_WORDS))
 def test_mutated_path_document_is_a_path_or_rejected(data, value):
     """A path document with one field replaced by arbitrary JSON reads as a
-    path that round-trips and evaluates, or raises KeyError, TypeError or
-    ValueError."""
+    path that round-trips, hashes, has a normal form and evaluates, or
+    raises KeyError, TypeError or ValueError."""
     doc = data.draw(st.sampled_from(PATH_DOCS), label="doc")
     field = data.draw(st.sampled_from(list(field_paths(doc))), label="field")
     try:
         path = path_from_json(replaced(doc, field, value))
     except (KeyError, TypeError, ValueError):
         return
-    assert path_from_json(path_to_json(path)) == path
+    again = path_from_json(path_to_json(path))
+    assert again == path and hash(again) == hash(path)
+    assert normalize_path(again) == normalize_path(path)
     for u in (F(0), F(1, 3), F(1)):
         eval_path(path, u)
 

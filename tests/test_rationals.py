@@ -14,6 +14,7 @@ from fuzzcyl import (
     Interval,
     VerticalAffine,
     chi_boundary,
+    chi_eval,
     cyl_contains,
     eval_path,
     frac,
@@ -27,11 +28,13 @@ from fuzzcyl import (
     psi_star,
     unit,
 )
+from fuzzcyl.paths import chi_key, chi_keys, eval_key, eval_keys
 
 EPS = F(1, 10**6)
 START = Const(CylPoint("a", F(0)))
 FUZZY = FuzzySet(ground("a"), (F(1, 3),))
 REGION = psi_star(FUZZY)
+GRID = [F(k, 4) for k in range(5)]
 
 # Every range check of the library, as (site, call, range is [0,1), the
 # call also takes "p/q" strings). Each call passes the probed value to
@@ -60,6 +63,21 @@ SITES = [
     ("chi_boundary.s", lambda q: chi_boundary(START, q, 0, 0), False, True),
     ("chi_boundary.t", lambda q: chi_boundary(START, 0, q, 0), False, True),
     ("eval_path", lambda q: eval_path(START, q), False, True),
+    ("eval_key", lambda q: eval_key(START, q), False, True),
+    # the row kernels check every value of a grid, here one in its middle
+    ("eval_keys", lambda q: eval_keys(START, [0, F(1, 4), q, 1]), False, True),
+    ("chi_eval.s", lambda q: chi_eval(START, q, 0, 0, 0), False, True),
+    ("chi_eval.t", lambda q: chi_eval(START, 0, q, 0, 0), False, True),
+    ("chi_eval.eta", lambda q: chi_eval(START, 0, 0, q, 0), False, True),
+    ("chi_eval.x", lambda q: chi_eval(START, 0, 0, 0, q), False, True),
+    ("chi_key.s", lambda q: chi_key(START, q, 0, 0, 0), False, True),
+    ("chi_key.t", lambda q: chi_key(START, 0, q, 0, 0), False, True),
+    ("chi_key.eta", lambda q: chi_key(START, 0, 0, q, 0), False, True),
+    ("chi_key.x", lambda q: chi_key(START, 0, 0, 0, q), False, True),
+    ("chi_keys.s", lambda q: chi_keys(START, q, 0, GRID, GRID), False, True),
+    ("chi_keys.t", lambda q: chi_keys(START, 0, q, GRID, GRID), False, True),
+    ("chi_keys.etas", lambda q: chi_keys(START, 0, 0, [0, q, 1], GRID), False, True),
+    ("chi_keys.xs", lambda q: chi_keys(START, 0, 0, GRID, [1, F(1, 2), q, 0]), False, True),
     ("functor_object_path", lambda q: functor_object_path(FUZZY, "a", "a", q), True, True),
     ("CylPoint", lambda q: CylPoint("a", q), True, False),
     ("h_eval", lambda q: h_eval(q, CylPoint("a", F(0))), False, True),

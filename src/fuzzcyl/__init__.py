@@ -3,8 +3,8 @@
 Everything is computed over rational scalars with zero-tolerance equality:
 membership-graph regions on the cylinder X x [0,1), the induced base
 topology, a certified deformation retraction onto the zero slice, a closed
-path DSL with decidable continuity, and the complement-as-path-inversion
-decision procedure.
+path DSL whose continuity is decided exactly at the breakpoints of each
+path, and the complement-as-path-inversion decision procedure.
 """
 
 from .base_space import (
@@ -88,6 +88,7 @@ from .paths import (
     VerticalAffine,
     chi_boundary,
     chi_eval,
+    continuity_failure,
     eval_path,
     functor_object_path,
     kappa,
@@ -95,7 +96,6 @@ from .paths import (
     normalize_path,
     path_from_json,
     path_preimage,
-    path_preimage_open,
     path_to_json,
 )
 from .rationals import ONE, ZERO, format_rational, frac, parse_rational, unit

@@ -46,17 +46,19 @@ from .fuzzy import (
     ground,
 )
 from .oracle import GridOracle, first_mismatch
-from .intervals import EMPTY_SET, WHOLE_J
+from .intervals import EMPTY_SET, WHOLE_J, is_open_in_unit
 from .paths import (
     ChiBoundary,
     Concat,
     Const,
+    FencePath,
     HLift,
     HTransform,
     Reverse,
     VerticalAffine,
     chi_eval,
     chi_keys,
+    continuity_failure,
     eval_keys,
     eval_path,
     first_difference,
@@ -65,8 +67,9 @@ from .paths import (
     normalize_path,
     pasting_failure,
     path_end,
-    path_preimage_open,
+    path_preimage,
     path_start,
+    path_table,
 )
 from .rationals import ONE, ZERO, frac
 from .retraction import (
@@ -347,7 +350,8 @@ def sweep_path_identities(rng: random.Random, count: int,
                           grid_step: Fraction = Fraction(1, 64),
                           check_continuity: bool = True) -> SweepResult:
     """Pointwise path-calculus identities on the rational grid, plus the
-    openness of every generated path's preimages when requested."""
+    continuity of every generated path (``continuity_failure``) when
+    requested."""
     result = SweepResult("path-identities")
     fine = _grid(grid_step)
     coarse = _grid(Fraction(1, 8))
@@ -360,9 +364,9 @@ def sweep_path_identities(rng: random.Random, count: int,
         label = f"path-{i}"
         failures = _path_identity_failures(rng, topo, gamma, s, t, fine, coarse)
         if check_continuity:
-            for e in subbasis_elements(topo):
-                if not path_preimage_open(gamma, e, topo):
-                    failures.append(("continuity", e))
+            failure = continuity_failure(gamma, topo)
+            if failure is not None:
+                failures.append(("continuity", *failure))
         result.failures.extend((label, *f) for f in failures)
     return result
 
@@ -454,6 +458,72 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the continuity rule against exact preimages
+
+def sweep_continuity_rule(rng: random.Random,
+                          count: int) -> tuple[SweepResult, int]:
+    """``continuity_failure`` against the openness of exact preimages.
+
+    Each of ``count`` topologies gets one ``random_path``, which the rule
+    must pass, and for every strict pair x < y of the specialization
+    preorder one planted lift of the segment between x and y, in a random
+    direction, that takes the smaller end x on its interior, which the rule
+    must flag as "below" (at u = 1 from the left, or at u = 0 from the
+    right).  On every path the rule's verdict must equal the verdict that
+    every ``path_preimage`` of ``subbasis_elements(topo)`` and of
+    ``_midpoint_opens`` is open.  Returns the result and the number of
+    planted paths.
+    """
+    result = SweepResult("continuity-rule")
+    planted = 0
+    for i in range(count):
+        topo = random_topology(rng, max_generators=2, max_den=6)
+        relation = specialization_preorder(iota_x(topo))
+        elements = topo.ground.elements
+        lifts = [HLift(FencePath(rng.choice(((x, y), (y, x))), (x,)),
+                       Fraction(rng.randrange(32), 32))
+                 for x in elements for y in elements
+                 if y in relation[x] and x not in relation[y]]
+        planted += len(lifts)
+        family = subbasis_elements(topo)
+        label = f"topology-{i}"
+        # path 0 is the random draw, every later one a planted lift
+        for k, path in enumerate([random_path(rng, topo)] + lifts):
+            result.checked += 1
+            failure = continuity_failure(path, topo)
+            if k:
+                if failure is None or failure[2] != "below":
+                    result.failures.append((label, "planted-missed", path, failure))
+            elif failure is not None:
+                result.failures.append((label, "random-flagged", path, failure))
+            targets = family + _midpoint_opens(path, topo)
+            if all(is_open_in_unit(path_preimage(path, subbasis_realize(e, topo)))
+                   for e in targets) != (failure is None):
+                result.failures.append((label, "preimage-disagrees", path, failure))
+    return result, planted
+
+
+def _midpoint_opens(e, topo: FuzzyTopology) -> tuple[SubbasisElem, ...]:
+    """At each breakpoint side of ``e`` where a composite, pi2 or some T*,
+    has its limit below its value, the subbasis open at the midpoint of the
+    two: it holds the breakpoint and misses that side near it."""
+    table = path_table(e)
+    opens = []
+    for j, b in enumerate(table.breaks):
+        u = Fraction(b, table.den)
+        at = eval_path(e, u)
+        for x, c0, c1 in table.pieces[max(j - 1, 0):j] + table.pieces[j:j + 1]:
+            level = (c0 + c1 * u) / table.den
+            composites = [(None, level, at.alpha)] + [
+                (name, f(x) - level, f(at.x) - at.alpha) for name, f in topo.items()]
+            for name, limit, value in composites:
+                if limit < value:
+                    kind = "pi2" if name is None else "tstar"
+                    opens.append(SubbasisElem(kind, (limit + value) / 2, name))
+    return tuple(opens)
+
+
+# ---------------------------------------------------------------------------
 # complement decision sweep
 
 def sweep_complement(rng: random.Random, count: int) -> SweepResult:
@@ -498,10 +568,9 @@ def connectivity_cross_check(rng: random.Random, count: int = 10) -> SweepResult
                 HLift(make_fence_path(fence, relation), ZERO),
                 VerticalAffine(b, ZERO, beta),
             )) if len(fence) > 1 else VerticalAffine(a, alpha, beta)
-            for e in subbasis_elements(topo):
-                if not path_preimage_open(path, e, topo):
-                    result.failures.append(("pc-path-discontinuous", a, b, e))
-                    break
+            failure = continuity_failure(path, topo)
+            if failure is not None:
+                result.failures.append(("pc-path-discontinuous", a, b, *failure))
         else:
             component = report.components[0]
             expr = component_cylinder_expr(topo, component)

@@ -167,7 +167,7 @@ def _cmd_decide_complement(args) -> int:
         F = topo.open_named(args.f)
         G = topo.open_named(args.g)
     except KeyError as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError(exc.args[0]) from exc
     report = complement_report(F, G)
     _emit(report.to_json())
     return 0 if report.inversion else 1

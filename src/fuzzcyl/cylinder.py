@@ -244,7 +244,10 @@ def critical_gammas(topo: FuzzyTopology) -> tuple[Fraction, ...]:
 
 
 def subbasis_elements(topo: FuzzyTopology) -> tuple[SubbasisElem, ...]:
-    """A finite family of subbasis elements covering all distinct realizations."""
+    """The pi2 and tstar subbasis elements at every gamma of
+    ``critical_gammas``: complete for level-0 slices, whose emptiness
+    pattern the critical gammas exhaust, but not for the realizations
+    themselves, which differ for every gamma."""
     gammas = critical_gammas(topo)
     elems = [pi2(g) for g in gammas]
     for name in topo.names:

@@ -16,20 +16,23 @@ form.  Evaluation bisects the table in integers, a whole row of parameters
 per call: ``eval_keys`` and ``chi_keys`` look the table up and range-check
 each argument once, and the grid checks compare their rows of exact keys
 ``(x, n, d)``.  The exact preimage of a cylinder set is read off the
-table piece by piece, so continuity against subbasis opens is decidable.
+table piece by piece.  Continuity is decided on the table too, in integers:
+``continuity_failure`` checks each breakpoint against its adjacent pieces
+(one level test, one order test on the opens' levels).
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .cylinder import CylinderOpen, SubbasisElem, subbasis_realize
+from .cylinder import CylinderOpen
 from .fuzzy import FuzzyTopology
-from .intervals import Interval, IntervalSet, canonical, is_open_in_unit
+from .intervals import Interval, IntervalSet, canonical
 from .rationals import ONE, ZERO, format_rational, frac, unit
 from .retraction import CylPoint
 
@@ -364,10 +367,40 @@ def path_preimage(e: PathExpr, open_set: CylinderOpen) -> IntervalSet:
     return canonical(parts)
 
 
-def path_preimage_open(e: PathExpr, target: SubbasisElem, topo: FuzzyTopology) -> bool:
-    """True iff the exact preimage of the target is open in [0,1]."""
-    preimage = path_preimage(e, subbasis_realize(target, topo))
-    return is_open_in_unit(preimage)
+def continuity_failure(e: PathExpr,
+                       topo: FuzzyTopology) -> Optional[tuple[Fraction, str, str]]:
+    """The first breakpoint side at which ``e`` is not continuous into the
+    cylinder of ``topo``, as ``(u, "left" or "right", "level-jump" or
+    "below")``, or None when ``e`` is continuous.
+
+    The cylinder's topology is initial for pi2 and for every
+    T*(x, alpha) = T(x) - alpha, each into the reals with the rays
+    (gamma, oo), so ``e`` is continuous exactly when every composite is
+    lower semicontinuous.  The composites are affine on each open piece of
+    the table, so only the breakpoints can fail.  At a breakpoint with
+    point (y, a), each adjacent piece, on x, must reach the level a there
+    (pi2 and the constant opens; otherwise "level-jump"), and T(x) >= T(y)
+    must hold for every open T (otherwise some T* has its limit below its
+    value: "below").
+    """
+    return _table_continuity_failure(path_table(e), topo)
+
+
+def _table_continuity_failure(table: PathTable, topo: FuzzyTopology
+                              ) -> Optional[tuple[Fraction, str, str]]:
+    """``continuity_failure`` on a compiled table."""
+    den, pieces = table.den, table.pieces
+    # the levels of every open at each ground element
+    columns = dict(zip(topo.ground.elements, zip(*(f.levels for f in topo.opens))))
+    for j, (b, (y, a)) in enumerate(zip(table.breaks, table.points)):
+        for side, near in (("left", pieces[max(j - 1, 0):j]), ("right", pieces[j:j + 1])):
+            for x, c0, c1 in near:
+                # the piece's limit (c0 + c1 b/den)/den against a/den
+                if c0 * den + c1 * b != a * den:
+                    return Fraction(b, den), side, "level-jump"
+                if x != y and not all(map(operator.ge, columns[x], columns[y])):
+                    return Fraction(b, den), side, "below"
+    return None
 
 
 def normalize_path(e: PathExpr) -> PathTable:

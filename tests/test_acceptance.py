@@ -3,7 +3,9 @@
 Each test prints one PASS/FAIL line.  Criteria 1-6 run once, in a
 module-scoped fixture, into one oracle ledger that criterion 10
 cross-checks against the N=64 brute-force grid oracle; criteria 7 and 8
-share one path sweep.  Every criterion therefore runs on its own too.
+share one path sweep, and criterion 8 adds the cross-check of the
+continuity rule on planted discontinuous paths.  Every criterion therefore
+runs on its own too.
 """
 
 import random
@@ -17,6 +19,7 @@ from fuzzcyl.checks import (
     counterexample_report,
     retraction_case,
     sweep_complement,
+    sweep_continuity_rule,
     sweep_indicator_compat,
     sweep_path_identities,
     sweep_psi_laws,
@@ -131,10 +134,13 @@ def test_criterion_07_path_identity_suite(path_sweep):
 def test_criterion_08_dsl_continuity(path_sweep):
     result, _ = path_sweep
     continuity_failures = [f for f in result.failures if f[1] == "continuity"]
-    report(8, "dsl-continuity", not continuity_failures,
-           f"{result.checked} paths against full subbasis"
-           + ("" if not continuity_failures
-              else f"; failures {continuity_failures[:3]}"))
+    cross, planted = sweep_continuity_rule(random.Random(107), 200)
+    failures = continuity_failures + cross.failures
+    ok = not failures and planted > 0
+    report(8, "dsl-continuity", ok,
+           f"{result.checked} paths by the breakpoint rule; {planted} planted "
+           f"discontinuous, {cross.checked} cross-checked against exact preimages"
+           + ("" if not failures else f"; failures {failures[:3]}"))
 
 
 def test_criterion_09_complement_oracle_equivalence():

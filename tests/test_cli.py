@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -246,6 +249,36 @@ def test_decide_complement(capsys, topo_file):
                     "--f", "T2", "--g", "T2")
     assert code == 1
     assert not doc["inversion"]
+
+
+def test_unknown_open_message_has_no_extra_quotes(capsys, topo_file):
+    assert main(["decide-complement", "--topology", topo_file,
+                 "--f", "T2", "--g", "T9"]) == 2
+    assert capsys.readouterr().err == "error: no open named 'T9'\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch):
+    # the README's topology as topo.json, and each fuzzcyl line of its
+    # shell blocks run in order, so --replay reads what --emit wrote
+    (topology,) = readme_blocks("json")
+    (tmp_path / "topo.json").write_text(topology)
+    monkeypatch.chdir(tmp_path)
+    commands = []
+    for block in readme_blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["fuzzcyl"]:
+                commands.append(argv[1:])
+    assert len(commands) == 10
+    for argv in commands:
+        assert run_cli(argv) == 0, argv
 
 
 def test_oracle_sweep(capsys):

@@ -18,6 +18,7 @@ from fuzzcyl import (
     VerticalAffine,
     chi_boundary,
     chi_eval,
+    continuity_failure,
     eval_path,
     functor_object_path,
     fz_generate_topology,
@@ -30,7 +31,6 @@ from fuzzcyl import (
     normalize_path,
     path_from_json,
     path_preimage,
-    path_preimage_open,
     path_to_json,
     pi2,
     point,
@@ -42,11 +42,20 @@ from fuzzcyl.cylinder import CylinderOpen, cyl_union, subbasis_elements
 from fuzzcyl.intervals import (
     EMPTY_SET,
     canonical,
+    is_open_in_unit,
     iv_subset,
     make_interval,
     make_unit_interval,
 )
-from fuzzcyl.paths import chi_key, eval_key, path_end, path_start, path_table
+from fuzzcyl.paths import (
+    PathTable,
+    _table_continuity_failure,
+    chi_key,
+    eval_key,
+    path_end,
+    path_start,
+    path_table,
+)
 from fuzzcyl.retraction import CylPoint, h_eval
 from fuzzcyl.sweeps import random_path, random_topology
 
@@ -193,16 +202,17 @@ def test_path_preimage_open_examples():
     pre = path_preimage(half_speed,
                         subbasis_realize(tstar(name_x, F(1, 4)), topo_x))
     assert pre == make_unit_interval(0, F(5, 6), True, False)
-    assert path_preimage_open(half_speed, tstar(name_x, F(1, 4)), topo_x)
+    assert is_open_in_unit(pre)
 
     lift = HLift(FencePath(("x",), ()), F(1, 2))
     pre = path_preimage(lift, subbasis_realize(pi2(F(1, 4)), topo_x))
     assert pre == make_unit_interval(0, 1, True, True)
-    assert path_preimage_open(lift, pi2(F(1, 4)), topo_x)
+    assert is_open_in_unit(pre)
 
     const = Const(point("x", F(1, 3)))
-    assert path_preimage_open(const, tstar(name_x, F(1, 4)), topo_x)
-    assert path_preimage_open(const, tstar(name_x, F(1, 2)), topo_x)
+    for gamma in (F(1, 4), F(1, 2)):
+        assert is_open_in_unit(
+            path_preimage(const, subbasis_realize(tstar(name_x, gamma), topo_x)))
 
 
 def test_hlift_preimage_open_on_sierpinski():
@@ -215,7 +225,43 @@ def test_hlift_preimage_open_on_sierpinski():
     # over {a} is (0,1]
     pre = path_preimage(lift, subbasis_realize(tstar(name, F(1, 2)), topo))
     assert pre == make_unit_interval(0, 1, False, True)
-    assert path_preimage_open(lift, tstar(name, F(1, 2)), topo)
+    assert is_open_in_unit(pre)
+    assert continuity_failure(lift, topo) is None
+
+
+def test_continuity_failure_on_a_wrong_interior_lift():
+    # T = (0, 1/32) puts a below b; the lift keeps the smaller end a on
+    # its interior, so T* jumps up at u = 1: T(b) - 2/5 > T(a) - 2/5
+    T = FuzzySet(AB, (F(0), F(1, 32)))
+    topo = fz_generate_topology([T], AB)
+    name = [n for n, f in topo.items() if f == T][0]
+    wrong = HLift(FencePath(("a", "b"), ("a",)), F(2, 5))
+    assert continuity_failure(wrong, topo) == (1, "left", "below")
+    assert continuity_failure(Reverse(wrong), topo) == (0, "right", "below")
+    # the open T* at gamma = -3/8 holds (b, 2/5) alone, so its preimage
+    # is {1}, which no family of critical gammas reaches
+    pre = path_preimage(wrong, subbasis_realize(tstar(name, F(-3, 8)), topo))
+    assert pre == make_unit_interval(1, 1, True, True)
+    assert not is_open_in_unit(pre)
+    right = HLift(FencePath(("a", "b"), ("b",)), F(2, 5))
+    assert continuity_failure(right, topo) is None
+    assert continuity_failure(Concat((Reverse(right), right)), topo) is None
+
+
+def test_continuity_failure_on_a_level_jump():
+    topo = const_topo("1/2")
+    # on (0, 1/2) the path climbs from (a, 0) at level u, then it sits at
+    # (a, 1/4) from u = 1/2 on: the left limit 1/2 is above the point's
+    # level, and the right piece starts at it
+    table = PathTable(4, (0, 2, 4), (("a", 0), ("a", 1), ("a", 1)),
+                      (("a", 0, 4), ("a", 1, 0)))
+    assert _table_continuity_failure(table, topo) == (F(1, 2), "left", "level-jump")
+    # a jump on the right side of u = 1/2: level 1/4 up to it, 1/2 after
+    flipped = PathTable(4, (0, 2, 4), (("a", 1), ("a", 1), ("a", 2)),
+                        (("a", 1, 0), ("a", 2, 0)))
+    assert _table_continuity_failure(flipped, topo) == (F(1, 2), "right", "level-jump")
+    assert _table_continuity_failure(path_table(VerticalAffine("a", F(0), F(1, 2))),
+                                     topo) is None
 
 
 HLIFT_DOC = {"type": "hlift", "base": {"steps": ["a", "b"], "interiors": ["b"]},

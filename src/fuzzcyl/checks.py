@@ -119,12 +119,12 @@ class OracleLedger:
 
     def verify(self, resolution: int = 64) -> SweepResult:
         result = SweepResult(f"grid-oracle-N{resolution}")
+        grid = [Fraction(k, resolution) for k in range(resolution)]
         for label, c, predicate in self.entries:
             result.checked += 1
             brute = GridOracle(
                 c.ground, resolution,
-                tuple(tuple(predicate(x, Fraction(k, resolution))
-                            for k in range(resolution))
+                tuple(tuple(predicate(x, v) for v in grid)
                       for x in c.ground.elements))
             mismatch = first_mismatch(c, brute)
             if mismatch is not None:
@@ -133,7 +133,8 @@ class OracleLedger:
 
 
 def psi_predicate(f: FuzzySet) -> Predicate:
-    return lambda x, v: v < f(x)
+    levels = f.values_dict()
+    return lambda x, v: v < levels[x]
 
 
 def expr_predicate(expr: OpenExpr, topo: FuzzyTopology) -> Predicate:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement, fz_join, fz_meet
@@ -304,13 +305,17 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
     index tuples. Each step carries its prefix's union of images and its
     prefix's join levels, so a family costs one ``cyl_union`` on top of its
     prefix's union: the same chain ``((empty | a) | b) | ...`` that building
-    the family's union member by member evaluates. Two caches that live for
+    the family's union member by member evaluates. Joins run on integers:
+    each open's levels are brought once to numerators over the topology's
+    common denominator D, the lcm of all level denominators, and a join is
+    the elementwise ``max`` of those numerators. Two caches that live for
     one call skip repeated work: ``cyl_union`` keyed by (prefix union, member
-    index), and ``psi_star`` keyed by the join's levels and seeded with the
-    images of the opens. Both functions are pure over canonical values, so a
-    hit returns what a fresh call would; every family's equality is still
-    evaluated, against a union the interval algebra built. Failures are
-    reported by family size, then by index tuple.
+    index), and ``psi_star`` keyed by the join's numerator tuple and seeded
+    with the images of the opens; a miss builds the image of the levels
+    n/D. Both functions are pure over canonical values, so a hit returns
+    what a fresh call would; every family's equality is still evaluated,
+    against a union the interval algebra built. Failures are reported by
+    family size, then by index tuple.
     """
     failures: list[tuple] = []
     checked = 0
@@ -321,7 +326,9 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
             failures.append(("meet-law", na, nb))
     names = topo.names
     members = [images[n] for n in names]
-    levels = [f.levels for f in topo.opens]
+    den = lcm(*(v.denominator for f in topo.opens for v in f.levels))
+    levels = [tuple(v.numerator * (den // v.denominator) for v in f.levels)
+              for f in topo.opens]
     psi_of_join = dict(zip(levels, members))
     unions: dict[CylinderOpen, dict[int, CylinderOpen]] = {}
     join_failures: list[tuple[int, ...]] = []
@@ -338,7 +345,8 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
             joined = levels[i] if join is None else tuple(map(max, join, levels[i]))
             image = psi_of_join.get(joined)
             if image is None:
-                image = psi_of_join[joined] = psi_star(FuzzySet(topo.ground, joined))
+                image = psi_of_join[joined] = psi_star(
+                    FuzzySet(topo.ground, tuple(Fraction(n, den) for n in joined)))
             visited += 1
             if grown != image:
                 join_failures.append(family)

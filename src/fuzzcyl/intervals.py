@@ -12,8 +12,9 @@ upper end 2n+1.  ``keys`` is a strictly increasing, even-length tuple of
 half-open [start, end) pairs, and J is [0, 2·den).  Union, intersection and
 subset make one linear merge over a common denominator, the complement in J
 toggles against [0, 2·den), the image under a scale interval maps each pair
-and makes one merge, and membership is one bisection.  Results are
-reduced to the least denominator, so structural equality is set equality.
+and makes one merge, and membership is one bisection, also at each level
+k/N of a grid (``iv_grid``).  Results are reduced to the least denominator,
+so structural equality is set equality.
 """
 
 from __future__ import annotations
@@ -266,6 +267,18 @@ def iv_scale(a: IntervalSet, c: Interval) -> IntervalSet:
 
 def iv_contains(a: IntervalSet, q) -> bool:
     return a.contains(unit(frac(q), "level", top_open=True))
+
+
+def iv_grid(a: IntervalSet, resolution: int) -> tuple[bool, ...]:
+    """Membership of each level k/N, k = 0 .. N-1, in integers: the test of
+    ``IntervalSet.contains`` with n, r = divmod(k·den, N), so no Fraction
+    is built."""
+    keys, den = a.keys, a.den
+    row = []
+    for k in range(resolution):
+        n, r = divmod(k * den, resolution)
+        row.append(bisect_right(keys, 2 * n + (r > 0)) % 2 == 1)
+    return tuple(row)
 
 
 def iv_supremum(a: IntervalSet) -> Optional[Fraction]:

@@ -1,5 +1,12 @@
-"""Brute-force grid oracle: rasterizes cylinder sets at levels k/N and
-cross-checks symbolic results cell-for-cell.
+"""Grid oracle: rasterizes cylinder sets at levels k/N and cross-checks
+symbolic results cell-for-cell.
+
+The symbolic raster reads each fiber's boundary keys in integers
+(``intervals.iv_grid``): the cell k/N has n, r = divmod(k·den, N) and lies
+in the fiber when the count of keys at or below 2n + (r > 0) is odd, the
+test ``IntervalSet.contains`` makes.  The brute-force side it is checked
+against is independent of the keys: an exact ``Fraction`` membership
+predicate stated from first principles (see ``checks.OracleLedger``).
 
 The grid samples only rational points of the form k/N, so it cannot see
 open/closed endpoint distinctions off the grid; endpoint flags are covered
@@ -12,8 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cylinder import CylinderOpen, cyl_contains
+from .cylinder import CylinderOpen
 from .fuzzy import GroundSet
+from .intervals import iv_grid
 
 
 @dataclass(frozen=True)
@@ -39,16 +47,17 @@ class GridOracle:
 
 def oracle_rasterize(c: CylinderOpen, resolution: int) -> GridOracle:
     """Cell (x, k/N) is true iff the point lies in the set."""
-    cells = tuple(
-        tuple(cyl_contains(c, x, Fraction(k, resolution))
-              for k in range(resolution))
-        for x in c.ground.elements)
+    cells = tuple(iv_grid(fib, resolution) for fib in c.fibers)
     return GridOracle(c.ground, resolution, cells)
 
 
 def first_mismatch(symbolic: CylinderOpen,
                    brute: GridOracle) -> Optional[tuple[str, Fraction]]:
+    """The first cell, in ground order and then by k, where the raster of
+    ``symbolic`` and ``brute`` differ; None when they agree everywhere."""
     raster = oracle_rasterize(symbolic, brute.resolution)
+    if raster.ground == brute.ground and raster.cells == brute.cells:
+        return None
     for x in brute.ground.elements:
         for k in range(brute.resolution):
             if raster.cell(x, k) != brute.cell(x, k):

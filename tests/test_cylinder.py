@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from fuzzcyl import (
 from fuzzcyl import cylinder
 from fuzzcyl.cylinder import CylinderOpen, LawReport
 from fuzzcyl.fuzzy import fz_join, fz_meet
+from fuzzcyl.intervals import EMPTY_SET
 from fuzzcyl.sweeps import random_topology
 
 F = Fraction
@@ -187,10 +189,10 @@ def reference_psi_laws(topo, max_family=4):
     lexicographically."""
     failures = []
     checked = 0
-    images = {name: psi_star(f) for name, f in topo.items()}
+    images = {name: cylinder.psi_star(f) for name, f in topo.items()}
     for (na, a), (nb, b) in itertools.combinations_with_replacement(list(topo.items()), 2):
         checked += 1
-        if cylinder.cyl_intersect(images[na], images[nb]) != psi_star(fz_meet(a, b)):
+        if cylinder.cyl_intersect(images[na], images[nb]) != cylinder.psi_star(fz_meet(a, b)):
             failures.append(("meet-law", na, nb))
     names = list(topo.names)
     families = [list(c) for r in range(1, min(max_family, len(names)) + 1)
@@ -203,7 +205,7 @@ def reference_psi_laws(topo, max_family=4):
         for n in fam:
             union = cylinder.cyl_union(union, images[n])
         joined = fz_join([topo.open_named(n) for n in fam])
-        if union != psi_star(joined):
+        if union != cylinder.psi_star(joined):
             failures.append(("join-law", *fam))
     return LawReport(not failures, tuple(failures), checked)
 
@@ -244,6 +246,64 @@ def test_verify_psi_laws_reports_injected_union_fault(monkeypatch):
             assert verify_psi_laws(topo, max_family).to_json() == expect.to_json()
         deepest = max(deepest, *(len(f) - 1 for f in expect.failures))
     assert deepest >= 3
+
+
+def mixed_denominator_topologies():
+    """Hand-built topologies whose levels have denominators 3, 4, 5 and 7,
+    so their common denominator is 420, with 0 and 1 among the levels:
+    6, 6, 20 and 4 opens."""
+    xy, xyz = ground("x", "y"), ground("x", "y", "z")
+    families = [
+        (xy, [("1/3", "3/4"), ("2/5", "1/7")]),
+        (xyz, [("4/7", "1/4", "3/5"), ("1", "0", "2/3")]),
+        (xyz, [("4/7", "1/4", "3/5"), ("1", "0", "2/3"), ("1/3", "1/5", "1")]),
+        (xyz, [("1/7", "2/7", "3/7"), ("3/4", "2/3", "3/5")]),
+    ]
+    return [fz_generate_topology([FuzzySet(gs, tuple(F(v) for v in levels))
+                                  for levels in gens], gs)
+            for gs, gens in families]
+
+
+def test_verify_psi_laws_on_mixed_denominators():
+    for topo in mixed_denominator_topologies():
+        values = topo.membership_values()
+        assert math.lcm(*(v.denominator for v in values)) == 420
+        assert values[0] == 0 and values[-1] == 1
+        n = len(topo.names)
+        for max_family in (1, 2, 4, n + 1) if n <= 10 else (1, 2, 4):
+            expect = reference_psi_laws(topo, max_family)
+            assert expect.ok
+            assert verify_psi_laws(topo, max_family).to_json() == expect.to_json()
+
+
+def test_verify_psi_laws_reports_injected_psi_star_fault(monkeypatch):
+    """psi_star gives a wrong image for one joined level tuple: the join of
+    two incomparable opens. Every report must equal the reference loop's,
+    which calls psi_star afresh for every family."""
+    honest = cylinder.psi_star
+    whole = make_interval(0, 1, True, False)
+    faulted = 0
+    for topo in mixed_denominator_topologies():
+        targets = sorted({fz_join([a, b]).levels
+                          for a, b in itertools.combinations(topo.opens, 2)
+                          if not cyl_subset(honest(a), honest(b))
+                          and not cyl_subset(honest(b), honest(a))})
+        for target in targets:
+            def faulty(f, target=target):
+                image = honest(f)
+                if f.levels != target:
+                    return image
+                wrong = EMPTY_SET if image.fibers[0] == whole else whole
+                return CylinderOpen(image.ground, (wrong,) + image.fibers[1:])
+
+            monkeypatch.setattr(cylinder, "psi_star", faulty)
+            for max_family in (2, 4) if len(topo.names) <= 10 else (2,):
+                expect = reference_psi_laws(topo, max_family)
+                assert any(f[0] == "join-law" for f in expect.failures)
+                assert verify_psi_laws(topo, max_family).to_json() == expect.to_json()
+            monkeypatch.setattr(cylinder, "psi_star", honest)
+            faulted += 1
+    assert faulted >= 3
 
 
 @pytest.mark.parametrize("build, error", [

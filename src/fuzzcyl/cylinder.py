@@ -13,13 +13,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
 
-from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement, fz_join, fz_meet
+from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement
 from .intervals import (
     EMPTY_SET,
     IntervalSet,
     iv_complement_in_J,
     iv_contains,
     iv_intersect,
+    iv_span,
     iv_subset,
     iv_supremum,
     iv_union,
@@ -137,8 +138,8 @@ class SubbasisElem:
             raise ValueError("tstar subbasis element needs an open name string")
         if self.kind == "pi2" and self.open_name is not None:
             raise ValueError("pi2 subbasis element takes no open name")
-        exact(self.gamma)
-        if not (GAMMA_LO <= self.gamma < ONE):
+        g = exact(self.gamma)
+        if not -g.denominator <= g.numerator < g.denominator:  # -1 <= gamma < 1
             raise ValueError(f"gamma outside [-1,1): {self.gamma}")
 
     def to_json(self) -> dict:
@@ -197,21 +198,27 @@ def _realize_clause(clause: tuple[SubbasisElem, ...],
     largest pi2 gamma (open there; from 0, closed, when there is none or it
     is negative) and below the least T(x) - gamma over the tstar members,
     capped at 1.  A clause of pi2 members alone has one fiber for every x.
+
+    The ends are integer numerators over one denominator ``den``, the lcm of
+    the topology's level denominator D (``level_table``) and the gammas'
+    denominators, so T(x) - gamma is m·N_T(x) - g with m = den/D; each
+    fiber is ``iv_span`` of its two ends over den.
     """
-    lo = max((e.gamma for e in clause if e.kind == "pi2"), default=GAMMA_LO)
-    lo_closed = lo < 0
-    if lo_closed:
-        lo = ZERO
-    caps = [(topo.open_named(e.open_name).levels, e.gamma)
-            for e in clause if e.kind == "tstar"]
-    if not caps:
-        fiber = make_interval(lo, ONE, lo_closed, False)
-        return CylinderOpen(topo.ground, (fiber,) * len(topo.ground.elements))
-    fibers = []
-    for i in range(len(topo.ground.elements)):
-        hi = min(ONE, *(levels[i] - gamma for levels, gamma in caps))
-        fibers.append(make_interval(lo, hi, lo_closed, False) if hi > lo else EMPTY_SET)
-    return CylinderOpen(topo.ground, tuple(fibers))
+    level_den, rows = topo.level_table
+    den = lcm(level_den, *(e.gamma.denominator for e in clause))
+    lo = max((e.gamma.numerator * (den // e.gamma.denominator)
+              for e in clause if e.kind == "pi2"), default=-1)
+    lo_open = lo >= 0
+    lo = max(lo, 0)
+    his = [den] * len(topo.ground.elements)
+    m = den // level_den
+    for e in clause:
+        if e.kind == "tstar":
+            g = e.gamma.numerator * (den // e.gamma.denominator)
+            his = [min(h, m * n - g)
+                   for h, n in zip(his, rows[topo.open_index(e.open_name)])]
+    return CylinderOpen(topo.ground,
+                        tuple(iv_span(den, lo, hi, lo_open) for hi in his))
 
 
 def subbasis_realize(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:
@@ -301,35 +308,34 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
     law is checked on every family of 1 to ``max_family`` distinct opens, and
     on the family of all opens when there are more than ``max_family``.
 
-    The families are walked depth-first in lexicographic order of their
+    Meets and joins run on the integer numerators of ``level_table``: a meet
+    is the elementwise ``min`` of two rows and a join the elementwise
+    ``max``.  A topology is closed under both, so the meet or join of opens
+    is an open, and its image is looked up among the opens' images by its
+    numerator tuple.
+
+    The join families are walked depth-first in lexicographic order of their
     index tuples. Each step carries its prefix's union of images and its
-    prefix's join levels, so a family costs one ``cyl_union`` on top of its
-    prefix's union: the same chain ``((empty | a) | b) | ...`` that building
-    the family's union member by member evaluates. Joins run on integers:
-    each open's levels are brought once to numerators over the topology's
-    common denominator D, the lcm of all level denominators, and a join is
-    the elementwise ``max`` of those numerators. Two caches that live for
-    one call skip repeated work: ``cyl_union`` keyed by (prefix union, member
-    index), and ``psi_star`` keyed by the join's numerator tuple and seeded
-    with the images of the opens; a miss builds the image of the levels
-    n/D. Both functions are pure over canonical values, so a hit returns
-    what a fresh call would; every family's equality is still evaluated,
+    prefix's join numerators, so a family costs one ``cyl_union`` on top of
+    its prefix's union: the same chain ``((empty | a) | b) | ...`` that
+    building the family's union member by member evaluates. A cache that
+    lives for one call, keyed by (prefix union, member index), skips repeated
+    unions; ``cyl_union`` is pure over canonical values, so a hit returns
+    what a fresh call would, and every family's equality is still evaluated,
     against a union the interval algebra built. Failures are reported by
     family size, then by index tuple.
     """
     failures: list[tuple] = []
     checked = 0
-    images = {name: psi_star(f) for name, f in topo.items()}
-    for (na, a), (nb, b) in itertools.combinations_with_replacement(list(topo.items()), 2):
-        checked += 1
-        if cyl_intersect(images[na], images[nb]) != psi_star(fz_meet(a, b)):
-            failures.append(("meet-law", na, nb))
     names = topo.names
-    members = [images[n] for n in names]
-    den = lcm(*(v.denominator for f in topo.opens for v in f.levels))
-    levels = [tuple(v.numerator * (den // v.denominator) for v in f.levels)
-              for f in topo.opens]
-    psi_of_join = dict(zip(levels, members))
+    members = [psi_star(f) for f in topo.opens]
+    _, levels = topo.level_table
+    image_of = dict(zip(levels, members))
+    for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
+        checked += 1
+        meet = tuple(map(min, levels[i], levels[j]))
+        if cyl_intersect(members[i], members[j]) != image_of[meet]:
+            failures.append(("meet-law", names[i], names[j]))
     unions: dict[CylinderOpen, dict[int, CylinderOpen]] = {}
     join_failures: list[tuple[int, ...]] = []
     depth = min(max_family, len(names))
@@ -343,12 +349,8 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
             if grown is None:
                 grown = row[i] = cyl_union(union, members[i])
             joined = levels[i] if join is None else tuple(map(max, join, levels[i]))
-            image = psi_of_join.get(joined)
-            if image is None:
-                image = psi_of_join[joined] = psi_star(
-                    FuzzySet(topo.ground, tuple(Fraction(n, den) for n in joined)))
             visited += 1
-            if grown != image:
+            if grown != image_of[joined]:
                 join_failures.append(family)
             if len(family) < depth:
                 visited += walk(family, grown, joined)
@@ -361,8 +363,8 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
     if len(names) > max_family:
         checked += 1
         union = empty_cylinder(topo.ground)
-        for n in names:
-            union = cyl_union(union, images[n])
-        if union != psi_star(fz_join(topo.opens)):
+        for image in members:
+            union = cyl_union(union, image)
+        if union != image_of[tuple(map(max, *levels))]:
             failures.append(("join-law", *names))
     return LawReport(not failures, tuple(failures), checked)

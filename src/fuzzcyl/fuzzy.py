@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .rationals import ONE, ZERO, format_rational, frac, unit
@@ -122,11 +124,23 @@ class FuzzyTopology:
         if not report.ok:
             raise ValueError(f"not a fuzzy topology: {report.summary()}")
 
-    def open_named(self, name: str) -> FuzzySet:
+    def open_index(self, name: str) -> int:
         try:
-            return self.opens[self.names.index(name)]
+            return self.names.index(name)
         except ValueError:
             raise KeyError(f"no open named {name!r}") from None
+
+    def open_named(self, name: str) -> FuzzySet:
+        return self.opens[self.open_index(name)]
+
+    @cached_property
+    def level_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, rows): the common denominator D of all membership levels (the
+        lcm of their denominators) and each open's levels as integer
+        numerators over D, in the order of ``names``.  Built on first use."""
+        den = lcm(*(v.denominator for f in self.opens for v in f.levels))
+        return den, tuple(tuple(v.numerator * (den // v.denominator) for v in f.levels)
+                          for f in self.opens)
 
     def items(self):
         return zip(self.names, self.opens)

@@ -28,6 +28,36 @@ from typing import Iterable, Optional
 from .rationals import format_rational, frac, unit
 
 
+def _show(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> str:
+    left = "[" if lo_closed else "("
+    right = "]" if hi_closed else ")"
+    return f"{left}{format_rational(lo)},{format_rational(hi)}{right}"
+
+
+def _check_ends(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> None:
+    """Raise unless the ends describe a nonempty interval inside [0, 1]."""
+    unit(lo, "interval endpoint")
+    unit(hi, "interval endpoint")
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    if a > b:
+        raise ValueError(f"empty interval: {_show(lo, hi, lo_closed, hi_closed)}")
+    if a == b and not (lo_closed and hi_closed):
+        raise ValueError("degenerate interval must be closed on both sides: "
+                         + _show(lo, hi, lo_closed, hi_closed))
+
+
+def _read_ends(doc: dict) -> tuple[Fraction, Fraction, bool, bool]:
+    """The checked (lo, hi, lo_closed, hi_closed) of one JSON interval: "p/q"
+    or "p" strings or JSON integers for the ends, optional boolean
+    ``lo_open`` and ``hi_open`` flags, then the checks of ``Interval``."""
+    lo, hi = frac(doc["lo"]), frac(doc["hi"])
+    lo_open, hi_open = doc.get("lo_open", False), doc.get("hi_open", False)
+    if type(lo_open) is not bool or type(hi_open) is not bool:
+        raise TypeError("interval flags lo_open and hi_open must be booleans")
+    _check_ends(lo, hi, not lo_open, not hi_open)
+    return lo, hi, not lo_open, not hi_open
+
+
 @dataclass(frozen=True)
 class Interval:
     """A nonempty rational interval inside [0, 1] with per-side flags."""
@@ -38,12 +68,7 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        unit(self.lo, "interval endpoint")
-        unit(self.hi, "interval endpoint")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: {self}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ValueError(f"degenerate interval must be closed on both sides: {self}")
+        _check_ends(self.lo, self.hi, self.lo_closed, self.hi_closed)
 
     def contains(self, q: Fraction) -> bool:
         if q < self.lo or q > self.hi:
@@ -55,9 +80,7 @@ class Interval:
         return True
 
     def __repr__(self):
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{format_rational(self.lo)},{format_rational(self.hi)}{right}"
+        return _show(self.lo, self.hi, self.lo_closed, self.hi_closed)
 
     def to_json(self) -> dict:
         return {
@@ -69,16 +92,27 @@ class Interval:
 
     @staticmethod
     def from_json(doc: dict) -> "Interval":
-        lo, hi = frac(doc["lo"]), frac(doc["hi"])
-        lo_open, hi_open = doc.get("lo_open", False), doc.get("hi_open", False)
-        if type(lo_open) is not bool or type(hi_open) is not bool:
-            raise TypeError("interval flags lo_open and hi_open must be booleans")
-        return Interval(lo, hi, not lo_open, not hi_open)
+        return Interval(*_read_ends(doc))
 
 
 def _key(q: Fraction, den: int, after: bool) -> int:
     """The key just before q, or just after it; den is a multiple of q's."""
     return 2 * q.numerator * (den // q.denominator) + bool(after)
+
+
+def _from_ends(ends: list[tuple[Fraction, Fraction, bool, bool]]) -> "IntervalSet":
+    """The canonical set of (lo, hi, lo_closed, hi_closed) intervals: the key
+    pairs over the lcm of the ends' denominators, sorted, merged, reduced."""
+    den = lcm(*(q.denominator for lo, hi, _, _ in ends for q in (lo, hi)))
+    pairs = sorted((_key(lo, den, not lo_closed), _key(hi, den, hi_closed))
+                   for lo, hi, lo_closed, hi_closed in ends)
+    return _reduced(den, _merge([k for pair in pairs for k in pair], ()))
+
+
+def _format_key(n: int, den: int) -> str:
+    """``format_rational`` of n/den, read from the integers."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -93,11 +127,7 @@ class IntervalSet:
     keys: tuple[int, ...]
 
     def __new__(cls, parts: Iterable[Interval] = ()):
-        parts = list(parts)
-        den = lcm(*(q.denominator for p in parts for q in (p.lo, p.hi)))
-        pairs = sorted((_key(p.lo, den, not p.lo_closed), _key(p.hi, den, p.hi_closed))
-                       for p in parts)
-        return _reduced(den, _merge([k for pair in pairs for k in pair], ()))
+        return _from_ends([(p.lo, p.hi, p.lo_closed, p.hi_closed) for p in parts])
 
     @property
     def parts(self) -> tuple[Interval, ...]:
@@ -117,11 +147,16 @@ class IntervalSet:
         return "{" + ", ".join(repr(p) for p in self.parts) + "}"
 
     def to_json(self) -> list:
-        return [p.to_json() for p in self.parts]
+        """``Interval.to_json`` of each canonical part, formatted from the keys."""
+        k, den = self.keys, self.den
+        return [{"lo": _format_key(s >> 1, den), "hi": _format_key(e >> 1, den),
+                 "lo_open": bool(s & 1), "hi_open": not e & 1}
+                for s, e in zip(k[::2], k[1::2])]
 
     @staticmethod
     def from_json(doc: list) -> "IntervalSet":
-        return canonical(Interval.from_json(d) for d in doc)
+        """The canonical set of the JSON intervals, each read by ``_read_ends``."""
+        return _from_ends([_read_ends(d) for d in doc])
 
 
 def _make(den: int, keys: tuple[int, ...]) -> IntervalSet:
@@ -181,6 +216,12 @@ def _build(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Inte
     den = lcm(lo.denominator, hi.denominator)
     s, e = _key(lo, den, not lo_closed), _key(hi, den, hi_closed)
     return _make(den, (s, e)) if s < e else EMPTY_SET
+
+
+def iv_span(den: int, lo: int, hi: int, lo_open: bool) -> IntervalSet:
+    """The levels from lo/den (open when ``lo_open``, else closed) up to hi/den,
+    open, for integer numerators; empty when hi <= lo."""
+    return _reduced(den, [2 * lo + lo_open, 2 * hi]) if hi > lo else EMPTY_SET
 
 
 def make_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> IntervalSet:

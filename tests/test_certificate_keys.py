@@ -18,6 +18,11 @@ the whole cylinder intersected with one realized subbasis open per member,
 clauses joined by union.  It kills the mutants that close the low end at
 gamma 0 or always, close the high end, take the least pi2 gamma, skip a
 pi2 gamma of 0, or drop the cap at 1.
+
+The integer realizer: ``_realize_clause`` works on integer numerators over
+one denominator (``FuzzyTopology.level_table``).  The reference is the
+``Fraction`` realizer it replaced, on small clauses with mixed
+denominators, gamma -1, pi2 members alone, and ends that meet exactly.
 """
 
 import itertools
@@ -29,6 +34,7 @@ import pytest
 from fuzzcyl import OpenExpr, h_image_of_box, open_realize, pi2, subbasis_realize, tstar
 from fuzzcyl.cylinder import (
     CylinderOpen,
+    _realize_clause,
     cyl_intersect,
     cyl_union,
     empty_cylinder,
@@ -209,3 +215,86 @@ def test_open_realize_matches_intersect_chain():
                     for f in clause)
                 for clause in expr.clauses for e in clause)
     assert equal_ends >= 100
+
+
+# ---------------------------------------------------------------------------
+# the integer clause realizer
+
+
+def ref_realize_clause(clause, topo):
+    """The Fraction realizer that ``_realize_clause`` replaced: per element,
+    one ``make_interval`` from the largest pi2 gamma up to the least
+    T(x) - gamma over the tstar members, capped at 1."""
+    lo = max((e.gamma for e in clause if e.kind == "pi2"), default=F(-1))
+    lo_closed = lo < 0
+    if lo_closed:
+        lo = ZERO
+    caps = [(topo.open_named(e.open_name).levels, e.gamma)
+            for e in clause if e.kind == "tstar"]
+    if not caps:
+        fiber = make_interval(lo, ONE, lo_closed, False)
+        return CylinderOpen(topo.ground, (fiber,) * len(topo.ground.elements))
+    fibers = []
+    for i in range(len(topo.ground.elements)):
+        hi = min(ONE, *(levels[i] - gamma for levels, gamma in caps))
+        fibers.append(make_interval(lo, hi, lo_closed, False) if hi > lo else EMPTY_SET)
+    return CylinderOpen(topo.ground, tuple(fibers))
+
+
+GAMMA_DENOMINATORS = (1, 2, 3, 5, 7, 12, 32, 35, 64)
+
+
+def random_small_clause(rng, topo):
+    """One to three members.  Gammas have denominators unlike the levels',
+    and -1 is among them; a quarter of the clauses are pi2 alone.  Half the
+    time one gamma is set so that an end lands on a level exactly: a pi2
+    gamma equal to T(x) - gamma of a tstar member, or a tstar gamma equal to
+    T(x), so that the range is empty with equal ends."""
+    def gamma():
+        if rng.random() < 0.1:
+            return F(-1)
+        den = rng.choice(GAMMA_DENOMINATORS)
+        return F(rng.randint(-den, den - 1), den)
+
+    size = rng.randint(1, 3)
+    if rng.random() < 0.25:
+        clause = [pi2(gamma()) for _ in range(size)]
+    else:
+        clause = [tstar(rng.choice(topo.names), gamma())]
+        clause += [pi2(gamma()) if rng.random() < 0.5
+                   else tstar(rng.choice(topo.names), gamma()) for _ in range(size - 1)]
+        if rng.random() < 0.5:
+            e = clause[0]
+            v = rng.choice(topo.open_named(e.open_name).levels)
+            if size > 1 and 0 <= v - e.gamma < 1:
+                clause[-1] = pi2(v - e.gamma)
+            elif v < 1:
+                clause[0] = tstar(e.open_name, v)
+    rng.shuffle(clause)
+    return tuple(clause)
+
+
+def test_integer_realizer_matches_fraction_realizer():
+    """Same den and keys on every fiber, over 6,400 clauses of one to three
+    members.  Among the mutants of ``_realize_clause`` and ``iv_span`` this
+    kills: the gcd reduction dropped, the low flag inverted, the emptiness
+    test ``hi > lo`` made ``>=``, and the cap at 1 dropped."""
+    rng = random.Random(9_400)
+    seen = {"pi2-only": 0, "gamma -1": 0, "equal ends": 0, "mixed den": 0}
+    for _ in range(320):
+        topo = random_topology(rng)
+        level_den = topo.level_table[0]
+        for _ in range(20):
+            clause = random_small_clause(rng, topo)
+            got = _realize_clause(clause, topo)
+            expect = ref_realize_clause(clause, topo)
+            assert [(f.den, f.keys) for f in got.fibers] == \
+                [(f.den, f.keys) for f in expect.fibers], clause
+            seen["pi2-only"] += all(e.kind == "pi2" for e in clause)
+            seen["gamma -1"] += any(e.gamma == -1 for e in clause)
+            seen["mixed den"] += any(level_den % e.gamma.denominator for e in clause)
+            lo = max((e.gamma for e in clause if e.kind == "pi2"), default=ZERO)
+            seen["equal ends"] += any(
+                v - e.gamma == lo for e in clause if e.kind == "tstar"
+                for v in topo.open_named(e.open_name).levels)
+    assert min(seen.values()) >= 600, seen

@@ -110,6 +110,8 @@ def test_retraction_emit_and_replay(capsys, tmp_path, topo_file):
                     "--replay", str(cert))
     assert code == 0
     assert doc["replayed"] == 12 and doc["ok"]
+    text = cert.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2)
 
 
 def test_replay_rejects_degenerate_time_box(capsys, tmp_path, topo_file):

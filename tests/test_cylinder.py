@@ -325,3 +325,20 @@ def test_cylinder_open_from_json_rejects_unknown_elements():
     assert CylinderOpen.from_json(AB, {"fibers": {"a": []}}) == empty_cylinder(AB)
     with pytest.raises(ValueError, match="'zz'"):
         CylinderOpen.from_json(AB, {"fibers": {"a": [], "zz": []}})
+
+
+def test_verify_psi_laws_builds_one_image_per_open(monkeypatch):
+    """Meets and joins of opens are opens: their images are looked up, so
+    psi_star runs once per open however many pairs and families there are."""
+    honest = cylinder.psi_star
+    calls = []
+
+    def counted(f):
+        calls.append(f.levels)
+        return honest(f)
+
+    monkeypatch.setattr(cylinder, "psi_star", counted)
+    for topo in mixed_denominator_topologies():
+        calls.clear()
+        assert verify_psi_laws(topo, 4).ok
+        assert sorted(calls) == sorted(f.levels for f in topo.opens)

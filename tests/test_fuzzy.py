@@ -123,3 +123,17 @@ def test_indicator_embedding_of_classical_topology():
 def test_topology_json_round_trip():
     topo = fz_generate_topology(constants("1/3"))
     assert FuzzyTopology.from_json(topo.to_json()) == topo
+
+
+def test_level_table_numerators_over_the_common_denominator():
+    gens = [FuzzySet(AB, (F(1, 3), F(3, 4))), FuzzySet(AB, (F(2, 5), F(1, 7)))]
+    topo = fz_generate_topology(gens, AB)
+    den, rows = topo.level_table
+    assert den == 420
+    assert rows == tuple(tuple(v.numerator * (den // v.denominator) for v in f.levels)
+                         for f in topo.opens)
+    assert all(F(n, den) == v for row, f in zip(rows, topo.opens)
+               for n, v in zip(row, f.levels))
+    assert topo.level_table is topo.level_table
+    assert FuzzyTopology.from_json(topo.to_json()) == topo
+    assert fz_generate_topology([], AB).level_table == (1, ((0, 0), (1, 1)))

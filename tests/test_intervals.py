@@ -18,7 +18,7 @@ from fuzzcyl import (
     make_interval,
     make_unit_interval,
 )
-from fuzzcyl.intervals import canonical, is_open_in_unit
+from fuzzcyl.intervals import canonical, is_open_in_unit, iv_span
 
 F = Fraction
 
@@ -47,6 +47,16 @@ def test_make_interval_clips_closed_one():
 def test_make_unit_interval_keeps_closed_one():
     s = make_unit_interval(F(1, 2), 1, False, True)
     assert s.parts == (Interval(F(1, 2), F(1), False, True),)
+
+
+def test_iv_span_matches_make_interval():
+    """Integer numerators over den, reduced, open above; empty when hi <= lo."""
+    for den in range(1, 13):
+        for lo in range(den + 1):
+            for hi in range(den + 1):
+                for lo_open in (False, True):
+                    want = make_interval(F(lo, den), F(hi, den), not lo_open, False)
+                    assert iv_span(den, lo, hi, lo_open) == want, (den, lo, hi, lo_open)
 
 
 def test_union_adjacent_merge():

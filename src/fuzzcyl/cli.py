@@ -13,6 +13,7 @@ import random
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -270,7 +271,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fuzzcyl`` parser, built once per process: parsing leaves it
+    unchanged and gives a fresh namespace each time.  It holds no handler;
+    ``main`` looks up ``_cmd_<command>`` for each call."""
     parser = _Parser(
         prog="fuzzcyl",
         description="Exact cylinder-space toolkit for finite fuzzy topologies")
@@ -285,28 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the topology axioms")
     common(p)
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("cylinder", help="dump membership-graph regions")
     common(p)
     p.add_argument("--open", help="restrict to one named open")
-    p.set_defaults(func=_cmd_cylinder)
 
     p = sub.add_parser("counterexample",
                        help="set complement vs algebraic complement on the "
                             "constant-1/3 topology")
     p.add_argument("--elements", type=_elements, default=("x",),
                    help="comma-separated ground elements")
-    p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("connectivity", help="base-space connectivity report")
     common(p)
-    p.set_defaults(func=_cmd_connectivity)
 
     p = sub.add_parser("laws", help="algebraic law sweeps")
     p.add_argument("--topology", help="optionally also check this file")
     sweep_flags(p)
-    p.set_defaults(func=_cmd_laws)
 
     p = sub.add_parser("verify-retraction",
                        help="generate or replay continuity certificates")
@@ -314,33 +314,28 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_flags(p)
     p.add_argument("--emit", help="write generated certificates to this file")
     p.add_argument("--replay", help="verify certificates from this file")
-    p.set_defaults(func=_cmd_verify_retraction)
 
     p = sub.add_parser("paths", help="path-calculus identity sweeps")
     sweep_flags(p)
     p.add_argument("--grid-step", type=_grid_step, default=Fraction(1, 64))
-    p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("decide-complement",
                        help="complement-as-path-inversion decision")
     common(p)
     p.add_argument("--f", required=True, help="name of the first open")
     p.add_argument("--g", required=True, help="name of the second open")
-    p.set_defaults(func=_cmd_decide_complement)
 
     p = sub.add_parser("oracle", help="grid cross-checks of symbolic results")
     sweep_flags(p)
     p.add_argument("--resolution", type=_at_least(2), default=64)
-    p.set_defaults(func=_cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
     except InputError as exc:

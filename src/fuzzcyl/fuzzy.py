@@ -138,9 +138,15 @@ class FuzzyTopology:
         """(D, rows): the common denominator D of all membership levels (the
         lcm of their denominators) and each open's levels as integer
         numerators over D, in the order of ``names``.  Built on first use."""
-        den = lcm(*(v.denominator for f in self.opens for v in f.levels))
-        return den, tuple(tuple(v.numerator * (den // v.denominator) for v in f.levels)
-                          for f in self.opens)
+        return _level_table(self.opens)
+
+    @cached_property
+    def memo(self) -> dict:
+        """Values other modules derive from this topology and keep for its
+        lifetime (anchor targets, realized subbasis opens), each under a key
+        that names what it holds.  Created on first use, so a topology that
+        nothing derives from carries no memo."""
+        return {}
 
     def items(self):
         return zip(self.names, self.opens)
@@ -198,23 +204,38 @@ class ValidationReport:
         return {"ok": self.ok, "problems": [list(p) for p in self.problems]}
 
 
+def _level_table(family: Sequence[FuzzySet]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lcm D of the family's level denominators and each member's levels
+    as integer numerators over D."""
+    den = lcm(*(v.denominator for f in family for v in f.levels))
+    return den, tuple(tuple(v.numerator * (den // v.denominator) for v in f.levels)
+                      for f in family)
+
+
 def fz_is_topology(family: Sequence[FuzzySet]) -> ValidationReport:
-    """Check the topology axioms, reporting witnesses for every failure."""
+    """Check the topology axioms, reporting witnesses for every failure.
+
+    Levels are compared as integer numerators over the family's common
+    denominator D, where the meet and join of two members are the
+    elementwise ``min`` and ``max`` of their numerators and the constants
+    are all 0 and all D."""
     if not family:
         return ValidationReport(False, (("empty-family",),))
-    gs = _require_same_ground(*family)
-    members = set(f.levels for f in family)
+    _require_same_ground(*family)
+    den, rows = _level_table(family)
+    members = set(rows)
+    size = len(rows[0])
     problems: list[tuple] = []
-    if FuzzySet.constant(gs, 0).levels not in members:
+    if (0,) * size not in members:
         problems.append(("missing-constant-0",))
-    if FuzzySet.constant(gs, 1).levels not in members:
+    if (den,) * size not in members:
         problems.append(("missing-constant-1",))
-    for i, a in enumerate(family):
-        for b in family[i:]:
-            if fz_meet(a, b).levels not in members:
-                problems.append(("meet-missing", repr(a), repr(b)))
-            if fz_join([a, b]).levels not in members:
-                problems.append(("join-missing", repr(a), repr(b)))
+    for i, u in enumerate(rows):
+        for j, v in enumerate(rows[i:], i):
+            if tuple(map(min, u, v)) not in members:
+                problems.append(("meet-missing", repr(family[i]), repr(family[j])))
+            if tuple(map(max, u, v)) not in members:
+                problems.append(("join-missing", repr(family[i]), repr(family[j])))
     return ValidationReport(not problems, tuple(problems))
 
 

@@ -12,9 +12,10 @@ upper end 2n+1.  ``keys`` is a strictly increasing, even-length tuple of
 half-open [start, end) pairs, and J is [0, 2·den).  Union, intersection and
 subset make one linear merge over a common denominator, the complement in J
 toggles against [0, 2·den), the image under a scale interval maps each pair
-and makes one merge, and membership is one bisection, also at each level
-k/N of a grid (``iv_grid``).  Results are reduced to the least denominator,
-so structural equality is set equality.
+and makes one merge (and lies in one interval when its two outer scaled ends
+do, ``iv_scale_within``), and membership is one bisection, also at each
+level k/N of a grid (``iv_grid``).  Results are reduced to the least
+denominator, so structural equality is set equality.
 """
 
 from __future__ import annotations
@@ -279,6 +280,26 @@ def iv_complement_in_J(a: IntervalSet) -> IntervalSet:
     return _make(a.den, tuple(keys))
 
 
+def _factors(c: Interval) -> tuple[int, int, int]:
+    """(dc, p1, p2) with C = [p1, p2]/dc over the lcm of its ends' denominators."""
+    dc = lcm(c.lo.denominator, c.hi.denominator)
+    return (dc, c.lo.numerator * (dc // c.lo.denominator),
+            c.hi.numerator * (dc // c.hi.denominator))
+
+
+def _scaled_pair(s: int, e: int, p1: int, p2: int, c: Interval) -> tuple[int, int]:
+    """The key pair of the image of one pair [s, e) under C = [p1, p2]/dc,
+    over dc times the pair's denominator, by the flag rules of ``iv_scale``."""
+    lo, hi = p1 * (s >> 1), p2 * (e >> 1)
+    if hi == 0:
+        return 0, 1
+    if lo:
+        lo_open = s & 1 or not c.lo_closed
+    else:
+        lo_open = not ((p1 == 0 and c.lo_closed) or s == 0)
+    return 2 * lo + lo_open, 2 * hi + (e & 1 and c.hi_closed)
+
+
 def iv_scale(a: IntervalSet, c: Interval) -> IntervalSet:
     """Exact image {c·v : c in C, v in a} under a nonnegative scale interval
     C = [p1, p2]/dc, pair by pair over dc·den.  Numerators u <= v map to
@@ -287,23 +308,37 @@ def iv_scale(a: IntervalSet, c: Interval) -> IntervalSet:
     A pair whose high end is 0 maps to {0}.  The images start in the order
     of their pairs (strictly increasing u unless p1 = 0, when only the first
     pair can start closed), so one merge canonicalizes them."""
-    dc = lcm(c.lo.denominator, c.hi.denominator)
-    p1 = c.lo.numerator * (dc // c.lo.denominator)
-    p2 = c.hi.numerator * (dc // c.hi.denominator)
-    zero_in_c = p1 == 0 and c.lo_closed
+    dc, p1, p2 = _factors(c)
     k = a.keys
     keys: list[int] = []
     for s, e in zip(k[::2], k[1::2]):
-        lo, hi = p1 * (s >> 1), p2 * (e >> 1)
-        if hi == 0:
-            keys += (0, 1)
-            continue
-        if lo:
-            lo_open = s & 1 or not c.lo_closed
-        else:
-            lo_open = not (zero_in_c or s == 0)
-        keys += (2 * lo + lo_open, 2 * hi + (e & 1 and c.hi_closed))
+        keys += _scaled_pair(s, e, p1, p2, c)
     return _reduced(dc * a.den, _merge(keys, ()))
+
+
+def iv_scale_within(a: IntervalSet, c: Interval, b: IntervalSet) -> bool:
+    """``iv_subset(iv_scale(a, c), b)``, without building the image when b
+    is at most one pair.  The images of a's pairs start and end in the
+    order of the pairs (see ``iv_scale``), so the image's least key is the
+    scaled low end of a's first pair and its greatest the scaled high end of
+    a's last pair; the image lies in one interval exactly when both of
+    those ends do."""
+    k = a.keys
+    if not k:
+        return True
+    if len(b.keys) > 2:
+        return iv_subset(iv_scale(a, c), b)
+    if not b.keys:
+        return False
+    dc, p1, p2 = _factors(c)
+    lo = _scaled_pair(k[0], k[1], p1, p2, c)[0]
+    hi = _scaled_pair(k[-2], k[-1], p1, p2, c)[1]
+    den = dc * a.den
+    both = lcm(den, b.den)
+    m, mb = both // den, both // b.den
+    bs, be = b.keys
+    return (2 * (bs >> 1) * mb + (bs & 1) <= 2 * (lo >> 1) * m + (lo & 1)
+            and 2 * (hi >> 1) * m + (hi & 1) <= 2 * (be >> 1) * mb + (be & 1))
 
 
 def iv_contains(a: IntervalSet, q) -> bool:

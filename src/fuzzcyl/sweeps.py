@@ -147,11 +147,11 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
 
     case selects the proof regime: "zero", "interior", or "one".  The
     candidate targets are computed once per topology and kept in its
-    ``__dict__``, outside its dataclass fields.
+    ``memo``.
     """
-    elems = topo.__dict__.get("_anchor_targets")
+    elems = topo.memo.get("anchor_targets")
     if elems is None:
-        elems = topo.__dict__["_anchor_targets"] = subbasis_elements(topo)
+        elems = topo.memo["anchor_targets"] = subbasis_elements(topo)
     for _ in range(max_tries):
         target = rng.choice(elems)
         if case == "zero":

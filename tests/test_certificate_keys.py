@@ -23,6 +23,14 @@ The integer realizer: ``_realize_clause`` works on integer numerators over
 one denominator (``FuzzyTopology.level_table``).  The reference is the
 ``Fraction`` realizer it replaced, on small clauses with mixed
 denominators, gamma -1, pi2 members alone, and ends that meet exactly.
+
+Box replay: ``verify_witness`` reads the time box's openness off its flags
+and compares two scaled ends per fiber with the realized target
+(``intervals.iv_scale_within``).  The reference is the replay it replaced:
+the box as an ``IntervalSet``, the whole image built and ``cyl_subset``
+against ``subbasis_realize``; its image is the part-by-part reference
+above, so that a fault in the per-pair scaling that ``iv_scale`` and the
+end test share cannot reach both sides.
 """
 
 import itertools
@@ -31,18 +39,38 @@ from fractions import Fraction as F
 
 import pytest
 
-from fuzzcyl import OpenExpr, h_image_of_box, open_realize, pi2, subbasis_realize, tstar
+from fuzzcyl import (
+    OpenExpr,
+    h_image_of_box,
+    open_realize,
+    pi2,
+    subbasis_realize,
+    tstar,
+    verify_witness,
+)
+from fuzzcyl.checks import sweep_retraction_on
 from fuzzcyl.cylinder import (
     CylinderOpen,
     _realize_clause,
     cyl_intersect,
+    cyl_subset,
     cyl_union,
     empty_cylinder,
     subbasis_elements,
     whole_cylinder,
 )
-from fuzzcyl.fuzzy import GroundSet
-from fuzzcyl.intervals import EMPTY_SET, Interval, canonical, make_interval
+from fuzzcyl.fuzzy import FuzzyTopology, GroundSet
+from fuzzcyl.intervals import (
+    EMPTY_SET,
+    Interval,
+    IntervalSet,
+    canonical,
+    is_open_in_unit,
+    iv_scale_within,
+    iv_subset,
+    make_interval,
+)
+from fuzzcyl.retraction import BoxWitness, CylPoint
 from fuzzcyl.sweeps import random_topology
 
 ZERO, ONE = F(0), F(1)
@@ -67,14 +95,15 @@ def ref_scaled_part(c, part):
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
+def ref_scaled(scale, fib):
+    parts = [ref_scaled_part(scale, part) for part in fib.parts]
+    return canonical(p for p in parts if p is not None)
+
+
 def ref_h_image_of_box(t_interval, region):
     scale = Interval(ONE - t_interval.hi, ONE - t_interval.lo,
                      t_interval.hi_closed, t_interval.lo_closed)
-    fibers = []
-    for fib in region.fibers:
-        parts = [ref_scaled_part(scale, part) for part in fib.parts]
-        fibers.append(canonical(p for p in parts if p is not None))
-    return CylinderOpen(region.ground, tuple(fibers))
+    return CylinderOpen(region.ground, tuple(ref_scaled(scale, fib) for fib in region.fibers))
 
 
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 12, 16, 32, 35)
@@ -298,3 +327,144 @@ def test_integer_realizer_matches_fraction_realizer():
                 v - e.gamma == lo for e in clause if e.kind == "tstar"
                 for v in topo.open_named(e.open_name).levels)
     assert min(seen.values()) >= 600, seen
+
+
+# ---------------------------------------------------------------------------
+# box replay
+
+
+def test_iv_scale_within_matches_the_built_image():
+    """Against ``iv_subset`` of the part-by-part image, for right-hand sets
+    that are empty, one pair (the end test) or several pairs (the
+    fallback), including b equal to the image itself."""
+    rng = random.Random(9_500)
+    verdicts = {(size, v): 0 for size in ("empty", "one", "more") for v in (True, False)}
+    for _ in range(150):
+        a = random_fiber(rng)
+        for box in time_boxes(rng):
+            scale = Interval(ONE - box.hi, ONE - box.lo, box.hi_closed, box.lo_closed)
+            image = ref_scaled(scale, a)
+            for b in (random_fiber(rng), random_fiber(rng), image, EMPTY_SET,
+                      canonical([random_part(rng, False)])):
+                got = iv_scale_within(a, scale, b)
+                assert got == iv_subset(image, b), (a, box, b)
+                size = "empty" if not b.keys else "one" if len(b.keys) == 2 else "more"
+                verdicts[size, got] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def ref_verify_witness(w, topo):
+    if not is_open_in_unit(IntervalSet((w.t_interval,))):
+        return False
+    if not w.t_interval.contains(w.anchor_t):
+        return False
+    if not w.region.fiber(w.anchor.x).contains(w.anchor.alpha):
+        return False
+    if open_realize(w.region_expr, topo) != w.region:
+        return False
+    return cyl_subset(ref_h_image_of_box(w.t_interval, w.region),
+                      subbasis_realize(w.target, topo))
+
+
+BELOW_ZERO = (F(-1), F(-1, 2), F(-1, 7))
+ABOVE_ZERO = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(5, 6))
+
+
+def replay_targets(rng, topo):
+    """pi2 targets with gamma below 0, at 0 and above 0; a tstar target at a
+    random gamma and one at gamma T(x) for some x, whose fiber over x is
+    empty."""
+    name = rng.choice([n for n, f in topo.items() if min(f.levels) < 1])
+    levels = [v for v in topo.open_named(name).levels if v < 1]
+    return [pi2(rng.choice(BELOW_ZERO)), pi2(ZERO), pi2(rng.choice(ABOVE_ZERO)),
+            tstar(rng.choice(topo.names), rng.choice(BELOW_ZERO + (ZERO,) + ABOVE_ZERO)),
+            tstar(name, rng.choice(levels))]
+
+
+def point_in(fib, rng):
+    part = rng.choice(fib.parts)
+    return part.lo if part.lo_closed else (part.lo + part.hi) / 2
+
+
+def time_in(box):
+    if box.lo_closed:
+        return box.lo
+    return box.hi if box.hi_closed else (box.lo + box.hi) / 2
+
+
+def gap_clauses(rng, topo):
+    """A clause below T(x) - g and one above a pi2 gamma b, perhaps capped
+    by another open: two key pairs over x where T(x) - g <= b."""
+    low = (tstar(rng.choice(topo.names), F(rng.randint(-4, 11), 12)),)
+    high = (pi2(F(rng.randint(0, 11), 12)),)
+    if rng.random() < 0.5:
+        high += (tstar(rng.choice(topo.names), F(rng.randint(-12, 0), 12)),)
+    return (low, high)
+
+
+def forged_witnesses(rng, topo, seen):
+    """Witnesses over a region of one to three clauses, half of them with a
+    gap (several key pairs per fiber), an anchor inside it, every box of
+    ``time_boxes`` with a time inside it, and each of ``replay_targets``."""
+    if rng.random() < 0.5:
+        expr = OpenExpr(gap_clauses(rng, topo))
+    else:
+        expr = OpenExpr(tuple(random_small_clause(rng, topo)
+                              for _ in range(rng.randint(1, 3))))
+    region = open_realize(expr, topo)
+    filled = [x for x, fib in zip(topo.ground.elements, region.fibers) if fib.keys]
+    if not filled:
+        return
+    x = rng.choice(filled)
+    anchor = CylPoint(x, point_in(region.fiber(x), rng))
+    multi_pair = any(len(fib.keys) > 2 for fib in region.fibers)
+    for target in replay_targets(rng, topo):
+        kinds = ["multi-pair region"] * multi_pair
+        if not all(fib.keys for fib in subbasis_realize(target, topo).fibers):
+            kinds.append("empty target fiber")
+        if target.kind == "pi2":
+            kinds.append("pi2 gamma " + ("<" if target.gamma < 0 else
+                                         "=" if target.gamma == 0 else ">") + " 0")
+        for box in time_boxes(rng):
+            for kind in kinds:
+                seen[kind] += 1
+            yield BoxWitness(box, expr, region, target, time_in(box), anchor)
+
+
+def closed_low_end(w):
+    """The witness with its box closed at the low end: not open in [0,1]
+    unless that end is 0, and otherwise as good as the original."""
+    t = w.t_interval
+    return BoxWitness(Interval(t.lo, t.hi, True, t.hi_closed), w.region_expr,
+                      w.region, w.target, w.anchor_t, w.anchor)
+
+
+def test_verify_witness_matches_the_built_image_replay():
+    """The same verdict as the reference on valid witnesses from
+    ``sweep_retraction_on`` and on forged ones (see ``forged_witnesses``
+    and ``closed_low_end``), each replayed on a freshly loaded topology so
+    that targets are realized anew.  Among the mutants this kills: the
+    first pair's high end taken for the last pair's, the high end
+    compared alone, the closed-0 rule of the scaling dropped, the high
+    flag closed when either factor's is, and the openness test of a closed
+    low end dropped."""
+    rng = random.Random(9_600)
+    seen = {"valid": 0, "forged accepted": 0, "forged rejected": 0,
+            "multi-pair region": 0, "empty target fiber": 0,
+            "pi2 gamma < 0": 0, "pi2 gamma = 0": 0, "pi2 gamma > 0": 0}
+    for _ in range(24):
+        topo = random_topology(rng, max_generators=2, max_den=8)
+        result, valid = sweep_retraction_on(topo, rng, anchors=30)
+        assert result.ok
+        forged = [closed_low_end(w) for w in valid]
+        for _ in range(4):
+            forged += forged_witnesses(rng, topo, seen)
+        replay = FuzzyTopology(topo.ground, topo.names, topo.opens)
+        for w in valid:
+            assert verify_witness(w, replay) and ref_verify_witness(w, replay)
+            seen["valid"] += 1
+        for w in forged:
+            verdict = verify_witness(w, replay)
+            assert verdict == ref_verify_witness(w, replay), w
+            seen["forged accepted" if verdict else "forged rejected"] += 1
+    assert min(seen.values()) >= 500, seen

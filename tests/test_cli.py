@@ -394,6 +394,50 @@ def test_numeric_flag_below_minimum_exits_2_before_running(monkeypatch, topo_fil
     assert run_cli([a.format(topo=topo_file) for a in argv]) == 2
 
 
+PARSER_SEQUENCE = [
+    ["cylinder", "--topology", "{topo}", "--open", "T1"],
+    ["cylinder", "--topology", "{topo}"],
+    ["laws", "--sweeps", "5", "--seed", "3", "--topology", "{topo}"],
+    ["laws"],
+    ["verify-retraction", "--topology", "{topo}", "--emit", "certs.json", "--sweeps", "7"],
+    ["verify-retraction", "--topology", "{topo}", "--replay", "certs.json"],
+    ["counterexample", "--elements", "a,b"],
+    ["counterexample"],
+    ["paths", "--grid-step", "1/8", "--sweeps", "2"],
+    ["oracle", "--resolution", "8"],
+    ["paths"],
+    ["decide-complement", "--topology", "{topo}", "--f", "T2", "--g", "T3"],
+    ["oracle"],
+]
+
+
+def test_one_parser_serves_every_call(capsys, topo_file):
+    """The parser is built once per process; each parse must give what a
+    freshly built parser gives, whatever the calls before it set."""
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    for argv in PARSER_SEQUENCE:
+        argv = [a.format(topo=topo_file) for a in argv]
+        fresh = cli.build_parser.__wrapped__()
+        assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv)), argv
+    # the same through main: an --open given once is not remembered
+    code, one = run(capsys, "cylinder", "--topology", topo_file, "--open", "T1")
+    assert code == 0 and list(one) == ["T1"]
+    code, every = run(capsys, "cylinder", "--topology", topo_file)
+    assert code == 0 and list(every) == ["T0", "T1", "T2", "T3"]
+    code, report = run(capsys, "counterexample", "--elements", "a,b")
+    code, default = run(capsys, "counterexample")
+    assert report != default
+    assert main(["--help"]) == 0
+    assert main(["cylinder", "--help"]) == 0
+    capsys.readouterr()
+    assert run_cli(["validate", "--topology", topo_file]) == 0
+    assert run_cli(["validate", "--topology", topo_file, "--bogus"]) == 2
+    assert run_cli(["laws", "--sweeps", "0"]) == 2
+    assert run_cli(["validate"]) == 2
+    assert run_cli(["validate", "--topology", topo_file]) == 0
+
+
 @pytest.mark.parametrize("values", [(False, True), (0, 0.5)])
 def test_json_booleans_and_floats_are_not_rationals(tmp_path, values):
     path = write_topology(tmp_path, {

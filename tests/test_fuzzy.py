@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from fuzzcyl import (
     fz_meet,
     ground,
 )
+from fuzzcyl.fuzzy import ValidationReport
+from fuzzcyl.sweeps import random_fuzzy, random_topology
 
 F = Fraction
 AB = ground("a", "b")
@@ -137,3 +140,70 @@ def test_level_table_numerators_over_the_common_denominator():
     assert topo.level_table is topo.level_table
     assert FuzzyTopology.from_json(topo.to_json()) == topo
     assert fz_generate_topology([], AB).level_table == (1, ((0, 0), (1, 1)))
+
+
+def ref_fz_is_topology(family):
+    """The check that ``fz_is_topology`` replaced: a validated ``FuzzySet``
+    for the meet and the join of every pair, looked up among hashed tuples
+    of ``Fraction`` levels."""
+    if not family:
+        return ValidationReport(False, (("empty-family",),))
+    gs = family[0].ground
+    members = set(f.levels for f in family)
+    problems = []
+    if FuzzySet.constant(gs, 0).levels not in members:
+        problems.append(("missing-constant-0",))
+    if FuzzySet.constant(gs, 1).levels not in members:
+        problems.append(("missing-constant-1",))
+    for i, a in enumerate(family):
+        for b in family[i:]:
+            if fz_meet(a, b).levels not in members:
+                problems.append(("meet-missing", repr(a), repr(b)))
+            if fz_join([a, b]).levels not in members:
+                problems.append(("join-missing", repr(a), repr(b)))
+    return ValidationReport(not problems, tuple(problems))
+
+
+def random_family(rng):
+    """A random topology's opens, shuffled, then perhaps with members
+    dropped (a constant, or a meet or join of others), random members
+    added, a member repeated, or a level given as an int."""
+    opens = list(random_topology(rng, max_den=rng.choice((4, 12, 32))).opens)
+    rng.shuffle(opens)
+    roll = rng.random()
+    if roll < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            if len(opens) > 1:
+                del opens[rng.randrange(len(opens))]
+    elif roll < 0.75:
+        gs = opens[0].ground
+        for _ in range(rng.randint(1, 2)):
+            opens.insert(rng.randrange(len(opens) + 1), random_fuzzy(rng, gs, 12))
+    if rng.random() < 0.2:
+        opens.append(rng.choice(opens))
+    if rng.random() < 0.2:
+        f = opens.pop(rng.randrange(len(opens)))
+        opens.append(FuzzySet(f.ground, tuple(int(v) if v.denominator == 1 else v
+                                              for v in f.levels)))
+    return opens
+
+
+def test_integer_validation_matches_the_fraction_check():
+    """The same report, problem order and reprs as the Fraction check on
+    random families, valid ones and ones that miss a constant, a meet or a
+    join."""
+    rng = random.Random(1_414)
+    seen = {"ok": 0, "missing-constant-0": 0, "missing-constant-1": 0,
+            "meet-missing": 0, "join-missing": 0}
+    for _ in range(600):
+        family = random_family(rng)
+        report = fz_is_topology(family)
+        expect = ref_fz_is_topology(family)
+        assert report == expect
+        assert repr(report) == repr(expect)
+        assert report.summary() == expect.summary()
+        seen["ok"] += report.ok
+        for kind in {p[0] for p in report.problems}:
+            seen[kind] += 1
+    assert fz_is_topology([]) == ref_fz_is_topology([])
+    assert min(seen.values()) >= 30, seen

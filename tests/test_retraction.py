@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzcyl import checks
+from fuzzcyl import checks, retraction
 from fuzzcyl import (
     FuzzySet,
     Interval,
@@ -25,7 +25,15 @@ from fuzzcyl import (
     verify_witness,
     whole_cylinder,
 )
-from fuzzcyl.cylinder import CylinderOpen
+from fuzzcyl.cylinder import (
+    CylinderOpen,
+    complement_compat,
+    psi_star,
+    recover_membership,
+    subbasis_elements,
+    verify_psi_laws,
+)
+from fuzzcyl.fuzzy import FuzzyTopology
 from fuzzcyl.intervals import EMPTY_SET
 from fuzzcyl.retraction import BoxWitness, CylPoint
 from fuzzcyl.sweeps import random_anchor, random_point, random_topology
@@ -237,3 +245,53 @@ def test_witness_json_round_trip():
     again = BoxWitness.from_json(topo.ground, w.to_json())
     assert again == w
     assert verify_witness(again, topo)
+
+
+def test_memo_is_created_on_first_use():
+    # the law checks derive nothing to keep, so a topology they alone
+    # touch carries no memo; the certificate path creates it once
+    rng = random.Random(8)
+    for _ in range(20):
+        topo = random_topology(rng)
+        verify_psi_laws(topo)
+        ledger = checks.OracleLedger()
+        for name, f in topo.items():
+            image = psi_star(f)
+            recover_membership(image)
+            complement_compat(f)
+            ledger.add(name, image, checks.psi_predicate(f))
+        assert ledger.verify(16).ok
+        subbasis_elements(topo)
+        assert "memo" not in topo.__dict__
+        assert random_anchor(rng, topo, "interior") is not None
+        memo = topo.memo
+        assert memo == {"anchor_targets": subbasis_elements(topo)}
+        checks.sweep_retraction_on(topo, rng, anchors=6)
+        assert topo.memo is memo
+        assert FuzzyTopology(topo.ground, topo.names, topo.opens) == topo
+
+
+def test_each_target_is_realized_once_per_loaded_topology(monkeypatch):
+    # the witness precondition, the check at emit and the replay all read
+    # one realization per distinct target; a topology loaded again for the
+    # replay realizes each of its certificates' targets once more
+    calls = []
+
+    def counted(e, topo):
+        calls.append(e)
+        return subbasis_realize(e, topo)
+
+    monkeypatch.setattr(retraction, "subbasis_realize", counted)
+    rng = random.Random(9)
+    for _ in range(10):
+        topo = random_topology(rng, max_generators=2, max_den=8)
+        calls.clear()
+        result, witnesses = checks.sweep_retraction_on(topo, rng, anchors=60)
+        assert result.ok and len(witnesses) == 60
+        targets = {w.target for w in witnesses}
+        assert sorted(map(repr, calls)) == sorted(map(repr, targets))
+        calls.clear()
+        replay = FuzzyTopology(topo.ground, topo.names, topo.opens)
+        assert all(verify_witness(w, replay) for w in witnesses)
+        assert all(verify_witness(w, replay) for w in witnesses)
+        assert sorted(map(repr, calls)) == sorted(map(repr, targets))

@@ -107,28 +107,34 @@ def comparable(relation: dict[str, set[str]], a: str, b: str) -> bool:
     return b in relation[a] or a in relation[b]
 
 
+def _reached(relation: dict[str, set[str]], elements, start: str) -> dict[str, str]:
+    """Breadth-first walk of the comparability graph from ``start``: each
+    reached element, in the order reached, mapped to the element it was
+    first reached from (``start`` to itself)."""
+    prev = {start: start}
+    queue = [start]
+    for cur in queue:
+        for y in elements:
+            if y not in prev and comparable(relation, cur, y):
+                prev[y] = cur
+                queue.append(y)
+    return prev
+
+
 def connected_components(ft: FiniteTopology) -> tuple[tuple[str, ...], ...]:
     """Components of the comparability graph of the specialization preorder.
 
     For finite spaces these coincide with the path components.
     """
     relation = specialization_preorder(ft)
-    elements = list(ft.ground.elements)
+    elements = ft.ground.elements
     seen: set[str] = set()
     components = []
     for x in elements:
-        if x in seen:
-            continue
-        comp = {x}
-        frontier = [x]
-        while frontier:
-            cur = frontier.pop()
-            for y in elements:
-                if y not in comp and comparable(relation, cur, y):
-                    comp.add(y)
-                    frontier.append(y)
-        seen |= comp
-        components.append(tuple(e for e in elements if e in comp))
+        if x not in seen:
+            comp = _reached(relation, elements, x)
+            seen.update(comp)
+            components.append(tuple(e for e in elements if e in comp))
     return tuple(components)
 
 
@@ -152,24 +158,15 @@ def check_pc_lpc(topo: FuzzyTopology) -> ConnectivityReport:
 
 
 def fence_between(ft: FiniteTopology, a: str, b: str) -> Optional[tuple[str, ...]]:
-    """A fence (sequence of consecutively comparable elements) from a to b."""
-    relation = specialization_preorder(ft)
-    if a == b:
-        return (a,)
-    prev: dict[str, str] = {a: a}
-    frontier = [a]
-    while frontier:
-        cur = frontier.pop(0)
-        for y in ft.ground.elements:
-            if y not in prev and comparable(relation, cur, y):
-                prev[y] = cur
-                if y == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(prev[path[-1]])
-                    return tuple(reversed(path))
-                frontier.append(y)
-    return None
+    """A shortest fence (sequence of consecutively comparable elements) from
+    a to b, read back along the walk from a; None when b is not reached."""
+    prev = _reached(specialization_preorder(ft), ft.ground.elements, a)
+    if b not in prev:
+        return None
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))
 
 
 def component_cylinder_expr(topo: FuzzyTopology, component: tuple[str, ...]) -> OpenExpr:

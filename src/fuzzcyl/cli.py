@@ -312,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate or replay continuity certificates")
     common(p)
     sweep_flags(p)
-    p.add_argument("--emit", help="write generated certificates to this file")
-    p.add_argument("--replay", help="verify certificates from this file")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--emit", help="write generated certificates to this file")
+    mode.add_argument("--replay", help="verify certificates from this file")
 
     p = sub.add_parser("paths", help="path-calculus identity sweeps")
     sweep_flags(p)

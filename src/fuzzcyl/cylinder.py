@@ -100,18 +100,17 @@ def psi_star(f: FuzzySet) -> CylinderOpen:
 
 
 def recover_membership(c: CylinderOpen) -> FuzzySet:
-    """Invert psi_star by taking fiber suprema; sup of an empty fiber is 0."""
+    """Invert psi_star by taking fiber suprema; sup of an empty fiber is 0.
+    A nonempty fiber has down-set shape exactly when it is [0, sup)."""
     values = []
     for x, fib in zip(c.ground.elements, c.fibers):
-        if fib.is_empty():
+        sup = iv_supremum(fib)
+        if sup is None:
             values.append(ZERO)
             continue
-        if len(fib.parts) != 1:
+        if fib != make_interval(0, sup, True, False):
             raise ValueError(f"fiber at {x!r} is not of down-set shape: {fib!r}")
-        part = fib.parts[0]
-        if part.lo != ZERO or not part.lo_closed or part.hi_closed:
-            raise ValueError(f"fiber at {x!r} is not of down-set shape: {fib!r}")
-        values.append(iv_supremum(fib))
+        values.append(sup)
     return FuzzySet(c.ground, tuple(values))
 
 

@@ -67,6 +67,9 @@ class FuzzySet:
         missing = [x for x in gs.elements if x not in values]
         if missing:
             raise ValueError(f"missing membership values for {missing}")
+        unknown = sorted(x for x in values if x not in gs.elements)
+        if unknown:
+            raise ValueError(f"membership values for unknown elements {unknown}")
         return FuzzySet(gs, tuple(frac(values[x]) for x in gs.elements))
 
     @staticmethod

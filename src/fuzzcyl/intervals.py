@@ -11,11 +11,13 @@ it, so a closed lower or open upper end is 2n and an open lower or closed
 upper end 2n+1.  ``keys`` is a strictly increasing, even-length tuple of
 half-open [start, end) pairs, and J is [0, 2·den).  Union, intersection and
 subset make one linear merge over a common denominator, the complement in J
-toggles against [0, 2·den), the image under a scale interval maps each pair
-and makes one merge (and lies in one interval when its two outer scaled ends
-do, ``iv_scale_within``), and membership is one bisection, also at each
-level k/N of a grid (``iv_grid``).  Results are reduced to the least
-denominator, so structural equality is set equality.
+toggles against [0, 2·den), the reflection q -> 1 - q of a parameter set
+maps each key k to 2·den + 1 - k (``iv_reflect``), the image under a
+one-pair scale set maps each pair and makes one merge (and lies in one
+interval when its two outer scaled ends do, ``iv_scale_within``), and
+membership is one bisection, also at each level k/N of a grid
+(``iv_grid``).  Results are reduced to the least denominator, so
+structural equality is set equality.
 """
 
 from __future__ import annotations
@@ -280,63 +282,61 @@ def iv_complement_in_J(a: IntervalSet) -> IntervalSet:
     return _make(a.den, tuple(keys))
 
 
-def _factors(c: Interval) -> tuple[int, int, int]:
-    """(dc, p1, p2) with C = [p1, p2]/dc over the lcm of its ends' denominators."""
-    dc = lcm(c.lo.denominator, c.hi.denominator)
-    return (dc, c.lo.numerator * (dc // c.lo.denominator),
-            c.hi.numerator * (dc // c.hi.denominator))
+def iv_reflect(t: IntervalSet) -> IntervalSet:
+    """The set {1 - q : q in t} of a parameter set in [0,1]: each key k maps
+    to 2·den + 1 - k, in reverse order, turning a closed (open) lower end
+    into a closed (open) upper one.  The numerators n become den - n, whose
+    gcd with den is theirs, so den stays least."""
+    top = 2 * t.den + 1
+    return _make(t.den, tuple(top - k for k in reversed(t.keys)))
 
 
-def _scaled_pair(s: int, e: int, p1: int, p2: int, c: Interval) -> tuple[int, int]:
-    """The key pair of the image of one pair [s, e) under C = [p1, p2]/dc,
-    over dc times the pair's denominator, by the flag rules of ``iv_scale``."""
-    lo, hi = p1 * (s >> 1), p2 * (e >> 1)
+def _scaled_pair(s: int, e: int, cs: int, ce: int) -> tuple[int, int]:
+    """The key pair of the image of one pair [s, e) under the one-pair scale
+    set with keys (cs, ce), over the product of their denominators, by the
+    flag rules of ``iv_scale``."""
+    lo, hi = (cs >> 1) * (s >> 1), (ce >> 1) * (e >> 1)
     if hi == 0:
         return 0, 1
-    if lo:
-        lo_open = s & 1 or not c.lo_closed
-    else:
-        lo_open = not ((p1 == 0 and c.lo_closed) or s == 0)
-    return 2 * lo + lo_open, 2 * hi + (e & 1 and c.hi_closed)
+    lo_open = (s | cs) & 1 if lo else cs != 0 and s != 0
+    return 2 * lo + lo_open, 2 * hi + (e & ce & 1)
 
 
-def iv_scale(a: IntervalSet, c: Interval) -> IntervalSet:
-    """Exact image {c·v : c in C, v in a} under a nonnegative scale interval
-    C = [p1, p2]/dc, pair by pair over dc·den.  Numerators u <= v map to
-    p1·u and p2·v.  The high end is closed when both factors' are; the low
-    end likewise, except at 0, which it holds when either factor attains 0.
-    A pair whose high end is 0 maps to {0}.  The images start in the order
-    of their pairs (strictly increasing u unless p1 = 0, when only the first
-    pair can start closed), so one merge canonicalizes them."""
-    dc, p1, p2 = _factors(c)
+def iv_scale(a: IntervalSet, c: IntervalSet) -> IntervalSet:
+    """Exact image {c·v : c in C, v in a} under a nonnegative one-pair scale
+    set C = [p1, p2]/dc, pair by pair over dc·den.  Numerators u <= v map
+    to p1·u and p2·v.  The high end is closed when both factors' are; the
+    low end likewise, except at 0, which it holds when either factor attains
+    0.  A pair whose high end is 0 maps to {0}.  The images start in the
+    order of their pairs (strictly increasing u unless p1 = 0, when only the
+    first pair can start closed), so one merge canonicalizes them."""
+    cs, ce = c.keys
     k = a.keys
     keys: list[int] = []
     for s, e in zip(k[::2], k[1::2]):
-        keys += _scaled_pair(s, e, p1, p2, c)
-    return _reduced(dc * a.den, _merge(keys, ()))
+        keys += _scaled_pair(s, e, cs, ce)
+    return _reduced(c.den * a.den, _merge(keys, ()))
 
 
-def iv_scale_within(a: IntervalSet, c: Interval, b: IntervalSet) -> bool:
-    """``iv_subset(iv_scale(a, c), b)``, without building the image when b
-    is at most one pair.  The images of a's pairs start and end in the
-    order of the pairs (see ``iv_scale``), so the image's least key is the
-    scaled low end of a's first pair and its greatest the scaled high end of
-    a's last pair; the image lies in one interval exactly when both of
-    those ends do."""
+def iv_scale_within(a: IntervalSet, c: IntervalSet, b: IntervalSet) -> bool:
+    """``iv_subset(iv_scale(a, c), b)`` for b empty or one pair, without
+    building the image.  The images of a's pairs start and end in the order
+    of the pairs (see ``iv_scale``), so the image's least key is the scaled
+    low end of a's first pair and its greatest the scaled high end of a's
+    last pair; the image lies in b exactly when both of those ends do.  A
+    b of several pairs raises ``ValueError``."""
     k = a.keys
     if not k:
         return True
-    if len(b.keys) > 2:
-        return iv_subset(iv_scale(a, c), b)
     if not b.keys:
         return False
-    dc, p1, p2 = _factors(c)
-    lo = _scaled_pair(k[0], k[1], p1, p2, c)[0]
-    hi = _scaled_pair(k[-2], k[-1], p1, p2, c)[1]
-    den = dc * a.den
+    bs, be = b.keys
+    cs, ce = c.keys
+    lo = _scaled_pair(k[0], k[1], cs, ce)[0]
+    hi = _scaled_pair(k[-2], k[-1], cs, ce)[1]
+    den = c.den * a.den
     both = lcm(den, b.den)
     m, mb = both // den, both // b.den
-    bs, be = b.keys
     return (2 * (bs >> 1) * mb + (bs & 1) <= 2 * (lo >> 1) * m + (lo & 1)
             and 2 * (hi >> 1) * m + (hi & 1) <= 2 * (be >> 1) * mb + (be & 1))
 

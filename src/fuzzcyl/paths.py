@@ -305,24 +305,14 @@ def first_difference(grid: Sequence[Fraction], row: Sequence,
 
 
 def eval_path(e: PathExpr, u) -> CylPoint:
-    x, n, d = eval_key(e, u)
+    x, n, d = eval_keys(e, (u,))[0]
     return CylPoint(x, Fraction(n, d))
-
-
-def eval_key(e: PathExpr, u) -> tuple[str, int, int]:
-    """``eval_path`` as the exact key ``(x, n, d)`` of the point (x, n/d)."""
-    return eval_keys(e, (u,))[0]
 
 
 def chi_eval(rho: PathExpr, s, t, eta, x) -> CylPoint:
     """The square free homotopy value H(kappa(s,t)(x), rho(eta))."""
-    y, n, d = chi_key(rho, s, t, eta, x)
+    y, n, d = chi_keys(rho, s, t, (eta,), (x,))[0][0]
     return CylPoint(y, Fraction(n, d))
-
-
-def chi_key(rho: PathExpr, s, t, eta, x) -> tuple[str, int, int]:
-    """``chi_eval`` as the exact key ``(x, n, d)`` of the point (x, n/d)."""
-    return chi_keys(rho, s, t, (eta,), (x,))[0][0]
 
 
 def chi_boundary(rho: PathExpr, s, t, end: int) -> VerticalAffine:

@@ -22,7 +22,16 @@ from .cylinder import (
     tstar,
 )
 from .fuzzy import FuzzyTopology, GroundSet
-from .intervals import EMPTY_SET, Interval, iv_scale, iv_scale_within, singleton
+from .intervals import (
+    EMPTY_SET,
+    IntervalSet,
+    is_open_in_unit,
+    iv_reflect,
+    iv_scale,
+    iv_scale_within,
+    make_unit_interval,
+    singleton,
+)
 from .rationals import ONE, ZERO, format_rational, frac, unit
 
 
@@ -57,16 +66,10 @@ def h_eval(t, p: CylPoint) -> CylPoint:
     return CylPoint(p.x, (ONE - t) * p.alpha)
 
 
-def _scale(t_interval: Interval) -> Interval:
-    """The interval of factors 1 - t over the box's times."""
-    return Interval(ONE - t_interval.hi, ONE - t_interval.lo,
-                    t_interval.hi_closed, t_interval.lo_closed)
-
-
-def h_image_of_box(t_interval: Interval, region: CylinderOpen) -> CylinderOpen:
+def h_image_of_box(t_interval: IntervalSet, region: CylinderOpen) -> CylinderOpen:
     """Exact image of a product box under the homotopy: each fiber scaled
-    by the interval of factors 1 - t over the box's times."""
-    scale = _scale(t_interval)
+    by the factors 1 - t over the box's one-pair time set."""
+    scale = iv_reflect(t_interval)
     return CylinderOpen(region.ground, tuple(iv_scale(fib, scale) for fib in region.fibers))
 
 
@@ -82,9 +85,11 @@ def realized_target(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:
 
 @dataclass(frozen=True)
 class BoxWitness:
-    """A continuity certificate for the homotopy at one anchor."""
+    """A continuity certificate for the homotopy at one anchor.  The time
+    box ``t_interval`` is a one-pair parameter set, written in JSON as its
+    single interval."""
 
-    t_interval: Interval
+    t_interval: IntervalSet
     region_expr: OpenExpr
     region: CylinderOpen
     target: SubbasisElem
@@ -93,7 +98,7 @@ class BoxWitness:
 
     def to_json(self) -> dict:
         return {
-            "t_interval": self.t_interval.to_json(),
+            "t_interval": self.t_interval.to_json()[0],
             "region_expr": self.region_expr.to_json(),
             "region": self.region.to_json(),
             "target": self.target.to_json(),
@@ -104,11 +109,11 @@ class BoxWitness:
     @staticmethod
     def from_json(gs: GroundSet, doc: dict) -> "BoxWitness":
         return BoxWitness(
-            Interval.from_json(doc["t_interval"]),
+            IntervalSet.from_json([doc["t_interval"]]),
             OpenExpr.from_json(doc["region_expr"]),
             CylinderOpen.from_json(gs, doc["region"]),
             SubbasisElem.from_json(doc["target"]),
-            frac(doc["anchor_t"]),
+            unit(frac(doc["anchor_t"]), "homotopy time"),
             CylPoint.from_json(doc["anchor"]),
         )
 
@@ -116,7 +121,7 @@ class BoxWitness:
 def _witness(t_lo, t_hi, lo_closed, hi_closed, clause, topo, target, t, p) -> BoxWitness:
     expr = OpenExpr((tuple(clause),))
     return BoxWitness(
-        t_interval=Interval(frac(t_lo), frac(t_hi), lo_closed, hi_closed),
+        t_interval=make_unit_interval(t_lo, t_hi, lo_closed, hi_closed),
         region_expr=expr,
         region=open_realize(expr, topo),
         target=target,
@@ -194,22 +199,19 @@ def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
     anchor containment, region realizability, and exact image containment in
     the target.
 
-    The box is open in [0,1] when a closed low end is 0 and a closed high
-    end is 1.  The image is never built: over each element the realized
-    target (``realized_target``) is one interval or empty, and the fiber's
-    image under the factors 1 - t lies in it exactly when two scaled ends
-    do, the low end of the fiber's first key pair and the high end of its
-    last (``iv_scale_within``)."""
+    The image is never built: over each element the realized target
+    (``realized_target``) is one interval or empty, and the fiber's image
+    under the factors 1 - t lies in it exactly when two scaled ends do, the
+    low end of the fiber's first key pair and the high end of its last
+    (``iv_scale_within``)."""
     t = w.t_interval
-    if (t.lo_closed and t.lo != ZERO) or (t.hi_closed and t.hi != ONE):
-        return False
-    if not t.contains(w.anchor_t):
+    if not (is_open_in_unit(t) and t.contains(w.anchor_t)):
         return False
     if not w.region.fiber(w.anchor.x).contains(w.anchor.alpha):
         return False
     if open_realize(w.region_expr, topo) != w.region:
         return False
-    scale = _scale(t)
+    scale = iv_reflect(t)
     target = realized_target(w.target, topo)
     return all(iv_scale_within(a, scale, b)
                for a, b in zip(w.region.fibers, target.fibers))

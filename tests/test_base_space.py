@@ -20,6 +20,7 @@ from fuzzcyl import (
     specialization_preorder,
 )
 from fuzzcyl.intervals import EMPTY_SET, WHOLE_J
+from fuzzcyl.base_space import close_under_ops, comparable
 from fuzzcyl.sweeps import random_topology
 
 F = Fraction
@@ -119,6 +120,76 @@ def test_fence_between():
     discrete = iota_x(fz_generate_topology(
         [fz_indicator(["a"], AB), fz_indicator(["b"], AB)], AB))
     assert fence_between(discrete, "a", "b") is None
+
+
+def ref_connected_components(ft):
+    """Components by a depth-first walk of the comparability graph."""
+    relation = specialization_preorder(ft)
+    elements = list(ft.ground.elements)
+    seen = set()
+    components = []
+    for x in elements:
+        if x in seen:
+            continue
+        comp = {x}
+        frontier = [x]
+        while frontier:
+            cur = frontier.pop()
+            for y in elements:
+                if y not in comp and comparable(relation, cur, y):
+                    comp.add(y)
+                    frontier.append(y)
+        seen |= comp
+        components.append(tuple(e for e in elements if e in comp))
+    return tuple(components)
+
+
+def ref_fence_between(ft, a, b):
+    """A fence by a breadth-first walk that stops on reaching b."""
+    relation = specialization_preorder(ft)
+    if a == b:
+        return (a,)
+    prev = {a: a}
+    frontier = [a]
+    while frontier:
+        cur = frontier.pop(0)
+        for y in ft.ground.elements:
+            if y not in prev and comparable(relation, cur, y):
+                prev[y] = cur
+                if y == b:
+                    path = [b]
+                    while path[-1] != a:
+                        path.append(prev[path[-1]])
+                    return tuple(reversed(path))
+                frontier.append(y)
+    return None
+
+
+def walk_spaces(rng):
+    """The bases of random fuzzy topologies, and finite topologies
+    generated by random subsets of up to six points, many disconnected."""
+    for _ in range(150):
+        yield iota_x(random_topology(rng))
+    for _ in range(350):
+        gs = ground(*"abcdef"[:rng.randint(1, 6)])
+        full = (1 << len(gs.elements)) - 1
+        yield close_under_ops(gs, {rng.randint(0, full) for _ in range(rng.randint(0, 4))})
+
+
+def test_walk_matches_the_depth_and_breadth_first_walks():
+    rng = random.Random(9_900)
+    seen = {"disconnected": 0, "no fence": 0, "fence of 3 or more": 0}
+    for ft in walk_spaces(rng):
+        comps = connected_components(ft)
+        assert comps == ref_connected_components(ft), ft
+        seen["disconnected"] += len(comps) > 1
+        for a in ft.ground.elements:
+            for b in ft.ground.elements:
+                fence = fence_between(ft, a, b)
+                assert fence == ref_fence_between(ft, a, b), (ft, a, b)
+                seen["no fence"] += fence is None
+                seen["fence of 3 or more"] += fence is not None and len(fence) >= 3
+    assert min(seen.values()) >= 50, seen
 
 
 def test_component_cylinder_expr_separates():

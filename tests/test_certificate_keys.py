@@ -24,13 +24,14 @@ one denominator (``FuzzyTopology.level_table``).  The reference is the
 ``Fraction`` realizer it replaced, on small clauses with mixed
 denominators, gamma -1, pi2 members alone, and ends that meet exactly.
 
-Box replay: ``verify_witness`` reads the time box's openness off its flags
-and compares two scaled ends per fiber with the realized target
-(``intervals.iv_scale_within``).  The reference is the replay it replaced:
-the box as an ``IntervalSet``, the whole image built and ``cyl_subset``
-against ``subbasis_realize``; its image is the part-by-part reference
-above, so that a fault in the per-pair scaling that ``iv_scale`` and the
-end test share cannot reach both sides.
+Box replay: the time box is a one-pair ``IntervalSet``; ``verify_witness``
+checks it with ``is_open_in_unit`` and ``contains``, and compares two
+scaled ends per fiber with the realized target
+(``intervals.iv_scale_within``).  The reference is the replay that builds
+the whole image: the box's ``Interval`` part, the image built and
+``cyl_subset`` against ``subbasis_realize``; its image is the part-by-part
+reference above, so that a fault in the per-pair scaling that ``iv_scale``
+and the end test share cannot reach both sides.
 """
 
 import itertools
@@ -168,7 +169,8 @@ def test_h_image_of_box_matches_scaled_parts(seed):
     for _ in range(150):
         region = random_region(rng)
         for box in time_boxes(rng):
-            same_open(h_image_of_box(box, region), ref_h_image_of_box(box, region))
+            same_open(h_image_of_box(IntervalSet((box,)), region),
+                      ref_h_image_of_box(box, region))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +337,11 @@ def test_integer_realizer_matches_fraction_realizer():
 
 def test_iv_scale_within_matches_the_built_image():
     """Against ``iv_subset`` of the part-by-part image, for right-hand sets
-    that are empty, one pair (the end test) or several pairs (the
-    fallback), including b equal to the image itself."""
+    that are empty or one pair, including b equal to the image itself; a b
+    of several pairs raises when a is nonempty."""
     rng = random.Random(9_500)
-    verdicts = {(size, v): 0 for size in ("empty", "one", "more") for v in (True, False)}
+    verdicts = {(size, v): 0 for size in ("empty", "one") for v in (True, False)}
+    verdicts["more", "raises"] = 0
     for _ in range(150):
         a = random_fiber(rng)
         for box in time_boxes(rng):
@@ -346,23 +349,29 @@ def test_iv_scale_within_matches_the_built_image():
             image = ref_scaled(scale, a)
             for b in (random_fiber(rng), random_fiber(rng), image, EMPTY_SET,
                       canonical([random_part(rng, False)])):
-                got = iv_scale_within(a, scale, b)
+                if len(b.keys) > 2:
+                    if a.keys:
+                        with pytest.raises(ValueError):
+                            iv_scale_within(a, IntervalSet((scale,)), b)
+                        verdicts["more", "raises"] += 1
+                    continue
+                got = iv_scale_within(a, IntervalSet((scale,)), b)
                 assert got == iv_subset(image, b), (a, box, b)
-                size = "empty" if not b.keys else "one" if len(b.keys) == 2 else "more"
-                verdicts[size, got] += 1
+                verdicts["empty" if not b.keys else "one", got] += 1
     assert min(verdicts.values()) >= 50, verdicts
 
 
 def ref_verify_witness(w, topo):
-    if not is_open_in_unit(IntervalSet((w.t_interval,))):
+    (box,) = w.t_interval.parts
+    if not is_open_in_unit(IntervalSet((box,))):
         return False
-    if not w.t_interval.contains(w.anchor_t):
+    if not box.contains(w.anchor_t):
         return False
     if not w.region.fiber(w.anchor.x).contains(w.anchor.alpha):
         return False
     if open_realize(w.region_expr, topo) != w.region:
         return False
-    return cyl_subset(ref_h_image_of_box(w.t_interval, w.region),
+    return cyl_subset(ref_h_image_of_box(box, w.region),
                       subbasis_realize(w.target, topo))
 
 
@@ -428,15 +437,16 @@ def forged_witnesses(rng, topo, seen):
         for box in time_boxes(rng):
             for kind in kinds:
                 seen[kind] += 1
-            yield BoxWitness(box, expr, region, target, time_in(box), anchor)
+            yield BoxWitness(IntervalSet((box,)), expr, region, target,
+                             time_in(box), anchor)
 
 
 def closed_low_end(w):
     """The witness with its box closed at the low end: not open in [0,1]
     unless that end is 0, and otherwise as good as the original."""
-    t = w.t_interval
-    return BoxWitness(Interval(t.lo, t.hi, True, t.hi_closed), w.region_expr,
-                      w.region, w.target, w.anchor_t, w.anchor)
+    (t,) = w.t_interval.parts
+    return BoxWitness(IntervalSet((Interval(t.lo, t.hi, True, t.hi_closed),)),
+                      w.region_expr, w.region, w.target, w.anchor_t, w.anchor)
 
 
 def test_verify_witness_matches_the_built_image_replay():

@@ -156,8 +156,10 @@ def test_replay_rejects_unknown_names(capsys, tmp_path, topo_file, forge):
     lambda w: w.update(target={"kind": "pi2", "gamma": "0", "open": "zz"}),
     lambda w: w["region_expr"][0].append({"kind": "pi2", "gamma": "0", "open": "T1"}),
     lambda w: w["target"].update(gamma=0.5),
+    lambda w: w.update(anchor_t="2"),
+    lambda w: w.update(anchor_t="-1/2"),
 ], ids=["fiber-outside-ground-set", "pi2-target-with-open", "pi2-member-with-open",
-        "inexact-gamma"])
+        "inexact-gamma", "anchor-time-above-1", "anchor-time-below-0"])
 def test_replay_rejects_malformed_fields(capsys, tmp_path, topo_file, forge):
     cert = tmp_path / "certs.json"
     code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
@@ -314,6 +316,31 @@ def test_non_string_open_name_exits_2(tmp_path, command):
     doc["opens"][1]["name"] = []
     path = write_topology(tmp_path, doc)
     assert run_cli([command, "--topology", path]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "cylinder"])
+def test_membership_values_for_unknown_elements_exit_2(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(TOPO))
+    doc["opens"][0]["values"].update(zz="oops", c="0")
+    path = write_topology(tmp_path, doc)
+    assert main([command, "--topology", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: malformed topology file: membership values "
+                            "for unknown elements ['c', 'zz']\n")
+
+
+def test_emit_and_replay_are_exclusive(monkeypatch, tmp_path, topo_file):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran with both --emit and --replay")
+
+    monkeypatch.setattr(cli, "sweep_retraction_on", no_run)
+    monkeypatch.setattr(cli, "_load_topology", no_run)
+    emit = tmp_path / "a.json"
+    for flags in (["--emit", str(emit), "--replay", "b.json"],
+                  ["--replay", "b.json", "--emit", str(emit)]):
+        assert run_cli(["verify-retraction", "--topology", topo_file, *flags]) == 2
+    assert not emit.exists()
 
 
 def test_ground_set_must_be_an_array(tmp_path):

@@ -30,7 +30,7 @@ from fuzzcyl import (
 from fuzzcyl import cylinder
 from fuzzcyl.cylinder import CylinderOpen, LawReport
 from fuzzcyl.fuzzy import fz_join, fz_meet
-from fuzzcyl.intervals import EMPTY_SET
+from fuzzcyl.intervals import EMPTY_SET, Interval, canonical, make_unit_interval
 from fuzzcyl.sweeps import random_topology
 
 F = Fraction
@@ -72,6 +72,70 @@ def test_recover_membership_rejects_bad_shape():
     up = make_interval(F(1, 3), 1, False, False)
     with pytest.raises(ValueError):
         recover_membership(CylinderOpen(AB, (up, up)))
+
+
+def ref_recover_membership(c):
+    """``recover_membership`` reading the canonical ``Interval`` parts."""
+    values = []
+    for x, fib in zip(c.ground.elements, c.fibers):
+        if fib.is_empty():
+            values.append(F(0))
+            continue
+        if len(fib.parts) != 1:
+            raise ValueError(f"fiber at {x!r} is not of down-set shape: {fib!r}")
+        part = fib.parts[0]
+        if part.lo != 0 or not part.lo_closed or part.hi_closed:
+            raise ValueError(f"fiber at {x!r} is not of down-set shape: {fib!r}")
+        values.append(part.hi)
+    return FuzzySet(c.ground, tuple(values))
+
+
+def fiber_shapes(rng):
+    """The down-sets (empty, [0, v) and [0, 1)) and every other shape:
+    {0}, [0, v], (0, v), [u, v) and (u, v] with u > 0, several parts, and
+    parameter sets holding 1."""
+    def value(top):
+        den = rng.choice((2, 3, 5, 8, 12))
+        return F(rng.randint(1, den if top else den - 1), den)
+
+    u, v = sorted((value(False), value(True)))
+    down = [EMPTY_SET, make_interval(0, v, True, False), make_interval(0, 1, True, False)]
+    shapes = [make_interval(0, 0, True, True), make_unit_interval(0, v, True, True),
+              make_interval(0, v, False, False), make_interval(0, 1, False, False),
+              make_unit_interval(0, 1, True, True), make_unit_interval(1, 1, True, True)]
+    if u < v:
+        shapes += [make_interval(u, v, True, False), make_unit_interval(u, v, False, True),
+                   canonical([Interval(F(0), u / 2, True, False),
+                              Interval(u, v, True, False)]),
+                   canonical([Interval(F(0), F(0), True, True),
+                              Interval(u, v, False, False)])]
+    return down, shapes
+
+
+def test_recover_membership_matches_the_parts_reading():
+    """The same values, or the same message, as the reference on fibers of
+    every shape, over three elements so that the message names the first
+    fiber that is not a down-set; each fiber is a down-set four times in
+    five."""
+    rng = random.Random(9_800)
+    abc = ground("a", "b", "c")
+    outcomes = {"values": 0, "error": 0}
+    for _ in range(300):
+        down, shapes = fiber_shapes(rng)
+        for _ in range(10):
+            c = CylinderOpen(abc, tuple(rng.choice(down if rng.random() < 0.8 else shapes)
+                                        for _ in abc.elements))
+            try:
+                expect = ref_recover_membership(c)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    recover_membership(c)
+                assert str(got.value) == str(exc)
+                outcomes["error"] += 1
+            else:
+                assert recover_membership(c) == expect
+                outcomes["values"] += 1
+    assert min(outcomes.values()) >= 300, outcomes
 
 
 def test_subbasis_tstar_example_with_grid_oracle():

@@ -6,6 +6,8 @@ neighbours, with open/closed flags compared at shared endpoints.  On seeded
 random sets with mixed denominators, including parameter sets that contain
 1, the key algebra must give the same canonical intervals, JSON, union,
 intersection, complement, subset, membership, supremum and openness.
+The reflection q -> 1 - q of parameter sets is checked against the
+``Fraction`` reflection of each canonical part.
 """
 
 import random
@@ -22,6 +24,7 @@ from fuzzcyl.intervals import (
     iv_complement_in_J,
     iv_contains,
     iv_intersect,
+    iv_reflect,
     iv_subset,
     iv_supremum,
     iv_union,
@@ -222,3 +225,50 @@ def test_least_denominator():
     s = make_interval(F(1, 3), F(1, 2), False, True)
     assert (s.den, s.keys) == (6, (5, 7))
     assert make_unit_interval(1, 1, True, True).keys == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# reflection of parameter sets
+
+
+def ref_reflect(parts):
+    """{1 - q : q in parts}, part by part on ``Fraction``s: the ends swap
+    and take each other's flags."""
+    return ref_canonical(Interval(ONE - p.hi, ONE - p.lo, p.hi_closed, p.lo_closed)
+                         for p in parts)
+
+
+def reflect_cases(rng):
+    """Random parameter sets, some holding 1; every flag pair on a random
+    interval and on intervals ending at 0, at 1 or both; {0}, {1} and a
+    point inside."""
+    cases = [random_parts(rng) + [random_interval(rng, True)]
+             for _ in range(rng.randint(1, 4))]
+    lo, hi = sorted(rng.sample([F(k, 36) for k in range(1, 36)], 2))
+    for lo_closed in (True, False):
+        for hi_closed in (True, False):
+            cases += [[Interval(a, b, lo_closed, hi_closed)]
+                      for a, b in ((lo, hi), (ZERO, hi), (lo, ONE), (ZERO, ONE))]
+    cases += [[Interval(q, q, True, True)] for q in (ZERO, ONE, random_value(rng))]
+    return cases
+
+
+def test_iv_reflect_matches_fraction_reflection():
+    rng = random.Random(9_700)
+    seen = {"holds 0": 0, "holds 1": 0, "several pairs": 0}
+    for _ in range(300):
+        for parts in reflect_cases(rng):
+            a = IntervalSet(parts)
+            got = iv_reflect(a)
+            expect = ref_reflect(a.parts)
+            assert got.parts == expect, (a, got)
+            # the least denominator: the same den and keys as the set built
+            # from the reflected parts, and den is a's
+            same_set(got, IntervalSet(expect))
+            assert got.den == a.den
+            same_set(iv_reflect(got), a)
+            seen["holds 0"] += a.contains(ZERO)
+            seen["holds 1"] += a.contains(ONE)
+            seen["several pairs"] += len(a.keys) > 2
+    assert iv_reflect(EMPTY_SET) == EMPTY_SET
+    assert min(seen.values()) >= 150, seen

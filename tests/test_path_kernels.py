@@ -137,10 +137,10 @@ def test_kernels_match_the_one_point_reference():
             assert chi_keys(path, s, t, etas, xs) == \
                 [[ref_chi_key(path, s, t, eta, x) for x in xs] for eta in etas], \
                 (path, s, t, etas, xs)
-        # the one-point calls are single cells of the kernels
+        # one-cell rows, as ``eval_path`` and ``chi_eval`` call the kernels
         u, x = rng.choice(FINE), rng.choice(["1/3", F(1, 5), 1])
-        assert paths.eval_key(path, u) == ref_eval_key(path, u)
-        assert paths.chi_key(path, s, t, u, x) == ref_chi_key(path, s, t, u, x)
+        assert eval_keys(path, (u,)) == [ref_eval_key(path, u)]
+        assert chi_keys(path, s, t, (u,), (x,)) == [[ref_chi_key(path, s, t, u, x)]]
         assert paths.chi_eval(path, s, t, u, x) == ref_chi_eval(path, s, t, u, x)
     assert kinds >= {Const, Concat, Reverse, HTransform, ChiBoundary}
 

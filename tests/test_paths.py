@@ -50,8 +50,8 @@ from fuzzcyl.intervals import (
 from fuzzcyl.paths import (
     PathTable,
     _table_continuity_failure,
-    chi_key,
-    eval_key,
+    chi_keys,
+    eval_keys,
     path_end,
     path_start,
     path_table,
@@ -595,11 +595,11 @@ def test_compiled_table_matches_recursive_reference():
             for k, u in enumerate(grid):
                 expected = reference_eval(expr, u)
                 assert eval_path(expr, u) == expected, (expr, u)
-                assert eval_key(expr, u) == key(expected), (expr, u)
+                assert eval_keys(expr, (u,)) == [key(expected)], (expr, u)
                 # the square homotopy at eta = u, on every 32nd x of the grid
-                for x in grid[k % 32::32]:
-                    assert chi_key(expr, s, t, u, x) == \
-                        key(h_eval(kappa(s, t, x), expected)), (expr, s, t, u, x)
+                xs = grid[k % 32::32]
+                assert chi_keys(expr, s, t, (u,), xs) == \
+                    [[key(h_eval(kappa(s, t, x), expected)) for x in xs]], (expr, s, t, u)
             for target in targets:
                 assert path_preimage(expr, target) == reference_preimage(expr, target), \
                     (expr, target)

@@ -28,7 +28,7 @@ from fuzzcyl import (
     psi_star,
     unit,
 )
-from fuzzcyl.paths import chi_key, chi_keys, eval_key, eval_keys
+from fuzzcyl.paths import chi_keys, eval_keys
 
 EPS = F(1, 10**6)
 START = Const(CylPoint("a", F(0)))
@@ -63,17 +63,12 @@ SITES = [
     ("chi_boundary.s", lambda q: chi_boundary(START, q, 0, 0), False, True),
     ("chi_boundary.t", lambda q: chi_boundary(START, 0, q, 0), False, True),
     ("eval_path", lambda q: eval_path(START, q), False, True),
-    ("eval_key", lambda q: eval_key(START, q), False, True),
     # the row kernels check every value of a grid, here one in its middle
     ("eval_keys", lambda q: eval_keys(START, [0, F(1, 4), q, 1]), False, True),
     ("chi_eval.s", lambda q: chi_eval(START, q, 0, 0, 0), False, True),
     ("chi_eval.t", lambda q: chi_eval(START, 0, q, 0, 0), False, True),
     ("chi_eval.eta", lambda q: chi_eval(START, 0, 0, q, 0), False, True),
     ("chi_eval.x", lambda q: chi_eval(START, 0, 0, 0, q), False, True),
-    ("chi_key.s", lambda q: chi_key(START, q, 0, 0, 0), False, True),
-    ("chi_key.t", lambda q: chi_key(START, 0, q, 0, 0), False, True),
-    ("chi_key.eta", lambda q: chi_key(START, 0, 0, q, 0), False, True),
-    ("chi_key.x", lambda q: chi_key(START, 0, 0, 0, q), False, True),
     ("chi_keys.s", lambda q: chi_keys(START, q, 0, GRID, GRID), False, True),
     ("chi_keys.t", lambda q: chi_keys(START, 0, q, GRID, GRID), False, True),
     ("chi_keys.etas", lambda q: chi_keys(START, 0, 0, [0, q, 1], GRID), False, True),

@@ -63,7 +63,6 @@ from .fuzzy import (
 from .intervals import (
     EMPTY_SET,
     WHOLE_J,
-    Interval,
     IntervalSet,
     iv_complement_in_J,
     iv_contains,

@@ -185,6 +185,10 @@ class OpenExpr:
 
     @staticmethod
     def from_json(doc: list) -> "OpenExpr":
+        if not isinstance(doc, list):
+            raise TypeError("open expression must be an array of clauses")
+        if not all(isinstance(clause, list) for clause in doc):
+            raise TypeError("clause must be an array of subbasis elements")
         return OpenExpr(tuple(tuple(SubbasisElem.from_json(e) for e in clause)
                               for clause in doc))
 

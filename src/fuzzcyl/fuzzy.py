@@ -182,8 +182,11 @@ def read_family(doc: dict) -> tuple[GroundSet, tuple[str, ...], tuple[FuzzySet, 
     if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
         raise TypeError("ground_set must be an array of strings")
     gs = GroundSet(tuple(elements))
+    entries = doc["opens"]
+    if not isinstance(entries, list):
+        raise TypeError("opens must be an array")
     names, opens = [], []
-    for entry in doc["opens"]:
+    for entry in entries:
         if not isinstance(entry["name"], str):
             raise TypeError(f"open names must be strings, not {type(entry['name']).__name__}")
         names.append(entry["name"])

@@ -9,15 +9,19 @@ An ``IntervalSet`` is integer boundary keys over one positive denominator
 ``den``: the value n/den has the key 2n just before it and 2n+1 just after
 it, so a closed lower or open upper end is 2n and an open lower or closed
 upper end 2n+1.  ``keys`` is a strictly increasing, even-length tuple of
-half-open [start, end) pairs, and J is [0, 2·den).  Union, intersection and
-subset make one linear merge over a common denominator, the complement in J
-toggles against [0, 2·den), the reflection q -> 1 - q of a parameter set
-maps each key k to 2·den + 1 - k (``iv_reflect``), the image under a
-one-pair scale set maps each pair and makes one merge (and lies in one
-interval when its two outer scaled ends do, ``iv_scale_within``), and
-membership is one bisection, also at each level k/N of a grid
-(``iv_grid``).  Results are reduced to the least denominator, so
-structural equality is set equality.
+half-open [start, end) pairs, and J is [0, 2·den).  It is the only interval
+type: ``canonical`` normalizes any finite collection of key pairs over one
+denominator (sorted, merged, reduced), the JSON reader checks each
+interval's ends and flags in integers and hands its key pairs to
+``canonical``, and the writer and ``repr`` format the ends from the keys.
+Union, intersection and subset make one linear merge over a common
+denominator, the complement in J toggles against [0, 2·den), the reflection
+q -> 1 - q of a parameter set maps each key k to 2·den + 1 - k
+(``iv_reflect``), the image under a one-pair scale set maps each pair and
+makes one merge (and lies in one interval when its two outer scaled ends
+do, ``iv_scale_within``), and membership is one bisection, also at each
+level k/N of a grid (``iv_grid``).  Results are reduced to the least
+denominator, so structural equality is set equality.
 """
 
 from __future__ import annotations
@@ -28,129 +32,72 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .rationals import format_rational, frac, unit
-
-
-def _show(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> str:
-    left = "[" if lo_closed else "("
-    right = "]" if hi_closed else ")"
-    return f"{left}{format_rational(lo)},{format_rational(hi)}{right}"
-
-
-def _check_ends(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> None:
-    """Raise unless the ends describe a nonempty interval inside [0, 1]."""
-    unit(lo, "interval endpoint")
-    unit(hi, "interval endpoint")
-    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    if a > b:
-        raise ValueError(f"empty interval: {_show(lo, hi, lo_closed, hi_closed)}")
-    if a == b and not (lo_closed and hi_closed):
-        raise ValueError("degenerate interval must be closed on both sides: "
-                         + _show(lo, hi, lo_closed, hi_closed))
-
-
-def _read_ends(doc: dict) -> tuple[Fraction, Fraction, bool, bool]:
-    """The checked (lo, hi, lo_closed, hi_closed) of one JSON interval: "p/q"
-    or "p" strings or JSON integers for the ends, optional boolean
-    ``lo_open`` and ``hi_open`` flags, then the checks of ``Interval``."""
-    lo, hi = frac(doc["lo"]), frac(doc["hi"])
-    lo_open, hi_open = doc.get("lo_open", False), doc.get("hi_open", False)
-    if type(lo_open) is not bool or type(hi_open) is not bool:
-        raise TypeError("interval flags lo_open and hi_open must be booleans")
-    _check_ends(lo, hi, not lo_open, not hi_open)
-    return lo, hi, not lo_open, not hi_open
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A nonempty rational interval inside [0, 1] with per-side flags."""
-
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
-
-    def __post_init__(self):
-        _check_ends(self.lo, self.hi, self.lo_closed, self.hi_closed)
-
-    def contains(self, q: Fraction) -> bool:
-        if q < self.lo or q > self.hi:
-            return False
-        if q == self.lo and not self.lo_closed:
-            return False
-        if q == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    def __repr__(self):
-        return _show(self.lo, self.hi, self.lo_closed, self.hi_closed)
-
-    def to_json(self) -> dict:
-        return {
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "lo_open": not self.lo_closed,
-            "hi_open": not self.hi_closed,
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "Interval":
-        return Interval(*_read_ends(doc))
-
-
-def _key(q: Fraction, den: int, after: bool) -> int:
-    """The key just before q, or just after it; den is a multiple of q's."""
-    return 2 * q.numerator * (den // q.denominator) + bool(after)
-
-
-def _from_ends(ends: list[tuple[Fraction, Fraction, bool, bool]]) -> "IntervalSet":
-    """The canonical set of (lo, hi, lo_closed, hi_closed) intervals: the key
-    pairs over the lcm of the ends' denominators, sorted, merged, reduced."""
-    den = lcm(*(q.denominator for lo, hi, _, _ in ends for q in (lo, hi)))
-    pairs = sorted((_key(lo, den, not lo_closed), _key(hi, den, hi_closed))
-                   for lo, hi, lo_closed, hi_closed in ends)
-    return _reduced(den, _merge([k for pair in pairs for k in pair], ()))
+from .rationals import frac, ratio, unit
 
 
 def _format_key(n: int, den: int) -> str:
-    """``format_rational`` of n/den, read from the integers."""
+    """``format_rational`` of n/den, read from the integers (den > 0)."""
     g = gcd(n, den)
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-@dataclass(frozen=True, init=False, repr=False)
+def _show(lo: str, hi: str, lo_open: bool, hi_open: bool) -> str:
+    return f"{'(' if lo_open else '['}{lo},{hi}{')' if hi_open else ']'}"
+
+
+def _read_interval(doc: dict) -> tuple[int, int, int, int, bool, bool]:
+    """The checked (lp, lq, hp, hq, lo_open, hi_open) of one JSON interval
+    from lp/lq to hp/hq: "p/q" or "p" strings or JSON integers for the ends
+    (read by ``ratio``), optional boolean ``lo_open`` and ``hi_open`` flags,
+    both ends in [0, 1], lo <= hi, and a degenerate interval only when
+    closed, all compared in integers."""
+    lp, lq = ratio(doc["lo"])
+    hp, hq = ratio(doc["hi"])
+    lo_open, hi_open = doc.get("lo_open", False), doc.get("hi_open", False)
+    if type(lo_open) is not bool or type(hi_open) is not bool:
+        raise TypeError("interval flags lo_open and hi_open must be booleans")
+    for p, q in ((lp, lq), (hp, hq)):
+        if not 0 <= p <= q:
+            raise ValueError(f"interval endpoint outside [0,1]: {_format_key(p, q)}")
+    a, b = lp * hq, hp * lq
+    if a > b or a == b and (lo_open or hi_open):
+        shown = _show(_format_key(lp, lq), _format_key(hp, hq), lo_open, hi_open)
+        if a > b:
+            raise ValueError(f"empty interval: {shown}")
+        raise ValueError(f"degenerate interval must be closed on both sides: {shown}")
+    return lp, lq, hp, hq, lo_open, hi_open
+
+
+@dataclass(frozen=True, repr=False)
 class IntervalSet:
     """Canonical finite union of intervals, as boundary keys (see above).
 
-    ``IntervalSet(parts)`` canonicalizes any finite collection of intervals;
-    ``parts`` gives back the canonical ones: disjoint, sorted, non-mergeable.
+    ``keys`` must be canonical over the least ``den``: build sets with
+    ``canonical`` or the constructors below, never from raw keys.
     """
 
     den: int
     keys: tuple[int, ...]
 
-    def __new__(cls, parts: Iterable[Interval] = ()):
-        return _from_ends([(p.lo, p.hi, p.lo_closed, p.hi_closed) for p in parts])
-
-    @property
-    def parts(self) -> tuple[Interval, ...]:
-        k, den = self.keys, self.den
-        return tuple(Interval(Fraction(s >> 1, den), Fraction(e >> 1, den),
-                              not s & 1, bool(e & 1))
-                     for s, e in zip(k[::2], k[1::2]))
-
     def is_empty(self) -> bool:
         return not self.keys
 
     def contains(self, q: Fraction) -> bool:
-        n, r = divmod(q.numerator * self.den, q.denominator)
-        return bisect_right(self.keys, 2 * n + (r > 0)) % 2 == 1
+        return self.holds(q.numerator, q.denominator)
+
+    def holds(self, n: int, d: int) -> bool:
+        """``contains(n/d)`` for integers with d > 0, n/d not reduced."""
+        m, r = divmod(n * self.den, d)
+        return bisect_right(self.keys, 2 * m + (r > 0)) % 2 == 1
 
     def __repr__(self):
-        return "{" + ", ".join(repr(p) for p in self.parts) + "}"
+        k, den = self.keys, self.den
+        return "{" + ", ".join(_show(_format_key(s >> 1, den), _format_key(e >> 1, den),
+                                     s & 1, not e & 1)
+                               for s, e in zip(k[::2], k[1::2])) + "}"
 
     def to_json(self) -> list:
-        """``Interval.to_json`` of each canonical part, formatted from the keys."""
+        """Each canonical interval's ends formatted from its keys, and its flags."""
         k, den = self.keys, self.den
         return [{"lo": _format_key(s >> 1, den), "hi": _format_key(e >> 1, den),
                  "lo_open": bool(s & 1), "hi_open": not e & 1}
@@ -158,15 +105,16 @@ class IntervalSet:
 
     @staticmethod
     def from_json(doc: list) -> "IntervalSet":
-        """The canonical set of the JSON intervals, each read by ``_read_ends``."""
-        return _from_ends([_read_ends(d) for d in doc])
-
-
-def _make(den: int, keys: tuple[int, ...]) -> IntervalSet:
-    out = object.__new__(IntervalSet)
-    object.__setattr__(out, "den", den)
-    object.__setattr__(out, "keys", keys)
-    return out
+        """The canonical set of a JSON array of intervals, each read and
+        checked by ``_read_interval``, as key pairs over the lcm of the
+        ends' denominators."""
+        if not isinstance(doc, list):
+            raise TypeError("interval set must be an array of intervals")
+        ends = [_read_interval(d) for d in doc]
+        den = lcm(*(q for lp, lq, hp, hq, _, _ in ends for q in (lq, hq)))
+        return canonical(den, [(2 * lp * (den // lq) + lo_open,
+                                2 * hp * (den // hq) + (not hi_open))
+                               for lp, lq, hp, hq, lo_open, hi_open in ends])
 
 
 def _reduced(den: int, keys: list[int]) -> IntervalSet:
@@ -175,7 +123,7 @@ def _reduced(den: int, keys: list[int]) -> IntervalSet:
     if g > 1:
         den //= g
         keys = [2 * ((k >> 1) // g) + (k & 1) for k in keys]
-    return _make(den, tuple(keys))
+    return IntervalSet(den, tuple(keys))
 
 
 def _common(a: IntervalSet, b: IntervalSet):
@@ -206,19 +154,27 @@ def _merge(x, y) -> list[int]:
     return out
 
 
-EMPTY_SET = _make(1, ())
-WHOLE_J = _make(1, (0, 2))
+EMPTY_SET = IntervalSet(1, ())
+WHOLE_J = IntervalSet(1, (0, 2))
 
 
-def canonical(intervals: Iterable[Interval]) -> IntervalSet:
-    """Normalize an arbitrary finite collection of intervals."""
-    return IntervalSet(intervals)
+def canonical(den: int, pairs: Iterable[tuple[int, int]]) -> IntervalSet:
+    """The canonical set of any finite collection of key pairs [s, e) over
+    ``den``: the pairs with s < e sorted, merged and reduced; the others
+    are empty and dropped."""
+    pairs = sorted(pair for pair in pairs if pair[0] < pair[1])
+    return _reduced(den, _merge([k for pair in pairs for k in pair], ()))
+
+
+def _key(q: Fraction, den: int, after: bool) -> int:
+    """The key just before q, or just after it; den is a multiple of q's."""
+    return 2 * q.numerator * (den // q.denominator) + bool(after)
 
 
 def _build(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> IntervalSet:
     den = lcm(lo.denominator, hi.denominator)
     s, e = _key(lo, den, not lo_closed), _key(hi, den, hi_closed)
-    return _make(den, (s, e)) if s < e else EMPTY_SET
+    return IntervalSet(den, (s, e)) if s < e else EMPTY_SET
 
 
 def iv_span(den: int, lo: int, hi: int, lo_open: bool) -> IntervalSet:
@@ -279,7 +235,7 @@ def iv_complement_in_J(a: IntervalSet) -> IntervalSet:
             del keys[-2:]
     keys = keys[1:] if keys[:1] == [0] else [0] + keys
     keys = keys[:-1] if keys[-1:] == [top] else keys + [top]
-    return _make(a.den, tuple(keys))
+    return IntervalSet(a.den, tuple(keys))
 
 
 def iv_reflect(t: IntervalSet) -> IntervalSet:
@@ -288,7 +244,7 @@ def iv_reflect(t: IntervalSet) -> IntervalSet:
     into a closed (open) upper one.  The numerators n become den - n, whose
     gcd with den is theirs, so den stays least."""
     top = 2 * t.den + 1
-    return _make(t.den, tuple(top - k for k in reversed(t.keys)))
+    return IntervalSet(t.den, tuple(top - k for k in reversed(t.keys)))
 
 
 def _scaled_pair(s: int, e: int, cs: int, ce: int) -> tuple[int, int]:

@@ -16,7 +16,8 @@ form.  Evaluation bisects the table in integers, a whole row of parameters
 per call: ``eval_keys`` and ``chi_keys`` look the table up and range-check
 each argument once, and the grid checks compare their rows of exact keys
 ``(x, n, d)``.  The exact preimage of a cylinder set is read off the
-table piece by piece.  Continuity is decided on the table too, in integers:
+table piece by piece as boundary-key pairs, each piece's ends solved in
+integers.  Continuity is decided on the table too, in integers:
 ``continuity_failure`` checks each breakpoint against its adjacent pieces
 (one level test, one order test on the opens' levels).
 """
@@ -32,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 from .cylinder import CylinderOpen
 from .fuzzy import FuzzyTopology
-from .intervals import Interval, IntervalSet, canonical
+from .intervals import IntervalSet, canonical
 from .rationals import ONE, ZERO, format_rational, frac, unit
 from .retraction import CylPoint
 
@@ -326,35 +327,37 @@ def chi_boundary(rho: PathExpr, s, t, end: int) -> VerticalAffine:
 # exact preimages and continuity
 
 
-def _piece_preimage(lo: Fraction, hi: Fraction, c0: int, c1: int, den: int,
-                    fiber: IntervalSet) -> list[Interval]:
-    """{u in (lo, hi) : (c0 + c1 u)/den in fiber}, one interval per fiber part."""
-    if c1 == 0:
-        return [Interval(lo, hi, False, False)] if fiber.contains(Fraction(c0, den)) else []
-    out = []
-    for part in fiber.parts:
-        a, b = (part.lo * den - c0) / c1, (part.hi * den - c0) / c1
-        a_closed, b_closed = part.lo_closed, part.hi_closed
-        if c1 < 0:
-            a, b, a_closed, b_closed = b, a, b_closed, a_closed
-        if a <= lo:
-            a, a_closed = lo, False
-        if b >= hi:
-            b, b_closed = hi, False
-        if a < b or (a == b and a_closed and b_closed):
-            out.append(Interval(a, b, a_closed, b_closed))
-    return out
-
-
 def path_preimage(e: PathExpr, open_set: CylinderOpen) -> IntervalSet:
-    """Exact parameter set {u in [0,1] : e(u) in open_set}."""
+    """Exact parameter set {u in [0,1] : e(u) in open_set}, as key pairs
+    over g = den · lcm(|c1| · F) of the table's ``den`` and each sloped
+    piece's slope c1 and fiber denominator F.
+
+    A breakpoint b whose point lies in its fiber gives the pair of b·g/den;
+    a flat piece whose level lies in its fiber gives its whole open piece.
+    On a sloped piece the level n/F is reached at u = (n·den - c0·F)/(c1·F),
+    so each fiber key 2n + f maps to 2·(n·den - c0·F)·g/(c1·F) plus f, or
+    1 - f with the pairs in reverse order when c1 < 0 (just above a level
+    is just below its parameter); each image pair is clipped to the open
+    piece, and ``canonical`` drops the empty ones."""
     table = path_table(e)
-    breaks = [Fraction(b, table.den) for b in table.breaks]
-    parts = [Interval(b, b, True, True) for b, (x, a) in zip(breaks, table.points)
-             if open_set.fiber(x).contains(Fraction(a, table.den))]
-    for lo, hi, (x, c0, c1) in zip(breaks, breaks[1:], table.pieces):
-        parts.extend(_piece_preimage(lo, hi, c0, c1, table.den, open_set.fiber(x)))
-    return canonical(parts)
+    den, breaks = table.den, table.breaks
+    fibers = [open_set.fiber(x) for x, _, _ in table.pieces]
+    g = den * lcm(*(abs(c1) * fib.den for (_, _, c1), fib in zip(table.pieces, fibers)
+                    if c1))
+    m = g // den
+    pairs = [(2 * b * m, 2 * b * m + 1) for b, (x, a) in zip(breaks, table.points)
+             if open_set.fiber(x).holds(a, den)]
+    for lo, hi, (_, c0, c1), fib in zip(breaks, breaks[1:], table.pieces, fibers):
+        lo, hi = 2 * lo * m + 1, 2 * hi * m
+        if c1 == 0:
+            if fib.holds(c0, den):
+                pairs.append((lo, hi))
+            continue
+        scale, shift, flip = g // (c1 * fib.den), c0 * fib.den, c1 < 0
+        ends = [2 * ((k >> 1) * den - shift) * scale + ((k & 1) ^ flip)
+                for k in (reversed(fib.keys) if flip else fib.keys)]
+        pairs += [(max(s, lo), min(t, hi)) for s, t in zip(ends[::2], ends[1::2])]
+    return canonical(g, pairs)
 
 
 def continuity_failure(e: PathExpr,

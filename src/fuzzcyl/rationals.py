@@ -41,17 +41,32 @@ def unit(q, what: str, top_open: bool = False):
     return q
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction. Rejects floats and zero
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The integers (p, q) of "p/q", or (p, 1) of "p", with the sign moved
+    to p so that q > 0; p/q is not reduced.  Rejects floats and zero
     denominators with ValueError."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        try:
-            return Fraction(int(num), int(den))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-    return Fraction(int(text))
+        p, q = int(num), int(den)
+        if q == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return (-p, -q) if q < 0 else (p, q)
+    return int(text), 1
+
+
+def ratio(value) -> tuple[int, int]:
+    """``frac(value)`` as integers (p, q) with q > 0, not reduced; strings
+    are read by ``parse_ratio`` without building a Fraction."""
+    if isinstance(value, str):
+        return parse_ratio(value)
+    return frac(value).as_integer_ratio()
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" or "p" into a Fraction. Rejects floats and zero
+    denominators with ValueError."""
+    return Fraction(*parse_ratio(text))
 
 
 def format_rational(q: Fraction) -> str:

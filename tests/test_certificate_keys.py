@@ -3,7 +3,8 @@
 Box images: ``h_image_of_box`` scales each fiber's key pairs directly
 (``intervals.iv_scale``).  The reference is the part-by-part image it
 replaced: each canonical ``Interval`` scaled with ``Fraction``s under
-explicit open/closed flag rules, then handed to ``canonical``.  Regions are
+explicit open/closed flag rules, then normalized by the reference
+(``interval_ref.build``).  Regions are
 seeded random fibers with mixed flags, ``{0}`` parts, sets holding 1 and
 empty fibers; time boxes take every flag combination, high end 1 (scale low
 end 0) and the degenerate boxes at 0, at 1 and inside.  Den, keys and JSON
@@ -39,6 +40,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from interval_ref import Interval, build, parts
 
 from fuzzcyl import (
     OpenExpr,
@@ -63,9 +65,6 @@ from fuzzcyl.cylinder import (
 from fuzzcyl.fuzzy import FuzzyTopology, GroundSet
 from fuzzcyl.intervals import (
     EMPTY_SET,
-    Interval,
-    IntervalSet,
-    canonical,
     is_open_in_unit,
     iv_scale_within,
     iv_subset,
@@ -97,8 +96,8 @@ def ref_scaled_part(c, part):
 
 
 def ref_scaled(scale, fib):
-    parts = [ref_scaled_part(scale, part) for part in fib.parts]
-    return canonical(p for p in parts if p is not None)
+    scaled = [ref_scaled_part(scale, part) for part in parts(fib)]
+    return build(p for p in scaled if p is not None)
 
 
 def ref_h_image_of_box(t_interval, region):
@@ -137,7 +136,7 @@ def random_fiber(rng):
     if rng.random() < 0.2:
         return EMPTY_SET
     unit_segment = rng.random() < 0.2
-    return canonical(random_part(rng, unit_segment) for _ in range(rng.randint(1, 4)))
+    return build(random_part(rng, unit_segment) for _ in range(rng.randint(1, 4)))
 
 
 def random_region(rng):
@@ -169,7 +168,7 @@ def test_h_image_of_box_matches_scaled_parts(seed):
     for _ in range(150):
         region = random_region(rng)
         for box in time_boxes(rng):
-            same_open(h_image_of_box(IntervalSet((box,)), region),
+            same_open(h_image_of_box(build([box]), region),
                       ref_h_image_of_box(box, region))
 
 
@@ -348,22 +347,22 @@ def test_iv_scale_within_matches_the_built_image():
             scale = Interval(ONE - box.hi, ONE - box.lo, box.hi_closed, box.lo_closed)
             image = ref_scaled(scale, a)
             for b in (random_fiber(rng), random_fiber(rng), image, EMPTY_SET,
-                      canonical([random_part(rng, False)])):
+                      build([random_part(rng, False)])):
                 if len(b.keys) > 2:
                     if a.keys:
                         with pytest.raises(ValueError):
-                            iv_scale_within(a, IntervalSet((scale,)), b)
+                            iv_scale_within(a, build([scale]), b)
                         verdicts["more", "raises"] += 1
                     continue
-                got = iv_scale_within(a, IntervalSet((scale,)), b)
+                got = iv_scale_within(a, build([scale]), b)
                 assert got == iv_subset(image, b), (a, box, b)
                 verdicts["empty" if not b.keys else "one", got] += 1
     assert min(verdicts.values()) >= 50, verdicts
 
 
 def ref_verify_witness(w, topo):
-    (box,) = w.t_interval.parts
-    if not is_open_in_unit(IntervalSet((box,))):
+    (box,) = parts(w.t_interval)
+    if not is_open_in_unit(build([box])):
         return False
     if not box.contains(w.anchor_t):
         return False
@@ -391,7 +390,7 @@ def replay_targets(rng, topo):
 
 
 def point_in(fib, rng):
-    part = rng.choice(fib.parts)
+    part = rng.choice(parts(fib))
     return part.lo if part.lo_closed else (part.lo + part.hi) / 2
 
 
@@ -437,15 +436,15 @@ def forged_witnesses(rng, topo, seen):
         for box in time_boxes(rng):
             for kind in kinds:
                 seen[kind] += 1
-            yield BoxWitness(IntervalSet((box,)), expr, region, target,
+            yield BoxWitness(build([box]), expr, region, target,
                              time_in(box), anchor)
 
 
 def closed_low_end(w):
     """The witness with its box closed at the low end: not open in [0,1]
     unless that end is 0, and otherwise as good as the original."""
-    (t,) = w.t_interval.parts
-    return BoxWitness(IntervalSet((Interval(t.lo, t.hi, True, t.hi_closed),)),
+    (t,) = parts(w.t_interval)
+    return BoxWitness(build([Interval(t.lo, t.hi, True, t.hi_closed)]),
                       w.region_expr, w.region, w.target, w.anchor_t, w.anchor)
 
 

@@ -176,6 +176,74 @@ def test_replay_rejects_malformed_fields(capsys, tmp_path, topo_file, forge):
     assert captured.err.count("\n") == 1
 
 
+# a two-point topology whose open T2 is 0 at b: some regions are empty there
+STEP = {
+    "ground_set": ["a", "b"],
+    "opens": [
+        {"name": "T0", "values": {"a": "0", "b": "0"}},
+        {"name": "T1", "values": {"a": "1", "b": "1"}},
+        {"name": "T2", "values": {"a": "1/2", "b": "0"}},
+    ],
+}
+
+
+def non_array_fiber(value):
+    """Replace the first empty region fiber of the certificates."""
+    def forge(certs):
+        fibers = next(w["region"]["fibers"] for w in certs
+                      if [] in w["region"]["fibers"].values())
+        fibers[next(x for x, fib in fibers.items() if fib == [])] = value
+    return forge
+
+
+def non_array_expr(value):
+    def forge(certs):
+        certs[0]["region_expr"] = value
+    return forge
+
+
+def non_array_clause(value):
+    def forge(certs):
+        certs[0]["region_expr"][0] = value
+    return forge
+
+
+@pytest.mark.parametrize("forge, message", [
+    (non_array_fiber({}), "interval set must be an array of intervals"),
+    (non_array_fiber(""), "interval set must be an array of intervals"),
+    (non_array_expr({}), "open expression must be an array of clauses"),
+    (non_array_expr(""), "open expression must be an array of clauses"),
+    (non_array_clause({}), "clause must be an array of subbasis elements"),
+    (non_array_clause(""), "clause must be an array of subbasis elements"),
+], ids=["fiber-object", "fiber-string", "region-expr-object", "region-expr-string",
+        "clause-object", "clause-string"])
+def test_replay_requires_arrays(capsys, tmp_path, forge, message):
+    """A JSON object or string where a certificate holds an array is
+    malformed (exit 2), not read as an empty array; among the 60
+    certificates for ``STEP`` are regions with an empty fiber."""
+    topo = write_topology(tmp_path, STEP)
+    cert = tmp_path / "certs.json"
+    code, _ = run(capsys, "verify-retraction", "--topology", topo,
+                  "--sweeps", "60", "--emit", str(cert))
+    assert code == 0
+    forged = json.loads(cert.read_text())
+    forge(forged)
+    cert.write_text(json.dumps(forged))
+    assert main(["verify-retraction", "--topology", topo, "--replay", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed certificate: {message}\n"
+
+
+@pytest.mark.parametrize("opens", [{}, ""], ids=["object", "string"])
+def test_opens_must_be_an_array(capsys, tmp_path, opens):
+    path = write_topology(tmp_path, dict(TOPO, opens=opens))
+    assert main(["validate", "--topology", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed topology file: opens must be an array\n"
+
+
 @pytest.mark.parametrize("target", ["missing/certs.json", "."],
                          ids=["missing-directory", "directory"])
 def test_unwritable_emit_path_exits_2_before_sweeping(monkeypatch, tmp_path,

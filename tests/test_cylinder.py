@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from interval_ref import Interval, build, parts
 
 from fuzzcyl import (
     FuzzySet,
@@ -30,7 +31,7 @@ from fuzzcyl import (
 from fuzzcyl import cylinder
 from fuzzcyl.cylinder import CylinderOpen, LawReport
 from fuzzcyl.fuzzy import fz_join, fz_meet
-from fuzzcyl.intervals import EMPTY_SET, Interval, canonical, make_unit_interval
+from fuzzcyl.intervals import EMPTY_SET, make_unit_interval
 from fuzzcyl.sweeps import random_topology
 
 F = Fraction
@@ -81,9 +82,9 @@ def ref_recover_membership(c):
         if fib.is_empty():
             values.append(F(0))
             continue
-        if len(fib.parts) != 1:
+        if len(parts(fib)) != 1:
             raise ValueError(f"fiber at {x!r} is not of down-set shape: {fib!r}")
-        part = fib.parts[0]
+        part = parts(fib)[0]
         if part.lo != 0 or not part.lo_closed or part.hi_closed:
             raise ValueError(f"fiber at {x!r} is not of down-set shape: {fib!r}")
         values.append(part.hi)
@@ -105,10 +106,10 @@ def fiber_shapes(rng):
               make_unit_interval(0, 1, True, True), make_unit_interval(1, 1, True, True)]
     if u < v:
         shapes += [make_interval(u, v, True, False), make_unit_interval(u, v, False, True),
-                   canonical([Interval(F(0), u / 2, True, False),
-                              Interval(u, v, True, False)]),
-                   canonical([Interval(F(0), F(0), True, True),
-                              Interval(u, v, False, False)])]
+                   build([Interval(F(0), u / 2, True, False),
+                          Interval(u, v, True, False)]),
+                   build([Interval(F(0), F(0), True, True),
+                          Interval(u, v, False, False)])]
     return down, shapes
 
 
@@ -227,8 +228,8 @@ def test_tstar_fibers_are_down_sets():
             for fib in realized.fibers:
                 if fib.is_empty():
                     continue
-                assert len(fib.parts) == 1
-                part = fib.parts[0]
+                assert len(parts(fib)) == 1
+                part = parts(fib)[0]
                 assert part.lo == 0 and part.lo_closed and not part.hi_closed
 
 

@@ -1,11 +1,13 @@
 """Differential test of the boundary-key interval algebra.
 
-The reference below is the flag-based algebra that the keys replaced: a set
-is a sorted tuple of ``Interval``s, normalized by sorting and merging
-neighbours, with open/closed flags compared at shared endpoints.  On seeded
-random sets with mixed denominators, including parameter sets that contain
-1, the key algebra must give the same canonical intervals, JSON, union,
-intersection, complement, subset, membership, supremum and openness.
+The reference below is the flag-based algebra that the keys replaced, on
+the ``Interval``s of ``interval_ref``: a set is a sorted tuple of them,
+normalized by sorting and merging neighbours, with open/closed flags
+compared at shared endpoints.  On seeded random sets with mixed
+denominators, including parameter sets that contain 1, the key algebra
+must give the same canonical intervals (``canonical`` of the unmerged key
+pairs), JSON, union, intersection, complement, subset, membership,
+supremum and openness.
 The reflection q -> 1 - q of parameter sets is checked against the
 ``Fraction`` reflection of each canonical part.
 """
@@ -14,10 +16,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from interval_ref import Interval, build, interval, key_pairs, normalize, parts
 
 from fuzzcyl.intervals import (
     EMPTY_SET,
-    Interval,
     IntervalSet,
     canonical,
     is_open_in_unit,
@@ -38,39 +40,6 @@ ZERO, ONE = F(0), F(1)
 # reference: the flag algebra on tuples of intervals
 
 
-def ref_merge_two(a, b):
-    """Merge b into a when their union is an interval; a.lo <= b.lo assumed."""
-    if b.lo > a.hi:
-        return None
-    if b.lo == a.hi and not (a.hi_closed or b.lo_closed):
-        return None
-    if (b.hi, b.hi_closed) <= (a.hi, a.hi_closed):
-        hi, hi_closed = a.hi, a.hi_closed
-    else:
-        hi, hi_closed = b.hi, b.hi_closed
-    lo_closed = a.lo_closed or (b.lo == a.lo and b.lo_closed)
-    return Interval(a.lo, hi, lo_closed, hi_closed)
-
-
-def ref_canonical(intervals):
-    items = sorted(intervals, key=lambda p: (p.lo, not p.lo_closed, p.hi, not p.hi_closed))
-    merged = []
-    for part in items:
-        if merged:
-            joined = ref_merge_two(merged[-1], part)
-            if joined is not None:
-                merged[-1] = joined
-                continue
-        merged.append(part)
-    return tuple(merged)
-
-
-def ref_build(lo, hi, lo_closed, hi_closed):
-    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-        return ()
-    return (Interval(lo, hi, lo_closed, hi_closed),)
-
-
 def ref_intersect_parts(a, b):
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo > hi:
@@ -83,23 +52,23 @@ def ref_intersect_parts(a, b):
 
 
 def ref_union(a, b):
-    return ref_canonical(a + b)
+    return normalize(a + b)
 
 
 def ref_intersect(a, b):
     out = [ref_intersect_parts(pa, pb) for pa in a for pb in b]
-    return ref_canonical(p for p in out if p is not None)
+    return normalize(p for p in out if p is not None)
 
 
 def ref_complement(a):
     gaps = []
     cursor, cursor_closed = ZERO, True
     for part in a:
-        gaps.extend(ref_build(cursor, part.lo, cursor_closed, not part.lo_closed))
+        gaps.extend(interval(cursor, part.lo, cursor_closed, not part.lo_closed))
         cursor, cursor_closed = part.hi, not part.hi_closed
     if cursor < ONE:
-        gaps.extend(ref_build(cursor, ONE, cursor_closed, False))
-    return ref_canonical(gaps)
+        gaps.extend(interval(cursor, ONE, cursor_closed, False))
+    return normalize(gaps)
 
 
 def ref_contains(a, q):
@@ -140,6 +109,11 @@ def random_parts(rng):
     return [random_interval(rng, unit_segment) for _ in range(rng.randint(0, 4))]
 
 
+def from_pairs(intervals):
+    """``canonical`` of the intervals' unmerged key pairs."""
+    return canonical(*key_pairs(intervals))
+
+
 def probes(*sets):
     """0, 1, every endpoint of the sets and every midpoint between two
     consecutive ones: membership is constant between endpoints."""
@@ -152,14 +126,15 @@ def test_key_algebra_matches_flag_algebra(seed):
     rng = random.Random(8_000 + seed)
     for _ in range(1000):
         pa, pb = random_parts(rng), random_parts(rng)
-        a, b = IntervalSet(pa), IntervalSet(pb)
-        ra, rb = ref_canonical(pa), ref_canonical(pb)
-        assert a.parts == ra and b.parts == rb
+        a, b = from_pairs(pa), from_pairs(pb)
+        ra, rb = normalize(pa), normalize(pb)
+        assert parts(a) == ra and parts(b) == rb
+        same_set(a, build(pa))
         assert a.to_json() == [p.to_json() for p in ra]
         assert IntervalSet.from_json(a.to_json()) == a
-        assert iv_union(a, b).parts == ref_union(ra, rb)
-        assert iv_intersect(a, b).parts == ref_intersect(ra, rb)
-        assert iv_complement_in_J(a).parts == ref_complement(ra)
+        assert parts(iv_union(a, b)) == ref_union(ra, rb)
+        assert parts(iv_intersect(a, b)) == ref_intersect(ra, rb)
+        assert parts(iv_complement_in_J(a)) == ref_complement(ra)
         assert iv_subset(a, b) == (ref_intersect(ra, rb) == ra)
         assert iv_subset(b, a) == (ref_intersect(ra, rb) == rb)
         assert iv_supremum(a) == (ra[-1].hi if ra else None)
@@ -176,9 +151,9 @@ def test_constructors_match_flag_algebra(seed):
     for _ in range(500):
         lo, hi = random_value(rng), random_value(rng)
         flags = rng.random() < 0.5, rng.random() < 0.5
-        assert make_unit_interval(lo, hi, *flags).parts == ref_build(lo, hi, *flags)
+        assert parts(make_unit_interval(lo, hi, *flags)) == interval(lo, hi, *flags)
         clipped = (flags[0], flags[1] and hi != ONE)
-        assert make_interval(lo, hi, *flags).parts == ref_build(lo, hi, *clipped)
+        assert parts(make_interval(lo, hi, *flags)) == interval(lo, hi, *clipped)
 
 
 def same_set(*sets):
@@ -191,23 +166,23 @@ def same_set(*sets):
 def test_equal_sets_built_differently_share_keys():
     rng = random.Random(7_777)
     for _ in range(300):
-        parts = random_parts(rng)
-        direct = IntervalSet(parts)
-        shuffled = list(parts)
+        given = random_parts(rng)
+        direct = from_pairs(given)
+        shuffled = list(given)
         rng.shuffle(shuffled)
         chained = EMPTY_SET
-        for p in parts:
-            chained = iv_union(chained, IntervalSet([p]))
+        for p in given:
+            chained = iv_union(chained, from_pairs([p]))
         # split each interval at an interior point into two touching halves
         halves = []
-        for p in parts:
+        for p in given:
             if p.lo < p.hi:
                 mid = (p.lo + p.hi) / 2
                 halves += [Interval(p.lo, mid, p.lo_closed, True),
                            Interval(mid, p.hi, False, p.hi_closed)]
             else:
                 halves.append(p)
-        same_set(direct, canonical(shuffled), chained, canonical(halves),
+        same_set(direct, build(given), from_pairs(shuffled), chained, from_pairs(halves),
                  IntervalSet.from_json(direct.to_json()),
                  iv_union(direct, direct), iv_intersect(direct, direct))
         if direct.contains(ONE):
@@ -231,11 +206,11 @@ def test_least_denominator():
 # reflection of parameter sets
 
 
-def ref_reflect(parts):
-    """{1 - q : q in parts}, part by part on ``Fraction``s: the ends swap
-    and take each other's flags."""
-    return ref_canonical(Interval(ONE - p.hi, ONE - p.lo, p.hi_closed, p.lo_closed)
-                         for p in parts)
+def ref_reflect(intervals):
+    """{1 - q : q in intervals}, part by part on ``Fraction``s: the ends
+    swap and take each other's flags."""
+    return normalize(Interval(ONE - p.hi, ONE - p.lo, p.hi_closed, p.lo_closed)
+                     for p in intervals)
 
 
 def reflect_cases(rng):
@@ -257,14 +232,14 @@ def test_iv_reflect_matches_fraction_reflection():
     rng = random.Random(9_700)
     seen = {"holds 0": 0, "holds 1": 0, "several pairs": 0}
     for _ in range(300):
-        for parts in reflect_cases(rng):
-            a = IntervalSet(parts)
+        for case in reflect_cases(rng):
+            a = build(case)
             got = iv_reflect(a)
-            expect = ref_reflect(a.parts)
-            assert got.parts == expect, (a, got)
+            expect = ref_reflect(parts(a))
+            assert parts(got) == expect, (a, got)
             # the least denominator: the same den and keys as the set built
             # from the reflected parts, and den is a's
-            same_set(got, IntervalSet(expect))
+            same_set(got, build(expect))
             assert got.den == a.den
             same_set(iv_reflect(got), a)
             seen["holds 0"] += a.contains(ZERO)

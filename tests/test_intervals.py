@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from interval_ref import Interval, build, parts
 
 from fuzzcyl import (
     EMPTY_SET,
     WHOLE_J,
-    Interval,
-    IntervalSet,
     iv_complement_in_J,
     iv_contains,
     iv_intersect,
@@ -36,17 +35,17 @@ def test_make_interval_degenerate_open_is_empty():
 
 def test_make_interval_basic():
     s = make_interval(0, F(1, 3), True, False)
-    assert s.parts == (Interval(F(0), F(1, 3), True, False),)
+    assert parts(s) == (Interval(F(0), F(1, 3), True, False),)
 
 
 def test_make_interval_clips_closed_one():
     s = make_interval(F(1, 3), 1, False, True)
-    assert s.parts == (Interval(F(1, 3), F(1), False, False),)
+    assert parts(s) == (Interval(F(1, 3), F(1), False, False),)
 
 
 def test_make_unit_interval_keeps_closed_one():
     s = make_unit_interval(F(1, 2), 1, False, True)
-    assert s.parts == (Interval(F(1, 2), F(1), False, True),)
+    assert parts(s) == (Interval(F(1, 2), F(1), False, True),)
 
 
 def test_iv_span_matches_make_interval():
@@ -73,7 +72,7 @@ def test_union_identity():
 def test_union_disjoint_preserved():
     a = make_interval(0, F(1, 4), True, False)
     b = make_interval(F(1, 2), F(3, 4), False, False)
-    assert len(iv_union(a, b).parts) == 2
+    assert len(parts(iv_union(a, b))) == 2
 
 
 def test_intersect_endpoints():
@@ -104,12 +103,12 @@ def test_complement_examples():
         make_interval(F(1, 3), 1, True, False)
     assert iv_complement_in_J(EMPTY_SET) == WHOLE_J
     got = iv_complement_in_J(make_interval(F(1, 3), 1, False, False))
-    assert got.parts == (Interval(F(0), F(1, 3), True, True),)
+    assert parts(got) == (Interval(F(0), F(1, 3), True, True),)
 
 
 def test_contains_flags():
     assert not iv_contains(make_interval(0, F(1, 3), True, False), F(1, 3))
-    closed = IntervalSet((Interval(F(0), F(1, 3), True, True),))
+    closed = build([Interval(F(0), F(1, 3), True, True)])
     assert iv_contains(closed, F(1, 3))
     assert not iv_contains(EMPTY_SET, 0)
     with pytest.raises(ValueError):
@@ -147,7 +146,11 @@ def interval_sets(draw):
 
 @given(interval_sets())
 def test_canonical_idempotent(a):
-    assert canonical(a.parts) == a
+    pairs = list(zip(a.keys[::2], a.keys[1::2]))
+    assert canonical(a.den, pairs) == a
+    # the same pairs over 3·den, in reverse order, reduce back to a
+    tripled = [(6 * (s >> 1) + (s & 1), 6 * (e >> 1) + (e & 1)) for s, e in reversed(pairs)]
+    assert canonical(3 * a.den, tripled) == a
 
 
 @given(interval_sets(), interval_sets())
@@ -190,5 +193,5 @@ def test_subset_via_intersection(a, b):
 def test_membership_coherence_on_grid(a):
     for k in range(240):
         q = F(k, 240)
-        brute = any(p.contains(q) for p in a.parts)
+        brute = any(p.contains(q) for p in parts(a))
         assert iv_contains(a, q) == brute

@@ -5,13 +5,18 @@ on random nested documents with non-ASCII text, quotes, control
 characters, empty containers, tuples, ints, floats, None and booleans.
 
 Codec: ``IntervalSet.to_json`` formats each endpoint from its boundary key,
-and ``IntervalSet.from_json`` reads each interval with the field reader it
-shares with ``Interval.from_json``.  The references are the encoder and
-decoder they replaced: ``Interval.to_json`` of each canonical part, and
-``canonical`` of ``Interval``s read with ``Fraction`` checks.  Malformed
-fields must raise the exception class the reference raises.
+and ``IntervalSet.from_json`` reads each interval's ends and flags straight
+to integers and checks them in integers.  The references are the encoder
+and decoder they replaced (``interval_ref``): ``Interval.to_json`` of each
+canonical part, and ``Interval.from_json`` with its ``Fraction`` checks,
+normalized by the reference.  Malformed fields must raise the exception
+class and message the reference raises, and a malformed field in a
+replayed certificate must give the CLI's one ``error:`` line with that
+message.
 """
 
+import contextlib
+import io
 import json
 import random
 import string
@@ -19,12 +24,10 @@ from collections import OrderedDict
 from fractions import Fraction as F
 
 import pytest
+from interval_ref import Interval, build, from_json, to_json
 
-from fuzzcyl.cli import dumps
-from fuzzcyl.intervals import EMPTY_SET, Interval, IntervalSet, canonical
-from fuzzcyl.rationals import frac
-
-ZERO, ONE = F(0), F(1)
+from fuzzcyl.cli import dumps, main
+from fuzzcyl.intervals import EMPTY_SET, IntervalSet
 
 # ---------------------------------------------------------------------------
 # writer
@@ -93,33 +96,7 @@ def test_writer_rejects_keys_json_rejects():
 
 
 # ---------------------------------------------------------------------------
-# interval-set codec: references
-
-
-def ref_to_json(s):
-    return [p.to_json() for p in s.parts]
-
-
-def ref_interval_from_json(doc):
-    """The reader ``_read_ends`` replaced, with ``Interval``'s checks spelled
-    out in ``Fraction``s."""
-    lo, hi = frac(doc["lo"]), frac(doc["hi"])
-    lo_open, hi_open = doc.get("lo_open", False), doc.get("hi_open", False)
-    if type(lo_open) is not bool or type(hi_open) is not bool:
-        raise TypeError("interval flags lo_open and hi_open must be booleans")
-    for q in (lo, hi):
-        if not ZERO <= q <= ONE:
-            raise ValueError(f"interval endpoint outside [0,1]: {q}")
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo == hi and (lo_open or hi_open):
-        raise ValueError("degenerate interval must be closed on both sides")
-    return Interval(lo, hi, not lo_open, not hi_open)
-
-
-def ref_from_json(doc):
-    return canonical(ref_interval_from_json(d) for d in doc)
-
+# interval-set codec
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 12, 30, 64)
 
@@ -171,11 +148,11 @@ def test_codec_matches_parts_reference():
     multi = 0
     for _ in range(4_000):
         parts = [random_interval(rng) for _ in range(rng.randint(0, 4))]
-        s = canonical(parts)
-        assert s.to_json() == ref_to_json(s)
+        s = build(parts)
+        assert s.to_json() == to_json(s)
         assert IntervalSet.from_json(s.to_json()) == s
         doc = loose_json(parts, rng)
-        got, expect = IntervalSet.from_json(doc), ref_from_json(doc)
+        got, expect = IntervalSet.from_json(doc), from_json(doc)
         assert (got.den, got.keys) == (expect.den, expect.keys) == (s.den, s.keys)
         multi += len(s.keys) > 2
     assert IntervalSet.from_json([]) == EMPTY_SET
@@ -187,35 +164,79 @@ def test_codec_matches_parts_reference():
 
 GOOD = {"lo": "1/4", "hi": "1/2", "lo_open": False, "hi_open": True}
 
+# (name, change to GOOD, exception class, message)
 MALFORMED = [
-    ("zero-denominator", {"lo": "1/0"}, ValueError),
-    ("negative-denominator", {"lo": "1/-2"}, ValueError),
-    ("above-one", {"hi": "3/2"}, ValueError),
-    ("negative", {"lo": -1}, ValueError),
-    ("not-a-number", {"lo": "half"}, ValueError),
-    ("float", {"hi": 0.5}, TypeError),
-    ("float-string", {"hi": "0.5"}, ValueError),
-    ("bool", {"lo": True}, TypeError),
-    ("null", {"lo": None}, TypeError),
-    ("lo-above-hi", {"lo": "2/3", "hi": "1/3"}, ValueError),
-    ("open-degenerate", {"lo": "1/2", "hi": "2/4"}, ValueError),
+    ("zero-denominator", {"lo": "1/0"}, ValueError, "zero denominator in '1/0'"),
+    ("negative-denominator", {"lo": "1/-2"}, ValueError,
+     "interval endpoint outside [0,1]: -1/2"),
+    ("above-one", {"hi": "3/2"}, ValueError, "interval endpoint outside [0,1]: 3/2"),
+    ("negative", {"lo": -1}, ValueError, "interval endpoint outside [0,1]: -1"),
+    ("not-a-number", {"lo": "half"}, ValueError,
+     "invalid literal for int() with base 10: 'half'"),
+    ("float", {"hi": 0.5}, TypeError, "cannot interpret 0.5 as an exact rational"),
+    ("float-string", {"hi": "0.5"}, ValueError,
+     "invalid literal for int() with base 10: '0.5'"),
+    ("bool", {"lo": True}, TypeError, "cannot interpret True as an exact rational"),
+    ("null", {"lo": None}, TypeError, "cannot interpret None as an exact rational"),
+    ("lo-above-hi", {"lo": "2/3", "hi": "1/3"}, ValueError, "empty interval: [2/3,1/3)"),
+    ("open-degenerate", {"lo": "1/2", "hi": "2/4"}, ValueError,
+     "degenerate interval must be closed on both sides: [1/2,1/2)"),
     ("open-degenerate-low", {"lo": "1", "hi": "1", "lo_open": True, "hi_open": False},
-     ValueError),
-    ("string-flag", {"lo_open": "no"}, TypeError),
-    ("int-flag", {"hi_open": 1}, TypeError),
-    ("null-flag", {"lo_open": None}, TypeError),
+     ValueError, "degenerate interval must be closed on both sides: (1,1]"),
+    ("string-flag", {"lo_open": "no"}, TypeError,
+     "interval flags lo_open and hi_open must be booleans"),
+    ("int-flag", {"hi_open": 1}, TypeError,
+     "interval flags lo_open and hi_open must be booleans"),
+    ("null-flag", {"lo_open": None}, TypeError,
+     "interval flags lo_open and hi_open must be booleans"),
 ]
 
 
-@pytest.mark.parametrize("change, error", [(c, e) for _, c, e in MALFORMED],
-                         ids=[name for name, _, _ in MALFORMED])
-def test_malformed_fields_raise_the_reference_class(change, error):
+@pytest.mark.parametrize("change, error, message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_fields_raise_the_reference_class(change, error, message):
     doc = {**GOOD, **change}
-    for read in (ref_interval_from_json, Interval.from_json,
+    for read in (Interval.from_json,
                  lambda d: IntervalSet.from_json([d]),
                  lambda d: IntervalSet.from_json([GOOD, d])):
-        with pytest.raises(error):
+        with pytest.raises(error) as caught:
             read(doc)
+        assert str(caught.value) == message
+
+
+TOPO = {"ground_set": ["a", "b"],
+        "opens": [{"name": n, "values": {"a": v, "b": v}}
+                  for n, v in (("T0", "0"), ("T1", "1"), ("T2", "1/3"), ("T3", "2/3"))]}
+
+
+@pytest.fixture(scope="module")
+def replay_files(tmp_path_factory):
+    """A topology file and 12 certificates emitted for it."""
+    workdir = tmp_path_factory.mktemp("replay")
+    topo, certs = workdir / "topo.json", workdir / "certs.json"
+    topo.write_text(json.dumps(TOPO))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify-retraction", "--topology", str(topo), "--sweeps", "12",
+                     "--seed", "4", "--emit", str(certs)]) == 0
+    return topo, certs
+
+
+@pytest.mark.parametrize("change, message", [(case[1], case[3]) for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_region_interval_exits_2_with_its_message(replay_files, change,
+                                                            message):
+    topo, certs = replay_files
+    forged = json.loads(certs.read_text())
+    w = forged[0]
+    w["region"]["fibers"][w["anchor"]["x"]][0] = {**GOOD, **change}
+    path = certs.with_name("forged.json")
+    path.write_text(json.dumps(forged))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify-retraction", "--topology", str(topo), "--replay", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: malformed certificate: {message}\n"
 
 
 @pytest.mark.parametrize("doc, error", [
@@ -226,7 +247,6 @@ def test_malformed_fields_raise_the_reference_class(change, error):
     ([], TypeError),
 ], ids=["missing-lo", "missing-hi", "string", "int", "list"])
 def test_malformed_interval_shapes(doc, error):
-    for read in (ref_interval_from_json, Interval.from_json,
-                 lambda d: IntervalSet.from_json([d])):
+    for read in (Interval.from_json, lambda d: IntervalSet.from_json([d])):
         with pytest.raises(error):
             read(doc)

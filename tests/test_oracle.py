@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from interval_ref import Interval, build, parts
 
 from fuzzcyl import (
     FuzzySet,
@@ -16,7 +17,6 @@ from fuzzcyl import (
 )
 from fuzzcyl.checks import OracleLedger, psi_predicate
 from fuzzcyl.cylinder import CylinderOpen
-from fuzzcyl.intervals import Interval, canonical
 from fuzzcyl.oracle import first_mismatch
 
 F = Fraction
@@ -69,17 +69,17 @@ def reference_raster(c, resolution):
 def random_fiber(rng):
     """Up to three intervals with endpoints in [0,1), each flag pair drawn
     at random, and sometimes a closed point such as {0}."""
-    parts = []
+    pieces = []
     for _ in range(rng.randint(0, 3)):
         den = rng.choice(DENOMINATORS)
         lo, hi = sorted(Fraction(rng.randrange(den), den) for _ in range(2))
         if lo == hi or rng.random() < 0.15:
-            parts.append(Interval(lo, lo, True, True))
+            pieces.append(Interval(lo, lo, True, True))
         else:
-            parts.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+            pieces.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
     if rng.random() < 0.2:
-        parts.append(Interval(Fraction(0), Fraction(0), True, True))
-    return canonical(parts)
+        pieces.append(Interval(Fraction(0), Fraction(0), True, True))
+    return build(pieces)
 
 
 def test_key_raster_matches_per_cell_membership():
@@ -90,7 +90,7 @@ def test_key_raster_matches_per_cell_membership():
         for n in RESOLUTIONS:
             assert oracle_rasterize(c, n).cells == reference_raster(c, n)
             for fib in c.fibers:
-                for p in fib.parts:
+                for p in parts(fib):
                     for q, closed in ((p.lo, p.lo_closed), (p.hi, p.hi_closed)):
                         if q < 1 and (q * n).denominator == 1:
                             on_grid[n, closed] += 1
@@ -103,8 +103,8 @@ def test_key_raster_matches_per_cell_membership():
 def test_key_raster_flags_on_the_grid(lo_closed, hi_closed):
     """[1/4, 1/2] with each flag pair, and the point {0}, on grids that put
     both ends on a cell (4, 64, 100) and grids that miss them (3, 7)."""
-    fib = canonical([Interval(Fraction(1, 4), Fraction(1, 2), lo_closed, hi_closed)])
-    point = canonical([Interval(Fraction(0), Fraction(0), True, True)])
+    fib = build([Interval(Fraction(1, 4), Fraction(1, 2), lo_closed, hi_closed)])
+    point = build([Interval(Fraction(0), Fraction(0), True, True)])
     c = CylinderOpen(AB, (fib, point))
     for n in (3, 4, 7, 64, 100):
         raster = oracle_rasterize(c, n)

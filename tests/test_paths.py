@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from interval_ref import build, interval, parts
 from jsonfuzz import FUZZ, field_paths, json_values, replaced
 
 from fuzzcyl import (
@@ -41,7 +42,6 @@ from fuzzcyl import (
 from fuzzcyl.cylinder import CylinderOpen, cyl_union, subbasis_elements
 from fuzzcyl.intervals import (
     EMPTY_SET,
-    canonical,
     is_open_in_unit,
     iv_subset,
     make_interval,
@@ -493,7 +493,7 @@ def _affine_preimage(a0, a1, fiber):
     if slope == 0:
         return make_unit_interval(0, 1, True, True) if fiber.contains(a0) else EMPTY_SET
     pieces = []
-    for part in fiber.parts:
+    for part in parts(fiber):
         u1, u2 = (part.lo - a0) / slope, (part.hi - a0) / slope
         if slope > 0:
             lo, hi, lo_closed, hi_closed = u1, u2, part.lo_closed, part.hi_closed
@@ -505,8 +505,8 @@ def _affine_preimage(a0, a1, fiber):
             lo, lo_closed = F(0), True
         if hi > 1:
             hi, hi_closed = F(1), True
-        pieces.extend(make_unit_interval(lo, hi, lo_closed, hi_closed).parts)
-    return canonical(pieces)
+        pieces.extend(interval(lo, hi, lo_closed, hi_closed))
+    return build(pieces)
 
 
 def _scale_fiber_preimage(fiber, c):
@@ -514,22 +514,22 @@ def _scale_fiber_preimage(fiber, c):
     if c == 0:
         return make_interval(0, 1, True, False) if fiber.contains(F(0)) else EMPTY_SET
     pieces = []
-    for part in fiber.parts:
+    for part in parts(fiber):
         lo, hi = part.lo / c, part.hi / c
         hi_closed = part.hi_closed
         if lo >= 1:
             continue
         if hi > 1:
             hi, hi_closed = F(1), False
-        pieces.extend(make_interval(lo, hi, part.lo_closed, hi_closed).parts)
-    return canonical(pieces)
+        pieces.extend(interval(lo, hi, part.lo_closed, hi_closed and hi != 1))
+    return build(pieces)
 
 
 def _shift(params, a, b):
     """Map a parameter set through u -> a + (b - a) u."""
-    return [q for p in params.parts
-            for q in make_unit_interval(a + (b - a) * p.lo, a + (b - a) * p.hi,
-                                        p.lo_closed, p.hi_closed).parts]
+    return [q for p in parts(params)
+            for q in interval(a + (b - a) * p.lo, a + (b - a) * p.hi,
+                              p.lo_closed, p.hi_closed)]
 
 
 def reference_preimage(e, open_set):
@@ -549,22 +549,21 @@ def reference_preimage(e, open_set):
         for i in range(k):
             lo, hi = F(i, k), F(i + 1, k)
             if member[fence.steps[i]]:
-                pieces.extend(make_unit_interval(lo, lo, True, True).parts)
+                pieces.extend(interval(lo, lo, True, True))
             if member[fence.interiors[i]]:
-                pieces.extend(make_unit_interval(lo, hi, False, False).parts)
+                pieces.extend(interval(lo, hi, False, False))
         if member[fence.steps[-1]]:
-            pieces.extend(make_unit_interval(1, 1, True, True).parts)
-        return canonical(pieces)
+            pieces.extend(interval(F(1), F(1), True, True))
+        return build(pieces)
     if isinstance(e, Concat):
         left = e.parts[:-1]
         inner = left[0] if len(left) == 1 else Concat(left)
-        return canonical(_shift(reference_preimage(e.parts[-1], open_set), F(1, 2), F(1))
-                         + _shift(reference_preimage(inner, open_set), F(0), F(1, 2)))
+        return build(_shift(reference_preimage(e.parts[-1], open_set), F(1, 2), F(1))
+                     + _shift(reference_preimage(inner, open_set), F(0), F(1, 2)))
     if isinstance(e, Reverse):
         inner = reference_preimage(e.inner, open_set)
-        return canonical(q for p in inner.parts
-                         for q in make_unit_interval(1 - p.hi, 1 - p.lo,
-                                                     p.hi_closed, p.lo_closed).parts)
+        return build(q for p in parts(inner)
+                     for q in interval(1 - p.hi, 1 - p.lo, p.hi_closed, p.lo_closed))
     if isinstance(e, HTransform):
         scaled = CylinderOpen(open_set.ground,
                               tuple(_scale_fiber_preimage(f, 1 - e.t)

@@ -11,7 +11,7 @@ from fuzzcyl import (
     FuzzySet,
     HLift,
     HTransform,
-    Interval,
+    IntervalSet,
     VerticalAffine,
     chi_boundary,
     chi_eval,
@@ -36,14 +36,19 @@ FUZZY = FuzzySet(ground("a"), (F(1, 3),))
 REGION = psi_star(FUZZY)
 GRID = [F(k, 4) for k in range(5)]
 
+
+def read_interval(lo, hi):
+    """``IntervalSet.from_json`` of the closed interval [lo, hi]."""
+    return IntervalSet.from_json([{"lo": lo, "hi": hi}])
+
 # Every range check of the library, as (site, call, range is [0,1), the
 # call also takes "p/q" strings). Each call passes the probed value to
 # exactly one checked argument.
 SITES = [
     ("FuzzySet", lambda q: FuzzySet(ground("a"), (q,)), False, False),
-    ("Interval.lo", lambda q: Interval(q, F(1), True, True), False, False),
-    ("Interval.hi", lambda q: Interval(F(0), q, True, True), False, False),
-    # lo > hi builds the empty set without an Interval, so only the
+    ("IntervalSet.from_json.lo", lambda q: read_interval(q, 1), False, True),
+    ("IntervalSet.from_json.hi", lambda q: read_interval(0, q), False, True),
+    # lo > hi builds the empty set without an interval, so only the
     # endpoint check itself can reject these
     ("make_interval.lo", lambda q: make_interval(q, 0, True, True), False, True),
     ("make_interval.hi", lambda q: make_interval(1, q, True, True), False, True),

@@ -3,12 +3,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from interval_ref import Interval, build
 
 from fuzzcyl import checks, retraction
 from fuzzcyl import (
     FuzzySet,
-    Interval,
-    IntervalSet,
     continuity_witness,
     cyl_contains,
     fz_generate_topology,
@@ -16,6 +15,7 @@ from fuzzcyl import (
     h_eval,
     h_image_of_box,
     make_interval,
+    make_unit_interval,
     pi2,
     point,
     sigma_image,
@@ -88,7 +88,7 @@ def test_retraction_is_the_homotopy_at_time_one():
 
 
 def test_h_image_of_box_envelope_with_grid_oracle():
-    t_interval = IntervalSet((Interval(F(1, 2), F(3, 4), True, True),))
+    t_interval = make_unit_interval(F(1, 2), F(3, 4), True, True)
     region = CylinderOpen(AB, (make_interval(0, F(1, 2), True, False),) * 2)
     image = h_image_of_box(t_interval, region)
     assert image.fiber("a") == make_interval(0, F(1, 4), True, False)
@@ -103,9 +103,9 @@ def test_h_image_of_box_envelope_with_grid_oracle():
 
 def test_h_image_collapse_and_identity():
     region = CylinderOpen(AB, (make_interval(F(1, 8), F(1, 2), False, False),) * 2)
-    collapsed = h_image_of_box(IntervalSet((Interval(F(1), F(1), True, True),)), region)
+    collapsed = h_image_of_box(make_unit_interval(F(1), F(1), True, True), region)
     assert collapsed.fiber("a") == singleton(0)
-    identity = h_image_of_box(IntervalSet((Interval(F(0), F(0), True, True),)), region)
+    identity = h_image_of_box(make_unit_interval(F(0), F(0), True, True), region)
     assert identity == region
 
 
@@ -114,7 +114,7 @@ def test_witness_case_t0_tstar():
     name = open_with_levels(topo, F(2, 3))
     target = tstar(name, 0)
     w = continuity_witness(0, point("a", F(1, 3)), target, topo)
-    assert w.t_interval == IntervalSet((Interval(F(0), F(1, 2), True, False),))
+    assert w.t_interval == build([Interval(F(0), F(1, 2), True, False)])
     assert w.region == subbasis_realize(target, topo)
     assert verify_witness(w, topo)
 
@@ -122,7 +122,7 @@ def test_witness_case_t0_tstar():
 def test_witness_case_t1_pi2():
     topo = const_topo()
     w = continuity_witness(1, point("a", 0), pi2(F(-1, 2)), topo)
-    assert w.t_interval == IntervalSet((Interval(F(1, 2), F(1), False, True),))
+    assert w.t_interval == build([Interval(F(1, 2), F(1), False, True)])
     assert w.region == whole_cylinder(AB)
     assert verify_witness(w, topo)
 
@@ -144,14 +144,14 @@ def test_witness_fails_when_box_is_too_generous():
     from fuzzcyl import OpenExpr, open_realize
     region_expr = OpenExpr(((tstar(name, 0),),))
     region = open_realize(region_expr, topo)
-    bad = BoxWitness(IntervalSet((Interval(F(0), F(1), True, True),)), region_expr, region,
+    bad = BoxWitness(make_unit_interval(F(0), F(1), True, True), region_expr, region,
                      target, F(1, 2), point("a", F(1, 4)))
     assert not verify_witness(bad, topo)
     # a pi2 target escapes under widening too: collapsing to the slice drops
     # below any positive gamma
     w = continuity_witness(F(1, 2), point("a", F(1, 2)), pi2(F(1, 8)), topo)
     assert verify_witness(w, topo)
-    widened = BoxWitness(IntervalSet((Interval(F(0), F(1), True, True),)), w.region_expr,
+    widened = BoxWitness(make_unit_interval(F(0), F(1), True, True), w.region_expr,
                          w.region, w.target, w.anchor_t, w.anchor)
     assert not verify_witness(widened, topo)
 

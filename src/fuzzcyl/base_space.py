@@ -91,50 +91,54 @@ def slice_agrees(topo: FuzzyTopology) -> bool:
     return slice_masks == base_masks
 
 
-def specialization_preorder(ft: FiniteTopology) -> dict[str, set[str]]:
-    """x <= y iff every open containing x contains y."""
-    relation: dict[str, set[str]] = {}
-    for i, x in enumerate(ft.ground.elements):
-        above = set(ft.ground.elements)
-        for mask in ft.opens:
-            if mask >> i & 1:
-                above &= set(ft.set_of(mask))
-        relation[x] = above
-    return relation
+Order = dict[str, frozenset[str]]
 
 
-def comparable(relation: dict[str, set[str]], a: str, b: str) -> bool:
-    return b in relation[a] or a in relation[b]
+def specialization_preorder(topo: FuzzyTopology) -> Order:
+    """The specialization order of the base ``iota_x`` of ``topo``, the one
+    derivation of it, each element mapped to its up-set U_x: x <= y iff
+    every open holding x holds y, that is, iff N_T(x) <= N_T(y) for every
+    open T, read on ``level_table``.  Built once per topology and kept in
+    its ``memo``; the up-sets are frozen, since every caller shares them."""
+    order = topo.memo.get("specialization_preorder")
+    if order is None:
+        columns = dict(zip(topo.ground.elements, zip(*topo.level_table[1])))
+        order = topo.memo["specialization_preorder"] = {
+            x: frozenset(y for y, cy in columns.items() if all(map(operator.le, cx, cy)))
+            for x, cx in columns.items()}
+    return order
 
 
-def _reached(relation: dict[str, set[str]], elements, start: str) -> dict[str, str]:
+def comparable(order: Order, a: str, b: str) -> bool:
+    return b in order[a] or a in order[b]
+
+
+def _reached(order: Order, start: str) -> dict[str, str]:
     """Breadth-first walk of the comparability graph from ``start``: each
     reached element, in the order reached, mapped to the element it was
     first reached from (``start`` to itself)."""
     prev = {start: start}
     queue = [start]
     for cur in queue:
-        for y in elements:
-            if y not in prev and comparable(relation, cur, y):
+        for y in order:
+            if y not in prev and comparable(order, cur, y):
                 prev[y] = cur
                 queue.append(y)
     return prev
 
 
-def connected_components(ft: FiniteTopology) -> tuple[tuple[str, ...], ...]:
-    """Components of the comparability graph of the specialization preorder.
+def connected_components(order: Order) -> tuple[tuple[str, ...], ...]:
+    """Components of the comparability graph of a specialization preorder.
 
     For finite spaces these coincide with the path components.
     """
-    relation = specialization_preorder(ft)
-    elements = ft.ground.elements
     seen: set[str] = set()
     components = []
-    for x in elements:
+    for x in order:
         if x not in seen:
-            comp = _reached(relation, elements, x)
+            comp = _reached(order, x)
             seen.update(comp)
-            components.append(tuple(e for e in elements if e in comp))
+            components.append(tuple(e for e in order if e in comp))
     return tuple(components)
 
 
@@ -152,15 +156,14 @@ class ConnectivityReport:
 
 
 def check_pc_lpc(topo: FuzzyTopology) -> ConnectivityReport:
-    ft = iota_x(topo)
-    comps = connected_components(ft)
+    comps = connected_components(specialization_preorder(topo))
     return ConnectivityReport(pc=len(comps) == 1, lpc=True, components=comps)
 
 
-def fence_between(ft: FiniteTopology, a: str, b: str) -> Optional[tuple[str, ...]]:
+def fence_between(order: Order, a: str, b: str) -> Optional[tuple[str, ...]]:
     """A shortest fence (sequence of consecutively comparable elements) from
     a to b, read back along the walk from a; None when b is not reached."""
-    prev = _reached(specialization_preorder(ft), ft.ground.elements, a)
+    prev = _reached(order, a)
     if b not in prev:
         return None
     path = [b]

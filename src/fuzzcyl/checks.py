@@ -18,7 +18,6 @@ from .base_space import (
     check_pc_lpc,
     component_cylinder_expr,
     fence_between,
-    iota_x,
     slice_agrees,
     specialization_preorder,
 )
@@ -479,7 +478,7 @@ def sweep_continuity_rule(rng: random.Random,
     planted = 0
     for i in range(count):
         topo = random_topology(rng, max_generators=2, max_den=6)
-        relation = specialization_preorder(iota_x(topo))
+        relation = specialization_preorder(topo)
         elements = topo.ground.elements
         lifts = [HLift(FencePath(rng.choice(((x, y), (y, x))), (x,)),
                        Fraction(rng.randrange(32), 32))
@@ -553,13 +552,12 @@ def connectivity_cross_check(rng: random.Random, count: int = 10) -> SweepResult
     for _ in range(count):
         topo = random_topology(rng, max_generators=2, max_den=6)
         report = check_pc_lpc(topo)
-        ft = iota_x(topo)
         result.checked += 1
         if report.pc:
-            relation = specialization_preorder(ft)
+            relation = specialization_preorder(topo)
             xs = topo.ground.elements
             a, b = rng.choice(xs), rng.choice(xs)
-            fence = fence_between(ft, a, b)
+            fence = fence_between(relation, a, b)
             if fence is None:
                 result.failures.append(("pc-but-no-fence", a, b))
                 continue

@@ -205,8 +205,12 @@ def _realize_clause(clause: tuple[SubbasisElem, ...],
     The ends are integer numerators over one denominator ``den``, the lcm of
     the topology's level denominator D (``level_table``) and the gammas'
     denominators, so T(x) - gamma is m·N_T(x) - g with m = den/D; each
-    fiber is ``iv_span`` of its two ends over den.
+    fiber is ``iv_span`` of its two ends over den.  Each distinct clause is
+    realized once per topology and kept in its ``memo``.
     """
+    key = ("clause", clause)
+    if key in topo.memo:
+        return topo.memo[key]
     level_den, rows = topo.level_table
     den = lcm(level_den, *(e.gamma.denominator for e in clause))
     lo = max((e.gamma.numerator * (den // e.gamma.denominator)
@@ -220,8 +224,9 @@ def _realize_clause(clause: tuple[SubbasisElem, ...],
             g = e.gamma.numerator * (den // e.gamma.denominator)
             his = [min(h, m * n - g)
                    for h, n in zip(his, rows[topo.open_index(e.open_name)])]
-    return CylinderOpen(topo.ground,
-                        tuple(iv_span(den, lo, hi, lo_open) for hi in his))
+    out = topo.memo[key] = CylinderOpen(topo.ground,
+                                        tuple(iv_span(den, lo, hi, lo_open) for hi in his))
+    return out
 
 
 def subbasis_realize(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:

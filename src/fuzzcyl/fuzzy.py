@@ -64,6 +64,8 @@ class FuzzySet:
 
     @staticmethod
     def from_dict(gs: GroundSet, values: dict) -> "FuzzySet":
+        if not isinstance(values, dict):
+            raise TypeError("membership values must be an object keyed by ground element")
         missing = [x for x in gs.elements if x not in values]
         if missing:
             raise ValueError(f"missing membership values for {missing}")
@@ -146,9 +148,10 @@ class FuzzyTopology:
     @cached_property
     def memo(self) -> dict:
         """Values other modules derive from this topology and keep for its
-        lifetime (anchor targets, realized subbasis opens), each under a key
-        that names what it holds.  Created on first use, so a topology that
-        nothing derives from carries no memo."""
+        lifetime (the anchor targets, the base's specialization order, each
+        realized clause), each under a key that names what it holds.
+        Created on first use, so a topology that nothing derives from
+        carries no memo."""
         return {}
 
     def items(self):
@@ -187,6 +190,8 @@ def read_family(doc: dict) -> tuple[GroundSet, tuple[str, ...], tuple[FuzzySet, 
         raise TypeError("opens must be an array")
     names, opens = [], []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise TypeError("each open must be an object with a name and values")
         if not isinstance(entry["name"], str):
             raise TypeError(f"open names must be strings, not {type(entry['name']).__name__}")
         names.append(entry["name"])

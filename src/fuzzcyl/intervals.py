@@ -32,13 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .rationals import frac, ratio, unit
-
-
-def _format_key(n: int, den: int) -> str:
-    """``format_rational`` of n/den, read from the integers (den > 0)."""
-    g = gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
+from .rationals import format_ratio, frac, ratio, unit
 
 
 def _show(lo: str, hi: str, lo_open: bool, hi_open: bool) -> str:
@@ -58,10 +52,10 @@ def _read_interval(doc: dict) -> tuple[int, int, int, int, bool, bool]:
         raise TypeError("interval flags lo_open and hi_open must be booleans")
     for p, q in ((lp, lq), (hp, hq)):
         if not 0 <= p <= q:
-            raise ValueError(f"interval endpoint outside [0,1]: {_format_key(p, q)}")
+            raise ValueError(f"interval endpoint outside [0,1]: {format_ratio(p, q)}")
     a, b = lp * hq, hp * lq
     if a > b or a == b and (lo_open or hi_open):
-        shown = _show(_format_key(lp, lq), _format_key(hp, hq), lo_open, hi_open)
+        shown = _show(format_ratio(lp, lq), format_ratio(hp, hq), lo_open, hi_open)
         if a > b:
             raise ValueError(f"empty interval: {shown}")
         raise ValueError(f"degenerate interval must be closed on both sides: {shown}")
@@ -92,14 +86,14 @@ class IntervalSet:
 
     def __repr__(self):
         k, den = self.keys, self.den
-        return "{" + ", ".join(_show(_format_key(s >> 1, den), _format_key(e >> 1, den),
+        return "{" + ", ".join(_show(format_ratio(s >> 1, den), format_ratio(e >> 1, den),
                                      s & 1, not e & 1)
                                for s, e in zip(k[::2], k[1::2])) + "}"
 
     def to_json(self) -> list:
         """Each canonical interval's ends formatted from its keys, and its flags."""
         k, den = self.keys, self.den
-        return [{"lo": _format_key(s >> 1, den), "hi": _format_key(e >> 1, den),
+        return [{"lo": format_ratio(s >> 1, den), "hi": format_ratio(e >> 1, den),
                  "lo_open": bool(s & 1), "hi_open": not e & 1}
                 for s, e in zip(k[::2], k[1::2])]
 

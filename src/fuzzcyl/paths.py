@@ -19,18 +19,18 @@ each argument once, and the grid checks compare their rows of exact keys
 table piece by piece as boundary-key pairs, each piece's ends solved in
 integers.  Continuity is decided on the table too, in integers:
 ``continuity_failure`` checks each breakpoint against its adjacent pieces
-(one level test, one order test on the opens' levels).
+(one level test, one test in the base's specialization order).
 """
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
+from .base_space import Order, specialization_preorder
 from .cylinder import CylinderOpen
 from .fuzzy import FuzzyTopology
 from .intervals import IntervalSet, canonical
@@ -72,7 +72,7 @@ class FencePath:
         return {"steps": list(self.steps), "interiors": list(self.interiors)}
 
 
-def make_fence_path(steps, relation: dict[str, set[str]]) -> FencePath:
+def make_fence_path(steps, relation: Order) -> FencePath:
     """Validate comparability against a specialization preorder and fix the
     interior representative of each segment."""
     steps = tuple(steps)
@@ -366,15 +366,15 @@ def continuity_failure(e: PathExpr,
     cylinder of ``topo``, as ``(u, "left" or "right", "level-jump" or
     "below")``, or None when ``e`` is continuous.
 
-    The cylinder's topology is initial for pi2 and for every
-    T*(x, alpha) = T(x) - alpha, each into the reals with the rays
-    (gamma, oo), so ``e`` is continuous exactly when every composite is
-    lower semicontinuous.  The composites are affine on each open piece of
-    the table, so only the breakpoints can fail.  At a breakpoint with
-    point (y, a), each adjacent piece, on x, must reach the level a there
-    (pi2 and the constant opens; otherwise "level-jump"), and T(x) >= T(y)
-    must hold for every open T (otherwise some T* has its limit below its
-    value: "below").
+    The cylinder is the product of the base X_tau with J, and the base has
+    the least neighbourhood U_y = ``specialization_preorder(topo)[y]`` at
+    each y, so ``e`` is continuous at u exactly when its level is and its
+    element lies in U_y near u, with (y, a) = e(u).  On each open piece of
+    the table the element is fixed and the level affine, so only the
+    breakpoints can fail.  At a breakpoint with point (y, a), each adjacent
+    piece, on x, must reach the level a there (otherwise "level-jump"), and
+    x must lie in U_y (otherwise "below": some T* has its limit below its
+    value, since T(x) < T(y) for some open T).
     """
     return _table_continuity_failure(path_table(e), topo)
 
@@ -383,15 +383,14 @@ def _table_continuity_failure(table: PathTable, topo: FuzzyTopology
                               ) -> Optional[tuple[Fraction, str, str]]:
     """``continuity_failure`` on a compiled table."""
     den, pieces = table.den, table.pieces
-    # the levels of every open at each ground element
-    columns = dict(zip(topo.ground.elements, zip(*(f.levels for f in topo.opens))))
+    order = specialization_preorder(topo)
     for j, (b, (y, a)) in enumerate(zip(table.breaks, table.points)):
         for side, near in (("left", pieces[max(j - 1, 0):j]), ("right", pieces[j:j + 1])):
             for x, c0, c1 in near:
                 # the piece's limit (c0 + c1 b/den)/den against a/den
                 if c0 * den + c1 * b != a * den:
                     return Fraction(b, den), side, "level-jump"
-                if x != y and not all(map(operator.ge, columns[x], columns[y])):
+                if x not in order[y]:
                     return Fraction(b, den), side, "below"
     return None
 

@@ -73,16 +73,6 @@ def h_image_of_box(t_interval: IntervalSet, region: CylinderOpen) -> CylinderOpe
     return CylinderOpen(region.ground, tuple(iv_scale(fib, scale) for fib in region.fibers))
 
 
-def realized_target(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:
-    """``subbasis_realize(e, topo)``, realized once per topology and kept in
-    its ``memo``."""
-    key = ("subbasis_realize", e)
-    out = topo.memo.get(key)
-    if out is None:
-        out = topo.memo[key] = subbasis_realize(e, topo)
-    return out
-
-
 @dataclass(frozen=True)
 class BoxWitness:
     """A continuity certificate for the homotopy at one anchor.  The time
@@ -140,7 +130,7 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
     t = frac(t)
     x, alpha = p.x, p.alpha
     image = h_eval(t, p)
-    if not realized_target(target, topo).fiber(image.x).contains(image.alpha):
+    if not subbasis_realize(target, topo).fiber(image.x).contains(image.alpha):
         raise ValueError(f"H({t},{p}) does not lie in the target {target}")
     gamma = target.gamma
     if target.kind == "tstar":
@@ -200,7 +190,7 @@ def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
     the target.
 
     The image is never built: over each element the realized target
-    (``realized_target``) is one interval or empty, and the fiber's image
+    (``subbasis_realize``) is one interval or empty, and the fiber's image
     under the factors 1 - t lies in it exactly when two scaled ends do, the
     low end of the fiber's first key pair and the high end of its last
     (``iv_scale_within``)."""
@@ -212,7 +202,7 @@ def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
     if open_realize(w.region_expr, topo) != w.region:
         return False
     scale = iv_reflect(t)
-    target = realized_target(w.target, topo)
+    target = subbasis_realize(w.target, topo)
     return all(iv_scale_within(a, scale, b)
                for a, b in zip(w.region.fibers, target.fibers))
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .base_space import iota_x, specialization_preorder
+from .base_space import comparable, specialization_preorder
 from .cylinder import SubbasisElem, subbasis_elements, subbasis_predicate
 from .fuzzy import (
     FuzzySet,
@@ -81,16 +81,15 @@ _SMALL_TIMES = (ZERO, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
 
 def _random_fence(rng: random.Random, topo: FuzzyTopology,
                   start: str, max_steps: int = 3) -> FencePath:
-    relation = specialization_preorder(iota_x(topo))
+    order = specialization_preorder(topo)
     steps = [start]
     for _ in range(rng.randint(0, max_steps)):
         cur = steps[-1]
-        neighbours = [y for y in topo.ground.elements
-                      if y != cur and (y in relation[cur] or cur in relation[y])]
+        neighbours = [y for y in order if y != cur and comparable(order, cur, y)]
         if not neighbours:
             break
         steps.append(rng.choice(neighbours))
-    return make_fence_path(steps, relation)
+    return make_fence_path(steps, order)
 
 
 def random_path(rng: random.Random, topo: FuzzyTopology, depth: int = 3,

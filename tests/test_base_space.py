@@ -85,21 +85,27 @@ def sierpinski():
 
 
 def test_connected_components_examples():
-    assert connected_components(iota_x(sierpinski())) == (("a", "b"),)
+    assert connected_components(specialization_preorder(sierpinski())) == (("a", "b"),)
 
     discrete = fz_generate_topology(
         [fz_indicator(["a"], AB), fz_indicator(["b"], AB)], AB)
-    assert connected_components(iota_x(discrete)) == (("a",), ("b",))
+    assert connected_components(specialization_preorder(discrete)) == (("a",), ("b",))
 
     abc = ground("a", "b", "c")
-    assert connected_components(iota_x(const_topo(abc))) == (("a", "b", "c"),)
+    assert connected_components(specialization_preorder(const_topo(abc))) == \
+        (("a", "b", "c"),)
 
 
 def test_specialization_preorder_sierpinski():
-    relation = specialization_preorder(iota_x(sierpinski()))
+    topo = sierpinski()
+    relation = specialization_preorder(topo)
     # every open containing b contains a as well, so b specializes to a
     assert relation["b"] == {"a", "b"}
     assert relation["a"] == {"a"}
+    # built once, kept in the memo, with up-sets nobody can grow
+    assert specialization_preorder(topo) is relation
+    assert topo.memo["specialization_preorder"] is relation
+    assert all(type(up) is frozenset for up in relation.values())
 
 
 def test_check_pc_lpc_examples():
@@ -114,18 +120,48 @@ def test_check_pc_lpc_examples():
 
 
 def test_fence_between():
-    ft = iota_x(sierpinski())
-    assert fence_between(ft, "a", "a") == ("a",)
-    assert fence_between(ft, "a", "b") == ("a", "b")
-    discrete = iota_x(fz_generate_topology(
+    order = specialization_preorder(sierpinski())
+    assert fence_between(order, "a", "a") == ("a",)
+    assert fence_between(order, "a", "b") == ("a", "b")
+    discrete = specialization_preorder(fz_generate_topology(
         [fz_indicator(["a"], AB), fz_indicator(["b"], AB)], AB))
     assert fence_between(discrete, "a", "b") is None
 
 
-def ref_connected_components(ft):
+def ref_preorder(ft):
+    """The specialization preorder of a finite topology by intersecting
+    opens: x <= y iff every open containing x contains y."""
+    relation = {}
+    for i, x in enumerate(ft.ground.elements):
+        above = set(ft.ground.elements)
+        for mask in ft.opens:
+            if mask >> i & 1:
+                above &= set(ft.set_of(mask))
+        relation[x] = above
+    return relation
+
+
+def test_order_read_on_levels_matches_the_opens_of_the_base():
+    # x <= y iff N_T(x) <= N_T(y) for every open T equals the order of
+    # iota_x read off its opens, on bases of every size from 1 to 6
+    rng = random.Random(2_026)
+    sizes, disconnected, strict = set(), 0, 0
+    for _ in range(2_000):
+        topo = random_topology(rng)
+        ft = iota_x(topo)
+        order = specialization_preorder(topo)
+        assert order == ref_preorder(ft), topo
+        sizes.add(len(topo.ground.elements))
+        disconnected += len(connected_components(order)) > 1
+        strict += any(y in order[x] and x not in order[y] for x in order for y in order)
+    assert sizes == {1, 2, 3, 4, 5, 6}
+    assert disconnected >= 100, disconnected
+    assert strict >= 500, strict
+
+
+def ref_connected_components(order):
     """Components by a depth-first walk of the comparability graph."""
-    relation = specialization_preorder(ft)
-    elements = list(ft.ground.elements)
+    elements = list(order)
     seen = set()
     components = []
     for x in elements:
@@ -136,7 +172,7 @@ def ref_connected_components(ft):
         while frontier:
             cur = frontier.pop()
             for y in elements:
-                if y not in comp and comparable(relation, cur, y):
+                if y not in comp and comparable(order, cur, y):
                     comp.add(y)
                     frontier.append(y)
         seen |= comp
@@ -144,17 +180,16 @@ def ref_connected_components(ft):
     return tuple(components)
 
 
-def ref_fence_between(ft, a, b):
+def ref_fence_between(order, a, b):
     """A fence by a breadth-first walk that stops on reaching b."""
-    relation = specialization_preorder(ft)
     if a == b:
         return (a,)
     prev = {a: a}
     frontier = [a]
     while frontier:
         cur = frontier.pop(0)
-        for y in ft.ground.elements:
-            if y not in prev and comparable(relation, cur, y):
+        for y in order:
+            if y not in prev and comparable(order, cur, y):
                 prev[y] = cur
                 if y == b:
                     path = [b]
@@ -165,28 +200,30 @@ def ref_fence_between(ft, a, b):
     return None
 
 
-def walk_spaces(rng):
-    """The bases of random fuzzy topologies, and finite topologies
-    generated by random subsets of up to six points, many disconnected."""
+def walk_orders(rng):
+    """The base orders of random fuzzy topologies, and the orders of finite
+    topologies generated by random subsets of up to six points, many
+    disconnected, read off their opens by the reference."""
     for _ in range(150):
-        yield iota_x(random_topology(rng))
+        yield specialization_preorder(random_topology(rng))
     for _ in range(350):
         gs = ground(*"abcdef"[:rng.randint(1, 6)])
         full = (1 << len(gs.elements)) - 1
-        yield close_under_ops(gs, {rng.randint(0, full) for _ in range(rng.randint(0, 4))})
+        yield ref_preorder(close_under_ops(
+            gs, {rng.randint(0, full) for _ in range(rng.randint(0, 4))}))
 
 
 def test_walk_matches_the_depth_and_breadth_first_walks():
     rng = random.Random(9_900)
     seen = {"disconnected": 0, "no fence": 0, "fence of 3 or more": 0}
-    for ft in walk_spaces(rng):
-        comps = connected_components(ft)
-        assert comps == ref_connected_components(ft), ft
+    for order in walk_orders(rng):
+        comps = connected_components(order)
+        assert comps == ref_connected_components(order), order
         seen["disconnected"] += len(comps) > 1
-        for a in ft.ground.elements:
-            for b in ft.ground.elements:
-                fence = fence_between(ft, a, b)
-                assert fence == ref_fence_between(ft, a, b), (ft, a, b)
+        for a in order:
+            for b in order:
+                fence = fence_between(order, a, b)
+                assert fence == ref_fence_between(order, a, b), (order, a, b)
                 seen["no fence"] += fence is None
                 seen["fence of 3 or more"] += fence is not None and len(fence) >= 3
     assert min(seen.values()) >= 50, seen

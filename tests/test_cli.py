@@ -235,6 +235,32 @@ def test_replay_requires_arrays(capsys, tmp_path, forge, message):
     assert captured.err == f"error: malformed certificate: {message}\n"
 
 
+VALUES_NOT_AN_OBJECT = "membership values must be an object keyed by ground element"
+OPEN_NOT_AN_OBJECT = "each open must be an object with a name and values"
+
+
+@pytest.mark.parametrize("command", ["validate", "cylinder"])
+@pytest.mark.parametrize("place, value, message", [
+    ("values", ["a"], VALUES_NOT_AN_OBJECT),
+    ("values", ["a", "b"], VALUES_NOT_AN_OBJECT),
+    ("values", "ab", VALUES_NOT_AN_OBJECT),
+    ("values", 5, VALUES_NOT_AN_OBJECT),
+    ("open", ["T0", {"a": "0", "b": "0"}], OPEN_NOT_AN_OBJECT),
+], ids=["array", "full-array", "string", "number", "open-entry"])
+def test_opens_and_their_values_must_be_objects(capsys, tmp_path, command,
+                                                place, value, message):
+    doc = json.loads(json.dumps(TOPO))
+    if place == "values":
+        doc["opens"][0]["values"] = value
+    else:
+        doc["opens"][0] = value
+    path = write_topology(tmp_path, doc)
+    assert main([command, "--topology", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed topology file: {message}\n"
+
+
 @pytest.mark.parametrize("opens", [{}, ""], ids=["object", "string"])
 def test_opens_must_be_an_array(capsys, tmp_path, opens):
     path = write_topology(tmp_path, dict(TOPO, opens=opens))

@@ -25,7 +25,6 @@ from fuzzcyl import (
     fz_generate_topology,
     fz_indicator,
     ground,
-    iota_x,
     kappa,
     make_fence_path,
     make_interval,
@@ -217,7 +216,7 @@ def test_path_preimage_open_examples():
 
 def test_hlift_preimage_open_on_sierpinski():
     topo = fz_generate_topology([fz_indicator(["a"], AB)], AB)
-    relation = specialization_preorder(iota_x(topo))
+    relation = specialization_preorder(topo)
     fence = make_fence_path(("b", "a"), relation)
     lift = HLift(fence, F(0))
     name = [n for n, f in topo.items() if f.levels == (F(1), F(0))][0]
@@ -298,7 +297,7 @@ def test_path_documents_take_string_elements(doc):
 def test_make_fence_path_rejects_incomparable():
     discrete = fz_generate_topology(
         [fz_indicator(["a"], AB), fz_indicator(["b"], AB)], AB)
-    relation = specialization_preorder(iota_x(discrete))
+    relation = specialization_preorder(discrete)
     with pytest.raises(ValueError):
         make_fence_path(("a", "b"), relation)
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -29,6 +30,7 @@ from fuzzcyl import (
     unit,
 )
 from fuzzcyl.paths import chi_keys, eval_keys
+from fuzzcyl.rationals import format_ratio, format_rational
 
 EPS = F(1, 10**6)
 START = Const(CylPoint("a", F(0)))
@@ -123,3 +125,26 @@ def test_frac_rejects_booleans_and_floats():
     for value in (True, False, 0.5, None, [1]):
         with pytest.raises(TypeError, match="as an exact rational"):
             frac(value)
+
+
+def shown(q):
+    """"p/q" of a Fraction from its reduced numerator and denominator."""
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def test_format_ratio_matches_format_rational():
+    # every pair with |n| <= 24 and d <= 24: zero, d = 1, negative n and
+    # unreduced pairs, then large random ones
+    rng = random.Random(1_717)
+    pairs = [(n, d) for n in range(-24, 25) for d in range(1, 25)]
+    pairs += [(rng.randint(-10**12, 10**12) * k, rng.randint(1, 10**6) * k)
+              for k in (1, 6, 360) for _ in range(500)]
+    kinds = {"zero": 0, "integer": 0, "negative": 0, "unreduced": 0}
+    for n, d in pairs:
+        q = F(n, d)
+        assert format_ratio(n, d) == format_rational(q) == shown(q), (n, d)
+        kinds["zero"] += n == 0
+        kinds["integer"] += d == 1
+        kinds["negative"] += n < 0
+        kinds["unreduced"] += q.denominator != d
+    assert min(kinds.values()) >= 24, kinds

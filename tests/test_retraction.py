@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from interval_ref import Interval, build
 
-from fuzzcyl import checks, retraction
+from fuzzcyl import checks
 from fuzzcyl import (
     FuzzySet,
     continuity_witness,
@@ -272,27 +272,41 @@ def test_memo_is_created_on_first_use():
         assert FuzzyTopology(topo.ground, topo.names, topo.opens) == topo
 
 
-def test_each_target_is_realized_once_per_loaded_topology(monkeypatch):
-    # the witness precondition, the check at emit and the replay all read
-    # one realization per distinct target; a topology loaded again for the
-    # replay realizes each of its certificates' targets once more
-    calls = []
+class ClauseLog(dict):
+    """A topology memo that logs the clause of each realization stored in
+    it: ``_realize_clause`` stores once per cache miss."""
 
-    def counted(e, topo):
-        calls.append(e)
-        return subbasis_realize(e, topo)
+    def __init__(self):
+        super().__init__()
+        self.misses = []
 
-    monkeypatch.setattr(retraction, "subbasis_realize", counted)
+    def __setitem__(self, key, value):
+        if isinstance(key, tuple) and key[0] == "clause":
+            self.misses.append(key[1])
+        super().__setitem__(key, value)
+
+
+def with_clause_log(topo):
+    topo.__dict__["memo"] = ClauseLog()  # read by the memo cached_property
+    return topo
+
+
+def test_each_target_is_realized_once_per_loaded_topology():
+    # the witness precondition, the region built at emit, the check at emit
+    # and the replay all read one realization per distinct clause, kept in
+    # the topology's memo; a topology loaded again for the replay realizes
+    # each of its certificates' target and region clauses once more
     rng = random.Random(9)
     for _ in range(10):
-        topo = random_topology(rng, max_generators=2, max_den=8)
-        calls.clear()
+        topo = with_clause_log(random_topology(rng, max_generators=2, max_den=8))
         result, witnesses = checks.sweep_retraction_on(topo, rng, anchors=60)
         assert result.ok and len(witnesses) == 60
-        targets = {w.target for w in witnesses}
-        assert sorted(map(repr, calls)) == sorted(map(repr, targets))
-        calls.clear()
-        replay = FuzzyTopology(topo.ground, topo.names, topo.opens)
+        clauses = {(w.target,) for w in witnesses}
+        clauses.update(c for w in witnesses for c in w.region_expr.clauses)
+        misses = topo.memo.misses
+        assert len(misses) == len(set(misses)) and set(misses) == clauses
+        replay = with_clause_log(FuzzyTopology(topo.ground, topo.names, topo.opens))
         assert all(verify_witness(w, replay) for w in witnesses)
         assert all(verify_witness(w, replay) for w in witnesses)
-        assert sorted(map(repr, calls)) == sorted(map(repr, targets))
+        misses = replay.memo.misses
+        assert len(misses) == len(set(misses)) and set(misses) == clauses

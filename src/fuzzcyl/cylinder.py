@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Callable, Optional
 
@@ -323,15 +324,18 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
     numerator tuple.
 
     The join families are walked depth-first in lexicographic order of their
-    index tuples. Each step carries its prefix's union of images and its
-    prefix's join numerators, so a family costs one ``cyl_union`` on top of
-    its prefix's union: the same chain ``((empty | a) | b) | ...`` that
-    building the family's union member by member evaluates. A cache that
-    lives for one call, keyed by (prefix union, member index), skips repeated
-    unions; ``cyl_union`` is pure over canonical values, so a hit returns
-    what a fresh call would, and every family's equality is still evaluated,
-    against a union the interval algebra built. Failures are reported by
-    family size, then by index tuple.
+    index tuples, on interned ids: each distinct value the walk meets (the
+    empty cylinder, the images, the prefix unions, the join rows) gets a
+    small int once, through a dict keyed by value. Cached step tables map
+    (union id, i) to the id of ``cyl_union(U, members[i])`` and (join id, i)
+    to the ids of the elementwise ``max`` and of its image, so the interval
+    algebra builds each distinct union once, on the member by member chain
+    ``(empty | a) | b``. A family's verdict compares its union's id with its
+    join image's id: value equality. The families below a family and their
+    verdicts are fixed by its last index, union, join and the depth left, so
+    ``walk`` is cached on those four ints, and a family reaching a shared
+    state gets the verdicts a fresh walk from it would give. Failures are
+    reported by family size, then by index tuple.
     """
     failures: list[tuple] = []
     checked = 0
@@ -344,30 +348,47 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
         meet = tuple(map(min, levels[i], levels[j]))
         if cyl_intersect(members[i], members[j]) != image_of[meet]:
             failures.append(("meet-law", names[i], names[j]))
-    unions: dict[CylinderOpen, dict[int, CylinderOpen]] = {}
-    join_failures: list[tuple[int, ...]] = []
-    depth = min(max_family, len(names))
+    ids: dict = {}
+    values: dict[int, object] = {}
 
-    def walk(prefix: tuple[int, ...], union: CylinderOpen, join) -> int:
-        row = unions.setdefault(union, {})
-        visited = 0
-        for i in range(prefix[-1] + 1 if prefix else 0, len(names)):
-            family = prefix + (i,)
-            grown = row.get(i)
-            if grown is None:
-                grown = row[i] = cyl_union(union, members[i])
-            joined = levels[i] if join is None else tuple(map(max, join, levels[i]))
+    def intern(value) -> int:
+        k = ids.setdefault(value, len(ids))
+        values[k] = value
+        return k
+
+    image_by_row = {row: intern(m) for row, m in zip(levels, members)}
+
+    @cache
+    def grow(u: int, i: int) -> int:
+        return intern(cyl_union(values[u], members[i]))
+
+    @cache
+    def join(j: int, i: int) -> tuple[int, int]:
+        row = tuple(map(max, values[j], levels[i]))
+        return intern(row), image_by_row[row]
+
+    @cache
+    def walk(start: int, u: int, j: int, remaining: int) -> tuple[int, tuple]:
+        visited, failing = 0, []
+        for i in range(start, len(names)):
+            grown = grow(u, i)
+            joined, image = join(j, i)
             visited += 1
-            if grown != image_of[joined]:
-                join_failures.append(family)
-            if len(family) < depth:
-                visited += walk(family, grown, joined)
-        return visited
+            if grown != image:
+                failing.append((i,))
+            if remaining > 1:
+                below, suffixes = walk(i + 1, grown, joined, remaining - 1)
+                visited += below
+                failing.extend((i, *suffix) for suffix in suffixes)
+        return visited, tuple(failing)
 
+    depth = min(max_family, len(names))
     if depth > 0:
-        checked += walk((), empty_cylinder(topo.ground), None)
-    join_failures.sort(key=lambda family: (len(family), family))
-    failures.extend(("join-law", *(names[i] for i in family)) for family in join_failures)
+        visited, join_failures = walk(0, intern(empty_cylinder(topo.ground)),
+                                      intern((0,) * len(levels[0])), depth)
+        checked += visited
+        failures.extend(("join-law", *(names[i] for i in family)) for family in
+                        sorted(join_failures, key=lambda family: (len(family), family)))
     if len(names) > max_family:
         checked += 1
         union = empty_cylinder(topo.ground)

@@ -424,6 +424,47 @@ def test_membership_values_for_unknown_elements_exit_2(tmp_path, capsys, command
                             "for unknown elements ['c', 'zz']\n")
 
 
+# each subcommand that loads a topology, with the flags it needs besides
+# --topology
+TOPOLOGY_COMMANDS = {
+    "validate": [],
+    "cylinder": [],
+    "connectivity": [],
+    "laws": ["--sweeps", "1"],
+    "verify-retraction": ["--sweeps", "1"],
+    "decide-complement": ["--f", "T0", "--g", "T1"],
+}
+
+
+def without(doc, *path):
+    """A deep copy of doc with the key at path removed."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    del target[key]
+    return doc
+
+
+@pytest.mark.parametrize("command", sorted(TOPOLOGY_COMMANDS))
+@pytest.mark.parametrize("doc, message", [
+    ([], "topology must be a JSON object"),
+    ("topology", "topology must be a JSON object"),
+    (without(TOPO, "ground_set"), "topology has no 'ground_set' field"),
+    (without(TOPO, "opens"), "topology has no 'opens' field"),
+    (without(TOPO, "opens", 2, "name"), "open 2 has no 'name' field"),
+    (without(TOPO, "opens", 0, "values"), "open 0 has no 'values' field"),
+], ids=["array", "string", "no-ground-set", "no-opens", "no-name", "no-values"])
+def test_malformed_topology_message_names_the_fault(capsys, tmp_path, command, doc,
+                                                    message):
+    path = write_topology(tmp_path, doc)
+    assert main([command, "--topology", path, *TOPOLOGY_COMMANDS[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed topology file: {message}\n"
+
+
 def test_emit_and_replay_are_exclusive(monkeypatch, tmp_path, topo_file):
     def no_run(*args, **kwargs):
         raise AssertionError("ran with both --emit and --replay")

@@ -275,10 +275,24 @@ def reference_psi_laws(topo, max_family=4):
     return LawReport(not failures, tuple(failures), checked)
 
 
+def draw_with_opens(rng, count):
+    """The next draw of ``random_topology(rng)`` with ``count`` opens, within
+    100 draws."""
+    for _ in range(100):
+        topo = random_topology(rng)
+        if len(topo.names) == count:
+            return topo
+    raise AssertionError(f"no {count}-open topology in 100 draws")
+
+
 def test_verify_psi_laws_matches_reference_loop():
     rng = random.Random(1)
     draws = [random_topology(rng) for _ in range(30)]
     assert max(len(t.names) for t in draws) >= 15
+    # 20 opens is the largest size the generator draws, and the size that
+    # puts the most families on each shared (union, join) state
+    draws.append(draw_with_opens(rng, 20))
+    assert max(len(t.names) for t in draws) == 20
     for topo in draws:
         n = len(topo.names)
         sizes = (1, 2, 4, n + 1) if n <= 10 else (1, 2, 4)
@@ -407,3 +421,28 @@ def test_verify_psi_laws_builds_one_image_per_open(monkeypatch):
         calls.clear()
         assert verify_psi_laws(topo, 4).ok
         assert sorted(calls) == sorted(f.levels for f in topo.opens)
+
+
+def test_verify_psi_laws_hashes_no_cylinder_per_family(monkeypatch):
+    """The join walk compares interned ids: a CylinderOpen is hashed only to
+    intern it, once per cyl_union result, once per open's image and once
+    for the empty cylinder it starts from, however many families (6,195 of
+    size 1 to 4 for 20 opens) share those values."""
+    honest_hash, honest_union = CylinderOpen.__hash__, cylinder.cyl_union
+    counts = {"hash": 0, "union": 0}
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return honest_hash(self)
+
+    def counted_union(a, b):
+        counts["union"] += 1
+        return honest_union(a, b)
+
+    topos = mixed_denominator_topologies() + [draw_with_opens(random.Random(1), 20)]
+    monkeypatch.setattr(CylinderOpen, "__hash__", counted_hash)
+    monkeypatch.setattr(cylinder, "cyl_union", counted_union)
+    for topo in topos:
+        counts.update(hash=0, union=0)
+        assert verify_psi_laws(topo).ok
+        assert counts["hash"] <= counts["union"] + len(topo.names) + 1, counts

@@ -4,7 +4,13 @@ Each sweep returns a :class:`SweepResult` with zero-tolerance failure
 records.  Symbolic cylinder sets produced along the way are registered in
 an :class:`OracleLedger` together with a first-principles membership
 predicate, so the grid oracle can cross-check them independently of the
-interval algebra that produced them.
+interval algebra that produced them.  A predicate (``cylinder.Predicate``)
+takes a point (x, n/d) as the element x and integers n, d and compares
+cross-multiplied integers: psi_star(f) holds n·b < a·d where f(x) = a/b, and the subbasis,
+sigma-image, open-expression and set-complement predicates are built from
+that rule and ``cylinder.subbasis_predicate``.  Each reads only membership
+values and gammas, as (numerator, denominator) pairs taken once when it is
+built, never boundary keys.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .base_space import (
     check_pc_lpc,
@@ -24,6 +30,7 @@ from .base_space import (
 from .cylinder import (
     CylinderOpen,
     OpenExpr,
+    Predicate,
     SubbasisElem,
     complement_compat,
     cyl_complement,
@@ -89,9 +96,6 @@ from .sweeps import (
     random_topology,
 )
 
-Predicate = Callable[[str, Fraction], bool]
-
-
 @dataclass
 class SweepResult:
     name: str
@@ -117,13 +121,16 @@ class OracleLedger:
         self.entries.append((label, c, predicate))
 
     def verify(self, resolution: int = 64) -> SweepResult:
+        """Each entry's predicate at every cell (x, k/N), k = 0 .. N-1, as
+        ``predicate(x, k, N)``, against the raster of its symbolic set; a
+        failure is (label, x, Fraction(k, N)) at the first differing cell."""
         result = SweepResult(f"grid-oracle-N{resolution}")
-        grid = [Fraction(k, resolution) for k in range(resolution)]
+        cells = range(resolution)
         for label, c, predicate in self.entries:
             result.checked += 1
             brute = GridOracle(
                 c.ground, resolution,
-                tuple(tuple(predicate(x, v) for v in grid)
+                tuple(tuple([predicate(x, k, resolution) for k in cells])
                       for x in c.ground.elements))
             mismatch = first_mismatch(c, brute)
             if mismatch is not None:
@@ -132,15 +139,27 @@ class OracleLedger:
 
 
 def psi_predicate(f: FuzzySet) -> Predicate:
-    levels = f.values_dict()
-    return lambda x, v: v < levels[x]
+    """psi_star(f), the levels below f: n/d < f(x) = a/b, that is n·b < a·d."""
+    levels = f.ratios()
+
+    def below(x: str, n: int, d: int) -> bool:
+        a, b = levels[x]
+        return n * b < a * d
+    return below
+
+
+def set_complement_predicate(f: FuzzySet) -> Predicate:
+    """The complement of psi_star(f) in X x J: the points ``psi_predicate``
+    rejects."""
+    below = psi_predicate(f)
+    return lambda x, n, d: not below(x, n, d)
 
 
 def expr_predicate(expr: OpenExpr, topo: FuzzyTopology) -> Predicate:
     clause_preds = [[subbasis_predicate(e, topo) for e in clause]
                     for clause in expr.clauses]
-    return lambda x, v: any(all(p(x, v) for p in clause)
-                            for clause in clause_preds)
+    return lambda x, n, d: any(all(p(x, n, d) for p in clause)
+                               for clause in clause_preds)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +187,7 @@ def counterexample_report(elements=("x",),
     if ledger is not None:
         ledger.add("counterexample-psi", below, psi_predicate(T))
         ledger.add("counterexample-set-complement", complement,
-                   lambda x, v, f=T: v >= f(x))
+                   set_complement_predicate(T))
         ledger.add("counterexample-psi-of-complement", below_comp,
                    psi_predicate(fz_complement(T)))
     return {
@@ -248,7 +267,7 @@ def sweep_sigma_laws(rng: random.Random, count: int,
             if direct != sigma_image_subbasis(e, topo):
                 result.failures.append(("sigma-subbasis", e))
             if ledger is not None:
-                ledger.add(f"sigma:{e.kind}", direct, _sigma_predicate(e, topo))
+                ledger.add(f"sigma:{e.kind}", direct, sigma_predicate(e, topo))
         tstars = [e for e in elems if e.kind == "tstar"]
         for _ in range(10):
             size = rng.randint(2, 3)
@@ -266,11 +285,15 @@ def sweep_sigma_laws(rng: random.Random, count: int,
     return result
 
 
-def _sigma_predicate(e: SubbasisElem, topo: FuzzyTopology) -> Predicate:
+def sigma_predicate(e: SubbasisElem, topo: FuzzyTopology) -> Predicate:
+    """The image of the subbasis open under the slice retraction: level 0 of
+    each fiber the open meets.  A fiber of e is down-closed for tstar, so it
+    meets e when (x, 0) does, e's own test at n/d = 0/1; for pi2 every fiber
+    meets e, whose gamma is below 1."""
     if e.kind == "pi2":
-        return lambda x, v: v == ZERO
-    f = topo.open_named(e.open_name)
-    return lambda x, v: v == ZERO and f(x) > e.gamma
+        return lambda x, n, d: n == 0
+    holds = subbasis_predicate(e, topo)
+    return lambda x, n, d: n == 0 and holds(x, 0, 1)
 
 
 REGIMES = ("zero", "interior", "one")

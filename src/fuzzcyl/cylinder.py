@@ -141,6 +141,16 @@ class SubbasisElem:
         g = exact(self.gamma)
         if not -g.denominator <= g.numerator < g.denominator:  # -1 <= gamma < 1
             raise ValueError(f"gamma outside [-1,1): {self.gamma}")
+        # clauses of elements key the realization memo: hash once, on the
+        # fields __eq__ compares
+        object.__setattr__(self, "_hash", hash((self.kind, self.gamma, self.open_name)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the fields: a str hash differs between processes
+        return SubbasisElem, (self.kind, self.gamma, self.open_name)
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "gamma": format_rational(self.gamma)}
@@ -153,13 +163,27 @@ class SubbasisElem:
         return SubbasisElem(doc["kind"], frac(doc["gamma"]), doc.get("open"))
 
 
-def subbasis_predicate(e: SubbasisElem,
-                       topo: FuzzyTopology) -> Callable[[str, Fraction], bool]:
-    """Membership in the subbasis open, read off the rule above."""
+# A membership predicate on X x J: predicate(x, n, d) decides whether the
+# point (x, n/d) lies in the set, for integers with 0 <= n < d and n/d not
+# necessarily reduced, the level form ``IntervalSet.holds`` takes.  The
+# predicates are stated from the membership values and gammas alone, never
+# from boundary keys, so the grid oracle can check the interval algebra.
+Predicate = Callable[[str, int, int], bool]
+
+
+def subbasis_predicate(e: SubbasisElem, topo: FuzzyTopology) -> Predicate:
+    """Membership in the subbasis open, read off the rule above in integers.
+    With gamma = g/c and T(x) = a/b: pi2 holds at n/d when n/d > g/c, that
+    is n·c > g·d; tstar when a/b - n/d > g/c, that is (a·d - n·b)·c > g·b·d."""
+    g, c = e.gamma.numerator, e.gamma.denominator
     if e.kind == "pi2":
-        return lambda x, v: v > e.gamma
-    f = topo.open_named(e.open_name)
-    return lambda x, v: f(x) - v > e.gamma
+        return lambda x, n, d: n * c > g * d
+    levels = topo.open_named(e.open_name).ratios()
+
+    def above(x: str, n: int, d: int) -> bool:
+        a, b = levels[x]
+        return (a * d - n * b) * c > g * b * d
+    return above
 
 
 def tstar(open_name: str, gamma) -> SubbasisElem:
@@ -210,8 +234,9 @@ def _realize_clause(clause: tuple[SubbasisElem, ...],
     realized once per topology and kept in its ``memo``.
     """
     key = ("clause", clause)
-    if key in topo.memo:
-        return topo.memo[key]
+    out = topo.memo.get(key)
+    if out is not None:
+        return out
     level_den, rows = topo.level_table
     den = lcm(level_den, *(e.gamma.denominator for e in clause))
     lo = max((e.gamma.numerator * (den // e.gamma.denominator)

@@ -57,6 +57,10 @@ class FuzzySet:
     def values_dict(self) -> dict:
         return dict(zip(self.ground.elements, self.levels))
 
+    def ratios(self) -> dict[str, tuple[int, int]]:
+        """Each element's membership value as integers (numerator, denominator)."""
+        return {x: v.as_integer_ratio() for x, v in zip(self.ground.elements, self.levels)}
+
     def __repr__(self):
         body = ",".join(f"{x}:{format_rational(v)}"
                         for x, v in zip(self.ground.elements, self.levels))

@@ -19,9 +19,9 @@ denominator, the complement in J toggles against [0, 2·den), the reflection
 q -> 1 - q of a parameter set maps each key k to 2·den + 1 - k
 (``iv_reflect``), the image under a one-pair scale set maps each pair and
 makes one merge (and lies in one interval when its two outer scaled ends
-do, ``iv_scale_within``), and membership is one bisection, also at each
-level k/N of a grid (``iv_grid``).  Results are reduced to the least
-denominator, so structural equality is set equality.
+do, ``iv_scale_within``), membership is one bisection, and the levels
+k/N of a grid are filled pair by pair (``iv_grid``).  Results are reduced
+to the least denominator, so structural equality is set equality.
 """
 
 from __future__ import annotations
@@ -296,14 +296,17 @@ def iv_contains(a: IntervalSet, q) -> bool:
 
 
 def iv_grid(a: IntervalSet, resolution: int) -> tuple[bool, ...]:
-    """Membership of each level k/N, k = 0 .. N-1, in integers: the test of
-    ``IntervalSet.contains`` with n, r = divmod(k·den, N), so no Fraction
-    is built."""
-    keys, den = a.keys, a.den
-    row = []
-    for k in range(resolution):
-        n, r = divmod(k * den, resolution)
-        row.append(bisect_right(keys, 2 * n + (r > 0)) % 2 == 1)
+    """Membership of each level k/N, k = 0 .. N-1, in integers, one key
+    pair at a time.  The first cell after the key 2m, just before m/den, is
+    ceil(m·N/den), and after the key 2m+1, just after m/den, it is
+    floor(m·N/den) + 1; both are ceil((m·N + (key & 1))/den), clamped to
+    N.  A pair [s, e) holds the cells from s's first cell up to e's."""
+    n = resolution
+    den = a.den
+    firsts = [min(n, -(-((key >> 1) * n + (key & 1)) // den)) for key in a.keys]
+    row = [False] * n
+    for lo, hi in zip(firsts[::2], firsts[1::2]):
+        row[lo:hi] = [True] * (hi - lo)
     return tuple(row)
 
 

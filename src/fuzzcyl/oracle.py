@@ -1,12 +1,15 @@
 """Grid oracle: rasterizes cylinder sets at levels k/N and cross-checks
 symbolic results cell-for-cell.
 
-The symbolic raster reads each fiber's boundary keys in integers
-(``intervals.iv_grid``): the cell k/N has n, r = divmod(k·den, N) and lies
-in the fiber when the count of keys at or below 2n + (r > 0) is odd, the
-test ``IntervalSet.contains`` makes.  The brute-force side it is checked
-against is independent of the keys: an exact ``Fraction`` membership
-predicate stated from first principles (see ``checks.OracleLedger``).
+Both sides are integers.  The symbolic raster reads each fiber's boundary
+keys (``intervals.iv_grid``): a key pair [s, e) holds the cells from the
+first cell after s up to the first after e, where the first cell after the
+key 2m is ceil(m·N/den) and after 2m+1 it is floor(m·N/den) + 1, clamped
+to N.  The brute-force side it is checked against is independent of the
+keys: a membership predicate stated from first principles in
+cross-multiplied integers and called as ``predicate(x, k, N)`` for each
+cell (see ``checks.OracleLedger``).  A mismatch is reported at its first
+cell as ``Fraction(k, N)``.
 
 The grid samples only rational points of the form k/N, so it cannot see
 open/closed endpoint distinctions off the grid; endpoint flags are covered

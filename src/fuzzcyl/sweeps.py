@@ -162,7 +162,8 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
             t = Fraction(rng.randint(1, den - 1), den)
         p = random_point(rng, topo.ground)
         image = h_eval(t, p)
-        if subbasis_predicate(target, topo)(image.x, image.alpha):
+        alpha = image.alpha
+        if subbasis_predicate(target, topo)(image.x, alpha.numerator, alpha.denominator):
             return (t, p, target)
     return None
 

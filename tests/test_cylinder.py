@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -398,6 +402,26 @@ def test_verify_psi_laws_reports_injected_psi_star_fault(monkeypatch):
 def test_subbasis_elem_checks_field_types(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_subbasis_elem_hash_is_set_equality_across_processes():
+    """The hash is computed once from the compared fields, and a pickled
+    element is rebuilt from its fields, so one written under another str
+    hash seed is still found by value."""
+    e = cylinder.tstar("T0", "1/3")
+    assert hash(e) == hash(("tstar", F(1, 3), "T0"))
+    assert e == cylinder.SubbasisElem("tstar", F(1, 3), "T0") != cylinder.pi2("1/3")
+    write = "import pickle, sys; from fuzzcyl import tstar; " \
+            "sys.stdout.write(pickle.dumps(tstar('T0', '1/3')).hex())"
+    read = "import pickle, sys; from fuzzcyl import tstar; " \
+           "print(pickle.loads(bytes.fromhex(sys.argv[1])) in {tstar('T0', '1/3')})"
+    src = str(pathlib.Path(cylinder.__file__).parents[1])
+
+    def run(code, seed, *args):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, check=True).stdout
+    assert run(read, "2", run(write, "1")).strip() == "True"
 
 
 def test_cylinder_open_from_json_rejects_unknown_elements():

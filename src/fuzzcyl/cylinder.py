@@ -95,8 +95,9 @@ def cyl_contains(c: CylinderOpen, x: str, alpha) -> bool:
 
 
 def psi_star(f: FuzzySet) -> CylinderOpen:
-    """The region strictly below the membership graph: fiber [0, f(x))."""
-    return CylinderOpen(f.ground, tuple(make_interval(0, v, True, False)
+    """The region strictly below the membership graph: fiber [0, f(x)), the
+    span of the level's integers, which ``FuzzySet`` has checked."""
+    return CylinderOpen(f.ground, tuple(iv_span(v.denominator, 0, v.numerator, False)
                                         for v in f.levels))
 
 
@@ -348,58 +349,64 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
     is an open, and its image is looked up among the opens' images by its
     numerator tuple.
 
+    Both laws hold fiber by fiber, so they are checked on interned fibers:
+    each distinct fiber gets a small int once, through a dict keyed by
+    value, and a cylinder is the tuple of its fiber ids.  ``inter`` and
+    ``union`` are cached on pairs of fiber ids, so ``iv_intersect`` and
+    ``iv_union`` run once per distinct (fiber, fiber) pair, with the
+    arguments in the order of the member by member chain ``(empty | a) | b``
+    and of the pair (i, j).  A verdict compares two id tuples: value
+    equality.
+
     The join families are walked depth-first in lexicographic order of their
-    index tuples, on interned ids: each distinct value the walk meets (the
-    empty cylinder, the images, the prefix unions, the join rows) gets a
-    small int once, through a dict keyed by value. Cached step tables map
-    (union id, i) to the id of ``cyl_union(U, members[i])`` and (join id, i)
-    to the ids of the elementwise ``max`` and of its image, so the interval
-    algebra builds each distinct union once, on the member by member chain
-    ``(empty | a) | b``. A family's verdict compares its union's id with its
-    join image's id: value equality. The families below a family and their
-    verdicts are fixed by its last index, union, join and the depth left, so
-    ``walk`` is cached on those four ints, and a family reaching a shared
-    state gets the verdicts a fresh walk from it would give. Failures are
+    index tuples.  ``grow`` maps ``union`` over a prefix union's fibers and
+    a member's.  The families below a family and their verdicts are fixed by
+    its last index, its union's id tuple, its join row and the depth left,
+    so ``walk`` is cached on those four, and a family reaching a shared
+    state gets the verdicts a fresh walk from it would give.  Failures are
     reported by family size, then by index tuple.
     """
     failures: list[tuple] = []
     checked = 0
     names = topo.names
-    members = [psi_star(f) for f in topo.opens]
+    ids: dict[IntervalSet, int] = {}
+    fibers: dict[int, IntervalSet] = {}
+
+    def intern(fiber: IntervalSet) -> int:
+        k = ids.setdefault(fiber, len(ids))
+        fibers[k] = fiber
+        return k
+
+    @cache
+    def inter(a: int, b: int) -> int:
+        return intern(iv_intersect(fibers[a], fibers[b]))
+
+    @cache
+    def union(a: int, b: int) -> int:
+        return intern(iv_union(fibers[a], fibers[b]))
+
+    members = [tuple(map(intern, psi_star(f).fibers)) for f in topo.opens]
     _, levels = topo.level_table
     image_of = dict(zip(levels, members))
     for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
         checked += 1
         meet = tuple(map(min, levels[i], levels[j]))
-        if cyl_intersect(members[i], members[j]) != image_of[meet]:
+        if tuple(map(inter, members[i], members[j])) != image_of[meet]:
             failures.append(("meet-law", names[i], names[j]))
-    ids: dict = {}
-    values: dict[int, object] = {}
-
-    def intern(value) -> int:
-        k = ids.setdefault(value, len(ids))
-        values[k] = value
-        return k
-
-    image_by_row = {row: intern(m) for row, m in zip(levels, members)}
 
     @cache
-    def grow(u: int, i: int) -> int:
-        return intern(cyl_union(values[u], members[i]))
+    def grow(u: tuple[int, ...], i: int) -> tuple[int, ...]:
+        return tuple(map(union, u, members[i]))
 
     @cache
-    def join(j: int, i: int) -> tuple[int, int]:
-        row = tuple(map(max, values[j], levels[i]))
-        return intern(row), image_by_row[row]
-
-    @cache
-    def walk(start: int, u: int, j: int, remaining: int) -> tuple[int, tuple]:
+    def walk(start: int, u: tuple[int, ...], row: tuple[int, ...],
+             remaining: int) -> tuple[int, tuple]:
         visited, failing = 0, []
         for i in range(start, len(names)):
             grown = grow(u, i)
-            joined, image = join(j, i)
+            joined = tuple(map(max, row, levels[i]))
             visited += 1
-            if grown != image:
+            if grown != image_of[joined]:
                 failing.append((i,))
             if remaining > 1:
                 below, suffixes = walk(i + 1, grown, joined, remaining - 1)
@@ -407,18 +414,18 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
                 failing.extend((i, *suffix) for suffix in suffixes)
         return visited, tuple(failing)
 
+    empty = (intern(EMPTY_SET),) * len(topo.ground.elements)
     depth = min(max_family, len(names))
     if depth > 0:
-        visited, join_failures = walk(0, intern(empty_cylinder(topo.ground)),
-                                      intern((0,) * len(levels[0])), depth)
+        visited, join_failures = walk(0, empty, (0,) * len(levels[0]), depth)
         checked += visited
         failures.extend(("join-law", *(names[i] for i in family)) for family in
                         sorted(join_failures, key=lambda family: (len(family), family)))
     if len(names) > max_family:
         checked += 1
-        union = empty_cylinder(topo.ground)
-        for image in members:
-            union = cyl_union(union, image)
-        if union != image_of[tuple(map(max, *levels))]:
+        u = empty
+        for i in range(len(names)):
+            u = grow(u, i)
+        if u != image_of[tuple(map(max, *levels))]:
             failures.append(("join-law", *names))
     return LawReport(not failures, tuple(failures), checked)

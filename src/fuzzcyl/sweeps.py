@@ -36,16 +36,21 @@ from .paths import (
     path_end,
 )
 from .rationals import ONE, ZERO
-from .retraction import CylPoint, h_eval
+from .retraction import CylPoint
 
 ELEMENT_POOL = ("a", "b", "c", "d", "e", "f")
 
 
+def rng_ratio(rng: random.Random, max_den: int = 32,
+              include_one: bool = False) -> tuple[int, int]:
+    """The integers (num, den) of ``rng_rational``'s draw, unreduced."""
+    den = rng.randint(1, max_den)
+    return rng.randint(0, den if include_one else den - 1), den
+
+
 def rng_rational(rng: random.Random, max_den: int = 32,
                  include_one: bool = False) -> Fraction:
-    den = rng.randint(1, max_den)
-    num = rng.randint(0, den if include_one else den - 1)
-    return Fraction(num, den)
+    return Fraction(*rng_ratio(rng, max_den, include_one))
 
 
 def random_ground(rng: random.Random, max_size: int = 6) -> GroundSet:
@@ -146,25 +151,32 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
 
     case selects the proof regime: "zero", "interior", or "one".  The
     candidate targets are computed once per topology and kept in its
-    ``memo``.
+    ``memo``, next to a table of their predicates, each built on first
+    draw.  A draw is tested in integers: for t = tn/td and the point
+    (x, an/ad), the homotopy image ``h_eval(t, p)`` is (x, (td - tn)·an /
+    (td·ad)), unreduced, and only the accepted draw becomes a ``Fraction``
+    and a ``CylPoint``.  The draws are those of ``random_point``.
     """
     elems = topo.memo.get("anchor_targets")
     if elems is None:
         elems = topo.memo["anchor_targets"] = subbasis_elements(topo)
+    predicates = topo.memo.setdefault("subbasis_predicate", {})
     for _ in range(max_tries):
         target = rng.choice(elems)
         if case == "zero":
-            t = ZERO
+            tn, td = 0, 1
         elif case == "one":
-            t = ONE
+            tn, td = 1, 1
         else:
-            den = rng.randint(2, 16)
-            t = Fraction(rng.randint(1, den - 1), den)
-        p = random_point(rng, topo.ground)
-        image = h_eval(t, p)
-        alpha = image.alpha
-        if subbasis_predicate(target, topo)(image.x, alpha.numerator, alpha.denominator):
-            return (t, p, target)
+            td = rng.randint(2, 16)
+            tn = rng.randint(1, td - 1)
+        x = rng.choice(topo.ground.elements)
+        an, ad = rng_ratio(rng)
+        holds = predicates.get(target)
+        if holds is None:
+            holds = predicates[target] = subbasis_predicate(target, topo)
+        if holds(x, (td - tn) * an, td * ad):
+            return (Fraction(tn, td), CylPoint(x, Fraction(an, ad)), target)
     return None
 
 

@@ -62,6 +62,11 @@ def test_psi_star_examples():
     assert below.fibers == (expect, expect)
     assert psi_star(FuzzySet.constant(AB, 0)) == empty_cylinder(AB)
     assert psi_star(FuzzySet.constant(AB, 1)) == whole_cylinder(AB)
+    # each fiber spanned from the level's integers is the set (den and keys)
+    # that the checked constructor builds from the level
+    levels = sorted({F(k, d) for d in range(1, 25) for k in range(d + 1)})
+    f = FuzzySet(ground(*(f"x{i}" for i in range(len(levels)))), tuple(levels))
+    assert psi_star(f).fibers == tuple(make_interval(0, v, True, False) for v in levels)
 
 
 def test_recover_membership():
@@ -305,30 +310,67 @@ def test_verify_psi_laws_matches_reference_loop():
             assert verify_psi_laws(topo, max_family).to_json() == expect
 
 
-def test_verify_psi_laws_reports_injected_union_fault(monkeypatch):
+def fault_topology():
+    """The first draw of ``random_topology(Random(1))`` with 10 or more opens."""
     rng = random.Random(1)
     topo = random_topology(rng)
     while len(topo.names) < 10:
         topo = random_topology(rng)
-    images = [psi_star(f) for f in topo.opens]
-    honest = cylinder.cyl_union
-    # corrupt one pair of incomparable opens at a time: every family that
-    # reaches the pair through an equal prefix union inherits the fault
-    pairs = [(a, b) for a, b in itertools.combinations(images, 2)
-             if not cyl_subset(a, b) and not cyl_subset(b, a)]
+    return topo
+
+
+def fiber_pairs(monkeypatch, name, topo):
+    """The distinct (fiber, fiber) argument pairs, of two different fibers,
+    that the reference loop passes to ``cylinder.<name>`` at max_family 2.
+    Image fibers are down-sets [0, v), so the honest result is one of the
+    two, and returning the other is a fault."""
+    honest = getattr(cylinder, name)
+    seen = []
+
+    def recorded(a, b):
+        seen.append((a, b))
+        return honest(a, b)
+
+    monkeypatch.setattr(cylinder, name, recorded)
+    reference_psi_laws(topo, 2)
+    monkeypatch.setattr(cylinder, name, honest)
+    return sorted({(a, b) for a, b in seen if a != b}, key=repr)
+
+
+def deepest_fiber_fault(monkeypatch, name):
+    """Corrupt one fiber pair at a time in ``cylinder.<name>``: every pair of
+    opens and every family that reaches the pair inherits the fault, and the
+    report must equal the reference loop's.  Returns the size of the largest
+    failing pair or family."""
+    topo = fault_topology()
+    honest = getattr(cylinder, name)
+    pairs = fiber_pairs(monkeypatch, name, topo)
     assert len(pairs) >= 3
+    law = {"iv_union": "join-law", "iv_intersect": "meet-law"}[name]
     deepest = 0
     for pair in pairs:
         def faulty(a, b, pair=pair):
-            return a if (a, b) == pair else honest(a, b)
+            out = honest(a, b)
+            if (a, b) == pair:
+                assert out in pair
+                return b if out == a else a
+            return out
 
-        monkeypatch.setattr(cylinder, "cyl_union", faulty)
+        monkeypatch.setattr(cylinder, name, faulty)
         for max_family in (2, 4):
             expect = reference_psi_laws(topo, max_family)
-            assert expect.failures
+            assert any(f[0] == law for f in expect.failures)
             assert verify_psi_laws(topo, max_family).to_json() == expect.to_json()
         deepest = max(deepest, *(len(f) - 1 for f in expect.failures))
-    assert deepest >= 3
+    return deepest
+
+
+def test_verify_psi_laws_reports_injected_union_fault(monkeypatch):
+    assert deepest_fiber_fault(monkeypatch, "iv_union") >= 3
+
+
+def test_verify_psi_laws_reports_injected_intersect_fault(monkeypatch):
+    assert deepest_fiber_fault(monkeypatch, "iv_intersect") >= 2
 
 
 def mixed_denominator_topologies():
@@ -447,26 +489,27 @@ def test_verify_psi_laws_builds_one_image_per_open(monkeypatch):
         assert sorted(calls) == sorted(f.levels for f in topo.opens)
 
 
-def test_verify_psi_laws_hashes_no_cylinder_per_family(monkeypatch):
-    """The join walk compares interned ids: a CylinderOpen is hashed only to
-    intern it, once per cyl_union result, once per open's image and once
-    for the empty cylinder it starts from, however many families (6,195 of
-    size 1 to 4 for 20 opens) share those values."""
-    honest_hash, honest_union = CylinderOpen.__hash__, cylinder.cyl_union
-    counts = {"hash": 0, "union": 0}
+def test_verify_psi_laws_runs_each_fiber_pair_once(monkeypatch):
+    """Both laws hold fiber by fiber, and the check caches the interval
+    operations on interned fibers: ``iv_intersect`` and ``iv_union`` each
+    run once per distinct (fiber, fiber) argument pair, however many pairs
+    of opens and families (6,195 of size 1 to 4 for 20 opens) share it."""
+    calls = {"iv_intersect": [], "iv_union": []}
+    for name, seen in calls.items():
+        def counted(a, b, honest=getattr(cylinder, name), seen=seen):
+            seen.append((a, b))
+            return honest(a, b)
 
-    def counted_hash(self):
-        counts["hash"] += 1
-        return honest_hash(self)
-
-    def counted_union(a, b):
-        counts["union"] += 1
-        return honest_union(a, b)
-
-    topos = mixed_denominator_topologies() + [draw_with_opens(random.Random(1), 20)]
-    monkeypatch.setattr(CylinderOpen, "__hash__", counted_hash)
-    monkeypatch.setattr(cylinder, "cyl_union", counted_union)
-    for topo in topos:
-        counts.update(hash=0, union=0)
+        monkeypatch.setattr(cylinder, name, counted)
+    twenty = draw_with_opens(random.Random(1), 20)
+    for topo in mixed_denominator_topologies() + [twenty]:
+        for seen in calls.values():
+            seen.clear()
         assert verify_psi_laws(topo).ok
-        assert counts["hash"] <= counts["union"] + len(topo.names) + 1, counts
+        for name, seen in calls.items():
+            assert seen and len(seen) == len(set(seen)), name
+    interned = sum(map(len, calls.values()))
+    for seen in calls.values():
+        seen.clear()
+    assert reference_psi_laws(twenty).ok
+    assert interned < sum(map(len, calls.values()))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from interval_ref import Interval, build
 
-from fuzzcyl import checks
+from fuzzcyl import checks, cylinder
 from fuzzcyl import (
     FuzzySet,
     continuity_witness,
@@ -238,6 +238,45 @@ def test_witness_soundness_random():
             assert verify_witness(w, topo)
 
 
+def reference_anchor(rng, topo, case, max_tries=200):
+    """The draw loop random_anchor replaced: each candidate is a Fraction
+    point, its homotopy image and a fresh predicate of the target."""
+    elems = subbasis_elements(topo)
+    for _ in range(max_tries):
+        target = rng.choice(elems)
+        if case == "zero":
+            t = F(0)
+        elif case == "one":
+            t = F(1)
+        else:
+            den = rng.randint(2, 16)
+            t = F(rng.randint(1, den - 1), den)
+        p = random_point(rng, topo.ground)
+        image = h_eval(t, p)
+        alpha = image.alpha
+        if cylinder.subbasis_predicate(target, topo)(image.x, alpha.numerator,
+                                                     alpha.denominator):
+            return (t, p, target)
+    return None
+
+
+def test_random_anchor_matches_reference_draws():
+    """Testing draws in integers changes no draw: the same anchors, the
+    same generator state after each, and None when every try fails."""
+    topos = random.Random(9)
+    for seed in range(40):
+        topo = random_topology(topos, max_generators=2, max_den=8)
+        for case in ("zero", "interior", "one"):
+            for max_tries in (1, 200):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = random_anchor(ours, topo, case, max_tries)
+                assert got == reference_anchor(theirs, topo, case, max_tries)
+                assert ours.getstate() == theirs.getstate()
+                if got is not None:
+                    t, p, _ = got
+                    assert type(t) is F and type(p.alpha) is F
+
+
 def test_witness_json_round_trip():
     topo = const_topo("2/3")
     name = open_with_levels(topo, F(2, 3))
@@ -266,7 +305,9 @@ def test_memo_is_created_on_first_use():
         assert "memo" not in topo.__dict__
         assert random_anchor(rng, topo, "interior") is not None
         memo = topo.memo
-        assert memo == {"anchor_targets": subbasis_elements(topo)}
+        assert memo.keys() == {"anchor_targets", "subbasis_predicate"}
+        assert memo["anchor_targets"] == subbasis_elements(topo)
+        assert set(memo["subbasis_predicate"]) <= set(memo["anchor_targets"])
         checks.sweep_retraction_on(topo, rng, anchors=6)
         assert topo.memo is memo
         assert FuzzyTopology(topo.ground, topo.names, topo.opens) == topo

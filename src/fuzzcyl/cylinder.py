@@ -262,9 +262,13 @@ def subbasis_realize(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:
 
 
 def open_realize(expr: OpenExpr, topo: FuzzyTopology) -> CylinderOpen:
-    """The union of the clauses' realizations."""
-    out = empty_cylinder(topo.ground)
-    for clause in expr.clauses:
+    """The union of the clauses' realizations, from the first clause's on;
+    the empty cylinder when there are no clauses."""
+    if not expr.clauses:
+        return empty_cylinder(topo.ground)
+    first, *rest = expr.clauses
+    out = _realize_clause(first, topo)
+    for clause in rest:
         out = cyl_union(out, _realize_clause(clause, topo))
     return out
 

@@ -282,10 +282,16 @@ def lattice_closure(seed: Iterable, meet: Callable, join: Callable) -> set:
 
 def fz_generate_topology(generators: Sequence[FuzzySet],
                          ground_set: Optional[GroundSet] = None) -> FuzzyTopology:
-    """Smallest topology containing the generators.
+    """Smallest topology containing the generators, its opens named
+    ``T0, T1, ...`` in the lexicographic order of their levels.
 
-    Terminates because every generated map takes values in the finite grid
-    of generator values together with 0 and 1.
+    The closure runs on the generators' ``level_table``: integer numerators
+    over their common denominator D, seeded with the rows of 0 and of D and
+    closed under elementwise ``min`` and ``max``.  Every row shares D > 0,
+    so sorting the rows sorts the levels.  Each distinct numerator becomes
+    one ``Fraction``, shared by every open that takes it.  Terminates
+    because every generated row takes values among the generators'
+    numerators together with 0 and D.
     """
     if ground_set is None:
         if not generators:
@@ -295,10 +301,12 @@ def fz_generate_topology(generators: Sequence[FuzzySet],
         _require_same_ground(*generators)
         if generators[0].ground != ground_set:
             raise ValueError("generators live on a different ground set")
-    seed = [FuzzySet.constant(ground_set, v).levels for v in (0, 1)]
-    seed.extend(f.levels for f in generators)
-    ordered = sorted(lattice_closure(seed, lambda u, v: tuple(map(min, u, v)),
+    den, rows = _level_table(generators)
+    size = len(ground_set.elements)
+    ordered = sorted(lattice_closure([(0,) * size, (den,) * size, *rows],
+                                     lambda u, v: tuple(map(min, u, v)),
                                      lambda u, v: tuple(map(max, u, v))))
+    level = {n: Fraction(n, den) for n in {n for row in ordered for n in row}}
     names = tuple(f"T{i}" for i in range(len(ordered)))
-    opens = tuple(FuzzySet(ground_set, levels) for levels in ordered)
+    opens = tuple(FuzzySet(ground_set, tuple(map(level.__getitem__, row))) for row in ordered)
     return FuzzyTopology(ground_set, names, opens)

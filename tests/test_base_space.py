@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzcyl import checks
+from fuzzcyl import base_space, checks
 from fuzzcyl import (
     FiniteTopology,
     FuzzySet,
@@ -19,7 +19,8 @@ from fuzzcyl import (
     slice_agrees,
     specialization_preorder,
 )
-from fuzzcyl.intervals import EMPTY_SET, WHOLE_J
+from fuzzcyl.cylinder import CylinderOpen
+from fuzzcyl.intervals import EMPTY_SET, WHOLE_J, iv_intersect, iv_union, make_interval
 from fuzzcyl.base_space import close_under_ops, comparable
 from fuzzcyl.sweeps import random_topology
 
@@ -69,6 +70,34 @@ def test_slice_agrees_random_law():
     rng = random.Random(11)
     for _ in range(20):
         assert slice_agrees(random_topology(rng, max_generators=2, max_den=8))
+
+
+@pytest.mark.parametrize("plant", ["drop", "add"])
+def test_slice_agrees_rejects_a_wrong_zero_slice(plant, monkeypatch):
+    """With the level 0 dropped from one element's fiber in every subbasis
+    realization, no slice holds that element, and the whole set, a base
+    subbasis set (gamma = -1), is missed; with [0, 1/2) added to it, every
+    slice holds it, and the empty set, a base subbasis set (the constant 0),
+    is missed.  Either way the check must fail on topologies it passes."""
+    rng = random.Random(11)
+    topos = [random_topology(rng, max_generators=2, max_den=8) for _ in range(12)]
+    topos += [const_topo(AB, "1/3"), sierpinski()]
+    assert all(slice_agrees(topo) for topo in topos)
+    honest = base_space.subbasis_realize
+    away, low = make_interval(0, 1, False, False), make_interval(0, F(1, 2), True, False)
+
+    def planted(i):
+        def realize(e, topo):
+            fibers = list(honest(e, topo).fibers)
+            fibers[i] = (iv_intersect(fibers[i], away) if plant == "drop"
+                         else iv_union(fibers[i], low))
+            return CylinderOpen(topo.ground, tuple(fibers))
+        return realize
+
+    for topo in topos:
+        for i in range(len(topo.ground.elements)):
+            monkeypatch.setattr(base_space, "subbasis_realize", planted(i))
+            assert not slice_agrees(topo), (plant, topo.to_json(), i)
 
 
 def test_sigma_sweep_runs_the_slice_check(monkeypatch):

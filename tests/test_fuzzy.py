@@ -16,7 +16,8 @@ from fuzzcyl import (
     fz_meet,
     ground,
 )
-from fuzzcyl.fuzzy import ValidationReport
+from fuzzcyl import sweeps
+from fuzzcyl.fuzzy import ValidationReport, lattice_closure
 from fuzzcyl.sweeps import random_fuzzy, random_topology
 
 F = Fraction
@@ -207,3 +208,64 @@ def test_integer_validation_matches_the_fraction_check():
             seen[kind] += 1
     assert fz_is_topology([]) == ref_fz_is_topology([])
     assert min(seen.values()) >= 30, seen
+
+
+def ref_fz_generate_topology(generators, ground_set):
+    """The closure that ``fz_generate_topology`` replaced: ``lattice_closure``
+    on tuples of ``Fraction`` levels, seeded with the constants 0 and 1."""
+    seed = [FuzzySet.constant(ground_set, v).levels for v in (0, 1)]
+    seed.extend(f.levels for f in generators)
+    ordered = sorted(lattice_closure(seed, lambda u, v: tuple(map(min, u, v)),
+                                     lambda u, v: tuple(map(max, u, v))))
+    return FuzzyTopology(ground_set, tuple(f"T{i}" for i in range(len(ordered))),
+                         tuple(FuzzySet(ground_set, levels) for levels in ordered))
+
+
+def same_topology(got, expect):
+    """Equal names and opens, in order, levels that are all ``Fraction``s,
+    and equal level tables and JSON."""
+    assert got == expect
+    assert all(type(v) is Fraction for f in got.opens for v in f.levels)
+    assert got.level_table == expect.level_table
+    assert got.to_json() == expect.to_json()
+
+
+def test_generate_topology_matches_the_fraction_closure(monkeypatch):
+    """The integer closure gives the Fraction closure's topology on random
+    draws at every ground size and on hand-made edge cases."""
+    drawn = []
+
+    def recorded(gens, gs):
+        drawn.append((gens, gs))
+        return fz_generate_topology(gens, gs)
+
+    monkeypatch.setattr(sweeps, "fz_generate_topology", recorded)
+    sizes = {}
+    for i in range(2_000):
+        topo = random_topology(random.Random(i))
+        gens, gs = drawn.pop()
+        same_topology(topo, ref_fz_generate_topology(gens, gs))
+        sizes[len(gs.elements)] = max(sizes.get(len(gs.elements), 0), len(topo.opens))
+    assert sorted(sizes) == [1, 2, 3, 4, 5, 6]
+    assert max(sizes.values()) >= 20, sizes
+
+    abc = ground("a", "b", "c")
+    half, two_thirds = FuzzySet.constant(abc, F(1, 2)), FuzzySet.constant(abc, F(2, 3))
+    cases = [
+        ([], AB),
+        ([], abc),
+        (constants(0), AB),
+        (constants(1, 0, 1), AB),
+        (constants("1/3", "2/3"), AB),
+        ([fz_indicator(s, abc) for s in (["a"], ["b", "c"], ["c"])], abc),
+        ([fz_indicator(["a", "b", "c"], abc), fz_indicator([], abc)], abc),
+        ([half, two_thirds], abc),
+        ([FuzzySet(abc, (F(1, 2), F(2, 3), F(0))), FuzzySet(abc, (F(3, 4), F(1, 6), F(1)))],
+         abc),
+        # integer levels read as fractions over D = 1
+        ([FuzzySet(AB, (1, F(1, 5))), FuzzySet(AB, (0, 1))], AB),
+    ]
+    for gens, gs in cases:
+        same_topology(fz_generate_topology(gens, gs), ref_fz_generate_topology(gens, gs))
+    mixed = fz_generate_topology([half, two_thirds], abc)
+    assert mixed.level_table == (6, ((0,) * 3, (3,) * 3, (4,) * 3, (6,) * 3))

@@ -242,33 +242,70 @@ def ref_path_identity_failures(rng, topo, gamma, s, t, fine, coarse):
     return failures
 
 
-# Each planted fault is (table fault, grid fault, route fault), keyed by
-# the identity it breaks.  A table fault is a predicate on (node, gamma, s,
-# t): the compiled table of a matching node gets every open piece moved to
-# a primed element, which keeps its endpoints, so concatenations still
-# join.  The grid fault moves one value of the fine grid off the mirror
-# image of its partner.  The route fault swaps s and t in the kappa of the
-# independent path-res route.
-FAULTS = {
-    "hginv": (lambda e, g, s, t: isinstance(e, Reverse)
-              and isinstance(e.inner, HTransform) and e.inner.inner is g, False, False),
-    "ast-com-comp": (lambda e, g, s, t: isinstance(e, HTransform)
-                     and isinstance(e.inner, Concat) and e.inner.parts[0] is g,
-                     False, False),
-    "v-inv": (None, True, False),
-    "fhrem-left": (lambda e, g, s, t: isinstance(e, HTransform) and e.inner is g
-                   and e.t == s != t, False, False),
-    "fhrem-right": (lambda e, g, s, t: isinstance(e, HTransform) and e.inner is g
-                    and e.t == t != s, False, False),
-    "path-res": (None, False, True),
-    "pasting": (lambda e, g, s, t: isinstance(e, Concat) and len(e.parts) == 2
-                and e.parts[0] is g, False, False),
-}
-
-
 def _primed(table):
+    """Every open piece moved to a primed element; the points are kept, so
+    concatenations still join."""
     return paths.PathTable(table.den, table.breaks, table.points,
                            tuple((x + "'", c0, c1) for x, c0, c1 in table.pieces))
+
+
+def _primed_end(table):
+    """The end point moved to a primed element."""
+    x, a = table.points[-1]
+    return paths.PathTable(table.den, table.breaks, table.points[:-1] + ((x + "'", a),),
+                           table.pieces)
+
+
+def _spiked(table):
+    """The same map at every parameter but 1/(128 den), which lies strictly
+    inside the first piece and off the fine grid, and where the path takes
+    a primed point: the rows see no change, the normal form does."""
+    m = 128
+    (x, a), *points = table.points
+    (y, c0, c1), *pieces = table.pieces
+    return paths.PathTable(
+        table.den * m, (0, 1, *(b * m for b in table.breaks[1:])),
+        ((x, a * m), (y + "'", c0 * m), *((z, b * m) for z, b in points)),
+        tuple((z, d0 * m, d1 * m) for z, d0, d1 in [(y, c0, c1), (y, c0, c1), *pieces]))
+
+
+def _hginv_lhs(e, g, s, t):
+    return isinstance(e, Reverse) and isinstance(e.inner, HTransform) and e.inner.inner is g
+
+
+def _ast_com_whole(e, g, s, t):
+    return isinstance(e, HTransform) and isinstance(e.inner, Concat) and e.inner.parts[0] is g
+
+
+# Each planted fault is (table fault, grid fault, route fault), keyed by
+# the identity it breaks.  A table fault is a predicate on (node, gamma, s,
+# t) and a rewrite of the compiled table of a matching node: ``_primed``
+# breaks the values between the points, ``_primed_end`` an end point and
+# ``_spiked`` the normal form alone.  The grid fault moves one value of the
+# fine grid off the mirror image of its partner.  The route fault swaps s
+# and t in the kappa of the independent path-res route.
+FAULTS = {
+    "hginv": ((_hginv_lhs, _primed), False, False),
+    "hginv-normal-form": ((_hginv_lhs, _spiked), False, False),
+    "ast-com-comp": ((_ast_com_whole, _primed), False, False),
+    "ast-com-normal-form": ((_ast_com_whole, _spiked), False, False),
+    "v-inv": (None, True, False),
+    "fhrem-left": ((lambda e, g, s, t: isinstance(e, HTransform) and e.inner is g
+                    and e.t == s != t, _primed), False, False),
+    "fhrem-right": ((lambda e, g, s, t: isinstance(e, HTransform) and e.inner is g
+                     and e.t == t != s, _primed), False, False),
+    "path-res": (None, False, True),
+    # the battery's constant path, drawn after gamma
+    "constant": ((lambda e, g, s, t: isinstance(e, Const) and g is not None, _primed),
+                 False, False),
+    "pasting": ((lambda e, g, s, t: isinstance(e, Concat) and len(e.parts) == 2
+                 and e.parts[0] is g, _primed), False, False),
+    # the composite starts where the reversed boundary path at 0 ends
+    "relative-endpoints-start": ((lambda e, g, s, t: isinstance(e, ChiBoundary)
+                                  and e.rho is g and e.end == 0, _primed_end), False, False),
+    "relative-endpoints-end": ((lambda e, g, s, t: isinstance(e, ChiBoundary)
+                                and e.rho is g and e.end == 1, _primed_end), False, False),
+}
 
 
 @pytest.mark.parametrize("identity", list(FAULTS))
@@ -286,10 +323,11 @@ def test_row_battery_reports_the_point_by_point_records(identity, monkeypatch):
     case = [None, None, None]
     if table_fault is not None:
         compile_table = paths._compile
+        matches, rewrite = table_fault
 
         def faulty(e):
             table = compile_table(e)
-            return _primed(table) if table_fault(e, *case) else table
+            return rewrite(table) if matches(e, *case) else table
 
         monkeypatch.setattr(paths, "_compile", faulty)
     hits = 0

@@ -43,7 +43,7 @@ from .cylinder import (
     subbasis_realize,
     verify_psi_laws,
 )
-from .functor import PROBES, is_complement
+from .functor import is_complement
 from .fuzzy import (
     FuzzySet,
     FuzzyTopology,
@@ -231,11 +231,10 @@ def sweep_round_trip(rng: random.Random, count: int,
     return result
 
 
-def sweep_indicator_compat(max_size: int = 5,
-                           ledger: Optional[OracleLedger] = None) -> SweepResult:
-    """complement_compat holds on every indicator map, exhaustively."""
+def sweep_indicator_compat(ledger: Optional[OracleLedger] = None) -> SweepResult:
+    """complement_compat holds on every indicator map on five elements."""
     result = SweepResult("indicator-compat")
-    elements = ("a", "b", "c", "d", "e")[:max_size]
+    elements = ("a", "b", "c", "d", "e")
     gs = ground(*elements)
     for bits in range(1 << len(elements)):
         subset = [x for i, x in enumerate(elements) if bits >> i & 1]
@@ -315,15 +314,14 @@ def _certify_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
     return witness
 
 
-def sweep_retraction(rng: random.Random, topologies: int = 20,
-                     anchors: int = 100,
+def sweep_retraction(rng: random.Random, anchors: int = 100,
                      ledger: Optional[OracleLedger] = None
                      ) -> tuple[SweepResult, list[tuple[FuzzyTopology, BoxWitness]]]:
-    """Continuity certificates across all three homotopy-time regimes."""
+    """Continuity certificates in all three time regimes, 20 topologies a round."""
     result = SweepResult("retraction-certificates")
     witnesses: list[tuple[FuzzyTopology, BoxWitness]] = []
     while result.checked < anchors:
-        for _ in range(topologies):
+        for _ in range(20):
             topo = random_topology(rng, max_generators=2, max_den=8)
             for case in REGIMES:
                 witness = _certify_anchor(rng, topo, case, result)
@@ -556,11 +554,7 @@ def sweep_complement(rng: random.Random, count: int) -> SweepResult:
         F, G = random_complement_pair(rng, gs, exact=i % 2 == 0)
         result.checked += 1
         direct = all(G(y) == ONE - F(y) for y in gs.elements)
-        verdicts = {is_complement(F, G, probes=(beta,)) for beta in PROBES}
-        if len(verdicts) != 1:
-            result.failures.append(("probe-dependence", repr(F), repr(G)))
-            continue
-        if verdicts.pop() != direct:
+        if is_complement(F, G) != direct:
             result.failures.append(("oracle-mismatch", repr(F), repr(G)))
     return result
 

@@ -152,12 +152,11 @@ def _cmd_connectivity(args) -> int:
 def _cmd_laws(args) -> int:
     topo = _load_topology(args.topology) if args.topology else None
     rng = random.Random(args.seed)
-    ledger = OracleLedger()
     results = [
-        sweep_psi_laws(rng, args.sweeps, ledger),
-        sweep_round_trip(rng, max(args.sweeps, 100), ledger),
-        sweep_indicator_compat(ledger=ledger),
-        sweep_sigma_laws(rng, max(args.sweeps // 10, 3), ledger),
+        sweep_psi_laws(rng, args.sweeps),
+        sweep_round_trip(rng, max(args.sweeps, 100)),
+        sweep_indicator_compat(),
+        sweep_sigma_laws(rng, max(args.sweeps // 10, 3)),
     ]
     if topo is not None:
         report = verify_psi_laws(topo)

@@ -103,14 +103,14 @@ def psi_star(f: FuzzySet) -> CylinderOpen:
 
 def recover_membership(c: CylinderOpen) -> FuzzySet:
     """Invert psi_star by taking fiber suprema; sup of an empty fiber is 0.
-    A nonempty fiber has down-set shape exactly when it is [0, sup)."""
+    A nonempty fiber is a down-set [0, sup) exactly when its keys are (0, 2n)."""
     values = []
     for x, fib in zip(c.ground.elements, c.fibers):
         sup = iv_supremum(fib)
         if sup is None:
             values.append(ZERO)
             continue
-        if fib != make_interval(0, sup, True, False):
+        if len(fib.keys) != 2 or fib.keys[0] != 0 or fib.keys[1] & 1:
             raise ValueError(f"fiber at {x!r} is not of down-set shape: {fib!r}")
         values.append(sup)
     return FuzzySet(c.ground, tuple(values))

@@ -3,8 +3,8 @@ inversion, and its contrast with the cylinder set complement.
 
 The decision works on exact affine forms: the object path attached to a
 ground element is a vertical affine path, and its reversal swaps the two
-affine coefficients, so comparing coefficient pairs at a nonzero probe
-level decides the complement relation.
+affine coefficients, so comparing coefficient pairs at one nonzero level
+decides the complement relation.
 """
 
 from __future__ import annotations
@@ -15,26 +15,25 @@ from fractions import Fraction
 from .cylinder import CompatReport, complement_compat
 from .fuzzy import FuzzySet
 from .paths import VerticalAffine, functor_object_path
-from .rationals import ONE, ZERO, frac
+from .rationals import ONE
 
-PROBES = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+# The object paths at level beta have the coefficients (1 - F(y))·beta and
+# F(y)·beta, linear in beta, so at every beta != 0 those of G reverse those
+# of F exactly when G(y) = 1 - F(y): one nonzero level decides.
+_LEVEL = Fraction(1, 2)
 
 
-def is_complement(F: FuzzySet, G: FuzzySet, probes=PROBES) -> bool:
+def is_complement(F: FuzzySet, G: FuzzySet) -> bool:
     """Decide whether the functor of G is the path-inversion image of the
     functor of F; equivalent to G = 1 - F pointwise."""
     if F.ground != G.ground:
         raise ValueError("fuzzy sets live on different ground sets")
     z = F.ground.elements[0]
-    for beta in probes:
-        beta = frac(beta)
-        if beta == ZERO:
-            raise ValueError("probe level must be nonzero")
-        for y in F.ground.elements:
-            f_path = functor_object_path(F, y, z, beta)
-            reversed_f = VerticalAffine(f_path.x, f_path.a1, f_path.a0)
-            if functor_object_path(G, y, z, beta) != reversed_f:
-                return False
+    for y in F.ground.elements:
+        f_path = functor_object_path(F, y, z, _LEVEL)
+        reversed_f = VerticalAffine(f_path.x, f_path.a1, f_path.a0)
+        if functor_object_path(G, y, z, _LEVEL) != reversed_f:
+            return False
     return True
 
 

@@ -118,7 +118,12 @@ def fz_indicator(subset: Iterable[str], gs: GroundSet) -> FuzzySet:
 
 @dataclass(frozen=True)
 class FuzzyTopology:
-    """A named finite family of fuzzy sets satisfying the topology axioms."""
+    """A named finite family of fuzzy sets satisfying the topology axioms.
+
+    ``level_table`` is (D, rows): each open's levels as integer numerators
+    over their common denominator D, in the order of ``names``.  The axioms
+    are checked on it once, when the topology is built; it is not a field,
+    so it stays out of eq, hash and repr."""
 
     ground: GroundSet
     names: tuple[str, ...]
@@ -129,9 +134,11 @@ class FuzzyTopology:
             raise ValueError("each open needs a name")
         if len(set(self.names)) != len(self.names):
             raise ValueError("open names must be unique")
-        report = fz_is_topology(self.opens)
+        table = _level_table(self.opens)
+        report = _axiom_report(self.opens, table)
         if not report.ok:
             raise ValueError(f"not a fuzzy topology: {report.summary()}")
+        self.__dict__["level_table"] = table
 
     def open_index(self, name: str) -> int:
         try:
@@ -141,13 +148,6 @@ class FuzzyTopology:
 
     def open_named(self, name: str) -> FuzzySet:
         return self.opens[self.open_index(name)]
-
-    @cached_property
-    def level_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, rows): the common denominator D of all membership levels (the
-        lcm of their denominators) and each open's levels as integer
-        numerators over D, in the order of ``names``.  Built on first use."""
-        return _level_table(self.opens)
 
     @cached_property
     def memo(self) -> dict:
@@ -244,10 +244,15 @@ def fz_is_topology(family: Sequence[FuzzySet]) -> ValidationReport:
     denominator D, where the meet and join of two members are the
     elementwise ``min`` and ``max`` of their numerators and the constants
     are all 0 and all D."""
+    return _axiom_report(family, _level_table(family))
+
+
+def _axiom_report(family: Sequence[FuzzySet], table: tuple) -> ValidationReport:
+    """``fz_is_topology`` of the family, given its ``_level_table``."""
     if not family:
         return ValidationReport(False, (("empty-family",),))
     _require_same_ground(*family)
-    den, rows = _level_table(family)
+    den, rows = table
     members = set(rows)
     size = len(rows[0])
     problems: list[tuple] = []

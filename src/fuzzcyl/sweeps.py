@@ -53,8 +53,8 @@ def rng_rational(rng: random.Random, max_den: int = 32,
     return Fraction(*rng_ratio(rng, max_den, include_one))
 
 
-def random_ground(rng: random.Random, max_size: int = 6) -> GroundSet:
-    size = rng.randint(1, max_size)
+def random_ground(rng: random.Random) -> GroundSet:
+    size = rng.randint(1, len(ELEMENT_POOL))
     return ground(*ELEMENT_POOL[:size])
 
 
@@ -73,9 +73,8 @@ def random_topology(rng: random.Random, gs: Optional[GroundSet] = None,
     return fz_generate_topology(gens, gs)
 
 
-def random_point(rng: random.Random, gs: GroundSet,
-                 max_den: int = 32) -> CylPoint:
-    return CylPoint(rng.choice(gs.elements), rng_rational(rng, max_den))
+def random_point(rng: random.Random, gs: GroundSet) -> CylPoint:
+    return CylPoint(rng.choice(gs.elements), rng_rational(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +83,10 @@ def random_point(rng: random.Random, gs: GroundSet,
 _SMALL_TIMES = (ZERO, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
 
 
-def _random_fence(rng: random.Random, topo: FuzzyTopology,
-                  start: str, max_steps: int = 3) -> FencePath:
+def _random_fence(rng: random.Random, topo: FuzzyTopology, start: str) -> FencePath:
     order = specialization_preorder(topo)
     steps = [start]
-    for _ in range(rng.randint(0, max_steps)):
+    for _ in range(rng.randint(0, 3)):
         cur = steps[-1]
         neighbours = [y for y in order if y != cur and comparable(order, cur, y)]
         if not neighbours:

@@ -56,9 +56,8 @@ def ledger_sweeps(oracle_ledger):
         1: timed(counterexample_report, ("x",), ledger),
         2: timed(sweep_psi_laws, random.Random(101), 100, ledger),
         3: timed(sweep_round_trip, random.Random(102), 500, ledger),
-        4: timed(sweep_indicator_compat, 5, ledger),
-        5: timed(sweep_retraction, random.Random(103), topologies=20, anchors=100,
-                 ledger=ledger),
+        4: timed(sweep_indicator_compat, ledger),
+        5: timed(sweep_retraction, random.Random(103), anchors=100, ledger=ledger),
         6: timed(sweep_sigma_laws, random.Random(104), 15, ledger),
     }
 
@@ -148,7 +147,7 @@ def test_criterion_09_complement_oracle_equivalence():
     result = sweep_complement(rng, 500)
     ok = result.ok and result.checked == 500
     report(9, "complement-oracle-equivalence", ok,
-           f"{result.checked} pairs, probes 1/4 1/2 3/4")
+           f"{result.checked} pairs, one nonzero level")
 
 
 def test_criterion_10_grid_oracle_agreement(oracle_ledger, ledger_sweeps):

@@ -93,12 +93,35 @@ def test_connectivity(capsys, topo_file):
     code, doc = run(capsys, "connectivity", "--topology", topo_file)
     assert code == 0
     assert doc["pc"] and doc["lpc"]
+    assert doc["components"] == [["a", "b"]]
 
 
-def test_laws_sweep(capsys):
+def test_laws_sweep(capsys, topo_file):
     code, docs = run(capsys, "laws", "--sweeps", "5", "--seed", "3")
     assert code == 0
     assert all(entry["ok"] for entry in docs)
+    # a file topology adds its own psi law record, with checks made
+    code, docs = run(capsys, "laws", "--sweeps", "20", "--seed", "7",
+                     "--topology", topo_file)
+    assert code == 0
+    (record,) = [r for r in docs if r["name"] == "psi-laws-input"]
+    assert record["ok"] and record["checked"] > 0
+
+
+def test_laws_builds_no_oracle_ledger(capsys, monkeypatch):
+    """``laws`` reports its sweeps and fills no grid-oracle ledger, which
+    nothing would verify; ``oracle`` still builds one and verifies it."""
+    def no_ledger():
+        raise AssertionError("laws built an oracle ledger")
+
+    monkeypatch.setattr(cli, "OracleLedger", no_ledger)
+    code, docs = run(capsys, "laws", "--sweeps", "5", "--seed", "3")
+    assert code == 0
+    assert [r["name"] for r in docs] == ["psi-laws", "round-trip",
+                                         "indicator-compat", "sigma-laws"]
+    monkeypatch.undo()
+    code, doc = run(capsys, "oracle", "--sweeps", "4", "--seed", "6")
+    assert code == 0 and doc["name"] == "grid-oracle-N64" and doc["checked"] > 0
 
 
 def test_retraction_emit_and_replay(capsys, tmp_path, topo_file):
@@ -112,6 +135,14 @@ def test_retraction_emit_and_replay(capsys, tmp_path, topo_file):
     assert doc["replayed"] == 12 and doc["ok"]
     text = cert.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2)
+    # a target the region's image does not reach fails that certificate
+    forged = json.loads(text)
+    forged[0]["target"] = {"kind": "pi2", "gamma": "99/100"}
+    cert.write_text(json.dumps(forged))
+    code, doc = run(capsys, "verify-retraction", "--topology", topo_file,
+                    "--replay", str(cert))
+    assert code == 1
+    assert doc == {"replayed": 12, "ok": False, "failures": [0]}
 
 
 def test_replay_rejects_degenerate_time_box(capsys, tmp_path, topo_file):
@@ -158,8 +189,10 @@ def test_replay_rejects_unknown_names(capsys, tmp_path, topo_file, forge):
     lambda w: w["target"].update(gamma=0.5),
     lambda w: w.update(anchor_t="2"),
     lambda w: w.update(anchor_t="-1/2"),
+    lambda w: next(fib for fib in w["region"]["fibers"].values() if fib)[0].update(lo="1/0"),
 ], ids=["fiber-outside-ground-set", "pi2-target-with-open", "pi2-member-with-open",
-        "inexact-gamma", "anchor-time-above-1", "anchor-time-below-0"])
+        "inexact-gamma", "anchor-time-above-1", "anchor-time-below-0",
+        "zero-denominator"])
 def test_replay_rejects_malformed_fields(capsys, tmp_path, topo_file, forge):
     cert = tmp_path / "certs.json"
     code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
@@ -382,6 +415,11 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch):
 def test_oracle_sweep(capsys):
     code, doc = run(capsys, "oracle", "--sweeps", "4", "--seed", "6")
     assert code == 0 and doc["ok"]
+    # a grid of 7 divides few level denominators: both integer sides of
+    # the oracle off the grid
+    code, doc = run(capsys, "oracle", "--sweeps", "40", "--seed", "7",
+                    "--resolution", "7")
+    assert code == 0 and doc["ok"] and doc["checked"] > 0
 
 
 def test_deterministic_given_seed(capsys):

@@ -22,6 +22,7 @@ from fuzzcyl import (
     fz_generate_topology,
     fz_indicator,
     ground,
+    iv_union,
     make_interval,
     open_realize,
     pi2,
@@ -79,9 +80,14 @@ def test_recover_membership():
 
 
 def test_recover_membership_rejects_bad_shape():
-    up = make_interval(F(1, 3), 1, False, False)
-    with pytest.raises(ValueError):
-        recover_membership(CylinderOpen(AB, (up, up)))
+    half = make_interval(0, F(1, 2), True, False)
+    for bad in (make_interval(F(1, 3), 1, False, False),
+                make_unit_interval(0, F(1, 2), True, True),  # closed top
+                make_interval(0, F(1, 2), False, False),  # open bottom
+                iv_union(make_interval(0, F(1, 4), True, False),  # two pairs
+                         make_interval(F(1, 2), F(3, 4), True, False))):
+        with pytest.raises(ValueError, match="fiber at 'b' is not of down-set shape"):
+            recover_membership(CylinderOpen(AB, (half, bad)))
 
 
 def ref_recover_membership(c):

@@ -16,7 +16,7 @@ from fuzzcyl import (
     is_complement,
     point,
 )
-from fuzzcyl.functor import PROBES
+from fuzzcyl import checks
 from fuzzcyl.paths import pasting_failure
 from fuzzcyl.sweeps import random_fuzzy, random_ground
 
@@ -48,13 +48,11 @@ def test_is_complement_examples():
     assert not is_complement(third, third)
 
 
-def test_is_complement_rejects_ground_mismatch_and_zero_probe():
+def test_is_complement_rejects_ground_mismatch():
     third = FuzzySet.constant(AB, F(1, 3))
     other = FuzzySet.constant(ground("c"), F(2, 3))
     with pytest.raises(ValueError):
         is_complement(third, other)
-    with pytest.raises(ValueError):
-        is_complement(third, fz_complement(third), probes=(F(0),))
 
 
 def test_check_constant_inverse_examples():
@@ -109,16 +107,33 @@ def test_complement_report_contrast():
     assert not rep.inversion and not rep.direct
 
 
+def inverts_at(f, g, beta):
+    """The object paths of g at level beta are those of f reversed."""
+    for y in f.ground.elements:
+        path = functor_object_path(f, y, y, beta)
+        if functor_object_path(g, y, y, beta) != VerticalAffine(path.x, path.a1, path.a0):
+            return False
+    return True
+
+
 def test_involution_and_probe_independence_random():
+    """``is_complement`` decides at one level: the object paths at every
+    nonzero level give its verdict, on complements and on near misses,
+    while at level 0 every path is constant at 0 and decides nothing."""
     rng = random.Random(12)
+    levels = [F(k, 16) for k in range(1, 16)]
     for _ in range(30):
         gs = random_ground(rng)
         f = random_fuzzy(rng, gs)
         comp = fz_complement(f)
         assert is_complement(f, comp)
         assert is_complement(comp, f)
-        verdicts = {is_complement(f, comp, probes=(b,)) for b in PROBES}
-        assert verdicts == {True}
+        near = FuzzySet(gs, (f.levels[0],) + comp.levels[1:])
+        for g in (comp, near):
+            verdict = is_complement(f, g)
+            assert verdict == (g == comp)
+            assert all(inverts_at(f, g, beta) == verdict for beta in levels)
+            assert inverts_at(f, g, 0)
 
 
 def test_constant_inverse_law_random():
@@ -130,3 +145,14 @@ def test_constant_inverse_law_random():
         z = rng.choice(gs.elements)
         beta = F(rng.randint(0, 15), 16)
         assert check_constant_inverse(f, y, z, beta)
+
+
+def test_complement_sweep_reports_a_wrong_verdict(monkeypatch):
+    """Criterion 9's sweep can fail: a decision that accepts every pair is
+    caught on each pair that is not a complement (every odd case)."""
+    clean = checks.sweep_complement(random.Random(106), 40)
+    assert clean.ok and clean.checked == 40
+    monkeypatch.setattr(checks, "is_complement", lambda F, G: True)
+    planted = checks.sweep_complement(random.Random(106), 40)
+    assert planted.checked == 40 and len(planted.failures) == 20
+    assert {f[0] for f in planted.failures} == {"oracle-mismatch"}

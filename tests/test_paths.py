@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -576,7 +577,13 @@ def key(p):
     return p.x, p.alpha.numerator, p.alpha.denominator
 
 
-def test_compiled_table_matches_recursive_reference():
+def test_compiled_table_matches_recursive_reference(monkeypatch):
+    # the references recompute each subtree for every target and point, and
+    # again under Reverse(path), and kappa each (s, t, x) for every u; they
+    # are pure, so each (node, target), (node, u) and (s, t, x) is computed
+    # once for this test
+    for name in ("reference_eval", "reference_preimage", "kappa"):
+        monkeypatch.setitem(globals(), name, cache(globals()[name]))
     rng = random.Random(1)
     # homotopy times come from their own stream, so the paths are the
     # 300 draws of Random(1)

@@ -56,8 +56,6 @@ from .fuzzy import (
     fz_generate_topology,
     fz_indicator,
     fz_is_topology,
-    fz_join,
-    fz_meet,
     ground,
 )
 from .intervals import (

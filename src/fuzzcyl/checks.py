@@ -18,15 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
-from .base_space import (
-    check_pc_lpc,
-    component_cylinder_expr,
-    fence_between,
-    slice_agrees,
-    specialization_preorder,
-)
+from .base_space import slice_agrees, specialization_preorder
 from .cylinder import (
     CylinderOpen,
     OpenExpr,
@@ -35,7 +30,6 @@ from .cylinder import (
     complement_compat,
     cyl_complement,
     cyl_intersect,
-    open_realize,
     psi_star,
     recover_membership,
     subbasis_elements,
@@ -52,7 +46,7 @@ from .fuzzy import (
     ground,
 )
 from .oracle import GridOracle, first_mismatch
-from .intervals import EMPTY_SET, WHOLE_J, is_open_in_unit
+from .intervals import is_open_in_unit
 from .paths import (
     ChiBoundary,
     Concat,
@@ -61,7 +55,6 @@ from .paths import (
     HLift,
     HTransform,
     Reverse,
-    VerticalAffine,
     chi_eval,
     chi_keys,
     continuity_failure,
@@ -69,7 +62,6 @@ from .paths import (
     eval_path,
     first_difference,
     kappa,
-    make_fence_path,
     normalize_path,
     pasting_failure,
     path_end,
@@ -77,7 +69,7 @@ from .paths import (
     path_start,
     path_table,
 )
-from .rationals import ONE, ZERO, frac
+from .rationals import ONE, ZERO
 from .retraction import (
     BoxWitness,
     continuity_witness,
@@ -362,9 +354,11 @@ def retraction_case(w: BoxWitness) -> str:
 # ---------------------------------------------------------------------------
 # path identity sweep
 
-def _grid(step: Fraction) -> list[Fraction]:
+@cache
+def _grid(step: Fraction) -> tuple[Fraction, ...]:
+    """The grid 0, step, ..., 1, built once per step."""
     n = int(ONE / step)
-    return [Fraction(k, n) for k in range(n + 1)]
+    return tuple(Fraction(k, n) for k in range(n + 1))
 
 
 def sweep_path_identities(rng: random.Random, count: int,
@@ -556,46 +550,4 @@ def sweep_complement(rng: random.Random, count: int) -> SweepResult:
         direct = all(G(y) == ONE - F(y) for y in gs.elements)
         if is_complement(F, G) != direct:
             result.failures.append(("oracle-mismatch", repr(F), repr(G)))
-    return result
-
-
-# ---------------------------------------------------------------------------
-# connectivity cross-check (small instances)
-
-def connectivity_cross_check(rng: random.Random, count: int = 10) -> SweepResult:
-    """When the base is path-connected, DSL paths join grid points of the
-    cylinder; when it is not, a clopen separating open exists."""
-    result = SweepResult("connectivity")
-    for _ in range(count):
-        topo = random_topology(rng, max_generators=2, max_den=6)
-        report = check_pc_lpc(topo)
-        result.checked += 1
-        if report.pc:
-            relation = specialization_preorder(topo)
-            xs = topo.ground.elements
-            a, b = rng.choice(xs), rng.choice(xs)
-            fence = fence_between(relation, a, b)
-            if fence is None:
-                result.failures.append(("pc-but-no-fence", a, b))
-                continue
-            alpha, beta = frac("1/4"), frac("1/8")
-            path = Concat((
-                VerticalAffine(a, alpha, ZERO),
-                HLift(make_fence_path(fence, relation), ZERO),
-                VerticalAffine(b, ZERO, beta),
-            )) if len(fence) > 1 else VerticalAffine(a, alpha, beta)
-            failure = continuity_failure(path, topo)
-            if failure is not None:
-                result.failures.append(("pc-path-discontinuous", a, b, *failure))
-        else:
-            component = report.components[0]
-            expr = component_cylinder_expr(topo, component)
-            realized = open_realize(expr, topo)
-            expected = {x: x in component for x in topo.ground.elements}
-            for x in topo.ground.elements:
-                fib = realized.fiber(x)
-                want = WHOLE_J if expected[x] else EMPTY_SET
-                if fib != want:
-                    result.failures.append(("separator-mismatch", x))
-                    break
     return result

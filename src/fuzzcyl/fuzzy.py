@@ -92,18 +92,6 @@ def _require_same_ground(*sets: FuzzySet) -> GroundSet:
     return gs
 
 
-def fz_meet(a: FuzzySet, b: FuzzySet) -> FuzzySet:
-    gs = _require_same_ground(a, b)
-    return FuzzySet(gs, tuple(min(u, v) for u, v in zip(a.levels, b.levels)))
-
-
-def fz_join(family: Sequence[FuzzySet]) -> FuzzySet:
-    if not family:
-        raise ValueError("join of an empty family is undefined")
-    gs = _require_same_ground(*family)
-    return FuzzySet(gs, tuple(max(vs) for vs in zip(*(f.levels for f in family))))
-
-
 def fz_complement(f: FuzzySet) -> FuzzySet:
     return FuzzySet(f.ground, tuple(ONE - v for v in f.levels))
 

@@ -12,10 +12,14 @@ the point at each breakpoint, and on each open piece between them a fixed
 ground element with an affine level ``c0 + c1 u``.  The table is cached on
 the node outside its dataclass fields, so equality, hashing, repr and JSON
 are those of the expression; merged and reduced, it is the path's normal
-form.  Evaluation bisects the table in integers, a whole row of parameters
-per call: ``eval_keys`` and ``chi_keys`` look the table up and range-check
-each argument once, and the grid checks compare their rows of exact keys
-``(x, n, d)``.  The exact preimage of a cylinder set is read off the
+form.  Evaluation is one checked integer pass per row of parameters:
+``eval_keys`` and ``chi_keys`` check every value of the row lies in [0,1]
+(a ``Fraction`` on its numerator and denominator) before any lookup, find
+each p/q on the table by bisecting the breakpoints with no key function
+for the first b >= ceil(p·den/q), and check each key's level lies in J and
+reduce it to ``(x, n, d)`` in lowest terms in the same loop.  The grid
+checks compare these rows of exact keys, on grids that ``checks`` builds
+once per step.  The exact preimage of a cylinder set is read off the
 table piece by piece as boundary-key pairs, each piece's ends solved in
 integers.  Continuity is decided on the table too, in integers:
 ``continuity_failure`` checks each breakpoint against its adjacent pieces
@@ -249,8 +253,19 @@ def path_table(e: PathExpr) -> PathTable:
 
 
 def _ratios(us, what: str) -> list[tuple[int, int]]:
-    """``(p, q)`` with u = p/q for each u of ``us``, each checked to lie in [0,1]."""
-    return [unit(frac(u), what).as_integer_ratio() for u in us]
+    """``(p, q)`` with u = p/q for each u of ``us``, each checked to lie in
+    [0,1] before any is used: a Fraction is read and checked in integers,
+    anything else goes through ``frac`` first, and a value outside [0,1]
+    goes to ``unit``, which raises."""
+    ratios = []
+    for u in us:
+        if type(u) is not Fraction:
+            u = frac(u)
+        p, q = u.as_integer_ratio()
+        if not 0 <= p <= q:
+            unit(u, what)
+        ratios.append((p, q))
+    return ratios
 
 
 def _locations(table: PathTable, ratios) -> list[tuple[str, int, int]]:
@@ -258,9 +273,10 @@ def _locations(table: PathTable, ratios) -> list[tuple[str, int, int]]:
     ``ratios``, where ``table`` is that of ``e``; n/d is not reduced."""
     den, breaks, located = table.den, table.breaks, []
     for p, q in ratios:
-        # the first breakpoint b/den >= p/q, compared as b*q >= p*den
-        j = bisect_left(breaks, p * den, key=q.__mul__)
-        if breaks[j] * q == p * den:
+        # the first breakpoint b/den >= p/q: b*q >= p*den, so b >= ceil(p*den/q)
+        pd = p * den
+        j = bisect_left(breaks, -(-pd // q))
+        if breaks[j] * q == pd:
             x, a = table.points[j]
             located.append((x, a, den))
         else:
@@ -269,31 +285,38 @@ def _locations(table: PathTable, ratios) -> list[tuple[str, int, int]]:
     return located
 
 
-def _key(x: str, n: int, d: int) -> tuple[str, int, int]:
-    """``(x, n, d)`` in lowest terms, its level n/d checked to lie in J."""
-    if not 0 <= n < d:
-        raise ValueError(f"level outside [0,1): {Fraction(n, d)}")
-    g = gcd(n, d)
-    return x, n // g, d // g
-
-
 def eval_keys(e: PathExpr, us) -> list[tuple[str, int, int]]:
     """The exact key ``(x, n, d)`` of the point (x, n/d) = e(u), in lowest
-    terms, at each u of ``us``."""
-    ratios = _ratios(us, "path parameter")
-    return [_key(*located) for located in _locations(path_table(e), ratios)]
+    terms, at each u of ``us``; each level is checked to lie in J."""
+    keys = []
+    for x, n, d in _locations(path_table(e), _ratios(us, "path parameter")):
+        if not 0 <= n < d:
+            raise ValueError(f"level outside [0,1): {Fraction(n, d)}")
+        g = gcd(n, d)
+        keys.append((x, n // g, d // g))
+    return keys
 
 
 def chi_keys(rho: PathExpr, s, t, etas, xs) -> list[list[tuple[str, int, int]]]:
     """The square free homotopy H(kappa(s,t)(x), rho(eta)) as exact keys
-    ``(x, n, d)``: one row per eta of ``etas``, one key per x of ``xs``."""
+    ``(x, n, d)`` in lowest terms: one row per eta of ``etas``, one key per
+    x of ``xs``; each level is checked to lie in J."""
     (sn, sd), (tn, td) = _ratios((s, t), "kappa argument")
     # 1 - kappa(s,t)(x) = 1 - s - (t - s) x, as one fraction over sd td xd
     keeps = [((sd - sn) * td * xd - (tn * sd - sn * td) * xn, sd * td * xd)
              for xn, xd in _ratios(xs, "kappa argument")]
     ratios = _ratios(etas, "path parameter")
-    return [[_key(y, keep * n, keep_den * d) for keep, keep_den in keeps]
-            for y, n, d in _locations(path_table(rho), ratios)]
+    rows = []
+    for y, n, d in _locations(path_table(rho), ratios):
+        row = []
+        for keep, keep_den in keeps:
+            kn, kd = keep * n, keep_den * d
+            if not 0 <= kn < kd:
+                raise ValueError(f"level outside [0,1): {Fraction(kn, kd)}")
+            g = gcd(kn, kd)
+            row.append((y, kn // g, kd // g))
+        rows.append(row)
+    return rows
 
 
 def first_difference(grid: Sequence[Fraction], row: Sequence,

@@ -44,16 +44,20 @@ def unit(q, what: str, top_open: bool = False):
 
 def parse_ratio(text: str) -> tuple[int, int]:
     """The integers (p, q) of "p/q", or (p, 1) of "p", with the sign moved
-    to p so that q > 0; p/q is not reduced.  Rejects floats and zero
-    denominators with ValueError."""
+    to p so that q > 0; p/q is not reduced.  Around the whole text blanks
+    are allowed; each part is ASCII digits after at most one "-".  Rejects
+    floats, zero denominators and any other form with ValueError."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        p, q = int(num), int(den)
-        if q == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return (-p, -q) if q < 0 else (p, q)
-    return int(text), 1
+    num, slash, den = text.partition("/")
+    # int() first, so its messages stay; it also takes a "+", "_", blanks
+    # and non-ASCII digits in a part, which the grammar then rejects
+    p, q = int(num), int(den) if slash else 1
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    if not (text.isascii() and num.removeprefix("-").isdigit()
+            and (not slash or den.removeprefix("-").isdigit())):
+        raise ValueError(f"not a \"p/q\" or \"p\" rational: {text!r}")
+    return (-p, -q) if q < 0 else (p, q)
 
 
 def ratio(value) -> tuple[int, int]:
@@ -65,8 +69,8 @@ def ratio(value) -> tuple[int, int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction. Rejects floats and zero
-    denominators with ValueError."""
+    """Parse "p/q" or "p" into a Fraction, by the grammar of
+    ``parse_ratio``; anything else raises ValueError."""
     return Fraction(*parse_ratio(text))
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,12 @@ from fuzzcyl import (
     slice_agrees,
     specialization_preorder,
 )
+from fuzzcyl.checks import SweepResult
 from fuzzcyl.cylinder import CylinderOpen
 from fuzzcyl.intervals import EMPTY_SET, WHOLE_J, iv_intersect, iv_union, make_interval
 from fuzzcyl.base_space import close_under_ops, comparable
+from fuzzcyl.paths import Concat, HLift, VerticalAffine, continuity_failure, make_fence_path
+from fuzzcyl.rationals import ZERO, frac
 from fuzzcyl.sweeps import random_topology
 
 F = Fraction
@@ -282,16 +286,60 @@ def test_component_cylinder_expr_fractional_levels():
             assert realized.fiber(x) == (WHOLE_J if x in comp else EMPTY_SET)
 
 
+# ---------------------------------------------------------------------------
+# the connectivity cross-check: DSL paths on connected bases, separating
+# opens on disconnected ones
+
+
+def connectivity_cross_check(rng: random.Random, count: int = 10) -> SweepResult:
+    """When the base is path-connected, DSL paths join grid points of the
+    cylinder; when it is not, a clopen separating open exists."""
+    result = SweepResult("connectivity")
+    for _ in range(count):
+        topo = random_topology(rng, max_generators=2, max_den=6)
+        report = check_pc_lpc(topo)
+        result.checked += 1
+        if report.pc:
+            relation = specialization_preorder(topo)
+            xs = topo.ground.elements
+            a, b = rng.choice(xs), rng.choice(xs)
+            fence = fence_between(relation, a, b)
+            if fence is None:
+                result.failures.append(("pc-but-no-fence", a, b))
+                continue
+            alpha, beta = frac("1/4"), frac("1/8")
+            path = Concat((
+                VerticalAffine(a, alpha, ZERO),
+                HLift(make_fence_path(fence, relation), ZERO),
+                VerticalAffine(b, ZERO, beta),
+            )) if len(fence) > 1 else VerticalAffine(a, alpha, beta)
+            failure = continuity_failure(path, topo)
+            if failure is not None:
+                result.failures.append(("pc-path-discontinuous", a, b, *failure))
+        else:
+            component = report.components[0]
+            expr = component_cylinder_expr(topo, component)
+            realized = open_realize(expr, topo)
+            expected = {x: x in component for x in topo.ground.elements}
+            for x in topo.ground.elements:
+                fib = realized.fiber(x)
+                want = WHOLE_J if expected[x] else EMPTY_SET
+                if fib != want:
+                    result.failures.append(("separator-mismatch", x))
+                    break
+    return result
+
+
 def test_connectivity_cross_check_runs_both_branches(monkeypatch):
     # seed 3 draws 35 path-connected bases and 5 that are not
     seen = []
 
     def recording(topo):
-        report = check_pc_lpc(topo)
+        report = base_space.check_pc_lpc(topo)
         seen.append(report.pc)
         return report
 
-    monkeypatch.setattr(checks, "check_pc_lpc", recording)
-    result = checks.connectivity_cross_check(random.Random(3), 40)
+    monkeypatch.setattr(sys.modules[__name__], "check_pc_lpc", recording)
+    result = connectivity_cross_check(random.Random(3), 40)
     assert result.ok and result.checked > 0, result.failures
     assert True in seen and False in seen

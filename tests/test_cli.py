@@ -647,6 +647,34 @@ def test_json_booleans_and_floats_are_not_rationals(tmp_path, values):
     assert run_cli(["cylinder", "--topology", path]) == 2
 
 
+# Rationals outside the "p/q" or "p" grammar that int() reads part by
+# part, each written so that it has the value of the rational it replaces.
+OFF_GRAMMAR = {
+    "plus": lambda v: "+" + v,
+    "underscore": lambda v: "{}_0/{}0".format(*(v.split("/") + ["1"])[:2]),
+    "blanks": lambda v: " / ".join((v.split("/") + ["1"])[:2]),
+    "arabic-indic": lambda v: v.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}
+
+
+@pytest.mark.parametrize("spell", list(OFF_GRAMMAR))
+def test_rationals_outside_the_grammar_exit_2(tmp_path, spell):
+    spelled = OFF_GRAMMAR[spell]
+    doc = json.loads(json.dumps(TOPO))
+    doc["opens"][2]["values"]["a"] = spelled("1/3")
+    assert run_cli(["validate", "--topology", write_topology(tmp_path, doc)]) == 2
+    topo = write_topology(tmp_path, TOPO)
+    cert = tmp_path / "certs.json"
+    assert run_cli(["verify-retraction", "--topology", topo, "--sweeps", "12",
+                    "--seed", "4", "--emit", str(cert)]) == 0
+    forged = json.loads(cert.read_text())
+    interval = next(fib for fib in forged[3]["region"]["fibers"].values() if fib)[0]
+    interval["lo"] = spelled(interval["lo"])
+    cert.write_text(json.dumps(forged))
+    assert run_cli(["verify-retraction", "--topology", topo, "--replay", str(cert)]) == 2
+    assert run_cli(["paths", "--sweeps", "1", "--grid-step", spelled("1/8")]) == 2
+
+
 # SHA-256 of the stdout of each README subcommand at small fixed flags, and
 # of the certificate file the --emit run writes. For a fixed seed the CLI's
 # output is part of its contract, so a refactor must leave every digest as

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from interval_ref import Interval, build, parts
+from lattice_ref import fz_join, fz_meet
 
 from fuzzcyl import (
     FuzzySet,
@@ -35,7 +36,6 @@ from fuzzcyl import (
 )
 from fuzzcyl import cylinder
 from fuzzcyl.cylinder import CylinderOpen, LawReport
-from fuzzcyl.fuzzy import fz_join, fz_meet
 from fuzzcyl.intervals import EMPTY_SET, make_unit_interval
 from fuzzcyl.sweeps import random_topology
 

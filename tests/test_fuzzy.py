@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_ref import fz_join, fz_meet
 
 from fuzzcyl import (
     FuzzySet,
@@ -12,8 +13,6 @@ from fuzzcyl import (
     fz_generate_topology,
     fz_indicator,
     fz_is_topology,
-    fz_join,
-    fz_meet,
     ground,
 )
 from fuzzcyl import sweeps

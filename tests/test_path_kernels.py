@@ -11,7 +11,10 @@ Mutated kernels these tests catch, each tried on its own: an off-by-one in
 the x numerator of ``1 - kappa(s,t)(x)``, ``s`` and ``t`` swapped, the eta
 rows returned in the wrong order, ``bisect_right`` for ``bisect_left``,
 ``first_difference`` reporting the grid value after the mismatch, the
-pasting halves swapped, and the ``fhrem`` left and right columns swapped.
+pasting halves swapped, the ``fhrem`` left and right columns swapped, the
+floor of p·den/q for its ceiling as the bisection target, the level check
+dropped from either kernel's loop, the reduction skipped in ``chi_keys``,
+and a table lookup made before every value of the row is checked.
 """
 
 import random
@@ -27,8 +30,11 @@ from fuzzcyl.paths import (
     ChiBoundary,
     Concat,
     Const,
+    FencePath,
+    HLift,
     HTransform,
     Reverse,
+    VerticalAffine,
     chi_keys,
     eval_keys,
     eval_path,
@@ -153,6 +159,133 @@ def test_kernels_take_iterators_and_empty_rows():
     assert eval_keys(path, []) == []
     assert chi_keys(path, 0, 1, [], FINE) == []
     assert chi_keys(path, 0, 1, COARSE, []) == [[] for _ in COARSE]
+
+
+# ---------------------------------------------------------------------------
+# the kernels' errors, and parameters with long denominators
+
+
+def test_kernel_errors_name_the_first_bad_argument():
+    start = Const(CylPoint("a", ZERO))
+    cases = [
+        (lambda: eval_keys(start, [F(1, 2), F(3, 2)]), "path parameter outside [0,1]: 3/2"),
+        # chi_keys checks s and t, then the xs, then the etas
+        (lambda: chi_keys(start, 2, -1, [2], [3]), "kappa argument outside [0,1]: 2"),
+        (lambda: chi_keys(start, 0, -1, [2], [3]), "kappa argument outside [0,1]: -1"),
+        (lambda: chi_keys(start, 0, 0, [2], [3]), "kappa argument outside [0,1]: 3"),
+        (lambda: chi_keys(start, 0, 0, [2], [0]), "path parameter outside [0,1]: 2"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as an exact rational"):
+        eval_keys(start, [F(1, 2), 0.5])
+
+
+def _unreadable(table):
+    """The table with no points and no pieces: every lookup raises IndexError."""
+    return paths.PathTable(table.den, table.breaks, (), ())
+
+
+def test_every_value_is_checked_before_any_lookup(monkeypatch):
+    compile_table = paths._compile
+    monkeypatch.setattr(paths, "_compile", lambda e: _unreadable(compile_table(e)))
+    path = VerticalAffine("a", ZERO, F(1, 2))
+    with pytest.raises(ValueError, match="path parameter outside"):
+        eval_keys(path, [F(1, 2), 2])
+    with pytest.raises(ValueError, match="path parameter outside"):
+        chi_keys(path, 0, 1, [F(1, 2), 2], [0])
+    with pytest.raises(IndexError):
+        eval_keys(path, [F(1, 2)])
+
+
+def _tripled(table):
+    """Every level times 3: u -> 3u/2 on the table of u -> u/2."""
+    return paths.PathTable(table.den, table.breaks,
+                           tuple((x, 3 * a) for x, a in table.points),
+                           tuple((x, 3 * c0, 3 * c1) for x, c0, c1 in table.pieces))
+
+
+def _lowered(table):
+    """Every level less 1: u -> u/2 - 1 on the table of u -> u/2."""
+    den = table.den
+    return paths.PathTable(den, table.breaks,
+                           tuple((x, a - den) for x, a in table.points),
+                           tuple((x, c0 - den, c1) for x, c0, c1 in table.pieces))
+
+
+# (plant, first bad level of eval_keys on ROW, of chi_keys on the etas 0
+# and 3/4 and XS); 1 - kappa(0,1)(x) = 1 - x scales each row of chi_keys:
+# tripled, the levels on ROW are 0, 3/4, 9/8, 3/2 and the row of 9/8 is
+# 0, 9/16, 135/128, 9/8; lowered, the row of -1 is 0, -1/2, -15/16, -1
+PLANTED_LEVELS = {"above": (_tripled, "9/8", "135/128"),
+                  "below": (_lowered, "-1", "-1/2")}
+ROW = [0, F(1, 2), F(3, 4), 1]
+XS = [1, F(1, 2), F(1, 16), 0]
+
+
+@pytest.mark.parametrize("where", list(PLANTED_LEVELS))
+def test_a_level_outside_J_is_named_at_the_first_bad_cell(where, monkeypatch):
+    plant, eval_level, chi_level = PLANTED_LEVELS[where]
+    compile_table = paths._compile
+    monkeypatch.setattr(paths, "_compile", lambda e: plant(compile_table(e)))
+    path = VerticalAffine("a", ZERO, F(1, 2))
+    with pytest.raises(ValueError) as caught:
+        eval_keys(path, ROW)
+    assert str(caught.value) == f"level outside [0,1): {eval_level}"
+    with pytest.raises(ValueError) as caught:
+        chi_keys(path, 0, 1, [0, F(3, 4)], XS)
+    assert str(caught.value) == f"level outside [0,1): {chi_level}"
+
+
+def long_denominator_paths(rng):
+    """Paths whose tables have denominators of 40 digits and more: levels
+    over 20- to 30-digit denominators, each piece with its own slope or
+    element, so that neighbouring pieces differ."""
+    def level():
+        q = rng.randrange(10**19, 10**30)
+        return F(rng.randrange(q), q)
+
+    for _ in range(12):
+        l0, l1, l2, l3 = (level() for _ in range(4))
+        fence = HLift(FencePath(("a", "b", "a"), ("b", "b")), l2)
+        path = Concat((VerticalAffine("a", l0, l1), VerticalAffine("a", l1, l2), fence,
+                       VerticalAffine("a", l2, l3)))
+        yield path
+        yield Reverse(path)
+        yield HTransform(level(), path)
+
+
+def around_breakpoints(table, rng):
+    """Each breakpoint b/den of ``table``, and the parameters 1/(den·Q)
+    below and above it, with Q of 20 to 30 digits."""
+    us = []
+    for b in table.breaks:
+        q = rng.randrange(10**19, 10**30)
+        us.append(F(b, table.den))
+        if b > 0:
+            us.append(F(b * q - 1, table.den * q))
+        if b < table.den:
+            us.append(F(b * q + 1, table.den * q))
+    return us
+
+
+def test_long_denominators_on_and_next_to_breakpoints():
+    rng = random.Random(34)
+    on = near = 0
+    for path in long_denominator_paths(rng):
+        table = path_table(path)
+        assert table.den > 10**40
+        us = around_breakpoints(table, rng)
+        assert eval_keys(path, us) == [ref_eval_key(path, u) for u in us], path
+        s, t = rng.choice(us), rng.choice(us)
+        xs = [0, 1, rng.choice(us)]
+        assert chi_keys(path, s, t, us, xs) == \
+            [[ref_chi_key(path, s, t, u, x) for x in xs] for u in us], path
+        on += sum(F(b, table.den) in us for b in table.breaks)
+        near += len(us) - len(table.breaks)
+    assert on >= 36 * 6 and near >= 36 * 10, (on, near)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from fuzzcyl import (
     unit,
 )
 from fuzzcyl.paths import chi_keys, eval_keys
-from fuzzcyl.rationals import format_ratio, format_rational
+from fuzzcyl.rationals import format_ratio, format_rational, parse_ratio
 
 EPS = F(1, 10**6)
 START = Const(CylPoint("a", F(0)))
@@ -125,6 +125,28 @@ def test_frac_rejects_booleans_and_floats():
     for value in (True, False, 0.5, None, [1]):
         with pytest.raises(TypeError, match="as an exact rational"):
             frac(value)
+
+
+def test_parse_ratio_reads_exactly_the_documented_grammar():
+    # "p/q" or "p": ASCII digits after at most one "-", blanks only around
+    # the whole text, the sign moved to the numerator
+    for text, expected in (("1/2", (1, 2)), (" 3/4\n", (3, 4)), ("-1/3", (-1, 3)),
+                           ("1/-2", (-1, 2)), ("-1/-2", (1, 2)), ("7", (7, 1)),
+                           ("-0", (0, 1)), ("2/4", (2, 4))):
+        assert parse_ratio(text) == expected, text
+    # int() takes each of these parts; the grammar does not
+    for text in ("1_0/20", "+1/3", "1/+3", "+1", "1_0", "1 /2", "1/ 2", "1\t/2",
+                 "\u0661/3", "1/\u0663", "\u0661"):
+        with pytest.raises(ValueError) as caught:
+            parse_ratio(text)
+        assert str(caught.value) == f'not a "p/q" or "p" rational: {text.strip()!r}'
+    # int()'s own messages come first, the zero denominator next
+    for text, message in (("half", "invalid literal for int() with base 10: 'half'"),
+                          ("1/2/3", "invalid literal for int() with base 10: '2/3'"),
+                          ("1_0/0", "zero denominator in '1_0/0'")):
+        with pytest.raises(ValueError) as caught:
+            parse_ratio(text)
+        assert str(caught.value) == message
 
 
 def shown(q):

@@ -112,7 +112,7 @@ class OracleLedger:
     def add(self, label: str, c: CylinderOpen, predicate: Predicate) -> None:
         self.entries.append((label, c, predicate))
 
-    def verify(self, resolution: int = 64) -> SweepResult:
+    def verify(self, resolution: int) -> SweepResult:
         """Each entry's predicate at every cell (x, k/N), k = 0 .. N-1, as
         ``predicate(x, k, N)``, against the raster of its symbolic set; a
         failure is (label, x, Fraction(k, N)) at the first differing cell."""
@@ -157,7 +157,7 @@ def expr_predicate(expr: OpenExpr, topo: FuzzyTopology) -> Predicate:
 # ---------------------------------------------------------------------------
 # the built-in counterexample
 
-def counterexample_topology(elements=("x",)) -> FuzzyTopology:
+def counterexample_topology(elements) -> FuzzyTopology:
     gs = ground(*elements)
     return FuzzyTopology(
         gs,
@@ -167,7 +167,7 @@ def counterexample_topology(elements=("x",)) -> FuzzyTopology:
     )
 
 
-def counterexample_report(elements=("x",),
+def counterexample_report(elements,
                           ledger: Optional[OracleLedger] = None) -> dict:
     """Set-theoretic complementation on the cylinder disagrees with the
     algebraic complement of the constant-1/3 open."""
@@ -176,6 +176,7 @@ def counterexample_report(elements=("x",),
     below = psi_star(T)
     complement = cyl_complement(below)
     below_comp = psi_star(fz_complement(T))
+    compat = complement_compat(T)
     if ledger is not None:
         ledger.add("counterexample-psi", below, psi_predicate(T))
         ledger.add("counterexample-set-complement", complement,
@@ -187,8 +188,8 @@ def counterexample_report(elements=("x",),
         "psi_of_T": below.to_json(),
         "set_complement_of_psi": complement.to_json(),
         "psi_of_algebraic_complement": below_comp.to_json(),
-        "verdict": "equal" if complement == below_comp else "unequal",
-        "compat_report": complement_compat(T).to_json(),
+        "verdict": "equal" if compat.equal else "unequal",
+        "compat_report": compat.to_json(),
     }
 
 
@@ -260,11 +261,7 @@ def sweep_sigma_laws(rng: random.Random, count: int,
             if ledger is not None:
                 ledger.add(f"sigma:{e.kind}", direct, sigma_predicate(e, topo))
         tstars = [e for e in elems if e.kind == "tstar"]
-        for _ in range(10):
-            size = rng.randint(2, 3)
-            if len(tstars) < size:
-                continue
-            meet = rng.sample(tstars, size)
+        for meet in [rng.sample(tstars, rng.randint(2, 3)) for _ in range(10)]:
             result.checked += 1
             inter = subbasis_realize(meet[0], topo)
             images = sigma_image_subbasis(meet[0], topo)
@@ -306,8 +303,7 @@ def _certify_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
     return witness
 
 
-def sweep_retraction(rng: random.Random, anchors: int = 100,
-                     ledger: Optional[OracleLedger] = None
+def sweep_retraction(rng: random.Random, anchors: int, ledger: OracleLedger
                      ) -> tuple[SweepResult, list[tuple[FuzzyTopology, BoxWitness]]]:
     """Continuity certificates in all three time regimes, 20 topologies a round."""
     result = SweepResult("retraction-certificates")
@@ -320,7 +316,7 @@ def sweep_retraction(rng: random.Random, anchors: int = 100,
                 if witness is None:
                     continue
                 witnesses.append((topo, witness))
-                if ledger is not None and result.checked % 10 == 0:
+                if result.checked % 10 == 0:
                     ledger.add("witness-region", witness.region,
                                expr_predicate(witness.region_expr, topo))
                     ledger.add("witness-target",
@@ -330,7 +326,7 @@ def sweep_retraction(rng: random.Random, anchors: int = 100,
 
 
 def sweep_retraction_on(topo: FuzzyTopology, rng: random.Random,
-                        anchors: int = 60) -> tuple[SweepResult, list[BoxWitness]]:
+                        anchors: int) -> tuple[SweepResult, list[BoxWitness]]:
     """Certificates for one fixed topology, cycling the three time regimes."""
     result = SweepResult("retraction-certificates")
     witnesses: list[BoxWitness] = []
@@ -362,7 +358,7 @@ def _grid(step: Fraction) -> tuple[Fraction, ...]:
 
 
 def sweep_path_identities(rng: random.Random, count: int,
-                          grid_step: Fraction = Fraction(1, 64),
+                          grid_step: Fraction,
                           check_continuity: bool = True) -> SweepResult:
     """Pointwise path-calculus identities on the rational grid, plus the
     continuity of every generated path (``continuity_failure``) when

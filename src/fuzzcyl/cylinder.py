@@ -44,10 +44,6 @@ class CylinderOpen:
     def fiber(self, x: str) -> IntervalSet:
         return self.fibers[self.ground.index(x)]
 
-    def __repr__(self):
-        body = ", ".join(f"{x}:{f!r}" for x, f in zip(self.ground.elements, self.fibers))
-        return "Cyl(" + body + ")"
-
     def to_json(self) -> dict:
         return {"fibers": {x: f.to_json()
                            for x, f in zip(self.ground.elements, self.fibers)}}
@@ -279,15 +275,12 @@ def critical_gammas(topo: FuzzyTopology) -> tuple[Fraction, ...]:
     The emptiness pattern of the realized fibers (equivalently their
     level-0 slices) is constant between consecutive membership-value
     thresholds, so the thresholds plus midpoints of adjacent thresholds
-    exhaust every slice behaviour; -1 covers the whole-cylinder end.
+    exhaust every slice behaviour; -1 covers the whole-cylinder end.  The
+    thresholds lie in [-1, 1], so all but the last, 1, are gammas.
     """
     thresholds = sorted({GAMMA_LO, ZERO, ONE} | set(topo.membership_values()))
-    gammas = {g for g in thresholds if GAMMA_LO <= g < ONE}
-    for a, b in zip(thresholds, thresholds[1:]):
-        mid = (a + b) / 2
-        if GAMMA_LO <= mid < ONE:
-            gammas.add(mid)
-    return tuple(sorted(gammas))
+    mids = [(a + b) / 2 for a, b in zip(thresholds, thresholds[1:])]
+    return tuple(sorted(thresholds[:-1] + mids))
 
 
 def subbasis_elements(topo: FuzzyTopology) -> tuple[SubbasisElem, ...]:

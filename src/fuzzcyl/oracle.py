@@ -57,12 +57,11 @@ def oracle_rasterize(c: CylinderOpen, resolution: int) -> GridOracle:
 def first_mismatch(symbolic: CylinderOpen,
                    brute: GridOracle) -> Optional[tuple[str, Fraction]]:
     """The first cell, in ground order and then by k, where the raster of
-    ``symbolic`` and ``brute`` differ; None when they agree everywhere."""
+    ``symbolic`` and ``brute``, a raster over the same ground, differ; None
+    when they agree everywhere."""
     raster = oracle_rasterize(symbolic, brute.resolution)
-    if raster.ground == brute.ground and raster.cells == brute.cells:
-        return None
-    for x in brute.ground.elements:
-        for k in range(brute.resolution):
-            if raster.cell(x, k) != brute.cell(x, k):
-                return (x, Fraction(k, brute.resolution))
+    for x, row, expect in zip(brute.ground.elements, raster.cells, brute.cells):
+        if row != expect:
+            k = next(k for k in range(brute.resolution) if row[k] != expect[k])
+            return (x, Fraction(k, brute.resolution))
     return None

@@ -65,6 +65,13 @@ def test_finite_topology_rejects_unclosed_family():
         FiniteTopology(gs, frozenset({0, 0b001, 0b010, 0b111}))
 
 
+@pytest.mark.parametrize("opens", [{0b001, 0b111}, {0, 0b001}],
+                         ids=["no-empty-set", "no-full-set"])
+def test_finite_topology_needs_the_empty_and_full_sets(opens):
+    with pytest.raises(ValueError, match="must contain the empty set and the full set"):
+        FiniteTopology(ground("a", "b", "c"), frozenset(opens))
+
+
 def test_slice_agrees_examples():
     assert slice_agrees(const_topo(AB, "1/3"))
     assert slice_agrees(fz_generate_topology([fz_indicator(["a"], AB)], AB))

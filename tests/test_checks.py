@@ -1,0 +1,103 @@
+"""Each failure record of the gate sweeps in ``checks`` fires on a planted
+fault, and the certificate sweeps skip a regime that yields no anchor.
+
+A fault is planted with ``monkeypatch`` on the name ``checks`` imports, so
+the sweep's own comparison must catch it, and each test asserts the exact
+records the sweep returns.
+"""
+
+import random
+from fractions import Fraction
+
+from fuzzcyl import checks
+from fuzzcyl.cylinder import CompatReport
+from fuzzcyl.rationals import ONE, ZERO
+from fuzzcyl.sweeps import random_fuzzy, random_ground, random_topology
+
+
+def test_round_trip_records_a_wrong_recovery(monkeypatch):
+    monkeypatch.setattr(checks, "recover_membership", lambda c: None)
+    result = checks.sweep_round_trip(random.Random(5), 3)
+    rng = random.Random(5)
+    drawn = [random_fuzzy(rng, random_ground(rng)) for _ in range(3)]
+    assert result.checked == 3
+    assert result.failures == [("round-trip", repr(f)) for f in drawn]
+
+
+def test_indicator_compat_records_a_failed_comparison(monkeypatch):
+    honest = checks.complement_compat
+    monkeypatch.setattr(checks, "complement_compat", lambda f: CompatReport(False)
+                        if f.levels == (1, 0, 1, 0, 0) else honest(f))
+    result = checks.sweep_indicator_compat()
+    assert result.checked == 32
+    assert result.failures == [("indicator", ["a", "c"])]
+
+
+def test_retraction_records_a_rejected_certificate(monkeypatch):
+    monkeypatch.setattr(checks, "verify_witness", lambda w, topo: w.anchor_t != ONE)
+    topo = random_topology(random.Random(6), max_generators=2, max_den=8)
+    result, witnesses = checks.sweep_retraction_on(topo, random.Random(7), anchors=6)
+    assert result.checked == len(witnesses) == 6
+    assert result.failures == [("witness", "one", w.anchor_t, w.anchor, w.target)
+                               for w in witnesses if w.anchor_t == ONE]
+    assert len(result.failures) == 2
+
+
+def test_path_sweep_records_a_continuity_failure(monkeypatch):
+    failure = (Fraction(1, 2), "left", "level-jump")
+    monkeypatch.setattr(checks, "continuity_failure", lambda e, topo: failure)
+    result = checks.sweep_path_identities(random.Random(8), 2, Fraction(1, 8))
+    assert result.checked == 2
+    assert result.failures == [(f"path-{i}", "continuity", *failure) for i in range(2)]
+
+
+def planted_rule(monkeypatch, failure):
+    """Plant a continuity rule that gives ``failure`` on every path, and
+    return the list of paths it is asked about."""
+    asked = []
+
+    def rule(e, topo):
+        asked.append(e)
+        return failure
+    monkeypatch.setattr(checks, "continuity_failure", rule)
+    return asked
+
+
+def test_continuity_rule_records_a_missed_plant(monkeypatch):
+    asked = planted_rule(monkeypatch, None)
+    result, planted = checks.sweep_continuity_rule(random.Random(0), 1)
+    assert planted == len(asked) - 1 == 5
+    # each planted lift is discontinuous: missed, and its preimages disagree
+    assert result.failures == [("topology-0", record, path, None) for path in asked[1:]
+                               for record in ("planted-missed", "preimage-disagrees")]
+
+
+def test_continuity_rule_records_a_flagged_random_path(monkeypatch):
+    failure = (ZERO, "right", "below")
+    asked = planted_rule(monkeypatch, failure)
+    result, planted = checks.sweep_continuity_rule(random.Random(0), 1)
+    assert planted == len(asked) - 1 == 5
+    # the random path is continuous: flagged, and its preimages disagree
+    assert result.failures == [("topology-0", record, asked[0], failure)
+                               for record in ("random-flagged", "preimage-disagrees")]
+
+
+def test_retraction_sweep_skips_a_regime_with_no_anchor(monkeypatch):
+    # no attempt cap: only one regime may fail, or the sweep never ends
+    honest = checks.random_anchor
+    monkeypatch.setattr(checks, "random_anchor", lambda rng, topo, case:
+                        None if case == "zero" else honest(rng, topo, case))
+    ledger = checks.OracleLedger()
+    result, witnesses = checks.sweep_retraction(random.Random(9), 10, ledger)
+    assert result.ok and result.checked == len(witnesses) == 40
+    assert {checks.retraction_case(w) for _, w in witnesses} == {"interior", "one"}
+    assert len(ledger.entries) == 8 and ledger.verify(16).ok
+
+
+def test_retraction_on_stops_at_its_attempt_cap(monkeypatch):
+    asked = []
+    monkeypatch.setattr(checks, "random_anchor", lambda rng, topo, case: asked.append(case))
+    topo = random_topology(random.Random(6), max_generators=2, max_den=8)
+    result, witnesses = checks.sweep_retraction_on(topo, random.Random(7), anchors=5)
+    assert (result.checked, result.failures, witnesses) == (0, [], [])
+    assert len(asked) == 20 * 5

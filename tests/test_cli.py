@@ -129,6 +129,10 @@ def test_retraction_emit_and_replay(capsys, tmp_path, topo_file):
     code, doc = run(capsys, "verify-retraction", "--topology", topo_file,
                     "--sweeps", "12", "--seed", "4", "--emit", str(cert))
     assert code == 0 and doc["ok"]
+    # without --emit the same sweep runs and writes no file
+    assert run(capsys, "verify-retraction", "--topology", topo_file,
+               "--sweeps", "12", "--seed", "4") == (code, doc)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["certs.json", "topo.json"]
     code, doc = run(capsys, "verify-retraction", "--topology", topo_file,
                     "--replay", str(cert))
     assert code == 0
@@ -190,9 +194,11 @@ def test_replay_rejects_unknown_names(capsys, tmp_path, topo_file, forge):
     lambda w: w.update(anchor_t="2"),
     lambda w: w.update(anchor_t="-1/2"),
     lambda w: next(fib for fib in w["region"]["fibers"].values() if fib)[0].update(lo="1/0"),
+    lambda w: w["target"].update(gamma="2"),
+    lambda w: w["region_expr"][0][0].update(gamma="-3/2"),
 ], ids=["fiber-outside-ground-set", "pi2-target-with-open", "pi2-member-with-open",
         "inexact-gamma", "anchor-time-above-1", "anchor-time-below-0",
-        "zero-denominator"])
+        "zero-denominator", "gamma-above-1", "gamma-below-minus-1"])
 def test_replay_rejects_malformed_fields(capsys, tmp_path, topo_file, forge):
     cert = tmp_path / "certs.json"
     code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
@@ -493,7 +499,9 @@ def without(doc, *path):
     (without(TOPO, "opens"), "topology has no 'opens' field"),
     (without(TOPO, "opens", 2, "name"), "open 2 has no 'name' field"),
     (without(TOPO, "opens", 0, "values"), "open 0 has no 'values' field"),
-], ids=["array", "string", "no-ground-set", "no-opens", "no-name", "no-values"])
+    ({"ground_set": [], "opens": []}, "ground set must be nonempty"),
+], ids=["array", "string", "no-ground-set", "no-opens", "no-name", "no-values",
+        "empty-ground-set"])
 def test_malformed_topology_message_names_the_fault(capsys, tmp_path, command, doc,
                                                     message):
     path = write_topology(tmp_path, doc)

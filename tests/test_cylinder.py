@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -459,6 +460,8 @@ def test_subbasis_elem_hash_is_set_equality_across_processes():
     e = cylinder.tstar("T0", "1/3")
     assert hash(e) == hash(("tstar", F(1, 3), "T0"))
     assert e == cylinder.SubbasisElem("tstar", F(1, 3), "T0") != cylinder.pi2("1/3")
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e and hash(again) == hash(e) and again is not e
     write = "import pickle, sys; from fuzzcyl import tstar; " \
             "sys.stdout.write(pickle.dumps(tstar('T0', '1/3')).hex())"
     read = "import pickle, sys; from fuzzcyl import tstar; " \

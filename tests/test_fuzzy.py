@@ -77,6 +77,26 @@ def test_ground_mismatch_rejected():
         fz_meet(fs(a=0, b=0), other)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: AB.index("c"), KeyError, "unknown ground element 'c'"),
+    (lambda: FuzzySet(AB, (F(0),)), ValueError,
+     "one membership value per ground element required"),
+    (lambda: FuzzyTopology(AB, ("T0",), tuple(constants(0, 1))), ValueError,
+     "each open needs a name"),
+    (lambda: FuzzyTopology(AB, ("T", "T"), tuple(constants(0, 1))), ValueError,
+     "open names must be unique"),
+    (lambda: fz_generate_topology([]), ValueError,
+     "need a ground set when no generators are given"),
+    (lambda: fz_generate_topology(constants(0), ground("c")), ValueError,
+     "generators live on a different ground set"),
+], ids=["unknown-element", "level-count", "name-count", "repeated-names",
+        "no-generators-no-ground", "generators-off-ground"])
+def test_constructors_reject_malformed_input(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert caught.value.args == (message,)
+
+
 def test_generate_topology_examples():
     topo = fz_generate_topology(constants("1/3", "2/3"))
     levels = {f.levels for f in topo.opens}

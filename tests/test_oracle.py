@@ -38,7 +38,7 @@ from fuzzcyl.checks import (
     sweep_sigma_laws,
 )
 from fuzzcyl.cylinder import CylinderOpen, subbasis_predicate
-from fuzzcyl.intervals import canonical, iv_grid
+from fuzzcyl.intervals import EMPTY_SET, canonical, iv_grid
 from fuzzcyl.oracle import first_mismatch
 from fuzzcyl.retraction import sigma_image
 
@@ -61,6 +61,18 @@ def test_rasterize_whole_and_empty():
 def test_rasterize_rejects_small_resolution():
     with pytest.raises(ValueError):
         oracle_rasterize(whole_cylinder(AB), 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CylinderOpen(AB, (EMPTY_SET,)), "one fiber per ground element required"),
+    (lambda: GridOracle(AB, 4, ((True,) * 4,)),
+     "one cell vector per ground element required"),
+    (lambda: GridOracle(AB, 4, ((True,) * 4, (True,) * 3)),
+     "cell vector length must equal the resolution"),
+], ids=["cylinder-fibers", "raster-rows", "raster-row-length"])
+def test_cylinder_sets_and_rasters_check_their_shape(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_first_mismatch():

@@ -276,8 +276,10 @@ HLIFT_DOC = {"type": "hlift", "base": {"steps": ["a", "b"], "interiors": ["b"]},
     ({"steps": [1, [2]], "interiors": [1]}, TypeError),
     ({"steps": ["a", ["b"]], "interiors": ["a"]}, TypeError),
     ({"steps": ["a", "b"], "interiors": [None]}, TypeError),
+    # a fence has at least one step
+    ({"steps": [], "interiors": []}, ValueError),
 ], ids=["interior-outside", "interior-other-segment", "steps-not-strings",
-        "step-list", "interior-none"])
+        "step-list", "interior-none", "no-steps"])
 def test_fence_path_checks_its_entries(base, error):
     assert eval_path(path_from_json(HLIFT_DOC), F(1, 2)) == point("b", F(1, 4))
     with pytest.raises(error):
@@ -293,6 +295,12 @@ def test_fence_path_checks_its_entries(base, error):
 def test_path_documents_take_string_elements(doc):
     with pytest.raises(TypeError, match="ground element must be a string"):
         path_from_json(doc)
+
+
+@pytest.mark.parametrize("read", [path_table, path_to_json])
+def test_a_point_is_not_a_path(read):
+    with pytest.raises(TypeError, match=r"^not a path expression: \(a,1/2\)$"):
+        read(point("a", F(1, 2)))
 
 
 def test_make_fence_path_rejects_incomparable():

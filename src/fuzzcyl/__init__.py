@@ -21,9 +21,9 @@ from .base_space import (
 from .cylinder import (
     CompatReport,
     CylinderOpen,
-    LawReport,
     OpenExpr,
     SubbasisElem,
+    SweepResult,
     complement_compat,
     critical_gammas,
     cyl_complement,

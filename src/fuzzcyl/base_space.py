@@ -7,7 +7,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .cylinder import (
     OpenExpr,
@@ -145,9 +145,10 @@ def connected_components(order: Order) -> tuple[tuple[str, ...], ...]:
 @dataclass(frozen=True)
 class ConnectivityReport:
     pc: bool
-    lpc: bool
     components: tuple[tuple[str, ...], ...]
-    lpc_justification: str = "finite space: minimal open neighborhoods are path-connected"
+    lpc: ClassVar[bool] = True
+    lpc_justification: ClassVar[str] = (
+        "finite space: minimal open neighborhoods are path-connected")
 
     def to_json(self) -> dict:
         return {"pc": self.pc, "lpc": self.lpc,
@@ -157,7 +158,7 @@ class ConnectivityReport:
 
 def check_pc_lpc(topo: FuzzyTopology) -> ConnectivityReport:
     comps = connected_components(specialization_preorder(topo))
-    return ConnectivityReport(pc=len(comps) == 1, lpc=True, components=comps)
+    return ConnectivityReport(pc=len(comps) == 1, components=comps)
 
 
 def fence_between(order: Order, a: str, b: str) -> Optional[tuple[str, ...]]:

@@ -1,7 +1,7 @@
 """Law-sweep drivers shared by the CLI subcommands and the acceptance suite.
 
-Each sweep returns a :class:`SweepResult` with zero-tolerance failure
-records.  Symbolic cylinder sets produced along the way are registered in
+Each sweep runs through :func:`run_sweep` to a :class:`SweepResult` of
+zero-tolerance failure records.  Symbolic cylinder sets made along the way go in
 an :class:`OracleLedger` together with a first-principles membership
 predicate, so the grid oracle can cross-check them independently of the
 interval algebra that produced them.  A predicate (``cylinder.Predicate``)
@@ -16,10 +16,11 @@ built, never boundary keys.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from itertools import islice
+from typing import Callable, Iterable, Optional
 
 from .base_space import slice_agrees, specialization_preorder
 from .cylinder import (
@@ -27,6 +28,7 @@ from .cylinder import (
     OpenExpr,
     Predicate,
     SubbasisElem,
+    SweepResult,
     complement_compat,
     cyl_complement,
     cyl_intersect,
@@ -88,19 +90,17 @@ from .sweeps import (
     random_topology,
 )
 
-@dataclass
-class SweepResult:
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "checked": self.checked,
-                "ok": self.ok, "failures": [str(f) for f in self.failures]}
+def run_sweep(name: str, cases: Iterable, check: Callable) -> SweepResult:
+    """The one sweep loop: ``check(i, case)`` gives case i's count of checks
+    and its failure records, added up in case order.  A case source makes
+    every RNG call of its cases, and a check makes none."""
+    result = SweepResult(name)
+    for i, case in enumerate(cases):
+        checked, failures = check(i, case)
+        result.checked += checked
+        result.failures.extend(failures)
+    return result
 
 
 class OracleLedger:
@@ -116,18 +116,15 @@ class OracleLedger:
         """Each entry's predicate at every cell (x, k/N), k = 0 .. N-1, as
         ``predicate(x, k, N)``, against the raster of its symbolic set; a
         failure is (label, x, Fraction(k, N)) at the first differing cell."""
-        result = SweepResult(f"grid-oracle-N{resolution}")
-        cells = range(resolution)
-        for label, c, predicate in self.entries:
-            result.checked += 1
+        def check(i, entry):
+            label, c, predicate = entry
             brute = GridOracle(
                 c.ground, resolution,
-                tuple(tuple([predicate(x, k, resolution) for k in cells])
+                tuple(tuple([predicate(x, k, resolution) for k in range(resolution)])
                       for x in c.ground.elements))
             mismatch = first_mismatch(c, brute)
-            if mismatch is not None:
-                result.failures.append((label, *mismatch))
-        return result
+            return 1, [] if mismatch is None else [(label, *mismatch)]
+        return run_sweep(f"grid-oracle-N{resolution}", self.entries, check)
 
 
 def psi_predicate(f: FuzzySet) -> Predicate:
@@ -198,47 +195,49 @@ def counterexample_report(elements,
 
 def sweep_psi_laws(rng: random.Random, count: int,
                    ledger: Optional[OracleLedger] = None) -> SweepResult:
-    result = SweepResult("psi-laws")
-    for _ in range(count):
-        topo = random_topology(rng)
+    def check(i, topo):
         report = verify_psi_laws(topo)
-        result.checked += report.checked
-        result.failures.extend(report.failures)
         if ledger is not None:
             for name, f in topo.items():
                 ledger.add(f"psi:{name}", psi_star(f), psi_predicate(f))
-    return result
+        return report.checked, report.failures
+    return run_sweep("psi-laws", (random_topology(rng) for _ in range(count)), check)
 
 
 def sweep_round_trip(rng: random.Random, count: int,
                      ledger: Optional[OracleLedger] = None) -> SweepResult:
-    result = SweepResult("round-trip")
-    for i in range(count):
-        f = random_fuzzy(rng, random_ground(rng))
-        result.checked += 1
+    def check(i, f):
         below = psi_star(f)
-        if recover_membership(below) != f:
-            result.failures.append(("round-trip", repr(f)))
+        failures = [("round-trip", repr(f))] if recover_membership(below) != f else []
         if ledger is not None and i % 25 == 0:
             ledger.add("round-trip-psi", below, psi_predicate(f))
-    return result
+        return 1, failures
+    return run_sweep("round-trip", (random_fuzzy(rng, random_ground(rng))
+                                    for _ in range(count)), check)
 
 
 def sweep_indicator_compat(ledger: Optional[OracleLedger] = None) -> SweepResult:
     """complement_compat holds on every indicator map on five elements."""
-    result = SweepResult("indicator-compat")
     elements = ("a", "b", "c", "d", "e")
     gs = ground(*elements)
-    for bits in range(1 << len(elements)):
-        subset = [x for i, x in enumerate(elements) if bits >> i & 1]
+
+    def check(bits, subset):
         f = fz_indicator(subset, gs)
-        result.checked += 1
-        report = complement_compat(f)
-        if not report.equal:
-            result.failures.append(("indicator", subset))
+        failures = [] if complement_compat(f).equal else [("indicator", subset)]
         if ledger is not None and bits % 7 == 0:
             ledger.add("indicator-psi", psi_star(f), psi_predicate(f))
-    return result
+        return 1, failures
+    return run_sweep("indicator-compat", ([x for i, x in enumerate(elements) if bits >> i & 1]
+                                          for bits in range(1 << len(elements))), check)
+
+
+def _sigma_cases(rng: random.Random, count: int):
+    """Each topology with its subbasis and ten meets of its tstar elements."""
+    for _ in range(count):
+        topo = random_topology(rng, max_generators=2, max_den=8)
+        elems = subbasis_elements(topo)
+        tstars = [e for e in elems if e.kind == "tstar"]
+        yield topo, elems, [rng.sample(tstars, rng.randint(2, 3)) for _ in range(10)]
 
 
 def sweep_sigma_laws(rng: random.Random, count: int,
@@ -247,30 +246,25 @@ def sweep_sigma_laws(rng: random.Random, count: int,
     on the subbasis and commutes with finite meets of membership-graph
     opens: the image of each realized set equals the image stated from
     the membership values."""
-    result = SweepResult("sigma-laws")
-    for _ in range(count):
-        topo = random_topology(rng, max_generators=2, max_den=8)
-        if not slice_agrees(topo):
-            result.failures.append(("slice-homeomorphism", topo.opens))
-        elems = subbasis_elements(topo)
+    def check(i, case):
+        topo, elems, meets = case
+        failures = [] if slice_agrees(topo) else [("slice-homeomorphism", topo.opens)]
         for e in elems:
-            result.checked += 1
             direct = sigma_image(subbasis_realize(e, topo))
             if direct != sigma_image_subbasis(e, topo):
-                result.failures.append(("sigma-subbasis", e))
+                failures.append(("sigma-subbasis", e))
             if ledger is not None:
                 ledger.add(f"sigma:{e.kind}", direct, sigma_predicate(e, topo))
-        tstars = [e for e in elems if e.kind == "tstar"]
-        for meet in [rng.sample(tstars, rng.randint(2, 3)) for _ in range(10)]:
-            result.checked += 1
+        for meet in meets:
             inter = subbasis_realize(meet[0], topo)
             images = sigma_image_subbasis(meet[0], topo)
             for e in meet[1:]:
                 inter = cyl_intersect(inter, subbasis_realize(e, topo))
                 images = cyl_intersect(images, sigma_image_subbasis(e, topo))
             if sigma_image(inter) != images:
-                result.failures.append(("sigma-meet", meet))
-    return result
+                failures.append(("sigma-meet", meet))
+        return len(elems) + len(meets), failures
+    return run_sweep("sigma-laws", _sigma_cases(rng, count), check)
 
 
 def sigma_predicate(e: SubbasisElem, topo: FuzzyTopology) -> Predicate:
@@ -287,56 +281,50 @@ def sigma_predicate(e: SubbasisElem, topo: FuzzyTopology) -> Predicate:
 REGIMES = ("zero", "interior", "one")
 
 
-def _certify_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
-                    result: SweepResult) -> Optional[BoxWitness]:
-    """Draw one anchor in the given time regime, build its certificate and
-    replay it, recording a failure on ``result``; None when no anchor is
-    found."""
-    anchor = random_anchor(rng, topo, case)
-    if anchor is None:
-        return None
-    t, p, target = anchor
-    result.checked += 1
-    witness = continuity_witness(t, p, target, topo)
-    if not verify_witness(witness, topo):
-        result.failures.append(("witness", case, t, p, target))
-    return witness
+def _certify(cases: Iterable, ledger: Optional[OracleLedger]):
+    """Build and replay the certificate of each (topology, regime, anchor)
+    case, listed with its topology; every tenth goes to ``ledger`` if given."""
+    witnesses: list[tuple[FuzzyTopology, BoxWitness]] = []
+
+    def check(i, case):
+        topo, regime, (t, p, target) = case
+        witness = continuity_witness(t, p, target, topo)
+        failures = [] if verify_witness(witness, topo) else [("witness", regime, t, p, target)]
+        witnesses.append((topo, witness))
+        if ledger is not None and (i + 1) % 10 == 0:
+            ledger.add("witness-region", witness.region,
+                       expr_predicate(witness.region_expr, topo))
+            ledger.add("witness-target", subbasis_realize(witness.target, topo),
+                       subbasis_predicate(witness.target, topo))
+        return 1, failures
+    return run_sweep("retraction-certificates", cases, check), witnesses
 
 
 def sweep_retraction(rng: random.Random, anchors: int, ledger: OracleLedger
                      ) -> tuple[SweepResult, list[tuple[FuzzyTopology, BoxWitness]]]:
     """Continuity certificates in all three time regimes, 20 topologies a round."""
-    result = SweepResult("retraction-certificates")
-    witnesses: list[tuple[FuzzyTopology, BoxWitness]] = []
-    while result.checked < anchors:
-        for _ in range(20):
-            topo = random_topology(rng, max_generators=2, max_den=8)
-            for case in REGIMES:
-                witness = _certify_anchor(rng, topo, case, result)
-                if witness is None:
-                    continue
-                witnesses.append((topo, witness))
-                if result.checked % 10 == 0:
-                    ledger.add("witness-region", witness.region,
-                               expr_predicate(witness.region_expr, topo))
-                    ledger.add("witness-target",
-                               subbasis_realize(witness.target, topo),
-                               subbasis_predicate(witness.target, topo))
-    return result, witnesses
+    def cases():
+        found = 0
+        while found < anchors:
+            for _ in range(20):
+                topo = random_topology(rng, max_generators=2, max_den=8)
+                for regime in REGIMES:
+                    anchor = random_anchor(rng, topo, regime)
+                    if anchor is not None:
+                        found += 1
+                        yield topo, regime, anchor
+    return _certify(cases(), ledger)
 
 
 def sweep_retraction_on(topo: FuzzyTopology, rng: random.Random,
                         anchors: int) -> tuple[SweepResult, list[BoxWitness]]:
     """Certificates for one fixed topology, cycling the three time regimes."""
-    result = SweepResult("retraction-certificates")
-    witnesses: list[BoxWitness] = []
-    attempts = 0
-    while result.checked < anchors and attempts < 20 * anchors:
-        attempts += 1
-        witness = _certify_anchor(rng, topo, REGIMES[attempts % 3], result)
-        if witness is not None:
-            witnesses.append(witness)
-    return result, witnesses
+    drawn = ((topo, REGIMES[k % 3], random_anchor(rng, topo, REGIMES[k % 3]))
+             for k in range(1, 20 * anchors + 1))
+    # islice draws no attempt after the last anchor it takes
+    cases = islice((case for case in drawn if case[2] is not None), anchors)
+    result, witnesses = _certify(cases, None)
+    return result, [w for _, w in witnesses]
 
 
 def retraction_case(w: BoxWitness) -> str:
@@ -357,32 +345,45 @@ def _grid(step: Fraction) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, n) for k in range(n + 1))
 
 
-def sweep_path_identities(rng: random.Random, count: int,
-                          grid_step: Fraction,
+# gamma on topo, times s and t, a concatenation's parts from gamma, the window
+# [a, b], the constant path's point and a path delta from gamma's end
+PathCase = namedtuple("PathCase", "topo gamma s t parts a b point delta")
+
+
+def _path_cases(rng: random.Random, count: int, coarse: tuple[Fraction, ...]):
+    for _ in range(count):
+        topo = random_topology(rng, max_generators=2, max_den=6)
+        gamma = random_path(rng, topo)
+        s, t = rng.choice(coarse), rng.choice(coarse)
+        parts = [gamma]
+        for _ in range(rng.randint(1, 3)):
+            parts.append(random_path(rng, topo, 1, path_end(parts[-1])))
+        a = rng.choice([v for v in coarse if v < ONE])
+        b = rng.choice([v for v in coarse if v > a])
+        yield PathCase(topo, gamma, s, t, tuple(parts), a, b, random_point(rng, topo.ground),
+                       random_path(rng, topo, 1, path_end(gamma)))
+
+
+def sweep_path_identities(rng: random.Random, count: int, grid_step: Fraction,
                           check_continuity: bool = True) -> SweepResult:
     """Pointwise path-calculus identities on the rational grid, plus the
     continuity of every generated path (``continuity_failure``) when
     requested."""
-    result = SweepResult("path-identities")
     fine = _grid(grid_step)
     coarse = _grid(Fraction(1, 8))
-    for i in range(count):
-        topo = random_topology(rng, max_generators=2, max_den=6)
-        gamma = random_path(rng, topo)
-        s = rng.choice(coarse)
-        t = rng.choice(coarse)
-        result.checked += 1
-        label = f"path-{i}"
-        failures = _path_identity_failures(rng, topo, gamma, s, t, fine, coarse)
+
+    def check(i, case):
+        failures = _path_identity_failures(case, fine, coarse)
         if check_continuity:
-            failure = continuity_failure(gamma, topo)
+            failure = continuity_failure(case.gamma, case.topo)
             if failure is not None:
                 failures.append(("continuity", *failure))
-        result.failures.extend((label, *f) for f in failures)
-    return result
+        return 1, [(f"path-{i}", *f) for f in failures]
+    return run_sweep("path-identities", _path_cases(rng, count, coarse), check)
 
 
-def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
+def _path_identity_failures(case: PathCase, fine, coarse) -> list:
+    _, gamma, s, t, parts, a, b, point, delta = case
     failures = []
 
     # inversion commutes with the homotopy transform
@@ -395,10 +396,7 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
         failures.append(("hginv", u))
 
     # the transform distributes over concatenation
-    parts = [gamma]
-    for _ in range(rng.randint(1, 3)):
-        parts.append(random_path(rng, topo, 1, path_end(parts[-1])))
-    whole = HTransform(t, Concat(tuple(parts)))
+    whole = HTransform(t, Concat(parts))
     piecewise = Concat(tuple(HTransform(t, p) for p in parts))
     if normalize_path(whole) != normalize_path(piecewise):
         failures.append(("ast-com-normal-form",))
@@ -428,8 +426,6 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
 
     # restriction invariance, each row against the independent route
     # through kappa, eval_path and h_eval
-    a = rng.choice([v for v in coarse if v < ONE])
-    b = rng.choice([v for v in coarse if v > a])
     restricted = [a + eta * (b - a) for eta in coarse]
     kappas = [kappa(s, t, x) for x in coarse]
     for eta, local, row in zip(coarse, restricted,
@@ -442,7 +438,7 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
                 break
 
     # constant paths have eta-independent square homotopies
-    const = Const(random_point(rng, topo.ground))
+    const = Const(point)
     base = chi_eval(const, s, t, ZERO, Fraction(1, 3))
     for eta in coarse:
         if chi_eval(const, s, t, eta, Fraction(1, 3)) != base:
@@ -450,7 +446,6 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
             break
 
     # functoriality pasting of the square homotopy over a concatenation
-    delta = random_path(rng, topo, 1, path_end(gamma))
     mismatch = pasting_failure(gamma, delta, s, t, coarse)
     if mismatch is not None:
         failures.append(("pasting", *mismatch))
@@ -471,23 +466,8 @@ def _path_identity_failures(rng, topo, gamma, s, t, fine, coarse) -> list:
 # ---------------------------------------------------------------------------
 # the continuity rule against exact preimages
 
-def sweep_continuity_rule(rng: random.Random,
-                          count: int) -> tuple[SweepResult, int]:
-    """``continuity_failure`` against the openness of exact preimages.
-
-    Each of ``count`` topologies gets one ``random_path``, which the rule
-    must pass, and for every strict pair x < y of the specialization
-    preorder one planted lift of the segment between x and y, in a random
-    direction, that takes the smaller end x on its interior, which the rule
-    must flag as "below" (at u = 1 from the left, or at u = 0 from the
-    right).  On every path the rule's verdict must equal the verdict that
-    every ``path_preimage`` of ``subbasis_elements(topo)`` and of
-    ``_midpoint_opens`` is open.  Returns the result and the number of
-    planted paths.
-    """
-    result = SweepResult("continuity-rule")
-    planted = 0
-    for i in range(count):
+def _continuity_cases(rng: random.Random, count: int):
+    for _ in range(count):
         topo = random_topology(rng, max_generators=2, max_den=6)
         relation = specialization_preorder(topo)
         elements = topo.ground.elements
@@ -495,23 +475,40 @@ def sweep_continuity_rule(rng: random.Random,
                        Fraction(rng.randrange(32), 32))
                  for x in elements for y in elements
                  if y in relation[x] and x not in relation[y]]
-        planted += len(lifts)
+        yield topo, [random_path(rng, topo)] + lifts
+
+
+def sweep_continuity_rule(rng: random.Random, count: int) -> SweepResult:
+    """``continuity_failure`` against the openness of exact preimages.
+
+    Each of ``count`` topologies gets one ``random_path``, which the rule
+    must pass, and for every strict pair x < y of the specialization
+    preorder one planted lift of the segment between x and y, in a random
+    direction, that takes the smaller end x on its interior, which the rule
+    must flag as "below" (at u = 1 from the left, or at u = 0 from the
+    right), so ``checked - count`` paths are planted.  On every path the
+    rule's verdict must equal the verdict that every ``path_preimage`` of
+    ``subbasis_elements(topo)`` and of ``_midpoint_opens`` is open.
+    """
+    def check(i, case):
+        topo, drawn = case
         family = subbasis_elements(topo)
         label = f"topology-{i}"
+        failures = []
         # path 0 is the random draw, every later one a planted lift
-        for k, path in enumerate([random_path(rng, topo)] + lifts):
-            result.checked += 1
+        for k, path in enumerate(drawn):
             failure = continuity_failure(path, topo)
             if k:
                 if failure is None or failure[2] != "below":
-                    result.failures.append((label, "planted-missed", path, failure))
+                    failures.append((label, "planted-missed", path, failure))
             elif failure is not None:
-                result.failures.append((label, "random-flagged", path, failure))
+                failures.append((label, "random-flagged", path, failure))
             targets = family + _midpoint_opens(path, topo)
             if all(is_open_in_unit(path_preimage(path, subbasis_realize(e, topo)))
                    for e in targets) != (failure is None):
-                result.failures.append((label, "preimage-disagrees", path, failure))
-    return result, planted
+                failures.append((label, "preimage-disagrees", path, failure))
+        return len(drawn), failures
+    return run_sweep("continuity-rule", _continuity_cases(rng, count), check)
 
 
 def _midpoint_opens(e, topo: FuzzyTopology) -> tuple[SubbasisElem, ...]:
@@ -538,12 +535,10 @@ def _midpoint_opens(e, topo: FuzzyTopology) -> tuple[SubbasisElem, ...]:
 # complement decision sweep
 
 def sweep_complement(rng: random.Random, count: int) -> SweepResult:
-    result = SweepResult("complement-decision")
-    for i in range(count):
-        gs = random_ground(rng)
-        F, G = random_complement_pair(rng, gs, exact=i % 2 == 0)
-        result.checked += 1
-        direct = all(G(y) == ONE - F(y) for y in gs.elements)
-        if is_complement(F, G) != direct:
-            result.failures.append(("oracle-mismatch", repr(F), repr(G)))
-    return result
+    def check(i, pair):
+        F, G = pair
+        agree = is_complement(F, G) == all(G(y) == ONE - F(y) for y in F.ground.elements)
+        return 1, [] if agree else [("oracle-mismatch", repr(F), repr(G))]
+    return run_sweep("complement-decision", (
+        random_complement_pair(rng, random_ground(rng), exact=i % 2 == 0)
+        for i in range(count)), check)

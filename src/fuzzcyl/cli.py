@@ -20,7 +20,6 @@ from pathlib import Path
 from .base_space import check_pc_lpc
 from .checks import (
     OracleLedger,
-    SweepResult,
     counterexample_report,
     sweep_indicator_compat,
     sweep_path_identities,
@@ -160,8 +159,8 @@ def _cmd_laws(args) -> int:
     ]
     if topo is not None:
         report = verify_psi_laws(topo)
-        results.append(SweepResult("psi-laws-input", report.checked,
-                                   list(report.failures)))
+        report.name = "psi-laws-input"
+        results.append(report)
     _emit([r.to_json() for r in results])
     return 0 if all(r.ok for r in results) else 1
 

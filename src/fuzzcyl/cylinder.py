@@ -8,7 +8,7 @@ ground element, so equality of opens is structural.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -322,18 +322,22 @@ def complement_compat(f: FuzzySet) -> CompatReport:
     return CompatReport(True)
 
 
-@dataclass(frozen=True)
-class LawReport:
-    ok: bool
-    failures: tuple[tuple, ...] = ()
+@dataclass
+class SweepResult:
+    name: str
     checked: int = 0
+    failures: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "checked": self.checked,
-                "failures": [list(f) for f in self.failures]}
+        return {"name": self.name, "checked": self.checked,
+                "ok": self.ok, "failures": [str(f) for f in self.failures]}
 
 
-def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
+def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> SweepResult:
     """Check that psi_star turns meets into intersections and joins into unions.
 
     The meet law is checked on every pair of opens, repeats allowed. The join
@@ -425,4 +429,4 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> LawReport:
             u = grow(u, i)
         if u != image_of[tuple(map(max, *levels))]:
             failures.append(("join-law", *names))
-    return LawReport(not failures, tuple(failures), checked)
+    return SweepResult("psi-laws", checked, failures)

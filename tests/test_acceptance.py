@@ -133,7 +133,8 @@ def test_criterion_07_path_identity_suite(path_sweep):
 def test_criterion_08_dsl_continuity(path_sweep):
     result, _ = path_sweep
     continuity_failures = [f for f in result.failures if f[1] == "continuity"]
-    cross, planted = sweep_continuity_rule(random.Random(107), 200)
+    cross = sweep_continuity_rule(random.Random(107), 200)
+    planted = cross.checked - 200
     failures = continuity_failures + cross.failures
     ok = not failures and planted > 0
     report(8, "dsl-continuity", ok,

@@ -1,5 +1,6 @@
 """Each failure record of the gate sweeps in ``checks`` fires on a planted
-fault, and the certificate sweeps skip a regime that yields no anchor.
+fault, the certificate sweeps skip a regime that yields no anchor, and no
+check makes an RNG call.
 
 A fault is planted with ``monkeypatch`` on the name ``checks`` imports, so
 the sweep's own comparison must catch it, and each test asserts the exact
@@ -9,8 +10,10 @@ records the sweep returns.
 import random
 from fractions import Fraction
 
+import pytest
+
 from fuzzcyl import checks
-from fuzzcyl.cylinder import CompatReport
+from fuzzcyl.cylinder import CompatReport, SweepResult
 from fuzzcyl.rationals import ONE, ZERO
 from fuzzcyl.sweeps import random_fuzzy, random_ground, random_topology
 
@@ -65,8 +68,8 @@ def planted_rule(monkeypatch, failure):
 
 def test_continuity_rule_records_a_missed_plant(monkeypatch):
     asked = planted_rule(monkeypatch, None)
-    result, planted = checks.sweep_continuity_rule(random.Random(0), 1)
-    assert planted == len(asked) - 1 == 5
+    result = checks.sweep_continuity_rule(random.Random(0), 1)
+    assert result.checked - 1 == len(asked) - 1 == 5
     # each planted lift is discontinuous: missed, and its preimages disagree
     assert result.failures == [("topology-0", record, path, None) for path in asked[1:]
                                for record in ("planted-missed", "preimage-disagrees")]
@@ -75,8 +78,8 @@ def test_continuity_rule_records_a_missed_plant(monkeypatch):
 def test_continuity_rule_records_a_flagged_random_path(monkeypatch):
     failure = (ZERO, "right", "below")
     asked = planted_rule(monkeypatch, failure)
-    result, planted = checks.sweep_continuity_rule(random.Random(0), 1)
-    assert planted == len(asked) - 1 == 5
+    result = checks.sweep_continuity_rule(random.Random(0), 1)
+    assert result.checked - 1 == len(asked) - 1 == 5
     # the random path is continuous: flagged, and its preimages disagree
     assert result.failures == [("topology-0", record, asked[0], failure)
                                for record in ("random-flagged", "preimage-disagrees")]
@@ -101,3 +104,37 @@ def test_retraction_on_stops_at_its_attempt_cap(monkeypatch):
     result, witnesses = checks.sweep_retraction_on(topo, random.Random(7), anchors=5)
     assert (result.checked, result.failures, witnesses) == (0, [], [])
     assert len(asked) == 20 * 5
+
+
+# ---------------------------------------------------------------------------
+# the case sources make every RNG call
+
+SEEDED_SWEEPS = {
+    "psi-laws": lambda rng: checks.sweep_psi_laws(rng, 4),
+    "round-trip": lambda rng: checks.sweep_round_trip(rng, 30),
+    "sigma-laws": lambda rng: checks.sweep_sigma_laws(rng, 2),
+    "retraction": lambda rng: checks.sweep_retraction(rng, 10, checks.OracleLedger()),
+    "retraction-on": lambda rng: checks.sweep_retraction_on(
+        random_topology(random.Random(6), max_generators=2, max_den=8), rng, 10),
+    "path-identities": lambda rng: checks.sweep_path_identities(rng, 3, Fraction(1, 8)),
+    "continuity-rule": lambda rng: checks.sweep_continuity_rule(rng, 3),
+    "complement": lambda rng: checks.sweep_complement(rng, 20),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("sweep", list(SEEDED_SWEEPS))
+def test_draws_do_not_depend_on_checks(sweep, seed, monkeypatch):
+    full = random.Random(seed)
+    SEEDED_SWEEPS[sweep](full)
+
+    def drain(name, cases, check):
+        for _ in cases:
+            pass
+        return SweepResult(name)
+    monkeypatch.setattr(checks, "run_sweep", drain)
+    drawn = random.Random(seed)
+    SEEDED_SWEEPS[sweep](drawn)
+    # the draw-only pass drew, and left the generator where the sweep did
+    assert drawn.getstate() != random.Random(seed).getstate()
+    assert drawn.getstate() == full.getstate()

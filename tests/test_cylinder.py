@@ -36,7 +36,7 @@ from fuzzcyl import (
     whole_cylinder,
 )
 from fuzzcyl import cylinder
-from fuzzcyl.cylinder import CylinderOpen, LawReport
+from fuzzcyl.cylinder import CylinderOpen, SweepResult
 from fuzzcyl.intervals import EMPTY_SET, make_unit_interval
 from fuzzcyl.sweeps import random_topology
 
@@ -288,7 +288,7 @@ def reference_psi_laws(topo, max_family=4):
         joined = fz_join([topo.open_named(n) for n in fam])
         if union != cylinder.psi_star(joined):
             failures.append(("join-law", *fam))
-    return LawReport(not failures, tuple(failures), checked)
+    return SweepResult("psi-laws", checked, failures)
 
 
 def draw_with_opens(rng, count):
@@ -313,8 +313,8 @@ def test_verify_psi_laws_matches_reference_loop():
         n = len(topo.names)
         sizes = (1, 2, 4, n + 1) if n <= 10 else (1, 2, 4)
         for max_family in sizes:
-            expect = reference_psi_laws(topo, max_family).to_json()
-            assert verify_psi_laws(topo, max_family).to_json() == expect
+            expect = reference_psi_laws(topo, max_family)
+            assert verify_psi_laws(topo, max_family) == expect
 
 
 def fault_topology():
@@ -367,7 +367,7 @@ def deepest_fiber_fault(monkeypatch, name):
         for max_family in (2, 4):
             expect = reference_psi_laws(topo, max_family)
             assert any(f[0] == law for f in expect.failures)
-            assert verify_psi_laws(topo, max_family).to_json() == expect.to_json()
+            assert verify_psi_laws(topo, max_family) == expect
         deepest = max(deepest, *(len(f) - 1 for f in expect.failures))
     return deepest
 
@@ -405,7 +405,7 @@ def test_verify_psi_laws_on_mixed_denominators():
         for max_family in (1, 2, 4, n + 1) if n <= 10 else (1, 2, 4):
             expect = reference_psi_laws(topo, max_family)
             assert expect.ok
-            assert verify_psi_laws(topo, max_family).to_json() == expect.to_json()
+            assert verify_psi_laws(topo, max_family) == expect
 
 
 def test_verify_psi_laws_reports_injected_psi_star_fault(monkeypatch):
@@ -432,7 +432,7 @@ def test_verify_psi_laws_reports_injected_psi_star_fault(monkeypatch):
             for max_family in (2, 4) if len(topo.names) <= 10 else (2,):
                 expect = reference_psi_laws(topo, max_family)
                 assert any(f[0] == "join-law" for f in expect.failures)
-                assert verify_psi_laws(topo, max_family).to_json() == expect.to_json()
+                assert verify_psi_laws(topo, max_family) == expect
             monkeypatch.setattr(cylinder, "psi_star", honest)
             faulted += 1
     assert faulted >= 3

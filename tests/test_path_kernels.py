@@ -46,7 +46,7 @@ from fuzzcyl.paths import (
 )
 from fuzzcyl.rationals import ONE, ZERO, frac, unit
 from fuzzcyl.retraction import CylPoint, h_eval
-from fuzzcyl.sweeps import random_path, random_point, random_topology
+from fuzzcyl.sweeps import random_path, random_topology
 
 F = Fraction
 FINE = [F(k, 64) for k in range(65)]
@@ -302,7 +302,8 @@ def ref_pasting_failure(gamma, delta, s, t, grid):
     return None
 
 
-def ref_path_identity_failures(rng, topo, gamma, s, t, fine, coarse):
+def ref_path_identity_failures(case, fine, coarse):
+    _, gamma, s, t, parts, a, b, point, delta = case
     failures = []
 
     e1 = Reverse(HTransform(t, gamma))
@@ -314,10 +315,7 @@ def ref_path_identity_failures(rng, topo, gamma, s, t, fine, coarse):
             failures.append(("hginv", u))
             break
 
-    parts = [gamma]
-    for _ in range(rng.randint(1, 3)):
-        parts.append(random_path(rng, topo, 1, path_end(parts[-1])))
-    whole = HTransform(t, Concat(tuple(parts)))
+    whole = HTransform(t, Concat(parts))
     piecewise = Concat(tuple(HTransform(t, p) for p in parts))
     if normalize_path(whole) != normalize_path(piecewise):
         failures.append(("ast-com-normal-form",))
@@ -341,8 +339,6 @@ def ref_path_identity_failures(rng, topo, gamma, s, t, fine, coarse):
             failures.append(("fhrem-right", eta))
             break
 
-    a = rng.choice([v for v in coarse if v < ONE])
-    b = rng.choice([v for v in coarse if v > a])
     for eta in coarse:
         for x in coarse:
             lhs = ref_chi_eval(gamma, s, t, a + eta * (b - a), x)
@@ -351,14 +347,13 @@ def ref_path_identity_failures(rng, topo, gamma, s, t, fine, coarse):
                 failures.append(("path-res", eta, x))
                 break
 
-    const = Const(random_point(rng, topo.ground))
+    const = Const(point)
     base = ref_chi_eval(const, s, t, ZERO, Fraction(1, 3))
     for eta in coarse:
         if ref_chi_eval(const, s, t, eta, Fraction(1, 3)) != base:
             failures.append(("constant", eta))
             break
 
-    delta = random_path(rng, topo, 1, path_end(gamma))
     mismatch = ref_pasting_failure(gamma, delta, s, t, coarse)
     if mismatch is not None:
         failures.append(("pasting", *mismatch))
@@ -466,16 +461,11 @@ def test_row_battery_reports_the_point_by_point_records(identity, monkeypatch):
     hits = 0
     for seed in range(24):
         case[:] = None, None, None
-        rng = random.Random(900 + seed)
-        topo = random_topology(rng, max_generators=2, max_den=6)
-        gamma = random_path(rng, topo)
-        s, t = rng.choice(COARSE), rng.choice(COARSE)
-        case[:] = gamma, s, t
-        state = rng.getstate()
-        rows = checks._path_identity_failures(rng, topo, gamma, s, t, fine, COARSE)
-        rng.setstate(state)
-        points = ref_path_identity_failures(rng, topo, gamma, s, t, fine, COARSE)
-        assert rows == points, (seed, gamma, s, t)
+        drawn = next(checks._path_cases(random.Random(900 + seed), 1, COARSE))
+        case[:] = drawn.gamma, drawn.s, drawn.t
+        rows = checks._path_identity_failures(drawn, fine, COARSE)
+        points = ref_path_identity_failures(drawn, fine, COARSE)
+        assert rows == points, (seed, drawn.gamma, drawn.s, drawn.t)
         hits += any(f[0] == identity for f in rows)
     # the battery can still fail: the planted fault shows in most cases
     assert hits >= 12, hits
@@ -483,8 +473,5 @@ def test_row_battery_reports_the_point_by_point_records(identity, monkeypatch):
 
 def test_battery_is_clean_without_a_fault():
     for seed in range(24):
-        rng = random.Random(900 + seed)
-        topo = random_topology(rng, max_generators=2, max_den=6)
-        gamma = random_path(rng, topo)
-        s, t = rng.choice(COARSE), rng.choice(COARSE)
-        assert checks._path_identity_failures(rng, topo, gamma, s, t, FINE, COARSE) == []
+        drawn = next(checks._path_cases(random.Random(900 + seed), 1, COARSE))
+        assert checks._path_identity_failures(drawn, FINE, COARSE) == []

@@ -1,9 +1,9 @@
 """List the lines of ``src/fuzzcyl`` that the test suite never runs.
 
-Runs ``pytest -q -p no:cacheprovider --hypothesis-seed=0 tests`` in this
-process under ``sys.settrace`` and prints ``file:line: text`` for every line
-inside a ``src/fuzzcyl`` function, method, lambda or comprehension that
-compiles to code and never ran.  A ``def`` line and its decorators compile
+Runs ``pytest -q -p no:cacheprovider -W error --hypothesis-seed=0 tests``
+in this process under ``sys.settrace`` and prints ``file:line: text`` for
+every line inside a ``src/fuzzcyl`` function, method, lambda or
+comprehension that compiles to code and never ran.  A ``def`` line and its decorators compile
 to code in the enclosing scope, not in the function, so they are not
 counted.  Exits 1 if a test fails or any line is printed, else 0.
 
@@ -58,7 +58,7 @@ def main() -> int:
     os.chdir(ROOT)
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider",
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "-W", "error",
                             "--hypothesis-seed=0", "tests"])
     finally:
         sys.settrace(None)

@@ -20,6 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import islice
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .base_space import slice_agrees, specialization_preorder
@@ -75,7 +76,6 @@ from .rationals import ONE, ZERO
 from .retraction import (
     BoxWitness,
     continuity_witness,
-    h_eval,
     sigma_image,
     sigma_image_subbasis,
     verify_witness,
@@ -386,8 +386,9 @@ def _path_identity_failures(case: PathCase, fine, coarse) -> list:
     _, gamma, s, t, parts, a, b, point, delta = case
     failures = []
 
-    # inversion commutes with the homotopy transform
-    e1 = Reverse(HTransform(t, gamma))
+    # inversion commutes with the homotopy transform; each lift compiles once
+    lifted_s, lifted_t = HTransform(s, gamma), HTransform(t, gamma)
+    e1 = Reverse(lifted_t)
     e2 = HTransform(t, Reverse(gamma))
     if normalize_path(e1) != normalize_path(e2):
         failures.append(("hginv-normal-form",))
@@ -413,8 +414,7 @@ def _path_identity_failures(case: PathCase, fine, coarse) -> list:
             failures.append(("v-inv", eta, x))
 
     # boundary restrictions of the square homotopy
-    left = eval_keys(HTransform(s, gamma), fine)
-    right = eval_keys(HTransform(t, gamma), fine)
+    left, right = eval_keys(lifted_s, fine), eval_keys(lifted_t, fine)
     for eta, (at_zero, at_one), left_key, right_key in zip(
             fine, chi_keys(gamma, s, t, fine, (ZERO, ONE)), left, right):
         if at_zero != left_key:
@@ -424,16 +424,17 @@ def _path_identity_failures(case: PathCase, fine, coarse) -> list:
             failures.append(("fhrem-right", eta))
             break
 
-    # restriction invariance, each row against the independent route
-    # through kappa, eval_path and h_eval
+    # restriction invariance, each row against an independent integer route:
+    # kappa's (t - s)x + s as kn/kd, gamma's level an/ad at each restricted
+    # parameter, and H's (1 - t)·alpha as ((kd - kn)·an)/(kd·ad), reduced
     restricted = [a + eta * (b - a) for eta in coarse]
-    kappas = [kappa(s, t, x) for x in coarse]
-    for eta, local, row in zip(coarse, restricted,
-                               chi_keys(gamma, s, t, restricted, coarse)):
-        at = eval_path(gamma, local)
-        for x, k, key in zip(coarse, kappas, row):
-            rhs = h_eval(k, at)
-            if key != (rhs.x, rhs.alpha.numerator, rhs.alpha.denominator):
+    kappas = [kappa(s, t, x).as_integer_ratio() for x in coarse]
+    for eta, (y, an, ad), row in zip(coarse, eval_keys(gamma, restricted),
+                                     chi_keys(gamma, s, t, restricted, coarse)):
+        for x, (kn, kd), key in zip(coarse, kappas, row):
+            n, d = (kd - kn) * an, kd * ad
+            g = gcd(n, d)
+            if key != (y, n // g, d // g):
                 failures.append(("path-res", eta, x))
                 break
 
@@ -453,11 +454,10 @@ def _path_identity_failures(case: PathCase, fine, coarse) -> list:
     # endpoint identities of the boundary-path composite
     p = ChiBoundary(gamma, s, t, 0)
     q = ChiBoundary(gamma, s, t, 1)
-    composite = Concat((Reverse(p), HTransform(s, gamma), q))
-    lifted = HTransform(t, gamma)
-    if path_start(composite) != path_start(lifted):
+    composite = Concat((Reverse(p), lifted_s, q))
+    if path_start(composite) != path_start(lifted_t):
         failures.append(("relative-endpoints-start",))
-    if path_end(composite) != path_end(lifted):
+    if path_end(composite) != path_end(lifted_t):
         failures.append(("relative-endpoints-end",))
 
     return failures

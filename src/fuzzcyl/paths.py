@@ -17,13 +17,14 @@ form.  Evaluation is one checked integer pass per row of parameters:
 (a ``Fraction`` on its numerator and denominator) before any lookup, find
 each p/q on the table by bisecting the breakpoints with no key function
 for the first b >= ceil(p·den/q), and check each key's level lies in J and
-reduce it to ``(x, n, d)`` in lowest terms in the same loop.  The grid
-checks compare these rows of exact keys, on grids that ``checks`` builds
-once per step.  The exact preimage of a cylinder set is read off the
-table piece by piece as boundary-key pairs, each piece's ends solved in
-integers.  Continuity is decided on the table too, in integers:
-``continuity_failure`` checks each breakpoint against its adjacent pieces
-(one level test, one test in the base's specialization order).
+reduce it to ``(x, n, d)`` in lowest terms in the same loop; the
+endpoints are the table's first and last points.  The grid checks compare
+these rows of exact keys, on grids that ``checks`` builds once per step.
+The exact preimage of a cylinder set is read off the table piece by piece
+as boundary-key pairs, each piece's ends solved in integers.  Continuity is
+decided on the table too, in integers: ``continuity_failure`` checks each
+breakpoint against its adjacent pieces (one level test, one test in the
+base's specialization order).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .base_space import Order, specialization_preorder
 from .cylinder import CylinderOpen
 from .fuzzy import FuzzyTopology
 from .intervals import IntervalSet, canonical
-from .rationals import ONE, ZERO, format_rational, frac, unit
+from .rationals import ONE, format_rational, frac, unit
 from .retraction import CylPoint
 
 
@@ -161,8 +162,7 @@ class ChiBoundary:
     end: int
 
     def __post_init__(self):
-        if type(self.end) is not int or self.end not in (0, 1):
-            raise ValueError(f"end must be the integer 0 or 1: {self.end!r}")
+        _check_end(self.end)
         unit(self.s, "homotopy time")
         unit(self.t, "homotopy time")
 
@@ -170,12 +170,18 @@ class ChiBoundary:
 PathExpr = Union[Const, VerticalAffine, HLift, Concat, Reverse, HTransform, ChiBoundary]
 
 
+def _check_end(end) -> int:
+    if type(end) is not int or end not in (0, 1):
+        raise ValueError(f"end must be the integer 0 or 1: {end!r}")
+    return end
+
+
 def path_start(e: PathExpr) -> CylPoint:
-    return eval_path(e, ZERO)
+    return path_table(e).point(0)
 
 
 def path_end(e: PathExpr) -> CylPoint:
-    return eval_path(e, ONE)
+    return path_table(e).point(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +198,10 @@ class PathTable:
     breaks: tuple[int, ...]
     points: tuple[tuple[str, int], ...]
     pieces: tuple[tuple[str, int, int], ...]
+
+    def point(self, j: int) -> CylPoint:
+        x, a = self.points[j]
+        return CylPoint(x, Fraction(a, self.den))
 
 
 def _compile(e: PathExpr) -> PathTable:
@@ -342,7 +352,7 @@ def chi_eval(rho: PathExpr, s, t, eta, x) -> CylPoint:
 def chi_boundary(rho: PathExpr, s, t, end: int) -> VerticalAffine:
     """The end-restriction of the square homotopy as a vertical path."""
     s, t = unit(frac(s), "homotopy time"), unit(frac(t), "homotopy time")
-    anchor = eval_path(rho, Fraction(end))
+    anchor = (path_start, path_end)[_check_end(end)](rho)
     return VerticalAffine(anchor.x, (ONE - s) * anchor.alpha, (ONE - t) * anchor.alpha)
 
 

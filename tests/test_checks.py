@@ -1,12 +1,14 @@
 """Each failure record of the gate sweeps in ``checks`` fires on a planted
-fault, the certificate sweeps skip a regime that yields no anchor, and no
-check makes an RNG call.
+fault, the certificate sweeps skip a regime that yields no anchor, no
+check makes an RNG call, and the path sweep's drawn cases are pinned.
 
 A fault is planted with ``monkeypatch`` on the name ``checks`` imports, so
 the sweep's own comparison must catch it, and each test asserts the exact
 records the sweep returns.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -14,7 +16,8 @@ import pytest
 
 from fuzzcyl import checks
 from fuzzcyl.cylinder import CompatReport, SweepResult
-from fuzzcyl.rationals import ONE, ZERO
+from fuzzcyl.paths import path_to_json
+from fuzzcyl.rationals import ONE, ZERO, format_rational
 from fuzzcyl.sweeps import random_fuzzy, random_ground, random_topology
 
 
@@ -138,3 +141,31 @@ def test_draws_do_not_depend_on_checks(sweep, seed, monkeypatch):
     # the draw-only pass drew, and left the generator where the sweep did
     assert drawn.getstate() != random.Random(seed).getstate()
     assert drawn.getstate() == full.getstate()
+
+
+def _drawn_case_digest(seed: int) -> str:
+    """SHA-256 over every field of five drawn path cases, in JSON, and the
+    generator state the draws leave."""
+    rng = random.Random(seed)
+    coarse = checks._grid(Fraction(1, 8))
+    drawn = [[case.topo.to_json(), path_to_json(case.gamma), format_rational(case.s),
+              format_rational(case.t), [path_to_json(p) for p in case.parts],
+              format_rational(case.a), format_rational(case.b), case.point.to_json(),
+              path_to_json(case.delta)]
+             for case in checks._path_cases(rng, 5, coarse)]
+    doc = json.dumps([drawn, rng.getstate()], sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+# pinned as GOLDEN pins stdout: each draw reads path_end, so a fault in
+# the endpoints changes the draws, which a passing sweep's output cannot show
+DRAWN_PATH_CASES = {
+    1: "cf6eac3b8e9bb476154d0389fbf425364ab6cc5fa01d93f0818547233bccb2f8",
+    2: "e45aee586d7faff30af0a8bf461b49d65aa8deed93e4f69b37ca6a7b40e2545c",
+    3: "1050ee68d589baf9d61b1f2f965512cf340b34c3a1de1a23f44db1b31bb593e0",
+}
+
+
+@pytest.mark.parametrize("seed", list(DRAWN_PATH_CASES))
+def test_drawn_path_cases_are_pinned(seed):
+    assert _drawn_case_digest(seed) == DRAWN_PATH_CASES[seed]

@@ -1,5 +1,6 @@
 """The row kernels ``eval_keys`` and ``chi_keys`` against the one-point
-evaluation they replaced, and the row-wise identity battery against the
+evaluation they replaced, the endpoints read off the table against
+evaluation at 0 and 1, and the row-wise identity battery against the
 point-by-point loops it replaced.
 
 Both references below are kept as they were before the kernels: one table
@@ -15,6 +16,13 @@ pasting halves swapped, the ``fhrem`` left and right columns swapped, the
 floor of p·den/q for its ceiling as the bisection target, the level check
 dropped from either kernel's loop, the reduction skipped in ``chi_keys``,
 and a table lookup made before every value of the row is checked.
+
+Mutated battery routes caught, likewise: in the integer path-res route,
+kn for kd - kn, the gcd dropped, gamma evaluated at the coarse grid for
+the restricted parameters, and kappa's s and t swapped; the time-s node
+of gamma built at time t; and, in ``paths``, ``path_end`` or
+``path_start`` reading the wrong point of the table, its level over
+den + 1, and the anchors of ``chi_boundary`` swapped.
 """
 
 import random
@@ -237,6 +245,48 @@ def test_a_level_outside_J_is_named_at_the_first_bad_cell(where, monkeypatch):
     with pytest.raises(ValueError) as caught:
         chi_keys(path, 0, 1, [0, F(3, 4)], XS)
     assert str(caught.value) == f"level outside [0,1): {chi_level}"
+
+
+# ---------------------------------------------------------------------------
+# the endpoints read off the table against evaluation at 0 and 1
+
+
+def test_endpoints_are_the_evaluations_at_0_and_1():
+    """On 1,000 ``random_path`` draws, 10 on each of 100 topologies, each
+    also under a reversal, a homotopy transform and a boundary path."""
+    rng, times = random.Random(35), random.Random(36)
+    for _ in range(100):
+        topo = random_topology(rng, max_generators=2, max_den=6)
+        for _ in range(10):
+            path = random_path(rng, topo)
+            t = times.choice(COARSE)
+            for e in (path, Reverse(path), HTransform(t, path),
+                      ChiBoundary(path, times.choice(COARSE), t, times.choice((0, 1)))):
+                assert path_start(e) == eval_path(e, 0), e
+                assert path_end(e) == eval_path(e, 1), e
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as error:
+        return str(error)
+
+
+# (plant, start outcome, end outcome) on the table of u -> u/2
+PLANTED_ENDS = {"above": (_tripled, CylPoint("a", ZERO), "level outside [0,1): 3/2"),
+                "below": (_lowered, "level outside [0,1): -1", "level outside [0,1): -1/2")}
+
+
+@pytest.mark.parametrize("where", list(PLANTED_ENDS))
+def test_an_end_level_outside_J_raises_alike_on_both_routes(where, monkeypatch):
+    plant, start, end = PLANTED_ENDS[where]
+    compile_table = paths._compile
+    monkeypatch.setattr(paths, "_compile", lambda e: plant(compile_table(e)))
+    path = VerticalAffine("a", ZERO, F(1, 2))
+    assert _outcome(lambda: path_start(path)) == _outcome(lambda: eval_path(path, 0)) == start
+    assert _outcome(lambda: path_end(path)) == _outcome(lambda: eval_path(path, 1)) == end
 
 
 def long_denominator_paths(rng):
@@ -475,3 +525,16 @@ def test_battery_is_clean_without_a_fault():
     for seed in range(24):
         drawn = next(checks._path_cases(random.Random(900 + seed), 1, COARSE))
         assert checks._path_identity_failures(drawn, FINE, COARSE) == []
+
+
+def test_constant_battery_names_a_moved_end_point(monkeypatch):
+    """With the end point of the battery's constant path moved, its rows
+    differ from the row at eta = 0 only at eta = 1."""
+    drawn = next(checks._path_cases(random.Random(900), 1, COARSE))
+    moved = Const(drawn.point)
+    compile_table = paths._compile
+    monkeypatch.setattr(paths, "_compile", lambda e: _primed_end(compile_table(e))
+                        if e == moved else compile_table(e))
+    rows = checks._path_identity_failures(drawn, FINE, COARSE)
+    assert rows == ref_path_identity_failures(drawn, FINE, COARSE)
+    assert ("constant", ONE) in rows

@@ -386,6 +386,9 @@ def test_chi_boundary_end_is_the_json_integer_0_or_1():
     for end in (1.7, 1.0, "1", True, False, 2, -1, None):
         with pytest.raises(ValueError):
             path_from_json({**doc, "end": end})
+        # the function the node compiles through takes the same ends
+        with pytest.raises(ValueError, match="end must be the integer 0 or 1"):
+            chi_boundary(Const(point("a", F(1, 2))), 0, F(1, 2), end)
 
 
 def _path_documents():

@@ -27,7 +27,6 @@ from .cylinder import (
     complement_compat,
     critical_gammas,
     cyl_complement,
-    cyl_contains,
     cyl_intersect,
     cyl_subset,
     cyl_union,

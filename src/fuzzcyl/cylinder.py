@@ -18,8 +18,8 @@ from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement
 from .intervals import (
     EMPTY_SET,
     IntervalSet,
+    is_down_set,
     iv_complement_in_J,
-    iv_contains,
     iv_intersect,
     iv_span,
     iv_subset,
@@ -86,10 +86,6 @@ def cyl_subset(a: CylinderOpen, b: CylinderOpen) -> bool:
     return all(iv_subset(u, v) for u, v in zip(a.fibers, b.fibers))
 
 
-def cyl_contains(c: CylinderOpen, x: str, alpha) -> bool:
-    return iv_contains(c.fiber(x), alpha)
-
-
 def psi_star(f: FuzzySet) -> CylinderOpen:
     """The region strictly below the membership graph: fiber [0, f(x)), the
     span of the level's integers, which ``FuzzySet`` has checked."""
@@ -98,17 +94,13 @@ def psi_star(f: FuzzySet) -> CylinderOpen:
 
 
 def recover_membership(c: CylinderOpen) -> FuzzySet:
-    """Invert psi_star by taking fiber suprema; sup of an empty fiber is 0.
-    A nonempty fiber is a down-set [0, sup) exactly when its keys are (0, 2n)."""
+    """Invert psi_star by taking fiber suprema; sup of an empty fiber is 0,
+    and every other fiber must be a down-set [0, sup)."""
     values = []
     for x, fib in zip(c.ground.elements, c.fibers):
-        sup = iv_supremum(fib)
-        if sup is None:
-            values.append(ZERO)
-            continue
-        if len(fib.keys) != 2 or fib.keys[0] != 0 or fib.keys[1] & 1:
+        if not (fib.is_empty() or is_down_set(fib)):
             raise ValueError(f"fiber at {x!r} is not of down-set shape: {fib!r}")
-        values.append(sup)
+        values.append(ZERO if fib.is_empty() else iv_supremum(fib))
     return FuzzySet(c.ground, tuple(values))
 
 

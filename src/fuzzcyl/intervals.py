@@ -15,13 +15,15 @@ denominator (sorted, merged, reduced), the JSON reader checks each
 interval's ends and flags in integers and hands its key pairs to
 ``canonical``, and the writer and ``repr`` format the ends from the keys.
 Union, intersection and subset make one linear merge over a common
-denominator, the complement in J toggles against [0, 2·den), the reflection
-q -> 1 - q of a parameter set maps each key k to 2·den + 1 - k
-(``iv_reflect``), the image under a one-pair scale set maps each pair and
-makes one merge (and lies in one interval when its two outer scaled ends
-do, ``iv_scale_within``), membership is one bisection, and the levels
-k/N of a grid are filled pair by pair (``iv_grid``).  Results are reduced
-to the least denominator, so structural equality is set equality.
+denominator, the complement in J toggles against [0, 2·den), the preimage
+of a set under an affine map u -> (c0 + c1·u)/d maps each key and clips
+to [0,1] (``iv_preimage``; the reflection q -> 1 - q is the one with
+c0 = d = 1 and c1 = -1), the image under a one-pair scale set maps each
+pair and makes one merge (and lies in one interval when its two outer
+scaled ends do, ``iv_scale_within``), membership is one bisection, and
+the levels k/N of a grid are filled pair by pair (``iv_grid``).  Results
+are reduced to the least denominator, so structural equality is set
+equality.  No other module reads or writes keys.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _read_interval(doc: dict) -> tuple[int, int, int, int, bool, bool]:
         raise TypeError("interval flags lo_open and hi_open must be booleans")
     for p, q in ((lp, lq), (hp, hq)):
         if not 0 <= p <= q:
-            raise ValueError(f"interval endpoint outside [0,1]: {format_ratio(p, q)}")
+            unit(Fraction(p, q), "interval endpoint")
     a, b = lp * hq, hp * lq
     if a > b or a == b and (lo_open or hi_open):
         shown = _show(format_ratio(lp, lq), format_ratio(hp, hq), lo_open, hi_open)
@@ -160,14 +162,10 @@ def canonical(den: int, pairs: Iterable[tuple[int, int]]) -> IntervalSet:
     return _reduced(den, _merge([k for pair in pairs for k in pair], ()))
 
 
-def _key(q: Fraction, den: int, after: bool) -> int:
-    """The key just before q, or just after it; den is a multiple of q's."""
-    return 2 * q.numerator * (den // q.denominator) + bool(after)
-
-
 def _build(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> IntervalSet:
     den = lcm(lo.denominator, hi.denominator)
-    s, e = _key(lo, den, not lo_closed), _key(hi, den, hi_closed)
+    s = 2 * lo.numerator * (den // lo.denominator) + (not lo_closed)
+    e = 2 * hi.numerator * (den // hi.denominator) + bool(hi_closed)
     return IntervalSet(den, (s, e)) if s < e else EMPTY_SET
 
 
@@ -232,13 +230,20 @@ def iv_complement_in_J(a: IntervalSet) -> IntervalSet:
     return IntervalSet(a.den, tuple(keys))
 
 
-def iv_reflect(t: IntervalSet) -> IntervalSet:
-    """The set {1 - q : q in t} of a parameter set in [0,1]: each key k maps
-    to 2·den + 1 - k, in reverse order, turning a closed (open) lower end
-    into a closed (open) upper one.  The numerators n become den - n, whose
-    gcd with den is theirs, so den stays least."""
-    top = 2 * t.den + 1
-    return IntervalSet(t.den, tuple(top - k for k in reversed(t.keys)))
+def iv_preimage(a: IntervalSet, c0: int, c1: int, d: int) -> IntervalSet:
+    """The parameters u in [0,1] with (c0 + c1·u)/d in a, for integers
+    c1 != 0 and d > 0, over g = |c1|·den.  The level n/den is reached at
+    u = (n·d - c0·den)/(c1·den), so the key 2n + f maps to
+    2·(n·d - c0·den) + f, or, when c1 < 0, to 1 minus that with the pairs
+    in reverse order (just above a level is just below its parameter).
+    Each pair is clipped to the keys [0, 2g + 1) of [0,1]; the map keeps
+    the pairs apart and in order, so no sort or merge is needed."""
+    g, shift = abs(c1) * a.den, c0 * a.den
+    mapped = [2 * ((k >> 1) * d - shift) + (k & 1) for k in a.keys]
+    if c1 < 0:
+        mapped = [1 - k for k in reversed(mapped)]
+    clipped = [(max(s, 0), min(e, 2 * g + 1)) for s, e in zip(mapped[::2], mapped[1::2])]
+    return _reduced(g, [k for s, e in clipped if s < e for k in (s, e)])
 
 
 def _scaled_pair(s: int, e: int, cs: int, ce: int) -> tuple[int, int]:
@@ -313,6 +318,11 @@ def iv_grid(a: IntervalSet, resolution: int) -> tuple[bool, ...]:
 def iv_supremum(a: IntervalSet) -> Optional[Fraction]:
     """Supremum of the set (attained or not); None for the empty set."""
     return Fraction(a.keys[-1] >> 1, a.den) if a.keys else None
+
+
+def is_down_set(a: IntervalSet) -> bool:
+    """True iff a is [0, q) for some q > 0: one pair, closed at 0, open above."""
+    return len(a.keys) == 2 and a.keys[0] == 0 and not a.keys[1] & 1
 
 
 def iv_subset(a: IntervalSet, b: IntervalSet) -> bool:

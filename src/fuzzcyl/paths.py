@@ -20,8 +20,9 @@ for the first b >= ceil(p·den/q), and check each key's level lies in J and
 reduce it to ``(x, n, d)`` in lowest terms in the same loop; the
 endpoints are the table's first and last points.  The grid checks compare
 these rows of exact keys, on grids that ``checks`` builds once per step.
-The exact preimage of a cylinder set is read off the table piece by piece
-as boundary-key pairs, each piece's ends solved in integers.  Continuity is
+The exact preimage of a cylinder set is read off the table: each
+breakpoint whose point lies in its fiber, and each open piece, whole or
+cut by ``intervals.iv_preimage`` of its fiber under its level.  Continuity is
 decided on the table too, in integers: ``continuity_failure`` checks each
 breakpoint against its adjacent pieces (one level test, one test in the
 base's specialization order).
@@ -38,7 +39,15 @@ from typing import Optional, Sequence, Union
 from .base_space import Order, specialization_preorder
 from .cylinder import CylinderOpen
 from .fuzzy import FuzzyTopology
-from .intervals import IntervalSet, canonical
+from .intervals import (
+    EMPTY_SET,
+    IntervalSet,
+    iv_intersect,
+    iv_preimage,
+    iv_span,
+    iv_union,
+    singleton,
+)
 from .rationals import ONE, format_rational, frac, unit
 from .retraction import CylPoint
 
@@ -301,7 +310,7 @@ def eval_keys(e: PathExpr, us) -> list[tuple[str, int, int]]:
     keys = []
     for x, n, d in _locations(path_table(e), _ratios(us, "path parameter")):
         if not 0 <= n < d:
-            raise ValueError(f"level outside [0,1): {Fraction(n, d)}")
+            unit(Fraction(n, d), "level", top_open=True)
         g = gcd(n, d)
         keys.append((x, n // g, d // g))
     return keys
@@ -322,7 +331,7 @@ def chi_keys(rho: PathExpr, s, t, etas, xs) -> list[list[tuple[str, int, int]]]:
         for keep, keep_den in keeps:
             kn, kd = keep * n, keep_den * d
             if not 0 <= kn < kd:
-                raise ValueError(f"level outside [0,1): {Fraction(kn, kd)}")
+                unit(Fraction(kn, kd), "level", top_open=True)
             g = gcd(kn, kd)
             row.append((y, kn // g, kd // g))
         rows.append(row)
@@ -361,36 +370,24 @@ def chi_boundary(rho: PathExpr, s, t, end: int) -> VerticalAffine:
 
 
 def path_preimage(e: PathExpr, open_set: CylinderOpen) -> IntervalSet:
-    """Exact parameter set {u in [0,1] : e(u) in open_set}, as key pairs
-    over g = den · lcm(|c1| · F) of the table's ``den`` and each sloped
-    piece's slope c1 and fiber denominator F.
-
-    A breakpoint b whose point lies in its fiber gives the pair of b·g/den;
-    a flat piece whose level lies in its fiber gives its whole open piece.
-    On a sloped piece the level n/F is reached at u = (n·den - c0·F)/(c1·F),
-    so each fiber key 2n + f maps to 2·(n·den - c0·F)·g/(c1·F) plus f, or
-    1 - f with the pairs in reverse order when c1 < 0 (just above a level
-    is just below its parameter); each image pair is clipped to the open
-    piece, and ``canonical`` drops the empty ones."""
+    """Exact parameter set {u in [0,1] : e(u) in open_set}, read off the
+    table: each breakpoint whose point lies in its fiber, and each open
+    piece, whole when it is flat at a level in its fiber (``holds``), or,
+    when sloped, cut to the u whose level (c0 + c1·u)/den lies in its fiber
+    (``iv_preimage``)."""
     table = path_table(e)
     den, breaks = table.den, table.breaks
-    fibers = [open_set.fiber(x) for x, _, _ in table.pieces]
-    g = den * lcm(*(abs(c1) * fib.den for (_, _, c1), fib in zip(table.pieces, fibers)
-                    if c1))
-    m = g // den
-    pairs = [(2 * b * m, 2 * b * m + 1) for b, (x, a) in zip(breaks, table.points)
-             if open_set.fiber(x).holds(a, den)]
-    for lo, hi, (_, c0, c1), fib in zip(breaks, breaks[1:], table.pieces, fibers):
-        lo, hi = 2 * lo * m + 1, 2 * hi * m
-        if c1 == 0:
-            if fib.holds(c0, den):
-                pairs.append((lo, hi))
-            continue
-        scale, shift, flip = g // (c1 * fib.den), c0 * fib.den, c1 < 0
-        ends = [2 * ((k >> 1) * den - shift) * scale + ((k & 1) ^ flip)
-                for k in (reversed(fib.keys) if flip else fib.keys)]
-        pairs += [(max(s, lo), min(t, hi)) for s, t in zip(ends[::2], ends[1::2])]
-    return canonical(g, pairs)
+    out = EMPTY_SET
+    for b, (x, a) in zip(breaks, table.points):
+        if open_set.fiber(x).holds(a, den):
+            out = iv_union(out, singleton(Fraction(b, den)))
+    for lo, hi, (x, c0, c1) in zip(breaks, breaks[1:], table.pieces):
+        fib, piece = open_set.fiber(x), iv_span(den, lo, hi, True)
+        if c1:
+            out = iv_union(out, iv_intersect(piece, iv_preimage(fib, c0, c1, den)))
+        elif fib.holds(c0, den):
+            out = iv_union(out, piece)
+    return out
 
 
 def continuity_failure(e: PathExpr,

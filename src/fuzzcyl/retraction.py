@@ -26,7 +26,7 @@ from .intervals import (
     EMPTY_SET,
     IntervalSet,
     is_open_in_unit,
-    iv_reflect,
+    iv_preimage,
     iv_scale,
     iv_scale_within,
     make_unit_interval,
@@ -69,7 +69,7 @@ def h_eval(t, p: CylPoint) -> CylPoint:
 def h_image_of_box(t_interval: IntervalSet, region: CylinderOpen) -> CylinderOpen:
     """Exact image of a product box under the homotopy: each fiber scaled
     by the factors 1 - t over the box's one-pair time set."""
-    scale = iv_reflect(t_interval)
+    scale = iv_preimage(t_interval, 1, -1, 1)
     return CylinderOpen(region.ground, tuple(iv_scale(fib, scale) for fib in region.fibers))
 
 
@@ -201,7 +201,7 @@ def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
         return False
     if open_realize(w.region_expr, topo) != w.region:
         return False
-    scale = iv_reflect(t)
+    scale = iv_preimage(t, 1, -1, 1)
     target = subbasis_realize(w.target, topo)
     return all(iv_scale_within(a, scale, b)
                for a, b in zip(w.region.fibers, target.fibers))

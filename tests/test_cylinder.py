@@ -18,12 +18,12 @@ from fuzzcyl import (
     complement_compat,
     critical_gammas,
     cyl_complement,
-    cyl_contains,
     cyl_subset,
     empty_cylinder,
     fz_generate_topology,
     fz_indicator,
     ground,
+    iv_contains,
     iv_union,
     make_interval,
     open_realize,
@@ -164,7 +164,7 @@ def test_subbasis_tstar_example_with_grid_oracle():
     # independent brute check of T(x) - alpha > gamma at step 1/120
     for k in range(120):
         q = F(k, 120)
-        assert cyl_contains(realized, "a", q) == (F(2, 3) - q > F(1, 4))
+        assert iv_contains(realized.fiber("a"), q) == (F(2, 3) - q > F(1, 4))
 
 
 def test_subbasis_pi2_negative_gamma():
@@ -188,7 +188,7 @@ def test_open_realize_clause_example():
     for k in range(120):
         q = F(k, 120)
         brute = (F(2, 3) - q > F(1, 4)) and (q > F(1, 3))
-        assert cyl_contains(realized, "a", q) == brute
+        assert iv_contains(realized.fiber("a"), q) == brute
 
 
 def test_open_realize_pi2_whole():
@@ -197,11 +197,11 @@ def test_open_realize_pi2_whole():
     assert open_realize(expr, topo) == whole_cylinder(AB)
 
 
-def test_cyl_contains_strictness():
+def test_fiber_membership_strictness():
     below = psi_star(FuzzySet.constant(AB, F(1, 3)))
-    assert not cyl_contains(below, "a", F(1, 3))
-    assert cyl_contains(below, "a", 0)
-    assert cyl_contains(whole_cylinder(AB), "a", 0)
+    assert not iv_contains(below.fiber("a"), F(1, 3))
+    assert iv_contains(below.fiber("a"), 0)
+    assert iv_contains(whole_cylinder(AB).fiber("a"), 0)
 
 
 def test_cyl_complement_examples():

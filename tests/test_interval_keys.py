@@ -8,7 +8,10 @@ denominators, including parameter sets that contain 1, the key algebra
 must give the same canonical intervals (``canonical`` of the unmerged key
 pairs), JSON, union, intersection, complement, subset, membership,
 supremum and openness.
-The reflection q -> 1 - q of parameter sets is checked against the
+The preimage of a set under an affine map u -> (c0 + c1·u)/d is checked
+against the ``Fraction`` statement of each canonical part's preimage and
+against membership of the mapped probes; the reflection q -> 1 - q of
+parameter sets, the preimage with c0 = d = 1 and c1 = -1, against the
 ``Fraction`` reflection of each canonical part.
 """
 
@@ -26,7 +29,7 @@ from fuzzcyl.intervals import (
     iv_complement_in_J,
     iv_contains,
     iv_intersect,
-    iv_reflect,
+    iv_preimage,
     iv_subset,
     iv_supremum,
     iv_union,
@@ -203,7 +206,7 @@ def test_least_denominator():
 
 
 # ---------------------------------------------------------------------------
-# reflection of parameter sets
+# preimages under affine maps, and the reflection of parameter sets
 
 
 def ref_reflect(intervals):
@@ -228,22 +231,82 @@ def reflect_cases(rng):
     return cases
 
 
-def test_iv_reflect_matches_fraction_reflection():
+def reflect(a):
+    return iv_preimage(a, 1, -1, 1)
+
+
+def test_reflection_preimage_matches_fraction_reflection():
     rng = random.Random(9_700)
     seen = {"holds 0": 0, "holds 1": 0, "several pairs": 0}
     for _ in range(300):
         for case in reflect_cases(rng):
             a = build(case)
-            got = iv_reflect(a)
+            got = reflect(a)
             expect = ref_reflect(parts(a))
             assert parts(got) == expect, (a, got)
             # the least denominator: the same den and keys as the set built
             # from the reflected parts, and den is a's
             same_set(got, build(expect))
             assert got.den == a.den
-            same_set(iv_reflect(got), a)
+            same_set(reflect(got), a)
             seen["holds 0"] += a.contains(ZERO)
             seen["holds 1"] += a.contains(ONE)
             seen["several pairs"] += len(a.keys) > 2
-    assert iv_reflect(EMPTY_SET) == EMPTY_SET
+    assert reflect(EMPTY_SET) == EMPTY_SET
     assert min(seen.values()) >= 150, seen
+
+
+def ref_preimage_part(p, c0, c1, d):
+    """{u in [0,1] : (c0 + c1·u)/d in p} on ``Fraction``s, as raw bounds
+    and flags before the clip to [0,1], then clipped: a negative slope
+    swaps the ends and their flags."""
+    lo, hi = (p.lo * d - c0) / c1, (p.hi * d - c0) / c1
+    lo_closed, hi_closed = p.lo_closed, p.hi_closed
+    if c1 < 0:
+        lo, hi, lo_closed, hi_closed = hi, lo, hi_closed, lo_closed
+    raw = lo, hi
+    if lo < ZERO:
+        lo, lo_closed = ZERO, True
+    if hi > ONE:
+        hi, hi_closed = ONE, True
+    return raw, interval(lo, hi, lo_closed, hi_closed)
+
+
+# slopes of both signs, with |c1| = 1 and |c1| > 1, and denominators d
+SLOPES = (-5, -2, -1, 1, 2, 3)
+SCALES = (1, 2, 3, 7)
+
+
+def test_iv_preimage_matches_fraction_preimage():
+    """On random sets (mixed flags, closed points, the empty set, sets
+    holding 1) and random maps whose level range [c0/d, (c0 + c1)/d] may
+    cover, overlap or miss [0,1], the preimage has the parts of the
+    ``Fraction`` statement over the least denominator, and it holds u
+    exactly when a holds u's level at every cut (0, 1 and each end of a
+    mapped into [0,1]) and between each two, which decides the set."""
+    rng = random.Random(9_800)
+    seen = {"clips at 0": 0, "clips at 1": 0, "misses [0,1]": 0, "closed point": 0,
+            "empty set": 0, "several pairs": 0}
+    for _ in range(4000):
+        a = from_pairs(random_parts(rng))
+        c1, d = rng.choice(SLOPES), rng.choice(SCALES)
+        c0 = rng.randint(-abs(c1) - d, abs(c1) + d)
+        got = iv_preimage(a, c0, c1, d)
+        raws, expect = [], []
+        for p in parts(a):
+            raw, part = ref_preimage_part(p, c0, c1, d)
+            raws.append(raw)
+            expect += part
+        expect = normalize(expect)
+        assert parts(got) == expect, (a, c0, c1, d, got)
+        same_set(got, build(expect))
+        cuts = sorted({ZERO, ONE} | {u for raw in raws for u in raw if ZERO <= u <= ONE})
+        for u in cuts + [(v + w) / 2 for v, w in zip(cuts, cuts[1:])]:
+            assert got.contains(u) == a.contains((c0 + c1 * u) / d), (a, c0, c1, d, u)
+        seen["clips at 0"] += any(lo < ZERO <= hi for lo, hi in raws)
+        seen["clips at 1"] += any(lo <= ONE < hi for lo, hi in raws)
+        seen["misses [0,1]"] += bool(raws) and not expect
+        seen["closed point"] += any(p.lo == p.hi for p in parts(a) + expect)
+        seen["empty set"] += not raws
+        seen["several pairs"] += len(expect) > 1
+    assert min(seen.values()) >= 100, seen

@@ -10,9 +10,9 @@ from interval_ref import Interval, build, parts
 from fuzzcyl import (
     FuzzySet,
     GridOracle,
-    cyl_contains,
     empty_cylinder,
     ground,
+    iv_contains,
     oracle_rasterize,
     psi_star,
     whole_cylinder,
@@ -96,7 +96,7 @@ XYZ = ground("x", "y", "z")
 
 
 def reference_raster(c, resolution):
-    return tuple(tuple(cyl_contains(c, x, Fraction(k, resolution))
+    return tuple(tuple(iv_contains(c.fiber(x), Fraction(k, resolution))
                        for k in range(resolution))
                  for x in c.ground.elements)
 

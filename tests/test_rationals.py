@@ -16,7 +16,6 @@ from fuzzcyl import (
     VerticalAffine,
     chi_boundary,
     chi_eval,
-    cyl_contains,
     eval_path,
     frac,
     functor_object_path,
@@ -26,7 +25,6 @@ from fuzzcyl import (
     kappa,
     make_interval,
     make_unit_interval,
-    psi_star,
     unit,
 )
 from fuzzcyl.paths import chi_keys, eval_keys
@@ -35,7 +33,6 @@ from fuzzcyl.rationals import format_ratio, format_rational, parse_ratio
 EPS = F(1, 10**6)
 START = Const(CylPoint("a", F(0)))
 FUZZY = FuzzySet(ground("a"), (F(1, 3),))
-REGION = psi_star(FUZZY)
 GRID = [F(k, 4) for k in range(5)]
 
 
@@ -57,7 +54,6 @@ SITES = [
     ("make_unit_interval.lo", lambda q: make_unit_interval(q, 0, True, True), False, True),
     ("make_unit_interval.hi", lambda q: make_unit_interval(1, q, True, True), False, True),
     ("iv_contains", lambda q: iv_contains(EMPTY_SET, q), True, True),
-    ("cyl_contains", lambda q: cyl_contains(REGION, "a", q), True, True),
     ("kappa.s", lambda q: kappa(q, 0, 0), False, True),
     ("kappa.t", lambda q: kappa(0, q, 0), False, True),
     ("kappa.x", lambda q: kappa(0, 0, q), False, True),

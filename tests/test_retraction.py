@@ -9,11 +9,11 @@ from fuzzcyl import checks, cylinder
 from fuzzcyl import (
     FuzzySet,
     continuity_witness,
-    cyl_contains,
     fz_generate_topology,
     ground,
     h_eval,
     h_image_of_box,
+    iv_contains,
     make_interval,
     make_unit_interval,
     pi2,
@@ -97,8 +97,8 @@ def test_h_image_of_box_envelope_with_grid_oracle():
     for i in range(61, 91):  # t = i/120 in [1/2, 3/4]
         for j in range(60):  # alpha = j/120 in [0, 1/2)
             hits.add((1 - F(i, 120)) * F(j, 120))
-    assert all(cyl_contains(image, "a", v) for v in hits)
-    assert not cyl_contains(image, "a", F(1, 4))
+    assert all(iv_contains(image.fiber("a"), v) for v in hits)
+    assert not iv_contains(image.fiber("a"), F(1, 4))
 
 
 def test_h_image_collapse_and_identity():
@@ -219,10 +219,10 @@ def test_down_closure_of_tstar_preimages():
         for j in range(16):
             alpha = F(j, 16)
             img = h_eval(t, point("a", alpha))
-            if cyl_contains(target, "a", img.alpha):
+            if iv_contains(target.fiber("a"), img.alpha):
                 for k in range(j + 1):
                     lower = h_eval(t, point("a", F(k, 16)))
-                    assert cyl_contains(target, "a", lower.alpha)
+                    assert iv_contains(target.fiber("a"), lower.alpha)
 
 
 def test_witness_soundness_random():

@@ -9,7 +9,6 @@ path, and the complement-as-path-inversion decision procedure.
 
 from .base_space import (
     ConnectivityReport,
-    FiniteTopology,
     check_pc_lpc,
     component_cylinder_expr,
     connected_components,
@@ -39,7 +38,6 @@ from .cylinder import (
     subbasis_realize,
     tstar,
     verify_psi_laws,
-    whole_cylinder,
 )
 from .functor import (
     ComplementReport,
@@ -59,10 +57,8 @@ from .fuzzy import (
 )
 from .intervals import (
     EMPTY_SET,
-    WHOLE_J,
     IntervalSet,
     iv_complement_in_J,
-    iv_contains,
     iv_intersect,
     iv_subset,
     iv_supremum,
@@ -82,7 +78,6 @@ from .paths import (
     PathExpr,
     Reverse,
     VerticalAffine,
-    chi_boundary,
     chi_eval,
     continuity_failure,
     eval_path,
@@ -101,10 +96,7 @@ from .retraction import (
     continuity_witness,
     h_eval,
     h_image_of_box,
-    point,
     sigma_image,
     sigma_image_subbasis,
     verify_witness,
 )
-
-__version__ = "0.1.0"

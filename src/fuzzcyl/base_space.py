@@ -3,7 +3,6 @@ preorder, and the connectivity gate used by the path calculus."""
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,33 +15,8 @@ from .cylinder import (
     subbasis_realize,
     tstar,
 )
-from .fuzzy import FuzzyTopology, GroundSet, lattice_closure
+from .fuzzy import FuzzyTopology, lattice_closure
 from .rationals import ONE, ZERO
-
-
-@dataclass(frozen=True)
-class FiniteTopology:
-    """A topology on a finite ground set; opens are encoded as bitmasks."""
-
-    ground: GroundSet
-    opens: frozenset[int]
-
-    def __post_init__(self):
-        full = (1 << len(self.ground.elements)) - 1
-        if 0 not in self.opens or full not in self.opens:
-            raise ValueError("topology must contain the empty set and the full set")
-        for a, b in itertools.combinations(self.opens, 2):
-            if a & b not in self.opens or a | b not in self.opens:
-                raise ValueError("family is not closed under intersection/union")
-
-    def set_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(x for i, x in enumerate(self.ground.elements) if mask >> i & 1)
-
-
-def close_under_ops(ground_set: GroundSet, generators: set[int]) -> FiniteTopology:
-    full = (1 << len(ground_set.elements)) - 1
-    opens = lattice_closure(set(generators) | {0, full}, operator.and_, operator.or_)
-    return FiniteTopology(ground_set, frozenset(opens))
 
 
 def level_preimage_masks(topo: FuzzyTopology) -> frozenset[int]:
@@ -65,9 +39,13 @@ def level_preimage_masks(topo: FuzzyTopology) -> frozenset[int]:
     return frozenset(masks)
 
 
-def iota_x(topo: FuzzyTopology) -> FiniteTopology:
-    """The initial topology on X for the membership maps of the topology."""
-    return close_under_ops(topo.ground, set(level_preimage_masks(topo)))
+def iota_x(topo: FuzzyTopology) -> frozenset[int]:
+    """The initial topology on X for the membership maps of the topology:
+    its opens as bitmasks over ``topo.ground.elements`` (bit i for the
+    i-th element), the level preimages closed under meet and join."""
+    full = (1 << len(topo.ground.elements)) - 1
+    return frozenset(lattice_closure(level_preimage_masks(topo) | {0, full},
+                                     operator.and_, operator.or_))
 
 
 def slice_agrees(topo: FuzzyTopology) -> bool:

@@ -62,7 +62,6 @@ from .paths import (
     chi_keys,
     continuity_failure,
     eval_keys,
-    eval_path,
     first_difference,
     kappa,
     normalize_path,
@@ -327,14 +326,6 @@ def sweep_retraction_on(topo: FuzzyTopology, rng: random.Random,
     return result, [w for _, w in witnesses]
 
 
-def retraction_case(w: BoxWitness) -> str:
-    if w.anchor_t == ZERO:
-        return "zero"
-    if w.anchor_t == ONE:
-        return "one"
-    return "interior"
-
-
 # ---------------------------------------------------------------------------
 # path identity sweep
 
@@ -518,8 +509,7 @@ def _midpoint_opens(e, topo: FuzzyTopology) -> tuple[SubbasisElem, ...]:
     table = path_table(e)
     opens = []
     for j, b in enumerate(table.breaks):
-        u = Fraction(b, table.den)
-        at = eval_path(e, u)
+        u, at = Fraction(b, table.den), table.point(j)
         for x, c0, c1 in table.pieces[max(j - 1, 0):j] + table.pieces[j:j + 1]:
             level = (c0 + c1 * u) / table.den
             composites = [(None, level, at.alpha)] + [

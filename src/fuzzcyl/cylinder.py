@@ -25,7 +25,6 @@ from .intervals import (
     iv_subset,
     iv_supremum,
     iv_union,
-    make_interval,
 )
 from .rationals import ONE, ZERO, exact, format_rational, frac
 
@@ -62,11 +61,6 @@ class CylinderOpen:
 
 def empty_cylinder(gs: GroundSet) -> CylinderOpen:
     return CylinderOpen(gs, (EMPTY_SET,) * len(gs.elements))
-
-
-def whole_cylinder(gs: GroundSet) -> CylinderOpen:
-    whole = make_interval(0, 1, True, False)
-    return CylinderOpen(gs, (whole,) * len(gs.elements))
 
 
 def cyl_union(a: CylinderOpen, b: CylinderOpen) -> CylinderOpen:

@@ -54,9 +54,6 @@ class FuzzySet:
     def __call__(self, x: str) -> Fraction:
         return self.levels[self.ground.index(x)]
 
-    def values_dict(self) -> dict:
-        return dict(zip(self.ground.elements, self.levels))
-
     def ratios(self) -> dict[str, tuple[int, int]]:
         """Each element's membership value as integers (numerator, denominator)."""
         return {x: v.as_integer_ratio() for x, v in zip(self.ground.elements, self.levels)}
@@ -160,7 +157,7 @@ class FuzzyTopology:
             "ground_set": list(self.ground.elements),
             "opens": [
                 {"name": n, "values": {x: format_rational(v)
-                                       for x, v in f.values_dict().items()}}
+                                       for x, v in zip(self.ground.elements, f.levels)}}
                 for n, f in self.items()
             ],
         }

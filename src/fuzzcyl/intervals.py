@@ -151,7 +151,6 @@ def _merge(x, y) -> list[int]:
 
 
 EMPTY_SET = IntervalSet(1, ())
-WHOLE_J = IntervalSet(1, (0, 2))
 
 
 def canonical(den: int, pairs: Iterable[tuple[int, int]]) -> IntervalSet:
@@ -294,10 +293,6 @@ def iv_scale_within(a: IntervalSet, c: IntervalSet, b: IntervalSet) -> bool:
     m, mb = both // den, both // b.den
     return (2 * (bs >> 1) * mb + (bs & 1) <= 2 * (lo >> 1) * m + (lo & 1)
             and 2 * (hi >> 1) * m + (hi & 1) <= 2 * (be >> 1) * mb + (be & 1))
-
-
-def iv_contains(a: IntervalSet, q) -> bool:
-    return a.contains(unit(frac(q), "level", top_open=True))
 
 
 def iv_grid(a: IntervalSet, resolution: int) -> tuple[bool, ...]:

@@ -44,9 +44,6 @@ class GridOracle:
             if len(vec) != self.resolution:
                 raise ValueError("cell vector length must equal the resolution")
 
-    def cell(self, x: str, k: int) -> bool:
-        return self.cells[self.ground.index(x)][k]
-
 
 def oracle_rasterize(c: CylinderOpen, resolution: int) -> GridOracle:
     """Cell (x, k/N) is true iff the point lies in the set."""

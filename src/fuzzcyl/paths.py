@@ -3,7 +3,10 @@
 Paths are a closed DSL rather than arbitrary maps: constants, vertical
 affine segments, horizontal lifts of fence paths, concatenations (binary
 halving, left-nested), reversals, homotopy transforms, and the boundary
-paths of the square free homotopy.
+paths of the square free homotopy.  A boundary path ``ChiBoundary(rho, s,
+t, end)`` is the vertical path over the point (x, a) of rho at its end,
+from the level (1 - s)·a to (1 - t)·a; its fields are checked when the
+node is built.
 
 Every such path is piecewise affine in its parameter u.  An expression is
 compiled once, on first use, into a :class:`PathTable` of integers over one
@@ -171,18 +174,13 @@ class ChiBoundary:
     end: int
 
     def __post_init__(self):
-        _check_end(self.end)
+        if type(self.end) is not int or self.end not in (0, 1):
+            raise ValueError(f"end must be the integer 0 or 1: {self.end!r}")
         unit(self.s, "homotopy time")
         unit(self.t, "homotopy time")
 
 
 PathExpr = Union[Const, VerticalAffine, HLift, Concat, Reverse, HTransform, ChiBoundary]
-
-
-def _check_end(end) -> int:
-    if type(end) is not int or end not in (0, 1):
-        raise ValueError(f"end must be the integer 0 or 1: {end!r}")
-    return end
 
 
 def path_start(e: PathExpr) -> CylPoint:
@@ -255,7 +253,9 @@ def _compile(e: PathExpr) -> PathTable:
                          tuple((x, (q - p) * a) for x, a in table.points),
                          tuple((x, (q - p) * c0, (q - p) * c1) for x, c0, c1 in table.pieces))
     if isinstance(e, ChiBoundary):
-        return _compile(chi_boundary(e.rho, e.s, e.t, e.end))
+        anchor = (path_start, path_end)[e.end](e.rho)
+        return _compile(VerticalAffine(anchor.x, (ONE - e.s) * anchor.alpha,
+                                       (ONE - e.t) * anchor.alpha))
     raise TypeError(f"not a path expression: {e!r}")
 
 
@@ -356,13 +356,6 @@ def chi_eval(rho: PathExpr, s, t, eta, x) -> CylPoint:
     """The square free homotopy value H(kappa(s,t)(x), rho(eta))."""
     y, n, d = chi_keys(rho, s, t, (eta,), (x,))[0][0]
     return CylPoint(y, Fraction(n, d))
-
-
-def chi_boundary(rho: PathExpr, s, t, end: int) -> VerticalAffine:
-    """The end-restriction of the square homotopy as a vertical path."""
-    s, t = unit(frac(s), "homotopy time"), unit(frac(t), "homotopy time")
-    anchor = (path_start, path_end)[_check_end(end)](rho)
-    return VerticalAffine(anchor.x, (ONE - s) * anchor.alpha, (ONE - t) * anchor.alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,6 @@ class CylPoint:
         return CylPoint(doc["x"], frac(doc["alpha"]))
 
 
-def point(x: str, alpha) -> CylPoint:
-    return CylPoint(x, frac(alpha))
-
-
 def h_eval(t, p: CylPoint) -> CylPoint:
     """The homotopy value (x, (1-t) * alpha)."""
     t = unit(frac(t), "homotopy time")

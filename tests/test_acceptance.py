@@ -17,7 +17,6 @@ import pytest
 from fuzzcyl.checks import (
     OracleLedger,
     counterexample_report,
-    retraction_case,
     sweep_complement,
     sweep_continuity_rule,
     sweep_indicator_compat,
@@ -100,12 +99,14 @@ def test_criterion_04_indicator_compatibility(ledger_sweeps):
 def test_criterion_05_retraction_certificates(ledger_sweeps):
     (result, witnesses), elapsed = ledger_sweeps[5]
     distinct = len({str(topo.to_json()) for topo, _ in witnesses})
-    cases = {retraction_case(w) for _, w in witnesses}
+    # each regime has an anchor: time 0, time 1 and an interior time
+    times = {w.anchor_t for _, w in witnesses}
+    interior = sum(0 < t < 1 for t in times)
     ok = (result.ok and result.checked >= 100 and distinct >= 20
-          and cases == {"zero", "interior", "one"} and elapsed < 30.0)
+          and {0, 1} <= times and interior > 0 and elapsed < 30.0)
     report(5, "retraction-certificates", ok,
-           f"{result.checked} anchors, {distinct} topologies, "
-           f"cases {sorted(cases)}, {elapsed:.1f}s")
+           f"{result.checked} anchors, {distinct} topologies, anchor times "
+           f"0: {0 in times}, 1: {1 in times}, interior: {interior}, {elapsed:.1f}s")
 
 
 def test_criterion_06_sigma_open_map_laws(ledger_sweeps):

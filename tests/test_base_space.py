@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -6,7 +8,6 @@ import pytest
 
 from fuzzcyl import base_space, checks
 from fuzzcyl import (
-    FiniteTopology,
     FuzzySet,
     check_pc_lpc,
     component_cylinder_expr,
@@ -22,8 +23,9 @@ from fuzzcyl import (
 )
 from fuzzcyl.checks import SweepResult
 from fuzzcyl.cylinder import CylinderOpen
-from fuzzcyl.intervals import EMPTY_SET, WHOLE_J, iv_intersect, iv_union, make_interval
-from fuzzcyl.base_space import close_under_ops, comparable
+from fuzzcyl.fuzzy import lattice_closure
+from fuzzcyl.intervals import EMPTY_SET, iv_intersect, iv_union, make_interval
+from fuzzcyl.base_space import comparable
 from fuzzcyl.paths import Concat, HLift, VerticalAffine, continuity_failure, make_fence_path
 from fuzzcyl.rationals import ZERO, frac
 from fuzzcyl.sweeps import random_topology
@@ -38,38 +40,25 @@ def const_topo(gs, *values):
     return fz_generate_topology(gens, gs)
 
 
-def opens_as_sets(ft):
-    return {frozenset(ft.set_of(m)) for m in ft.opens}
+def opens_as_sets(elements, opens):
+    return {frozenset(x for i, x in enumerate(elements) if m >> i & 1) for m in opens}
 
 
 def test_iota_x_constants_is_indiscrete():
-    ft = iota_x(const_topo(AB, "1/3", "2/3"))
-    assert opens_as_sets(ft) == {frozenset(), frozenset({"a", "b"})}
+    opens = iota_x(const_topo(AB, "1/3", "2/3"))
+    assert opens_as_sets(AB.elements, opens) == {frozenset(), frozenset({"a", "b"})}
 
 
 def test_iota_x_point_indicator():
     topo = fz_generate_topology([fz_indicator(["a"], AB)], AB)
-    ft = iota_x(topo)
-    assert opens_as_sets(ft) == {frozenset(), frozenset({"a"}),
-                                 frozenset({"a", "b"})}
+    opens = iota_x(topo)
+    assert opens_as_sets(AB.elements, opens) == {frozenset(), frozenset({"a"}),
+                                                 frozenset({"a", "b"})}
 
 
 def test_iota_x_trivial():
-    ft = iota_x(const_topo(AB))
-    assert opens_as_sets(ft) == {frozenset(), frozenset({"a", "b"})}
-
-
-def test_finite_topology_rejects_unclosed_family():
-    gs = ground("a", "b", "c")
-    with pytest.raises(ValueError):
-        FiniteTopology(gs, frozenset({0, 0b001, 0b010, 0b111}))
-
-
-@pytest.mark.parametrize("opens", [{0b001, 0b111}, {0, 0b001}],
-                         ids=["no-empty-set", "no-full-set"])
-def test_finite_topology_needs_the_empty_and_full_sets(opens):
-    with pytest.raises(ValueError, match="must contain the empty set and the full set"):
-        FiniteTopology(ground("a", "b", "c"), frozenset(opens))
+    opens = iota_x(const_topo(AB))
+    assert opens_as_sets(AB.elements, opens) == {frozenset(), frozenset({"a", "b"})}
 
 
 def test_slice_agrees_examples():
@@ -168,29 +157,35 @@ def test_fence_between():
     assert fence_between(discrete, "a", "b") is None
 
 
-def ref_preorder(ft):
-    """The specialization preorder of a finite topology by intersecting
-    opens: x <= y iff every open containing x contains y."""
+def ref_preorder(elements, opens):
+    """The specialization preorder of a finite topology, its opens given
+    as bitmasks over ``elements``, by intersecting opens: x <= y iff every
+    open containing x contains y."""
     relation = {}
-    for i, x in enumerate(ft.ground.elements):
-        above = set(ft.ground.elements)
-        for mask in ft.opens:
+    for i, x in enumerate(elements):
+        above = (1 << len(elements)) - 1
+        for mask in opens:
             if mask >> i & 1:
-                above &= set(ft.set_of(mask))
-        relation[x] = above
+                above &= mask
+        relation[x] = {y for j, y in enumerate(elements) if above >> j & 1}
     return relation
 
 
 def test_order_read_on_levels_matches_the_opens_of_the_base():
     # x <= y iff N_T(x) <= N_T(y) for every open T equals the order of
-    # iota_x read off its opens, on bases of every size from 1 to 6
+    # iota_x read off its opens, on bases of every size from 1 to 6; the
+    # opens hold the empty and the full set and are closed under meet and join
     rng = random.Random(2_026)
     sizes, disconnected, strict = set(), 0, 0
     for _ in range(2_000):
         topo = random_topology(rng)
-        ft = iota_x(topo)
+        opens = iota_x(topo)
+        full = (1 << len(topo.ground.elements)) - 1
+        assert {0, full} <= opens, topo
+        assert all(a & b in opens and a | b in opens
+                   for a, b in itertools.combinations(opens, 2)), topo
         order = specialization_preorder(topo)
-        assert order == ref_preorder(ft), topo
+        assert order == ref_preorder(topo.ground.elements, opens), topo
         sizes.add(len(topo.ground.elements))
         disconnected += len(connected_components(order)) > 1
         strict += any(y in order[x] and x not in order[y] for x in order for y in order)
@@ -249,8 +244,9 @@ def walk_orders(rng):
     for _ in range(350):
         gs = ground(*"abcdef"[:rng.randint(1, 6)])
         full = (1 << len(gs.elements)) - 1
-        yield ref_preorder(close_under_ops(
-            gs, {rng.randint(0, full) for _ in range(rng.randint(0, 4))}))
+        generators = {rng.randint(0, full) for _ in range(rng.randint(0, 4))}
+        yield ref_preorder(gs.elements, lattice_closure(
+            generators | {0, full}, operator.and_, operator.or_))
 
 
 def test_walk_matches_the_depth_and_breadth_first_walks():
@@ -276,7 +272,7 @@ def test_component_cylinder_expr_separates():
     assert report.components == (("a",), ("b",))
     expr = component_cylinder_expr(discrete, ("a",))
     realized = open_realize(expr, discrete)
-    assert realized.fiber("a") == WHOLE_J
+    assert realized.fiber("a") == make_interval(0, 1, True, False)
     assert realized.fiber("b") == EMPTY_SET
 
 
@@ -290,7 +286,7 @@ def test_component_cylinder_expr_fractional_levels():
         comp = report.components[0]
         realized = open_realize(component_cylinder_expr(topo, comp), topo)
         for x in gs.elements:
-            assert realized.fiber(x) == (WHOLE_J if x in comp else EMPTY_SET)
+            assert realized.fiber(x) == (make_interval(0, 1, True, False) if x in comp else EMPTY_SET)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +326,7 @@ def connectivity_cross_check(rng: random.Random, count: int = 10) -> SweepResult
             expected = {x: x in component for x in topo.ground.elements}
             for x in topo.ground.elements:
                 fib = realized.fiber(x)
-                want = WHOLE_J if expected[x] else EMPTY_SET
+                want = make_interval(0, 1, True, False) if expected[x] else EMPTY_SET
                 if fib != want:
                     result.failures.append(("separator-mismatch", x))
                     break

@@ -55,12 +55,12 @@ from fuzzcyl.checks import sweep_retraction_on
 from fuzzcyl.cylinder import (
     CylinderOpen,
     _realize_clause,
+    cyl_complement,
     cyl_intersect,
     cyl_subset,
     cyl_union,
     empty_cylinder,
     subbasis_elements,
-    whole_cylinder,
 )
 from fuzzcyl.fuzzy import FuzzyTopology, GroundSet
 from fuzzcyl.intervals import (
@@ -193,7 +193,7 @@ def ref_subbasis_realize(e, topo):
 def ref_open_realize(expr, topo):
     out = empty_cylinder(topo.ground)
     for clause in expr.clauses:
-        acc = whole_cylinder(topo.ground)
+        acc = cyl_complement(empty_cylinder(topo.ground))
         for e in clause:
             acc = cyl_intersect(acc, ref_subbasis_realize(e, topo))
         out = cyl_union(out, acc)

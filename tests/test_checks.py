@@ -96,7 +96,8 @@ def test_retraction_sweep_skips_a_regime_with_no_anchor(monkeypatch):
     ledger = checks.OracleLedger()
     result, witnesses = checks.sweep_retraction(random.Random(9), 10, ledger)
     assert result.ok and result.checked == len(witnesses) == 40
-    assert {checks.retraction_case(w) for _, w in witnesses} == {"interior", "one"}
+    times = {w.anchor_t for _, w in witnesses}
+    assert 0 not in times and 1 in times and any(0 < t < 1 for t in times)
     assert len(ledger.entries) == 8 and ledger.verify(16).ok
 
 

@@ -23,7 +23,6 @@ from fuzzcyl import (
     fz_generate_topology,
     fz_indicator,
     ground,
-    iv_contains,
     iv_union,
     make_interval,
     open_realize,
@@ -33,7 +32,6 @@ from fuzzcyl import (
     subbasis_realize,
     tstar,
     verify_psi_laws,
-    whole_cylinder,
 )
 from fuzzcyl import cylinder
 from fuzzcyl.cylinder import CylinderOpen, SweepResult
@@ -63,7 +61,7 @@ def test_psi_star_examples():
     expect = make_interval(0, F(1, 3), True, False)
     assert below.fibers == (expect, expect)
     assert psi_star(FuzzySet.constant(AB, 0)) == empty_cylinder(AB)
-    assert psi_star(FuzzySet.constant(AB, 1)) == whole_cylinder(AB)
+    assert psi_star(FuzzySet.constant(AB, 1)) == cyl_complement(empty_cylinder(AB))
     # each fiber spanned from the level's integers is the set (den and keys)
     # that the checked constructor builds from the level
     levels = sorted({F(k, d) for d in range(1, 25) for k in range(d + 1)})
@@ -164,12 +162,12 @@ def test_subbasis_tstar_example_with_grid_oracle():
     # independent brute check of T(x) - alpha > gamma at step 1/120
     for k in range(120):
         q = F(k, 120)
-        assert iv_contains(realized.fiber("a"), q) == (F(2, 3) - q > F(1, 4))
+        assert realized.fiber("a").contains(q) == (F(2, 3) - q > F(1, 4))
 
 
 def test_subbasis_pi2_negative_gamma():
     topo = const_topo()
-    assert subbasis_realize(pi2(F(-1, 2)), topo) == whole_cylinder(AB)
+    assert subbasis_realize(pi2(F(-1, 2)), topo) == cyl_complement(empty_cylinder(AB))
 
 
 def test_subbasis_tstar_zero_is_psi_star():
@@ -188,20 +186,20 @@ def test_open_realize_clause_example():
     for k in range(120):
         q = F(k, 120)
         brute = (F(2, 3) - q > F(1, 4)) and (q > F(1, 3))
-        assert iv_contains(realized.fiber("a"), q) == brute
+        assert realized.fiber("a").contains(q) == brute
 
 
 def test_open_realize_pi2_whole():
     topo = const_topo()
     expr = OpenExpr(((pi2(F(-1, 2)),),))
-    assert open_realize(expr, topo) == whole_cylinder(AB)
+    assert open_realize(expr, topo) == cyl_complement(empty_cylinder(AB))
 
 
 def test_fiber_membership_strictness():
     below = psi_star(FuzzySet.constant(AB, F(1, 3)))
-    assert not iv_contains(below.fiber("a"), F(1, 3))
-    assert iv_contains(below.fiber("a"), 0)
-    assert iv_contains(whole_cylinder(AB).fiber("a"), 0)
+    assert not below.fiber("a").contains(F(1, 3))
+    assert below.fiber("a").contains(0)
+    assert cyl_complement(empty_cylinder(AB)).fiber("a").contains(0)
 
 
 def test_cyl_complement_examples():
@@ -209,8 +207,9 @@ def test_cyl_complement_examples():
     comp = cyl_complement(below)
     expect = make_interval(F(1, 3), 1, True, False)
     assert comp.fibers == (expect, expect)
-    assert cyl_complement(whole_cylinder(AB)) == empty_cylinder(AB)
-    assert cyl_complement(empty_cylinder(AB)) == whole_cylinder(AB)
+    whole = cyl_complement(empty_cylinder(AB))
+    assert whole.fibers == (make_interval(0, 1, True, False),) * 2
+    assert cyl_complement(whole) == empty_cylinder(AB)
 
 
 def test_complement_compat_counterexample():

@@ -5,6 +5,7 @@ import pytest
 
 from fuzzcyl import (
     Const,
+    CylPoint,
     FuzzySet,
     VerticalAffine,
     chi_eval,
@@ -14,7 +15,6 @@ from fuzzcyl import (
     fz_indicator,
     ground,
     is_complement,
-    point,
 )
 from fuzzcyl import checks
 from fuzzcyl.paths import pasting_failure
@@ -75,7 +75,7 @@ def test_check_functoriality_composable_verticals():
 def test_check_functoriality_constant_morphism():
     gs = ground("y", "z")
     fuzzy = FuzzySet.constant(gs, F(1, 3))
-    c = Const(point("z", F(1, 2)))
+    c = Const(CylPoint("z", F(1, 2)))
     assert check_functoriality(fuzzy, "y", c, c)
     # morphism evaluation of a constant path is eta-independent
     fy = fuzzy("y")

@@ -1,10 +1,13 @@
-"""Every imported name is used by the module that imports it, and only
-``intervals`` reads or writes boundary keys.
+"""Every imported name is used by the module that imports it, only
+``intervals`` reads or writes boundary keys, and every public name of
+``src/fuzzcyl`` has a caller.
 
-The package ``__init__`` is exempt from both: its imports are the exports.
+The package ``__init__`` is exempt from all three: its imports are the
+exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,82 @@ def test_guard_sees_key_handling():
                "    return IntervalSet(a.den, a.keys[::-1])\n")
     assert key_uses(planted) == ["import _reduced (line 1)", "import canonical (line 1)",
                                  "IntervalSet(...) (line 4)", ".keys (line 4)"]
+
+
+# Public names of src/fuzzcyl that no src module, benchmark script or read
+# in their own module needs, each kept for the reason given.
+ALLOWED = {
+    "make_interval": "the one level-set constructor clipped to J, which tests build sets with",
+    "fence_between": "the shortest fence of the base order, which roadmap item 4 builds on",
+    "component_cylinder_expr": "the open expression of component x J, roadmap item 1's start",
+    "sweep_continuity_rule": "the sweep of acceptance criterion 8",
+    "sweep_complement": "the sweep of acceptance criterion 9",
+    "path_to_json": "the path writer, which the pinned draw digests of the tests use",
+    "path_from_json": "the path reader, which the README documents",
+}
+
+
+def defined_names(node: ast.stmt) -> list[str]:
+    """The public names a top-level statement defines: a def's or class's
+    name, or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def uncalled_names(sources: dict[str, str], bench: str) -> list[str]:
+    """Each top-level public name of the modules in ``sources`` (module name
+    to text) with no caller: no other module imports it, its own module
+    reads it nowhere outside its own definition, ``bench`` (the text of the
+    benchmark scripts) never names it, and ``ALLOWED`` does not hold it."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    imported = {(node.module, alias.name)
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    named = set(re.findall(r"\w+", bench))
+    found = []
+    for module, tree in trees.items():
+        reads = {node.id for stmt in tree.body for node in ast.walk(stmt)
+                 if isinstance(node, ast.Name) and node.id not in defined_names(stmt)}
+        for stmt in tree.body:
+            for name in defined_names(stmt):
+                if not ((module, name) in imported or name in reads
+                        or name in named or name in ALLOWED):
+                    found.append(f"{module}.{name} (line {stmt.lineno})")
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    bench = "\n".join(p.read_text(encoding="utf-8")
+                      for p in sorted((ROOT / "bench").glob("*.py")))
+    assert uncalled_names(sources, bench) == []
+
+
+def test_guard_sees_an_uncalled_name():
+    sources = {
+        "a": ("from .b import used\n"
+              "LIMIT = 3\n"
+              "def spare():\n"
+              "    return spare()\n"
+              "def read():\n"
+              "    return LIMIT\n"
+              "class Kept:\n"
+              "    pass\n"
+              "def _private():\n"
+              "    pass\n"),
+        "b": ("def used():\n"
+              "    pass\n"
+              "def benched():\n"
+              "    pass\n"
+              "def make_interval():\n"
+              "    pass\n"),
+    }
+    assert uncalled_names(sources, "LAYERS = ('benched', 'Kept')") == \
+        ["a.spare (line 3)", "a.read (line 5)"]

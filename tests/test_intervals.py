@@ -1,15 +1,12 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from interval_ref import Interval, build, parts
 
 from fuzzcyl import (
     EMPTY_SET,
-    WHOLE_J,
     iv_complement_in_J,
-    iv_contains,
     iv_intersect,
     iv_subset,
     iv_supremum,
@@ -61,7 +58,7 @@ def test_iv_span_matches_make_interval():
 def test_union_adjacent_merge():
     a = make_interval(0, F(1, 3), True, False)
     b = make_interval(F(1, 3), 1, True, False)
-    assert iv_union(a, b) == WHOLE_J
+    assert iv_union(a, b) == make_interval(0, 1, True, False)
 
 
 def test_union_identity():
@@ -95,24 +92,24 @@ def test_intersect_mixed_flags_with_grid_oracle():
     for k in range(120):
         q = F(k, 120)
         brute = (0 <= q < F(5, 12)) and (F(1, 3) < q < 1)
-        assert iv_contains(got, q) == brute
+        assert got.contains(q) == brute
 
 
 def test_complement_examples():
     assert iv_complement_in_J(make_interval(0, F(1, 3), True, False)) == \
         make_interval(F(1, 3), 1, True, False)
-    assert iv_complement_in_J(EMPTY_SET) == WHOLE_J
+    assert iv_complement_in_J(EMPTY_SET) == make_interval(0, 1, True, False)
     got = iv_complement_in_J(make_interval(F(1, 3), 1, False, False))
     assert parts(got) == (Interval(F(0), F(1, 3), True, True),)
 
 
 def test_contains_flags():
-    assert not iv_contains(make_interval(0, F(1, 3), True, False), F(1, 3))
+    assert not make_interval(0, F(1, 3), True, False).contains(F(1, 3))
     closed = build([Interval(F(0), F(1, 3), True, True)])
-    assert iv_contains(closed, F(1, 3))
-    assert not iv_contains(EMPTY_SET, 0)
-    with pytest.raises(ValueError):
-        iv_contains(EMPTY_SET, 1)
+    assert closed.contains(F(1, 3))
+    assert not EMPTY_SET.contains(0)
+    # total on rationals: a parameter set holds the point 1
+    assert make_unit_interval(0, 1, True, True).contains(F(1))
 
 
 def test_supremum():
@@ -194,4 +191,4 @@ def test_membership_coherence_on_grid(a):
     for k in range(240):
         q = F(k, 240)
         brute = any(p.contains(q) for p in parts(a))
-        assert iv_contains(a, q) == brute
+        assert a.contains(q) == brute

@@ -12,10 +12,8 @@ from fuzzcyl import (
     GridOracle,
     empty_cylinder,
     ground,
-    iv_contains,
     oracle_rasterize,
     psi_star,
-    whole_cylinder,
 )
 from fuzzcyl import (
     FuzzyTopology,
@@ -49,18 +47,18 @@ AB = ground("a", "b")
 def test_rasterize_psi_third():
     raster = oracle_rasterize(psi_star(FuzzySet.constant(AB, F(1, 3))), 6)
     for x in ("a", "b"):
-        assert [raster.cell(x, k) for k in range(6)] == \
+        assert [raster.cells[AB.index(x)][k] for k in range(6)] == \
             [True, True, False, False, False, False]
 
 
 def test_rasterize_whole_and_empty():
-    assert all(all(vec) for vec in oracle_rasterize(whole_cylinder(AB), 4).cells)
+    assert all(all(vec) for vec in oracle_rasterize(cyl_complement(empty_cylinder(AB)), 4).cells)
     assert not any(any(vec) for vec in oracle_rasterize(empty_cylinder(AB), 4).cells)
 
 
 def test_rasterize_rejects_small_resolution():
     with pytest.raises(ValueError):
-        oracle_rasterize(whole_cylinder(AB), 1)
+        oracle_rasterize(cyl_complement(empty_cylinder(AB)), 1)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -96,7 +94,7 @@ XYZ = ground("x", "y", "z")
 
 
 def reference_raster(c, resolution):
-    return tuple(tuple(iv_contains(c.fiber(x), Fraction(k, resolution))
+    return tuple(tuple(c.fiber(x).contains(Fraction(k, resolution))
                        for k in range(resolution))
                  for x in c.ground.elements)
 
@@ -144,9 +142,9 @@ def test_key_raster_flags_on_the_grid(lo_closed, hi_closed):
     for n in (3, 4, 7, 64, 100):
         raster = oracle_rasterize(c, n)
         assert raster.cells == reference_raster(c, n)
-        assert raster.cell("b", 0) and not any(raster.cells[1][1:])
+        assert raster.cells[AB.index("b")][0] and not any(raster.cells[1][1:])
     raster = oracle_rasterize(c, 4)
-    assert (raster.cell("a", 1), raster.cell("a", 2)) == (lo_closed, hi_closed)
+    assert raster.cells[AB.index("a")][1:3] == (lo_closed, hi_closed)
 
 
 # ---------------------------------------------------------------------------

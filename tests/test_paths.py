@@ -18,7 +18,6 @@ from fuzzcyl import (
     HTransform,
     Reverse,
     VerticalAffine,
-    chi_boundary,
     chi_eval,
     continuity_failure,
     eval_path,
@@ -34,7 +33,6 @@ from fuzzcyl import (
     path_preimage,
     path_to_json,
     pi2,
-    point,
     specialization_preorder,
     subbasis_realize,
     tstar,
@@ -90,7 +88,7 @@ def test_kappa_examples():
 
 def test_eval_path_parameter_range():
     path = VerticalAffine("x", F(0), F(1, 2))
-    assert eval_path(path, 1) == point("x", F(1, 2))
+    assert eval_path(path, 1) == CylPoint("x", F(1, 2))
     for u in (F(-1, 64), F(65, 64), 2):
         with pytest.raises(ValueError):
             eval_path(path, u)
@@ -102,7 +100,7 @@ def test_eval_path_parameter_range():
 
 def test_eval_vertical_affine():
     path = VerticalAffine("x", F(0), F(1, 2))
-    assert eval_path(path, F(1, 2)) == point("x", F(1, 4))
+    assert eval_path(path, F(1, 2)) == CylPoint("x", F(1, 4))
 
 
 def test_eval_h_transform_collapse_and_identity():
@@ -136,9 +134,9 @@ def test_fence_path_evaluation_convention():
 
 
 def test_chi_eval_examples():
-    rho = Const(point("z", F(1, 2)))
-    assert chi_eval(rho, 0, 1, F(1, 5), 0) == point("z", F(1, 2))
-    assert chi_eval(rho, 0, 1, F(1, 5), F(1, 2)) == point("z", F(1, 4))
+    rho = Const(CylPoint("z", F(1, 2)))
+    assert chi_eval(rho, 0, 1, F(1, 5), 0) == CylPoint("z", F(1, 2))
+    assert chi_eval(rho, 0, 1, F(1, 5), F(1, 2)) == CylPoint("z", F(1, 4))
     rng = random.Random(3)
     for _ in range(10):
         eta = F(rng.randint(0, 8), 8)
@@ -148,17 +146,21 @@ def test_chi_eval_examples():
 
 
 def test_chi_boundary_examples():
-    rho = Const(point("y", F(1, 2)))
-    path = chi_boundary(rho, 0, 1, 0)
-    assert path == VerticalAffine("y", F(1, 2), F(0))
-    degenerate = chi_boundary(rho, F(1, 3), F(1, 3), 0)
-    assert degenerate.a0 == degenerate.a1 == F(1, 3)
+    rho = Const(CylPoint("y", F(1, 2)))
+    assert path_table(ChiBoundary(rho, F(0), F(1), 0)) == \
+        path_table(VerticalAffine("y", F(1, 2), F(0)))
+    assert path_table(ChiBoundary(rho, F(1, 3), F(1, 3), 0)) == \
+        path_table(VerticalAffine("y", F(1, 3), F(1, 3)))
     # the canonical vertical connector between (y,alpha) and (y,beta)
     alpha, beta = F(1, 2), F(1, 4)
-    conn = chi_boundary(Const(point("y", alpha)), 0, 1 - beta / alpha, 0)
-    assert path_start(conn) == point("y", alpha)
-    assert path_end(conn) == point("y", beta)
-    assert conn == VerticalAffine("y", alpha, beta)
+    conn = ChiBoundary(Const(CylPoint("y", alpha)), F(0), 1 - beta / alpha, 0)
+    assert path_start(conn) == CylPoint("y", alpha)
+    assert path_end(conn) == CylPoint("y", beta)
+    assert path_table(conn) == path_table(VerticalAffine("y", alpha, beta))
+    # end 1 anchors on the last point of rho
+    rho = VerticalAffine("y", F(1, 4), F(3, 4))
+    assert path_table(ChiBoundary(rho, F(1, 3), F(1, 2), 1)) == \
+        path_table(VerticalAffine("y", F(1, 2), F(3, 8)))
 
 
 def path_in_open(e, open_set):
@@ -209,7 +211,7 @@ def test_path_preimage_open_examples():
     assert pre == make_unit_interval(0, 1, True, True)
     assert is_open_in_unit(pre)
 
-    const = Const(point("x", F(1, 3)))
+    const = Const(CylPoint("x", F(1, 3)))
     for gamma in (F(1, 4), F(1, 2)):
         assert is_open_in_unit(
             path_preimage(const, subbasis_realize(tstar(name_x, gamma), topo_x)))
@@ -281,7 +283,7 @@ HLIFT_DOC = {"type": "hlift", "base": {"steps": ["a", "b"], "interiors": ["b"]},
 ], ids=["interior-outside", "interior-other-segment", "steps-not-strings",
         "step-list", "interior-none", "no-steps"])
 def test_fence_path_checks_its_entries(base, error):
-    assert eval_path(path_from_json(HLIFT_DOC), F(1, 2)) == point("b", F(1, 4))
+    assert eval_path(path_from_json(HLIFT_DOC), F(1, 2)) == CylPoint("b", F(1, 4))
     with pytest.raises(error):
         path_from_json({**HLIFT_DOC, "base": base})
     with pytest.raises(error):
@@ -300,7 +302,7 @@ def test_path_documents_take_string_elements(doc):
 @pytest.mark.parametrize("read", [path_table, path_to_json])
 def test_a_point_is_not_a_path(read):
     with pytest.raises(TypeError, match=r"^not a path expression: \(a,1/2\)$"):
-        read(point("a", F(1, 2)))
+        read(CylPoint("a", F(1, 2)))
 
 
 def test_make_fence_path_rejects_incomparable():
@@ -315,8 +317,8 @@ def test_functor_object_path_examples():
     gs = ground("y", "z")
     F_set = FuzzySet.from_dict(gs, {"y": F(1, 4), "z": F(0)})
     path = functor_object_path(F_set, "y", "z", F(1, 2))
-    assert path_start(path) == point("z", F(3, 8))
-    assert path_end(path) == point("z", F(1, 8))
+    assert path_start(path) == CylPoint("z", F(3, 8))
+    assert path_end(path) == CylPoint("z", F(1, 8))
 
     half = FuzzySet.constant(gs, F(1, 2))
     const = functor_object_path(half, "y", "z", F(1, 2))
@@ -335,7 +337,7 @@ def test_normalize_path_pushes_reverse():
 
 
 def test_normal_form_merges_pass_through_breakpoints():
-    p = point("a", F(1, 3))
+    p = CylPoint("a", F(1, 3))
     assert normalize_path(Concat((Const(p), Const(p)))) == normalize_path(Const(p))
     # a straight segment split in two is the segment
     halves = Concat((VerticalAffine("a", F(0), F(1, 4)),
@@ -345,11 +347,11 @@ def test_normal_form_merges_pass_through_breakpoints():
 
 def test_normal_form_is_reduced_to_the_smallest_denominator():
     # equal maps whose compiled tables carry different denominators
-    third = Const(point("a", F(1, 3)))
-    half = Const(point("a", F(1, 2)))
+    third = Const(CylPoint("a", F(1, 3)))
+    half = Const(CylPoint("a", F(1, 2)))
     pairs = [
         (Concat((third, third)), third),
-        (HTransform(F(1, 3), Const(point("a", F(3, 4)))), half),
+        (HTransform(F(1, 3), Const(CylPoint("a", F(3, 4)))), half),
         (Concat((VerticalAffine("a", F(0), F(1, 3)), VerticalAffine("a", F(1, 3), F(2, 3)))),
          VerticalAffine("a", F(0), F(2, 3))),
         (Reverse(HTransform(F(2, 3), VerticalAffine("a", F(3, 5), F(0)))),
@@ -364,7 +366,7 @@ def test_normal_form_is_reduced_to_the_smallest_denominator():
 def test_normal_form_keeps_a_breakpoint_the_path_leaves():
     # b on both segments, a only at u = 1/2
     dip = HLift(FencePath(("b", "a", "b"), ("b", "b")), F(1, 4))
-    flat = Const(point("b", F(1, 4)))
+    flat = Const(CylPoint("b", F(1, 4)))
     assert eval_path(dip, F(1, 2)) != eval_path(flat, F(1, 2))
     assert all(eval_path(dip, u) == eval_path(flat, u)
                for u in (F(0), F(1, 3), F(2, 3), F(1)))
@@ -381,14 +383,14 @@ def test_path_json_round_trip():
 
 
 def test_chi_boundary_end_is_the_json_integer_0_or_1():
-    doc = path_to_json(ChiBoundary(Const(point("a", F(1, 2))), F(0), F(1, 2), 1))
+    doc = path_to_json(ChiBoundary(Const(CylPoint("a", F(1, 2))), F(0), F(1, 2), 1))
     assert path_from_json(doc).end == 1
     for end in (1.7, 1.0, "1", True, False, 2, -1, None):
         with pytest.raises(ValueError):
             path_from_json({**doc, "end": end})
-        # the function the node compiles through takes the same ends
+        # the node checks its end when built
         with pytest.raises(ValueError, match="end must be the integer 0 or 1"):
-            chi_boundary(Const(point("a", F(1, 2))), 0, F(1, 2), end)
+            ChiBoundary(Const(CylPoint("a", F(1, 2))), F(0), F(1, 2), end)
 
 
 def _path_documents():
@@ -428,7 +430,7 @@ def test_random_paths_match_endpoint_threading():
     rng = random.Random(10)
     for _ in range(20):
         topo = random_topology(rng, max_generators=2, max_den=6)
-        start = point(topo.ground.elements[0], F(1, 8))
+        start = CylPoint(topo.ground.elements[0], F(1, 8))
         path = random_path(rng, topo, start=start)
         assert path_start(path) == start
 

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from fuzzcyl import (
-    EMPTY_SET,
     ChiBoundary,
     Const,
     CylPoint,
@@ -14,14 +13,12 @@ from fuzzcyl import (
     HTransform,
     IntervalSet,
     VerticalAffine,
-    chi_boundary,
     chi_eval,
     eval_path,
     frac,
     functor_object_path,
     ground,
     h_eval,
-    iv_contains,
     kappa,
     make_interval,
     make_unit_interval,
@@ -53,7 +50,6 @@ SITES = [
     ("make_interval.hi", lambda q: make_interval(1, q, True, True), False, True),
     ("make_unit_interval.lo", lambda q: make_unit_interval(q, 0, True, True), False, True),
     ("make_unit_interval.hi", lambda q: make_unit_interval(1, q, True, True), False, True),
-    ("iv_contains", lambda q: iv_contains(EMPTY_SET, q), True, True),
     ("kappa.s", lambda q: kappa(q, 0, 0), False, True),
     ("kappa.t", lambda q: kappa(0, q, 0), False, True),
     ("kappa.x", lambda q: kappa(0, 0, q), False, True),
@@ -63,8 +59,6 @@ SITES = [
     ("HTransform", lambda q: HTransform(q, START), False, False),
     ("ChiBoundary.s", lambda q: ChiBoundary(START, q, F(0), 0), False, False),
     ("ChiBoundary.t", lambda q: ChiBoundary(START, F(0), q, 0), False, False),
-    ("chi_boundary.s", lambda q: chi_boundary(START, q, 0, 0), False, True),
-    ("chi_boundary.t", lambda q: chi_boundary(START, 0, q, 0), False, True),
     ("eval_path", lambda q: eval_path(START, q), False, True),
     # the row kernels check every value of a grid, here one in its middle
     ("eval_keys", lambda q: eval_keys(START, [0, F(1, 4), q, 1]), False, True),

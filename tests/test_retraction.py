@@ -13,22 +13,21 @@ from fuzzcyl import (
     ground,
     h_eval,
     h_image_of_box,
-    iv_contains,
     make_interval,
     make_unit_interval,
     pi2,
-    point,
     sigma_image,
     sigma_image_subbasis,
     singleton,
     subbasis_realize,
     tstar,
     verify_witness,
-    whole_cylinder,
 )
 from fuzzcyl.cylinder import (
     CylinderOpen,
     complement_compat,
+    cyl_complement,
+    empty_cylinder,
     psi_star,
     recover_membership,
     subbasis_elements,
@@ -57,34 +56,32 @@ def open_with_levels(topo, value):
 
 
 def test_h_eval_examples():
-    assert h_eval(F(1, 2), point("x", F(2, 3))) == point("x", F(1, 3))
-    assert h_eval(1, point("x", F(3, 4))) == point("x", 0)
-    assert h_eval(0, point("x", F(3, 4))) == point("x", F(3, 4))
+    assert h_eval(F(1, 2), CylPoint("x", F(2, 3))) == CylPoint("x", F(1, 3))
+    assert h_eval(1, CylPoint("x", F(3, 4))) == CylPoint("x", F(0))
+    assert h_eval(0, CylPoint("x", F(3, 4))) == CylPoint("x", F(3, 4))
     with pytest.raises(ValueError):
-        h_eval(F(3, 2), point("x", 0))
+        h_eval(F(3, 2), CylPoint("x", F(0)))
     with pytest.raises(ValueError):
-        h_eval(F(-1, 2), point("x", 0))
+        h_eval(F(-1, 2), CylPoint("x", F(0)))
 
 
 def test_cyl_point_rejects_inexact_and_out_of_range_levels():
     with pytest.raises(TypeError):
         CylPoint("x", 0.5)
-    with pytest.raises(TypeError):
-        point("x", 0.5)
     for alpha in (F(1), F(-1, 3), F(4, 3), 1, -1):
         with pytest.raises(ValueError):
             CylPoint("x", alpha)
-    assert CylPoint("x", 0) == point("x", F(0))
+    assert CylPoint("x", 0) == CylPoint("x", F(0))
     assert CylPoint("x", F(2, 3)).alpha == F(2, 3)
 
 
 def test_retraction_is_the_homotopy_at_time_one():
-    assert h_eval(1, point("x", F(1, 3))) == point("x", 0)
-    assert h_eval(1, point("x", 0)) == point("x", 0)
+    assert h_eval(1, CylPoint("x", F(1, 3))) == CylPoint("x", F(0))
+    assert h_eval(1, CylPoint("x", F(0))) == CylPoint("x", F(0))
     rng = random.Random(5)
     for _ in range(20):
         p = random_point(rng, AB)
-        assert h_eval(1, p) == point(p.x, 0)
+        assert h_eval(1, p) == CylPoint(p.x, F(0))
 
 
 def test_h_image_of_box_envelope_with_grid_oracle():
@@ -97,8 +94,8 @@ def test_h_image_of_box_envelope_with_grid_oracle():
     for i in range(61, 91):  # t = i/120 in [1/2, 3/4]
         for j in range(60):  # alpha = j/120 in [0, 1/2)
             hits.add((1 - F(i, 120)) * F(j, 120))
-    assert all(iv_contains(image.fiber("a"), v) for v in hits)
-    assert not iv_contains(image.fiber("a"), F(1, 4))
+    assert all(image.fiber("a").contains(v) for v in hits)
+    assert not image.fiber("a").contains(F(1, 4))
 
 
 def test_h_image_collapse_and_identity():
@@ -113,7 +110,7 @@ def test_witness_case_t0_tstar():
     topo = const_topo("2/3")
     name = open_with_levels(topo, F(2, 3))
     target = tstar(name, 0)
-    w = continuity_witness(0, point("a", F(1, 3)), target, topo)
+    w = continuity_witness(0, CylPoint("a", F(1, 3)), target, topo)
     assert w.t_interval == build([Interval(F(0), F(1, 2), True, False)])
     assert w.region == subbasis_realize(target, topo)
     assert verify_witness(w, topo)
@@ -121,16 +118,16 @@ def test_witness_case_t0_tstar():
 
 def test_witness_case_t1_pi2():
     topo = const_topo()
-    w = continuity_witness(1, point("a", 0), pi2(F(-1, 2)), topo)
+    w = continuity_witness(1, CylPoint("a", F(0)), pi2(F(-1, 2)), topo)
     assert w.t_interval == build([Interval(F(1, 2), F(1), False, True)])
-    assert w.region == whole_cylinder(AB)
+    assert w.region == cyl_complement(empty_cylinder(AB))
     assert verify_witness(w, topo)
 
 
 def test_witness_case_interior_tstar():
     topo = const_topo("2/3")
     name = open_with_levels(topo, F(2, 3))
-    w = continuity_witness(F(1, 2), point("a", F(1, 4)),
+    w = continuity_witness(F(1, 2), CylPoint("a", F(1, 4)),
                            tstar(name, F(1, 8)), topo)
     assert verify_witness(w, topo)
 
@@ -145,11 +142,11 @@ def test_witness_fails_when_box_is_too_generous():
     region_expr = OpenExpr(((tstar(name, 0),),))
     region = open_realize(region_expr, topo)
     bad = BoxWitness(make_unit_interval(F(0), F(1), True, True), region_expr, region,
-                     target, F(1, 2), point("a", F(1, 4)))
+                     target, F(1, 2), CylPoint("a", F(1, 4)))
     assert not verify_witness(bad, topo)
     # a pi2 target escapes under widening too: collapsing to the slice drops
     # below any positive gamma
-    w = continuity_witness(F(1, 2), point("a", F(1, 2)), pi2(F(1, 8)), topo)
+    w = continuity_witness(F(1, 2), CylPoint("a", F(1, 2)), pi2(F(1, 8)), topo)
     assert verify_witness(w, topo)
     widened = BoxWitness(make_unit_interval(F(0), F(1), True, True), w.region_expr,
                          w.region, w.target, w.anchor_t, w.anchor)
@@ -160,7 +157,7 @@ def test_witness_precondition_enforced():
     topo = const_topo("1/3")
     name = open_with_levels(topo, F(1, 3))
     with pytest.raises(ValueError):
-        continuity_witness(0, point("a", F(1, 2)), tstar(name, 0), topo)
+        continuity_witness(0, CylPoint("a", F(1, 2)), tstar(name, 0), topo)
 
 
 def test_sigma_image_subbasis_examples():
@@ -218,11 +215,11 @@ def test_down_closure_of_tstar_preimages():
         t = F(i, 8)
         for j in range(16):
             alpha = F(j, 16)
-            img = h_eval(t, point("a", alpha))
-            if iv_contains(target.fiber("a"), img.alpha):
+            img = h_eval(t, CylPoint("a", alpha))
+            if target.fiber("a").contains(img.alpha):
                 for k in range(j + 1):
-                    lower = h_eval(t, point("a", F(k, 16)))
-                    assert iv_contains(target.fiber("a"), lower.alpha)
+                    lower = h_eval(t, CylPoint("a", F(k, 16)))
+                    assert target.fiber("a").contains(lower.alpha)
 
 
 def test_witness_soundness_random():
@@ -280,7 +277,7 @@ def test_random_anchor_matches_reference_draws():
 def test_witness_json_round_trip():
     topo = const_topo("2/3")
     name = open_with_levels(topo, F(2, 3))
-    w = continuity_witness(F(1, 2), point("a", F(1, 4)),
+    w = continuity_witness(F(1, 2), CylPoint("a", F(1, 4)),
                            tstar(name, F(1, 8)), topo)
     again = BoxWitness.from_json(topo.ground, w.to_json())
     assert again == w

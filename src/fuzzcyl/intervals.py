@@ -11,19 +11,22 @@ it, so a closed lower or open upper end is 2n and an open lower or closed
 upper end 2n+1.  ``keys`` is a strictly increasing, even-length tuple of
 half-open [start, end) pairs, and J is [0, 2·den).  It is the only interval
 type: ``canonical`` normalizes any finite collection of key pairs over one
-denominator (sorted, merged, reduced), the JSON reader checks each
-interval's ends and flags in integers and hands its key pairs to
-``canonical``, and the writer and ``repr`` format the ends from the keys.
-Union, intersection and subset make one linear merge over a common
-denominator, the complement in J toggles against [0, 2·den), the preimage
-of a set under an affine map u -> (c0 + c1·u)/d maps each key and clips
-to [0,1] (``iv_preimage``; the reflection q -> 1 - q is the one with
-c0 = d = 1 and c1 = -1), the image under a one-pair scale set maps each
-pair and makes one merge (and lies in one interval when its two outer
-scaled ends do, ``iv_scale_within``), membership is one bisection, and
-the levels k/N of a grid are filled pair by pair (``iv_grid``).  Results
-are reduced to the least denominator, so structural equality is set
-equality.  No other module reads or writes keys.
+denominator (sorted, merged, reduced) and is the module's only
+sort-and-merge.  The JSON reader checks each interval's ends and flags in
+integers and hands its key pairs to ``canonical``, and the writer and
+``repr`` format the ends from the keys.  The union of any number of sets
+is ``canonical`` of their key pairs over the lcm of their denominators,
+a subset is a set whose union with the other is the other, and the image
+under a one-pair scale set is ``canonical`` of the scaled pairs (and lies
+in one interval when its two outer scaled ends do, ``iv_scale_within``).
+Intersection is one two-pointer pass over a common denominator, the
+complement in J toggles against [0, 2·den), the preimage of a set under
+an affine map u -> (c0 + c1·u)/d maps each key and clips to [0,1]
+(``iv_preimage``; the reflection q -> 1 - q is the one with c0 = d = 1
+and c1 = -1), membership is one bisection, and the levels k/N of a grid
+are filled pair by pair (``iv_grid``).  Results are reduced to the least
+denominator, so structural equality is set equality.  No other module
+reads or writes keys.
 """
 
 from __future__ import annotations
@@ -131,34 +134,23 @@ def _common(a: IntervalSet, b: IntervalSet):
                    for s in (a, b)))
 
 
-def _merge(x, y) -> list[int]:
-    """Union of two key sequences with pairs sorted by start: one pass, joining
-    a pair to the last one when it starts at or before that one's end."""
-    out: list[int] = []
-    i = j = 0
-    while i < len(x) or j < len(y):
-        if j == len(y) or (i < len(x) and x[i] <= y[j]):
-            s, e = x[i], x[i + 1]
-            i += 2
-        else:
-            s, e = y[j], y[j + 1]
-            j += 2
-        if out and s <= out[-1]:
-            out[-1] = max(out[-1], e)
-        else:
-            out += (s, e)
-    return out
-
-
 EMPTY_SET = IntervalSet(1, ())
 
 
 def canonical(den: int, pairs: Iterable[tuple[int, int]]) -> IntervalSet:
     """The canonical set of any finite collection of key pairs [s, e) over
-    ``den``: the pairs with s < e sorted, merged and reduced; the others
-    are empty and dropped."""
-    pairs = sorted(pair for pair in pairs if pair[0] < pair[1])
-    return _reduced(den, _merge([k for pair in pairs for k in pair], ()))
+    ``den``: the pairs sorted, each with s < e joined to the last kept one
+    when it starts at or before that one's end, the others (empty) dropped,
+    and the result reduced.  It is the one sort-and-merge of the module."""
+    out: list[int] = []
+    for s, e in sorted(pairs):
+        if s >= e:
+            continue
+        if out and s <= out[-1]:
+            out[-1] = max(out[-1], e)
+        else:
+            out += (s, e)
+    return _reduced(den, out)
 
 
 def _build(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> IntervalSet:
@@ -190,11 +182,16 @@ def singleton(q) -> IntervalSet:
     return make_unit_interval(q, q, True, True)
 
 
-def iv_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    if not (a.keys and b.keys):
-        return a if a.keys else b
-    den, x, y = _common(a, b)
-    return _reduced(den, _merge(x, y))
+def iv_union(*sets: IntervalSet) -> IntervalSet:
+    """The union of any number of sets: ``canonical`` of all their key pairs
+    over the lcm of their denominators.  Empty sets are dropped, and a lone
+    set is returned as it is."""
+    sets = [s for s in sets if s.keys]
+    if len(sets) < 2:
+        return sets[0] if sets else EMPTY_SET
+    den = lcm(*(s.den for s in sets))
+    keys = [2 * (k >> 1) * (den // s.den) + (k & 1) for s in sets for k in s.keys]
+    return canonical(den, zip(keys[::2], keys[1::2]))
 
 
 def iv_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -258,27 +255,28 @@ def _scaled_pair(s: int, e: int, cs: int, ce: int) -> tuple[int, int]:
 
 def iv_scale(a: IntervalSet, c: IntervalSet) -> IntervalSet:
     """Exact image {c·v : c in C, v in a} under a nonnegative one-pair scale
-    set C = [p1, p2]/dc, pair by pair over dc·den.  Numerators u <= v map
-    to p1·u and p2·v.  The high end is closed when both factors' are; the
-    low end likewise, except at 0, which it holds when either factor attains
-    0.  A pair whose high end is 0 maps to {0}.  The images start in the
-    order of their pairs (strictly increasing u unless p1 = 0, when only the
-    first pair can start closed), so one merge canonicalizes them."""
+    set C = [p1, p2]/dc: the image of each pair over dc·den, handed to
+    ``canonical``.  Numerators u <= v map to p1·u and p2·v.  The high end
+    is closed when both factors' are; the low end likewise, except at 0,
+    which it holds when either factor attains 0.  A pair whose high end is
+    0 maps to {0}."""
     cs, ce = c.keys
     k = a.keys
-    keys: list[int] = []
-    for s, e in zip(k[::2], k[1::2]):
-        keys += _scaled_pair(s, e, cs, ce)
-    return _reduced(c.den * a.den, _merge(keys, ()))
+    return canonical(c.den * a.den, [_scaled_pair(s, e, cs, ce)
+                                     for s, e in zip(k[::2], k[1::2])])
 
 
 def iv_scale_within(a: IntervalSet, c: IntervalSet, b: IntervalSet) -> bool:
     """``iv_subset(iv_scale(a, c), b)`` for b empty or one pair, without
-    building the image.  The images of a's pairs start and end in the order
-    of the pairs (see ``iv_scale``), so the image's least key is the scaled
-    low end of a's first pair and its greatest the scaled high end of a's
-    last pair; the image lies in b exactly when both of those ends do.  A
-    b of several pairs raises ``ValueError``."""
+    building the image.  The scaled pairs start and end in the order of a's
+    pairs, whose numerators u and v strictly increase from pair to pair: the
+    ends p1·u and p2·v do too when p1 and p2 are positive; when p1 = 0 the
+    low ends are the keys 0 and 1 and never decrease (a later pair has
+    u > 0, so it holds 0 only when C does, and then so does the first);
+    when p2 = 0 every pair maps to {0}.  So the image's least key is the
+    scaled low end of a's first pair and its greatest the scaled high end
+    of a's last pair, and the image lies in b exactly when both of those
+    ends do.  A b of several pairs raises ``ValueError``."""
     k = a.keys
     if not k:
         return True
@@ -321,15 +319,9 @@ def is_down_set(a: IntervalSet) -> bool:
 
 
 def iv_subset(a: IntervalSet, b: IntervalSet) -> bool:
-    """Each pair of a lies in one pair of b: the first that ends at or after it."""
-    _, x, y = _common(a, b)
-    j = 0
-    for i in range(0, len(x), 2):
-        while j < len(y) and y[j + 1] < x[i + 1]:
-            j += 2
-        if j == len(y) or y[j] > x[i]:
-            return False
-    return True
+    """a lies in b exactly when their union is b: sets are canonical, so
+    equality is set equality."""
+    return iv_union(b, a) == b
 
 
 def is_open_in_unit(a: IntervalSet) -> bool:

@@ -43,7 +43,6 @@ from .base_space import Order, specialization_preorder
 from .cylinder import CylinderOpen
 from .fuzzy import FuzzyTopology
 from .intervals import (
-    EMPTY_SET,
     IntervalSet,
     iv_intersect,
     iv_preimage,
@@ -364,23 +363,21 @@ def chi_eval(rho: PathExpr, s, t, eta, x) -> CylPoint:
 
 def path_preimage(e: PathExpr, open_set: CylinderOpen) -> IntervalSet:
     """Exact parameter set {u in [0,1] : e(u) in open_set}, read off the
-    table: each breakpoint whose point lies in its fiber, and each open
-    piece, whole when it is flat at a level in its fiber (``holds``), or,
-    when sloped, cut to the u whose level (c0 + c1·u)/den lies in its fiber
-    (``iv_preimage``)."""
+    table: the union, in one ``iv_union``, of each breakpoint whose point
+    lies in its fiber, and of each open piece, whole when it is flat at a
+    level in its fiber (``holds``), or, when sloped, cut to the u whose
+    level (c0 + c1·u)/den lies in its fiber (``iv_preimage``)."""
     table = path_table(e)
     den, breaks = table.den, table.breaks
-    out = EMPTY_SET
-    for b, (x, a) in zip(breaks, table.points):
-        if open_set.fiber(x).holds(a, den):
-            out = iv_union(out, singleton(Fraction(b, den)))
+    parts = [singleton(Fraction(b, den)) for b, (x, a) in zip(breaks, table.points)
+             if open_set.fiber(x).holds(a, den)]
     for lo, hi, (x, c0, c1) in zip(breaks, breaks[1:], table.pieces):
         fib, piece = open_set.fiber(x), iv_span(den, lo, hi, True)
         if c1:
-            out = iv_union(out, iv_intersect(piece, iv_preimage(fib, c0, c1, den)))
+            parts.append(iv_intersect(piece, iv_preimage(fib, c0, c1, den)))
         elif fib.holds(c0, den):
-            out = iv_union(out, piece)
-    return out
+            parts.append(piece)
+    return iv_union(*parts)
 
 
 def continuity_failure(e: PathExpr,

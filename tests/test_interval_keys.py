@@ -6,8 +6,8 @@ normalized by sorting and merging neighbours, with open/closed flags
 compared at shared endpoints.  On seeded random sets with mixed
 denominators, including parameter sets that contain 1, the key algebra
 must give the same canonical intervals (``canonical`` of the unmerged key
-pairs), JSON, union, intersection, complement, subset, membership,
-supremum and openness.
+pairs), JSON, union of two and of three sets, intersection, complement,
+subset, membership, supremum and openness.
 The preimage of a set under an affine map u -> (c0 + c1·u)/d is checked
 against the ``Fraction`` statement of each canonical part's preimage and
 against membership of the mapped probes; the reflection q -> 1 - q of
@@ -126,8 +126,13 @@ def probes(*sets):
 @pytest.mark.parametrize("seed", range(4))
 def test_key_algebra_matches_flag_algebra(seed):
     rng = random.Random(8_000 + seed)
+    # the third set of the n-ary union, from its own stream so the pairs
+    # (a, b) are the same draws as before it was added
+    third = random.Random(8_100 + seed)
+    three_nonempty = 0
     for _ in range(1000):
         pa, pb = random_parts(rng), random_parts(rng)
+        pc = random_parts(third)
         a, b = from_pairs(pa), from_pairs(pb)
         ra, rb = normalize(pa), normalize(pb)
         assert parts(a) == ra and parts(b) == rb
@@ -135,6 +140,8 @@ def test_key_algebra_matches_flag_algebra(seed):
         assert a.to_json() == [p.to_json() for p in ra]
         assert IntervalSet.from_json(a.to_json()) == a
         assert parts(iv_union(a, b)) == ref_union(ra, rb)
+        assert parts(iv_union(a, b, from_pairs(pc))) == normalize(pa + pb + pc)
+        three_nonempty += bool(pa and pb and pc)
         assert parts(iv_intersect(a, b)) == ref_intersect(ra, rb)
         assert parts(iv_complement_in_J(a)) == ref_complement(ra)
         assert iv_subset(a, b) == (ref_intersect(ra, rb) == ra)
@@ -144,6 +151,9 @@ def test_key_algebra_matches_flag_algebra(seed):
         for q in probes(ra, rb):
             assert a.contains(q) == ref_contains(ra, q), (ra, q)
             assert b.contains(q) == ref_contains(rb, q), (rb, q)
+    # about half the draws (each set is empty one time in five) union
+    # three nonempty sets, so a union that drops its later sets shows
+    assert three_nonempty >= 400
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -184,6 +194,8 @@ def test_equal_sets_built_differently_share_keys():
             else:
                 halves.append(p)
         same_set(direct, build(given), from_pairs(shuffled), chained, from_pairs(halves),
+                 iv_union(*(from_pairs([p]) for p in shuffled)),
+                 iv_union(*(from_pairs([p]) for p in halves)),
                  IntervalSet.from_json(direct.to_json()),
                  iv_union(direct, direct), iv_intersect(direct, direct))
         if direct.contains(ONE):

@@ -148,6 +148,11 @@ def test_canonical_idempotent(a):
     # the same pairs over 3·den, in reverse order, reduce back to a
     tripled = [(6 * (s >> 1) + (s & 1), 6 * (e >> 1) + (e & 1)) for s, e in reversed(pairs)]
     assert canonical(3 * a.den, tripled) == a
+    # empty pairs, [k, k) and reversed ones, are dropped wherever they sort,
+    # also past the last key, where no pair of a could absorb them
+    top = 2 * a.den + 3
+    empty = [(k, k) for k in a.keys + (top,)] + [(e, s) for s, e in pairs] + [(top + 1, top)]
+    assert canonical(a.den, empty + pairs) == a
 
 
 @given(interval_sets(), interval_sets())

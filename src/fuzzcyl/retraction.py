@@ -3,8 +3,8 @@ continuity certificates.
 
 A certificate is a product box (time interval x cylinder open) around an
 anchor whose exact image under the homotopy lands inside a chosen subbasis
-target.  The epsilon in each box is half the maximal slack admitted by the
-relevant case analysis, so certificates are deterministic.
+target.  Its time box is the epsilon-ball around the anchor time, epsilon
+half the maximal slack the regime admits, so certificates are deterministic.
 """
 
 from __future__ import annotations
@@ -104,24 +104,13 @@ class BoxWitness:
         )
 
 
-def _witness(t_lo, t_hi, lo_closed, hi_closed, clause, topo, target, t, p) -> BoxWitness:
-    expr = OpenExpr((tuple(clause),))
-    return BoxWitness(
-        t_interval=make_unit_interval(t_lo, t_hi, lo_closed, hi_closed),
-        region_expr=expr,
-        region=open_realize(expr, topo),
-        target=target,
-        anchor_t=frac(t),
-        anchor=p,
-    )
-
-
 def continuity_witness(t, p: CylPoint, target: SubbasisElem,
                        topo: FuzzyTopology) -> BoxWitness:
     """Build a box certificate around (t, p) for the given subbasis target.
 
-    Case dispatch mirrors the three regimes t = 1, 0 < t < 1, t = 0; in each
-    the epsilon is half the maximal admissible slack.
+    Each regime (t = 1, 0 < t < 1, t = 0) sets only the clause and eps, half
+    its maximal slack.  The box is {u in [0,1] : |u - t| < eps}, closed at 0
+    or 1 exactly when t is: eps <= 1/2 at the ends, min(t, 1 - t) / 2 inside.
     """
     t = frac(t)
     x, alpha = p.x, p.alpha
@@ -139,34 +128,26 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
                 eps = Fraction(1, 2)
                 clause = [pi2(Fraction(-1))]
             else:
-                eps = min(ONE, alpha) / 2
+                eps = alpha / 2
                 clause = [pi2(alpha - eps)]
-            return _witness(ONE - eps, ONE, False, True, clause, topo, target, t, p)
-        if alpha == ZERO:
+        elif alpha == ZERO:
             eps = Fraction(1, 2)
             clause = [target]
         else:
-            eps = min(ONE, alpha, (tv - gamma) / 2) / 2
+            eps = min(alpha, (tv - gamma) / 2) / 2
             clause = [tstar(target.open_name, max(Fraction(-1), gamma - alpha + 2 * eps)),
                       pi2(alpha - eps)]
-        return _witness(ONE - eps, ONE, False, True, clause, topo, target, t, p)
-
-    if t == ZERO:
-        if target.kind == "pi2":
-            if alpha == ZERO:
-                eps = Fraction(1, 2)
-                clause = [pi2(gamma)]
-            else:
-                bound = ONE if gamma <= 0 else ONE - gamma / alpha
-                eps = min(ONE, bound) / 2
-                clause = [pi2(max(Fraction(-1), gamma / (ONE - eps)))]
-        else:
+    elif t == ZERO:
+        if target.kind != "pi2":
             eps = Fraction(1, 2)
             clause = [target]
-        return _witness(ZERO, eps, True, False, clause, topo, target, t, p)
-
-    # 0 < t < 1
-    if target.kind == "pi2":
+        elif alpha == ZERO:
+            eps = Fraction(1, 2)
+            clause = [pi2(gamma)]
+        else:
+            eps = (ONE if gamma <= 0 else ONE - gamma / alpha) / 2
+            clause = [pi2(max(Fraction(-1), gamma / (ONE - eps)))]
+    elif target.kind == "pi2":
         bounds = [t, ONE - t]
         if alpha > ZERO:
             bounds.append(((ONE - t) * alpha - gamma) / alpha)
@@ -177,7 +158,9 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
         eps = min(t, ONE - t, slack) / 2
         mu = max(Fraction(-1), gamma - alpha * t + eps * (t + ONE))
         clause = [tstar(target.open_name, mu), pi2(max(Fraction(-1), alpha - eps))]
-    return _witness(t - eps, t + eps, False, False, clause, topo, target, t, p)
+    expr = OpenExpr((tuple(clause),))
+    box = make_unit_interval(max(ZERO, t - eps), min(ONE, t + eps), t == ZERO, t == ONE)
+    return BoxWitness(box, expr, open_realize(expr, topo), target, t, p)
 
 
 def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:

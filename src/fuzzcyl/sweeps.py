@@ -39,6 +39,7 @@ from .rationals import ONE, ZERO
 from .retraction import CylPoint
 
 ELEMENT_POOL = ("a", "b", "c", "d", "e", "f")
+ANCHOR_TRIES = 200  # draws before random_anchor returns None
 
 
 def rng_ratio(rng: random.Random, max_den: int = 32,
@@ -143,8 +144,8 @@ def random_path(rng: random.Random, topo: FuzzyTopology, depth: int = 3,
 # ---------------------------------------------------------------------------
 # retraction anchors
 
-def random_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
-                  max_tries: int = 200) -> Optional[tuple[Fraction, CylPoint, SubbasisElem]]:
+def random_anchor(rng: random.Random, topo: FuzzyTopology,
+                  case: str) -> Optional[tuple[Fraction, CylPoint, SubbasisElem]]:
     """A (t, point, target) triple satisfying the witness precondition.
 
     case selects the proof regime: "zero", "interior", or "one".  The
@@ -159,7 +160,7 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology, case: str,
     if elems is None:
         elems = topo.memo["anchor_targets"] = subbasis_elements(topo)
     predicates = topo.memo.setdefault("subbasis_predicate", {})
-    for _ in range(max_tries):
+    for _ in range(ANCHOR_TRIES):
         target = rng.choice(elems)
         if case == "zero":
             tn, td = 0, 1

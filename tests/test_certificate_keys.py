@@ -25,6 +25,11 @@ one denominator (``FuzzyTopology.level_table``).  The reference is the
 ``Fraction`` realizer it replaced, on small clauses with mixed
 denominators, gamma -1, pi2 members alone, and ends that meet exactly.
 
+Certificates: ``continuity_witness`` builds every time box by one rule,
+the epsilon-ball around the anchor time.  The reference is the builder it
+replaced, which spelled out each regime's box and capped its slack bounds
+at 1: the same ``to_json`` on anchors of every branch class.
+
 Box replay: the time box is a one-pair ``IntervalSet``; ``verify_witness``
 checks it with ``is_open_in_unit`` and ``contains``, and compares two
 scaled ends per fiber with the realized target
@@ -37,6 +42,7 @@ and the end test share cannot reach both sides.
 
 import itertools
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
@@ -44,6 +50,8 @@ from interval_ref import Interval, build, parts
 
 from fuzzcyl import (
     OpenExpr,
+    continuity_witness,
+    h_eval,
     h_image_of_box,
     open_realize,
     pi2,
@@ -54,6 +62,7 @@ from fuzzcyl import (
 from fuzzcyl.checks import sweep_retraction_on
 from fuzzcyl.cylinder import (
     CylinderOpen,
+    SubbasisElem,
     _realize_clause,
     cyl_complement,
     cyl_intersect,
@@ -69,9 +78,11 @@ from fuzzcyl.intervals import (
     iv_scale_within,
     iv_subset,
     make_interval,
+    make_unit_interval,
 )
+from fuzzcyl.rationals import frac
 from fuzzcyl.retraction import BoxWitness, CylPoint
-from fuzzcyl.sweeps import random_topology
+from fuzzcyl.sweeps import random_anchor, random_topology
 
 ZERO, ONE = F(0), F(1)
 
@@ -358,6 +369,124 @@ def test_iv_scale_within_matches_the_built_image():
                 assert got == iv_subset(image, b), (a, box, b)
                 verdicts["empty" if not b.keys else "one", got] += 1
     assert min(verdicts.values()) >= 50, verdicts
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+def ref_witness(t_lo, t_hi, lo_closed, hi_closed, clause, topo, target, t, p) -> BoxWitness:
+    expr = OpenExpr((tuple(clause),))
+    return BoxWitness(
+        t_interval=make_unit_interval(t_lo, t_hi, lo_closed, hi_closed),
+        region_expr=expr,
+        region=open_realize(expr, topo),
+        target=target,
+        anchor_t=frac(t),
+        anchor=p,
+    )
+
+
+def ref_continuity_witness(t, p: CylPoint, target: SubbasisElem,
+                           topo: FuzzyTopology) -> BoxWitness:
+    """Build a box certificate around (t, p) for the given subbasis target.
+
+    Case dispatch mirrors the three regimes t = 1, 0 < t < 1, t = 0; in each
+    the epsilon is half the maximal admissible slack.
+    """
+    t = frac(t)
+    x, alpha = p.x, p.alpha
+    image = h_eval(t, p)
+    if not subbasis_realize(target, topo).fiber(image.x).contains(image.alpha):
+        raise ValueError(f"H({t},{p}) does not lie in the target {target}")
+    gamma = target.gamma
+    if target.kind == "tstar":
+        tv = topo.open_named(target.open_name)(x)
+
+    if t == ONE:
+        if target.kind == "pi2":
+            # image level is 0, so gamma < 0 and any box lands above gamma
+            if alpha == ZERO:
+                eps = Fraction(1, 2)
+                clause = [pi2(Fraction(-1))]
+            else:
+                eps = min(ONE, alpha) / 2
+                clause = [pi2(alpha - eps)]
+            return ref_witness(ONE - eps, ONE, False, True, clause, topo, target, t, p)
+        if alpha == ZERO:
+            eps = Fraction(1, 2)
+            clause = [target]
+        else:
+            eps = min(ONE, alpha, (tv - gamma) / 2) / 2
+            clause = [tstar(target.open_name, max(Fraction(-1), gamma - alpha + 2 * eps)),
+                      pi2(alpha - eps)]
+        return ref_witness(ONE - eps, ONE, False, True, clause, topo, target, t, p)
+
+    if t == ZERO:
+        if target.kind == "pi2":
+            if alpha == ZERO:
+                eps = Fraction(1, 2)
+                clause = [pi2(gamma)]
+            else:
+                bound = ONE if gamma <= 0 else ONE - gamma / alpha
+                eps = min(ONE, bound) / 2
+                clause = [pi2(max(Fraction(-1), gamma / (ONE - eps)))]
+        else:
+            eps = Fraction(1, 2)
+            clause = [target]
+        return ref_witness(ZERO, eps, True, False, clause, topo, target, t, p)
+
+    # 0 < t < 1
+    if target.kind == "pi2":
+        bounds = [t, ONE - t]
+        if alpha > ZERO:
+            bounds.append(((ONE - t) * alpha - gamma) / alpha)
+        eps = min(bounds) / 2
+        clause = [pi2(max(Fraction(-1), gamma + (t + eps) * alpha))]
+    else:
+        slack = (tv - (ONE - t) * alpha - gamma) / (ONE + t)
+        eps = min(t, ONE - t, slack) / 2
+        mu = max(Fraction(-1), gamma - alpha * t + eps * (t + ONE))
+        clause = [tstar(target.open_name, mu), pi2(max(Fraction(-1), alpha - eps))]
+    return ref_witness(t - eps, t + eps, False, False, clause, topo, target, t, p)
+
+
+def branch_class(t, p, target):
+    """The branch of ``continuity_witness`` that (t, p, target) takes: the
+    regime, the target kind and whether alpha is 0; at t = 0 on a pi2
+    target with alpha > 0, also the sign of gamma."""
+    regime = "t=1" if t == ONE else "t=0" if t == ZERO else "0<t<1"
+    key = (regime, target.kind, "alpha=0" if p.alpha == ZERO else "alpha>0")
+    if key == ("t=0", "pi2", "alpha>0"):
+        key += ("gamma<=0" if target.gamma <= 0 else "gamma>0",)
+    return key
+
+
+def test_continuity_witness_matches_the_per_regime_boxes():
+    """The same certificate bytes as the reference on one drawn anchor per
+    regime and topology, and on its alpha = 0 variant (same t and target)
+    whenever that variant's image lies in the target: 3,422 certificates,
+    each of the 13 branch classes of ``branch_class`` at least 50 times
+    (the fewest, 62, at t = 1 on a pi2 target with alpha > 0)."""
+    rng = random.Random(20261019)
+    seen = {}
+    for _ in range(600):
+        topo = random_topology(rng, max_generators=2, max_den=8)
+        for case in ("zero", "interior", "one"):
+            anchor = random_anchor(rng, topo, case)
+            if anchor is None:
+                continue
+            t, p, target = anchor
+            anchors = [p]
+            flat = CylPoint(p.x, ZERO)
+            image = h_eval(t, flat)
+            if subbasis_realize(target, topo).fiber(image.x).contains(image.alpha):
+                anchors.append(flat)
+            for q in anchors:
+                got = continuity_witness(t, q, target, topo).to_json()
+                assert got == ref_continuity_witness(t, q, target, topo).to_json(), (t, q, target)
+                key = branch_class(t, q, target)
+                seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 13 and min(seen.values()) >= 50, seen
 
 
 def ref_verify_witness(w, topo):

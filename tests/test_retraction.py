@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from interval_ref import Interval, build
 
-from fuzzcyl import checks, cylinder
+from fuzzcyl import checks, cylinder, sweeps
 from fuzzcyl import (
     FuzzySet,
     continuity_witness,
@@ -257,16 +257,18 @@ def reference_anchor(rng, topo, case, max_tries=200):
     return None
 
 
-def test_random_anchor_matches_reference_draws():
+def test_random_anchor_matches_reference_draws(monkeypatch):
     """Testing draws in integers changes no draw: the same anchors, the
-    same generator state after each, and None when every try fails."""
+    same generator state after each, and None when every try fails (one
+    try, set through ``sweeps.ANCHOR_TRIES``)."""
     topos = random.Random(9)
     for seed in range(40):
         topo = random_topology(topos, max_generators=2, max_den=8)
         for case in ("zero", "interior", "one"):
             for max_tries in (1, 200):
+                monkeypatch.setattr(sweeps, "ANCHOR_TRIES", max_tries)
                 ours, theirs = random.Random(seed), random.Random(seed)
-                got = random_anchor(ours, topo, case, max_tries)
+                got = random_anchor(ours, topo, case)
                 assert got == reference_anchor(theirs, topo, case, max_tries)
                 assert ours.getstate() == theirs.getstate()
                 if got is not None:

@@ -10,20 +10,20 @@ path, and the complement-as-path-inversion decision procedure.
 from .base_space import (
     ConnectivityReport,
     check_pc_lpc,
-    component_cylinder_expr,
     connected_components,
     fence_between,
     iota_x,
-    slice_agrees,
     specialization_preorder,
 )
 from .cylinder import (
     CompatReport,
+    CylPoint,
     CylinderOpen,
     OpenExpr,
     SubbasisElem,
     SweepResult,
     complement_compat,
+    component_cylinder_expr,
     critical_gammas,
     cyl_complement,
     cyl_intersect,
@@ -92,11 +92,11 @@ from .paths import (
 from .rationals import ONE, ZERO, format_rational, frac, parse_rational, unit
 from .retraction import (
     BoxWitness,
-    CylPoint,
     continuity_witness,
     h_eval,
     h_image_of_box,
     sigma_image,
     sigma_image_subbasis,
+    slice_agrees,
     verify_witness,
 )

@@ -5,18 +5,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar, Optional
 
-from .cylinder import (
-    OpenExpr,
-    critical_gammas,
-    pi2,
-    subbasis_realize,
-    tstar,
-)
 from .fuzzy import FuzzyTopology, lattice_closure
-from .rationals import ONE, ZERO
+from .rationals import ONE
 
 
 def level_preimage_masks(topo: FuzzyTopology) -> frozenset[int]:
@@ -46,27 +38,6 @@ def iota_x(topo: FuzzyTopology) -> frozenset[int]:
     full = (1 << len(topo.ground.elements)) - 1
     return frozenset(lattice_closure(level_preimage_masks(topo) | {0, full},
                                      operator.and_, operator.or_))
-
-
-def slice_agrees(topo: FuzzyTopology) -> bool:
-    """Computational content of the slice homeomorphism X x {0} -> X.
-
-    Compares the level-0 slices of the tstar subbasis realizations, projected
-    to X, against the subbasis family of the base topology.
-    """
-    gammas = critical_gammas(topo)
-    slice_masks = set()
-    for name in topo.names:
-        for g in gammas:
-            realized = subbasis_realize(tstar(name, g), topo)
-            mask = 0
-            for i, fib in enumerate(realized.fibers):
-                if fib.contains(ZERO):
-                    mask |= 1 << i
-            slice_masks.add(mask)
-    base_masks = set(level_preimage_masks(topo))
-    # the pi2-derived slice member is the whole slice, already present via gamma=-1
-    return slice_masks == base_masks
 
 
 Order = dict[str, frozenset[str]]
@@ -150,28 +121,3 @@ def fence_between(order: Order, a: str, b: str) -> Optional[tuple[str, ...]]:
         path.append(prev[path[-1]])
     return tuple(reversed(path))
 
-
-def component_cylinder_expr(topo: FuzzyTopology, component: tuple[str, ...]) -> OpenExpr:
-    """An open expression realizing exactly component x J.
-
-    Each clause traps one element on one level band; the band width and the
-    pi2 slack are kept below the minimal gap between membership values so a
-    clause can only reach specialization-larger elements, which stay inside
-    the component.
-    """
-    values = sorted({ZERO, ONE} | set(topo.membership_values()))
-    gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
-    gap = min(gaps) if gaps else ONE
-    bands = int(3 / gap) + 1  # 1/bands + 1/(2*bands) < gap
-    width = Fraction(1, bands)
-    slack = width / 2
-    clauses = []
-    for x in component:
-        for k in range(bands):
-            upper = (k + 1) * width
-            clause = [pi2(max(Fraction(-1), k * width - slack))]
-            for name, f in topo.items():
-                g = max(Fraction(-1), f(x) - upper)
-                clause.append(tstar(name, g))
-            clauses.append(tuple(clause))
-    return OpenExpr(tuple(clauses))

@@ -23,7 +23,7 @@ from itertools import islice
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .base_space import slice_agrees, specialization_preorder
+from .base_space import specialization_preorder
 from .cylinder import (
     CylinderOpen,
     OpenExpr,
@@ -77,6 +77,7 @@ from .retraction import (
     continuity_witness,
     sigma_image,
     sigma_image_subbasis,
+    slice_agrees,
     verify_witness,
 )
 from .sweeps import (

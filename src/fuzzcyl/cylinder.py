@@ -1,5 +1,5 @@
-"""The cylinder space X x J: membership regions, subbasis opens, and the
-complement-compatibility analysis.
+"""The cylinder space X x J: its points, membership regions, subbasis opens,
+the opens component x J, and the complement-compatibility analysis.
 
 Opens on the cylinder are normalized to one canonical interval set per
 ground element, so equality of opens is structural.
@@ -26,7 +26,28 @@ from .intervals import (
     iv_supremum,
     iv_union,
 )
-from .rationals import ONE, ZERO, exact, format_rational, frac
+from .rationals import ONE, ZERO, exact, format_rational, frac, unit
+
+
+@dataclass(frozen=True)
+class CylPoint:
+    x: str
+    alpha: Fraction
+
+    def __post_init__(self):
+        unit(self.alpha, "level", top_open=True)
+
+    def __repr__(self):
+        return f"({self.x},{format_rational(self.alpha)})"
+
+    def to_json(self) -> dict:
+        return {"x": self.x, "alpha": format_rational(self.alpha)}
+
+    @staticmethod
+    def from_json(doc: dict) -> "CylPoint":
+        if type(doc["x"]) is not str:
+            raise TypeError(f"ground element must be a string: {doc['x']!r}")
+        return CylPoint(doc["x"], frac(doc["alpha"]))
 
 
 @dataclass(frozen=True)
@@ -281,6 +302,32 @@ def subbasis_elements(topo: FuzzyTopology) -> tuple[SubbasisElem, ...]:
     return tuple(elems)
 
 
+def component_cylinder_expr(topo: FuzzyTopology, component: tuple[str, ...]) -> OpenExpr:
+    """An open expression realizing exactly component x J.
+
+    Each clause traps one element on one level band; the band width and the
+    pi2 slack are kept below the minimal gap between membership values so a
+    clause can only reach specialization-larger elements, which stay inside
+    the component.
+    """
+    values = sorted({ZERO, ONE} | set(topo.membership_values()))
+    gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
+    gap = min(gaps) if gaps else ONE
+    bands = int(3 / gap) + 1  # 1/bands + 1/(2*bands) < gap
+    width = Fraction(1, bands)
+    slack = width / 2
+    clauses = []
+    for x in component:
+        for k in range(bands):
+            upper = (k + 1) * width
+            clause = [pi2(max(GAMMA_LO, k * width - slack))]
+            for name, f in topo.items():
+                g = max(GAMMA_LO, f(x) - upper)
+                clause.append(tstar(name, g))
+            clauses.append(tuple(clause))
+    return OpenExpr(tuple(clauses))
+
+
 @dataclass(frozen=True)
 class CompatReport:
     """Outcome of comparing psi_star(1-f) with the set complement of psi_star(f)."""
@@ -323,12 +370,15 @@ class SweepResult:
                 "ok": self.ok, "failures": [str(f) for f in self.failures]}
 
 
-def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> SweepResult:
+MAX_FAMILY = 4
+
+
+def verify_psi_laws(topo: FuzzyTopology) -> SweepResult:
     """Check that psi_star turns meets into intersections and joins into unions.
 
     The meet law is checked on every pair of opens, repeats allowed. The join
-    law is checked on every family of 1 to ``max_family`` distinct opens, and
-    on the family of all opens when there are more than ``max_family``.
+    law is checked on every family of 1 to ``MAX_FAMILY`` distinct opens, and
+    on the family of all opens when there are more than ``MAX_FAMILY``.
 
     Meets and joins run on the integer numerators of ``level_table``: a meet
     is the elementwise ``min`` of two rows and a join the elementwise
@@ -402,13 +452,13 @@ def verify_psi_laws(topo: FuzzyTopology, max_family: int = 4) -> SweepResult:
         return visited, tuple(failing)
 
     empty = (intern(EMPTY_SET),) * len(topo.ground.elements)
-    depth = min(max_family, len(names))
+    depth = min(MAX_FAMILY, len(names))
     if depth > 0:
         visited, join_failures = walk(0, empty, (0,) * len(levels[0]), depth)
         checked += visited
         failures.extend(("join-law", *(names[i] for i in family)) for family in
                         sorted(join_failures, key=lambda family: (len(family), family)))
-    if len(names) > max_family:
+    if len(names) > MAX_FAMILY:
         checked += 1
         u = empty
         for i in range(len(names)):

@@ -40,7 +40,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .base_space import Order, specialization_preorder
-from .cylinder import CylinderOpen
+from .cylinder import CylPoint, CylinderOpen
 from .fuzzy import FuzzyTopology
 from .intervals import (
     IntervalSet,
@@ -51,7 +51,6 @@ from .intervals import (
     singleton,
 )
 from .rationals import ONE, format_rational, frac, unit
-from .retraction import CylPoint
 
 
 def kappa(s, t, x) -> Fraction:

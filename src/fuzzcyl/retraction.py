@@ -1,5 +1,5 @@
-"""The vertical-collapse homotopy on the cylinder and its constructive
-continuity certificates.
+"""The vertical-collapse homotopy on the cylinder, its constructive continuity
+certificates, and the slice retraction onto X x {0} with its slice check.
 
 A certificate is a product box (time interval x cylinder open) around an
 anchor whose exact image under the homotopy lands inside a chosen subbasis
@@ -12,10 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .base_space import level_preimage_masks
 from .cylinder import (
+    CylPoint,
     CylinderOpen,
+    GAMMA_LO,
     OpenExpr,
     SubbasisElem,
+    critical_gammas,
     open_realize,
     pi2,
     subbasis_realize,
@@ -33,27 +37,6 @@ from .intervals import (
     singleton,
 )
 from .rationals import ONE, ZERO, format_rational, frac, unit
-
-
-@dataclass(frozen=True)
-class CylPoint:
-    x: str
-    alpha: Fraction
-
-    def __post_init__(self):
-        unit(self.alpha, "level", top_open=True)
-
-    def __repr__(self):
-        return f"({self.x},{format_rational(self.alpha)})"
-
-    def to_json(self) -> dict:
-        return {"x": self.x, "alpha": format_rational(self.alpha)}
-
-    @staticmethod
-    def from_json(doc: dict) -> "CylPoint":
-        if type(doc["x"]) is not str:
-            raise TypeError(f"ground element must be a string: {doc['x']!r}")
-        return CylPoint(doc["x"], frac(doc["alpha"]))
 
 
 def h_eval(t, p: CylPoint) -> CylPoint:
@@ -126,7 +109,7 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
             # image level is 0, so gamma < 0 and any box lands above gamma
             if alpha == ZERO:
                 eps = Fraction(1, 2)
-                clause = [pi2(Fraction(-1))]
+                clause = [pi2(GAMMA_LO)]
             else:
                 eps = alpha / 2
                 clause = [pi2(alpha - eps)]
@@ -135,7 +118,7 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
             clause = [target]
         else:
             eps = min(alpha, (tv - gamma) / 2) / 2
-            clause = [tstar(target.open_name, max(Fraction(-1), gamma - alpha + 2 * eps)),
+            clause = [tstar(target.open_name, max(GAMMA_LO, gamma - alpha + 2 * eps)),
                       pi2(alpha - eps)]
     elif t == ZERO:
         if target.kind != "pi2":
@@ -146,18 +129,18 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
             clause = [pi2(gamma)]
         else:
             eps = (ONE if gamma <= 0 else ONE - gamma / alpha) / 2
-            clause = [pi2(max(Fraction(-1), gamma / (ONE - eps)))]
+            clause = [pi2(max(GAMMA_LO, gamma / (ONE - eps)))]
     elif target.kind == "pi2":
         bounds = [t, ONE - t]
         if alpha > ZERO:
             bounds.append(((ONE - t) * alpha - gamma) / alpha)
         eps = min(bounds) / 2
-        clause = [pi2(max(Fraction(-1), gamma + (t + eps) * alpha))]
+        clause = [pi2(max(GAMMA_LO, gamma + (t + eps) * alpha))]
     else:
         slack = (tv - (ONE - t) * alpha - gamma) / (ONE + t)
         eps = min(t, ONE - t, slack) / 2
-        mu = max(Fraction(-1), gamma - alpha * t + eps * (t + ONE))
-        clause = [tstar(target.open_name, mu), pi2(max(Fraction(-1), alpha - eps))]
+        mu = max(GAMMA_LO, gamma - alpha * t + eps * (t + ONE))
+        clause = [tstar(target.open_name, mu), pi2(max(GAMMA_LO, alpha - eps))]
     expr = OpenExpr((tuple(clause),))
     box = make_unit_interval(max(ZERO, t - eps), min(ONE, t + eps), t == ZERO, t == ONE)
     return BoxWitness(box, expr, open_realize(expr, topo), target, t, p)
@@ -207,3 +190,24 @@ def sigma_image(c: CylinderOpen) -> CylinderOpen:
     zero = singleton(0)
     return CylinderOpen(c.ground, tuple(EMPTY_SET if fib.is_empty() else zero
                                         for fib in c.fibers))
+
+
+def slice_agrees(topo: FuzzyTopology) -> bool:
+    """Computational content of the slice homeomorphism X x {0} -> X.
+
+    Compares the level-0 slices of the tstar subbasis realizations, projected
+    to X, against the subbasis family of the base topology.
+    """
+    gammas = critical_gammas(topo)
+    slice_masks = set()
+    for name in topo.names:
+        for g in gammas:
+            realized = subbasis_realize(tstar(name, g), topo)
+            mask = 0
+            for i, fib in enumerate(realized.fibers):
+                if fib.contains(ZERO):
+                    mask |= 1 << i
+            slice_masks.add(mask)
+    base_masks = set(level_preimage_masks(topo))
+    # the pi2-derived slice member is the whole slice, already present via gamma=-1
+    return slice_masks == base_masks

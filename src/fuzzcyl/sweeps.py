@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .base_space import comparable, specialization_preorder
-from .cylinder import SubbasisElem, subbasis_elements, subbasis_predicate
+from .cylinder import CylPoint, SubbasisElem, subbasis_elements, subbasis_predicate
 from .fuzzy import (
     FuzzySet,
     FuzzyTopology,
@@ -36,7 +36,6 @@ from .paths import (
     path_end,
 )
 from .rationals import ONE, ZERO
-from .retraction import CylPoint
 
 ELEMENT_POOL = ("a", "b", "c", "d", "e", "f")
 ANCHOR_TRIES = 200  # draws before random_anchor returns None

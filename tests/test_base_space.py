@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzcyl import base_space, checks
+from fuzzcyl import base_space, checks, retraction
 from fuzzcyl import (
     FuzzySet,
     check_pc_lpc,
@@ -83,7 +83,7 @@ def test_slice_agrees_rejects_a_wrong_zero_slice(plant, monkeypatch):
     topos = [random_topology(rng, max_generators=2, max_den=8) for _ in range(12)]
     topos += [const_topo(AB, "1/3"), sierpinski()]
     assert all(slice_agrees(topo) for topo in topos)
-    honest = base_space.subbasis_realize
+    honest = retraction.subbasis_realize
     away, low = make_interval(0, 1, False, False), make_interval(0, F(1, 2), True, False)
 
     def planted(i):
@@ -96,7 +96,7 @@ def test_slice_agrees_rejects_a_wrong_zero_slice(plant, monkeypatch):
 
     for topo in topos:
         for i in range(len(topo.ground.elements)):
-            monkeypatch.setattr(base_space, "subbasis_realize", planted(i))
+            monkeypatch.setattr(retraction, "subbasis_realize", planted(i))
             assert not slice_agrees(topo), (plant, topo.to_json(), i)
 
 

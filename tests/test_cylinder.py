@@ -300,7 +300,7 @@ def draw_with_opens(rng, count):
     raise AssertionError(f"no {count}-open topology in 100 draws")
 
 
-def test_verify_psi_laws_matches_reference_loop():
+def test_verify_psi_laws_matches_reference_loop(monkeypatch):
     rng = random.Random(1)
     draws = [random_topology(rng) for _ in range(30)]
     assert max(len(t.names) for t in draws) >= 15
@@ -313,7 +313,8 @@ def test_verify_psi_laws_matches_reference_loop():
         sizes = (1, 2, 4, n + 1) if n <= 10 else (1, 2, 4)
         for max_family in sizes:
             expect = reference_psi_laws(topo, max_family)
-            assert verify_psi_laws(topo, max_family) == expect
+            monkeypatch.setattr(cylinder, "MAX_FAMILY", max_family)
+            assert verify_psi_laws(topo) == expect
 
 
 def fault_topology():
@@ -366,7 +367,8 @@ def deepest_fiber_fault(monkeypatch, name):
         for max_family in (2, 4):
             expect = reference_psi_laws(topo, max_family)
             assert any(f[0] == law for f in expect.failures)
-            assert verify_psi_laws(topo, max_family) == expect
+            monkeypatch.setattr(cylinder, "MAX_FAMILY", max_family)
+            assert verify_psi_laws(topo) == expect
         deepest = max(deepest, *(len(f) - 1 for f in expect.failures))
     return deepest
 
@@ -395,7 +397,7 @@ def mixed_denominator_topologies():
             for gs, gens in families]
 
 
-def test_verify_psi_laws_on_mixed_denominators():
+def test_verify_psi_laws_on_mixed_denominators(monkeypatch):
     for topo in mixed_denominator_topologies():
         values = topo.membership_values()
         assert math.lcm(*(v.denominator for v in values)) == 420
@@ -404,7 +406,8 @@ def test_verify_psi_laws_on_mixed_denominators():
         for max_family in (1, 2, 4, n + 1) if n <= 10 else (1, 2, 4):
             expect = reference_psi_laws(topo, max_family)
             assert expect.ok
-            assert verify_psi_laws(topo, max_family) == expect
+            monkeypatch.setattr(cylinder, "MAX_FAMILY", max_family)
+            assert verify_psi_laws(topo) == expect
 
 
 def test_verify_psi_laws_reports_injected_psi_star_fault(monkeypatch):
@@ -431,7 +434,8 @@ def test_verify_psi_laws_reports_injected_psi_star_fault(monkeypatch):
             for max_family in (2, 4) if len(topo.names) <= 10 else (2,):
                 expect = reference_psi_laws(topo, max_family)
                 assert any(f[0] == "join-law" for f in expect.failures)
-                assert verify_psi_laws(topo, max_family) == expect
+                monkeypatch.setattr(cylinder, "MAX_FAMILY", max_family)
+                assert verify_psi_laws(topo) == expect
             monkeypatch.setattr(cylinder, "psi_star", honest)
             faulted += 1
     assert faulted >= 3
@@ -491,9 +495,10 @@ def test_verify_psi_laws_builds_one_image_per_open(monkeypatch):
         return honest(f)
 
     monkeypatch.setattr(cylinder, "psi_star", counted)
+    monkeypatch.setattr(cylinder, "MAX_FAMILY", 4)
     for topo in mixed_denominator_topologies():
         calls.clear()
-        assert verify_psi_laws(topo, 4).ok
+        assert verify_psi_laws(topo).ok
         assert sorted(calls) == sorted(f.levels for f in topo.opens)
 
 

@@ -1,8 +1,9 @@
 """Every imported name is used by the module that imports it, only
-``intervals`` reads or writes boundary keys, and every public name of
-``src/fuzzcyl`` has a caller.
+``intervals`` reads or writes boundary keys, every module of
+``src/fuzzcyl`` imports only modules below it in ``ORDER``, and every
+public name of ``src/fuzzcyl`` has a caller.
 
-The package ``__init__`` is exempt from all three: its imports are the
+The package ``__init__`` is exempt from all four: its imports are the
 exports.
 """
 
@@ -74,6 +75,50 @@ def test_guard_sees_key_handling():
     assert key_uses(planted) == ["import _reduced (line 1)", "import canonical (line 1)",
                                  "IntervalSet(...) (line 4)", ".keys (line 4)"]
 
+
+# The modules of src/fuzzcyl, lowest layer first, in the order of the
+# construction: fuzzy sets, the base X_tau, the cylinder X_tau x J, the
+# paths and the homotopy, then the checks and the CLI.
+ORDER = ("rationals", "intervals", "fuzzy", "base_space", "cylinder", "paths",
+         "retraction", "oracle", "functor", "sweeps", "checks", "cli")
+
+
+def upward_imports(module: str, source: str) -> list[str]:
+    """Each relative import in ``module`` of a module not earlier in ``ORDER``."""
+    below = ORDER[:ORDER.index(module)]
+    return [f"{module} -> {node.module} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level and node.module not in below]
+
+
+def test_order_names_every_module():
+    assert sorted(ORDER) == sorted(p.stem for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_points_down(path):
+    assert upward_imports(path.stem, path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_an_upward_import():
+    planted = {
+        "base_space": ("from .cylinder import (\n"
+                       "    OpenExpr,\n"
+                       "    pi2,\n"
+                       ")\n"
+                       "from .fuzzy import FuzzyTopology, lattice_closure\n"
+                       "from .rationals import ONE, ZERO\n"),
+        "paths": ("from .base_space import Order, specialization_preorder\n"
+                  "from .cylinder import CylinderOpen\n"
+                  "from .rationals import ONE\n"
+                  "from .retraction import CylPoint\n"),
+        "cylinder": "from . import retraction\nfrom .fuzzy import FuzzySet\n",
+        "rationals": "from fractions import Fraction\nfrom .rationals import frac\n",
+    }
+    assert [found for module, source in planted.items()
+            for found in upward_imports(module, source)] == \
+        ["base_space -> cylinder (line 1)", "paths -> retraction (line 4)",
+         "cylinder -> None (line 1)", "rationals -> rationals (line 2)"]
 
 # Public names of src/fuzzcyl that no src module, benchmark script or read
 # in their own module needs, each kept for the reason given.

@@ -3,14 +3,8 @@
 Each sweep runs through :func:`run_sweep` to a :class:`SweepResult` of
 zero-tolerance failure records.  Symbolic cylinder sets made along the way go in
 an :class:`OracleLedger` together with a first-principles membership
-predicate, so the grid oracle can cross-check them independently of the
-interval algebra that produced them.  A predicate (``cylinder.Predicate``)
-takes a point (x, n/d) as the element x and integers n, d and compares
-cross-multiplied integers: psi_star(f) holds n·b < a·d where f(x) = a/b, and the subbasis,
-sigma-image, open-expression and set-complement predicates are built from
-that rule and ``cylinder.subbasis_predicate``.  Each reads only membership
-values and gammas, as (numerator, denominator) pairs taken once when it is
-built, never boundary keys.
+predicate from ``oracle``, so the grid oracle can cross-check them
+independently of the interval algebra that produced them.
 """
 
 from __future__ import annotations
@@ -26,8 +20,6 @@ from typing import Callable, Iterable, Optional
 from .base_space import specialization_preorder
 from .cylinder import (
     CylinderOpen,
-    OpenExpr,
-    Predicate,
     SubbasisElem,
     SweepResult,
     complement_compat,
@@ -36,7 +28,6 @@ from .cylinder import (
     psi_star,
     recover_membership,
     subbasis_elements,
-    subbasis_predicate,
     subbasis_realize,
     verify_psi_laws,
 )
@@ -48,8 +39,17 @@ from .fuzzy import (
     fz_indicator,
     ground,
 )
-from .oracle import GridOracle, first_mismatch
 from .intervals import is_open_in_unit
+from .oracle import (
+    GridOracle,
+    Predicate,
+    expr_predicate,
+    first_mismatch,
+    psi_predicate,
+    set_complement_predicate,
+    sigma_predicate,
+    subbasis_predicate,
+)
 from .paths import (
     ChiBoundary,
     Concat,
@@ -125,30 +125,6 @@ class OracleLedger:
             mismatch = first_mismatch(c, brute)
             return 1, [] if mismatch is None else [(label, *mismatch)]
         return run_sweep(f"grid-oracle-N{resolution}", self.entries, check)
-
-
-def psi_predicate(f: FuzzySet) -> Predicate:
-    """psi_star(f), the levels below f: n/d < f(x) = a/b, that is n·b < a·d."""
-    levels = f.ratios()
-
-    def below(x: str, n: int, d: int) -> bool:
-        a, b = levels[x]
-        return n * b < a * d
-    return below
-
-
-def set_complement_predicate(f: FuzzySet) -> Predicate:
-    """The complement of psi_star(f) in X x J: the points ``psi_predicate``
-    rejects."""
-    below = psi_predicate(f)
-    return lambda x, n, d: not below(x, n, d)
-
-
-def expr_predicate(expr: OpenExpr, topo: FuzzyTopology) -> Predicate:
-    clause_preds = [[subbasis_predicate(e, topo) for e in clause]
-                    for clause in expr.clauses]
-    return lambda x, n, d: any(all(p(x, n, d) for p in clause)
-                               for clause in clause_preds)
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +241,6 @@ def sweep_sigma_laws(rng: random.Random, count: int,
                 failures.append(("sigma-meet", meet))
         return len(elems) + len(meets), failures
     return run_sweep("sigma-laws", _sigma_cases(rng, count), check)
-
-
-def sigma_predicate(e: SubbasisElem, topo: FuzzyTopology) -> Predicate:
-    """The image of the subbasis open under the slice retraction: level 0 of
-    each fiber the open meets.  A fiber of e is down-closed for tstar, so it
-    meets e when (x, 0) does, e's own test at n/d = 0/1; for pi2 every fiber
-    meets e, whose gamma is below 1."""
-    if e.kind == "pi2":
-        return lambda x, n, d: n == 0
-    holds = subbasis_predicate(e, topo)
-    return lambda x, n, d: n == 0 and holds(x, 0, 1)
 
 
 REGIMES = ("zero", "interior", "one")

@@ -2,7 +2,8 @@
 the opens component x J, and the complement-compatibility analysis.
 
 Opens on the cylinder are normalized to one canonical interval set per
-ground element, so equality of opens is structural.
+ground element, so equality of opens is structural.  The membership
+predicates that check these sets live apart, in ``oracle``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Callable, Optional
+from typing import Optional
 
 from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement
 from .intervals import (
@@ -165,29 +166,6 @@ class SubbasisElem:
     @staticmethod
     def from_json(doc: dict) -> "SubbasisElem":
         return SubbasisElem(doc["kind"], frac(doc["gamma"]), doc.get("open"))
-
-
-# A membership predicate on X x J: predicate(x, n, d) decides whether the
-# point (x, n/d) lies in the set, for integers with 0 <= n < d and n/d not
-# necessarily reduced, the level form ``IntervalSet.holds`` takes.  The
-# predicates are stated from the membership values and gammas alone, never
-# from boundary keys, so the grid oracle can check the interval algebra.
-Predicate = Callable[[str, int, int], bool]
-
-
-def subbasis_predicate(e: SubbasisElem, topo: FuzzyTopology) -> Predicate:
-    """Membership in the subbasis open, read off the rule above in integers.
-    With gamma = g/c and T(x) = a/b: pi2 holds at n/d when n/d > g/c, that
-    is n·c > g·d; tstar when a/b - n/d > g/c, that is (a·d - n·b)·c > g·b·d."""
-    g, c = e.gamma.numerator, e.gamma.denominator
-    if e.kind == "pi2":
-        return lambda x, n, d: n * c > g * d
-    levels = topo.open_named(e.open_name).ratios()
-
-    def above(x: str, n: int, d: int) -> bool:
-        a, b = levels[x]
-        return (a * d - n * b) * c > g * b * d
-    return above
 
 
 def tstar(open_name: str, gamma) -> SubbasisElem:

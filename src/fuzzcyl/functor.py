@@ -1,10 +1,9 @@
 """The decision procedure equating fuzzy complementation with path
 inversion, and its contrast with the cylinder set complement.
 
-The decision works on exact affine forms: the object path attached to a
-ground element is a vertical affine path, and its reversal swaps the two
-affine coefficients, so comparing coefficient pairs at one nonzero level
-decides the complement relation.
+The decision compares exact normal forms: at one nonzero level, the object
+path of G at each ground element against the DSL reversal (``Reverse``) of
+the object path of F, both through ``normalize_path``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from fractions import Fraction
 
 from .cylinder import CompatReport, complement_compat
 from .fuzzy import FuzzySet
-from .paths import VerticalAffine, functor_object_path
+from .paths import Reverse, functor_object_path, normalize_path
 from .rationals import ONE
 
 # The object paths at level beta have the coefficients (1 - F(y))·beta and
@@ -29,12 +28,9 @@ def is_complement(F: FuzzySet, G: FuzzySet) -> bool:
     if F.ground != G.ground:
         raise ValueError("fuzzy sets live on different ground sets")
     z = F.ground.elements[0]
-    for y in F.ground.elements:
-        f_path = functor_object_path(F, y, z, _LEVEL)
-        reversed_f = VerticalAffine(f_path.x, f_path.a1, f_path.a0)
-        if functor_object_path(G, y, z, _LEVEL) != reversed_f:
-            return False
-    return True
+    return all(normalize_path(functor_object_path(G, y, z, _LEVEL))
+               == normalize_path(Reverse(functor_object_path(F, y, z, _LEVEL)))
+               for y in F.ground.elements)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .rationals import ONE, ZERO, format_rational, frac, unit
 
@@ -271,7 +271,7 @@ def lattice_closure(seed: Iterable, meet: Callable, join: Callable) -> set:
 
 
 def fz_generate_topology(generators: Sequence[FuzzySet],
-                         ground_set: Optional[GroundSet] = None) -> FuzzyTopology:
+                         ground_set: GroundSet) -> FuzzyTopology:
     """Smallest topology containing the generators, its opens named
     ``T0, T1, ...`` in the lexicographic order of their levels.
 
@@ -283,11 +283,7 @@ def fz_generate_topology(generators: Sequence[FuzzySet],
     because every generated row takes values among the generators'
     numerators together with 0 and D.
     """
-    if ground_set is None:
-        if not generators:
-            raise ValueError("need a ground set when no generators are given")
-        ground_set = _require_same_ground(*generators)
-    elif generators:
+    if generators:
         _require_same_ground(*generators)
         if generators[0].ground != ground_set:
             raise ValueError("generators live on a different ground set")

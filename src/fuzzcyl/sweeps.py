@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .base_space import comparable, specialization_preorder
-from .cylinder import CylPoint, SubbasisElem, subbasis_elements, subbasis_predicate
+from .cylinder import CylPoint, SubbasisElem, subbasis_elements
 from .fuzzy import (
     FuzzySet,
     FuzzyTopology,
@@ -22,6 +22,7 @@ from .fuzzy import (
     fz_generate_topology,
     ground,
 )
+from .oracle import subbasis_predicate
 from .paths import (
     ChiBoundary,
     Concat,
@@ -119,19 +120,15 @@ def random_path(rng: random.Random, topo: FuzzyTopology, depth: int = 3,
         # Reverse(Reverse(omega)) starts where omega starts
         omega = random_path(rng, topo, depth - 1, start)
         return Reverse(Reverse(omega))
-    if kind == "h_transform":
-        t = rng.choice(_SMALL_TIMES)
-        lifted = start.alpha / (ONE - t)
-        if lifted >= ONE:
-            t, lifted = ZERO, start.alpha
-        inner = random_path(rng, topo, depth - 1, CylPoint(start.x, lifted))
-        return HTransform(t, inner)
-    # chi_boundary
+    # h_transform and chi_boundary: the inner path starts at the start lifted
+    # by 1/(1 - s), so that the homotopy at time s brings it back
     s = rng.choice(_SMALL_TIMES)
     lifted = start.alpha / (ONE - s)
     if lifted >= ONE:
         s, lifted = ZERO, start.alpha
     anchor = CylPoint(start.x, lifted)
+    if kind == "h_transform":
+        return HTransform(s, random_path(rng, topo, depth - 1, anchor))
     end = rng.choice((0, 1))
     rho = random_path(rng, topo, depth - 1, anchor)
     if end == 1:

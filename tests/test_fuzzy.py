@@ -85,12 +85,10 @@ def test_ground_mismatch_rejected():
      "each open needs a name"),
     (lambda: FuzzyTopology(AB, ("T", "T"), tuple(constants(0, 1))), ValueError,
      "open names must be unique"),
-    (lambda: fz_generate_topology([]), ValueError,
-     "need a ground set when no generators are given"),
     (lambda: fz_generate_topology(constants(0), ground("c")), ValueError,
      "generators live on a different ground set"),
 ], ids=["unknown-element", "level-count", "name-count", "repeated-names",
-        "no-generators-no-ground", "generators-off-ground"])
+        "generators-off-ground"])
 def test_constructors_reject_malformed_input(build, error, message):
     with pytest.raises(error) as caught:
         build()
@@ -98,15 +96,15 @@ def test_constructors_reject_malformed_input(build, error, message):
 
 
 def test_generate_topology_examples():
-    topo = fz_generate_topology(constants("1/3", "2/3"))
+    topo = fz_generate_topology(constants("1/3", "2/3"), AB)
     levels = {f.levels for f in topo.opens}
     assert levels == {(F(0), F(0)), (F(1, 3), F(1, 3)),
                       (F(2, 3), F(2, 3)), (F(1), F(1))}
 
-    indiscrete = fz_generate_topology(constants(0))
+    indiscrete = fz_generate_topology(constants(0), AB)
     assert {f.levels for f in indiscrete.opens} == {(F(0), F(0)), (F(1), F(1))}
 
-    point = fz_generate_topology([fz_indicator(["a"], AB)])
+    point = fz_generate_topology([fz_indicator(["a"], AB)], AB)
     assert {f.levels for f in point.opens} == \
         {(F(0), F(0)), (F(1), F(0)), (F(1), F(1))}
 
@@ -144,7 +142,7 @@ def test_indicator_embedding_of_classical_topology():
 
 
 def test_topology_json_round_trip():
-    topo = fz_generate_topology(constants("1/3"))
+    topo = fz_generate_topology(constants("1/3"), AB)
     assert FuzzyTopology.from_json(topo.to_json()) == topo
 
 

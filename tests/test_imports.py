@@ -1,9 +1,10 @@
 """Every imported name is used by the module that imports it, only
 ``intervals`` reads or writes boundary keys, every module of
-``src/fuzzcyl`` imports only modules below it in ``ORDER``, and every
-public name of ``src/fuzzcyl`` has a caller.
+``src/fuzzcyl`` imports only modules below it in ``ORDER``, ``oracle``
+imports of the package only what ``ORACLE_READS`` lists, and every public
+name of ``src/fuzzcyl`` has a caller.
 
-The package ``__init__`` is exempt from all four: its imports are the
+The package ``__init__`` is exempt from all five: its imports are the
 exports.
 """
 
@@ -119,6 +120,61 @@ def test_guard_sees_an_upward_import():
             for found in upward_imports(module, source)] == \
         ["base_space -> cylinder (line 1)", "paths -> retraction (line 4)",
          "cylinder -> None (line 1)", "rationals -> rationals (line 2)"]
+
+
+# What ``oracle`` may import from the package: the types its predicates
+# and rasters read, and the symbolic raster it checks them against.  Any
+# other import could let a predicate reuse the code it checks.
+ORACLE_READS = {
+    ("cylinder", "CylinderOpen"), ("cylinder", "OpenExpr"), ("cylinder", "SubbasisElem"),
+    ("fuzzy", "FuzzySet"), ("fuzzy", "FuzzyTopology"), ("fuzzy", "GroundSet"),
+    ("intervals", "iv_grid"),
+}
+
+
+def oracle_imports(source: str) -> list[str]:
+    """Each import of the package in ``source`` that ``ORACLE_READS`` does
+    not list, relative (``from .m import x``, ``from . import m``) or
+    absolute (``from fuzzcyl.m import x``, ``import fuzzcyl.m``), and each
+    read of a topology's ``memo`` or ``level_table``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.split(".")[0] == "fuzzcyl"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "fuzzcyl"):
+            module = node.module if node.level else node.module.partition(".")[2]
+            found += [f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+                      f" (line {node.lineno})" for alias in node.names
+                      if (module, alias.name) not in ORACLE_READS]
+        elif isinstance(node, ast.Attribute) and node.attr in ("memo", "level_table"):
+            found.append(f".{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_oracle_imports_none_of_what_it_checks():
+    source = (ROOT / "src" / "fuzzcyl" / "oracle.py").read_text(encoding="utf-8")
+    assert oracle_imports(source) == []
+
+
+def test_guard_sees_an_oracle_import():
+    planted = ("from fractions import Fraction\n"
+               "from .cylinder import CylinderOpen, subbasis_realize\n"
+               "from .intervals import iv_grid, iv_union\n"
+               "from . import paths\n"
+               "from fuzzcyl.fuzzy import FuzzySet, lattice_closure\n"
+               "import fuzzcyl.checks\n"
+               "def f(topo):\n"
+               "    return topo.memo, topo.level_table\n")
+    assert oracle_imports(planted) == [
+        "from .cylinder import subbasis_realize (line 2)",
+        "from .intervals import iv_union (line 3)",
+        "from . import paths (line 4)",
+        "from fuzzcyl.fuzzy import lattice_closure (line 5)",
+        "import fuzzcyl.checks (line 6)",
+        ".memo (line 8)", ".level_table (line 8)"]
+
 
 # Public names of src/fuzzcyl that no src module, benchmark script or read
 # in their own module needs, each kept for the reason given.

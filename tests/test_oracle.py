@@ -26,18 +26,17 @@ from fuzzcyl import (
     subbasis_realize,
     tstar,
 )
-from fuzzcyl.checks import (
-    OracleLedger,
-    counterexample_report,
+from fuzzcyl.checks import OracleLedger, counterexample_report, sweep_sigma_laws
+from fuzzcyl.cylinder import CylinderOpen
+from fuzzcyl.intervals import EMPTY_SET, canonical, iv_grid
+from fuzzcyl.oracle import (
     expr_predicate,
+    first_mismatch,
     psi_predicate,
     set_complement_predicate,
     sigma_predicate,
-    sweep_sigma_laws,
+    subbasis_predicate,
 )
-from fuzzcyl.cylinder import CylinderOpen, subbasis_predicate
-from fuzzcyl.intervals import EMPTY_SET, canonical, iv_grid
-from fuzzcyl.oracle import first_mismatch
 from fuzzcyl.retraction import sigma_image
 
 F = Fraction

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from interval_ref import Interval, build
 
-from fuzzcyl import checks, cylinder, sweeps
+from fuzzcyl import checks, oracle, sweeps
 from fuzzcyl import (
     FuzzySet,
     continuity_witness,
@@ -251,8 +251,8 @@ def reference_anchor(rng, topo, case, max_tries=200):
         p = random_point(rng, topo.ground)
         image = h_eval(t, p)
         alpha = image.alpha
-        if cylinder.subbasis_predicate(target, topo)(image.x, alpha.numerator,
-                                                     alpha.denominator):
+        if oracle.subbasis_predicate(target, topo)(image.x, alpha.numerator,
+                                                   alpha.denominator):
             return (t, p, target)
     return None
 
@@ -298,7 +298,7 @@ def test_memo_is_created_on_first_use():
             image = psi_star(f)
             recover_membership(image)
             complement_compat(f)
-            ledger.add(name, image, checks.psi_predicate(f))
+            ledger.add(name, image, oracle.psi_predicate(f))
         assert ledger.verify(16).ok
         subbasis_elements(topo)
         assert "memo" not in topo.__dict__

@@ -7,27 +7,20 @@ from fractions import Fraction
 import pytest
 
 from fuzzcyl import base_space, checks, retraction
-from fuzzcyl import (
-    FuzzySet,
+from fuzzcyl.base_space import (
     check_pc_lpc,
-    component_cylinder_expr,
+    comparable,
     connected_components,
     fence_between,
-    fz_generate_topology,
-    fz_indicator,
-    ground,
     iota_x,
-    open_realize,
-    slice_agrees,
     specialization_preorder,
 )
-from fuzzcyl.checks import SweepResult
-from fuzzcyl.cylinder import CylinderOpen
-from fuzzcyl.fuzzy import lattice_closure
+from fuzzcyl.cylinder import CylinderOpen, SweepResult, component_cylinder_expr, open_realize
+from fuzzcyl.fuzzy import FuzzySet, fz_generate_topology, fz_indicator, ground, lattice_closure
 from fuzzcyl.intervals import EMPTY_SET, iv_intersect, iv_union, make_interval
-from fuzzcyl.base_space import comparable
 from fuzzcyl.paths import Concat, HLift, VerticalAffine, continuity_failure, make_fence_path
 from fuzzcyl.rationals import ZERO, frac
+from fuzzcyl.retraction import slice_agrees
 from fuzzcyl.sweeps import random_topology
 
 F = Fraction

@@ -48,20 +48,11 @@ from fractions import Fraction as F
 import pytest
 from interval_ref import Interval, build, parts
 
-from fuzzcyl import (
-    OpenExpr,
-    continuity_witness,
-    h_eval,
-    h_image_of_box,
-    open_realize,
-    pi2,
-    subbasis_realize,
-    tstar,
-    verify_witness,
-)
 from fuzzcyl.checks import sweep_retraction_on
 from fuzzcyl.cylinder import (
+    CylPoint,
     CylinderOpen,
+    OpenExpr,
     SubbasisElem,
     _realize_clause,
     cyl_complement,
@@ -69,7 +60,11 @@ from fuzzcyl.cylinder import (
     cyl_subset,
     cyl_union,
     empty_cylinder,
+    open_realize,
+    pi2,
     subbasis_elements,
+    subbasis_realize,
+    tstar,
 )
 from fuzzcyl.fuzzy import FuzzyTopology, GroundSet
 from fuzzcyl.intervals import (
@@ -81,7 +76,13 @@ from fuzzcyl.intervals import (
     make_unit_interval,
 )
 from fuzzcyl.rationals import frac
-from fuzzcyl.retraction import BoxWitness, CylPoint
+from fuzzcyl.retraction import (
+    BoxWitness,
+    continuity_witness,
+    h_eval,
+    h_image_of_box,
+    verify_witness,
+)
 from fuzzcyl.sweeps import random_anchor, random_topology
 
 ZERO, ONE = F(0), F(1)

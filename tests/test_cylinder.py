@@ -12,19 +12,16 @@ import pytest
 from interval_ref import Interval, build, parts
 from lattice_ref import fz_join, fz_meet
 
-from fuzzcyl import (
-    FuzzySet,
+from fuzzcyl import cylinder
+from fuzzcyl.cylinder import (
+    CylinderOpen,
     OpenExpr,
+    SweepResult,
     complement_compat,
     critical_gammas,
     cyl_complement,
     cyl_subset,
     empty_cylinder,
-    fz_generate_topology,
-    fz_indicator,
-    ground,
-    iv_union,
-    make_interval,
     open_realize,
     pi2,
     psi_star,
@@ -33,9 +30,8 @@ from fuzzcyl import (
     tstar,
     verify_psi_laws,
 )
-from fuzzcyl import cylinder
-from fuzzcyl.cylinder import CylinderOpen, SweepResult
-from fuzzcyl.intervals import EMPTY_SET, make_unit_interval
+from fuzzcyl.fuzzy import FuzzySet, fz_generate_topology, fz_indicator, ground
+from fuzzcyl.intervals import EMPTY_SET, iv_union, make_interval, make_unit_interval
 from fuzzcyl.sweeps import random_topology
 
 F = Fraction
@@ -465,9 +461,9 @@ def test_subbasis_elem_hash_is_set_equality_across_processes():
     assert e == cylinder.SubbasisElem("tstar", F(1, 3), "T0") != cylinder.pi2("1/3")
     again = pickle.loads(pickle.dumps(e))
     assert again == e and hash(again) == hash(e) and again is not e
-    write = "import pickle, sys; from fuzzcyl import tstar; " \
+    write = "import pickle, sys; from fuzzcyl.cylinder import tstar; " \
             "sys.stdout.write(pickle.dumps(tstar('T0', '1/3')).hex())"
-    read = "import pickle, sys; from fuzzcyl import tstar; " \
+    read = "import pickle, sys; from fuzzcyl.cylinder import tstar; " \
            "print(pickle.loads(bytes.fromhex(sys.argv[1])) in {tstar('T0', '1/3')})"
     src = str(pathlib.Path(cylinder.__file__).parents[1])
 

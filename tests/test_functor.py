@@ -3,21 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzcyl import (
-    Const,
-    CylPoint,
-    FuzzySet,
-    VerticalAffine,
-    chi_eval,
-    complement_report,
-    functor_object_path,
-    fz_complement,
-    fz_indicator,
-    ground,
-    is_complement,
-)
 from fuzzcyl import checks
-from fuzzcyl.paths import pasting_failure
+from fuzzcyl.cylinder import CylPoint
+from fuzzcyl.functor import complement_report, is_complement
+from fuzzcyl.fuzzy import FuzzySet, fz_complement, fz_indicator, ground
+from fuzzcyl.paths import Const, VerticalAffine, chi_eval, functor_object_path, pasting_failure
 from fuzzcyl.sweeps import random_fuzzy, random_ground
 
 F = Fraction

@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lattice_ref import fz_join, fz_meet
 
-from fuzzcyl import (
+from fuzzcyl import sweeps
+from fuzzcyl.fuzzy import (
     FuzzySet,
     FuzzyTopology,
+    ValidationReport,
     fz_complement,
     fz_generate_topology,
     fz_indicator,
     fz_is_topology,
     ground,
+    lattice_closure,
 )
-from fuzzcyl import sweeps
-from fuzzcyl.fuzzy import ValidationReport, lattice_closure
 from fuzzcyl.sweeps import random_fuzzy, random_topology
 
 F = Fraction

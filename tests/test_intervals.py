@@ -4,17 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from interval_ref import Interval, build, parts
 
-from fuzzcyl import (
+from fuzzcyl.intervals import (
     EMPTY_SET,
+    canonical,
+    is_open_in_unit,
     iv_complement_in_J,
     iv_intersect,
+    iv_span,
     iv_subset,
     iv_supremum,
     iv_union,
     make_interval,
     make_unit_interval,
 )
-from fuzzcyl.intervals import canonical, is_open_in_unit, iv_span
 
 F = Fraction
 

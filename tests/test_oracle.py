@@ -7,31 +7,26 @@ from fractions import Fraction
 import pytest
 from interval_ref import Interval, build, parts
 
-from fuzzcyl import (
-    FuzzySet,
-    GridOracle,
-    empty_cylinder,
-    ground,
-    oracle_rasterize,
-    psi_star,
-)
-from fuzzcyl import (
-    FuzzyTopology,
+from fuzzcyl.checks import OracleLedger, counterexample_report, sweep_sigma_laws
+from fuzzcyl.cylinder import (
+    CylinderOpen,
     OpenExpr,
     cyl_complement,
-    fz_generate_topology,
+    empty_cylinder,
     open_realize,
     pi2,
+    psi_star,
     subbasis_elements,
     subbasis_realize,
     tstar,
 )
-from fuzzcyl.checks import OracleLedger, counterexample_report, sweep_sigma_laws
-from fuzzcyl.cylinder import CylinderOpen
+from fuzzcyl.fuzzy import FuzzySet, FuzzyTopology, fz_generate_topology, ground
 from fuzzcyl.intervals import EMPTY_SET, canonical, iv_grid
 from fuzzcyl.oracle import (
+    GridOracle,
     expr_predicate,
     first_mismatch,
+    oracle_rasterize,
     psi_predicate,
     set_complement_predicate,
     sigma_predicate,

@@ -34,6 +34,7 @@ from math import gcd
 import pytest
 
 from fuzzcyl import checks, paths
+from fuzzcyl.cylinder import CylPoint
 from fuzzcyl.paths import (
     ChiBoundary,
     Concat,
@@ -53,7 +54,7 @@ from fuzzcyl.paths import (
     path_table,
 )
 from fuzzcyl.rationals import ONE, ZERO, frac, unit
-from fuzzcyl.retraction import CylPoint, h_eval
+from fuzzcyl.retraction import h_eval
 from fuzzcyl.sweeps import random_path, random_topology
 
 F = Fraction

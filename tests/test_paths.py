@@ -8,36 +8,17 @@ from hypothesis import strategies as st
 from interval_ref import build, interval, parts
 from jsonfuzz import FUZZ, field_paths, json_values, replaced
 
-from fuzzcyl import (
-    ChiBoundary,
-    Concat,
-    Const,
-    FencePath,
-    FuzzySet,
-    HLift,
-    HTransform,
-    Reverse,
-    VerticalAffine,
-    chi_eval,
-    continuity_failure,
-    eval_path,
-    functor_object_path,
-    fz_generate_topology,
-    fz_indicator,
-    ground,
-    kappa,
-    make_fence_path,
-    make_interval,
-    normalize_path,
-    path_from_json,
-    path_preimage,
-    path_to_json,
+from fuzzcyl.base_space import specialization_preorder
+from fuzzcyl.cylinder import (
+    CylPoint,
+    CylinderOpen,
+    cyl_union,
     pi2,
-    specialization_preorder,
+    subbasis_elements,
     subbasis_realize,
     tstar,
 )
-from fuzzcyl.cylinder import CylinderOpen, cyl_union, subbasis_elements
+from fuzzcyl.fuzzy import FuzzySet, fz_generate_topology, fz_indicator, ground
 from fuzzcyl.intervals import (
     EMPTY_SET,
     is_open_in_unit,
@@ -46,15 +27,33 @@ from fuzzcyl.intervals import (
     make_unit_interval,
 )
 from fuzzcyl.paths import (
+    ChiBoundary,
+    Concat,
+    Const,
+    FencePath,
+    HLift,
+    HTransform,
     PathTable,
+    Reverse,
+    VerticalAffine,
     _table_continuity_failure,
+    chi_eval,
     chi_keys,
+    continuity_failure,
     eval_keys,
+    eval_path,
+    functor_object_path,
+    kappa,
+    make_fence_path,
+    normalize_path,
     path_end,
+    path_from_json,
+    path_preimage,
     path_start,
     path_table,
+    path_to_json,
 )
-from fuzzcyl.retraction import CylPoint, h_eval
+from fuzzcyl.retraction import h_eval
 from fuzzcyl.sweeps import random_path, random_topology
 
 F = Fraction

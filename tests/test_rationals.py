@@ -3,29 +3,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from fuzzcyl import (
+from fuzzcyl.cylinder import CylPoint
+from fuzzcyl.fuzzy import FuzzySet, ground
+from fuzzcyl.intervals import IntervalSet, make_interval, make_unit_interval
+from fuzzcyl.paths import (
     ChiBoundary,
     Const,
-    CylPoint,
     FencePath,
-    FuzzySet,
     HLift,
     HTransform,
-    IntervalSet,
     VerticalAffine,
     chi_eval,
+    chi_keys,
+    eval_keys,
     eval_path,
-    frac,
     functor_object_path,
-    ground,
-    h_eval,
     kappa,
-    make_interval,
-    make_unit_interval,
-    unit,
 )
-from fuzzcyl.paths import chi_keys, eval_keys
-from fuzzcyl.rationals import format_ratio, format_rational, parse_ratio
+from fuzzcyl.rationals import format_ratio, format_rational, frac, parse_ratio, unit
+from fuzzcyl.retraction import h_eval
 
 EPS = F(1, 10**6)
 START = Const(CylPoint("a", F(0)))

@@ -6,36 +6,33 @@ import pytest
 from interval_ref import Interval, build
 
 from fuzzcyl import checks, oracle, sweeps
-from fuzzcyl import (
-    FuzzySet,
-    continuity_witness,
-    fz_generate_topology,
-    ground,
-    h_eval,
-    h_image_of_box,
-    make_interval,
-    make_unit_interval,
-    pi2,
-    sigma_image,
-    sigma_image_subbasis,
-    singleton,
-    subbasis_realize,
-    tstar,
-    verify_witness,
-)
 from fuzzcyl.cylinder import (
+    CylPoint,
     CylinderOpen,
+    OpenExpr,
     complement_compat,
     cyl_complement,
     empty_cylinder,
+    open_realize,
+    pi2,
     psi_star,
     recover_membership,
     subbasis_elements,
+    subbasis_realize,
+    tstar,
     verify_psi_laws,
 )
-from fuzzcyl.fuzzy import FuzzyTopology
-from fuzzcyl.intervals import EMPTY_SET
-from fuzzcyl.retraction import BoxWitness, CylPoint
+from fuzzcyl.fuzzy import FuzzySet, FuzzyTopology, fz_generate_topology, ground
+from fuzzcyl.intervals import EMPTY_SET, make_interval, make_unit_interval, singleton
+from fuzzcyl.retraction import (
+    BoxWitness,
+    continuity_witness,
+    h_eval,
+    h_image_of_box,
+    sigma_image,
+    sigma_image_subbasis,
+    verify_witness,
+)
 from fuzzcyl.sweeps import random_anchor, random_point, random_topology
 
 F = Fraction
@@ -138,7 +135,6 @@ def test_witness_fails_when_box_is_too_generous():
     target = tstar(name, F(1, 8))
     # a region strictly larger than the target with the full time interval:
     # at t=0 the image is the region itself, which escapes the target
-    from fuzzcyl import OpenExpr, open_realize
     region_expr = OpenExpr(((tstar(name, 0),),))
     region = open_realize(region_expr, topo)
     bad = BoxWitness(make_unit_interval(F(0), F(1), True, True), region_expr, region,
@@ -174,7 +170,6 @@ def test_sigma_image_matches_subbasis_rule():
     rng = random.Random(6)
     for _ in range(10):
         topo = random_topology(rng, max_generators=2, max_den=8)
-        from fuzzcyl import subbasis_elements
         for e in subbasis_elements(topo):
             realized = subbasis_realize(e, topo)
             assert sigma_image(realized) == sigma_image_subbasis(e, topo)

@@ -137,7 +137,7 @@ class FuzzyTopology:
     @cached_property
     def memo(self) -> dict:
         """Values other modules derive from this topology and keep for its
-        lifetime (the anchor targets and their predicates, the base's
+        lifetime (the candidate anchor targets, the base's
         specialization order, each realized clause), each under a key that
         names what it holds.
         Created on first use, so a topology that nothing derives from

@@ -490,9 +490,10 @@ def path_from_json(doc: dict) -> PathExpr:
     if kind == "vertical":
         return VerticalAffine(doc["x"], frac(doc["a0"]), frac(doc["a1"]))
     if kind == "hlift":
-        base = doc["base"]
-        return HLift(FencePath(tuple(base["steps"]), tuple(base["interiors"])),
-                     frac(doc["level"]))
+        steps, interiors = doc["base"]["steps"], doc["base"]["interiors"]
+        if not (isinstance(steps, list) and isinstance(interiors, list)):
+            raise TypeError("fence steps and interiors must be arrays")
+        return HLift(FencePath(tuple(steps), tuple(interiors)), frac(doc["level"]))
     if kind == "concat":
         return Concat(tuple(path_from_json(p) for p in doc["parts"]))
     if kind == "reverse":

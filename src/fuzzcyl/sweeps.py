@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .base_space import comparable, specialization_preorder
-from .cylinder import CylPoint, SubbasisElem, subbasis_elements
+from .cylinder import CylPoint, SubbasisElem, subbasis_elements, subbasis_realize
 from .fuzzy import (
     FuzzySet,
     FuzzyTopology,
@@ -22,7 +22,6 @@ from .fuzzy import (
     fz_generate_topology,
     ground,
 )
-from .oracle import subbasis_predicate
 from .paths import (
     ChiBoundary,
     Concat,
@@ -146,8 +145,8 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology,
 
     case selects the proof regime: "zero", "interior", or "one".  The
     candidate targets are computed once per topology and kept in its
-    ``memo``, next to a table of their predicates, each built on first
-    draw.  A draw is tested in integers: for t = tn/td and the point
+    ``memo``.  A draw is tested in integers against the realized target,
+    the set ``continuity_witness`` reads: for t = tn/td and the point
     (x, an/ad), the homotopy image ``h_eval(t, p)`` is (x, (td - tn)·an /
     (td·ad)), unreduced, and only the accepted draw becomes a ``Fraction``
     and a ``CylPoint``.  The draws are those of ``random_point``.
@@ -155,7 +154,6 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology,
     elems = topo.memo.get("anchor_targets")
     if elems is None:
         elems = topo.memo["anchor_targets"] = subbasis_elements(topo)
-    predicates = topo.memo.setdefault("subbasis_predicate", {})
     for _ in range(ANCHOR_TRIES):
         target = rng.choice(elems)
         if case == "zero":
@@ -167,10 +165,7 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology,
             tn = rng.randint(1, td - 1)
         x = rng.choice(topo.ground.elements)
         an, ad = rng_ratio(rng)
-        holds = predicates.get(target)
-        if holds is None:
-            holds = predicates[target] = subbasis_predicate(target, topo)
-        if holds(x, (td - tn) * an, td * ad):
+        if subbasis_realize(target, topo).fiber(x).holds((td - tn) * an, td * ad):
             return (Fraction(tn, td), CylPoint(x, Fraction(an, ad)), target)
     return None
 

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import re
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -713,14 +715,38 @@ GOLDEN = [
 GOLDEN_CERT = "c878af0bb870bd7959a7ae5833a445ac0e5b2313b9ef29ab5c935ef534e6f4a5"
 
 
-def test_stdout_and_certificates_byte_identical(capsys, tmp_path, topo_file):
-    cert = tmp_path / "certs.json"
+def golden_digests(capsys, rows, topo_file, cert):
+    """The sha256 of the stdout of each of ``rows``, run in order."""
     digests = []
-    for argv, _ in GOLDEN:
+    for argv, _ in rows:
         argv = [a.format(topo=topo_file, cert=cert) for a in argv]
         assert main(argv) == 0, argv
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert digests == [digest for _, digest in GOLDEN]
+    return digests
+
+
+def test_stdout_and_certificates_byte_identical(capsys, tmp_path, topo_file):
+    cert = tmp_path / "certs.json"
+    assert golden_digests(capsys, GOLDEN, topo_file, cert) == \
+        [digest for _, digest in GOLDEN]
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == GOLDEN_CERT
+
+
+def test_no_command_but_oracle_consults_the_oracle(capsys, tmp_path, topo_file,
+                                                   monkeypatch):
+    """Every GOLDEN row but ``oracle`` prints the same bytes, and the emit
+    writes the same certificates, with each function of ``fuzzcyl.oracle``
+    replaced by one that raises, in every loaded module that holds it."""
+    def consulted(*args, **kwargs):
+        raise AssertionError("the grid oracle was consulted")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("fuzzcyl.")]:
+        for name, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value.__module__ == "fuzzcyl.oracle":
+                monkeypatch.setattr(module, name, consulted)
+    rows = [row for row in GOLDEN if row[0][0] != "oracle"]
+    cert = tmp_path / "certs.json"
+    assert golden_digests(capsys, rows, topo_file, cert) == [digest for _, digest in rows]
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == GOLDEN_CERT
 
 

@@ -3,8 +3,8 @@ used by the module that imports it and is taken from the module that
 defines it, only ``intervals`` reads or writes boundary keys, every module
 of ``src/fuzzcyl`` imports only modules below it in ``ORDER`` and importing
 it loads no module above it, ``oracle`` imports of the package only what
-``ORACLE_READS`` lists, and every public name of ``src/fuzzcyl`` has a
-caller.
+``ORACLE_READS`` lists and only ``checks`` imports ``oracle``, and every
+public name of ``src/fuzzcyl`` has a caller.
 """
 
 import ast
@@ -260,6 +260,46 @@ def test_guard_sees_an_oracle_import():
         "from fuzzcyl.fuzzy import lattice_closure (line 5)",
         "import fuzzcyl.checks (line 6)",
         ".memo (line 8)", ".level_table (line 8)"]
+
+
+# The one module of src/fuzzcyl that may import ``oracle``: the checks pair
+# its predicates with symbolic sets.  A case source or any other module that
+# consulted a predicate would make a fault in the oracle fail the tests of
+# the code it checks.
+ORACLE_CONSUMERS = ("checks",)
+
+
+def oracle_consumers(module: str, source: str) -> list[str]:
+    """Each import of ``oracle`` in ``module``, relative (``from .oracle
+    import x``, ``from . import oracle``) or absolute (``from fuzzcyl.oracle
+    import x``, ``import fuzzcyl.oracle``), unless ``ORACLE_CONSUMERS``
+    holds the module."""
+    if module in ORACLE_CONSUMERS:
+        return []
+    return [f"{module}: {statement} (line {line})" for line, statement, target, name
+            in package_imports(source) if (target or name) == "oracle"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_checks_imports_the_oracle(path):
+    assert oracle_consumers(path.stem, path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_an_oracle_consumer():
+    planted = {
+        "sweeps": ("from .cylinder import subbasis_realize\n"
+                   "from .oracle import subbasis_predicate\n"),
+        "cli": "from . import checks, oracle\nimport fuzzcyl.oracle\n",
+        "functor": ("def f():\n"
+                    "    from fuzzcyl.oracle import expr_predicate\n"),
+        "checks": "from .oracle import psi_predicate\n",
+    }
+    assert [found for module, source in planted.items()
+            for found in oracle_consumers(module, source)] == [
+        "sweeps: from .oracle import subbasis_predicate (line 2)",
+        "cli: from . import oracle (line 1)",
+        "cli: import fuzzcyl.oracle (line 2)",
+        "functor: from fuzzcyl.oracle import expr_predicate (line 2)"]
 
 
 # Public names of src/fuzzcyl that no src module, benchmark script or read

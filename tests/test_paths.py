@@ -273,20 +273,35 @@ HLIFT_DOC = {"type": "hlift", "base": {"steps": ["a", "b"], "interiors": ["b"]},
     # an interior value must be one end of its segment
     ({"steps": ["a", "b"], "interiors": ["zz"]}, ValueError),
     ({"steps": ["a", "b", "c"], "interiors": ["b", "a"]}, ValueError),
+    # one interior value per segment
+    ({"steps": ["a", "b"], "interiors": ["b", "b"]}, ValueError),
     # every step and interior value is a ground element name
     ({"steps": [1, [2]], "interiors": [1]}, TypeError),
     ({"steps": ["a", ["b"]], "interiors": ["a"]}, TypeError),
     ({"steps": ["a", "b"], "interiors": [None]}, TypeError),
     # a fence has at least one step
     ({"steps": [], "interiors": []}, ValueError),
-], ids=["interior-outside", "interior-other-segment", "steps-not-strings",
-        "step-list", "interior-none", "no-steps"])
+], ids=["interior-outside", "interior-other-segment", "interiors-too-many",
+        "steps-not-strings", "step-list", "interior-none", "no-steps"])
 def test_fence_path_checks_its_entries(base, error):
     assert eval_path(path_from_json(HLIFT_DOC), F(1, 2)) == CylPoint("b", F(1, 4))
     with pytest.raises(error):
         path_from_json({**HLIFT_DOC, "base": base})
     with pytest.raises(error):
         FencePath(tuple(base["steps"]), tuple(base["interiors"]))
+
+
+@pytest.mark.parametrize("base", [
+    # tuple() would split a string into its characters and read an
+    # object's keys, so each reads as the fence a -> b
+    {"steps": "ab", "interiors": ["b"]},
+    {"steps": {"a": 1, "b": 2}, "interiors": ["b"]},
+    {"steps": ["a", "b"], "interiors": "b"},
+    {"steps": ["a", "b"], "interiors": {"b": 0}},
+], ids=["steps-string", "steps-object", "interiors-string", "interiors-object"])
+def test_fence_fields_are_arrays(base):
+    with pytest.raises(TypeError, match="must be arrays"):
+        path_from_json({**HLIFT_DOC, "base": base})
 
 
 @pytest.mark.parametrize("doc", [

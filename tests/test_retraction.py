@@ -253,10 +253,15 @@ def reference_anchor(rng, topo, case, max_tries=200):
 
 
 def test_random_anchor_matches_reference_draws(monkeypatch):
-    """Testing draws in integers changes no draw: the same anchors, the
-    same generator state after each, and None when every try fails (one
-    try, set through ``sweeps.ANCHOR_TRIES``)."""
+    """random_anchor tests each draw in integers against the realized
+    target, and the reference with ``oracle.subbasis_predicate`` on the
+    draw's Fractions, so every draw cross-checks the realizer with the
+    oracle: the same anchors, the same generator state after each, and
+    None when every try fails (one try, set through
+    ``sweeps.ANCHOR_TRIES``).  Enough draws land on each side that the
+    comparison cannot pass on anchors or Nones alone."""
     topos = random.Random(9)
+    found, missed = 0, 0
     for seed in range(40):
         topo = random_topology(topos, max_generators=2, max_den=8)
         for case in ("zero", "interior", "one"):
@@ -269,6 +274,9 @@ def test_random_anchor_matches_reference_draws(monkeypatch):
                 if got is not None:
                     t, p, _ = got
                     assert type(t) is F and type(p.alpha) is F
+                found += got is not None
+                missed += got is None and max_tries == 1
+    assert found >= 150 and missed >= 30
 
 
 def test_witness_json_round_trip():
@@ -299,9 +307,10 @@ def test_memo_is_created_on_first_use():
         assert "memo" not in topo.__dict__
         assert random_anchor(rng, topo, "interior") is not None
         memo = topo.memo
-        assert memo.keys() == {"anchor_targets", "subbasis_predicate"}
         assert memo["anchor_targets"] == subbasis_elements(topo)
-        assert set(memo["subbasis_predicate"]) <= set(memo["anchor_targets"])
+        # besides the targets, only the realization of each target tried
+        realized = memo.keys() - {"anchor_targets"}
+        assert realized and realized <= {("clause", (e,)) for e in memo["anchor_targets"]}
         checks.sweep_retraction_on(topo, rng, anchors=6)
         assert topo.memo is memo
         assert FuzzyTopology(topo.ground, topo.names, topo.opens) == topo
@@ -327,10 +336,12 @@ def with_clause_log(topo):
 
 
 def test_each_target_is_realized_once_per_loaded_topology():
-    # the witness precondition, the region built at emit, the check at emit
-    # and the replay all read one realization per distinct clause, kept in
-    # the topology's memo; a topology loaded again for the replay realizes
-    # each of its certificates' target and region clauses once more
+    # the anchor draw, the witness precondition, the region built at emit,
+    # the check at emit and the replay all read one realization per
+    # distinct clause, kept in the topology's memo: at emit, the clauses of
+    # the certificates and of every other target the draw tried; a topology
+    # loaded again for the replay realizes each of its certificates' target
+    # and region clauses once more
     rng = random.Random(9)
     for _ in range(10):
         topo = with_clause_log(random_topology(rng, max_generators=2, max_den=8))
@@ -339,7 +350,8 @@ def test_each_target_is_realized_once_per_loaded_topology():
         clauses = {(w.target,) for w in witnesses}
         clauses.update(c for w in witnesses for c in w.region_expr.clauses)
         misses = topo.memo.misses
-        assert len(misses) == len(set(misses)) and set(misses) == clauses
+        assert len(misses) == len(set(misses)) and set(misses) >= clauses
+        assert set(misses) - clauses <= {(e,) for e in topo.memo["anchor_targets"]}
         replay = with_clause_log(FuzzyTopology(topo.ground, topo.names, topo.opens))
         assert all(verify_witness(w, replay) for w in witnesses)
         assert all(verify_witness(w, replay) for w in witnesses)

@@ -25,6 +25,7 @@ from .cylinder import (
     complement_compat,
     cyl_complement,
     cyl_intersect,
+    open_realize,
     psi_star,
     recover_membership,
     subbasis_elements,
@@ -257,7 +258,7 @@ def _certify(cases: Iterable, ledger: Optional[OracleLedger]):
         failures = [] if verify_witness(witness, topo) else [("witness", regime, t, p, target)]
         witnesses.append((topo, witness))
         if ledger is not None and (i + 1) % 10 == 0:
-            ledger.add("witness-region", witness.region,
+            ledger.add("witness-region", open_realize(witness.region_expr, topo),
                        expr_predicate(witness.region_expr, topo))
             ledger.add("witness-target", subbasis_realize(witness.target, topo),
                        subbasis_predicate(witness.target, topo))

@@ -1,10 +1,10 @@
 """The vertical-collapse homotopy on the cylinder, its constructive continuity
 certificates, and the slice retraction onto X x {0} with its slice check.
 
-A certificate is a product box (time interval x cylinder open) around an
-anchor whose exact image under the homotopy lands inside a chosen subbasis
-target.  Its time box is the epsilon-ball around the anchor time, epsilon
-half the maximal slack the regime admits, so certificates are deterministic.
+A certificate is a product box (time interval x the open of one clause)
+around an anchor whose exact image under the homotopy lands inside a chosen
+subbasis target.  Its time box is the epsilon-ball around the anchor time,
+epsilon half the regime's maximal slack, so certificates are deterministic.
 """
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ def h_image_of_box(t_interval: IntervalSet, region: CylinderOpen) -> CylinderOpe
 
 @dataclass(frozen=True)
 class BoxWitness:
-    """A continuity certificate for the homotopy at one anchor.  The time
-    box ``t_interval`` is a one-pair parameter set, written in JSON as its
-    single interval."""
+    """A continuity certificate for the homotopy at one anchor.  The time box
+    ``t_interval`` is one pair, written in JSON as its single interval; the
+    realized ``region`` is never written, only read from files that hold it."""
 
     t_interval: IntervalSet
     region_expr: OpenExpr
-    region: CylinderOpen
+    region: CylinderOpen | None
     target: SubbasisElem
     anchor_t: Fraction
     anchor: CylPoint
@@ -69,7 +69,6 @@ class BoxWitness:
         return {
             "t_interval": self.t_interval.to_json()[0],
             "region_expr": self.region_expr.to_json(),
-            "region": self.region.to_json(),
             "target": self.target.to_json(),
             "anchor_t": format_rational(self.anchor_t),
             "anchor": self.anchor.to_json(),
@@ -80,7 +79,7 @@ class BoxWitness:
         return BoxWitness(
             IntervalSet.from_json([doc["t_interval"]]),
             OpenExpr.from_json(doc["region_expr"]),
-            CylinderOpen.from_json(gs, doc["region"]),
+            CylinderOpen.from_json(gs, doc["region"]) if "region" in doc else None,
             SubbasisElem.from_json(doc["target"]),
             unit(frac(doc["anchor_t"]), "homotopy time"),
             CylPoint.from_json(doc["anchor"]),
@@ -143,13 +142,13 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
         clause = [tstar(target.open_name, mu), pi2(max(GAMMA_LO, alpha - eps))]
     expr = OpenExpr((tuple(clause),))
     box = make_unit_interval(max(ZERO, t - eps), min(ONE, t + eps), t == ZERO, t == ONE)
-    return BoxWitness(box, expr, open_realize(expr, topo), target, t, p)
+    return BoxWitness(box, expr, None, target, t, p)
 
 
 def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
     """Replay a certificate: a time box open in [0,1] around the anchor time,
-    anchor containment, region realizability, and exact image containment in
-    the target.
+    and, on the clause realized once, anchor containment and exact image
+    containment in the target; a stored region must equal the realization.
 
     The image is never built: over each element the realized target
     (``subbasis_realize``) is one interval or empty, and the fiber's image
@@ -159,14 +158,15 @@ def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
     t = w.t_interval
     if not (is_open_in_unit(t) and t.contains(w.anchor_t)):
         return False
-    if not w.region.fiber(w.anchor.x).contains(w.anchor.alpha):
+    region = open_realize(w.region_expr, topo)
+    if w.region is not None and w.region != region:
         return False
-    if open_realize(w.region_expr, topo) != w.region:
+    if not region.fiber(w.anchor.x).contains(w.anchor.alpha):
         return False
     scale = iv_preimage(t, 1, -1, 1)
     target = subbasis_realize(w.target, topo)
     return all(iv_scale_within(a, scale, b)
-               for a, b in zip(w.region.fibers, target.fibers))
+               for a, b in zip(region.fibers, target.fibers))
 
 
 def sigma_image_subbasis(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:

@@ -496,11 +496,12 @@ def ref_verify_witness(w, topo):
         return False
     if not box.contains(w.anchor_t):
         return False
-    if not w.region.fiber(w.anchor.x).contains(w.anchor.alpha):
+    region = open_realize(w.region_expr, topo)
+    if w.region is not None and w.region != region:
         return False
-    if open_realize(w.region_expr, topo) != w.region:
+    if not region.fiber(w.anchor.x).contains(w.anchor.alpha):
         return False
-    return cyl_subset(ref_h_image_of_box(box, w.region),
+    return cyl_subset(ref_h_image_of_box(box, region),
                       subbasis_realize(w.target, topo))
 
 

@@ -28,6 +28,17 @@ TOPO = {
 }
 
 
+# Certificate files in the format that also stored each certificate's
+# realized region fibers (``region``) next to its clause, emitted before the
+# writer dropped them: for TOPO at --sweeps 12 --seed 4, for STEP at
+# --sweeps 60, and for the README's topology, which is TOPO, at the README's
+# flags.  Replay still reads and checks the fibers, so the tests that edit
+# them start from these files.
+OLD_CERTS = Path(__file__).resolve().parent / "old_certs"
+OLD_TOPO, OLD_STEP, OLD_README = (OLD_CERTS / name for name in (
+    "topo_sweeps12_seed4.json", "step_sweeps60.json", "readme_certs.json"))
+
+
 @pytest.fixture
 def topo_file(tmp_path):
     path = tmp_path / "topo.json"
@@ -168,6 +179,24 @@ def test_replay_rejects_degenerate_time_box(capsys, tmp_path, topo_file):
     assert not doc["ok"] and doc["failures"] == list(range(12))
 
 
+def test_replay_rejects_a_forged_region(capsys, tmp_path, topo_file):
+    """A stored region must equal the realization of its clause: the old
+    TOPO file replays ok, and emptying the anchor's fiber in its certificate
+    7, which leaves the file well formed, fails that certificate alone."""
+    code, doc = run(capsys, "verify-retraction", "--topology", topo_file,
+                    "--replay", str(OLD_TOPO))
+    assert (code, doc) == (0, {"replayed": 12, "ok": True, "failures": []})
+    forged = json.loads(OLD_TOPO.read_text())
+    fibers, x = forged[7]["region"]["fibers"], forged[7]["anchor"]["x"]
+    assert fibers[x] != []
+    fibers[x] = []
+    cert = tmp_path / "certs.json"
+    cert.write_text(json.dumps(forged))
+    code, doc = run(capsys, "verify-retraction", "--topology", topo_file,
+                    "--replay", str(cert))
+    assert (code, doc) == (1, {"replayed": 12, "ok": False, "failures": [7]})
+
+
 @pytest.mark.parametrize("forge", [
     lambda w: w["anchor"].update(x="zz"),
     lambda w: w.update(target={"kind": "tstar", "gamma": "0", "open": "Tz"}),
@@ -188,25 +217,30 @@ def test_replay_rejects_unknown_names(capsys, tmp_path, topo_file, forge):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("forge", [
-    lambda w: w["region"]["fibers"].update(zz=[]),
-    lambda w: w.update(target={"kind": "pi2", "gamma": "0", "open": "zz"}),
-    lambda w: w["region_expr"][0].append({"kind": "pi2", "gamma": "0", "open": "T1"}),
-    lambda w: w["target"].update(gamma=0.5),
-    lambda w: w.update(anchor_t="2"),
-    lambda w: w.update(anchor_t="-1/2"),
-    lambda w: next(fib for fib in w["region"]["fibers"].values() if fib)[0].update(lo="1/0"),
-    lambda w: w["target"].update(gamma="2"),
-    lambda w: w["region_expr"][0][0].update(gamma="-3/2"),
+@pytest.mark.parametrize("forge, old", [
+    (lambda w: w["region"]["fibers"].update(zz=[]), True),
+    (lambda w: w.update(target={"kind": "pi2", "gamma": "0", "open": "zz"}), False),
+    (lambda w: w["region_expr"][0].append({"kind": "pi2", "gamma": "0", "open": "T1"}),
+     False),
+    (lambda w: w["target"].update(gamma=0.5), False),
+    (lambda w: w.update(anchor_t="2"), False),
+    (lambda w: w.update(anchor_t="-1/2"), False),
+    (lambda w: next(fib for fib in w["region"]["fibers"].values() if fib)[0].update(lo="1/0"),
+     True),
+    (lambda w: w["target"].update(gamma="2"), False),
+    (lambda w: w["region_expr"][0][0].update(gamma="-3/2"), False),
 ], ids=["fiber-outside-ground-set", "pi2-target-with-open", "pi2-member-with-open",
         "inexact-gamma", "anchor-time-above-1", "anchor-time-below-0",
         "zero-denominator", "gamma-above-1", "gamma-below-minus-1"])
-def test_replay_rejects_malformed_fields(capsys, tmp_path, topo_file, forge):
+def test_replay_rejects_malformed_fields(capsys, tmp_path, topo_file, forge, old):
+    """Each forge edits certificate 3 of the TOPO file at --sweeps 12 --seed
+    4: an emitted one, or the old one where it edits the region fibers."""
     cert = tmp_path / "certs.json"
-    code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
-                  "--sweeps", "12", "--seed", "4", "--emit", str(cert))
-    assert code == 0
-    forged = json.loads(cert.read_text())
+    if not old:
+        code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
+                      "--sweeps", "12", "--seed", "4", "--emit", str(cert))
+        assert code == 0
+    forged = json.loads((OLD_TOPO if old else cert).read_text())
     forge(forged[3])
     cert.write_text(json.dumps(forged))
     assert main(["verify-retraction", "--topology", topo_file,
@@ -249,25 +283,27 @@ def non_array_clause(value):
     return forge
 
 
-@pytest.mark.parametrize("forge, message", [
-    (non_array_fiber({}), "interval set must be an array of intervals"),
-    (non_array_fiber(""), "interval set must be an array of intervals"),
-    (non_array_expr({}), "open expression must be an array of clauses"),
-    (non_array_expr(""), "open expression must be an array of clauses"),
-    (non_array_clause({}), "clause must be an array of subbasis elements"),
-    (non_array_clause(""), "clause must be an array of subbasis elements"),
+@pytest.mark.parametrize("forge, old, message", [
+    (non_array_fiber({}), True, "interval set must be an array of intervals"),
+    (non_array_fiber(""), True, "interval set must be an array of intervals"),
+    (non_array_expr({}), False, "open expression must be an array of clauses"),
+    (non_array_expr(""), False, "open expression must be an array of clauses"),
+    (non_array_clause({}), False, "clause must be an array of subbasis elements"),
+    (non_array_clause(""), False, "clause must be an array of subbasis elements"),
 ], ids=["fiber-object", "fiber-string", "region-expr-object", "region-expr-string",
         "clause-object", "clause-string"])
-def test_replay_requires_arrays(capsys, tmp_path, forge, message):
+def test_replay_requires_arrays(capsys, tmp_path, forge, old, message):
     """A JSON object or string where a certificate holds an array is
     malformed (exit 2), not read as an empty array; among the 60
-    certificates for ``STEP`` are regions with an empty fiber."""
+    certificates for ``STEP`` are regions with an empty fiber, which the
+    old file holds."""
     topo = write_topology(tmp_path, STEP)
     cert = tmp_path / "certs.json"
-    code, _ = run(capsys, "verify-retraction", "--topology", topo,
-                  "--sweeps", "60", "--emit", str(cert))
-    assert code == 0
-    forged = json.loads(cert.read_text())
+    if not old:
+        code, _ = run(capsys, "verify-retraction", "--topology", topo,
+                      "--sweeps", "60", "--emit", str(cert))
+        assert code == 0
+    forged = json.loads((OLD_STEP if old else cert).read_text())
     forge(forged)
     cert.write_text(json.dumps(forged))
     assert main(["verify-retraction", "--topology", topo, "--replay", str(cert)]) == 2
@@ -401,6 +437,32 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def readme_blocks(lang):
     return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+@pytest.mark.parametrize("old, topology, flags", [
+    (OLD_TOPO, TOPO, ["--sweeps", "12", "--seed", "4"]),
+    (OLD_STEP, STEP, ["--sweeps", "60"]),
+    # the README's verify-retraction --emit flags, on its topology
+    (OLD_README, None, ["--sweeps", "60"]),
+], ids=["topo", "step", "readme"])
+def test_old_files_replay_and_hold_todays_certificates(capsys, tmp_path, old, topology,
+                                                       flags):
+    """Each old file replays with no failure, and with its region fibers
+    taken out it is what the CLI emits today at its flags: the format lost
+    that one field and nothing else changed."""
+    if topology is None:
+        (text,) = readme_blocks("json")
+        topology = json.loads(text)
+    topo = write_topology(tmp_path, topology)
+    doc = json.loads(old.read_text())
+    assert len(doc) == int(flags[1]) and all("region" in w for w in doc)
+    code, report = run(capsys, "verify-retraction", "--topology", topo, "--replay", str(old))
+    assert (code, report) == (0, {"replayed": len(doc), "ok": True, "failures": []})
+    cert = tmp_path / "certs.json"
+    code, _ = run(capsys, "verify-retraction", "--topology", topo, *flags, "--emit", str(cert))
+    assert code == 0
+    assert json.loads(cert.read_text()) == [{k: v for k, v in w.items() if k != "region"}
+                                            for w in doc]
 
 
 def test_readme_commands_exit_0(tmp_path, monkeypatch):
@@ -558,12 +620,9 @@ def test_deeply_nested_json_exits_2(tmp_path):
     assert run_cli(["cylinder", "--topology", str(path)]) == 2
 
 
-def test_replay_rejects_fibers_that_are_not_an_object(capsys, tmp_path, topo_file):
+def test_replay_rejects_fibers_that_are_not_an_object(tmp_path, topo_file):
     cert = tmp_path / "certs.json"
-    code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
-                  "--sweeps", "12", "--seed", "4", "--emit", str(cert))
-    assert code == 0
-    forged = json.loads(cert.read_text())
+    forged = json.loads(OLD_TOPO.read_text())
     forged[5]["region"]["fibers"] = [[]]
     cert.write_text(json.dumps(forged))
     assert run_cli(["verify-retraction", "--topology", topo_file,
@@ -675,9 +734,7 @@ def test_rationals_outside_the_grammar_exit_2(tmp_path, spell):
     assert run_cli(["validate", "--topology", write_topology(tmp_path, doc)]) == 2
     topo = write_topology(tmp_path, TOPO)
     cert = tmp_path / "certs.json"
-    assert run_cli(["verify-retraction", "--topology", topo, "--sweeps", "12",
-                    "--seed", "4", "--emit", str(cert)]) == 0
-    forged = json.loads(cert.read_text())
+    forged = json.loads(OLD_TOPO.read_text())
     interval = next(fib for fib in forged[3]["region"]["fibers"].values() if fib)[0]
     interval["lo"] = spelled(interval["lo"])
     cert.write_text(json.dumps(forged))
@@ -712,7 +769,7 @@ GOLDEN = [
     (["decide-complement", "--topology", "{topo}", "--f", "T2", "--g", "T3"],
      "1ed5819b4a86b413d2c62ee514d9a7cd528f4b028c8b33f5cb7a02bd0a18ba09"),
 ]
-GOLDEN_CERT = "c878af0bb870bd7959a7ae5833a445ac0e5b2313b9ef29ab5c935ef534e6f4a5"
+GOLDEN_CERT = "5a3ee01063629ddf172bfc214569ac89d8e94256cbed9113c816ea895c08355b"
 
 
 def golden_digests(capsys, rows, topo_file, cert):
@@ -751,7 +808,8 @@ def test_no_command_but_oracle_consults_the_oracle(capsys, tmp_path, topo_file,
 
 
 # Mutation fuzzing of the CLI's file inputs (see jsonfuzz). Each example
-# starts from a valid topology document or an emitted certificate file,
+# starts from a valid topology document, an emitted certificate file or the
+# old TOPO certificate file (so that region fibers are fuzzed too),
 # replaces one field (or the whole document) with an arbitrary JSON value,
 # and runs the CLI in-process. Whatever the value, the CLI must exit 0, 1
 # or 2 without an exception, and exit 2 must come with exactly one error:
@@ -767,13 +825,14 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def emitted(workdir):
-    """A topology file and the certificate document emitted for it."""
+    """A topology file, and the certificate document emitted for it with the
+    document of the old TOPO file."""
     topo = workdir / "topo.json"
     topo.write_text(json.dumps(TOPO))
     cert = workdir / "certs.json"
     assert run_cli(["verify-retraction", "--topology", str(topo), "--sweeps", "6",
                     "--seed", "4", "--emit", str(cert)]) == 0
-    return str(topo), json.loads(cert.read_text())
+    return str(topo), [json.loads(cert.read_text()), json.loads(OLD_TOPO.read_text())]
 
 
 @FUZZ
@@ -788,7 +847,8 @@ def test_mutated_topology_never_escapes(workdir, path, value):
 @FUZZ
 @given(data=st.data(), value=JSON)
 def test_mutated_certificate_never_escapes(workdir, emitted, data, value):
-    topo, certs = emitted
+    topo, documents = emitted
+    certs = data.draw(st.sampled_from(documents), label="document")
     path = data.draw(st.sampled_from(list(field_paths(certs))), label="path")
     cert = workdir / "mutated-certs.json"
     cert.write_text(json.dumps(replaced(certs, path, value)))

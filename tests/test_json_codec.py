@@ -12,7 +12,8 @@ canonical part, and ``Interval.from_json`` with its ``Fraction`` checks,
 normalized by the reference.  Malformed fields must raise the exception
 class and message the reference raises, and a malformed field in a
 replayed certificate must give the CLI's one ``error:`` line with that
-message.
+message; the region fibers it edits are read from a file in the older
+format that still stored them.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import random
 import string
 from collections import OrderedDict
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from interval_ref import Interval, build, from_json, to_json
@@ -209,17 +211,17 @@ TOPO = {"ground_set": ["a", "b"],
                   for n, v in (("T0", "0"), ("T1", "1"), ("T2", "1/3"), ("T3", "2/3"))]}
 
 
+# the 12 certificates for TOPO at --sweeps 12 --seed 4, in the format that
+# also stored each certificate's realized region fibers, which replay reads
+OLD_CERTS = Path(__file__).resolve().parent / "old_certs" / "topo_sweeps12_seed4.json"
+
+
 @pytest.fixture(scope="module")
 def replay_files(tmp_path_factory):
-    """A topology file and 12 certificates emitted for it."""
-    workdir = tmp_path_factory.mktemp("replay")
-    topo, certs = workdir / "topo.json", workdir / "certs.json"
+    """A topology file, and the old certificate file for it."""
+    topo = tmp_path_factory.mktemp("replay") / "topo.json"
     topo.write_text(json.dumps(TOPO))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["verify-retraction", "--topology", str(topo), "--sweeps", "12",
-                     "--seed", "4", "--emit", str(certs)]) == 0
-    return topo, certs
+    return topo, OLD_CERTS
 
 
 @pytest.mark.parametrize("change, message", [(case[1], case[3]) for case in MALFORMED],
@@ -230,7 +232,7 @@ def test_malformed_region_interval_exits_2_with_its_message(replay_files, change
     forged = json.loads(certs.read_text())
     w = forged[0]
     w["region"]["fibers"][w["anchor"]["x"]][0] = {**GOOD, **change}
-    path = certs.with_name("forged.json")
+    path = topo.with_name("forged.json")
     path.write_text(json.dumps(forged))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

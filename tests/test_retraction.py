@@ -109,7 +109,8 @@ def test_witness_case_t0_tstar():
     target = tstar(name, 0)
     w = continuity_witness(0, CylPoint("a", F(1, 3)), target, topo)
     assert w.t_interval == build([Interval(F(0), F(1, 2), True, False)])
-    assert w.region == subbasis_realize(target, topo)
+    assert w.region is None
+    assert open_realize(w.region_expr, topo) == subbasis_realize(target, topo)
     assert verify_witness(w, topo)
 
 
@@ -117,7 +118,8 @@ def test_witness_case_t1_pi2():
     topo = const_topo()
     w = continuity_witness(1, CylPoint("a", F(0)), pi2(F(-1, 2)), topo)
     assert w.t_interval == build([Interval(F(1, 2), F(1), False, True)])
-    assert w.region == cyl_complement(empty_cylinder(AB))
+    assert w.region is None
+    assert open_realize(w.region_expr, topo) == cyl_complement(empty_cylinder(AB))
     assert verify_witness(w, topo)
 
 
@@ -136,8 +138,7 @@ def test_witness_fails_when_box_is_too_generous():
     # a region strictly larger than the target with the full time interval:
     # at t=0 the image is the region itself, which escapes the target
     region_expr = OpenExpr(((tstar(name, 0),),))
-    region = open_realize(region_expr, topo)
-    bad = BoxWitness(make_unit_interval(F(0), F(1), True, True), region_expr, region,
+    bad = BoxWitness(make_unit_interval(F(0), F(1), True, True), region_expr, None,
                      target, F(1, 2), CylPoint("a", F(1, 4)))
     assert not verify_witness(bad, topo)
     # a pi2 target escapes under widening too: collapsing to the slice drops
@@ -147,6 +148,19 @@ def test_witness_fails_when_box_is_too_generous():
     widened = BoxWitness(make_unit_interval(F(0), F(1), True, True), w.region_expr,
                          w.region, w.target, w.anchor_t, w.anchor)
     assert not verify_witness(widened, topo)
+
+
+def test_witness_fails_when_the_anchor_leaves_its_region():
+    # the box and the image still check, but the anchor moved out of the
+    # realized clause, so the box is no neighbourhood of it
+    topo = const_topo("2/3")
+    name = open_with_levels(topo, F(2, 3))
+    w = continuity_witness(F(1, 2), CylPoint("a", F(1, 4)), tstar(name, F(1, 8)), topo)
+    assert verify_witness(w, topo)
+    moved = BoxWitness(w.t_interval, w.region_expr, None, w.target, w.anchor_t,
+                       CylPoint("a", F(1, 2)))
+    assert not open_realize(w.region_expr, topo).fiber("a").contains(F(1, 2))
+    assert not verify_witness(moved, topo)
 
 
 def test_witness_precondition_enforced():
@@ -284,9 +298,15 @@ def test_witness_json_round_trip():
     name = open_with_levels(topo, F(2, 3))
     w = continuity_witness(F(1, 2), CylPoint("a", F(1, 4)),
                            tstar(name, F(1, 8)), topo)
-    again = BoxWitness.from_json(topo.ground, w.to_json())
+    doc = w.to_json()
+    again = BoxWitness.from_json(topo.ground, doc)
     assert again == w
     assert verify_witness(again, topo)
+    # a document that holds the realized region reads it, writes without it
+    region = open_realize(w.region_expr, topo)
+    old = BoxWitness.from_json(topo.ground, {**doc, "region": region.to_json()})
+    assert old.region == region and old.to_json() == doc
+    assert verify_witness(old, topo)
 
 
 def test_memo_is_created_on_first_use():
@@ -336,12 +356,11 @@ def with_clause_log(topo):
 
 
 def test_each_target_is_realized_once_per_loaded_topology():
-    # the anchor draw, the witness precondition, the region built at emit,
-    # the check at emit and the replay all read one realization per
-    # distinct clause, kept in the topology's memo: at emit, the clauses of
-    # the certificates and of every other target the draw tried; a topology
-    # loaded again for the replay realizes each of its certificates' target
-    # and region clauses once more
+    # the anchor draw, the witness precondition, the check at emit and the
+    # replay all read one realization per distinct clause, kept in the
+    # topology's memo: at emit, the clauses of the certificates and of every
+    # other target the draw tried; a topology loaded again for the replay
+    # realizes each of its certificates' target and region clauses once more
     rng = random.Random(9)
     for _ in range(10):
         topo = with_clause_log(random_topology(rng, max_generators=2, max_den=8))

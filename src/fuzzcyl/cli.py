@@ -14,7 +14,6 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .base_space import check_pc_lpc
@@ -61,60 +60,8 @@ def _load_topology(path: str) -> FuzzyTopology:
     return _read_topology(path, FuzzyTopology.from_json)
 
 
-def dumps(doc) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte: strings go through the
-    standard library's C string encoder, numbers through ``json.dumps``, and
-    tuples are written as lists.  With ``indent`` set the standard library
-    encodes in pure Python, which is several times slower."""
-    out: list[str] = []
-    _write(doc, out, "\n")
-    return "".join(out)
-
-
-_LITERALS = {True: "true", False: "false", None: "null"}
-
-
-def _write(doc, out: list[str], newline: str) -> None:
-    """Append the text of ``doc`` to ``out``; ``newline`` is a newline and
-    the indent of the line ``doc`` starts on.  Dispatch is on the exact
-    type, the common case; subclasses are written as their base type."""
-    kind = type(doc)
-    if kind is str:
-        out.append(encode_basestring_ascii(doc))
-    elif kind is dict:
-        if not doc:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in doc.items():
-            if key is None or isinstance(key, (int, float)):
-                key = json.dumps(key)  # as json.dumps converts keys
-            out += (sep, encode_basestring_ascii(key), ": ")
-            _write(value, out, inner)
-            sep = "," + inner
-        out += (newline, "}")
-    elif kind is list or kind is tuple:
-        if not doc:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for value in doc:
-            out.append(sep)
-            _write(value, out, inner)
-            sep = "," + inner
-        out += (newline, "]")
-    elif kind is bool or doc is None:
-        out.append(_LITERALS[doc])
-    elif isinstance(doc, (dict, list, tuple)):
-        _write(dict(doc) if isinstance(doc, dict) else list(doc), out, newline)
-    else:
-        out.append(json.dumps(doc))
-
-
 def _emit(doc) -> None:
-    sys.stdout.write(dumps(doc) + "\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -200,7 +147,7 @@ def _cmd_verify_retraction(args) -> int:
         rng = random.Random(args.seed)
         result, witnesses = sweep_retraction_on(topo, rng, anchors=args.sweeps)
         if args.emit:
-            emit.write(dumps([w.to_json() for w in witnesses]))
+            emit.write(json.dumps([w.to_json() for w in witnesses], separators=(",", ":")))
     _emit(result.to_json())
     return 0 if result.ok else 1
 

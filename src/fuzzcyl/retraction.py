@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .base_space import level_preimage_masks
 from .cylinder import (
@@ -93,56 +94,73 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
     Each regime (t = 1, 0 < t < 1, t = 0) sets only the clause and eps, half
     its maximal slack.  The box is {u in [0,1] : |u - t| < eps}, closed at 0
     or 1 exactly when t is: eps <= 1/2 at the ends, min(t, 1 - t) / 2 inside.
-    """
-    t = frac(t)
-    x, alpha = p.x, p.alpha
-    image = h_eval(t, p)
-    if not subbasis_realize(target, topo).fiber(image.x).contains(image.alpha):
-        raise ValueError(f"H({t},{p}) does not lie in the target {target}")
-    gamma = target.gamma
-    if target.kind == "tstar":
-        tv = topo.open_named(target.open_name)(x)
 
-    if t == ONE:
-        if target.kind == "pi2":
-            # image level is 0, so gamma < 0 and any box lands above gamma
-            if alpha == ZERO:
-                eps = Fraction(1, 2)
+    The work is in integers.  t = tn/td, alpha = an/ad, gamma = gn/gd and,
+    for a tstar target, T(x) = N/D (``level_table``) are put over L =
+    lcm(td, ad, gd, D) as T, A, G and V.  The image H(t, p) = (x, (1 - t)
+    alpha) is tested against the realized target at the unreduced level
+    (td - tn)·an / (td·ad), as ``random_anchor`` tests it.  The slack bounds
+    are alpha and (T(x) - gamma) / 2 at t = 1; 1 - gamma/alpha at t = 0 (pi2,
+    gamma > 0); and t, 1 - t and either ((1 - t) alpha - gamma) / alpha (pi2,
+    alpha > 0) or (T(x) - (1 - t) alpha - gamma) / (1 + t) (tstar) inside.
+    Their minimum m is taken over a common denominator, eps = en/ed with L
+    dividing ed, and a ``Fraction`` is built only for each clause gamma and
+    each box end.
+    """
+    t = unit(frac(t), "homotopy time")
+    tn, td = t.numerator, t.denominator
+    x, alpha, gamma = p.x, p.alpha, target.gamma
+    an, ad = alpha.numerator, alpha.denominator
+    if not subbasis_realize(target, topo).fiber(x).holds((td - tn) * an, td * ad):
+        raise ValueError(f"H({t},{p}) does not lie in the target {target}")
+    pi2_target = target.kind == "pi2"
+    level_den, v = 1, 0
+    if not pi2_target:
+        level_den, rows = topo.level_table
+        v = rows[topo.open_index(target.open_name)][topo.ground.index(x)]
+    L = lcm(td, ad, gamma.denominator, level_den)
+    T, A, G = tn * (L // td), an * (L // ad), gamma.numerator * (L // gamma.denominator)
+    V = v * (L // level_den)
+    en, ed = L, 2 * L  # eps = 1/2 unless a bound is smaller
+    clause = [target]
+
+    if T == L:
+        if A == 0:
+            if pi2_target:
+                # image level is 0, so gamma < 0 and any box lands above gamma
                 clause = [pi2(GAMMA_LO)]
+        elif pi2_target:
+            en = A
+            clause = [pi2(Fraction(A, 2 * L))]
+        else:
+            m = min(2 * A, V - G)
+            en, ed = m, 4 * L
+            clause = [tstar(target.open_name, Fraction(max(-ed, 4 * (G - A) + 2 * m), ed)),
+                      pi2(Fraction(4 * A - m, ed))]
+    elif T == 0:
+        if pi2_target and A > 0:
+            if G <= 0:
+                clause = [pi2(Fraction(max(-L, 2 * G), L))]
             else:
-                eps = alpha / 2
-                clause = [pi2(alpha - eps)]
-        elif alpha == ZERO:
-            eps = Fraction(1, 2)
-            clause = [target]
+                en, ed = (A - G) * L, 2 * A * L
+                clause = [pi2(Fraction(2 * A * G, L * (A + G)))]
+    elif pi2_target:
+        if A == 0:
+            en = min(T, L - T)
         else:
-            eps = min(alpha, (tv - gamma) / 2) / 2
-            clause = [tstar(target.open_name, max(GAMMA_LO, gamma - alpha + 2 * eps)),
-                      pi2(alpha - eps)]
-    elif t == ZERO:
-        if target.kind != "pi2":
-            eps = Fraction(1, 2)
-            clause = [target]
-        elif alpha == ZERO:
-            eps = Fraction(1, 2)
-            clause = [pi2(gamma)]
-        else:
-            eps = (ONE if gamma <= 0 else ONE - gamma / alpha) / 2
-            clause = [pi2(max(GAMMA_LO, gamma / (ONE - eps)))]
-    elif target.kind == "pi2":
-        bounds = [t, ONE - t]
-        if alpha > ZERO:
-            bounds.append(((ONE - t) * alpha - gamma) / alpha)
-        eps = min(bounds) / 2
-        clause = [pi2(max(GAMMA_LO, gamma + (t + eps) * alpha))]
+            m = min(T * A, (L - T) * A, (L - T) * A - G * L)
+            en, ed = m, 2 * A * L
+            clause = [pi2(Fraction(max(-2 * L * L, 2 * (G * L + T * A) + m), 2 * L * L))]
     else:
-        slack = (tv - (ONE - t) * alpha - gamma) / (ONE + t)
-        eps = min(t, ONE - t, slack) / 2
-        mu = max(GAMMA_LO, gamma - alpha * t + eps * (t + ONE))
-        clause = [tstar(target.open_name, mu), pi2(max(GAMMA_LO, alpha - eps))]
-    expr = OpenExpr((tuple(clause),))
-    box = make_unit_interval(max(ZERO, t - eps), min(ONE, t + eps), t == ZERO, t == ONE)
-    return BoxWitness(box, expr, None, target, t, p)
+        m = min(T * (L + T), (L - T) * (L + T), V * L - (L - T) * A - G * L)
+        en, ed = m, 2 * L * (L + T)
+        mu = Fraction(max(-2 * L * L, 2 * (G * L - A * T) + m), 2 * L * L)
+        clause = [tstar(target.open_name, mu),
+                  pi2(Fraction(max(-ed, 2 * A * (L + T) - m), ed))]
+    c = T * (ed // L)
+    box = make_unit_interval(Fraction(max(0, c - en), ed), Fraction(min(ed, c + en), ed),
+                             T == 0, T == L)
+    return BoxWitness(box, OpenExpr((tuple(clause),)), None, target, t, p)
 
 
 def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:

@@ -146,8 +146,8 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology,
     case selects the proof regime: "zero", "interior", or "one".  The
     candidate targets are computed once per topology and kept in its
     ``memo``.  A draw is tested in integers against the realized target,
-    the set ``continuity_witness`` reads: for t = tn/td and the point
-    (x, an/ad), the homotopy image ``h_eval(t, p)`` is (x, (td - tn)·an /
+    as ``continuity_witness`` tests its precondition: for t = tn/td and the
+    point (x, an/ad), the homotopy image H(t, p) is (x, (td - tn)·an /
     (td·ad)), unreduced, and only the accepted draw becomes a ``Fraction``
     and a ``CylPoint``.  The draws are those of ``random_point``.
     """

@@ -26,9 +26,11 @@ one denominator (``FuzzyTopology.level_table``).  The reference is the
 denominators, gamma -1, pi2 members alone, and ends that meet exactly.
 
 Certificates: ``continuity_witness`` builds every time box by one rule,
-the epsilon-ball around the anchor time.  The reference is the builder it
-replaced, which spelled out each regime's box and capped its slack bounds
-at 1: the same ``to_json`` on anchors of every branch class.
+the epsilon-ball around the anchor time, and computes eps and the clause
+in integers over one common denominator.  The reference is an earlier
+``Fraction`` builder, which spelled out each regime's box and capped its
+slack bounds at 1: the same ``to_json`` on anchors of every branch class,
+drawn from two topology families.
 
 Box replay: the time box is a one-pair ``IntervalSet``; ``verify_witness``
 checks it with ``is_open_in_unit`` and ``contains``, and compares two
@@ -462,16 +464,23 @@ def branch_class(t, p, target):
     return key
 
 
-def test_continuity_witness_matches_the_per_regime_boxes():
+@pytest.mark.parametrize("family", [{"max_generators": 2, "max_den": 8}, {}],
+                         ids=["max_den=8", "defaults"])
+def test_continuity_witness_matches_the_per_regime_boxes(family):
     """The same certificate bytes as the reference on one drawn anchor per
     regime and topology, and on its alpha = 0 variant (same t and target)
-    whenever that variant's image lies in the target: 3,422 certificates,
-    each of the 13 branch classes of ``branch_class`` at least 50 times
-    (the fewest, 62, at t = 1 on a pi2 target with alpha > 0)."""
+    whenever that variant's image lies in the target, for two families of
+    600 topologies: at most two generators with denominators up to 8 (3,422
+    certificates), and ``random_topology``'s defaults, the ``certify``
+    deck's, with denominators up to 32 (3,447 certificates), where the
+    builder's common denominator L is larger.  Each family reaches each of
+    the 13 branch classes of ``branch_class`` at least 50 times (the fewest:
+    62 at t = 1 on a pi2 target with alpha > 0 in the first, 60 at
+    0 < t < 1 on a pi2 target with alpha = 0 in the second)."""
     rng = random.Random(20261019)
     seen = {}
     for _ in range(600):
-        topo = random_topology(rng, max_generators=2, max_den=8)
+        topo = random_topology(rng, **family)
         for case in ("zero", "interior", "one"):
             anchor = random_anchor(rng, topo, case)
             if anchor is None:

@@ -1,11 +1,7 @@
-"""The JSON text the CLI writes, and the interval-set codec.
+"""The interval-set JSON codec.
 
-Writer: ``cli.dumps`` must give the bytes of ``json.dumps(doc, indent=2)``
-on random nested documents with non-ASCII text, quotes, control
-characters, empty containers, tuples, ints, floats, None and booleans.
-
-Codec: ``IntervalSet.to_json`` formats each endpoint from its boundary key,
-and ``IntervalSet.from_json`` reads each interval's ends and flags straight
+``IntervalSet.to_json`` formats each endpoint from its boundary key, and
+``IntervalSet.from_json`` reads each interval's ends and flags straight
 to integers and checks them in integers.  The references are the encoder
 and decoder they replaced (``interval_ref``): ``Interval.to_json`` of each
 canonical part, and ``Interval.from_json`` with its ``Fraction`` checks,
@@ -20,82 +16,14 @@ import contextlib
 import io
 import json
 import random
-import string
-from collections import OrderedDict
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from interval_ref import Interval, build, from_json, to_json
 
-from fuzzcyl.cli import dumps, main
+from fuzzcyl.cli import main
 from fuzzcyl.intervals import EMPTY_SET, IntervalSet
-
-# ---------------------------------------------------------------------------
-# writer
-
-ALPHABET = string.printable + "\x00\x01\x1f\x7f\"\\/éß☃€\U0001f600"
-
-
-def random_text(rng):
-    return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 8)))
-
-
-def random_leaf(rng):
-    return rng.choice([
-        lambda: random_text(rng),
-        lambda: rng.randint(-10**6, 10**6),
-        lambda: rng.choice([0, 1, -1, 10**30]),
-        lambda: rng.uniform(-1e3, 1e3),
-        lambda: rng.choice([True, False, None]),
-    ])()
-
-
-def random_doc(rng, depth):
-    roll = rng.random()
-    if depth == 0 or roll < 0.3:
-        return random_leaf(rng)
-    size = rng.choice([0, 1, 2, 3, 5])
-    if roll < 0.6:
-        return {random_text(rng): random_doc(rng, depth - 1) for _ in range(size)}
-    items = [random_doc(rng, depth - 1) for _ in range(size)]
-    return tuple(items) if roll < 0.75 else items
-
-
-def test_writer_matches_json_dumps_indent_2():
-    rng = random.Random(9_500)
-    kinds = set()
-    for _ in range(3_000):
-        doc = random_doc(rng, rng.randint(0, 5))
-        text = dumps(doc)
-        assert text == json.dumps(doc, indent=2)
-        kinds.update(k for k, probe in (("{}", "{}"), ("[]", "[]"), ("\\u", "\\u"),
-                                        ("null", "null"), ("true", "true"))
-                     if probe in text)
-    assert kinds == {"{}", "[]", "\\u", "null", "true"}
-
-
-class Items(list):
-    """A list subclass: written as a list."""
-
-
-@pytest.mark.parametrize("doc", [
-    {}, [], (), "", "é\"\\\n\x00", 0, -3, 1.5, None, True, False,
-    {"a": (), "b": {}, "c": [(), [{}]]},
-    {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
-    OrderedDict(b=[1], a=Items([{}, (), Items()])),
-], ids=repr)
-def test_writer_edge_documents(doc):
-    assert dumps(doc) == json.dumps(doc, indent=2)
-
-
-def test_writer_rejects_keys_json_rejects():
-    for doc in ({(1, 2): 0}, {b"k": 0}):
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=2)
-        with pytest.raises(TypeError):
-            dumps(doc)
-
 
 # ---------------------------------------------------------------------------
 # interval-set codec

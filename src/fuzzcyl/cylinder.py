@@ -200,31 +200,24 @@ class OpenExpr:
                               for clause in doc))
 
 
-def _realize_clause(clause: tuple[SubbasisElem, ...],
-                    topo: FuzzyTopology) -> CylinderOpen:
-    """Canonical fibers of an intersection of subbasis opens.
+def clause_ends(clause: tuple[SubbasisElem, ...],
+                topo: FuzzyTopology) -> tuple[int, int, bool, list[int]]:
+    """The integer ends (den, lo, lo_open, his) of an intersection of
+    subbasis opens: over each element x, ``iv_span(den, lo, his[x],
+    lo_open)`` is its fiber.
 
-    Over each element x the fiber is one interval of levels alpha: above the
+    Over each element the fiber is one interval of levels alpha: above the
     largest pi2 gamma (open there; from 0, closed, when there is none or it
     is negative) and below the least T(x) - gamma over the tstar members,
     capped at 1.  A clause of pi2 members alone has one fiber for every x.
-
-    The ends are integer numerators over one denominator ``den``, the lcm of
-    the topology's level denominator D (``level_table``) and the gammas'
-    denominators, so T(x) - gamma is m·N_T(x) - g with m = den/D; each
-    fiber is ``iv_span`` of its two ends over den.  Each distinct clause is
-    realized once per topology and kept in its ``memo``.
+    The ends are numerators over ``den``, the lcm of the topology's level
+    denominator D (``level_table``) and the gammas' denominators, so
+    T(x) - gamma is m·N_T(x) - g with m = den/D.
     """
-    key = ("clause", clause)
-    out = topo.memo.get(key)
-    if out is not None:
-        return out
     level_den, rows = topo.level_table
     den = lcm(level_den, *(e.gamma.denominator for e in clause))
     lo = max((e.gamma.numerator * (den // e.gamma.denominator)
               for e in clause if e.kind == "pi2"), default=-1)
-    lo_open = lo >= 0
-    lo = max(lo, 0)
     his = [den] * len(topo.ground.elements)
     m = den // level_den
     for e in clause:
@@ -232,6 +225,19 @@ def _realize_clause(clause: tuple[SubbasisElem, ...],
             g = e.gamma.numerator * (den // e.gamma.denominator)
             his = [min(h, m * n - g)
                    for h, n in zip(his, rows[topo.open_index(e.open_name)])]
+    return den, max(lo, 0), lo >= 0, his
+
+
+def _realize_clause(clause: tuple[SubbasisElem, ...],
+                    topo: FuzzyTopology) -> CylinderOpen:
+    """Canonical fibers of an intersection of subbasis opens, each the
+    ``iv_span`` of its ``clause_ends``.  Each distinct clause is realized
+    once per topology and kept in its ``memo``."""
+    key = ("clause", clause)
+    out = topo.memo.get(key)
+    if out is not None:
+        return out
+    den, lo, lo_open, his = clause_ends(clause, topo)
     out = topo.memo[key] = CylinderOpen(topo.ground,
                                         tuple(iv_span(den, lo, hi, lo_open) for hi in his))
     return out

@@ -17,8 +17,10 @@ integers and hands its key pairs to ``canonical``, and the writer and
 ``repr`` format the ends from the keys.  The union of any number of sets
 is ``canonical`` of their key pairs over the lcm of their denominators,
 a subset is a set whose union with the other is the other, and the image
-under a one-pair scale set is ``canonical`` of the scaled pairs (and lies
-in one interval when its two outer scaled ends do, ``iv_scale_within``).
+under a one-pair scale set is ``canonical`` of the scaled pairs.  A span
+[lo, hi)/den is also read unbuilt, from its integer ends: its image under
+the factors 1 - u of a time set lies in another span when its two scaled
+ends do (``iv_scaled_spans_within``, one span per element).
 Intersection is one two-pointer pass over a common denominator, the
 complement in J toggles against [0, 2·den), the preimage of a set under
 an affine map u -> (c0 + c1·u)/d maps each key and clips to [0,1]
@@ -266,31 +268,28 @@ def iv_scale(a: IntervalSet, c: IntervalSet) -> IntervalSet:
                                      for s, e in zip(k[::2], k[1::2])])
 
 
-def iv_scale_within(a: IntervalSet, c: IntervalSet, b: IntervalSet) -> bool:
-    """``iv_subset(iv_scale(a, c), b)`` for b empty or one pair, without
-    building the image.  The scaled pairs start and end in the order of a's
-    pairs, whose numerators u and v strictly increase from pair to pair: the
-    ends p1·u and p2·v do too when p1 and p2 are positive; when p1 = 0 the
-    low ends are the keys 0 and 1 and never decrease (a later pair has
-    u > 0, so it holds 0 only when C does, and then so does the first);
-    when p2 = 0 every pair maps to {0}.  So the image's least key is the
-    scaled low end of a's first pair and its greatest the scaled high end
-    of a's last pair, and the image lies in b exactly when both of those
-    ends do.  A b of several pairs raises ``ValueError``."""
-    k = a.keys
-    if not k:
-        return True
-    if not b.keys:
-        return False
-    bs, be = b.keys
-    cs, ce = c.keys
-    lo = _scaled_pair(k[0], k[1], cs, ce)[0]
-    hi = _scaled_pair(k[-2], k[-1], cs, ce)[1]
-    den = c.den * a.den
-    both = lcm(den, b.den)
-    m, mb = both // den, both // b.den
-    return (2 * (bs >> 1) * mb + (bs & 1) <= 2 * (lo >> 1) * m + (lo & 1)
-            and 2 * (hi >> 1) * m + (hi & 1) <= 2 * (be >> 1) * mb + (be & 1))
+def iv_scaled_spans_within(t: IntervalSet, a: tuple, b: tuple) -> bool:
+    """Whether over every element the span of ``a``, scaled by the factors
+    1 - u for u in the one-pair time set t, lies in the span of ``b``.  Each
+    of a and b is the ends (den, lo, lo_open, his) of one span per element,
+    ``iv_span(den, lo, his[i], lo_open)``, and no span is built.  The
+    factors are t reflected by u -> 1 - u (``iv_preimage(t, 1, -1, 1)``,
+    unreduced), an empty span's image is empty, and a nonempty span's is the
+    one pair that ``_scaled_pair`` gives over t.den·den, which lies in b's
+    span exactly when that span is nonempty and holds both of its ends."""
+    ts, te = t.keys
+    cs, ce = 2 * t.den + 1 - te, 2 * t.den + 1 - ts
+    den, lo, lo_open, his = a
+    bden, blo, blo_open, bhis = b
+    m, mb = bden, t.den * den  # both sides over t.den·den·bden
+    s, bs = 2 * lo + lo_open, 2 * blo * mb + blo_open
+    for hi, bhi in zip(his, bhis):
+        if hi > lo:
+            ls, le = _scaled_pair(s, 2 * hi, cs, ce)
+            if not (bhi > blo and bs <= 2 * (ls >> 1) * m + (ls & 1)
+                    and 2 * (le >> 1) * m + (le & 1) <= 2 * bhi * mb):
+                return False
+    return True
 
 
 def iv_grid(a: IntervalSet, resolution: int) -> tuple[bool, ...]:

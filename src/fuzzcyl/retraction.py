@@ -20,6 +20,7 @@ from .cylinder import (
     GAMMA_LO,
     OpenExpr,
     SubbasisElem,
+    clause_ends,
     critical_gammas,
     open_realize,
     pi2,
@@ -33,7 +34,8 @@ from .intervals import (
     is_open_in_unit,
     iv_preimage,
     iv_scale,
-    iv_scale_within,
+    iv_scaled_spans_within,
+    iv_span,
     make_unit_interval,
     singleton,
 )
@@ -165,26 +167,26 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
 
 def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
     """Replay a certificate: a time box open in [0,1] around the anchor time,
-    and, on the clause realized once, anchor containment and exact image
-    containment in the target; a stored region must equal the realization.
+    the anchor in some clause of the region, and exact image containment in
+    the target for every clause; a stored region must equal the realization.
 
-    The image is never built: over each element the realized target
-    (``subbasis_realize``) is one interval or empty, and the fiber's image
-    under the factors 1 - t lies in it exactly when two scaled ends do, the
-    low end of the fiber's first key pair and the high end of its last
-    (``iv_scale_within``)."""
+    Nothing is realized: each clause and the target are read as the integer
+    ends of their spans (``clause_ends``).  The region is the union of its
+    clauses, so the anchor lies in it when its fiber of some clause holds
+    it, and its image lies in the target when each clause's does, which
+    ``iv_scaled_spans_within`` decides on two scaled ends per element."""
     t = w.t_interval
     if not (is_open_in_unit(t) and t.contains(w.anchor_t)):
         return False
-    region = open_realize(w.region_expr, topo)
-    if w.region is not None and w.region != region:
+    if w.region is not None and w.region != open_realize(w.region_expr, topo):
         return False
-    if not region.fiber(w.anchor.x).contains(w.anchor.alpha):
+    clauses = [clause_ends(clause, topo) for clause in w.region_expr.clauses]
+    i = topo.ground.index(w.anchor.x)
+    if not any(iv_span(den, lo, his[i], lo_open).contains(w.anchor.alpha)
+               for den, lo, lo_open, his in clauses):
         return False
-    scale = iv_preimage(t, 1, -1, 1)
-    target = subbasis_realize(w.target, topo)
-    return all(iv_scale_within(a, scale, b)
-               for a, b in zip(region.fibers, target.fibers))
+    target = clause_ends((w.target,), topo)
+    return all(iv_scaled_spans_within(t, ends, target) for ends in clauses)
 
 
 def sigma_image_subbasis(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:

@@ -33,17 +33,23 @@ slack bounds at 1: the same ``to_json`` on anchors of every branch class,
 drawn from two topology families.
 
 Box replay: the time box is a one-pair ``IntervalSet``; ``verify_witness``
-checks it with ``is_open_in_unit`` and ``contains``, and compares two
-scaled ends per fiber with the realized target
-(``intervals.iv_scale_within``).  The reference is the replay that builds
-the whole image: the box's ``Interval`` part, the image built and
+checks it with ``is_open_in_unit`` and ``contains``, reads each clause and
+the target as integer span ends (``cylinder.clause_ends``), and compares
+two scaled ends per element of each clause with the target's span
+(``intervals.iv_scaled_spans_within``).  One reference is the replay that
+builds the whole image: the box's ``Interval`` part, the image built and
 ``cyl_subset`` against ``subbasis_realize``; its image is the part-by-part
 reference above, so that a fault in the per-pair scaling that ``iv_scale``
-and the end test share cannot reach both sides.
+and the end test share cannot reach both sides.  The other is the replay
+this one replaced, which realized the region and the target and tested the
+anchor and two scaled ends per fiber on them, on emitted certificates and
+forgeries of each field.
 """
 
 import itertools
+import json
 import random
+from math import lcm
 from fractions import Fraction
 from fractions import Fraction as F
 
@@ -72,12 +78,13 @@ from fuzzcyl.fuzzy import FuzzyTopology, GroundSet
 from fuzzcyl.intervals import (
     EMPTY_SET,
     is_open_in_unit,
-    iv_scale_within,
+    iv_preimage,
+    iv_scaled_spans_within,
     iv_subset,
     make_interval,
     make_unit_interval,
 )
-from fuzzcyl.rationals import frac
+from fuzzcyl.rationals import format_rational, frac
 from fuzzcyl.retraction import (
     BoxWitness,
     continuity_witness,
@@ -348,29 +355,79 @@ def test_integer_realizer_matches_fraction_realizer():
 # box replay
 
 
-def test_iv_scale_within_matches_the_built_image():
-    """Against ``iv_subset`` of the part-by-part image, for right-hand sets
-    that are empty or one pair, including b equal to the image itself; a b
-    of several pairs raises when a is nonempty."""
+def ref_span(den, lo, hi, lo_open):
+    """The span [lo, hi)/den, open at lo when ``lo_open``, built by the
+    reference; empty when hi <= lo."""
+    if hi <= lo:
+        return EMPTY_SET
+    return build([Interval(F(lo, den), F(hi, den), not lo_open, False)])
+
+
+def random_ends(rng, size):
+    """Span ends (den, lo, lo_open, his) of ``size`` elements: lo at 0 or
+    inside [0,1), either flag, and high ends that may lie at or below lo
+    (an empty span), at 1, or anywhere between."""
+    den = rng.choice(DENOMINATORS)
+    lo = 0 if rng.random() < 0.3 else rng.randint(0, den - 1)
+    his = [rng.choice((lo, lo - 1, den, rng.randint(lo - den, den))) for _ in range(size)]
+    return den, lo, rng.random() < 0.5, his
+
+
+def image_ends(a, scale):
+    """The ends of the reference image of a's spans under ``scale``, when
+    every image is empty or one pair closed or open at its low end and open
+    at its high end (not the collapse to {0}), so that they form spans
+    sharing one low end; None otherwise."""
+    images = [ref_scaled(scale, ref_span(a[0], a[1], hi, a[2])) for hi in a[3]]
+    filled = [parts(image)[0] for image in images if image.keys]
+    if not filled or filled[0].hi == ZERO:
+        return None
+    part = filled[0]
+    den = lcm(*(q.denominator for p in filled for q in (p.lo, p.hi)))
+    lo = part.lo * den
+    return (den, int(lo), not part.lo_closed,
+            [int(parts(image)[0].hi * den) if image.keys else int(lo) for image in images])
+
+
+def nudged(b, rng):
+    """b over twice its den with one end moved by half a numerator inwards
+    or outwards, within [0,1), or its low flag flipped."""
+    den, lo, lo_open, his = b
+    move, step = rng.choice(("lo", "hi", "flag")), rng.choice((-1, 1))
+    if move == "lo":
+        return 2 * den, max(0, 2 * lo + step), lo_open, [2 * h for h in his]
+    if move == "hi":
+        return 2 * den, 2 * lo, lo_open, [min(2 * den, 2 * h + step) for h in his]
+    return den, lo, not lo_open, his
+
+
+def test_iv_scaled_spans_within_matches_the_built_image():
+    """Against ``iv_subset`` of the part-by-part image of each span, built
+    by the reference, for every box of ``time_boxes`` and target spans that
+    are random, empty over every element, equal to the image itself, or the
+    image with one end moved by half a numerator or its low flag flipped,
+    over one to four elements."""
     rng = random.Random(9_500)
-    verdicts = {(size, v): 0 for size in ("empty", "one") for v in (True, False)}
-    verdicts["more", "raises"] = 0
+    verdicts = {(kind, v): 0 for kind in ("random", "empty", "image", "nudged")
+                for v in (True, False)}
+    del verdicts["image", False]
     for _ in range(150):
-        a = random_fiber(rng)
+        size = rng.randint(1, 4)
+        a = random_ends(rng, size)
         for box in time_boxes(rng):
             scale = Interval(ONE - box.hi, ONE - box.lo, box.hi_closed, box.lo_closed)
-            image = ref_scaled(scale, a)
-            for b in (random_fiber(rng), random_fiber(rng), image, EMPTY_SET,
-                      build([random_part(rng, False)])):
-                if len(b.keys) > 2:
-                    if a.keys:
-                        with pytest.raises(ValueError):
-                            iv_scale_within(a, build([scale]), b)
-                        verdicts["more", "raises"] += 1
-                    continue
-                got = iv_scale_within(a, build([scale]), b)
-                assert got == iv_subset(image, b), (a, box, b)
-                verdicts["empty" if not b.keys else "one", got] += 1
+            targets = [("random", random_ends(rng, size)), ("random", random_ends(rng, size)),
+                       ("empty", (1, 0, False, [0] * size))]
+            image = image_ends(a, scale)
+            if image is not None:
+                targets += [("image", image), ("nudged", nudged(image, rng))]
+            for kind, b in targets:
+                got = iv_scaled_spans_within(build([box]), a, b)
+                expect = all(iv_subset(ref_scaled(scale, ref_span(a[0], a[1], hi, a[2])),
+                                       ref_span(b[0], b[1], bhi, b[2]))
+                             for hi, bhi in zip(a[3], b[3]))
+                assert got == expect, (a, box, b)
+                verdicts[kind, got] += 1
     assert min(verdicts.values()) >= 50, verdicts
 
 
@@ -593,10 +650,10 @@ def test_verify_witness_matches_the_built_image_replay():
     ``sweep_retraction_on`` and on forged ones (see ``forged_witnesses``
     and ``closed_low_end``), each replayed on a freshly loaded topology so
     that targets are realized anew.  Among the mutants this kills: the
-    first pair's high end taken for the last pair's, the high end
-    compared alone, the closed-0 rule of the scaling dropped, the high
-    flag closed when either factor's is, and the openness test of a closed
-    low end dropped."""
+    high end compared alone, the closed-0 rule of the scaling dropped, the
+    high flag closed when either factor's is, the openness test of a
+    closed low end dropped, and only the first clause's image or anchor
+    checked."""
     rng = random.Random(9_600)
     seen = {"valid": 0, "forged accepted": 0, "forged rejected": 0,
             "multi-pair region": 0, "empty target fiber": 0,
@@ -617,3 +674,187 @@ def test_verify_witness_matches_the_built_image_replay():
             assert verdict == ref_verify_witness(w, replay), w
             seen["forged accepted" if verdict else "forged rejected"] += 1
     assert min(seen.values()) >= 500, seen
+
+
+# ---------------------------------------------------------------------------
+# replay against the realizing replay it replaced
+
+
+def parent_scaled_pair(s, e, cs, ce):
+    """``intervals._scaled_pair`` as the realizing replay used it."""
+    lo, hi = (cs >> 1) * (s >> 1), (ce >> 1) * (e >> 1)
+    if hi == 0:
+        return 0, 1
+    lo_open = (s | cs) & 1 if lo else cs != 0 and s != 0
+    return 2 * lo + lo_open, 2 * hi + (e & ce & 1)
+
+
+def parent_iv_scale_within(a, c, b):
+    """The deleted ``intervals.iv_scale_within``: the image of a under the
+    one-pair scale set c lies in b, empty or one pair, when the scaled low
+    end of a's first pair and high end of its last pair do."""
+    k = a.keys
+    if not k:
+        return True
+    if not b.keys:
+        return False
+    bs, be = b.keys
+    cs, ce = c.keys
+    lo = parent_scaled_pair(k[0], k[1], cs, ce)[0]
+    hi = parent_scaled_pair(k[-2], k[-1], cs, ce)[1]
+    den = c.den * a.den
+    both = lcm(den, b.den)
+    m, mb = both // den, both // b.den
+    return (2 * (bs >> 1) * mb + (bs & 1) <= 2 * (lo >> 1) * m + (lo & 1)
+            and 2 * (hi >> 1) * m + (hi & 1) <= 2 * (be >> 1) * mb + (be & 1))
+
+
+def parent_verify_witness(w, topo):
+    """The replay that realized the region (the union of its clauses) and
+    the target, and tested the anchor and each fiber's image on them."""
+    t = w.t_interval
+    if not (is_open_in_unit(t) and t.contains(w.anchor_t)):
+        return False
+    region = open_realize(w.region_expr, topo)
+    if w.region is not None and w.region != region:
+        return False
+    if not region.fiber(w.anchor.x).contains(w.anchor.alpha):
+        return False
+    scale = iv_preimage(t, 1, -1, 1)
+    target = subbasis_realize(w.target, topo)
+    return all(parent_iv_scale_within(a, scale, b)
+               for a, b in zip(region.fibers, target.fibers))
+
+
+NUDGE = F(1, 97)
+
+
+def rational_paths(doc):
+    """The path of each rational field of a certificate document: the time
+    box's ends, the anchor time and level, each clause gamma and the
+    target's gamma."""
+    paths = [("t_interval", "lo"), ("t_interval", "hi"), ("anchor_t",), ("anchor", "alpha"),
+             ("target", "gamma")]
+    paths += [("region_expr", i, j, "gamma") for i, clause in enumerate(doc["region_expr"])
+              for j in range(len(clause))]
+    return paths
+
+
+def with_field(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def field(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def missing_clause(rng, topo, x, alpha):
+    """A clause whose fiber over x does not hold alpha, often empty over
+    some element (a tstar gamma at one of the open's levels), or None."""
+    for _ in range(20):
+        clause = random_small_clause(rng, topo)
+        if not _realize_clause(clause, topo).fiber(x).contains(alpha):
+            return clause
+    return None
+
+
+def empty_somewhere(rng, topo):
+    """A tstar target at gamma T(y) for some y with T(y) < 1: its fiber
+    over y is empty."""
+    name = rng.choice([n for n, f in topo.items() if min(f.levels) < 1] or [None])
+    if name is None:
+        return None
+    level = rng.choice([v for v in topo.open_named(name).levels if v < 1])
+    return tstar(name, level).to_json()
+
+
+def touching_boxes(t):
+    """Time boxes that reach 0 or 1 and hold the anchor time t."""
+    boxes = []
+    if t < 1:
+        boxes.append({"lo": "0", "hi": format_rational((t + 1) / 2), "lo_open": False,
+                      "hi_open": True})
+        boxes.append({"lo": "0", "hi": "1", "lo_open": False, "hi_open": False})
+    if t > 0:
+        boxes.append({"lo": format_rational(t / 2), "hi": "1", "lo_open": True,
+                      "hi_open": False})
+    return boxes
+
+
+def forgeries(rng, topo, doc):
+    """(kind, document) of each forgery of one emitted certificate: each
+    rational field nudged by +-1/97, each time-box flag flipped, boxes
+    touching 0 and 1, regions of two or three clauses with the anchor only
+    in the last, and a target empty over some element.  The first earlier
+    clause is, in turn, the certificate's own clause cut above the anchor
+    level, whose image still lies in the target, the levels above the
+    anchor's, whose image seldom does, and a drawn clause that misses the
+    anchor, often empty over some element."""
+    for path in rational_paths(doc):
+        for step in (NUDGE, -NUDGE):
+            yield "nudged", with_field(doc, path, format_rational(frac(field(doc, path)) + step))
+    for flag in ("lo_open", "hi_open"):
+        yield "flag flipped", with_field(doc, ("t_interval", flag), not doc["t_interval"][flag])
+    for box in touching_boxes(frac(doc["anchor_t"])):
+        yield "box at 0 or 1", with_field(doc, ("t_interval",), box)
+    x, alpha = doc["anchor"]["x"], frac(doc["anchor"]["alpha"])
+    clauses = OpenExpr.from_json(doc["region_expr"]).clauses
+    for first in ((*clauses[0], pi2(alpha)), (pi2(alpha),), missing_clause(rng, topo, x, alpha)):
+        earlier = [first] + [missing_clause(rng, topo, x, alpha)
+                             for _ in range(rng.randint(0, 1))]
+        if None not in earlier:
+            kind = "anchor in a later clause"
+            if any(not all(fib.keys for fib in _realize_clause(c, topo).fibers)
+                   for c in earlier):
+                kind = "and a clause empty somewhere"
+            yield kind, with_field(doc, ("region_expr",),
+                                   OpenExpr((*earlier, *clauses)).to_json())
+    target = empty_somewhere(rng, topo)
+    if target is not None:
+        yield "target empty somewhere", with_field(doc, ("target",), target)
+
+
+@pytest.mark.parametrize("family", [{"max_generators": 2, "max_den": 8}, {}],
+                         ids=["max_den=8", "defaults"])
+def test_verify_witness_matches_the_realizing_replay(family):
+    """The same verdict as the parent's realizing replay, kept above, on the
+    emitted certificates of every regime and on forgeries of each (see
+    ``forgeries``), replayed on a freshly loaded topology.  The families are
+    small topologies with denominators up to 8 and ``random_topology``'s
+    defaults, the ``certify`` deck's draws, on up to 6 points.  Each kind
+    of forgery but two is both accepted and rejected at least 20 times; a
+    flipped flag always leaves the box closed inside (0,1) or without the
+    anchor time, and a target empty somewhere is almost always missed.  A
+    forgery that does not load is skipped, as the CLI rejects it before
+    replay."""
+    rng = random.Random(20261020)
+    seen = {}
+    regimes = set()
+    for _ in range(40):
+        topo = random_topology(rng, **family)
+        result, witnesses = sweep_retraction_on(topo, rng, anchors=6)
+        assert result.ok
+        replay = FuzzyTopology(topo.ground, topo.names, topo.opens)
+        for w in witnesses:
+            assert verify_witness(w, replay) and parent_verify_witness(w, replay)
+            regimes.add("0" if w.anchor_t == 0 else "1" if w.anchor_t == 1 else "inside")
+            for kind, doc in forgeries(rng, topo, w.to_json()):
+                try:
+                    forged = BoxWitness.from_json(replay.ground, doc)
+                except (KeyError, TypeError, ValueError):
+                    continue
+                verdict = verify_witness(forged, replay)
+                assert verdict == parent_verify_witness(forged, replay), doc
+                seen[kind, verdict] = seen.get((kind, verdict), 0) + 1
+    assert regimes == {"0", "inside", "1"}
+    assert min(seen.get((kind, verdict), 0) for verdict in (True, False)
+               for kind in ("nudged", "box at 0 or 1", "anchor in a later clause",
+                            "and a clause empty somewhere")) >= 20, seen
+    assert min(seen["flag flipped", False], seen["target empty somewhere", False]) >= 200, seen

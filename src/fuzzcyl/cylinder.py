@@ -146,7 +146,7 @@ class SubbasisElem:
         g = exact(self.gamma)
         if not -g.denominator <= g.numerator < g.denominator:  # -1 <= gamma < 1
             raise ValueError(f"gamma outside [-1,1): {self.gamma}")
-        # clauses of elements key the realization memo: hash once, on the
+        # clauses of elements key the ends memo: hash once, on the
         # fields __eq__ compares
         object.__setattr__(self, "_hash", hash((self.kind, self.gamma, self.open_name)))
 
@@ -201,10 +201,11 @@ class OpenExpr:
 
 
 def clause_ends(clause: tuple[SubbasisElem, ...],
-                topo: FuzzyTopology) -> tuple[int, int, bool, list[int]]:
+                topo: FuzzyTopology) -> tuple[int, int, bool, tuple[int, ...]]:
     """The integer ends (den, lo, lo_open, his) of an intersection of
     subbasis opens: over each element x, ``iv_span(den, lo, his[x],
-    lo_open)`` is its fiber.
+    lo_open)`` is its fiber.  Each distinct clause's ends are computed once
+    per topology and kept in its ``memo``, so ``his`` is a tuple.
 
     Over each element the fiber is one interval of levels alpha: above the
     largest pi2 gamma (open there; from 0, closed, when there is none or it
@@ -214,6 +215,10 @@ def clause_ends(clause: tuple[SubbasisElem, ...],
     denominator D (``level_table``) and the gammas' denominators, so
     T(x) - gamma is m·N_T(x) - g with m = den/D.
     """
+    key = ("ends", clause)
+    out = topo.memo.get(key)
+    if out is not None:
+        return out
     level_den, rows = topo.level_table
     den = lcm(level_den, *(e.gamma.denominator for e in clause))
     lo = max((e.gamma.numerator * (den // e.gamma.denominator)
@@ -225,22 +230,17 @@ def clause_ends(clause: tuple[SubbasisElem, ...],
             g = e.gamma.numerator * (den // e.gamma.denominator)
             his = [min(h, m * n - g)
                    for h, n in zip(his, rows[topo.open_index(e.open_name)])]
-    return den, max(lo, 0), lo >= 0, his
+    out = topo.memo[key] = (den, max(lo, 0), lo >= 0, tuple(his))
+    return out
 
 
 def _realize_clause(clause: tuple[SubbasisElem, ...],
                     topo: FuzzyTopology) -> CylinderOpen:
     """Canonical fibers of an intersection of subbasis opens, each the
-    ``iv_span`` of its ``clause_ends``.  Each distinct clause is realized
-    once per topology and kept in its ``memo``."""
-    key = ("clause", clause)
-    out = topo.memo.get(key)
-    if out is not None:
-        return out
+    ``iv_span`` of its memoised ``clause_ends``; the fibers themselves are
+    built on each call and kept nowhere."""
     den, lo, lo_open, his = clause_ends(clause, topo)
-    out = topo.memo[key] = CylinderOpen(topo.ground,
-                                        tuple(iv_span(den, lo, hi, lo_open) for hi in his))
-    return out
+    return CylinderOpen(topo.ground, tuple(iv_span(den, lo, hi, lo_open) for hi in his))
 
 
 def subbasis_realize(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:

@@ -137,9 +137,9 @@ class FuzzyTopology:
     @cached_property
     def memo(self) -> dict:
         """Values other modules derive from this topology and keep for its
-        lifetime (the candidate anchor targets, the base's
-        specialization order, each realized clause), each under a key that
-        names what it holds.
+        lifetime (the candidate anchor targets, the base's specialization
+        order, the integer ends of each clause, never realized fibers), each
+        under a key that names what it holds.
         Created on first use, so a topology that nothing derives from
         carries no memo."""
         return {}

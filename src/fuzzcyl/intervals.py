@@ -168,6 +168,13 @@ def iv_span(den: int, lo: int, hi: int, lo_open: bool) -> IntervalSet:
     return _reduced(den, [2 * lo + lo_open, 2 * hi]) if hi > lo else EMPTY_SET
 
 
+def span_holds(den: int, lo: int, hi: int, lo_open: bool, n: int, d: int) -> bool:
+    """``iv_span(den, lo, hi, lo_open).holds(n, d)``, d > 0, with no span built:
+    lo/den < n/d (<= when closed) < hi/den, never true of an empty span."""
+    v = n * den
+    return (v > lo * d if lo_open else v >= lo * d) and v < hi * d
+
+
 def make_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> IntervalSet:
     """Canonical level set: the described interval intersected with J = [0,1)."""
     lo, hi = unit(frac(lo), "interval endpoint"), unit(frac(hi), "interval endpoint")

@@ -35,9 +35,9 @@ from .intervals import (
     iv_preimage,
     iv_scale,
     iv_scaled_spans_within,
-    iv_span,
     make_unit_interval,
     singleton,
+    span_holds,
 )
 from .rationals import ONE, ZERO, format_rational, frac, unit
 
@@ -100,12 +100,13 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
     The work is in integers.  t = tn/td, alpha = an/ad, gamma = gn/gd and,
     for a tstar target, T(x) = N/D (``level_table``) are put over L =
     lcm(td, ad, gd, D) as T, A, G and V.  The image H(t, p) = (x, (1 - t)
-    alpha) is tested against the realized target at the unreduced level
-    (td - tn)·an / (td·ad), as ``random_anchor`` tests it.  The slack bounds
-    are alpha and (T(x) - gamma) / 2 at t = 1; 1 - gamma/alpha at t = 0 (pi2,
-    gamma > 0); and t, 1 - t and either ((1 - t) alpha - gamma) / alpha (pi2,
-    alpha > 0) or (T(x) - (1 - t) alpha - gamma) / (1 + t) (tstar) inside.
-    Their minimum m is taken over a common denominator, eps = en/ed with L
+    alpha) is tested against the target's span over x, from its memoised
+    ``clause_ends``, at the unreduced level (td - tn)·an / (td·ad), as
+    ``random_anchor`` tests it.  The slack bounds are alpha and
+    (T(x) - gamma) / 2 at t = 1; 1 - gamma/alpha at t = 0 (pi2, gamma > 0);
+    and t, 1 - t and either ((1 - t) alpha - gamma) / alpha (pi2, alpha > 0)
+    or (T(x) - (1 - t) alpha - gamma) / (1 + t) (tstar) inside.  Their
+    minimum m is taken over a common denominator, eps = en/ed with L
     dividing ed, and a ``Fraction`` is built only for each clause gamma and
     each box end.
     """
@@ -113,13 +114,15 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
     tn, td = t.numerator, t.denominator
     x, alpha, gamma = p.x, p.alpha, target.gamma
     an, ad = alpha.numerator, alpha.denominator
-    if not subbasis_realize(target, topo).fiber(x).holds((td - tn) * an, td * ad):
+    i = topo.ground.index(x)
+    den, lo, lo_open, his = clause_ends((target,), topo)
+    if not span_holds(den, lo, his[i], lo_open, (td - tn) * an, td * ad):
         raise ValueError(f"H({t},{p}) does not lie in the target {target}")
     pi2_target = target.kind == "pi2"
     level_den, v = 1, 0
     if not pi2_target:
         level_den, rows = topo.level_table
-        v = rows[topo.open_index(target.open_name)][topo.ground.index(x)]
+        v = rows[topo.open_index(target.open_name)][i]
     L = lcm(td, ad, gamma.denominator, level_den)
     T, A, G = tn * (L // td), an * (L // ad), gamma.numerator * (L // gamma.denominator)
     V = v * (L // level_den)
@@ -170,19 +173,19 @@ def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
     the anchor in some clause of the region, and exact image containment in
     the target for every clause; a stored region must equal the realization.
 
-    Nothing is realized: each clause and the target are read as the integer
-    ends of their spans (``clause_ends``).  The region is the union of its
-    clauses, so the anchor lies in it when its fiber of some clause holds
-    it, and its image lies in the target when each clause's does, which
-    ``iv_scaled_spans_within`` decides on two scaled ends per element."""
+    Nothing is realized: each clause and the target are read as the memoised
+    integer ends of their spans (``clause_ends``).  The region is the union
+    of its clauses, so the anchor lies in it when some clause's span over its
+    element holds it (``span_holds``), and its image lies in the target when
+    each clause's does, decided on two scaled ends per element."""
     t = w.t_interval
     if not (is_open_in_unit(t) and t.contains(w.anchor_t)):
         return False
     if w.region is not None and w.region != open_realize(w.region_expr, topo):
         return False
     clauses = [clause_ends(clause, topo) for clause in w.region_expr.clauses]
-    i = topo.ground.index(w.anchor.x)
-    if not any(iv_span(den, lo, his[i], lo_open).contains(w.anchor.alpha)
+    i, a = topo.ground.index(w.anchor.x), w.anchor.alpha
+    if not any(span_holds(den, lo, his[i], lo_open, a.numerator, a.denominator)
                for den, lo, lo_open, his in clauses):
         return False
     target = clause_ends((w.target,), topo)

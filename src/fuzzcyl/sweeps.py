@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .base_space import comparable, specialization_preorder
-from .cylinder import CylPoint, SubbasisElem, subbasis_elements, subbasis_realize
+from .cylinder import CylPoint, SubbasisElem, clause_ends, subbasis_elements
 from .fuzzy import (
     FuzzySet,
     FuzzyTopology,
@@ -22,6 +22,7 @@ from .fuzzy import (
     fz_generate_topology,
     ground,
 )
+from .intervals import span_holds
 from .paths import (
     ChiBoundary,
     Concat,
@@ -145,11 +146,11 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology,
 
     case selects the proof regime: "zero", "interior", or "one".  The
     candidate targets are computed once per topology and kept in its
-    ``memo``.  A draw is tested in integers against the realized target,
-    as ``continuity_witness`` tests its precondition: for t = tn/td and the
-    point (x, an/ad), the homotopy image H(t, p) is (x, (td - tn)·an /
-    (td·ad)), unreduced, and only the accepted draw becomes a ``Fraction``
-    and a ``CylPoint``.  The draws are those of ``random_point``.
+    ``memo``.  A draw is tested in integers against the target's memoised
+    ``clause_ends`` over x, as ``continuity_witness`` tests its
+    precondition: for t = tn/td and the point (x, an/ad), the image H(t, p)
+    is (x, (td - tn)·an / (td·ad)), unreduced.  The draws are those of
+    ``random_point``, and only the accepted one becomes a ``CylPoint``.
     """
     elems = topo.memo.get("anchor_targets")
     if elems is None:
@@ -165,7 +166,8 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology,
             tn = rng.randint(1, td - 1)
         x = rng.choice(topo.ground.elements)
         an, ad = rng_ratio(rng)
-        if subbasis_realize(target, topo).fiber(x).holds((td - tn) * an, td * ad):
+        den, lo, lo_open, his = clause_ends((target,), topo)
+        if span_holds(den, lo, his[topo.ground.index(x)], lo_open, (td - tn) * an, td * ad):
             return (Fraction(tn, td), CylPoint(x, Fraction(an, ad)), target)
     return None
 

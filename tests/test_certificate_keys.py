@@ -24,6 +24,8 @@ The integer realizer: ``_realize_clause`` works on integer numerators over
 one denominator (``FuzzyTopology.level_table``).  The reference is the
 ``Fraction`` realizer it replaced, on small clauses with mixed
 denominators, gamma -1, pi2 members alone, and ends that meet exactly.
+``clause_ends`` keeps each clause's ends in the topology's memo, and the
+kept ends must be those a freshly built copy of the topology computes.
 
 Certificates: ``continuity_witness`` builds every time box by one rule,
 the epsilon-ball around the anchor time, and computes eps and the clause
@@ -34,7 +36,8 @@ drawn from two topology families.
 
 Box replay: the time box is a one-pair ``IntervalSet``; ``verify_witness``
 checks it with ``is_open_in_unit`` and ``contains``, reads each clause and
-the target as integer span ends (``cylinder.clause_ends``), and compares
+the target as integer span ends (``cylinder.clause_ends``), finds the
+anchor in some clause's span (``intervals.span_holds``), and compares
 two scaled ends per element of each clause with the target's span
 (``intervals.iv_scaled_spans_within``).  One reference is the replay that
 builds the whole image: the box's ``Interval`` part, the image built and
@@ -63,6 +66,7 @@ from fuzzcyl.cylinder import (
     OpenExpr,
     SubbasisElem,
     _realize_clause,
+    clause_ends,
     cyl_complement,
     cyl_intersect,
     cyl_subset,
@@ -349,6 +353,38 @@ def test_integer_realizer_matches_fraction_realizer():
                 v - e.gamma == lo for e in clause if e.kind == "tstar"
                 for v in topo.open_named(e.open_name).levels)
     assert min(seen.values()) >= 600, seen
+
+
+def test_memoised_clause_ends_match_a_fresh_computation():
+    """The ends ``clause_ends`` keeps in a topology's memo are those a newly
+    built copy of the topology computes, for every clause and target of the
+    certificates emitted on it in all three regimes, for clauses of two and
+    three members that share a first member, and for a clause and its
+    reordering, all asked of the one topology in turn.  A second call
+    returns the kept value, and the shared-first-member clauses have
+    different ends often enough that a memo keyed by less than the whole
+    clause would be seen."""
+    rng = random.Random(9_500)
+    regimes, distinct = set(), 0
+    for _ in range(40):
+        topo = random_topology(rng)
+        result, witnesses = sweep_retraction_on(topo, rng, anchors=6)
+        assert result.ok
+        clauses = [c for w in witnesses for c in (*w.region_expr.clauses, (w.target,))]
+        regimes |= {"0" if w.anchor_t == 0 else "1" if w.anchor_t == 1 else "inside"
+                    for w in witnesses}
+        first = random_small_clause(rng, topo)[:1]
+        shared = [first + random_small_clause(rng, topo)[:size - 1]
+                  for size in (2, 3, 2, 3)]
+        clause = random_small_clause(rng, topo) + random_small_clause(rng, topo)
+        for c in [*clauses, *shared, clause, clause[::-1]]:
+            fresh = clause_ends(c, FuzzyTopology(topo.ground, topo.names, topo.opens))
+            got = clause_ends(c, topo)
+            assert got == fresh and type(got[3]) is tuple, c
+            assert clause_ends(c, topo) is got
+        distinct += len({clause_ends(c, topo) for c in shared}) > 1
+        assert clause_ends(clause, topo) == clause_ends(clause[::-1], topo)
+    assert regimes == {"0", "inside", "1"} and distinct >= 30, distinct
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fuzzcyl.intervals import (
     iv_union,
     make_interval,
     make_unit_interval,
+    span_holds,
 )
 
 F = Fraction
@@ -55,6 +56,30 @@ def test_iv_span_matches_make_interval():
                 for lo_open in (False, True):
                     want = make_interval(F(lo, den), F(hi, den), not lo_open, False)
                     assert iv_span(den, lo, hi, lo_open) == want, (den, lo, hi, lo_open)
+
+
+def test_span_holds_matches_the_built_span():
+    """``span_holds`` decides ``iv_span(...).holds(n, d)`` on every span with
+    den 1 to 6, lo 0 to den and hi from lo - 2 to den (so empty spans too),
+    either low flag, at every unreduced level n/d with d <= 12, 0 <= n <= d:
+    each outcome many times, and levels on an open low end and on the high
+    end of a nonempty span among them."""
+    seen = {True: 0, False: 0, "open low end": 0, "high end": 0}
+    for den in range(1, 7):
+        for lo in range(den + 1):
+            for hi in range(lo - 2, den + 1):
+                for lo_open in (False, True):
+                    span = iv_span(den, lo, hi, lo_open)
+                    for d in range(1, 13):
+                        for n in range(d + 1):
+                            got = span_holds(den, lo, hi, lo_open, n, d)
+                            assert got == span.holds(n, d), (den, lo, hi, lo_open, n, d)
+                            seen[got] += 1
+                            if hi > lo:
+                                seen["open low end"] += lo_open and n * den == lo * d
+                                seen["high end"] += n * den == hi * d
+    assert min(seen[True], seen[False]) >= 3_500, seen
+    assert min(seen["open low end"], seen["high end"]) >= 300, seen
 
 
 def test_union_adjacent_merge():

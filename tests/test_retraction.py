@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from interval_ref import Interval, build
 
-from fuzzcyl import checks, oracle, sweeps
+from fuzzcyl import checks, cylinder, oracle, sweeps
 from fuzzcyl.cylinder import (
     CylPoint,
     CylinderOpen,
     OpenExpr,
+    SubbasisElem,
     complement_compat,
     cyl_complement,
     empty_cylinder,
@@ -328,48 +329,86 @@ def test_memo_is_created_on_first_use():
         assert random_anchor(rng, topo, "interior") is not None
         memo = topo.memo
         assert memo["anchor_targets"] == subbasis_elements(topo)
-        # besides the targets, only the realization of each target tried
-        realized = memo.keys() - {"anchor_targets"}
-        assert realized and realized <= {("clause", (e,)) for e in memo["anchor_targets"]}
+        # besides the targets, only the integer ends of each target tried
+        ends = memo.keys() - {"anchor_targets"}
+        assert ends and ends <= {("ends", (e,)) for e in memo["anchor_targets"]}
         checks.sweep_retraction_on(topo, rng, anchors=6)
         assert topo.memo is memo
+        # the certificate path keeps each clause's ends, never its fibers
+        for key, value in memo.items():
+            if key != "anchor_targets":
+                den, lo, lo_open, his = value
+                assert key[0] == "ends" and type(lo_open) is bool
+                assert all(type(n) is int for n in (den, lo, *his)) and type(his) is tuple
         assert FuzzyTopology(topo.ground, topo.names, topo.opens) == topo
 
 
-class ClauseLog(dict):
-    """A topology memo that logs the clause of each realization stored in
-    it: ``_realize_clause`` stores once per cache miss."""
+class EndsLog(dict):
+    """A topology memo that logs the clause of each set of integer ends
+    stored in it: ``clause_ends`` stores once per cache miss."""
 
     def __init__(self):
         super().__init__()
         self.misses = []
 
     def __setitem__(self, key, value):
-        if isinstance(key, tuple) and key[0] == "clause":
+        if isinstance(key, tuple) and key[0] == "ends":
             self.misses.append(key[1])
         super().__setitem__(key, value)
 
 
-def with_clause_log(topo):
-    topo.__dict__["memo"] = ClauseLog()  # read by the memo cached_property
+def with_ends_log(topo):
+    topo.__dict__["memo"] = EndsLog()  # read by the memo cached_property
     return topo
 
 
-def test_each_target_is_realized_once_per_loaded_topology():
-    # the anchor draw and the witness precondition read one realization per
-    # distinct target, kept in the topology's memo, and nothing else is
-    # realized: at emit the memo holds the certificates' targets and the
-    # other targets the draw tried, and neither the check at emit nor the
-    # replay on a topology loaded again stores a realization
-    rng = random.Random(9)
+class TargetLog(random.Random):
+    """A generator that logs each subbasis element it chooses: the targets
+    that ``random_anchor`` tries.  Its draws are ``random.Random``'s."""
+
+    def __init__(self, seed):
+        self.tried = set()
+        super().__init__(seed)
+
+    def choice(self, seq):
+        out = super().choice(seq)
+        if isinstance(out, SubbasisElem):
+            self.tried.add(out)
+        return out
+
+
+def test_each_target_is_realized_once_per_loaded_topology(monkeypatch):
+    # nothing on the certificate path realizes a clause: the anchor draw,
+    # the witness precondition and the replay read integer ends, computed
+    # once per distinct clause and loaded topology and kept in its memo.  At
+    # emit the memo holds the ends of the targets the draw tried and of the
+    # region clauses the check verified; on a topology loaded again, the
+    # replay stores those of the clauses it reads, each certificate's region
+    # clauses and target
+    realized = []
+    honest = cylinder._realize_clause
+
+    def logged(clause, topo):
+        realized.append(clause)
+        return honest(clause, topo)
+
+    monkeypatch.setattr(cylinder, "_realize_clause", logged)
+    rng = TargetLog(9)
     for _ in range(10):
-        topo = with_clause_log(random_topology(rng, max_generators=2, max_den=8))
+        topo = with_ends_log(random_topology(rng, max_generators=2, max_den=8))
+        rng.tried.clear()
         result, witnesses = checks.sweep_retraction_on(topo, rng, anchors=60)
         assert result.ok and len(witnesses) == 60
-        targets = {(w.target,) for w in witnesses}
+        regions = {c for w in witnesses for c in w.region_expr.clauses}
         misses = topo.memo.misses
-        assert len(misses) == len(set(misses)) and set(misses) >= targets
-        assert set(misses) <= {(e,) for e in topo.memo["anchor_targets"]}
-        replay = with_clause_log(FuzzyTopology(topo.ground, topo.names, topo.opens))
+        assert len(misses) == len(set(misses))
+        assert set(misses) == {(e,) for e in rng.tried} | regions
+        replay = with_ends_log(FuzzyTopology(topo.ground, topo.names, topo.opens))
         assert all(verify_witness(w, replay) for w in witnesses)
-        assert replay.memo.misses == []
+        misses = replay.memo.misses
+        assert len(misses) == len(set(misses))
+        assert set(misses) == regions | {(w.target,) for w in witnesses}
+    assert realized == []
+    # the log sees a realization wherever one is made
+    subbasis_realize(pi2(0), topo)
+    assert realized == [(pi2(0),)]

@@ -1,15 +1,18 @@
 """List the lines of ``src/fuzzcyl`` that the test suite never runs.
 
 Runs ``pytest -q -p no:cacheprovider -W error --hypothesis-seed=0 tests``
-in this process under ``sys.settrace`` and prints ``file:line: text`` for
-every line inside a ``src/fuzzcyl`` function, method, lambda or
-comprehension that compiles to code and never ran.  A ``def`` line and its decorators compile
-to code in the enclosing scope, not in the function, so they are not
-counted.  Exits 1 if a test fails or any line is printed, else 0.
+in this process under a ``sys.monitoring`` LINE callback and prints
+``file:line: text`` for every line inside a ``src/fuzzcyl`` function,
+method, lambda or comprehension that compiles to code and never ran.  A
+``def`` line and its decorators compile to code in the enclosing scope, not
+in the function, so they are not counted.  Exits 1 if a test fails or any
+line is printed, else 0.
 
 Usage, from any directory: ``python3 tools/unrun_lines.py``.  It needs
-only the standard library and the test dependencies, and takes four to
-five times as long as the untraced suite.
+Python 3.12 or later (``sys.monitoring``, PEP 669) and exits 2 with one
+``error:`` line below that; it uses only the standard library and the test
+dependencies.  The callback disables each source location after its first
+event, so the run costs about one plain suite run.
 """
 
 from __future__ import annotations
@@ -43,25 +46,32 @@ def code_lines(path: Path) -> set[int]:
 
 
 def main() -> int:
+    if sys.version_info < (3, 12):
+        print("error: the line gate needs Python 3.12 or later for sys.monitoring",
+              file=sys.stderr)
+        return 2
+    monitoring = sys.monitoring
+    tool = monitoring.COVERAGE_ID
     prefix = str(PACKAGE) + os.sep
     ran: set[tuple[str, int]] = set()
 
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(prefix) else None
+    def record(code, line):
+        if code.co_filename.startswith(prefix):
+            ran.add((code.co_filename, line))
+        return monitoring.DISABLE
 
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
-    sys.settrace(tracer)
+    monitoring.use_tool_id(tool, "unrun_lines")
     try:
+        monitoring.register_callback(tool, monitoring.events.LINE, record)
+        monitoring.set_events(tool, monitoring.events.LINE)
         code = pytest.main(["-q", "-p", "no:cacheprovider", "-W", "error",
                             "--hypothesis-seed=0", "tests"])
     finally:
-        sys.settrace(None)
+        monitoring.set_events(tool, monitoring.events.NO_EVENTS)
+        monitoring.register_callback(tool, monitoring.events.LINE, None)
+        monitoring.free_tool_id(tool)
     unrun = 0
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text(encoding="utf-8").splitlines()

@@ -105,7 +105,7 @@ def cyl_subset(a: CylinderOpen, b: CylinderOpen) -> bool:
 def psi_star(f: FuzzySet) -> CylinderOpen:
     """The region strictly below the membership graph: fiber [0, f(x)), the
     span of the level's integers, which ``FuzzySet`` has checked."""
-    return CylinderOpen(f.ground, tuple(iv_span(v.denominator, 0, v.numerator, False)
+    return CylinderOpen(f.ground, tuple(iv_span(v.denominator, 0, v.numerator, False, False)
                                         for v in f.levels))
 
 
@@ -204,8 +204,8 @@ def clause_ends(clause: tuple[SubbasisElem, ...],
                 topo: FuzzyTopology) -> tuple[int, int, bool, tuple[int, ...]]:
     """The integer ends (den, lo, lo_open, his) of an intersection of
     subbasis opens: over each element x, ``iv_span(den, lo, his[x],
-    lo_open)`` is its fiber.  Each distinct clause's ends are computed once
-    per topology and kept in its ``memo``, so ``his`` is a tuple.
+    lo_open, False)`` is its fiber.  Each distinct clause's ends are
+    computed once per topology and kept in its ``memo``, ``his`` a tuple.
 
     Over each element the fiber is one interval of levels alpha: above the
     largest pi2 gamma (open there; from 0, closed, when there is none or it
@@ -240,7 +240,8 @@ def _realize_clause(clause: tuple[SubbasisElem, ...],
     ``iv_span`` of its memoised ``clause_ends``; the fibers themselves are
     built on each call and kept nowhere."""
     den, lo, lo_open, his = clause_ends(clause, topo)
-    return CylinderOpen(topo.ground, tuple(iv_span(den, lo, hi, lo_open) for hi in his))
+    return CylinderOpen(topo.ground, tuple(iv_span(den, lo, hi, lo_open, False)
+                                            for hi in his))
 
 
 def subbasis_realize(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:

@@ -1,9 +1,9 @@
 """Canonical interval-set algebra with rational endpoints on the unit segment.
 
-The working universe for membership levels is J = [0, 1): constructors for
-level sets clip the point 1 away.  Parameter sets (homotopy times, path
-parameters) live in the closed segment [0, 1] and are built with
-``make_unit_interval``, which keeps a closed right endpoint at 1.
+The working universe for membership levels is J = [0, 1), and parameter
+sets (homotopy times, path parameters) live in the closed segment [0, 1].
+Both are built from integer ends by ``iv_span``, with one flag per end, and
+only a parameter set may be closed at 1.
 
 An ``IntervalSet`` is integer boundary keys over one positive denominator
 ``den``: the value n/den has the key 2n just before it and 2n+1 just after
@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .rationals import format_ratio, frac, ratio, unit
+from .rationals import format_ratio, ratio, unit
 
 
 def _show(lo: str, hi: str, lo_open: bool, hi_open: bool) -> str:
@@ -74,7 +74,7 @@ class IntervalSet:
     """Canonical finite union of intervals, as boundary keys (see above).
 
     ``keys`` must be canonical over the least ``den``: build sets with
-    ``canonical`` or the constructors below, never from raw keys.
+    ``canonical``, ``iv_span`` or the operations below, never from raw keys.
     """
 
     den: int
@@ -155,40 +155,21 @@ def canonical(den: int, pairs: Iterable[tuple[int, int]]) -> IntervalSet:
     return _reduced(den, out)
 
 
-def _build(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> IntervalSet:
-    den = lcm(lo.denominator, hi.denominator)
-    s = 2 * lo.numerator * (den // lo.denominator) + (not lo_closed)
-    e = 2 * hi.numerator * (den // hi.denominator) + bool(hi_closed)
-    return IntervalSet(den, (s, e)) if s < e else EMPTY_SET
-
-
-def iv_span(den: int, lo: int, hi: int, lo_open: bool) -> IntervalSet:
-    """The levels from lo/den (open when ``lo_open``, else closed) up to hi/den,
-    open, for integer numerators; empty when hi <= lo."""
-    return _reduced(den, [2 * lo + lo_open, 2 * hi]) if hi > lo else EMPTY_SET
+def iv_span(den: int, lo: int, hi: int, lo_open: bool, hi_closed: bool) -> IntervalSet:
+    """The set from lo/den to hi/den, for integer numerators, reduced: each
+    flag is its end key's parity, so the keys are 2·lo + lo_open and
+    2·hi + hi_closed, and the set is empty when the first is not below the
+    second.  It is the one constructor of a set from its ends."""
+    s, e = 2 * lo + lo_open, 2 * hi + hi_closed
+    return _reduced(den, [s, e]) if s < e else EMPTY_SET
 
 
 def span_holds(den: int, lo: int, hi: int, lo_open: bool, n: int, d: int) -> bool:
-    """``iv_span(den, lo, hi, lo_open).holds(n, d)``, d > 0, with no span built:
-    lo/den < n/d (<= when closed) < hi/den, never true of an empty span."""
+    """``iv_span(den, lo, hi, lo_open, False).holds(n, d)``, d > 0, with no
+    span built: lo/den < n/d (<= when closed) < hi/den, never true of an
+    empty span."""
     v = n * den
     return (v > lo * d if lo_open else v >= lo * d) and v < hi * d
-
-
-def make_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> IntervalSet:
-    """Canonical level set: the described interval intersected with J = [0,1)."""
-    lo, hi = unit(frac(lo), "interval endpoint"), unit(frac(hi), "interval endpoint")
-    return _build(lo, hi, lo_closed, hi_closed and hi != 1)
-
-
-def make_unit_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> IntervalSet:
-    """Canonical parameter set inside the closed segment [0,1]; 1 is kept."""
-    lo, hi = unit(frac(lo), "interval endpoint"), unit(frac(hi), "interval endpoint")
-    return _build(lo, hi, lo_closed, hi_closed)
-
-
-def singleton(q) -> IntervalSet:
-    return make_unit_interval(q, q, True, True)
 
 
 def iv_union(*sets: IntervalSet) -> IntervalSet:
@@ -279,7 +260,7 @@ def iv_scaled_spans_within(t: IntervalSet, a: tuple, b: tuple) -> bool:
     """Whether over every element the span of ``a``, scaled by the factors
     1 - u for u in the one-pair time set t, lies in the span of ``b``.  Each
     of a and b is the ends (den, lo, lo_open, his) of one span per element,
-    ``iv_span(den, lo, his[i], lo_open)``, and no span is built.  The
+    ``iv_span(den, lo, his[i], lo_open, False)``, and no span is built.  The
     factors are t reflected by u -> 1 - u (``iv_preimage(t, 1, -1, 1)``,
     unreduced), an empty span's image is empty, and a nonempty span's is the
     one pair that ``_scaled_pair`` gives over t.den·den, which lies in b's

@@ -48,7 +48,6 @@ from .intervals import (
     iv_preimage,
     iv_span,
     iv_union,
-    singleton,
 )
 from .rationals import ONE, format_rational, frac, unit
 
@@ -368,10 +367,10 @@ def path_preimage(e: PathExpr, open_set: CylinderOpen) -> IntervalSet:
     level (c0 + c1·u)/den lies in its fiber (``iv_preimage``)."""
     table = path_table(e)
     den, breaks = table.den, table.breaks
-    parts = [singleton(Fraction(b, den)) for b, (x, a) in zip(breaks, table.points)
+    parts = [iv_span(den, b, b, False, True) for b, (x, a) in zip(breaks, table.points)
              if open_set.fiber(x).holds(a, den)]
     for lo, hi, (x, c0, c1) in zip(breaks, breaks[1:], table.pieces):
-        fib, piece = open_set.fiber(x), iv_span(den, lo, hi, True)
+        fib, piece = open_set.fiber(x), iv_span(den, lo, hi, True, False)
         if c1:
             parts.append(iv_intersect(piece, iv_preimage(fib, c0, c1, den)))
         elif fib.holds(c0, den):

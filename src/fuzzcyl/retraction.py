@@ -35,8 +35,7 @@ from .intervals import (
     iv_preimage,
     iv_scale,
     iv_scaled_spans_within,
-    make_unit_interval,
-    singleton,
+    iv_span,
     span_holds,
 )
 from .rationals import ONE, ZERO, format_rational, frac, unit
@@ -107,8 +106,8 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
     and t, 1 - t and either ((1 - t) alpha - gamma) / alpha (pi2, alpha > 0)
     or (T(x) - (1 - t) alpha - gamma) / (1 + t) (tstar) inside.  Their
     minimum m is taken over a common denominator, eps = en/ed with L
-    dividing ed, and a ``Fraction`` is built only for each clause gamma and
-    each box end.
+    dividing ed, the box is ``iv_span`` of its integer ends over ed, and a
+    ``Fraction`` is built only for each clause gamma.
     """
     t = unit(frac(t), "homotopy time")
     tn, td = t.numerator, t.denominator
@@ -163,8 +162,7 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
         clause = [tstar(target.open_name, mu),
                   pi2(Fraction(max(-ed, 2 * A * (L + T) - m), ed))]
     c = T * (ed // L)
-    box = make_unit_interval(Fraction(max(0, c - en), ed), Fraction(min(ed, c + en), ed),
-                             T == 0, T == L)
+    box = iv_span(ed, max(0, c - en), min(ed, c + en), T != 0, T == L)
     return BoxWitness(box, OpenExpr((tuple(clause),)), None, target, t, p)
 
 
@@ -199,7 +197,7 @@ def sigma_image_subbasis(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:
     A tstar open of T maps to the zero level over {x : T(x) > gamma}; a pi2
     open maps onto the full zero slice.
     """
-    zero = singleton(0)
+    zero = iv_span(1, 0, 0, False, True)
     if e.kind == "pi2":
         fibers = tuple(zero for _ in topo.ground.elements)
     else:
@@ -210,7 +208,7 @@ def sigma_image_subbasis(e: SubbasisElem, topo: FuzzyTopology) -> CylinderOpen:
 
 def sigma_image(c: CylinderOpen) -> CylinderOpen:
     """Image of an arbitrary cylinder set under the slice retraction."""
-    zero = singleton(0)
+    zero = iv_span(1, 0, 0, False, True)
     return CylinderOpen(c.ground, tuple(EMPTY_SET if fib.is_empty() else zero
                                         for fib in c.fibers))
 

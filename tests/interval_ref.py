@@ -9,7 +9,9 @@ sorting and merging neighbours with the flags compared at shared ends.
 ``build`` makes an ``IntervalSet`` straight from the den and keys of the
 normalized intervals, and ``parts`` reads the intervals back from the
 keys, so the reference shares no code with the library's normalizer
-(``canonical``) or its JSON reader.
+(``canonical``) or its JSON reader.  ``make_interval``,
+``make_unit_interval`` and ``singleton`` are its ``Fraction`` front ends,
+which tests build sets with: each is ``build`` of one ``interval``.
 """
 
 from dataclasses import dataclass
@@ -131,6 +133,22 @@ def build(intervals):
     denominators is the least."""
     den, pairs = key_pairs(normalize(intervals))
     return IntervalSet(den, tuple(k for pair in pairs for k in pair))
+
+
+def make_unit_interval(lo, hi, lo_closed, hi_closed):
+    """The parameter set of the described interval in [0, 1], for values
+    that ``frac`` reads."""
+    return build(interval(frac(lo), frac(hi), lo_closed, hi_closed))
+
+
+def make_interval(lo, hi, lo_closed, hi_closed):
+    """The level set of the described interval: its part in J = [0, 1)."""
+    hi = frac(hi)
+    return make_unit_interval(lo, hi, lo_closed, hi_closed and hi != ONE)
+
+
+def singleton(q):
+    return make_unit_interval(q, q, True, True)
 
 
 def parts(s):

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from interval_ref import make_interval
 
 from fuzzcyl import base_space, checks, retraction
 from fuzzcyl.base_space import (
@@ -17,7 +18,7 @@ from fuzzcyl.base_space import (
 )
 from fuzzcyl.cylinder import CylinderOpen, SweepResult, component_cylinder_expr, open_realize
 from fuzzcyl.fuzzy import FuzzySet, fz_generate_topology, fz_indicator, ground, lattice_closure
-from fuzzcyl.intervals import EMPTY_SET, iv_intersect, iv_union, make_interval
+from fuzzcyl.intervals import EMPTY_SET, iv_intersect, iv_union
 from fuzzcyl.paths import Concat, HLift, VerticalAffine, continuity_failure, make_fence_path
 from fuzzcyl.rationals import ZERO, frac
 from fuzzcyl.retraction import slice_agrees

@@ -57,7 +57,7 @@ from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
-from interval_ref import Interval, build, parts
+from interval_ref import Interval, build, make_interval, make_unit_interval, parts
 
 from fuzzcyl.checks import sweep_retraction_on
 from fuzzcyl.cylinder import (
@@ -85,8 +85,6 @@ from fuzzcyl.intervals import (
     iv_preimage,
     iv_scaled_spans_within,
     iv_subset,
-    make_interval,
-    make_unit_interval,
 )
 from fuzzcyl.rationals import format_rational, frac
 from fuzzcyl.retraction import (

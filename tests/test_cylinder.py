@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from interval_ref import Interval, build, parts
+from interval_ref import Interval, build, make_interval, make_unit_interval, parts
 from lattice_ref import fz_join, fz_meet
 
 from fuzzcyl import cylinder
@@ -31,7 +31,7 @@ from fuzzcyl.cylinder import (
     verify_psi_laws,
 )
 from fuzzcyl.fuzzy import FuzzySet, fz_generate_topology, fz_indicator, ground
-from fuzzcyl.intervals import EMPTY_SET, iv_union, make_interval, make_unit_interval
+from fuzzcyl.intervals import EMPTY_SET, iv_union
 from fuzzcyl.sweeps import random_topology
 
 F = Fraction

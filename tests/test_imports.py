@@ -305,7 +305,6 @@ def test_guard_sees_an_oracle_consumer():
 # Public names of src/fuzzcyl that no src module, benchmark script or read
 # in their own module needs, each kept for the reason given.
 ALLOWED = {
-    "make_interval": "the one level-set constructor clipped to J, which tests build sets with",
     "fence_between": "the shortest fence of the base order, which roadmap item 4 builds on",
     "component_cylinder_expr": "the open expression of component x J, roadmap item 1's start",
     "sweep_continuity_rule": "the sweep of acceptance criterion 8",
@@ -359,7 +358,7 @@ def test_guard_sees_an_uncalled_name():
               "    pass\n"
               "def benched():\n"
               "    pass\n"
-              "def make_interval():\n"
+              "def fence_between():\n"
               "    pass\n"),
     }
     assert uncalled_names(sources, "LAYERS = ('benched', 'Kept')") == \

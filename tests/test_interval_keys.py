@@ -17,6 +17,7 @@ parameter sets, the preimage with c0 = d = 1 and c1 = -1, against the
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from interval_ref import Interval, build, interval, key_pairs, normalize, parts
@@ -29,11 +30,10 @@ from fuzzcyl.intervals import (
     iv_complement_in_J,
     iv_intersect,
     iv_preimage,
+    iv_span,
     iv_subset,
     iv_supremum,
     iv_union,
-    make_interval,
-    make_unit_interval,
 )
 
 ZERO, ONE = F(0), F(1)
@@ -158,13 +158,16 @@ def test_key_algebra_matches_flag_algebra(seed):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_constructors_match_flag_algebra(seed):
+    """``iv_span`` of two random values with random flags, their numerators
+    over a random multiple of the least common denominator."""
     rng = random.Random(9_000 + seed)
     for _ in range(500):
         lo, hi = random_value(rng), random_value(rng)
-        flags = rng.random() < 0.5, rng.random() < 0.5
-        assert parts(make_unit_interval(lo, hi, *flags)) == interval(lo, hi, *flags)
-        clipped = (flags[0], flags[1] and hi != ONE)
-        assert parts(make_interval(lo, hi, *flags)) == interval(lo, hi, *clipped)
+        lo_closed, hi_closed = rng.random() < 0.5, rng.random() < 0.5
+        den = lcm(lo.denominator, hi.denominator) * rng.randint(1, 3)
+        got = iv_span(den, lo.numerator * (den // lo.denominator),
+                      hi.numerator * (den // hi.denominator), not lo_closed, hi_closed)
+        assert parts(got) == interval(lo, hi, lo_closed, hi_closed)
 
 
 def same_set(*sets):
@@ -205,14 +208,13 @@ def test_equal_sets_built_differently_share_keys():
 
 def test_least_denominator():
     # [0,1/2) and [1/2,1) each need 2; their union [0,1) needs 1
-    joined = iv_union(make_interval(0, F(1, 2), True, False),
-                      make_interval(F(1, 2), 1, True, False))
+    joined = iv_union(iv_span(2, 0, 1, False, False), iv_span(2, 1, 2, False, False))
     assert (joined.den, joined.keys) == (1, (0, 2))
     assert EMPTY_SET.den == 1 and EMPTY_SET.keys == ()
     # (1/3, 1/2] over 6: the open end 1/3 is 2*2+1, the closed end 1/2 is 2*3+1
-    s = make_interval(F(1, 3), F(1, 2), False, True)
+    s = iv_span(6, 2, 3, True, True)
     assert (s.den, s.keys) == (6, (5, 7))
-    assert make_unit_interval(1, 1, True, True).keys == (2, 3)
+    assert iv_span(4, 4, 4, False, True).keys == (2, 3)
 
 
 # ---------------------------------------------------------------------------

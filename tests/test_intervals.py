@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from interval_ref import Interval, build, parts
+from interval_ref import Interval, build, interval, make_interval, make_unit_interval, parts
 
 from fuzzcyl.intervals import (
     EMPTY_SET,
@@ -14,8 +14,6 @@ from fuzzcyl.intervals import (
     iv_subset,
     iv_supremum,
     iv_union,
-    make_interval,
-    make_unit_interval,
     span_holds,
 )
 
@@ -48,28 +46,38 @@ def test_make_unit_interval_keeps_closed_one():
     assert parts(s) == (Interval(F(1, 2), F(1), False, True),)
 
 
-def test_iv_span_matches_make_interval():
-    """Integer numerators over den, reduced, open above; empty when hi <= lo."""
+def test_iv_span_matches_the_flag_reference():
+    """Every span with den 1 to 12, lo and hi 0 to den and both flags is
+    ``build`` of the reference interval from lo/den to hi/den, open below
+    when ``lo_open`` and closed above when ``hi_closed``.  Empty sets,
+    closed points and sets that hold 1 each occur."""
+    seen = {"empty": 0, "closed point": 0, "holds 1": 0}
     for den in range(1, 13):
         for lo in range(den + 1):
             for hi in range(den + 1):
                 for lo_open in (False, True):
-                    want = make_interval(F(lo, den), F(hi, den), not lo_open, False)
-                    assert iv_span(den, lo, hi, lo_open) == want, (den, lo, hi, lo_open)
+                    for hi_closed in (False, True):
+                        got = iv_span(den, lo, hi, lo_open, hi_closed)
+                        want = build(interval(F(lo, den), F(hi, den), not lo_open, hi_closed))
+                        assert got == want, (den, lo, hi, lo_open, hi_closed)
+                        seen["empty"] += got.is_empty()
+                        seen["closed point"] += lo == hi and not got.is_empty()
+                        seen["holds 1"] += got.contains(F(1))
+    assert min(seen.values()) > 0, seen
 
 
 def test_span_holds_matches_the_built_span():
-    """``span_holds`` decides ``iv_span(...).holds(n, d)`` on every span with
-    den 1 to 6, lo 0 to den and hi from lo - 2 to den (so empty spans too),
-    either low flag, at every unreduced level n/d with d <= 12, 0 <= n <= d:
-    each outcome many times, and levels on an open low end and on the high
-    end of a nonempty span among them."""
+    """``span_holds`` decides ``iv_span(..., False).holds(n, d)`` on every
+    span with den 1 to 6, lo 0 to den and hi from lo - 2 to den (so empty
+    spans too), either low flag, at every unreduced level n/d with d <= 12,
+    0 <= n <= d: each outcome many times, and levels on an open low end and
+    on the high end of a nonempty span among them."""
     seen = {True: 0, False: 0, "open low end": 0, "high end": 0}
     for den in range(1, 7):
         for lo in range(den + 1):
             for hi in range(lo - 2, den + 1):
                 for lo_open in (False, True):
-                    span = iv_span(den, lo, hi, lo_open)
+                    span = iv_span(den, lo, hi, lo_open, False)
                     for d in range(1, 13):
                         for n in range(d + 1):
                             got = span_holds(den, lo, hi, lo_open, n, d)

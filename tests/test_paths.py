@@ -5,7 +5,7 @@ from functools import cache
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from interval_ref import build, interval, parts
+from interval_ref import build, interval, make_interval, make_unit_interval, parts
 from jsonfuzz import FUZZ, field_paths, json_values, replaced
 
 from fuzzcyl.base_space import specialization_preorder
@@ -23,8 +23,6 @@ from fuzzcyl.intervals import (
     EMPTY_SET,
     is_open_in_unit,
     iv_subset,
-    make_interval,
-    make_unit_interval,
 )
 from fuzzcyl.paths import (
     ChiBoundary,

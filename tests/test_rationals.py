@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from fuzzcyl.cylinder import CylPoint
-from fuzzcyl.fuzzy import FuzzySet, ground
-from fuzzcyl.intervals import IntervalSet, make_interval, make_unit_interval
+from fuzzcyl.cylinder import CylPoint, pi2
+from fuzzcyl.fuzzy import FuzzySet, fz_generate_topology, ground
+from fuzzcyl.intervals import IntervalSet
 from fuzzcyl.paths import (
     ChiBoundary,
     Const,
@@ -21,12 +21,15 @@ from fuzzcyl.paths import (
     kappa,
 )
 from fuzzcyl.rationals import format_ratio, format_rational, frac, parse_ratio, unit
-from fuzzcyl.retraction import h_eval
+from fuzzcyl.retraction import BoxWitness, continuity_witness, h_eval
 
 EPS = F(1, 10**6)
 START = Const(CylPoint("a", F(0)))
 FUZZY = FuzzySet(ground("a"), (F(1, 3),))
 GRID = [F(k, 4) for k in range(5)]
+# the anchor's image, level 0, lies above the target's gamma at every time
+TOPO, ANCHOR, TARGET = fz_generate_topology([], ground("a")), CylPoint("a", F(0)), pi2(F(-1, 2))
+WITNESS = continuity_witness(0, ANCHOR, TARGET, TOPO).to_json()
 
 
 def read_interval(lo, hi):
@@ -40,12 +43,6 @@ SITES = [
     ("FuzzySet", lambda q: FuzzySet(ground("a"), (q,)), False, False),
     ("IntervalSet.from_json.lo", lambda q: read_interval(q, 1), False, True),
     ("IntervalSet.from_json.hi", lambda q: read_interval(0, q), False, True),
-    # lo > hi builds the empty set without an interval, so only the
-    # endpoint check itself can reject these
-    ("make_interval.lo", lambda q: make_interval(q, 0, True, True), False, True),
-    ("make_interval.hi", lambda q: make_interval(1, q, True, True), False, True),
-    ("make_unit_interval.lo", lambda q: make_unit_interval(q, 0, True, True), False, True),
-    ("make_unit_interval.hi", lambda q: make_unit_interval(1, q, True, True), False, True),
     ("kappa.s", lambda q: kappa(q, 0, 0), False, True),
     ("kappa.t", lambda q: kappa(0, q, 0), False, True),
     ("kappa.x", lambda q: kappa(0, 0, q), False, True),
@@ -69,6 +66,9 @@ SITES = [
     ("functor_object_path", lambda q: functor_object_path(FUZZY, "a", "a", q), True, True),
     ("CylPoint", lambda q: CylPoint("a", q), True, False),
     ("h_eval", lambda q: h_eval(q, CylPoint("a", F(0))), False, True),
+    ("continuity_witness", lambda q: continuity_witness(q, ANCHOR, TARGET, TOPO), False, True),
+    ("BoxWitness.from_json.anchor_t",
+     lambda q: BoxWitness.from_json(TOPO.ground, {**WITNESS, "anchor_t": q}), False, True),
 ]
 
 

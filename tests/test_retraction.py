@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from interval_ref import Interval, build
+from interval_ref import Interval, build, make_interval, make_unit_interval, singleton
 
 from fuzzcyl import checks, cylinder, oracle, sweeps
 from fuzzcyl.cylinder import (
@@ -24,7 +24,7 @@ from fuzzcyl.cylinder import (
     verify_psi_laws,
 )
 from fuzzcyl.fuzzy import FuzzySet, FuzzyTopology, fz_generate_topology, ground
-from fuzzcyl.intervals import EMPTY_SET, make_interval, make_unit_interval, singleton
+from fuzzcyl.intervals import EMPTY_SET
 from fuzzcyl.retraction import (
     BoxWitness,
     continuity_witness,

@@ -101,8 +101,9 @@ def test_fails():
 '''
 
 
-def run_gate(tmp_path: Path, tests: str) -> subprocess.CompletedProcess:
-    """Run a copy of the tool on the planted package and the given tests."""
+def run_gate(tmp_path: Path, tests: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run a copy of the tool on the planted package and the given tests,
+    with the given interpreter flags."""
     (tmp_path / "tools").mkdir()
     tool = Path(shutil.copy(TOOL, tmp_path / "tools"))
     package = tmp_path / "src" / "fuzzcyl"
@@ -112,8 +113,8 @@ def run_gate(tmp_path: Path, tests: str) -> subprocess.CompletedProcess:
     (package / "unimported.py").write_text(UNIMPORTED, encoding="utf-8")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_planted.py").write_text(tests, encoding="utf-8")
-    return subprocess.run([sys.executable, str(tool)], cwd=tmp_path, capture_output=True,
-                          text=True, timeout=300)
+    return subprocess.run([sys.executable, *flags, str(tool)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
 
 
 def listed(result: subprocess.CompletedProcess) -> list[str]:
@@ -151,3 +152,14 @@ def test_gate_refuses_below_python_3_12(tmp_path):
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
     assert "Python 3.12" in result.stderr and "sys.monitoring" in result.stderr
+
+
+def test_gate_refuses_without_pytest(tmp_path):
+    """With no site directories (``-S``) and no ``PYTHONPATH`` (``-E``),
+    pytest cannot be imported.  Below Python 3.12 the version check refuses
+    first, and from 3.12 on the pytest check, each with one line."""
+    result = run_gate(tmp_path, COVERING, "-E", "-S")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
+    assert ("pytest" if MONITORED else "Python 3.12") in result.stderr

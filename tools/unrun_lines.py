@@ -9,10 +9,10 @@ in the function, so they are not counted.  Exits 1 if a test fails or any
 line is printed, else 0.
 
 Usage, from any directory: ``python3 tools/unrun_lines.py``.  It needs
-Python 3.12 or later (``sys.monitoring``, PEP 669) and exits 2 with one
-``error:`` line below that; it uses only the standard library and the test
-dependencies.  The callback disables each source location after its first
-event, so the run costs about one plain suite run.
+Python 3.12 or later (``sys.monitoring``, PEP 669) and pytest, and exits 2
+with one ``error:`` line without either; it uses only the standard library
+and the test dependencies.  The callback disables each source location
+after its first event, so the run costs about one plain suite run.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import inspect
 import os
 import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fuzzcyl"
@@ -48,6 +46,12 @@ def code_lines(path: Path) -> set[int]:
 def main() -> int:
     if sys.version_info < (3, 12):
         print("error: the line gate needs Python 3.12 or later for sys.monitoring",
+              file=sys.stderr)
+        return 2
+    try:
+        import pytest
+    except ImportError as exc:
+        print(f"error: the line gate needs pytest, the test dependency ({exc})",
               file=sys.stderr)
         return 2
     monitoring = sys.monitoring

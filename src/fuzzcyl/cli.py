@@ -32,7 +32,7 @@ from .cylinder import psi_star, verify_psi_laws
 from .functor import complement_report
 from .fuzzy import FuzzyTopology, GroundSet, fz_is_topology, read_family
 from .rationals import frac
-from .retraction import BoxWitness, verify_witness
+from .retraction import BoxWitness, read_certificates, verify_witness
 
 
 class InputError(Exception):
@@ -129,7 +129,7 @@ def _cmd_verify_retraction(args) -> int:
         if not isinstance(doc, list):
             raise InputError("certificate file must hold a JSON array")
         try:
-            witnesses = [BoxWitness.from_json(topo.ground, w) for w in doc]
+            witnesses = read_certificates(topo.ground, doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
         for i, w in enumerate(witnesses):

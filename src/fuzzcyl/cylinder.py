@@ -15,7 +15,7 @@ from functools import cache
 from math import lcm
 from typing import Optional
 
-from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement
+from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement, required_field
 from .intervals import (
     EMPTY_SET,
     IntervalSet,
@@ -27,7 +27,7 @@ from .intervals import (
     iv_supremum,
     iv_union,
 )
-from .rationals import ONE, ZERO, exact, format_rational, frac, unit
+from .rationals import ONE, ZERO, exact, format_rational, frac, parse_rational, unit
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,15 @@ class CylPoint:
         return {"x": self.x, "alpha": format_rational(self.alpha)}
 
     @staticmethod
-    def from_json(doc: dict) -> "CylPoint":
-        if type(doc["x"]) is not str:
-            raise TypeError(f"ground element must be a string: {doc['x']!r}")
-        return CylPoint(doc["x"], frac(doc["alpha"]))
+    def from_json(doc: dict, where: str) -> "CylPoint":
+        """The point of a JSON object {"x", "alpha"}; malformed structure
+        raises TypeError or ValueError naming the fault and ``where``."""
+        if not isinstance(doc, dict):
+            raise TypeError(f"{where} must be an object with an x and an alpha")
+        x = required_field(doc, "x", where)
+        if type(x) is not str:
+            raise TypeError(f"ground element must be a string: {x!r}")
+        return CylPoint(x, frac(required_field(doc, "alpha", where)))
 
 
 @dataclass(frozen=True)
@@ -146,9 +151,12 @@ class SubbasisElem:
         g = exact(self.gamma)
         if not -g.denominator <= g.numerator < g.denominator:  # -1 <= gamma < 1
             raise ValueError(f"gamma outside [-1,1): {self.gamma}")
-        # clauses of elements key the ends memo: hash once, on the
-        # fields __eq__ compares
-        object.__setattr__(self, "_hash", hash((self.kind, self.gamma, self.open_name)))
+        # clauses of elements key the ends memo: hash once, on the fields
+        # __eq__ compares, gamma as its two integers, which equal gammas
+        # share (a Fraction is in lowest terms, an int has denominator 1);
+        # hashing a Fraction would take a modular inverse
+        object.__setattr__(self, "_hash", hash((self.kind, g.numerator, g.denominator,
+                                                self.open_name)))
 
     def __hash__(self):
         return self._hash
@@ -164,8 +172,29 @@ class SubbasisElem:
         return doc
 
     @staticmethod
-    def from_json(doc: dict) -> "SubbasisElem":
-        return SubbasisElem(doc["kind"], frac(doc["gamma"]), doc.get("open"))
+    def from_json(doc: dict, where: str, known: dict) -> "SubbasisElem":
+        """The element of a JSON object {"kind", "gamma", "open"}, "open"
+        absent on pi2; malformed structure raises TypeError or ValueError
+        naming the fault and ``where``.
+
+        ``known`` is the calling reader's table of the elements it has read,
+        keyed by their raw fields.  An object whose kind and gamma are
+        strings, and whose open is a string or absent, is looked up there,
+        and read and added when new, so equal text reads to one object,
+        parsed, checked and hashed once.  Any other object is read afresh
+        and never kept: JSON values of other types compare equal and read
+        differently (0, 0.0 and false)."""
+        if not isinstance(doc, dict):
+            raise TypeError(f"{where} must be an object with a kind and a gamma")
+        kind, gamma, name = doc.get("kind"), doc.get("gamma"), doc.get("open")
+        if type(kind) is str and type(gamma) is str and (name is None or type(name) is str):
+            key = (kind, gamma, name)
+            e = known.get(key)
+            if e is None:
+                e = known[key] = SubbasisElem(kind, parse_rational(gamma), name)
+            return e
+        return SubbasisElem(required_field(doc, "kind", where),
+                            frac(required_field(doc, "gamma", where)), name)
 
 
 def tstar(open_name: str, gamma) -> SubbasisElem:
@@ -191,12 +220,15 @@ class OpenExpr:
         return [[e.to_json() for e in clause] for clause in self.clauses]
 
     @staticmethod
-    def from_json(doc: list) -> "OpenExpr":
+    def from_json(doc: list, where: str, known: dict) -> "OpenExpr":
+        """The expression of a JSON array of clauses, each an array of
+        elements read by ``SubbasisElem.from_json`` with ``where`` and
+        ``known``."""
         if not isinstance(doc, list):
             raise TypeError("open expression must be an array of clauses")
         if not all(isinstance(clause, list) for clause in doc):
             raise TypeError("clause must be an array of subbasis elements")
-        return OpenExpr(tuple(tuple(SubbasisElem.from_json(e) for e in clause)
+        return OpenExpr(tuple(tuple(SubbasisElem.from_json(e, where, known) for e in clause)
                               for clause in doc))
 
 

@@ -167,7 +167,8 @@ class FuzzyTopology:
         return FuzzyTopology(*read_family(doc))
 
 
-def _field(doc: dict, key: str, where: str):
+def required_field(doc: dict, key: str, where: str):
+    """``doc[key]``; a missing key raises ValueError naming ``where``."""
     if key not in doc:
         raise ValueError(f"{where} has no {key!r} field")
     return doc[key]
@@ -179,22 +180,22 @@ def read_family(doc: dict) -> tuple[GroundSet, tuple[str, ...], tuple[FuzzySet, 
     raises TypeError or ValueError naming the fault."""
     if not isinstance(doc, dict):
         raise TypeError("topology must be a JSON object")
-    elements = _field(doc, "ground_set", "topology")
+    elements = required_field(doc, "ground_set", "topology")
     if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
         raise TypeError("ground_set must be an array of strings")
     gs = GroundSet(tuple(elements))
-    entries = _field(doc, "opens", "topology")
+    entries = required_field(doc, "opens", "topology")
     if not isinstance(entries, list):
         raise TypeError("opens must be an array")
     names, opens = [], []
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise TypeError("each open must be an object with a name and values")
-        name = _field(entry, "name", f"open {index}")
+        name = required_field(entry, "name", f"open {index}")
         if not isinstance(name, str):
             raise TypeError(f"open names must be strings, not {type(name).__name__}")
         names.append(name)
-        opens.append(FuzzySet.from_dict(gs, _field(entry, "values", f"open {index}")))
+        opens.append(FuzzySet.from_dict(gs, required_field(entry, "values", f"open {index}")))
     if len(set(names)) != len(names):
         raise ValueError("open names must be unique")
     return gs, tuple(names), tuple(opens)

@@ -485,7 +485,7 @@ def path_to_json(e: PathExpr) -> dict:
 def path_from_json(doc: dict) -> PathExpr:
     kind = doc["type"]
     if kind == "const":
-        return Const(CylPoint.from_json(doc["point"]))
+        return Const(CylPoint.from_json(doc["point"], "point"))
     if kind == "vertical":
         return VerticalAffine(doc["x"], frac(doc["a0"]), frac(doc["a1"]))
     if kind == "hlift":

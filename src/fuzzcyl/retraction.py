@@ -27,7 +27,7 @@ from .cylinder import (
     subbasis_realize,
     tstar,
 )
-from .fuzzy import FuzzyTopology, GroundSet
+from .fuzzy import FuzzyTopology, GroundSet, required_field
 from .intervals import (
     EMPTY_SET,
     IntervalSet,
@@ -77,15 +77,34 @@ class BoxWitness:
         }
 
     @staticmethod
-    def from_json(gs: GroundSet, doc: dict) -> "BoxWitness":
+    def from_json(gs: GroundSet, doc: dict, where: str, known: dict) -> "BoxWitness":
+        """The certificate ``where`` of a file, its subbasis elements read
+        through the file's table ``known`` (``SubbasisElem.from_json``);
+        malformed structure raises TypeError or ValueError naming the fault
+        and where it is."""
+        if not isinstance(doc, dict):
+            raise TypeError(f"{where} must be an object")
         return BoxWitness(
-            IntervalSet.from_json([doc["t_interval"]]),
-            OpenExpr.from_json(doc["region_expr"]),
+            IntervalSet.from_json([required_field(doc, "t_interval", where)]),
+            OpenExpr.from_json(required_field(doc, "region_expr", where),
+                               f"region member of {where}", known),
             CylinderOpen.from_json(gs, doc["region"]) if "region" in doc else None,
-            SubbasisElem.from_json(doc["target"]),
-            unit(frac(doc["anchor_t"]), "homotopy time"),
-            CylPoint.from_json(doc["anchor"]),
+            SubbasisElem.from_json(required_field(doc, "target", where),
+                                   f"target of {where}", known),
+            unit(frac(required_field(doc, "anchor_t", where)), "homotopy time"),
+            CylPoint.from_json(required_field(doc, "anchor", where), f"anchor of {where}"),
         )
+
+
+def read_certificates(gs: GroundSet, doc: list) -> list[BoxWitness]:
+    """The certificates of a certificate file's JSON array, in order, each
+    named "certificate i" in its messages.  One table of subbasis elements
+    serves the whole file and lives only for this call: a target or clause
+    member whose text repeats in the file is read once, and every copy is
+    the same object, so ``clause_ends`` finds its memoised ends on identity.
+    Two calls share no element."""
+    known: dict[tuple, SubbasisElem] = {}
+    return [BoxWitness.from_json(gs, w, f"certificate {i}", known) for i, w in enumerate(doc)]
 
 
 def continuity_witness(t, p: CylPoint, target: SubbasisElem,
@@ -172,10 +191,12 @@ def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:
     the target for every clause; a stored region must equal the realization.
 
     Nothing is realized: each clause and the target are read as the memoised
-    integer ends of their spans (``clause_ends``).  The region is the union
-    of its clauses, so the anchor lies in it when some clause's span over its
-    element holds it (``span_holds``), and its image lies in the target when
-    each clause's does, decided on two scaled ends per element."""
+    integer ends of their spans (``clause_ends``); on a replay the memo key
+    mostly matches on identity, as ``read_certificates`` reads equal element
+    text in a file to one object.  The region is the union of its clauses,
+    so the anchor lies in it when some clause's span over its element holds
+    it (``span_holds``), and its image lies in the target when each
+    clause's does, decided on two scaled ends per element."""
     t = w.t_interval
     if not (is_open_in_unit(t) and t.contains(w.anchor_t)):
         return False

@@ -575,6 +575,91 @@ def test_malformed_topology_message_names_the_fault(capsys, tmp_path, command, d
     assert captured.err == f"error: malformed topology file: {message}\n"
 
 
+def emitted_seed4(capsys, tmp_path, topo_file):
+    """The 12 certificates emitted for TOPO at --sweeps 12 --seed 4: the
+    targets of certificates 2 and 11 are both pi2(0), and those of 3 and 9
+    both tstar(T1, 1/3)."""
+    cert = tmp_path / "certs.json"
+    code, _ = run(capsys, "verify-retraction", "--topology", topo_file,
+                  "--sweeps", "12", "--seed", "4", "--emit", str(cert))
+    assert code == 0
+    certs = json.loads(cert.read_text())
+    assert certs[2]["target"] == certs[11]["target"] == {"kind": "pi2", "gamma": "0"}
+    assert certs[3]["target"] == certs[9]["target"]
+    return certs
+
+
+def replay_exit_2(capsys, tmp_path, topo_file, certs) -> str:
+    """The one stderr line of a replay of ``certs``, which must exit 2."""
+    cert = tmp_path / "forged.json"
+    cert.write_text(json.dumps(certs))
+    assert main(["verify-retraction", "--topology", topo_file, "--replay", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda certs: [1], "certificate 0 must be an object"),
+    (lambda certs: [[]], "certificate 0 must be an object"),
+    (lambda certs: [{}], "certificate 0 has no 't_interval' field"),
+    (lambda certs: without(certs, 3, "anchor_t"), "certificate 3 has no 'anchor_t' field"),
+    (lambda certs: without(certs, 3, "target", "kind"),
+     "target of certificate 3 has no 'kind' field"),
+    (lambda certs: without(certs, 3, "region_expr", 0, 1, "gamma"),
+     "region member of certificate 3 has no 'gamma' field"),
+    (lambda certs: replaced(certs, (3, "target"), "pi2"),
+     "target of certificate 3 must be an object with a kind and a gamma"),
+    (lambda certs: replaced(certs, (3, "region_expr", 0, 0), "pi2"),
+     "region member of certificate 3 must be an object with a kind and a gamma"),
+    (lambda certs: without(certs, 3, "anchor", "alpha"),
+     "anchor of certificate 3 has no 'alpha' field"),
+    (lambda certs: replaced(certs, (3, "anchor"), ["a", "1/2"]),
+     "anchor of certificate 3 must be an object with an x and an alpha"),
+], ids=["int", "array", "empty-object", "no-anchor-time", "target-no-kind",
+        "member-no-gamma", "target-string", "member-string", "anchor-no-alpha",
+        "anchor-array"])
+def test_malformed_certificate_message_names_the_fault(capsys, tmp_path, topo_file, forge,
+                                                       message):
+    certs = emitted_seed4(capsys, tmp_path, topo_file)
+    err = replay_exit_2(capsys, tmp_path, topo_file, forge(certs))
+    assert err == f"error: malformed certificate: {message}\n"
+
+
+def test_a_forged_copy_of_a_repeated_target_fails_alone(capsys, tmp_path, topo_file):
+    """Certificate 11's target repeats certificate 2's, pi2(0); forged to
+    pi2(99/100), above every anchor level, it reads to its own element and
+    fails that one certificate."""
+    certs = emitted_seed4(capsys, tmp_path, topo_file)
+    certs[11]["target"] = {"kind": "pi2", "gamma": "99/100"}
+    cert = tmp_path / "forged.json"
+    cert.write_text(json.dumps(certs))
+    code, doc = run(capsys, "verify-retraction", "--topology", topo_file, "--replay", str(cert))
+    assert (code, doc) == (1, {"replayed": 12, "ok": False, "failures": [11]})
+
+
+@pytest.mark.parametrize("first, later, message", [
+    ("0", "1/0", "zero denominator in '1/0'"),
+    ("0", 0.0, "cannot interpret 0.0 as an exact rational"),
+    (0, 0.0, "cannot interpret 0.0 as an exact rational"),
+    (0, False, "cannot interpret False as an exact rational"),
+    ("0", None, "target of certificate 11 has no 'gamma' field"),
+], ids=["zero-denominator", "float", "float-after-int", "bool-after-int", "no-gamma"])
+def test_malformed_copy_of_a_repeated_target_exits_2(capsys, tmp_path, topo_file, first,
+                                                      later, message):
+    """Certificate 2's target read first, as "0" or 0, does not let a
+    malformed copy at certificate 11 through: equal text is shared, but an
+    int, a float or a bool is never looked up (0 == 0.0 == False)."""
+    certs = emitted_seed4(capsys, tmp_path, topo_file)
+    certs[2]["target"]["gamma"] = first
+    if later is None:
+        del certs[11]["target"]["gamma"]
+    else:
+        certs[11]["target"]["gamma"] = later
+    err = replay_exit_2(capsys, tmp_path, topo_file, certs)
+    assert err == f"error: malformed certificate: {message}\n"
+
+
 def test_emit_and_replay_are_exclusive(monkeypatch, tmp_path, topo_file):
     def no_run(*args, **kwargs):
         raise AssertionError("ran with both --emit and --replay")

@@ -443,8 +443,8 @@ def test_verify_psi_laws_reports_injected_psi_star_fault(monkeypatch):
     (lambda: cylinder.SubbasisElem("tstar", True, "T0"), TypeError),
     (lambda: cylinder.SubbasisElem("pi2", F(0), "T0"), ValueError),
     (lambda: cylinder.SubbasisElem("tstar", F(0), 5), ValueError),
-    (lambda: cylinder.SubbasisElem.from_json({"kind": "pi2", "gamma": "0", "open": "zz"}),
-     ValueError),
+    (lambda: cylinder.SubbasisElem.from_json({"kind": "pi2", "gamma": "0", "open": "zz"},
+                                             "element", {}), ValueError),
 ], ids=["float-gamma", "string-gamma", "bool-gamma", "pi2-with-open", "open-not-a-string",
         "pi2-with-open-json"])
 def test_subbasis_elem_checks_field_types(build, error):
@@ -453,12 +453,16 @@ def test_subbasis_elem_checks_field_types(build, error):
 
 
 def test_subbasis_elem_hash_is_set_equality_across_processes():
-    """The hash is computed once from the compared fields, and a pickled
-    element is rebuilt from its fields, so one written under another str
-    hash seed is still found by value."""
+    """The hash is computed once from the compared fields, gamma as its
+    numerator and denominator, so an int gamma and the equal Fraction hash
+    alike; and a pickled element is rebuilt from its fields, so one written
+    under another str hash seed is still found by value."""
     e = cylinder.tstar("T0", "1/3")
-    assert hash(e) == hash(("tstar", F(1, 3), "T0"))
+    assert hash(e) == hash(("tstar", 1, 3, "T0"))
     assert e == cylinder.SubbasisElem("tstar", F(1, 3), "T0") != cylinder.pi2("1/3")
+    whole, parsed = cylinder.SubbasisElem("pi2", 0), cylinder.pi2("0")
+    assert whole == parsed and hash(whole) == hash(parsed) == hash(("pi2", 0, 1, None))
+    assert whole in {parsed} and parsed in {whole}
     again = pickle.loads(pickle.dumps(e))
     assert again == e and hash(again) == hash(e) and again is not e
     write = "import pickle, sys; from fuzzcyl.cylinder import tstar; " \

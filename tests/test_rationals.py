@@ -68,7 +68,8 @@ SITES = [
     ("h_eval", lambda q: h_eval(q, CylPoint("a", F(0))), False, True),
     ("continuity_witness", lambda q: continuity_witness(q, ANCHOR, TARGET, TOPO), False, True),
     ("BoxWitness.from_json.anchor_t",
-     lambda q: BoxWitness.from_json(TOPO.ground, {**WITNESS, "anchor_t": q}), False, True),
+     lambda q: BoxWitness.from_json(TOPO.ground, {**WITNESS, "anchor_t": q}, "certificate",
+                                    {}), False, True),
 ]
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -30,6 +31,7 @@ from fuzzcyl.retraction import (
     continuity_witness,
     h_eval,
     h_image_of_box,
+    read_certificates,
     sigma_image,
     sigma_image_subbasis,
     verify_witness,
@@ -300,14 +302,51 @@ def test_witness_json_round_trip():
     w = continuity_witness(F(1, 2), CylPoint("a", F(1, 4)),
                            tstar(name, F(1, 8)), topo)
     doc = w.to_json()
-    again = BoxWitness.from_json(topo.ground, doc)
+    (again,) = read_certificates(topo.ground, [doc])
     assert again == w
     assert verify_witness(again, topo)
     # a document that holds the realized region reads it, writes without it
     region = open_realize(w.region_expr, topo)
-    old = BoxWitness.from_json(topo.ground, {**doc, "region": region.to_json()})
+    (old,) = read_certificates(topo.ground, [{**doc, "region": region.to_json()}])
     assert old.region == region and old.to_json() == doc
     assert verify_witness(old, topo)
+
+
+def elements(w: BoxWitness) -> list[SubbasisElem]:
+    return [w.target, *(e for clause in w.region_expr.clauses for e in clause)]
+
+
+def test_reader_reads_equal_element_text_to_one_object():
+    """Within one read of a file, every copy of an element's text is the
+    same object; two reads of the same file share no element, so the table
+    lives only for its file.  A
+    gamma written as a JSON integer or padded with blanks reads to an equal
+    element, and the certificates verify as before."""
+    rng = random.Random(42)
+    topo = random_topology(rng)
+    result, witnesses = checks.sweep_retraction_on(topo, rng, anchors=40)
+    assert result.ok
+    docs = [w.to_json() for w in witnesses]
+    first, second = (read_certificates(topo.ground, docs) for _ in range(2))
+    assert first == second == witnesses
+    ids = {}
+    for e in (e for w in first for e in elements(w)):
+        ids.setdefault(json.dumps(e.to_json()), set()).add(id(e))
+    assert all(len(found) == 1 for found in ids.values())
+    copies = sum(len(elements(w)) for w in first)
+    assert copies >= len(ids) + 20, (copies, len(ids))
+    assert not {id(e) for w in first for e in elements(w)} & \
+        {id(e) for w in second for e in elements(w)}
+
+    def respelled(e):
+        g = e["gamma"]
+        return {**e, "gamma": int(g) if "/" not in g else f" {g} "}
+    spelled = [{**doc, "target": respelled(doc["target"]),
+                "region_expr": [[respelled(e) for e in clause] for clause in doc["region_expr"]]}
+               for doc in docs]
+    assert sum(type(doc["target"]["gamma"]) is int for doc in spelled) >= 5
+    again = read_certificates(topo.ground, spelled)
+    assert again == witnesses and all(verify_witness(w, topo) for w in again)
 
 
 def test_memo_is_created_on_first_use():

@@ -15,7 +15,7 @@ from functools import cache
 from math import lcm
 from typing import Optional
 
-from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement, required_field
+from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement
 from .intervals import (
     EMPTY_SET,
     IntervalSet,
@@ -27,7 +27,7 @@ from .intervals import (
     iv_supremum,
     iv_union,
 )
-from .rationals import ONE, ZERO, exact, format_rational, frac, parse_rational, unit
+from .rationals import ONE, ZERO, exact, format_rational, frac, required_field, unit
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,19 @@ class CylinderOpen:
                            for x, f in zip(self.ground.elements, self.fibers)}}
 
     @staticmethod
-    def from_json(gs: GroundSet, doc: dict) -> "CylinderOpen":
-        fibers = doc["fibers"]
+    def from_json(gs: GroundSet, doc: dict, where: str) -> "CylinderOpen":
+        """The open of a JSON object {"fibers"}, its fibers keyed by ground
+        element and an absent one empty; malformed structure raises
+        TypeError or ValueError naming the fault and ``where``."""
+        fibers = required_field(doc, "fibers", where)
         if not isinstance(fibers, dict):
             raise TypeError("fibers must be an object keyed by ground element")
         for x in fibers:
             if x not in gs.elements:
                 raise ValueError(f"fiber for {x!r}, which is not a ground element")
-        return CylinderOpen(gs, tuple(IntervalSet.from_json(fibers.get(x, []))
-                                      for x in gs.elements))
+        return CylinderOpen(gs, tuple(
+            IntervalSet.from_json(fibers.get(x, []), f"interval in fiber {x!r} of {where}")
+            for x in gs.elements))
 
 
 def empty_cylinder(gs: GroundSet) -> CylinderOpen:
@@ -171,31 +175,6 @@ class SubbasisElem:
             doc["open"] = self.open_name
         return doc
 
-    @staticmethod
-    def from_json(doc: dict, where: str, known: dict) -> "SubbasisElem":
-        """The element of a JSON object {"kind", "gamma", "open"}, "open"
-        absent on pi2; malformed structure raises TypeError or ValueError
-        naming the fault and ``where``.
-
-        ``known`` is the calling reader's table of the elements it has read,
-        keyed by their raw fields.  An object whose kind and gamma are
-        strings, and whose open is a string or absent, is looked up there,
-        and read and added when new, so equal text reads to one object,
-        parsed, checked and hashed once.  Any other object is read afresh
-        and never kept: JSON values of other types compare equal and read
-        differently (0, 0.0 and false)."""
-        if not isinstance(doc, dict):
-            raise TypeError(f"{where} must be an object with a kind and a gamma")
-        kind, gamma, name = doc.get("kind"), doc.get("gamma"), doc.get("open")
-        if type(kind) is str and type(gamma) is str and (name is None or type(name) is str):
-            key = (kind, gamma, name)
-            e = known.get(key)
-            if e is None:
-                e = known[key] = SubbasisElem(kind, parse_rational(gamma), name)
-            return e
-        return SubbasisElem(required_field(doc, "kind", where),
-                            frac(required_field(doc, "gamma", where)), name)
-
 
 def tstar(open_name: str, gamma) -> SubbasisElem:
     return SubbasisElem("tstar", frac(gamma), open_name)
@@ -218,18 +197,6 @@ class OpenExpr:
 
     def to_json(self) -> list:
         return [[e.to_json() for e in clause] for clause in self.clauses]
-
-    @staticmethod
-    def from_json(doc: list, where: str, known: dict) -> "OpenExpr":
-        """The expression of a JSON array of clauses, each an array of
-        elements read by ``SubbasisElem.from_json`` with ``where`` and
-        ``known``."""
-        if not isinstance(doc, list):
-            raise TypeError("open expression must be an array of clauses")
-        if not all(isinstance(clause, list) for clause in doc):
-            raise TypeError("clause must be an array of subbasis elements")
-        return OpenExpr(tuple(tuple(SubbasisElem.from_json(e, where, known) for e in clause)
-                              for clause in doc))
 
 
 def clause_ends(clause: tuple[SubbasisElem, ...],

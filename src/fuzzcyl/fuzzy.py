@@ -14,7 +14,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .rationals import ONE, ZERO, format_rational, frac, unit
+from .rationals import ONE, ZERO, format_rational, frac, required_field, unit
 
 
 @dataclass(frozen=True)
@@ -165,13 +165,6 @@ class FuzzyTopology:
     @staticmethod
     def from_json(doc: dict) -> "FuzzyTopology":
         return FuzzyTopology(*read_family(doc))
-
-
-def required_field(doc: dict, key: str, where: str):
-    """``doc[key]``; a missing key raises ValueError naming ``where``."""
-    if key not in doc:
-        raise ValueError(f"{where} has no {key!r} field")
-    return doc[key]
 
 
 def read_family(doc: dict) -> tuple[GroundSet, tuple[str, ...], tuple[FuzzySet, ...]]:

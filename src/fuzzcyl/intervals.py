@@ -39,21 +39,21 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .rationals import format_ratio, ratio, unit
+from .rationals import format_ratio, ratio, required_field, unit
 
 
 def _show(lo: str, hi: str, lo_open: bool, hi_open: bool) -> str:
     return f"{'(' if lo_open else '['}{lo},{hi}{')' if hi_open else ']'}"
 
 
-def _read_interval(doc: dict) -> tuple[int, int, int, int, bool, bool]:
-    """The checked (lp, lq, hp, hq, lo_open, hi_open) of one JSON interval
-    from lp/lq to hp/hq: "p/q" or "p" strings or JSON integers for the ends
-    (read by ``ratio``), optional boolean ``lo_open`` and ``hi_open`` flags,
-    both ends in [0, 1], lo <= hi, and a degenerate interval only when
-    closed, all compared in integers."""
-    lp, lq = ratio(doc["lo"])
-    hp, hq = ratio(doc["hi"])
+def _read_interval(doc: dict, where: str) -> tuple[int, int, int, int, bool, bool]:
+    """The checked (lp, lq, hp, hq, lo_open, hi_open) of the JSON interval
+    ``where`` from lp/lq to hp/hq: an object, "p/q" or "p" strings or JSON
+    integers for the ends (read by ``ratio``), optional boolean ``lo_open``
+    and ``hi_open`` flags, both ends in [0, 1], lo <= hi, and a degenerate
+    interval only when closed, all compared in integers."""
+    lp, lq = ratio(required_field(doc, "lo", where))
+    hp, hq = ratio(required_field(doc, "hi", where))
     lo_open, hi_open = doc.get("lo_open", False), doc.get("hi_open", False)
     if type(lo_open) is not bool or type(hi_open) is not bool:
         raise TypeError("interval flags lo_open and hi_open must be booleans")
@@ -105,13 +105,13 @@ class IntervalSet:
                 for s, e in zip(k[::2], k[1::2])]
 
     @staticmethod
-    def from_json(doc: list) -> "IntervalSet":
+    def from_json(doc: list, where: str) -> "IntervalSet":
         """The canonical set of a JSON array of intervals, each read and
-        checked by ``_read_interval``, as key pairs over the lcm of the
-        ends' denominators."""
+        checked by ``_read_interval`` and named ``where`` in its messages,
+        as key pairs over the lcm of the ends' denominators."""
         if not isinstance(doc, list):
             raise TypeError("interval set must be an array of intervals")
-        ends = [_read_interval(d) for d in doc]
+        ends = [_read_interval(d, where) for d in doc]
         den = lcm(*(q for lp, lq, hp, hq, _, _ in ends for q in (lq, hq)))
         return canonical(den, [(2 * lp * (den // lq) + lo_open,
                                 2 * hp * (den // hq) + (not hi_open))

@@ -49,7 +49,7 @@ from .intervals import (
     iv_span,
     iv_union,
 )
-from .rationals import ONE, format_rational, frac, unit
+from .rationals import ONE, format_rational, frac, required_field, unit
 
 
 def kappa(s, t, x) -> Fraction:
@@ -483,23 +483,33 @@ def path_to_json(e: PathExpr) -> dict:
 
 
 def path_from_json(doc: dict) -> PathExpr:
-    kind = doc["type"]
+    """The path of a JSON document as ``path_to_json`` writes it; malformed
+    structure raises TypeError or ValueError naming the fault."""
+    kind = required_field(doc, "type", "path expression")
+
+    def field(key: str):
+        return required_field(doc, key, f"{kind} path")
     if kind == "const":
-        return Const(CylPoint.from_json(doc["point"], "point"))
+        return Const(CylPoint.from_json(field("point"), "point"))
     if kind == "vertical":
-        return VerticalAffine(doc["x"], frac(doc["a0"]), frac(doc["a1"]))
+        return VerticalAffine(field("x"), frac(field("a0")), frac(field("a1")))
     if kind == "hlift":
-        steps, interiors = doc["base"]["steps"], doc["base"]["interiors"]
+        base = field("base")
+        steps = required_field(base, "steps", "hlift base")
+        interiors = required_field(base, "interiors", "hlift base")
         if not (isinstance(steps, list) and isinstance(interiors, list)):
             raise TypeError("fence steps and interiors must be arrays")
-        return HLift(FencePath(tuple(steps), tuple(interiors)), frac(doc["level"]))
+        return HLift(FencePath(tuple(steps), tuple(interiors)), frac(field("level")))
     if kind == "concat":
-        return Concat(tuple(path_from_json(p) for p in doc["parts"]))
+        parts = field("parts")
+        if not isinstance(parts, list):
+            raise TypeError("concat parts must be an array of paths")
+        return Concat(tuple(path_from_json(p) for p in parts))
     if kind == "reverse":
-        return Reverse(path_from_json(doc["inner"]))
+        return Reverse(path_from_json(field("inner")))
     if kind == "h_transform":
-        return HTransform(frac(doc["t"]), path_from_json(doc["inner"]))
+        return HTransform(frac(field("t")), path_from_json(field("inner")))
     if kind == "chi_boundary":
-        return ChiBoundary(path_from_json(doc["rho"]), frac(doc["s"]),
-                           frac(doc["t"]), doc["end"])
+        return ChiBoundary(path_from_json(field("rho")), frac(field("s")),
+                           frac(field("t")), field("end"))
     raise ValueError(f"unknown path expression type {kind!r}")

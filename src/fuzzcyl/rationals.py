@@ -1,4 +1,5 @@
-"""Exact rational scalars and their string form used in all JSON payloads."""
+"""Exact rational scalars, their string form used in all JSON payloads, and
+the required-field read that every JSON reader shares."""
 
 from __future__ import annotations
 
@@ -83,3 +84,13 @@ def format_ratio(n: int, d: int) -> str:
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" for integers."""
     return format_ratio(q.numerator, q.denominator)
+
+
+def required_field(doc: dict, key: str, where: str):
+    """``doc[key]`` of the JSON object ``where``; a ``doc`` that is not an
+    object raises TypeError, and a missing key ValueError, naming ``where``."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where} must be an object")
+    if key not in doc:
+        raise ValueError(f"{where} has no {key!r} field")
+    return doc[key]

@@ -27,7 +27,7 @@ from .cylinder import (
     subbasis_realize,
     tstar,
 )
-from .fuzzy import FuzzyTopology, GroundSet, required_field
+from .fuzzy import FuzzyTopology
 from .intervals import (
     EMPTY_SET,
     IntervalSet,
@@ -38,7 +38,7 @@ from .intervals import (
     iv_span,
     span_holds,
 )
-from .rationals import ONE, ZERO, format_rational, frac, unit
+from .rationals import ONE, ZERO, format_rational, frac, required_field, unit
 
 
 def h_eval(t, p: CylPoint) -> CylPoint:
@@ -76,35 +76,62 @@ class BoxWitness:
             "anchor": self.anchor.to_json(),
         }
 
-    @staticmethod
-    def from_json(gs: GroundSet, doc: dict, where: str, known: dict) -> "BoxWitness":
-        """The certificate ``where`` of a file, its subbasis elements read
-        through the file's table ``known`` (``SubbasisElem.from_json``);
-        malformed structure raises TypeError or ValueError naming the fault
-        and where it is."""
-        if not isinstance(doc, dict):
-            raise TypeError(f"{where} must be an object")
-        return BoxWitness(
-            IntervalSet.from_json([required_field(doc, "t_interval", where)]),
-            OpenExpr.from_json(required_field(doc, "region_expr", where),
-                               f"region member of {where}", known),
-            CylinderOpen.from_json(gs, doc["region"]) if "region" in doc else None,
-            SubbasisElem.from_json(required_field(doc, "target", where),
-                                   f"target of {where}", known),
-            unit(frac(required_field(doc, "anchor_t", where)), "homotopy time"),
-            CylPoint.from_json(required_field(doc, "anchor", where), f"anchor of {where}"),
-        )
 
+def read_certificates(topo: FuzzyTopology, doc: list) -> list[BoxWitness]:
+    """The certificates of a certificate file's JSON array for ``topo``, in
+    order.  Malformed structure, or a ground element or open that ``topo``
+    lacks, raises TypeError or ValueError naming the fault and where it is,
+    certificates counted from 0 (``anchor of certificate 3 names unknown
+    ground element 'zz'``).
 
-def read_certificates(gs: GroundSet, doc: list) -> list[BoxWitness]:
-    """The certificates of a certificate file's JSON array, in order, each
-    named "certificate i" in its messages.  One table of subbasis elements
-    serves the whole file and lives only for this call: a target or clause
-    member whose text repeats in the file is read once, and every copy is
-    the same object, so ``clause_ends`` finds its memoised ends on identity.
-    Two calls share no element."""
+    A table of subbasis elements, keyed by their raw fields, serves the
+    file and lives only for this call.  An element whose kind and gamma
+    are strings, and whose open is a string or absent, is read, checked,
+    hashed and its open looked up once, and every copy of its text is that
+    object, so ``clause_ends`` finds its memoised ends on identity.  Any
+    other element is read afresh at each copy and never kept, since JSON
+    values of other types compare equal and read differently (0, 0.0 and
+    false)."""
+    if not isinstance(doc, list):
+        raise TypeError("certificate file must hold a JSON array")
     known: dict[tuple, SubbasisElem] = {}
-    return [BoxWitness.from_json(gs, w, f"certificate {i}", known) for i, w in enumerate(doc)]
+
+    def element(e: dict, where: str) -> SubbasisElem:
+        if not isinstance(e, dict):
+            raise TypeError(f"{where} must be an object with a kind and a gamma")
+        key = kind, gamma, name = e.get("kind"), e.get("gamma"), e.get("open")
+        shared = type(kind) is str and type(gamma) is str and (name is None or type(name) is str)
+        out = known.get(key) if shared else None
+        if out is None:
+            out = SubbasisElem(required_field(e, "kind", where),
+                               frac(required_field(e, "gamma", where)), name)
+            if out.kind == "tstar" and name not in topo.names:
+                raise ValueError(f"{where} names unknown open {name!r}")
+            if shared:
+                known[key] = out
+        return out
+
+    witnesses = []
+    for i, w in enumerate(doc):
+        where = f"certificate {i}"
+        box = IntervalSet.from_json([required_field(w, "t_interval", where)],
+                                    f"time box of {where}")
+        clauses = required_field(w, "region_expr", where)
+        if not isinstance(clauses, list):
+            raise TypeError("open expression must be an array of clauses")
+        if not all(isinstance(clause, list) for clause in clauses):
+            raise TypeError("clause must be an array of subbasis elements")
+        member = f"region member of {where}"
+        expr = OpenExpr(tuple(tuple(element(e, member) for e in clause) for clause in clauses))
+        region = (CylinderOpen.from_json(topo.ground, w["region"], f"region of {where}")
+                  if "region" in w else None)
+        target = element(required_field(w, "target", where), f"target of {where}")
+        t = unit(frac(required_field(w, "anchor_t", where)), "homotopy time")
+        p = CylPoint.from_json(required_field(w, "anchor", where), f"anchor of {where}")
+        if p.x not in topo.ground.elements:
+            raise ValueError(f"anchor of {where} names unknown ground element {p.x!r}")
+        witnesses.append(BoxWitness(box, expr, region, target, t, p))
+    return witnesses
 
 
 def continuity_witness(t, p: CylPoint, target: SubbasisElem,

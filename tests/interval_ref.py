@@ -66,9 +66,15 @@ class Interval:
 
     @staticmethod
     def from_json(doc):
-        """One JSON interval: "p/q" or "p" strings or JSON integers for the
-        ends, optional boolean ``lo_open`` and ``hi_open`` flags, then the
-        checks above, in the library's order and with its messages."""
+        """One JSON interval: an object with "p/q" or "p" strings or JSON
+        integers for the ends, optional boolean ``lo_open`` and ``hi_open``
+        flags, then the checks above, in the library's order and with its
+        messages."""
+        if not isinstance(doc, dict):
+            raise TypeError("interval must be an object")
+        for key in ("lo", "hi"):
+            if key not in doc:
+                raise ValueError(f"interval has no {key!r} field")
         lo, hi = frac(doc["lo"]), frac(doc["hi"])
         lo_open, hi_open = doc.get("lo_open", False), doc.get("hi_open", False)
         if type(lo_open) is not bool or type(hi_open) is not bool:

@@ -840,7 +840,8 @@ def forgeries(rng, topo, doc):
     for box in touching_boxes(frac(doc["anchor_t"])):
         yield "box at 0 or 1", with_field(doc, ("t_interval",), box)
     x, alpha = doc["anchor"]["x"], frac(doc["anchor"]["alpha"])
-    clauses = OpenExpr.from_json(doc["region_expr"], "region member", {}).clauses
+    (w,) = read_certificates(topo, [doc])
+    clauses = w.region_expr.clauses
     for first in ((*clauses[0], pi2(alpha)), (pi2(alpha),), missing_clause(rng, topo, x, alpha)):
         earlier = [first] + [missing_clause(rng, topo, x, alpha)
                              for _ in range(rng.randint(0, 1))]
@@ -882,7 +883,7 @@ def test_verify_witness_matches_the_realizing_replay(family):
             regimes.add("0" if w.anchor_t == 0 else "1" if w.anchor_t == 1 else "inside")
             for kind, doc in forgeries(rng, topo, w.to_json()):
                 try:
-                    (forged,) = read_certificates(replay.ground, [doc])
+                    (forged,) = read_certificates(replay, [doc])
                 except (KeyError, TypeError, ValueError):
                     continue
                 verdict = verify_witness(forged, replay)

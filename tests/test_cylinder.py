@@ -32,6 +32,7 @@ from fuzzcyl.cylinder import (
 )
 from fuzzcyl.fuzzy import FuzzySet, fz_generate_topology, fz_indicator, ground
 from fuzzcyl.intervals import EMPTY_SET, iv_union
+from fuzzcyl.retraction import read_certificates
 from fuzzcyl.sweeps import random_topology
 
 F = Fraction
@@ -437,14 +438,20 @@ def test_verify_psi_laws_reports_injected_psi_star_fault(monkeypatch):
     assert faulted >= 3
 
 
+# a certificate on AB whose pi2 target names an open, read through the file reader
+PI2_WITH_OPEN = {"t_interval": {"lo": "0", "hi": "1"},
+                 "region_expr": [[{"kind": "pi2", "gamma": "-1"}]],
+                 "target": {"kind": "pi2", "gamma": "0", "open": "zz"},
+                 "anchor_t": "0", "anchor": {"x": "a", "alpha": "0"}}
+
+
 @pytest.mark.parametrize("build, error", [
     (lambda: cylinder.SubbasisElem("pi2", 0.5), TypeError),
     (lambda: cylinder.SubbasisElem("pi2", "0"), TypeError),
     (lambda: cylinder.SubbasisElem("tstar", True, "T0"), TypeError),
     (lambda: cylinder.SubbasisElem("pi2", F(0), "T0"), ValueError),
     (lambda: cylinder.SubbasisElem("tstar", F(0), 5), ValueError),
-    (lambda: cylinder.SubbasisElem.from_json({"kind": "pi2", "gamma": "0", "open": "zz"},
-                                             "element", {}), ValueError),
+    (lambda: read_certificates(fz_generate_topology([], AB), [PI2_WITH_OPEN]), ValueError),
 ], ids=["float-gamma", "string-gamma", "bool-gamma", "pi2-with-open", "open-not-a-string",
         "pi2-with-open-json"])
 def test_subbasis_elem_checks_field_types(build, error):
@@ -479,9 +486,9 @@ def test_subbasis_elem_hash_is_set_equality_across_processes():
 
 
 def test_cylinder_open_from_json_rejects_unknown_elements():
-    assert CylinderOpen.from_json(AB, {"fibers": {"a": []}}) == empty_cylinder(AB)
+    assert CylinderOpen.from_json(AB, {"fibers": {"a": []}}, "region") == empty_cylinder(AB)
     with pytest.raises(ValueError, match="'zz'"):
-        CylinderOpen.from_json(AB, {"fibers": {"a": [], "zz": []}})
+        CylinderOpen.from_json(AB, {"fibers": {"a": [], "zz": []}}, "region")
 
 
 def test_verify_psi_laws_builds_one_image_per_open(monkeypatch):

@@ -138,7 +138,7 @@ def test_key_algebra_matches_flag_algebra(seed):
         assert parts(a) == ra and parts(b) == rb
         same_set(a, build(pa))
         assert a.to_json() == [p.to_json() for p in ra]
-        assert IntervalSet.from_json(a.to_json()) == a
+        assert IntervalSet.from_json(a.to_json(), "set") == a
         assert parts(iv_union(a, b)) == ref_union(ra, rb)
         assert parts(iv_union(a, b, from_pairs(pc))) == normalize(pa + pb + pc)
         three_nonempty += bool(pa and pb and pc)
@@ -199,7 +199,7 @@ def test_equal_sets_built_differently_share_keys():
         same_set(direct, build(given), from_pairs(shuffled), chained, from_pairs(halves),
                  iv_union(*(from_pairs([p]) for p in shuffled)),
                  iv_union(*(from_pairs([p]) for p in halves)),
-                 IntervalSet.from_json(direct.to_json()),
+                 IntervalSet.from_json(direct.to_json(), "set"),
                  iv_union(direct, direct), iv_intersect(direct, direct))
         if direct.contains(ONE):
             continue

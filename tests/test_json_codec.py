@@ -80,12 +80,12 @@ def test_codec_matches_parts_reference():
         parts = [random_interval(rng) for _ in range(rng.randint(0, 4))]
         s = build(parts)
         assert s.to_json() == to_json(s)
-        assert IntervalSet.from_json(s.to_json()) == s
+        assert IntervalSet.from_json(s.to_json(), "set") == s
         doc = loose_json(parts, rng)
-        got, expect = IntervalSet.from_json(doc), from_json(doc)
+        got, expect = IntervalSet.from_json(doc, "set"), from_json(doc)
         assert (got.den, got.keys) == (expect.den, expect.keys) == (s.den, s.keys)
         multi += len(s.keys) > 2
-    assert IntervalSet.from_json([]) == EMPTY_SET
+    assert IntervalSet.from_json([], "set") == EMPTY_SET
     assert multi >= 1_000
 
 
@@ -127,8 +127,8 @@ MALFORMED = [
 def test_malformed_fields_raise_the_reference_class(change, error, message):
     doc = {**GOOD, **change}
     for read in (Interval.from_json,
-                 lambda d: IntervalSet.from_json([d]),
-                 lambda d: IntervalSet.from_json([GOOD, d])):
+                 lambda d: IntervalSet.from_json([d], "set"),
+                 lambda d: IntervalSet.from_json([GOOD, d], "set")):
         with pytest.raises(error) as caught:
             read(doc)
         assert str(caught.value) == message
@@ -169,14 +169,21 @@ def test_malformed_region_interval_exits_2_with_its_message(replay_files, change
     assert err.getvalue() == f"error: malformed certificate: {message}\n"
 
 
-@pytest.mark.parametrize("doc, error", [
-    ({"hi": "1/2"}, KeyError),
-    ({"lo": "0"}, KeyError),
-    ("lo", TypeError),
-    (3, TypeError),
-    ([], TypeError),
+NOT_AN_OBJECT = "time box must be an object"
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    ({"hi": "1/2"}, ValueError, "time box has no 'lo' field"),
+    ({"lo": "0"}, ValueError, "time box has no 'hi' field"),
+    ("lo", TypeError, NOT_AN_OBJECT),
+    (3, TypeError, NOT_AN_OBJECT),
+    ([], TypeError, NOT_AN_OBJECT),
 ], ids=["missing-lo", "missing-hi", "string", "int", "list"])
-def test_malformed_interval_shapes(doc, error):
-    for read in (Interval.from_json, lambda d: IntervalSet.from_json([d])):
-        with pytest.raises(error):
-            read(doc)
+def test_malformed_interval_shapes(doc, error, message):
+    """A missing end is a ValueError naming the set and the field, and an
+    interval that is not an object a TypeError naming the set."""
+    with pytest.raises(error):
+        Interval.from_json(doc)
+    with pytest.raises(error) as caught:
+        IntervalSet.from_json([doc], "time box")
+    assert str(caught.value) == message

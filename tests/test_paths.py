@@ -311,6 +311,27 @@ def test_path_documents_take_string_elements(doc):
         path_from_json(doc)
 
 
+@pytest.mark.parametrize("doc, error, message", [
+    ({"type": "vertical"}, ValueError, "vertical path has no 'x' field"),
+    ({}, ValueError, "path expression has no 'type' field"),
+    ([], TypeError, "path expression must be an object"),
+    ({"type": "concat", "parts": 5}, TypeError, "concat parts must be an array of paths"),
+    ({"type": "concat", "parts": [HLIFT_DOC]}, ValueError,
+     "concatenation needs at least two parts"),
+    ({**HLIFT_DOC, "base": 5}, TypeError, "hlift base must be an object"),
+    ({**HLIFT_DOC, "base": {"steps": ["a", "b"]}}, ValueError,
+     "hlift base has no 'interiors' field"),
+], ids=["vertical-no-x", "no-type", "array", "concat-parts-int", "concat-one-part",
+        "hlift-base-int", "hlift-base-no-interiors"])
+def test_malformed_path_document_names_the_fault(doc, error, message):
+    """The reader raises TypeError or ValueError, as the README promises,
+    with a message naming the fault, never a KeyError or an indexing
+    error."""
+    with pytest.raises(error) as caught:
+        path_from_json(doc)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("read", [path_table, path_to_json])
 def test_a_point_is_not_a_path(read):
     with pytest.raises(TypeError, match=r"^not a path expression: \(a,1/2\)$"):

@@ -21,7 +21,7 @@ from fuzzcyl.paths import (
     kappa,
 )
 from fuzzcyl.rationals import format_ratio, format_rational, frac, parse_ratio, unit
-from fuzzcyl.retraction import BoxWitness, continuity_witness, h_eval
+from fuzzcyl.retraction import continuity_witness, h_eval, read_certificates
 
 EPS = F(1, 10**6)
 START = Const(CylPoint("a", F(0)))
@@ -34,7 +34,7 @@ WITNESS = continuity_witness(0, ANCHOR, TARGET, TOPO).to_json()
 
 def read_interval(lo, hi):
     """``IntervalSet.from_json`` of the closed interval [lo, hi]."""
-    return IntervalSet.from_json([{"lo": lo, "hi": hi}])
+    return IntervalSet.from_json([{"lo": lo, "hi": hi}], "set")
 
 # Every range check of the library, as (site, call, range is [0,1), the
 # call also takes "p/q" strings). Each call passes the probed value to
@@ -67,9 +67,8 @@ SITES = [
     ("CylPoint", lambda q: CylPoint("a", q), True, False),
     ("h_eval", lambda q: h_eval(q, CylPoint("a", F(0))), False, True),
     ("continuity_witness", lambda q: continuity_witness(q, ANCHOR, TARGET, TOPO), False, True),
-    ("BoxWitness.from_json.anchor_t",
-     lambda q: BoxWitness.from_json(TOPO.ground, {**WITNESS, "anchor_t": q}, "certificate",
-                                    {}), False, True),
+    ("read_certificates.anchor_t",
+     lambda q: read_certificates(TOPO, [{**WITNESS, "anchor_t": q}]), False, True),
 ]
 
 

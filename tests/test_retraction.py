@@ -302,12 +302,12 @@ def test_witness_json_round_trip():
     w = continuity_witness(F(1, 2), CylPoint("a", F(1, 4)),
                            tstar(name, F(1, 8)), topo)
     doc = w.to_json()
-    (again,) = read_certificates(topo.ground, [doc])
+    (again,) = read_certificates(topo, [doc])
     assert again == w
     assert verify_witness(again, topo)
     # a document that holds the realized region reads it, writes without it
     region = open_realize(w.region_expr, topo)
-    (old,) = read_certificates(topo.ground, [{**doc, "region": region.to_json()}])
+    (old,) = read_certificates(topo, [{**doc, "region": region.to_json()}])
     assert old.region == region and old.to_json() == doc
     assert verify_witness(old, topo)
 
@@ -327,7 +327,7 @@ def test_reader_reads_equal_element_text_to_one_object():
     result, witnesses = checks.sweep_retraction_on(topo, rng, anchors=40)
     assert result.ok
     docs = [w.to_json() for w in witnesses]
-    first, second = (read_certificates(topo.ground, docs) for _ in range(2))
+    first, second = (read_certificates(topo, docs) for _ in range(2))
     assert first == second == witnesses
     ids = {}
     for e in (e for w in first for e in elements(w)):
@@ -345,8 +345,76 @@ def test_reader_reads_equal_element_text_to_one_object():
                 "region_expr": [[respelled(e) for e in clause] for clause in doc["region_expr"]]}
                for doc in docs]
     assert sum(type(doc["target"]["gamma"]) is int for doc in spelled) >= 5
-    again = read_certificates(topo.ground, spelled)
+    again = read_certificates(topo, spelled)
     assert again == witnesses and all(verify_witness(w, topo) for w in again)
+
+
+def tstar_certificate():
+    """A topology and one certificate for it whose target and clause both
+    hold a tstar element."""
+    topo = const_topo("2/3")
+    w = continuity_witness(F(1, 2), CylPoint("a", F(1, 4)),
+                           tstar(open_with_levels(topo, F(2, 3)), F(1, 8)), topo)
+    assert any(e.kind == "tstar" for e in w.region_expr.clauses[0])
+    return topo, w.to_json()
+
+
+@pytest.mark.parametrize("gamma", ["0", 0], ids=["table", "integer-gamma"])
+@pytest.mark.parametrize("field", ["target", "region member"], ids=["target", "member"])
+def test_reader_rejects_an_unknown_open(field, gamma):
+    """An open the topology lacks is rejected in a target and in a clause
+    member, read through the file's table (string fields) or afresh (a
+    JSON-integer gamma), in the certificate that names it."""
+    topo, doc = tstar_certificate()
+    forged = {"kind": "tstar", "gamma": gamma, "open": "Tz"}
+    if field == "target":
+        bad = {**doc, "target": forged}
+    else:
+        bad = {**doc, "region_expr": [[*doc["region_expr"][0], forged]]}
+    assert len(read_certificates(topo, [doc, doc])) == 2
+    with pytest.raises(ValueError) as caught:
+        read_certificates(topo, [doc, bad])
+    assert str(caught.value) == f"{field} of certificate 1 names unknown open 'Tz'"
+
+
+def test_reader_rejects_an_unknown_anchor_element():
+    topo, doc = tstar_certificate()
+    with pytest.raises(ValueError) as caught:
+        read_certificates(topo, [doc, {**doc, "anchor": {"x": "zz", "alpha": "1/4"}}])
+    assert str(caught.value) == "anchor of certificate 1 names unknown ground element 'zz'"
+
+
+def test_reads_for_two_topologies_share_no_element_or_name_check():
+    """Two topologies with the same opens, one open renamed in the second,
+    and a file for each: every read looks its names up in its own
+    topology, so each rejects the other's file whatever was read before,
+    and no element outlives its read."""
+    topo, doc = tstar_certificate()
+    name = doc["target"]["open"]
+    other = name + "'"
+    renamed = FuzzyTopology(topo.ground, tuple(other if n == name else n for n in topo.names),
+                            topo.opens)
+    files = {name: [doc],
+             other: json.loads(json.dumps([doc]).replace(f'"{name}"', f'"{other}"'))}
+    kept = []
+    for t, own, foreign in [(topo, name, other), (renamed, other, name)] * 2:
+        (w,) = read_certificates(t, files[own])
+        assert verify_witness(w, t)
+        assert not {id(e) for e in elements(w)} & {id(e) for v in kept for e in elements(v)}
+        kept.append(w)
+        with pytest.raises(ValueError) as caught:
+            read_certificates(t, files[foreign])
+        assert str(caught.value) == \
+            f"region member of certificate 0 names unknown open {foreign!r}"
+
+
+@pytest.mark.parametrize("doc", [{}, {"certificates": []}, "[]", 5, None],
+                         ids=["object", "object-of-array", "string", "int", "null"])
+def test_reader_requires_an_array(doc):
+    topo, _ = tstar_certificate()
+    with pytest.raises(TypeError) as caught:
+        read_certificates(topo, doc)
+    assert str(caught.value) == "certificate file must hold a JSON array"
 
 
 def test_memo_is_created_on_first_use():

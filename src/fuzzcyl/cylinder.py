@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import comb, lcm
 from typing import Optional
 
 from .fuzzy import FuzzySet, FuzzyTopology, GroundSet, fz_complement
@@ -27,7 +27,7 @@ from .intervals import (
     iv_supremum,
     iv_union,
 )
-from .rationals import ONE, ZERO, exact, format_rational, frac, required_field, unit
+from .rationals import ONE, ZERO, exact, format_rational, frac, located, required_field, unit
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,11 @@ class CylPoint:
             raise TypeError(f"{where} must be an object with an x and an alpha")
         x = required_field(doc, "x", where)
         if type(x) is not str:
-            raise TypeError(f"ground element must be a string: {x!r}")
-        return CylPoint(x, frac(required_field(doc, "alpha", where)))
+            raise TypeError(f"{where}: ground element must be a string: {x!r}")
+        try:
+            return CylPoint(x, frac(required_field(doc, "alpha", where)))
+        except (TypeError, ValueError) as exc:
+            raise located(exc, where)
 
 
 @dataclass(frozen=True)
@@ -77,17 +80,25 @@ class CylinderOpen:
     @staticmethod
     def from_json(gs: GroundSet, doc: dict, where: str) -> "CylinderOpen":
         """The open of a JSON object {"fibers"}, its fibers keyed by ground
-        element and an absent one empty; malformed structure raises
-        TypeError or ValueError naming the fault and ``where``."""
+        element and an absent one empty; malformed structure, or a fiber
+        holding the level 1, raises TypeError or ValueError naming the fault
+        and where it is."""
         fibers = required_field(doc, "fibers", where)
         if not isinstance(fibers, dict):
-            raise TypeError("fibers must be an object keyed by ground element")
+            raise TypeError(f"{where}: fibers must be an object keyed by ground element")
         for x in fibers:
             if x not in gs.elements:
-                raise ValueError(f"fiber for {x!r}, which is not a ground element")
-        return CylinderOpen(gs, tuple(
-            IntervalSet.from_json(fibers.get(x, []), f"interval in fiber {x!r} of {where}")
-            for x in gs.elements))
+                raise ValueError(f"{where}: fiber for {x!r}, which is not a ground element")
+        out = []
+        for x in gs.elements:
+            place = f"interval in fiber {x!r} of {where}"
+            try:
+                out.append(IntervalSet.from_json(fibers.get(x, []), place))
+            except (TypeError, ValueError) as exc:
+                raise located(exc, place)
+            if out[-1].contains(ONE):
+                raise ValueError(f"{where}: fiber for {x!r} holds the level 1, outside [0,1)")
+        return CylinderOpen(gs, tuple(out))
 
 
 def empty_cylinder(gs: GroundSet) -> CylinderOpen:
@@ -360,36 +371,29 @@ MAX_FAMILY = 4
 def verify_psi_laws(topo: FuzzyTopology) -> SweepResult:
     """Check that psi_star turns meets into intersections and joins into unions.
 
-    The meet law is checked on every pair of opens, repeats allowed. The join
-    law is checked on every family of 1 to ``MAX_FAMILY`` distinct opens, and
-    on the family of all opens when there are more than ``MAX_FAMILY``.
+    The meet law is checked on every pair of opens, repeats allowed, and the
+    join law on every family of 1 to ``MAX_FAMILY`` distinct opens and on the
+    family of all opens when there are more than ``MAX_FAMILY``.  Meets and
+    joins are elementwise ``min`` and ``max`` of ``level_table`` rows; a
+    topology is closed under both, so their images are looked up by row.
 
-    Meets and joins run on the integer numerators of ``level_table``: a meet
-    is the elementwise ``min`` of two rows and a join the elementwise
-    ``max``.  A topology is closed under both, so the meet or join of opens
-    is an open, and its image is looked up among the opens' images by its
-    numerator tuple.
+    Both laws hold fiber by fiber, so they run on interned fibers (a cylinder
+    is a tuple of fiber ids) through ``inter`` and ``union``, cached on id
+    pairs: ``iv_intersect`` and ``iv_union`` run once per distinct pair, in
+    the order of the pair (i, j) and of the member chain ``(empty | a) | b``.
 
-    Both laws hold fiber by fiber, so they are checked on interned fibers:
-    each distinct fiber gets a small int once, through a dict keyed by
-    value, and a cylinder is the tuple of its fiber ids.  ``inter`` and
-    ``union`` are cached on pairs of fiber ids, so ``iv_intersect`` and
-    ``iv_union`` run once per distinct (fiber, fiber) pair, with the
-    arguments in the order of the member by member chain ``(empty | a) | b``
-    and of the pair (i, j).  A verdict compares two id tuples: value
-    equality.
-
-    The join families are walked depth-first in lexicographic order of their
-    index tuples.  ``grow`` maps ``union`` over a prefix union's fibers and
-    a member's.  The families below a family and their verdicts are fixed by
-    its last index, its union's id tuple, its join row and the depth left,
-    so ``walk`` is cached on those four, and a family reaching a shared
-    state gets the verdicts a fresh walk from it would give.  Failures are
-    reported by family size, then by index tuple.
+    The join law is decided on the steps of those chains: from the empty
+    start and from each open's image, the union with each member's image
+    must be the image of the joined row.  When every step holds, each
+    family's union is the image of its join, by induction on its members,
+    as the join of a prefix is an open, and the families are only counted.
+    Only when a step fails are they listed, by size and then by index tuple,
+    and each folded from the empty start to name the failing ones.
     """
     failures: list[tuple] = []
     checked = 0
     names = topo.names
+    n = len(names)
     ids: dict[IntervalSet, int] = {}
     fibers: dict[int, IntervalSet] = {}
 
@@ -409,44 +413,24 @@ def verify_psi_laws(topo: FuzzyTopology) -> SweepResult:
     members = [tuple(map(intern, psi_star(f).fibers)) for f in topo.opens]
     _, levels = topo.level_table
     image_of = dict(zip(levels, members))
-    for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
         checked += 1
         meet = tuple(map(min, levels[i], levels[j]))
         if tuple(map(inter, members[i], members[j])) != image_of[meet]:
             failures.append(("meet-law", names[i], names[j]))
-
-    @cache
-    def grow(u: tuple[int, ...], i: int) -> tuple[int, ...]:
-        return tuple(map(union, u, members[i]))
-
-    @cache
-    def walk(start: int, u: tuple[int, ...], row: tuple[int, ...],
-             remaining: int) -> tuple[int, tuple]:
-        visited, failing = 0, []
-        for i in range(start, len(names)):
-            grown = grow(u, i)
-            joined = tuple(map(max, row, levels[i]))
-            visited += 1
-            if grown != image_of[joined]:
-                failing.append((i,))
-            if remaining > 1:
-                below, suffixes = walk(i + 1, grown, joined, remaining - 1)
-                visited += below
-                failing.extend((i, *suffix) for suffix in suffixes)
-        return visited, tuple(failing)
-
-    empty = (intern(EMPTY_SET),) * len(topo.ground.elements)
-    depth = min(MAX_FAMILY, len(names))
-    if depth > 0:
-        visited, join_failures = walk(0, empty, (0,) * len(levels[0]), depth)
-        checked += visited
-        failures.extend(("join-law", *(names[i] for i in family)) for family in
-                        sorted(join_failures, key=lambda family: (len(family), family)))
-    if len(names) > MAX_FAMILY:
-        checked += 1
-        u = empty
-        for i in range(len(names)):
-            u = grow(u, i)
-        if u != image_of[tuple(map(max, *levels))]:
-            failures.append(("join-law", *names))
+    sizes = range(1, min(MAX_FAMILY, n) + 1)
+    everyone = [tuple(range(n))] if n > MAX_FAMILY else []
+    checked += sum(comb(n, r) for r in sizes) + len(everyone)
+    width = len(topo.ground.elements)
+    starts = [((intern(EMPTY_SET),) * width, (0,) * width), *zip(members, levels)]
+    if all(tuple(map(union, u, members[i])) == image_of[tuple(map(max, row, levels[i]))]
+           for u, row in starts for i in range(n)):
+        return SweepResult("psi-laws", checked, failures)
+    families = [family for r in sizes for family in itertools.combinations(range(n), r)]
+    for family in families + everyone:
+        u, row = starts[0]
+        for i in family:
+            u, row = tuple(map(union, u, members[i])), tuple(map(max, row, levels[i]))
+        if u != image_of[row]:
+            failures.append(("join-law", *(names[i] for i in family)))
     return SweepResult("psi-laws", checked, failures)

@@ -1,5 +1,5 @@
 """Exact rational scalars, their string form used in all JSON payloads, and
-the required-field read that every JSON reader shares."""
+the required-field read and message placing that the JSON readers share."""
 
 from __future__ import annotations
 
@@ -94,3 +94,8 @@ def required_field(doc: dict, key: str, where: str):
     if key not in doc:
         raise ValueError(f"{where} has no {key!r} field")
     return doc[key]
+
+
+def located(exc: Exception, where: str) -> Exception:
+    """``exc`` if its message starts with ``where``, else its class on ``where: msg``."""
+    return exc if str(exc).startswith(where) else type(exc)(f"{where}: {exc}")

@@ -38,7 +38,7 @@ from .intervals import (
     iv_span,
     span_holds,
 )
-from .rationals import ONE, ZERO, format_rational, frac, required_field, unit
+from .rationals import ONE, ZERO, format_rational, frac, located, required_field, unit
 
 
 def h_eval(t, p: CylPoint) -> CylPoint:
@@ -82,7 +82,7 @@ def read_certificates(topo: FuzzyTopology, doc: list) -> list[BoxWitness]:
     order.  Malformed structure, or a ground element or open that ``topo``
     lacks, raises TypeError or ValueError naming the fault and where it is,
     certificates counted from 0 (``anchor of certificate 3 names unknown
-    ground element 'zz'``).
+    ground element 'zz'``, ``target of certificate 3: gamma outside [-1,1): 3/2``).
 
     A table of subbasis elements, keyed by their raw fields, serves the
     file and lives only for this call.  An element whose kind and gamma
@@ -103,8 +103,11 @@ def read_certificates(topo: FuzzyTopology, doc: list) -> list[BoxWitness]:
         shared = type(kind) is str and type(gamma) is str and (name is None or type(name) is str)
         out = known.get(key) if shared else None
         if out is None:
-            out = SubbasisElem(required_field(e, "kind", where),
-                               frac(required_field(e, "gamma", where)), name)
+            try:
+                out = SubbasisElem(required_field(e, "kind", where),
+                                   frac(required_field(e, "gamma", where)), name)
+            except (TypeError, ValueError) as exc:
+                raise located(exc, where)
             if out.kind == "tstar" and name not in topo.names:
                 raise ValueError(f"{where} names unknown open {name!r}")
             if shared:
@@ -114,19 +117,26 @@ def read_certificates(topo: FuzzyTopology, doc: list) -> list[BoxWitness]:
     witnesses = []
     for i, w in enumerate(doc):
         where = f"certificate {i}"
-        box = IntervalSet.from_json([required_field(w, "t_interval", where)],
-                                    f"time box of {where}")
+        box, place = required_field(w, "t_interval", where), f"time box of {where}"
+        try:
+            box = IntervalSet.from_json([box], place)
+        except (TypeError, ValueError) as exc:
+            raise located(exc, place)
         clauses = required_field(w, "region_expr", where)
         if not isinstance(clauses, list):
-            raise TypeError("open expression must be an array of clauses")
+            raise TypeError(f"{where}: open expression must be an array of clauses")
         if not all(isinstance(clause, list) for clause in clauses):
-            raise TypeError("clause must be an array of subbasis elements")
+            raise TypeError(f"{where}: clause must be an array of subbasis elements")
         member = f"region member of {where}"
-        expr = OpenExpr(tuple(tuple(element(e, member) for e in clause) for clause in clauses))
+        clauses = tuple(tuple(element(e, member) for e in clause) for clause in clauses)
         region = (CylinderOpen.from_json(topo.ground, w["region"], f"region of {where}")
                   if "region" in w else None)
         target = element(required_field(w, "target", where), f"target of {where}")
-        t = unit(frac(required_field(w, "anchor_t", where)), "homotopy time")
+        try:
+            expr = OpenExpr(clauses)
+            t = unit(frac(required_field(w, "anchor_t", where)), "homotopy time")
+        except (TypeError, ValueError) as exc:
+            raise located(exc, where)
         p = CylPoint.from_json(required_field(w, "anchor", where), f"anchor of {where}")
         if p.x not in topo.ground.elements:
             raise ValueError(f"anchor of {where} names unknown ground element {p.x!r}")

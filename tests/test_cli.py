@@ -284,20 +284,26 @@ def non_array_clause(value):
     return forge
 
 
+# the first empty region fiber of the old file for STEP
+FIBER_18 = "interval in fiber 'b' of region of certificate 18"
+
+
 @pytest.mark.parametrize("forge, old, message", [
-    (non_array_fiber({}), True, "interval set must be an array of intervals"),
-    (non_array_fiber(""), True, "interval set must be an array of intervals"),
-    (non_array_expr({}), False, "open expression must be an array of clauses"),
-    (non_array_expr(""), False, "open expression must be an array of clauses"),
-    (non_array_clause({}), False, "clause must be an array of subbasis elements"),
-    (non_array_clause(""), False, "clause must be an array of subbasis elements"),
+    (non_array_fiber({}), True, f"{FIBER_18}: interval set must be an array of intervals"),
+    (non_array_fiber(""), True, f"{FIBER_18}: interval set must be an array of intervals"),
+    (non_array_expr({}), False, "certificate 0: open expression must be an array of clauses"),
+    (non_array_expr(""), False, "certificate 0: open expression must be an array of clauses"),
+    (non_array_clause({}), False,
+     "certificate 0: clause must be an array of subbasis elements"),
+    (non_array_clause(""), False,
+     "certificate 0: clause must be an array of subbasis elements"),
 ], ids=["fiber-object", "fiber-string", "region-expr-object", "region-expr-string",
         "clause-object", "clause-string"])
 def test_replay_requires_arrays(capsys, tmp_path, forge, old, message):
     """A JSON object or string where a certificate holds an array is
-    malformed (exit 2), not read as an empty array; among the 60
-    certificates for ``STEP`` are regions with an empty fiber, which the
-    old file holds."""
+    malformed (exit 2), not read as an empty array, and the message names
+    its place first; among the 60 certificates for ``STEP`` are regions
+    with an empty fiber, which the old file holds."""
     topo = write_topology(tmp_path, STEP)
     cert = tmp_path / "certs.json"
     if not old:
@@ -644,6 +650,74 @@ def test_malformed_certificate_message_names_the_fault(capsys, tmp_path, topo_fi
     assert err == f"error: malformed certificate: {message}\n"
 
 
+# certificate 3 of the README's certs.json, which stores its region, with one
+# field changed: each reader's message that names no place gets the place
+# its field's missing-field message names (the anchor is at "b")
+@pytest.mark.parametrize("forge, message", [
+    (lambda certs: replaced(certs, (3, "target", "kind"), "foo"),
+     "target of certificate 3: unknown subbasis kind 'foo'"),
+    (lambda certs: without(certs, 3, "target", "open"),
+     "target of certificate 3: tstar subbasis element needs an open name string"),
+    (lambda certs: replaced(certs, (3, "target"), {"kind": "pi2", "gamma": "0", "open": "T1"}),
+     "target of certificate 3: pi2 subbasis element takes no open name"),
+    (lambda certs: replaced(certs, (3, "target", "gamma"), "3/2"),
+     "target of certificate 3: gamma outside [-1,1): 3/2"),
+    (lambda certs: replaced(certs, (3, "target", "gamma"), "abc"),
+     "target of certificate 3: invalid literal for int() with base 10: 'abc'"),
+    (lambda certs: replaced(certs, (3, "target", "gamma"), True),
+     "target of certificate 3: cannot interpret True as an exact rational"),
+    (lambda certs: replaced(certs, (3, "region_expr", 0, 1, "kind"), None),
+     "region member of certificate 3: unknown subbasis kind None"),
+    (lambda certs: replaced(certs, (3, "anchor_t"), "3/2"),
+     "certificate 3: homotopy time outside [0,1]: 3/2"),
+    (lambda certs: replaced(certs, (3, "anchor", "alpha"), "1"),
+     "anchor of certificate 3: level outside [0,1): 1"),
+    (lambda certs: replaced(certs, (3, "anchor", "x"), 5),
+     "anchor of certificate 3: ground element must be a string: 5"),
+    (lambda certs: replaced(certs, (3, "t_interval"),
+                            {"lo": "1/2", "hi": "1/3", "lo_open": True, "hi_open": True}),
+     "time box of certificate 3: empty interval: (1/2,1/3)"),
+    (lambda certs: replaced(certs, (3, "t_interval", "lo_open"), "yes"),
+     "time box of certificate 3: interval flags lo_open and hi_open must be booleans"),
+    (lambda certs: replaced(certs, (3, "region_expr"), [[]]),
+     "certificate 3: clauses must be nonempty"),
+    (lambda certs: replaced(certs, (3, "region", "fibers", "zz"), []),
+     "region of certificate 3: fiber for 'zz', which is not a ground element"),
+    (lambda certs: replaced(certs, (3, "region", "fibers", "b"), [{"lo": "0", "hi": "1"}]),
+     "region of certificate 3: fiber for 'b' holds the level 1, outside [0,1)"),
+], ids=["target-kind", "tstar-no-open", "pi2-with-open", "gamma-above", "gamma-text",
+        "gamma-bool", "member-kind-null", "anchor-time-above", "anchor-level-1",
+        "anchor-x-int", "time-box-empty", "time-box-flag-text", "empty-clause",
+        "fiber-not-ground", "fiber-holds-1"])
+def test_malformed_value_message_names_its_place(capsys, tmp_path, forge, message):
+    certs = json.loads(OLD_README.read_text())
+    assert certs[3]["anchor"]["x"] == "b" and certs[3]["target"]["open"] == "T1"
+    topo = write_topology(tmp_path, TOPO)
+    err = replay_exit_2(capsys, tmp_path, topo, forge(certs))
+    assert err == f"error: malformed certificate: {message}\n"
+
+
+def test_a_level_1_region_fiber_is_malformed(capsys, tmp_path):
+    """A region fiber is a level set in J = [0,1): one holding 1 is
+    malformed input (exit 2), as an anchor at level 1 is, not a failed
+    certificate."""
+    certs = json.loads(OLD_README.read_text())
+    topo = write_topology(tmp_path, TOPO)
+    for x in ("a", "b"):
+        for fiber in ([{"lo": "0", "hi": "1"}], [{"lo": "1", "hi": "1"}],
+                      [{"lo": "0", "hi": "1/2"}, {"lo": "2/3", "hi": "1"}]):
+            forged = replaced(certs, (3, "region", "fibers", x), fiber)
+            assert replay_exit_2(capsys, tmp_path, topo, forged) == \
+                "error: malformed certificate: region of certificate 3: " \
+                f"fiber for {x!r} holds the level 1, outside [0,1)\n"
+    near = replaced(certs, (3, "region", "fibers", "b"), [{"lo": "0", "hi": "1",
+                                                           "hi_open": True}])
+    cert = tmp_path / "near.json"
+    cert.write_text(json.dumps(near))
+    code, doc = run(capsys, "verify-retraction", "--topology", topo, "--replay", str(cert))
+    assert (code, doc) == (1, {"replayed": 60, "ok": False, "failures": [3]})
+
+
 def test_a_forged_copy_of_a_repeated_target_fails_alone(capsys, tmp_path, topo_file):
     """Certificate 11's target repeats certificate 2's, pi2(0); forged to
     pi2(99/100), above every anchor level, it reads to its own element and
@@ -657,10 +731,10 @@ def test_a_forged_copy_of_a_repeated_target_fails_alone(capsys, tmp_path, topo_f
 
 
 @pytest.mark.parametrize("first, later, message", [
-    ("0", "1/0", "zero denominator in '1/0'"),
-    ("0", 0.0, "cannot interpret 0.0 as an exact rational"),
-    (0, 0.0, "cannot interpret 0.0 as an exact rational"),
-    (0, False, "cannot interpret False as an exact rational"),
+    ("0", "1/0", "target of certificate 11: zero denominator in '1/0'"),
+    ("0", 0.0, "target of certificate 11: cannot interpret 0.0 as an exact rational"),
+    (0, 0.0, "target of certificate 11: cannot interpret 0.0 as an exact rational"),
+    (0, False, "target of certificate 11: cannot interpret False as an exact rational"),
     ("0", None, "target of certificate 11 has no 'gamma' field"),
 ], ids=["zero-denominator", "float", "float-after-int", "bool-after-int", "no-gamma"])
 def test_malformed_copy_of_a_repeated_target_exits_2(capsys, tmp_path, topo_file, first,

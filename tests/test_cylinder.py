@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from interval_ref import Interval, build, make_interval, make_unit_interval, parts
@@ -301,8 +302,8 @@ def test_verify_psi_laws_matches_reference_loop(monkeypatch):
     rng = random.Random(1)
     draws = [random_topology(rng) for _ in range(30)]
     assert max(len(t.names) for t in draws) >= 15
-    # 20 opens is the largest size the generator draws, and the size that
-    # puts the most families on each shared (union, join) state
+    # 20 opens is the largest size the generator draws, and the size with
+    # the most families for each union step the join law is decided on
     draws.append(draw_with_opens(rng, 20))
     assert max(len(t.names) for t in draws) == 20
     for topo in draws:
@@ -376,6 +377,45 @@ def test_verify_psi_laws_reports_injected_union_fault(monkeypatch):
 
 def test_verify_psi_laws_reports_injected_intersect_fault(monkeypatch):
     assert deepest_fiber_fault(monkeypatch, "iv_intersect") >= 2
+
+
+def test_verify_psi_laws_lists_families_only_when_a_step_fails(monkeypatch):
+    """A clean check decides the join law on its n·(n + 1) union steps and
+    lists no family, even where the families outnumber the steps; under each
+    ``iv_union`` fault of ``deepest_fiber_fault`` a step fails and the
+    families are listed, and under each ``iv_intersect`` fault every step
+    holds and none is."""
+    listed = []
+
+    def combinations(pool, r):
+        listed.append(r)
+        return itertools.combinations(pool, r)
+
+    monkeypatch.setattr(cylinder, "itertools", SimpleNamespace(
+        combinations=combinations,
+        combinations_with_replacement=itertools.combinations_with_replacement))
+    rng = random.Random(1)
+    draws = [random_topology(rng) for _ in range(30)] + [draw_with_opens(rng, 20)]
+
+    def families(n):
+        return sum(math.comb(n, r) for r in range(1, min(4, n) + 1)) + (n > 4)
+
+    larger = [topo for topo in draws + mixed_denominator_topologies()
+              if families(len(topo.names)) > len(topo.names) * (len(topo.names) + 1)]
+    assert len(larger) >= 10 and max(len(topo.names) for topo in larger) == 20
+    for topo in larger:
+        assert verify_psi_laws(topo).ok
+    assert listed == []
+    honest = cylinder.iv_union
+    pairs = fiber_pairs(monkeypatch, "iv_union", fault_topology())
+    deepest_fiber_fault(monkeypatch, "iv_union")
+    # each listing starts with the families of size 1: one per check, at
+    # MAX_FAMILY 2 and 4 for each faulted pair
+    assert listed.count(1) == 2 * len(pairs)
+    monkeypatch.setattr(cylinder, "iv_union", honest)
+    listed.clear()
+    deepest_fiber_fault(monkeypatch, "iv_intersect")
+    assert listed == []
 
 
 def mixed_denominator_topologies():

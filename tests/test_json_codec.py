@@ -166,7 +166,8 @@ def test_malformed_region_interval_exits_2_with_its_message(replay_files, change
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify-retraction", "--topology", str(topo), "--replay", str(path)])
     assert (code, out.getvalue()) == (2, "")
-    assert err.getvalue() == f"error: malformed certificate: {message}\n"
+    place = f"interval in fiber {w['anchor']['x']!r} of region of certificate 0"
+    assert err.getvalue() == f"error: malformed certificate: {place}: {message}\n"
 
 
 NOT_AN_OBJECT = "time box must be an object"

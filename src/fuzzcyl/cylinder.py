@@ -306,8 +306,7 @@ def component_cylinder_expr(topo: FuzzyTopology, component: tuple[str, ...]) -> 
     the component.
     """
     values = sorted({ZERO, ONE} | set(topo.membership_values()))
-    gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
-    gap = min(gaps) if gaps else ONE
+    gap = min(b - a for a, b in zip(values, values[1:]))
     bands = int(3 / gap) + 1  # 1/bands + 1/(2*bands) < gap
     width = Fraction(1, bands)
     slack = width / 2

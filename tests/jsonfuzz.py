@@ -1,4 +1,4 @@
-"""Mutation fuzzing of JSON inputs, shared by the test modules.
+"""Mutation fuzzing of the CLI's JSON inputs: topology and certificate files.
 
 Each example starts from a valid document, replaces one field (or the
 whole document) with an arbitrary JSON value, and hands the result to a

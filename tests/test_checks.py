@@ -70,12 +70,19 @@ def planted_rule(monkeypatch, failure):
 
 
 def test_continuity_rule_records_a_missed_plant(monkeypatch):
+    # with no rule, every planted lift is missed and its preimages disagree:
+    # on one topology, and on the acceptance sweep's seed and count
     asked = planted_rule(monkeypatch, None)
-    result = checks.sweep_continuity_rule(random.Random(0), 1)
-    assert result.checked - 1 == len(asked) - 1 == 5
-    # each planted lift is discontinuous: missed, and its preimages disagree
-    assert result.failures == [("topology-0", record, path, None) for path in asked[1:]
-                               for record in ("planted-missed", "preimage-disagrees")]
+    for seed, count, plants in ((0, 1, 5), (107, 20, 24)):
+        asked.clear()
+        result = checks.sweep_continuity_rule(random.Random(seed), count)
+        cases = list(checks._continuity_cases(random.Random(seed), count))
+        assert asked == [path for _, drawn in cases for path in drawn]
+        expected = [(f"topology-{i}", record, path, None)
+                    for i, (_, drawn) in enumerate(cases) for path in drawn[1:]
+                    for record in ("planted-missed", "preimage-disagrees")]
+        assert len(expected) == 2 * plants == 2 * (result.checked - count)
+        assert result.failures == expected
 
 
 def test_continuity_rule_records_a_flagged_random_path(monkeypatch):

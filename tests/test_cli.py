@@ -14,8 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from jsonfuzz import FUZZ, field_paths, json_values, replaced
 
-from fuzzcyl import cli
+from fuzzcyl import checks, cli
 from fuzzcyl.cli import main
+from fuzzcyl.cylinder import CompatReport
+from fuzzcyl.rationals import ZERO
 
 TOPO = {
     "ground_set": ["a", "b"],
@@ -431,6 +433,49 @@ def test_decide_complement(capsys, topo_file):
                     "--f", "T2", "--g", "T2")
     assert code == 1
     assert not doc["inversion"]
+
+
+# Each sweeping command exits 1 when one of its checks fails: the check is
+# planted on the name ``checks`` imports, and the command's one failed
+# record lists a failure, the first of them pinned as text.
+FAILED_CHECKS = {
+    "laws": (["laws", "--sweeps", "3", "--seed", "3"],
+             "recover_membership", lambda c: None,
+             "round-trip", "('round-trip', '{a:0}')"),
+    "paths": (["paths", "--sweeps", "2", "--seed", "5"],
+              "continuity_failure", lambda e, topo: (ZERO, "left", "below"),
+              "path-identities", "('path-0', 'continuity', Fraction(0, 1), 'left', 'below')"),
+    "oracle": (["oracle", "--sweeps", "4", "--seed", "6"],
+               "psi_predicate", lambda f: lambda x, k, n: False,
+               "grid-oracle-N64", "('psi:T1', 'a', Fraction(0, 1))"),
+    "verify-retraction-emit": (
+        ["verify-retraction", "--topology", "{topo}", "--sweeps", "6",
+         "--emit", "{certs}"],
+        "verify_witness", lambda w, topo: False,
+        "retraction-certificates",
+        "('witness', 'interior', Fraction(1, 2), (a,16/17), "
+        "SubbasisElem(kind='tstar', gamma=Fraction(-1, 1), open_name='T2'))"),
+}
+
+
+@pytest.mark.parametrize("command", list(FAILED_CHECKS))
+def test_a_failed_check_exits_1(command, capsys, monkeypatch, tmp_path, topo_file):
+    argv, name, planted, sweep, first = FAILED_CHECKS[command]
+    monkeypatch.setattr(checks, name, planted)
+    code, doc = run(capsys, *(a.format(topo=topo_file, certs=tmp_path / "certs.json")
+                              for a in argv))
+    (failed,) = [r for r in (doc if isinstance(doc, list) else [doc]) if not r["ok"]]
+    assert code == 1
+    assert failed["name"] == sweep and failed["failures"][0] == first
+
+
+def test_counterexample_exits_1_when_the_complements_agree(capsys, monkeypatch):
+    """The verdict is the command's self-check: the constant-1/3 open must
+    show the two complements unequal."""
+    monkeypatch.setattr(checks, "complement_compat", lambda f: CompatReport(True))
+    code, doc = run(capsys, "counterexample")
+    assert code == 1
+    assert doc["verdict"] == "equal" and doc["compat_report"] == {"equal": True}
 
 
 def test_unknown_open_message_has_no_extra_quotes(capsys, topo_file):

@@ -3,10 +3,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from interval_ref import build, interval, make_interval, make_unit_interval, parts
-from jsonfuzz import FUZZ, field_paths, json_values, replaced
 
 from fuzzcyl.base_space import specialization_preorder
 from fuzzcyl.cylinder import (
@@ -45,7 +42,6 @@ from fuzzcyl.paths import (
     make_fence_path,
     normalize_path,
     path_end,
-    path_from_json,
     path_preimage,
     path_start,
     path_table,
@@ -121,6 +117,9 @@ def test_concat_rejects_endpoint_mismatch():
     b = VerticalAffine("x", F(1, 4), F(1, 8))
     with pytest.raises(ValueError):
         Concat((a, b))
+    # nor is one part a concatenation
+    with pytest.raises(ValueError, match="^concatenation needs at least two parts$"):
+        Concat((a,))
 
 
 def test_fence_path_evaluation_convention():
@@ -263,73 +262,30 @@ def test_continuity_failure_on_a_level_jump():
                                      topo) is None
 
 
-HLIFT_DOC = {"type": "hlift", "base": {"steps": ["a", "b"], "interiors": ["b"]},
-             "level": "1/4"}
-
-
-@pytest.mark.parametrize("base,error", [
+@pytest.mark.parametrize("steps,interiors,error", [
     # an interior value must be one end of its segment
-    ({"steps": ["a", "b"], "interiors": ["zz"]}, ValueError),
-    ({"steps": ["a", "b", "c"], "interiors": ["b", "a"]}, ValueError),
+    (("a", "b"), ("zz",), ValueError),
+    (("a", "b", "c"), ("b", "a"), ValueError),
     # one interior value per segment
-    ({"steps": ["a", "b"], "interiors": ["b", "b"]}, ValueError),
+    (("a", "b"), ("b", "b"), ValueError),
     # every step and interior value is a ground element name
-    ({"steps": [1, [2]], "interiors": [1]}, TypeError),
-    ({"steps": ["a", ["b"]], "interiors": ["a"]}, TypeError),
-    ({"steps": ["a", "b"], "interiors": [None]}, TypeError),
+    ((1, [2]), (1,), TypeError),
+    (("a", ["b"]), ("a",), TypeError),
+    (("a", "b"), (None,), TypeError),
     # a fence has at least one step
-    ({"steps": [], "interiors": []}, ValueError),
+    ((), (), ValueError),
 ], ids=["interior-outside", "interior-other-segment", "interiors-too-many",
         "steps-not-strings", "step-list", "interior-none", "no-steps"])
-def test_fence_path_checks_its_entries(base, error):
-    assert eval_path(path_from_json(HLIFT_DOC), F(1, 2)) == CylPoint("b", F(1, 4))
+def test_fence_path_checks_its_entries(steps, interiors, error):
+    lift = HLift(FencePath(("a", "b"), ("b",)), F(1, 4))
+    assert eval_path(lift, F(1, 2)) == CylPoint("b", F(1, 4))
     with pytest.raises(error):
-        path_from_json({**HLIFT_DOC, "base": base})
-    with pytest.raises(error):
-        FencePath(tuple(base["steps"]), tuple(base["interiors"]))
+        FencePath(steps, interiors)
 
 
-@pytest.mark.parametrize("base", [
-    # tuple() would split a string into its characters and read an
-    # object's keys, so each reads as the fence a -> b
-    {"steps": "ab", "interiors": ["b"]},
-    {"steps": {"a": 1, "b": 2}, "interiors": ["b"]},
-    {"steps": ["a", "b"], "interiors": "b"},
-    {"steps": ["a", "b"], "interiors": {"b": 0}},
-], ids=["steps-string", "steps-object", "interiors-string", "interiors-object"])
-def test_fence_fields_are_arrays(base):
-    with pytest.raises(TypeError, match="must be arrays"):
-        path_from_json({**HLIFT_DOC, "base": base})
-
-
-@pytest.mark.parametrize("doc", [
-    {"type": "vertical", "x": ["a"], "a0": "0", "a1": "1/2"},
-    {"type": "const", "point": {"x": 1, "alpha": "0"}},
-], ids=["vertical", "const"])
-def test_path_documents_take_string_elements(doc):
+def test_vertical_path_takes_a_string_element():
     with pytest.raises(TypeError, match="ground element must be a string"):
-        path_from_json(doc)
-
-
-@pytest.mark.parametrize("doc, error, message", [
-    ({"type": "vertical"}, ValueError, "vertical path has no 'x' field"),
-    ({}, ValueError, "path expression has no 'type' field"),
-    ([], TypeError, "path expression must be an object"),
-    ({"type": "concat", "parts": 5}, TypeError, "concat parts must be an array of paths"),
-    ({"type": "concat", "parts": [HLIFT_DOC]}, ValueError,
-     "concatenation needs at least two parts"),
-    ({**HLIFT_DOC, "base": 5}, TypeError, "hlift base must be an object"),
-    ({**HLIFT_DOC, "base": {"steps": ["a", "b"]}}, ValueError,
-     "hlift base has no 'interiors' field"),
-], ids=["vertical-no-x", "no-type", "array", "concat-parts-int", "concat-one-part",
-        "hlift-base-int", "hlift-base-no-interiors"])
-def test_malformed_path_document_names_the_fault(doc, error, message):
-    """The reader raises TypeError or ValueError, as the README promises,
-    with a message naming the fault, never a KeyError or an indexing
-    error."""
-    with pytest.raises(error) as caught:
-        path_from_json(doc)
-    assert str(caught.value) == message
+        VerticalAffine(["a"], F(0), F(1, 2))
 
 
 @pytest.mark.parametrize("read", [path_table, path_to_json])
@@ -406,57 +362,13 @@ def test_normal_form_keeps_a_breakpoint_the_path_leaves():
     assert normalize_path(dip) != normalize_path(flat)
 
 
-def test_path_json_round_trip():
-    rng = random.Random(9)
-    for _ in range(15):
-        topo = random_topology(rng, max_generators=2, max_den=6)
-        path = random_path(rng, topo)
-        again = path_from_json(path_to_json(path))
-        assert again == path
-
-
 def test_chi_boundary_end_is_the_json_integer_0_or_1():
-    doc = path_to_json(ChiBoundary(Const(CylPoint("a", F(1, 2))), F(0), F(1, 2), 1))
-    assert path_from_json(doc).end == 1
+    rho = Const(CylPoint("a", F(1, 2)))
+    assert path_to_json(ChiBoundary(rho, F(0), F(1, 2), 1))["end"] == 1
+    # the node checks its end when built
     for end in (1.7, 1.0, "1", True, False, 2, -1, None):
-        with pytest.raises(ValueError):
-            path_from_json({**doc, "end": end})
-        # the node checks its end when built
         with pytest.raises(ValueError, match="end must be the integer 0 or 1"):
-            ChiBoundary(Const(CylPoint("a", F(1, 2))), F(0), F(1, 2), end)
-
-
-def _path_documents():
-    rng = random.Random(11)
-    docs = []
-    for _ in range(12):
-        topo = random_topology(rng, max_generators=2, max_den=6)
-        docs.append(path_to_json(random_path(rng, topo)))
-    return docs
-
-
-PATH_DOCS = _path_documents()
-PATH_WORDS = ("const", "vertical", "hlift", "concat", "reverse", "h_transform",
-              "chi_boundary", "a", "b", "c")
-
-
-@FUZZ
-@given(data=st.data(), value=json_values(*PATH_WORDS))
-def test_mutated_path_document_is_a_path_or_rejected(data, value):
-    """A path document with one field replaced by arbitrary JSON reads as a
-    path that round-trips, hashes, has a normal form and evaluates, or
-    raises KeyError, TypeError or ValueError."""
-    doc = data.draw(st.sampled_from(PATH_DOCS), label="doc")
-    field = data.draw(st.sampled_from(list(field_paths(doc))), label="field")
-    try:
-        path = path_from_json(replaced(doc, field, value))
-    except (KeyError, TypeError, ValueError):
-        return
-    again = path_from_json(path_to_json(path))
-    assert again == path and hash(again) == hash(path)
-    assert normalize_path(again) == normalize_path(path)
-    for u in (F(0), F(1, 3), F(1)):
-        eval_path(path, u)
+            ChiBoundary(rho, F(0), F(1, 2), end)
 
 
 def test_random_paths_match_endpoint_threading():
@@ -662,9 +574,11 @@ def test_compiled_node_keeps_value_semantics():
     rng = random.Random(2)
     for _ in range(20):
         topo = random_topology(rng, max_generators=2, max_den=6)
+        state = rng.getstate()
         path = random_path(rng, topo)
+        rng.setstate(state)
+        fresh = random_path(rng, topo)
         doc, digest, text = path_to_json(path), hash(path), repr(path)
-        fresh = path_from_json(doc)
         eval_path(path, F(1, 3))
         assert path_table(path) is path_table(path)
         assert path == fresh and fresh == path

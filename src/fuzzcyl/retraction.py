@@ -4,7 +4,8 @@ certificates, and the slice retraction onto X x {0} with its slice check.
 A certificate is a product box (time interval x the open of one clause)
 around an anchor whose exact image under the homotopy lands inside a chosen
 subbasis target.  Its time box is the epsilon-ball around the anchor time,
-epsilon half the regime's maximal slack, so certificates are deterministic.
+epsilon set by the self rule or the slack rule, so certificates are
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .base_space import level_preimage_masks
 from .cylinder import (
     CylPoint,
     CylinderOpen,
-    GAMMA_LO,
     OpenExpr,
     SubbasisElem,
     clause_ends,
@@ -146,24 +146,29 @@ def read_certificates(topo: FuzzyTopology, doc: list) -> list[BoxWitness]:
 
 def continuity_witness(t, p: CylPoint, target: SubbasisElem,
                        topo: FuzzyTopology) -> BoxWitness:
-    """Build a box certificate around (t, p) for the given subbasis target.
+    """Build a box certificate around (t, p) for a subbasis target that
+    holds the image H(t, p) = (x, a), a = (1 - t) alpha, by one of two rules.
 
-    Each regime (t = 1, 0 < t < 1, t = 0) sets only the clause and eps, half
-    its maximal slack.  The box is {u in [0,1] : |u - t| < eps}, closed at 0
-    or 1 exactly when t is: eps <= 1/2 at the ends, min(t, 1 - t) / 2 inside.
+    Self rule: a tstar target with T(x) - alpha > gamma, or a pi2 target
+    with gamma < 0, holds p, and H maps it into itself at every time, as
+    levels only fall and stay >= 0; the clause is the target, eps = 1/2.
+    Slack rule, otherwise: c = 1 and s = a - gamma (pi2), or c = 2 and s =
+    T(x) - a - gamma (tstar); eps = delta = s / (2(c + alpha)), for tstar
+    capped at 1 + T(x) - alpha so that the clause's gamma stays >= -1; the
+    clause is [pi2(alpha - delta)], after tstar(T, T(x) - alpha - delta)
+    for tstar.  For u in the box and (y, beta) in the clause, T(y) - (1 -
+    u) beta > (T(x) - alpha - delta) + u beta >= gamma + s/2 and (1 - u)
+    beta > (1 - t - eps)(alpha - delta) >= gamma + s/2, so the image lies
+    in the target.  The box is {u in [0,1] : |u - t| < eps}, closed at 0
+    or 1 exactly when it reaches past that end.
 
-    The work is in integers.  t = tn/td, alpha = an/ad, gamma = gn/gd and,
-    for a tstar target, T(x) = N/D (``level_table``) are put over L =
-    lcm(td, ad, gd, D) as T, A, G and V.  The image H(t, p) = (x, (1 - t)
-    alpha) is tested against the target's span over x, from its memoised
-    ``clause_ends``, at the unreduced level (td - tn)·an / (td·ad), as
-    ``random_anchor`` tests it.  The slack bounds are alpha and
-    (T(x) - gamma) / 2 at t = 1; 1 - gamma/alpha at t = 0 (pi2, gamma > 0);
-    and t, 1 - t and either ((1 - t) alpha - gamma) / alpha (pi2, alpha > 0)
-    or (T(x) - (1 - t) alpha - gamma) / (1 + t) (tstar) inside.  Their
-    minimum m is taken over a common denominator, eps = en/ed with L
-    dividing ed, the box is ``iv_span`` of its integer ends over ed, and a
-    ``Fraction`` is built only for each clause gamma.
+    The work is in integers over L = lcm(td, ad, gd, D), for t = tn/td,
+    alpha = an/ad, gamma = gn/gd and T(x) = N/D (``level_table``), as T, A,
+    G and V.  The image is tested against the target's span over x, its
+    memoised ``clause_ends``, at the unreduced level (td - tn)·an / (td·ad),
+    as ``random_anchor`` tests it.  eps = en/ed over ed = 2Lk, k = cL + A,
+    and en = s·L² unless capped; the box is ``iv_span`` of its integer ends
+    over ed, and a ``Fraction`` is built only for each clause gamma.
     """
     t = unit(frac(t), "homotopy time")
     tn, td = t.numerator, t.denominator
@@ -174,52 +179,25 @@ def continuity_witness(t, p: CylPoint, target: SubbasisElem,
     if not span_holds(den, lo, his[i], lo_open, (td - tn) * an, td * ad):
         raise ValueError(f"H({t},{p}) does not lie in the target {target}")
     pi2_target = target.kind == "pi2"
-    level_den, v = 1, 0
-    if not pi2_target:
-        level_den, rows = topo.level_table
-        v = rows[topo.open_index(target.open_name)][i]
+    level_den, rows = topo.level_table
+    v = 0 if pi2_target else rows[topo.open_index(target.open_name)][i]
     L = lcm(td, ad, gamma.denominator, level_den)
     T, A, G = tn * (L // td), an * (L // ad), gamma.numerator * (L // gamma.denominator)
     V = v * (L // level_den)
-    en, ed = L, 2 * L  # eps = 1/2 unless a bound is smaller
-    clause = [target]
-
-    if T == L:
-        if A == 0:
-            if pi2_target:
-                # image level is 0, so gamma < 0 and any box lands above gamma
-                clause = [pi2(GAMMA_LO)]
-        elif pi2_target:
-            en = A
-            clause = [pi2(Fraction(A, 2 * L))]
-        else:
-            m = min(2 * A, V - G)
-            en, ed = m, 4 * L
-            clause = [tstar(target.open_name, Fraction(max(-ed, 4 * (G - A) + 2 * m), ed)),
-                      pi2(Fraction(4 * A - m, ed))]
-    elif T == 0:
-        if pi2_target and A > 0:
-            if G <= 0:
-                clause = [pi2(Fraction(max(-L, 2 * G), L))]
-            else:
-                en, ed = (A - G) * L, 2 * A * L
-                clause = [pi2(Fraction(2 * A * G, L * (A + G)))]
-    elif pi2_target:
-        if A == 0:
-            en = min(T, L - T)
-        else:
-            m = min(T * A, (L - T) * A, (L - T) * A - G * L)
-            en, ed = m, 2 * A * L
-            clause = [pi2(Fraction(max(-2 * L * L, 2 * (G * L + T * A) + m), 2 * L * L))]
-    else:
-        m = min(T * (L + T), (L - T) * (L + T), V * L - (L - T) * A - G * L)
-        en, ed = m, 2 * L * (L + T)
-        mu = Fraction(max(-2 * L * L, 2 * (G * L - A * T) + m), 2 * L * L)
-        clause = [tstar(target.open_name, mu),
-                  pi2(Fraction(max(-ed, 2 * A * (L + T) - m), ed))]
+    if (G < 0) if pi2_target else (V - A > G):  # the self rule
+        en, ed, clause = L, 2 * L, (target,)
+    elif pi2_target:  # the slack rule, c = 1
+        k = L + A
+        en, ed = (L - T) * A - G * L, 2 * L * k
+        clause = (pi2(Fraction(2 * A * k - en, ed)),)
+    else:  # c = 2
+        k = 2 * L + A
+        en, ed = min(V * L - (L - T) * A - G * L, 2 * (L + V - A) * k), 2 * L * k
+        clause = (tstar(target.open_name, Fraction(2 * (V - A) * k - en, ed)),
+                  pi2(Fraction(2 * A * k - en, ed)))
     c = T * (ed // L)
-    box = iv_span(ed, max(0, c - en), min(ed, c + en), T != 0, T == L)
-    return BoxWitness(box, OpenExpr((tuple(clause),)), None, target, t, p)
+    box = iv_span(ed, max(0, c - en), min(ed, c + en), c >= en, c + en > ed)
+    return BoxWitness(box, OpenExpr((clause,)), None, target, t, p)
 
 
 def verify_witness(w: BoxWitness, topo: FuzzyTopology) -> bool:

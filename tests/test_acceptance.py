@@ -5,7 +5,8 @@ module-scoped fixture, into one oracle ledger that criterion 10
 cross-checks against the N=64 brute-force grid oracle; criteria 7 and 8
 share one path sweep, and criterion 8 adds the cross-check of the
 continuity rule on planted discontinuous paths.  Every criterion therefore
-runs on its own too.
+runs on its own too.  Criteria 2, 3, 4, 6, 9 and 10 require their exact
+counts, so a fault that shrinks a sweep fails the criterion that runs it.
 """
 
 import random
@@ -78,7 +79,7 @@ def test_criterion_01_counterexample_reproduction(ledger_sweeps):
 
 def test_criterion_02_psi_law_suite(ledger_sweeps):
     result, elapsed = ledger_sweeps[2]
-    ok = result.ok and elapsed < 30.0
+    ok = result.ok and result.checked == 57397 and elapsed < 30.0
     report(2, "psi-law-suite", ok,
            f"{result.checked} equalities over 100 topologies, {elapsed:.1f}s"
            + ("" if result.ok else f"; failures {result.failures[:3]}"))
@@ -86,7 +87,7 @@ def test_criterion_02_psi_law_suite(ledger_sweeps):
 
 def test_criterion_03_round_trip(ledger_sweeps):
     result, _ = ledger_sweeps[3]
-    report(3, "membership-round-trip", result.ok,
+    report(3, "membership-round-trip", result.ok and result.checked == 500,
            f"{result.checked} fuzzy sets")
 
 
@@ -111,7 +112,7 @@ def test_criterion_05_retraction_certificates(ledger_sweeps):
 
 def test_criterion_06_sigma_open_map_laws(ledger_sweeps):
     result, _ = ledger_sweeps[6]
-    report(6, "sigma-open-map-laws", result.ok,
+    report(6, "sigma-open-map-laws", result.ok and result.checked == 566,
            f"{result.checked} equalities")
 
 
@@ -154,6 +155,6 @@ def test_criterion_09_complement_oracle_equivalence():
 
 def test_criterion_10_grid_oracle_agreement(oracle_ledger, ledger_sweeps):
     result = oracle_ledger.verify(64)
-    report(10, "grid-oracle-agreement", result.ok and result.checked > 0,
+    report(10, "grid-oracle-agreement", result.ok and result.checked == 1066,
            f"{result.checked} cylinder sets at N=64"
            + ("" if result.ok else f"; failures {result.failures[:3]}"))

@@ -27,12 +27,11 @@ denominators, gamma -1, pi2 members alone, and ends that meet exactly.
 ``clause_ends`` keeps each clause's ends in the topology's memo, and the
 kept ends must be those a freshly built copy of the topology computes.
 
-Certificates: ``continuity_witness`` builds every time box by one rule,
-the epsilon-ball around the anchor time, and computes eps and the clause
-in integers over one common denominator.  The reference is an earlier
-``Fraction`` builder, which spelled out each regime's box and capped its
-slack bounds at 1: the same ``to_json`` on anchors of every branch class,
-drawn from two topology families.
+Certificates: ``continuity_witness`` builds every certificate by one of
+two rules, the self rule or the slack rule, and computes eps and the clause
+in integers over one common denominator.  The reference states the two
+rules in ``Fraction``s: the same ``to_json`` on anchors of every reachable
+(target kind, rule, time regime) class, drawn from two topology families.
 
 Box replay: the time box is a one-pair ``IntervalSet``; ``verify_witness``
 checks it with ``is_open_in_unit`` and ``contains``, reads each clause and
@@ -53,7 +52,6 @@ import itertools
 import json
 import random
 from math import lcm
-from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
@@ -469,106 +467,47 @@ def test_iv_scaled_spans_within_matches_the_built_image():
 # ---------------------------------------------------------------------------
 # certificates
 
-def ref_witness(t_lo, t_hi, lo_closed, hi_closed, clause, topo, target, t, p) -> BoxWitness:
-    expr = OpenExpr((tuple(clause),))
-    return BoxWitness(
-        t_interval=make_unit_interval(t_lo, t_hi, lo_closed, hi_closed),
-        region_expr=expr,
-        region=open_realize(expr, topo),
-        target=target,
-        anchor_t=frac(t),
-        anchor=p,
-    )
-
-
 def ref_continuity_witness(t, p: CylPoint, target: SubbasisElem,
-                           topo: FuzzyTopology) -> BoxWitness:
-    """Build a box certificate around (t, p) for the given subbasis target.
-
-    Case dispatch mirrors the three regimes t = 1, 0 < t < 1, t = 0; in each
-    the epsilon is half the maximal admissible slack.
-    """
-    t = frac(t)
-    x, alpha = p.x, p.alpha
-    image = h_eval(t, p)
-    if not subbasis_realize(target, topo).fiber(image.x).contains(image.alpha):
+                           topo: FuzzyTopology) -> tuple[str, BoxWitness]:
+    """The rule that (t, p, target) takes and its certificate, in
+    ``Fraction``s: the self rule keeps the target with eps = 1/2, and the
+    slack rule takes eps = delta = s / (2(c + alpha)), for tstar capped at
+    1 + T(x) - alpha, with clause gammas alpha - delta and T(x) - alpha -
+    delta; the box is the eps-ball around t, closed at an end it passes."""
+    t, alpha, gamma = frac(t), p.alpha, target.gamma
+    a = h_eval(t, p).alpha
+    if not subbasis_realize(target, topo).fiber(p.x).contains(a):
         raise ValueError(f"H({t},{p}) does not lie in the target {target}")
-    gamma = target.gamma
-    if target.kind == "tstar":
-        tv = topo.open_named(target.open_name)(x)
-
-    if t == ONE:
-        if target.kind == "pi2":
-            # image level is 0, so gamma < 0 and any box lands above gamma
-            if alpha == ZERO:
-                eps = Fraction(1, 2)
-                clause = [pi2(Fraction(-1))]
-            else:
-                eps = min(ONE, alpha) / 2
-                clause = [pi2(alpha - eps)]
-            return ref_witness(ONE - eps, ONE, False, True, clause, topo, target, t, p)
-        if alpha == ZERO:
-            eps = Fraction(1, 2)
-            clause = [target]
-        else:
-            eps = min(ONE, alpha, (tv - gamma) / 2) / 2
-            clause = [tstar(target.open_name, max(Fraction(-1), gamma - alpha + 2 * eps)),
-                      pi2(alpha - eps)]
-        return ref_witness(ONE - eps, ONE, False, True, clause, topo, target, t, p)
-
-    if t == ZERO:
-        if target.kind == "pi2":
-            if alpha == ZERO:
-                eps = Fraction(1, 2)
-                clause = [pi2(gamma)]
-            else:
-                bound = ONE if gamma <= 0 else ONE - gamma / alpha
-                eps = min(ONE, bound) / 2
-                clause = [pi2(max(Fraction(-1), gamma / (ONE - eps)))]
-        else:
-            eps = Fraction(1, 2)
-            clause = [target]
-        return ref_witness(ZERO, eps, True, False, clause, topo, target, t, p)
-
-    # 0 < t < 1
     if target.kind == "pi2":
-        bounds = [t, ONE - t]
-        if alpha > ZERO:
-            bounds.append(((ONE - t) * alpha - gamma) / alpha)
-        eps = min(bounds) / 2
-        clause = [pi2(max(Fraction(-1), gamma + (t + eps) * alpha))]
+        rule = "self" if gamma < 0 else "slack"
+        eps = delta = (a - gamma) / (2 * (1 + alpha))
+        clause = [pi2(alpha - delta)]
     else:
-        slack = (tv - (ONE - t) * alpha - gamma) / (ONE + t)
-        eps = min(t, ONE - t, slack) / 2
-        mu = max(Fraction(-1), gamma - alpha * t + eps * (t + ONE))
-        clause = [tstar(target.open_name, mu), pi2(max(Fraction(-1), alpha - eps))]
-    return ref_witness(t - eps, t + eps, False, False, clause, topo, target, t, p)
-
-
-def branch_class(t, p, target):
-    """The branch of ``continuity_witness`` that (t, p, target) takes: the
-    regime, the target kind and whether alpha is 0; at t = 0 on a pi2
-    target with alpha > 0, also the sign of gamma."""
-    regime = "t=1" if t == ONE else "t=0" if t == ZERO else "0<t<1"
-    key = (regime, target.kind, "alpha=0" if p.alpha == ZERO else "alpha>0")
-    if key == ("t=0", "pi2", "alpha>0"):
-        key += ("gamma<=0" if target.gamma <= 0 else "gamma>0",)
-    return key
+        tv = topo.open_named(target.open_name)(p.x)
+        rule = "self" if tv - alpha > gamma else "slack"
+        eps = delta = min((tv - a - gamma) / (2 * (2 + alpha)), 1 + tv - alpha)
+        clause = [tstar(target.open_name, tv - alpha - delta), pi2(alpha - delta)]
+    if rule == "self":
+        eps, clause = F(1, 2), [target]
+    box = make_unit_interval(max(ZERO, t - eps), min(ONE, t + eps), t < eps, t + eps > 1)
+    return rule, BoxWitness(box, OpenExpr((tuple(clause),)), None, target, t, p)
 
 
 @pytest.mark.parametrize("family", [{"max_generators": 2, "max_den": 8}, {}],
                          ids=["max_den=8", "defaults"])
-def test_continuity_witness_matches_the_per_regime_boxes(family):
+def test_continuity_witness_matches_the_two_rules(family):
     """The same certificate bytes as the reference on one drawn anchor per
-    regime and topology, and on its alpha = 0 variant (same t and target)
-    whenever that variant's image lies in the target, for two families of
-    600 topologies: at most two generators with denominators up to 8 (3,422
-    certificates), and ``random_topology``'s defaults, the ``certify``
-    deck's, with denominators up to 32 (3,447 certificates), where the
-    builder's common denominator L is larger.  Each family reaches each of
-    the 13 branch classes of ``branch_class`` at least 50 times (the fewest:
-    62 at t = 1 on a pi2 target with alpha > 0 in the first, 60 at
-    0 < t < 1 on a pi2 target with alpha = 0 in the second)."""
+    time regime and topology, and on its alpha = 0 variant (same t and
+    target) whenever that variant's image lies in the target, for two
+    families of 600 topologies: at most two generators with denominators
+    up to 8, and ``random_topology``'s defaults, the ``certify`` deck's,
+    with denominators up to 32, where the builder's common denominator L
+    is larger.  Each family reaches each of the 10 reachable classes of
+    (target kind, rule, time regime) at least 50 times: a pi2 target takes
+    the slack rule only when its gamma >= 0 lies below the image level, so
+    never at t = 1, and a tstar target at t = 0 always takes the self rule,
+    its image being the anchor itself (the fewest: 51, a pi2 target on the
+    slack rule at an interior time, in the second family)."""
     rng = random.Random(20261019)
     seen = {}
     for _ in range(600):
@@ -580,15 +519,15 @@ def test_continuity_witness_matches_the_per_regime_boxes(family):
             t, p, target = anchor
             anchors = [p]
             flat = CylPoint(p.x, ZERO)
-            image = h_eval(t, flat)
-            if subbasis_realize(target, topo).fiber(image.x).contains(image.alpha):
+            if subbasis_realize(target, topo).fiber(p.x).contains(h_eval(t, flat).alpha):
                 anchors.append(flat)
             for q in anchors:
-                got = continuity_witness(t, q, target, topo).to_json()
-                assert got == ref_continuity_witness(t, q, target, topo).to_json(), (t, q, target)
-                key = branch_class(t, q, target)
+                rule, expect = ref_continuity_witness(t, q, target, topo)
+                got = continuity_witness(t, q, target, topo)
+                assert got.to_json() == expect.to_json(), (t, q, target)
+                key = (target.kind, rule, case)
                 seen[key] = seen.get(key, 0) + 1
-    assert len(seen) == 13 and min(seen.values()) >= 50, seen
+    assert len(seen) == 10 and min(seen.values()) >= 50, seen
 
 
 def ref_verify_witness(w, topo):

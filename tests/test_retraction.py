@@ -155,15 +155,27 @@ def test_witness_fails_when_box_is_too_generous():
 
 def test_witness_fails_when_the_anchor_leaves_its_region():
     # the box and the image still check, but the anchor moved out of the
-    # realized clause, so the box is no neighbourhood of it
+    # realized clause, so the box is no neighbourhood of it; T(a) - 5/8 is
+    # not above 1/8, so the certificate takes the slack rule, whose clause
+    # is a band around 5/8 and not the target
     topo = const_topo("2/3")
     name = open_with_levels(topo, F(2, 3))
-    w = continuity_witness(F(1, 2), CylPoint("a", F(1, 4)), tstar(name, F(1, 8)), topo)
-    assert verify_witness(w, topo)
+    w = continuity_witness(F(1, 2), CylPoint("a", F(5, 8)), tstar(name, F(1, 8)), topo)
+    assert verify_witness(w, topo) and len(w.region_expr.clauses[0]) == 2
     moved = BoxWitness(w.t_interval, w.region_expr, None, w.target, w.anchor_t,
                        CylPoint("a", F(1, 2)))
     assert not open_realize(w.region_expr, topo).fiber("a").contains(F(1, 2))
     assert not verify_witness(moved, topo)
+
+
+def test_witness_with_no_clauses_fails():
+    # an older file's certificate may store its region: with no clauses the
+    # stored empty region is the realization, but the anchor lies in no clause
+    topo = const_topo("2/3")
+    w = continuity_witness(F(1, 2), CylPoint("a", F(1, 4)), pi2(F(-1, 2)), topo)
+    empty = BoxWitness(w.t_interval, OpenExpr(()), empty_cylinder(AB), w.target,
+                       w.anchor_t, w.anchor)
+    assert verify_witness(w, topo) and not verify_witness(empty, topo)
 
 
 def test_witness_precondition_enforced():
@@ -245,6 +257,75 @@ def test_witness_soundness_random():
             t, p, target = anchor
             w = continuity_witness(t, p, target, topo)
             assert verify_witness(w, topo)
+
+
+def test_witness_caps_delta_so_the_tstar_gamma_stays_at_least_minus_1():
+    # T0 = 0, so T0(a) - 19/20 is not above -9/10 and the slack rule runs:
+    # s = 341/400 would give delta = 341/2360, but the cap 1 + 0 - 19/20
+    # holds it at 1/20, where the tstar gamma is -1 exactly
+    topo = const_topo("1/3")
+    assert topo.open_named("T0").levels == (0, 0)
+    w = continuity_witness(F(19, 20), CylPoint("a", F(19, 20)), tstar("T0", F(-9, 10)), topo)
+    assert w.region_expr.clauses == ((tstar("T0", -1), pi2(F(9, 10))),)
+    assert w.t_interval == build([Interval(F(9, 10), F(1), False, False)])
+    assert verify_witness(w, topo)
+
+
+EDGE_TIMES = (F(0), F(1, 97), F(1, 2), F(96, 97), F(1))
+
+
+def target_span(target, topo, x):
+    """The levels over x of a subbasis open, (lo, hi, lo_closed), in
+    ``Fraction``s: (gamma, 1) for pi2, from 0 when gamma < 0, and [0,
+    T(x) - gamma) for tstar, capped at 1."""
+    if target.kind == "pi2":
+        return max(target.gamma, F(0)), F(1), target.gamma < 0
+    return F(0), min(F(1), topo.open_named(target.open_name)(x) - target.gamma), True
+
+
+def test_every_edge_deck_certificate_replays():
+    """Anchors at the edges of every target, where a slack a little too
+    large is wrong and random draws seldom land: on criterion 5's 34
+    topologies, for each subbasis element of ``subbasis_elements`` and each
+    x with a nonempty span, the levels 1/1,000 of the span inside each end,
+    its midpoint and its low end, closed or excluded, and its high end when
+    below 1.  At t in {0, 1/97, 1/2, 96/97} each level is the image, (1 -
+    t) alpha; at t = 1 it is alpha, with image 0.  Each time also takes
+    alpha = 999/1000, where the cap on delta can bind.  Every anchor whose
+    image lies in the span gives a certificate that replays, and every
+    other is refused by the precondition: 60,232 replayed and 14,290
+    refused, and each (target kind, rule) class occurs at least 5,000
+    times (the fewest: 5,160, pi2 on the self rule)."""
+    rng = random.Random(103)
+    seen = {}
+    refused = 0
+    for _ in range(34):
+        topo = random_topology(rng, max_generators=2, max_den=8)
+        for target in subbasis_elements(topo):
+            for x in topo.ground.elements:
+                lo, hi, lo_closed = target_span(target, topo, x)
+                if hi <= lo:
+                    continue
+                w = (hi - lo) / 1000
+                levels = [lo + w, hi - w, (lo + hi) / 2, lo] + [hi] * (hi < 1)
+                for t in EDGE_TIMES:
+                    alphas = [b if t == 1 else b / (1 - t) for b in levels] + [F(999, 1000)]
+                    for alpha in [alpha for alpha in alphas if alpha < 1]:
+                        p, a = CylPoint(x, alpha), (1 - t) * alpha
+                        if not (lo < a or lo_closed and lo == a) or a >= hi:
+                            with pytest.raises(ValueError, match="does not lie in the target"):
+                                continuity_witness(t, p, target, topo)
+                            refused += 1
+                            continue
+                        assert verify_witness(continuity_witness(t, p, target, topo), topo), \
+                            (t, p, target)
+                        if target.kind == "pi2":
+                            rule = "self" if target.gamma < 0 else "slack"
+                        else:
+                            v = topo.open_named(target.open_name)(x)
+                            rule = "self" if v - alpha > target.gamma else "slack"
+                        seen[target.kind, rule] = seen.get((target.kind, rule), 0) + 1
+    assert len(seen) == 4 and min(seen.values()) >= 5000 and refused >= 14000, (seen, refused)
 
 
 def reference_anchor(rng, topo, case, max_tries=200):

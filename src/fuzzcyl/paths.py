@@ -13,16 +13,18 @@ compiled once, on first use, into a :class:`PathTable` of integers over one
 denominator: the sorted breakpoints (concatenation splits and fence ends),
 the point at each breakpoint, and on each open piece between them a fixed
 ground element with an affine level ``c0 + c1 u``.  The table is cached on
-the node outside its dataclass fields, so equality, hashing, repr and JSON
-are those of the expression; merged and reduced, it is the path's normal
-form.  Evaluation is one checked integer pass per row of parameters:
-``eval_keys`` and ``chi_keys`` check every value of the row lies in [0,1]
-(a ``Fraction`` on its numerator and denominator) before any lookup, find
-each p/q on the table by bisecting the breakpoints with no key function
-for the first b >= ceil(p·den/q), and check each key's level lies in J and
-reduce it to ``(x, n, d)`` in lowest terms in the same loop; the
-endpoints are the table's first and last points.  The grid checks compare
-these rows of exact keys, on grids that ``checks`` builds once per step.
+the node outside its dataclass fields, so equality, hashing and repr are
+those of the expression; merged and reduced, it is the path's normal form.
+Evaluation is one checked integer pass per row of parameters:
+``eval_keys`` checks every value of the row lies in [0,1] (a ``Fraction``
+on its numerator and denominator) before any lookup, then in one loop
+finds each p/q on the table by bisecting the breakpoints with no key
+function for the first b >= ceil(p·den/q), checks its level lies in J and
+reduces its key to ``(x, n, d)`` in lowest terms.  A row of ``chi_keys``
+is rho's keys from ``eval_keys``, each level scaled by 1 - kappa(s,t)(x)
+and reduced.  The endpoints are the table's first and last points.  The
+grid checks compare these rows of exact keys, on grids that ``checks``
+builds once per step.
 The exact preimage of a cylinder set is read off the table: each
 breakpoint whose point lies in its fiber, and each open piece, whole or
 cut by ``intervals.iv_preimage`` of its fiber under its level.  Continuity is
@@ -49,7 +51,7 @@ from .intervals import (
     iv_span,
     iv_union,
 )
-from .rationals import ONE, format_rational, frac, unit
+from .rationals import ONE, frac, unit
 
 
 def kappa(s, t, x) -> Fraction:
@@ -81,9 +83,6 @@ class FencePath:
         for a, b, x in zip(self.steps, self.steps[1:], self.interiors):
             if x not in (a, b):
                 raise ValueError(f"interior value {x!r} is neither end of segment {a}, {b}")
-
-    def to_json(self) -> dict:
-        return {"steps": list(self.steps), "interiors": list(self.interiors)}
 
 
 def make_fence_path(steps, relation: Order) -> FencePath:
@@ -284,28 +283,21 @@ def _ratios(us, what: str) -> list[tuple[int, int]]:
     return ratios
 
 
-def _locations(table: PathTable, ratios) -> list[tuple[str, int, int]]:
-    """``(x, n, d)`` with ``e(p/q) = (x, n/d)`` for each ``(p, q)`` of
-    ``ratios``, where ``table`` is that of ``e``; n/d is not reduced."""
-    den, breaks, located = table.den, table.breaks, []
-    for p, q in ratios:
+def eval_keys(e: PathExpr, us) -> list[tuple[str, int, int]]:
+    """The exact key ``(x, n, d)`` of the point (x, n/d) = e(u), in lowest
+    terms, at each u of ``us``; each level is checked to lie in J."""
+    table = path_table(e)
+    den, breaks, keys = table.den, table.breaks, []
+    for p, q in _ratios(us, "path parameter"):
         # the first breakpoint b/den >= p/q: b*q >= p*den, so b >= ceil(p*den/q)
         pd = p * den
         j = bisect_left(breaks, -(-pd // q))
         if breaks[j] * q == pd:
-            x, a = table.points[j]
-            located.append((x, a, den))
+            x, n = table.points[j]
+            d = den
         else:
             x, c0, c1 = table.pieces[j - 1]
-            located.append((x, c0 * q + c1 * p, den * q))
-    return located
-
-
-def eval_keys(e: PathExpr, us) -> list[tuple[str, int, int]]:
-    """The exact key ``(x, n, d)`` of the point (x, n/d) = e(u), in lowest
-    terms, at each u of ``us``; each level is checked to lie in J."""
-    keys = []
-    for x, n, d in _locations(path_table(e), _ratios(us, "path parameter")):
+            n, d = c0 * q + c1 * p, den * q
         if not 0 <= n < d:
             unit(Fraction(n, d), "level", top_open=True)
         g = gcd(n, d)
@@ -316,19 +308,18 @@ def eval_keys(e: PathExpr, us) -> list[tuple[str, int, int]]:
 def chi_keys(rho: PathExpr, s, t, etas, xs) -> list[list[tuple[str, int, int]]]:
     """The square free homotopy H(kappa(s,t)(x), rho(eta)) as exact keys
     ``(x, n, d)`` in lowest terms: one row per eta of ``etas``, one key per
-    x of ``xs``; each level is checked to lie in J."""
+    x of ``xs``, each the key of rho(eta) with its level scaled by
+    1 - kappa(s,t)(x).  That factor lies in [0,1], since s, t and x do, so
+    a level in J stays in J."""
     (sn, sd), (tn, td) = _ratios((s, t), "kappa argument")
     # 1 - kappa(s,t)(x) = 1 - s - (t - s) x, as one fraction over sd td xd
     keeps = [((sd - sn) * td * xd - (tn * sd - sn * td) * xn, sd * td * xd)
              for xn, xd in _ratios(xs, "kappa argument")]
-    ratios = _ratios(etas, "path parameter")
     rows = []
-    for y, n, d in _locations(path_table(rho), ratios):
+    for y, n, d in eval_keys(rho, etas):
         row = []
         for keep, keep_den in keeps:
             kn, kd = keep * n, keep_den * d
-            if not 0 <= kn < kd:
-                unit(Fraction(kn, kd), "level", top_open=True)
             g = gcd(kn, kd)
             row.append((y, kn // g, kd // g))
         rows.append(row)
@@ -459,24 +450,3 @@ def functor_object_path(F, y: str, z: str, beta) -> VerticalAffine:
     fy = F(y)
     return VerticalAffine(z, (ONE - fy) * beta, fy * beta)
 
-
-def path_to_json(e: PathExpr) -> dict:
-    if isinstance(e, Const):
-        return {"type": "const", "point": e.point.to_json()}
-    if isinstance(e, VerticalAffine):
-        return {"type": "vertical", "x": e.x,
-                "a0": format_rational(e.a0), "a1": format_rational(e.a1)}
-    if isinstance(e, HLift):
-        return {"type": "hlift", "base": e.base.to_json(),
-                "level": format_rational(e.level)}
-    if isinstance(e, Concat):
-        return {"type": "concat", "parts": [path_to_json(p) for p in e.parts]}
-    if isinstance(e, Reverse):
-        return {"type": "reverse", "inner": path_to_json(e.inner)}
-    if isinstance(e, HTransform):
-        return {"type": "h_transform", "t": format_rational(e.t),
-                "inner": path_to_json(e.inner)}
-    if isinstance(e, ChiBoundary):
-        return {"type": "chi_boundary", "rho": path_to_json(e.rho),
-                "s": format_rational(e.s), "t": format_rational(e.t), "end": e.end}
-    raise TypeError(f"not a path expression: {e!r}")

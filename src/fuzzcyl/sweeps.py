@@ -144,9 +144,10 @@ def random_anchor(rng: random.Random, topo: FuzzyTopology,
                   case: str) -> Optional[tuple[Fraction, CylPoint, SubbasisElem]]:
     """A (t, point, target) triple satisfying the witness precondition.
 
-    case selects the proof regime: "zero", "interior", or "one".  The
-    candidate targets are computed once per topology and kept in its
-    ``memo``.  A draw is tested in integers against the target's memoised
+    case chooses only how t is drawn: 0 for "zero", 1 for "one", and tn/td
+    with td in 2..16 and 0 < tn < td for "interior".  The candidate
+    targets are computed once per topology and kept in its ``memo``.  A
+    draw is tested in integers against the target's memoised
     ``clause_ends`` over x, as ``continuity_witness`` tests its
     precondition: for t = tn/td and the point (x, an/ad), the image H(t, p)
     is (x, (td - tn)·an / (td·ad)), unreduced.  The draws are those of

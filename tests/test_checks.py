@@ -16,7 +16,6 @@ import pytest
 
 from fuzzcyl import checks
 from fuzzcyl.cylinder import CompatReport, SweepResult
-from fuzzcyl.paths import path_to_json
 from fuzzcyl.rationals import ONE, ZERO, format_rational
 from fuzzcyl.sweeps import random_fuzzy, random_ground, random_topology
 
@@ -152,14 +151,14 @@ def test_draws_do_not_depend_on_checks(sweep, seed, monkeypatch):
 
 
 def _drawn_case_digest(seed: int) -> str:
-    """SHA-256 over every field of five drawn path cases, in JSON, and the
-    generator state the draws leave."""
+    """SHA-256 over every field of five drawn path cases, each path by its
+    dataclass repr, and the generator state the draws leave."""
     rng = random.Random(seed)
     coarse = checks._grid(Fraction(1, 8))
-    drawn = [[case.topo.to_json(), path_to_json(case.gamma), format_rational(case.s),
-              format_rational(case.t), [path_to_json(p) for p in case.parts],
+    drawn = [[case.topo.to_json(), repr(case.gamma), format_rational(case.s),
+              format_rational(case.t), [repr(p) for p in case.parts],
               format_rational(case.a), format_rational(case.b), case.point.to_json(),
-              path_to_json(case.delta)]
+              repr(case.delta)]
              for case in checks._path_cases(rng, 5, coarse)]
     doc = json.dumps([drawn, rng.getstate()], sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()
@@ -168,9 +167,9 @@ def _drawn_case_digest(seed: int) -> str:
 # pinned as GOLDEN pins stdout: each draw reads path_end, so a fault in
 # the endpoints changes the draws, which a passing sweep's output cannot show
 DRAWN_PATH_CASES = {
-    1: "cf6eac3b8e9bb476154d0389fbf425364ab6cc5fa01d93f0818547233bccb2f8",
-    2: "e45aee586d7faff30af0a8bf461b49d65aa8deed93e4f69b37ca6a7b40e2545c",
-    3: "1050ee68d589baf9d61b1f2f965512cf340b34c3a1de1a23f44db1b31bb593e0",
+    1: "0d9af107c2b00367585c124ff94a6da112dca1c2b9772c8918bdcfbfd1015ddf",
+    2: "b1c1fcbac9417aa7064c706a85785f1a41e3cdb45c3ba743381eb0b75f515707",
+    3: "ff15b5253604d9e3edc4fd2ad369dce966367c7804a2bc4d0443ea7a72e8f02e",
 }
 
 

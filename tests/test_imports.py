@@ -309,7 +309,6 @@ ALLOWED = {
     "component_cylinder_expr": "the open expression of component x J, roadmap item 1's start",
     "sweep_continuity_rule": "the sweep of acceptance criterion 8",
     "sweep_complement": "the sweep of acceptance criterion 9",
-    "path_to_json": "the path writer, which the pinned draw digests of the tests use",
 }
 
 
@@ -340,7 +339,7 @@ def test_every_public_name_has_a_caller():
                       for p in sorted((ROOT / "bench").glob("*.py")))
     assert uncalled_names(sources, bench) == []
     # the list is pinned, so that a new entry is a deliberate edit
-    assert sorted(ALLOWED) == ["component_cylinder_expr", "fence_between", "path_to_json",
+    assert sorted(ALLOWED) == ["component_cylinder_expr", "fence_between",
                                "sweep_complement", "sweep_continuity_rule"]
 
 

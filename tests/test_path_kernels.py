@@ -225,11 +225,12 @@ def _lowered(table):
 
 
 # (plant, first bad level of eval_keys on ROW, of chi_keys on the etas 0
-# and 3/4 and XS); 1 - kappa(0,1)(x) = 1 - x scales each row of chi_keys:
-# tripled, the levels on ROW are 0, 3/4, 9/8, 3/2 and the row of 9/8 is
-# 0, 9/16, 135/128, 9/8; lowered, the row of -1 is 0, -1/2, -15/16, -1
-PLANTED_LEVELS = {"above": (_tripled, "9/8", "135/128"),
-                  "below": (_lowered, "-1", "-1/2")}
+# and 3/4 and XS); chi_keys reads rho's keys from eval_keys, so it names
+# rho's first bad level, before any scaling by 1 - kappa(s,t)(x): tripled,
+# the levels on ROW are 0, 3/4, 9/8, 3/2 and rho(3/4) = 9/8; lowered,
+# rho(0) = -1
+PLANTED_LEVELS = {"above": (_tripled, "9/8", "9/8"),
+                  "below": (_lowered, "-1", "-1")}
 ROW = [0, F(1, 2), F(3, 4), 1]
 XS = [1, F(1, 2), F(1, 16), 0]
 
@@ -246,6 +247,17 @@ def test_a_level_outside_J_is_named_at_the_first_bad_cell(where, monkeypatch):
     with pytest.raises(ValueError) as caught:
         chi_keys(path, 0, 1, [0, F(3, 4)], XS)
     assert str(caught.value) == f"level outside [0,1): {chi_level}"
+
+
+def test_chi_keys_checks_rho_where_the_factor_is_0(monkeypatch):
+    """At x = 1, 1 - kappa(0,1)(x) = 0 scales every level to 0, but rho's
+    level 9/8 at 3/4 is still named."""
+    compile_table = paths._compile
+    monkeypatch.setattr(paths, "_compile", lambda e: _tripled(compile_table(e)))
+    path = VerticalAffine("a", ZERO, F(1, 2))
+    with pytest.raises(ValueError) as caught:
+        chi_keys(path, 0, 1, [F(3, 4)], [1])
+    assert str(caught.value) == "level outside [0,1): 9/8"
 
 
 # ---------------------------------------------------------------------------

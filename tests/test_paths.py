@@ -45,7 +45,6 @@ from fuzzcyl.paths import (
     path_preimage,
     path_start,
     path_table,
-    path_to_json,
 )
 from fuzzcyl.retraction import h_eval
 from fuzzcyl.sweeps import random_path, random_topology
@@ -288,10 +287,9 @@ def test_vertical_path_takes_a_string_element():
         VerticalAffine(["a"], F(0), F(1, 2))
 
 
-@pytest.mark.parametrize("read", [path_table, path_to_json])
-def test_a_point_is_not_a_path(read):
+def test_a_point_is_not_a_path():
     with pytest.raises(TypeError, match=r"^not a path expression: \(a,1/2\)$"):
-        read(CylPoint("a", F(1, 2)))
+        path_table(CylPoint("a", F(1, 2)))
 
 
 def test_make_fence_path_rejects_incomparable():
@@ -362,9 +360,9 @@ def test_normal_form_keeps_a_breakpoint_the_path_leaves():
     assert normalize_path(dip) != normalize_path(flat)
 
 
-def test_chi_boundary_end_is_the_json_integer_0_or_1():
+def test_chi_boundary_end_is_the_integer_0_or_1():
     rho = Const(CylPoint("a", F(1, 2)))
-    assert path_to_json(ChiBoundary(rho, F(0), F(1, 2), 1))["end"] == 1
+    assert ChiBoundary(rho, F(0), F(1, 2), 1).end == 1
     # the node checks its end when built
     for end in (1.7, 1.0, "1", True, False, 2, -1, None):
         with pytest.raises(ValueError, match="end must be the integer 0 or 1"):
@@ -578,11 +576,10 @@ def test_compiled_node_keeps_value_semantics():
         path = random_path(rng, topo)
         rng.setstate(state)
         fresh = random_path(rng, topo)
-        doc, digest, text = path_to_json(path), hash(path), repr(path)
+        digest, text = hash(path), repr(path)
         eval_path(path, F(1, 3))
         assert path_table(path) is path_table(path)
         assert path == fresh and fresh == path
         assert hash(path) == digest == hash(fresh)
         assert repr(path) == text
-        assert path_to_json(path) == doc
         assert len({path, fresh}) == 1
